@@ -4,14 +4,16 @@ Quaternion-polynomial algebra over Q(sqrt(d)), Pythagorean hodographs,
 the rotation indicatrix with certificate verification and search,
 membership and structure classification, constructive families, and
 symbolic/numeric frame generation.
+
+The classifier is imported as ``from rrmf.classify import classify``;
+the package does not re-export it, so ``rrmf.classify`` stays the module.
 """
 
 from .scalars import ComplexScalar, Scalar, SurdBaseMismatch, format_scalar, parse_scalar
 from .quaternions import Quaternion, normalized_component, quat_inner
 from .polynomials import (ComplexPoly, InexactDivision, QuatPoly,
                           RationalFunction, RealPoly, exact_divide,
-                          gcd_complex, gcd_real, poly_derivative,
-                          reduce_fraction)
+                          gcd_complex, gcd_real, reduce_fraction)
 from .hodograph import (CoreDecomposition, CurvePosition, Hodograph, core_of,
                         has_coprime_components, hodograph_of, integrate,
                         is_primitive)
@@ -20,7 +22,7 @@ from .indicatrix import (IndicatrixPair, RhoEta, han_fraction, han_numerator,
                          omega1, rho_eta, rotation_indicatrix, verify_han)
 from .classify import (Classification, IndicatrixCoefficients, Membership,
                        MembershipStatus, ReducedForm, TrivialWitness,
-                       cancel_indicatrix, classify, gcd_with_complex,
+                       cancel_indicatrix, gcd_with_complex,
                        has_vanishing_indicatrix, hodograph_span_rank,
                        indicatrix_coefficients, is_planar, rrmf_membership,
                        search_certificate, trivial_witness)

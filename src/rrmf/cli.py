@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import catalog
@@ -172,10 +173,12 @@ def cmd_construct(args) -> int:
 
 def _parse_range(text: str) -> tuple[float, float]:
     try:
-        lo, hi = text.split(":")
-        return float(lo), float(hi)
+        lo, hi = (float(bound) for bound in text.split(":"))
     except ValueError as exc:
         raise DocumentError(f"range must be lo:hi, got {text!r}") from exc
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DocumentError(f"range bounds must be finite, got {text!r}")
+    return lo, hi
 
 
 def cmd_frames(args) -> int:

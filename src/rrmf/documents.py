@@ -15,7 +15,7 @@ from typing import Any, Optional
 
 from .polynomials import ComplexPoly, QuatPoly, RealPoly
 from .quaternions import Quaternion
-from .scalars import Scalar, SurdBaseMismatch, format_scalar, is_valid_base, parse_scalar
+from .scalars import Scalar, format_scalar, is_valid_base, parse_scalar
 
 
 class DocumentError(ValueError):
@@ -74,7 +74,7 @@ def parse_document(data) -> PolyDocument:
                 f"each {kind} coefficient needs {width} component(s), got {entry!r}")
         try:
             rows.append(tuple(parse_scalar(str(c), expected_base=base) for c in entry))
-        except (ValueError, SurdBaseMismatch) as exc:
+        except (ValueError, ZeroDivisionError) as exc:
             raise DocumentError(str(exc)) from exc
     certificate = None
     if data.get("certificate") is not None:
@@ -85,7 +85,7 @@ def parse_document(data) -> PolyDocument:
             certificate = (
                 RealPoly([parse_scalar(str(c), expected_base=base) for c in cert["a"]]),
                 RealPoly([parse_scalar(str(c), expected_base=base) for c in cert["b"]]))
-        except (ValueError, SurdBaseMismatch) as exc:
+        except (ValueError, ZeroDivisionError) as exc:
             raise DocumentError(str(exc)) from exc
     metadata = data.get("metadata") or {}
     if not isinstance(metadata, dict):

@@ -211,11 +211,12 @@ def sample_frames(a: QuatPoly, kind: FrameKind, xi_values: Iterable[float],
 
 
 def _check_orthonormal(axes, xi: float) -> None:
+    # written as "not <=" so that a NaN entry fails the check
     for i in range(3):
-        if abs(_fdot(axes[i], axes[i]) - 1.0) > _ORTHO_TOL:
+        if not abs(_fdot(axes[i], axes[i]) - 1.0) <= _ORTHO_TOL:
             raise AssertionError(f"frame axis not unit at xi={xi}")
         for j in range(i + 1, 3):
-            if abs(_fdot(axes[i], axes[j])) > _ORTHO_TOL:
+            if not abs(_fdot(axes[i], axes[j])) <= _ORTHO_TOL:
                 raise AssertionError(f"frame axes not orthogonal at xi={xi}")
 
 

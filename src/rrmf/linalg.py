@@ -9,13 +9,12 @@ def _nonzero(s: Scalar) -> bool:
     return not s.is_zero()
 
 
-def exact_rank(rows: list[list[Scalar]]) -> int:
-    """Rank by fraction-exact Gaussian elimination."""
-    m = [[Scalar.of(c) for c in row] for row in rows]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    rank = 0
+def _row_reduce(m: list[list[Scalar]], ncols: int) -> list[int]:
+    """Gauss-Jordan elimination of m in place on its first ncols columns.
+
+    Leaves m in reduced row echelon form and returns the pivot columns.
+    """
+    pivots: list[int] = []
     row = 0
     for col in range(ncols):
         pivot = next((r for r in range(row, len(m)) if _nonzero(m[r][col])), None)
@@ -28,11 +27,19 @@ def exact_rank(rows: list[list[Scalar]]) -> int:
             if r != row and _nonzero(m[r][col]):
                 f = m[r][col]
                 m[r] = [c - f * p for c, p in zip(m[r], m[row])]
-        rank += 1
+        pivots.append(col)
         row += 1
         if row == len(m):
             break
-    return rank
+    return pivots
+
+
+def exact_rank(rows: list[list[Scalar]]) -> int:
+    """Rank by fraction-exact Gaussian elimination."""
+    m = [[Scalar.of(c) for c in row] for row in rows]
+    if not m:
+        return 0
+    return len(_row_reduce(m, len(m[0])))
 
 
 def solve_exact(matrix: list[list[Scalar]], rhs: list[Scalar]
@@ -42,28 +49,11 @@ def solve_exact(matrix: list[list[Scalar]], rhs: list[Scalar]
     Returns (particular solution, nullspace basis), or None when the
     system is inconsistent.
     """
-    nrows = len(matrix)
-    ncols = len(matrix[0]) if nrows else 0
+    ncols = len(matrix[0]) if matrix else 0
     aug = [[Scalar.of(c) for c in row] + [Scalar.of(rhs[r])]
            for r, row in enumerate(matrix)]
-    pivots: list[int] = []
-    row = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(row, nrows) if _nonzero(aug[r][col])), None)
-        if pivot is None:
-            continue
-        aug[row], aug[pivot] = aug[pivot], aug[row]
-        inv = aug[row][col].inverse()
-        aug[row] = [c * inv for c in aug[row]]
-        for r in range(nrows):
-            if r != row and _nonzero(aug[r][col]):
-                f = aug[r][col]
-                aug[r] = [c - f * p for c, p in zip(aug[r], aug[row])]
-        pivots.append(col)
-        row += 1
-        if row == nrows:
-            break
-    for r in range(row, nrows):
+    pivots = _row_reduce(aug, ncols)
+    for r in range(len(pivots), len(aug)):
         if _nonzero(aug[r][ncols]):
             return None
     particular = [Scalar(0)] * ncols

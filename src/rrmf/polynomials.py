@@ -1,18 +1,24 @@
 """Univariate polynomials over the exact scalar field.
 
-Three dense coefficient types (real, complex, quaternion) share the
-ascending-coefficient representation with no trailing zeros, so the
-zero polynomial is the empty tuple and ``degree() == -1`` for it.
-Quaternion polynomials multiply with ordered coefficients; real and
-complex ones form Euclidean domains with monic gcds.  Reduced ratios
-of real polynomials (monic denominator, coprime parts) provide the
-canonical form for every rational function in the package.
+One dense core, ``_DensePoly``, stores a polynomial as the tuple of its
+coefficients in ascending order with no trailing zeros, so the zero
+polynomial is the empty tuple and ``degree() == -1`` for it.  The core
+multiplies coefficients in order, left operand first, so the same
+arithmetic serves the commutative rings and the quaternions; for
+quaternion polynomials ``divmod`` is therefore right division.  The
+three kinds ``RealPoly``, ``ComplexPoly`` and ``QuatPoly`` name their
+coefficient ring, the constants they accept and the smaller kinds they
+lift from (Real -> Complex -> Quat), and add only what is particular to
+their ring.  Real and complex polynomials form Euclidean domains with
+monic gcds.  Reduced ratios of real polynomials (monic denominator,
+coprime parts) provide the canonical form for every rational function
+in the package.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 from .quaternions import Quaternion
 from .scalars import ComplexScalar, Scalar
@@ -45,32 +51,32 @@ def _term_str(c, k: int) -> str:
     return f"({c})*{xi}"
 
 
-class RealPoly:
-    """Polynomial with Scalar coefficients, ascending order."""
+class _DensePoly:
+    """Immutable dense polynomial over the coefficient ring ``ring``.
+
+    A subclass sets ``ring`` and its ``zero_coeff``, the ``constants``
+    it accepts as degree-0 polynomials, and the polynomial kinds it
+    ``lifts`` coefficientwise into its ring.
+    """
 
     __slots__ = ("coeffs",)
+    lifts: tuple = ()
 
     def __init__(self, coeffs: Iterable = ()):
-        object.__setattr__(
-            self, "coeffs", _trim([Scalar.of(c) for c in coeffs]))
+        object.__setattr__(self, "coeffs", _trim([self.ring.of(c) for c in coeffs]))
 
     def __setattr__(self, name, value):
-        raise AttributeError("RealPoly is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
-    def of(cls, value) -> "RealPoly":
-        if isinstance(value, RealPoly):
+    def of(cls, value):
+        if isinstance(value, cls):
             return value
-        if isinstance(value, (Scalar, Fraction, int)):
-            return cls([Scalar.of(value)])
+        if isinstance(value, cls.lifts):
+            return cls(value.coeffs)
+        if isinstance(value, cls.constants):
+            return cls([value])
         return cls(value)
-
-    @classmethod
-    def monomial(cls, c, k: int) -> "RealPoly":
-        return cls([0] * k + [c])
-
-    zero_coeff = Scalar(0)
-    one_coeff = Scalar(1)
 
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -78,56 +84,54 @@ class RealPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def leading(self) -> Scalar:
+    def leading(self):
         if not self.coeffs:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    def coeff(self, k: int) -> Scalar:
+    def coeff(self, k: int):
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else self.zero_coeff
 
-    def __add__(self, other) -> "RealPoly":
-        other = RealPoly.of(other)
+    def __add__(self, other):
+        other = self.of(other)
         n = max(len(self.coeffs), len(other.coeffs))
-        return RealPoly([self.coeff(k) + other.coeff(k) for k in range(n)])
+        return type(self)([self.coeff(k) + other.coeff(k) for k in range(n)])
 
     __radd__ = __add__
 
-    def __neg__(self) -> "RealPoly":
-        return RealPoly([-c for c in self.coeffs])
+    def __neg__(self):
+        return type(self)([-c for c in self.coeffs])
 
-    def __sub__(self, other) -> "RealPoly":
-        return self + (-RealPoly.of(other))
+    def __sub__(self, other):
+        return self + (-self.of(other))
 
-    def __rsub__(self, other) -> "RealPoly":
-        return (-self) + RealPoly.of(other)
+    def __rsub__(self, other):
+        return (-self) + self.of(other)
 
-    def __mul__(self, other) -> "RealPoly":
-        other = RealPoly.of(other)
-        return RealPoly(_convolve(self.coeffs, other.coeffs, self.zero_coeff))
+    def __mul__(self, other):
+        """Coefficient convolution with ordered coefficient products."""
+        other = self.of(other)
+        return type(self)(_convolve(self.coeffs, other.coeffs, self.zero_coeff))
 
-    __rmul__ = __mul__
+    def __rmul__(self, other):
+        return self.of(other) * self
 
-    def scale(self, s) -> "RealPoly":
-        s = Scalar.of(s)
-        return RealPoly([c * s for c in self.coeffs])
+    def scale(self, s):
+        """Every coefficient multiplied on the right by the constant s."""
+        s = self.ring.of(s)
+        return type(self)([c * s for c in self.coeffs])
 
-    def derivative(self) -> "RealPoly":
-        return RealPoly([self.coeffs[k] * k for k in range(1, len(self.coeffs))])
+    def derivative(self):
+        return type(self)([self.coeffs[k] * k for k in range(1, len(self.coeffs))])
 
-    def antiderivative(self) -> "RealPoly":
-        """Termwise antiderivative with zero constant term."""
-        out = [Scalar(0)]
-        out += [c * Fraction(1, k + 1) for k, c in enumerate(self.coeffs)]
-        return RealPoly(out)
-
-    def monic(self) -> "RealPoly":
+    def monic(self):
         if self.is_zero():
             return self
         return self.scale(self.leading().inverse())
 
-    def divmod(self, divisor: "RealPoly") -> tuple["RealPoly", "RealPoly"]:
-        divisor = RealPoly.of(divisor)
+    def divmod(self, divisor):
+        """Q, R with self = Q*divisor + R and deg R < deg divisor."""
+        divisor = self.of(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         q = [self.zero_coeff] * max(0, self.degree() - divisor.degree() + 1)
@@ -143,16 +147,44 @@ class RealPoly:
             q[k] = q[k] + c
             for s, ds in enumerate(divisor.coeffs):
                 r[k + s] = r[k + s] - c * ds
-        return RealPoly(q), RealPoly(r)
+        return type(self)(q), type(self)(r)
 
-    def __mod__(self, other) -> "RealPoly":
-        return self.divmod(other)[1]
-
-    def evaluate(self, xi) -> Scalar:
-        acc = Scalar(0)
+    def evaluate(self, xi):
+        x = self.ring.of(Scalar.of(xi))
+        acc = self.zero_coeff
         for c in reversed(self.coeffs):
-            acc = acc * Scalar.of(xi) + c
+            acc = acc * x + c
         return acc
+
+    def as_quat(self) -> "QuatPoly":
+        return QuatPoly.of(self)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, self.constants + self.lifts):
+            other = self.of(other)
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def __bool__(self):
+        return not self.is_zero()
+
+
+class RealPoly(_DensePoly):
+    """Polynomial with Scalar coefficients, ascending order."""
+
+    __slots__ = ()
+    ring, zero_coeff = Scalar, Scalar(0)
+    constants = (Scalar, Fraction, int)
+
+    def antiderivative(self) -> "RealPoly":
+        """Termwise antiderivative with zero constant term."""
+        out = [Scalar(0)]
+        out += [c * Fraction(1, k + 1) for k, c in enumerate(self.coeffs)]
+        return RealPoly(out)
 
     def evaluate_float(self, xi: float) -> float:
         acc = 0.0
@@ -163,19 +195,6 @@ class RealPoly:
     def float_coeffs(self) -> list[float]:
         return [float(c) for c in self.coeffs]
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (Scalar, Fraction, int)):
-            other = RealPoly.of(other)
-        if not isinstance(other, RealPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __bool__(self):
-        return not self.is_zero()
-
     def __repr__(self):
         return f"RealPoly({[str(c) for c in self.coeffs]})"
 
@@ -185,34 +204,14 @@ class RealPoly:
         return " + ".join(_term_str(c, k)
                           for k, c in enumerate(self.coeffs) if not c.is_zero())
 
-    def as_complex(self) -> "ComplexPoly":
-        return ComplexPoly([ComplexScalar(c) for c in self.coeffs])
 
-    def as_quat(self) -> "QuatPoly":
-        return QuatPoly([Quaternion(c) for c in self.coeffs])
-
-
-class ComplexPoly:
+class ComplexPoly(_DensePoly):
     """Polynomial with ComplexScalar coefficients."""
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable = ()):
-        object.__setattr__(
-            self, "coeffs", _trim([ComplexScalar.of(c) for c in coeffs]))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ComplexPoly is immutable")
-
-    @classmethod
-    def of(cls, value) -> "ComplexPoly":
-        if isinstance(value, ComplexPoly):
-            return value
-        if isinstance(value, RealPoly):
-            return value.as_complex()
-        if isinstance(value, (ComplexScalar, Scalar, Fraction, int)):
-            return cls([ComplexScalar.of(value)])
-        return cls(value)
+    __slots__ = ()
+    ring, zero_coeff = ComplexScalar, ComplexScalar(0)
+    constants = (ComplexScalar, Scalar, Fraction, int)
+    lifts = (RealPoly,)
 
     @classmethod
     def from_parts(cls, re: RealPoly, im: RealPoly) -> "ComplexPoly":
@@ -220,58 +219,12 @@ class ComplexPoly:
         n = max(len(re.coeffs), len(im.coeffs))
         return cls([ComplexScalar(re.coeff(k), im.coeff(k)) for k in range(n)])
 
-    zero_coeff = ComplexScalar(0)
-
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def leading(self) -> ComplexScalar:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def coeff(self, k: int) -> ComplexScalar:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else self.zero_coeff
-
     def real_parts(self) -> tuple[RealPoly, RealPoly]:
         return (RealPoly([c.re for c in self.coeffs]),
                 RealPoly([c.im for c in self.coeffs]))
 
-    def __add__(self, other) -> "ComplexPoly":
-        other = ComplexPoly.of(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return ComplexPoly([self.coeff(k) + other.coeff(k) for k in range(n)])
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "ComplexPoly":
-        return ComplexPoly([-c for c in self.coeffs])
-
-    def __sub__(self, other) -> "ComplexPoly":
-        return self + (-ComplexPoly.of(other))
-
-    def __rsub__(self, other) -> "ComplexPoly":
-        return (-self) + ComplexPoly.of(other)
-
-    def __mul__(self, other) -> "ComplexPoly":
-        other = ComplexPoly.of(other)
-        return ComplexPoly(_convolve(self.coeffs, other.coeffs, self.zero_coeff))
-
-    __rmul__ = __mul__
-
-    def scale(self, s) -> "ComplexPoly":
-        s = ComplexScalar.of(s)
-        return ComplexPoly([c * s for c in self.coeffs])
-
     def conjugate(self) -> "ComplexPoly":
         return ComplexPoly([c.conjugate() for c in self.coeffs])
-
-    def derivative(self) -> "ComplexPoly":
-        return ComplexPoly([self.coeffs[k] * Scalar.of(k)
-                            for k in range(1, len(self.coeffs))])
 
     def norm_sq(self) -> RealPoly:
         """|gamma|^2 = gamma * conj(gamma) as a real polynomial."""
@@ -281,79 +234,17 @@ class ComplexPoly:
             raise AssertionError("norm of a complex polynomial must be real")
         return re
 
-    def monic(self) -> "ComplexPoly":
-        if self.is_zero():
-            return self
-        return self.scale(self.leading().inverse())
-
-    def divmod(self, divisor: "ComplexPoly") -> tuple["ComplexPoly", "ComplexPoly"]:
-        divisor = ComplexPoly.of(divisor)
-        if divisor.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        q = [self.zero_coeff] * max(0, self.degree() - divisor.degree() + 1)
-        r = list(self.coeffs)
-        inv_lead = divisor.leading().inverse()
-        dd = divisor.degree()
-        while True:
-            r = list(_trim(r))
-            if len(r) - 1 < dd:
-                break
-            c = r[-1] * inv_lead
-            k = len(r) - 1 - dd
-            q[k] = q[k] + c
-            for s, ds in enumerate(divisor.coeffs):
-                r[k + s] = r[k + s] - c * ds
-        return ComplexPoly(q), ComplexPoly(r)
-
-    def evaluate(self, xi) -> ComplexScalar:
-        acc = ComplexScalar(0)
-        for c in reversed(self.coeffs):
-            acc = acc * ComplexScalar.of(Scalar.of(xi)) + c
-        return acc
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (ComplexScalar, Scalar, Fraction, int, RealPoly)):
-            other = ComplexPoly.of(other)
-        if not isinstance(other, ComplexPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __bool__(self):
-        return not self.is_zero()
-
     def __repr__(self):
         return f"ComplexPoly({[(str(c.re), str(c.im)) for c in self.coeffs]})"
 
-    def as_quat(self) -> "QuatPoly":
-        return QuatPoly([Quaternion(c.re, c.im) for c in self.coeffs])
 
-
-class QuatPoly:
+class QuatPoly(_DensePoly):
     """Quaternion polynomial u + v*i + p*j + q*k with ordered products."""
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable = ()):
-        object.__setattr__(
-            self, "coeffs", _trim([Quaternion.of(c) for c in coeffs]))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QuatPoly is immutable")
-
-    @classmethod
-    def of(cls, value) -> "QuatPoly":
-        if isinstance(value, QuatPoly):
-            return value
-        if isinstance(value, RealPoly):
-            return value.as_quat()
-        if isinstance(value, ComplexPoly):
-            return value.as_quat()
-        if isinstance(value, (Quaternion, ComplexScalar, Scalar, Fraction, int)):
-            return cls([Quaternion.of(value)])
-        return cls(value)
+    __slots__ = ()
+    ring, zero_coeff = Quaternion, Quaternion(0)
+    constants = (Quaternion, ComplexScalar, Scalar, Fraction, int)
+    lifts = (RealPoly, ComplexPoly)
 
     @classmethod
     def from_components(cls, u, v, p, q) -> "QuatPoly":
@@ -370,22 +261,6 @@ class QuatPoly:
         br, bi = ComplexPoly.of(beta).real_parts()
         return cls.from_components(ar, ai, br, bi)
 
-    zero_coeff = Quaternion(0)
-
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def leading(self) -> Quaternion:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def coeff(self, k: int) -> Quaternion:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else self.zero_coeff
-
     def components(self) -> tuple[RealPoly, RealPoly, RealPoly, RealPoly]:
         """(u, v, p, q) with self = u + v*i + p*j + q*k."""
         return (RealPoly([c.w for c in self.coeffs]),
@@ -398,44 +273,17 @@ class QuatPoly:
         u, v, p, q = self.components()
         return (ComplexPoly.from_parts(u, v), ComplexPoly.from_parts(p, q))
 
-    def __add__(self, other) -> "QuatPoly":
-        other = QuatPoly.of(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return QuatPoly([self.coeff(k) + other.coeff(k) for k in range(n)])
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "QuatPoly":
-        return QuatPoly([-c for c in self.coeffs])
-
-    def __sub__(self, other) -> "QuatPoly":
-        return self + (-QuatPoly.of(other))
-
-    def __rsub__(self, other) -> "QuatPoly":
-        return (-self) + QuatPoly.of(other)
-
-    def __mul__(self, other) -> "QuatPoly":
-        """Coefficient convolution with ordered quaternion products."""
-        other = QuatPoly.of(other)
-        return QuatPoly(_convolve(self.coeffs, other.coeffs, self.zero_coeff))
-
-    def __rmul__(self, other) -> "QuatPoly":
-        return QuatPoly.of(other) * self
+    # kept in this class body: bench/tracing.py wraps QuatPoly.__mul__ on its class
+    __mul__ = _DensePoly.__mul__
+    # ordered coefficient products make divmod the right division
+    right_divmod = _DensePoly.divmod
 
     def left_scale(self, c: Quaternion) -> "QuatPoly":
         c = Quaternion.of(c)
         return QuatPoly([c * a for a in self.coeffs])
 
-    def right_scale(self, c: Quaternion) -> "QuatPoly":
-        c = Quaternion.of(c)
-        return QuatPoly([a * c for a in self.coeffs])
-
     def conjugate(self) -> "QuatPoly":
         return QuatPoly([c.conjugate() for c in self.coeffs])
-
-    def derivative(self) -> "QuatPoly":
-        return QuatPoly([self.coeffs[k].scale(k)
-                         for k in range(1, len(self.coeffs))])
 
     def norm_poly(self) -> RealPoly:
         """u^2 + v^2 + p^2 + q^2, the squared pointwise norm."""
@@ -453,107 +301,40 @@ class QuatPoly:
                 out[r + s] = out[r + s] + ar.inner(bs)
         return RealPoly(out)
 
-    def right_divmod(self, divisor: "QuatPoly") -> tuple["QuatPoly", "QuatPoly"]:
-        """Q, R with self = Q*divisor + R and deg R < deg divisor."""
-        divisor = QuatPoly.of(divisor)
-        if divisor.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        q: list[Quaternion] = [self.zero_coeff] * max(
-            0, self.degree() - divisor.degree() + 1)
-        r = list(self.coeffs)
-        inv_lead = divisor.leading().inverse()
-        dd = divisor.degree()
-        while True:
-            r = list(_trim(r))
-            if len(r) - 1 < dd:
-                break
-            c = r[-1] * inv_lead
-            k = len(r) - 1 - dd
-            q[k] = q[k] + c
-            for s, ds in enumerate(divisor.coeffs):
-                r[k + s] = r[k + s] - c * ds
-        return QuatPoly(q), QuatPoly(r)
-
-    def evaluate(self, xi) -> Quaternion:
-        acc = Quaternion(0)
-        s = Scalar.of(xi)
-        for c in reversed(self.coeffs):
-            acc = acc.scale(s) + c
-        return acc
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (Quaternion, ComplexScalar, Scalar, Fraction, int,
-                              RealPoly, ComplexPoly)):
-            other = QuatPoly.of(other)
-        if not isinstance(other, QuatPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __bool__(self):
-        return not self.is_zero()
-
     def __repr__(self):
         return f"QuatPoly({self.coeffs!r})"
 
 
-PolyKind = Union[RealPoly, ComplexPoly, QuatPoly]
-
-
-def poly_derivative(p: PolyKind) -> PolyKind:
-    """Formal derivative for any coefficient kind."""
-    return p.derivative()
+def _gcd(cls, polys):
+    """Monic gcd of polynomials of a commutative kind, by Euclid's algorithm."""
+    polys = [cls.of(p) for p in polys]
+    if all(p.is_zero() for p in polys):
+        raise ValueError("gcd of all-zero polynomials is undefined")
+    g = cls()
+    for b in polys:
+        while not b.is_zero():
+            g, b = b, g.divmod(b)[1]
+    return g.monic()
 
 
 def gcd_real(*polys) -> RealPoly:
     """Monic gcd of real polynomials via the Euclidean algorithm."""
-    polys = [RealPoly.of(p) for p in polys]
-    if all(p.is_zero() for p in polys):
-        raise ValueError("gcd of all-zero polynomials is undefined")
-    g = RealPoly()
-    for p in polys:
-        g = _gcd2_real(g, p)
-    return g.monic()
-
-
-def _gcd2_real(a: RealPoly, b: RealPoly) -> RealPoly:
-    while not b.is_zero():
-        a, b = b, a.divmod(b)[1]
-    return a
+    return _gcd(RealPoly, polys)
 
 
 def gcd_complex(*polys) -> ComplexPoly:
     """Monic gcd of complex polynomials via the Euclidean algorithm."""
-    polys = [ComplexPoly.of(p) for p in polys]
-    if all(p.is_zero() for p in polys):
-        raise ValueError("gcd of all-zero polynomials is undefined")
-    g = ComplexPoly()
-    for p in polys:
-        g = _gcd2_complex(g, p)
-    return g.monic()
+    return _gcd(ComplexPoly, polys)
 
 
-def _gcd2_complex(a: ComplexPoly, b: ComplexPoly) -> ComplexPoly:
-    while not b.is_zero():
-        a, b = b, a.divmod(b)[1]
-    return a
-
-
-def exact_divide(p: PolyKind, divisor) -> PolyKind:
+def exact_divide(p, divisor):
     """Quotient of an exact division; raises InexactDivision on remainder.
 
     Quaternion polynomials divide on the right: returns Q with p = Q*divisor.
     """
-    if isinstance(p, QuatPoly):
-        q, r = p.right_divmod(QuatPoly.of(divisor))
-    elif isinstance(p, ComplexPoly):
-        q, r = p.divmod(ComplexPoly.of(divisor))
-    elif isinstance(p, RealPoly):
-        q, r = p.divmod(RealPoly.of(divisor))
-    else:
+    if not isinstance(p, _DensePoly):
         raise TypeError(f"cannot divide {type(p).__name__}")
+    q, r = p.divmod(divisor)
     if not r.is_zero():
         raise InexactDivision(f"remainder {r!r} in exact division")
     return q

@@ -1,3 +1,4 @@
+import inspect
 from fractions import Fraction
 
 import pytest
@@ -283,3 +284,12 @@ def test_zero_rejected_everywhere():
             fn(zero)
     with pytest.raises(ValueError):
         classify(zero)
+
+
+def test_package_does_not_shadow_classify_module():
+    import rrmf
+    import rrmf.classify as classify_module
+
+    assert inspect.ismodule(classify_module)
+    assert rrmf.classify is classify_module
+    assert classify_module.classify is classify

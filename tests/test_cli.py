@@ -57,6 +57,10 @@ def test_classify_parse_error(tmp_path, capsys):
     bad.write_text("{broken")
     code, _, err = run(capsys, "classify", str(bad))
     assert code == 2 and "error" in err
+    bad.write_text(json.dumps({"sqrt_base": 0, "kind": "real",
+                               "coefficients": ["1/0", "1"]}))
+    code, _, err = run(capsys, "classify", str(bad))
+    assert code == 2 and "error" in err
 
 
 def test_classify_missing_file(capsys):
@@ -136,6 +140,16 @@ def test_frames_zero_samples(tmp_path, capsys):
     code, _, err = run(capsys, "frames", path, "--samples", "0",
                        "--out", str(tmp_path / "x.csv"))
     assert code == 3
+
+
+def test_frames_rejects_non_finite_range(tmp_path, capsys):
+    path = write_doc(tmp_path, "cubic.json", nontrivial_cubic())
+    out_csv = tmp_path / "x.csv"
+    for bounds in ("nan:1", "0:inf", "-inf:0"):
+        code, _, err = run(capsys, "frames", path, "--samples", "3",
+                           f"--range={bounds}", "--out", str(out_csv))
+        assert code == 2 and "finite" in err
+    assert not out_csv.exists()
 
 
 def test_frames_rmf_needs_certificate(tmp_path, capsys):

@@ -63,6 +63,8 @@ def test_parse_errors():
             {"coefficients": [["1", "0", "0"]]},
             {"coefficients": [["1.5", "0", "0", "0"]]},
             {"coefficients": [["1", "0", "0", "sqrt(7)"]]},  # base mismatch
+            {"coefficients": [["1/0", "0", "0", "0"]]},
+            {"certificate": {"a": ["1"], "b": ["1/0"]}},
             {"certificate": {"a": ["1"]}},
             {"metadata": 7},
     ):

@@ -125,6 +125,13 @@ def test_sample_frames_orthonormal_and_right_handed():
         assert all(abs(c - f) < 1e-12 for c, f in zip(cross, s.f3))
 
 
+def test_sample_frames_rejects_nan_parameter():
+    for kind in ("erf", "rmf"):
+        with pytest.raises(AssertionError, match="frame axis not unit"):
+            sample_frames(EX2.generator, kind, [float("nan")],
+                          certificate=EX2.certificate)
+
+
 def test_sample_frames_positions():
     samples, _ = sample_frames(EX2.generator, "erf", [0.0, 1.0])
     assert samples[0].position == (0.0, 0.0, 0.0)
