@@ -64,7 +64,8 @@ def indicatrix_coefficients(a: QuatPoly) -> IndicatrixCoefficients:
     if a.is_zero():
         raise ValueError("coefficient conditions of the zero polynomial")
     n = a.degree()
-    values = tuple(_c_m(a.coeffs, m) for m in range(max(2 * n - 1, 1)))
+    rotated = [c * _I for c in a.coeffs]
+    values = tuple(_c_m(a.coeffs, rotated, m) for m in range(max(2 * n - 1, 1)))
     poly = inner_product_poly(a)
     if any(values[m] != poly.coeff(m) for m in range(len(values))):
         raise AssertionError("coefficient conditions disagree with <A'i, A>")
@@ -72,12 +73,13 @@ def indicatrix_coefficients(a: QuatPoly) -> IndicatrixCoefficients:
     return IndicatrixCoefficients(values)
 
 
-def _c_m(coeffs, m: int) -> Scalar:
+def _c_m(coeffs, rotated, m: int) -> Scalar:
+    # rotated[k] is coeffs[k] * i, computed once by the caller
     acc = Scalar(0)
     for k in range(m + 1):
         lo, hi = m - k, k + 1
         if lo < len(coeffs) and hi < len(coeffs):
-            acc = acc + coeffs[lo].inner(coeffs[hi] * _I) * Scalar.of(k + 1)
+            acc = acc + coeffs[lo].inner(rotated[hi]) * Scalar.of(k + 1)
     return acc
 
 
@@ -88,11 +90,11 @@ def _check_truncation_recursion(a: QuatPoly, values) -> None:
     if n < 1:
         return
     trunc = list(a.coeffs[:-1])
-    lead = a.coeffs[-1]
+    rotated = [c * _I for c in a.coeffs]
     for m in range(2 * n - 1):
-        expected = _c_m(trunc, m)
+        expected = _c_m(trunc, rotated, m)
         if m >= n - 1:
-            step = trunc[m + 1 - n].inner(lead * _I)
+            step = trunc[m + 1 - n].inner(rotated[n])
             expected = expected + step * Scalar.of(2 * n - m - 1)
         if values[m] != expected:
             raise AssertionError("truncation recursion failed")

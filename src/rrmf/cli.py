@@ -19,7 +19,7 @@ from .construct import (ConstructionError, CubicSpec, QuarticSpec, make_cubic,
                         make_cubic_monic, make_f_element, make_quartic,
                         make_spatial_family, make_trivial)
 from .documents import (DocumentError, PolyDocument, document_for,
-                        document_to_dict, parse_document)
+                        document_to_dict, parse_base, parse_document)
 from .frames import sample_frames, write_frames_csv
 from .polynomials import InexactDivision, QuatPoly
 from .quaternions import Quaternion
@@ -102,30 +102,39 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
+def _required(spec: dict, key: str):
+    if key not in spec:
+        raise DocumentError(f"construction spec is missing required key {key!r}")
+    return spec[key]
+
+
 def _construct_from_spec(kind: str, spec: dict):
-    base = spec.get("sqrt_base", 0)
+    base = parse_base(spec.get("sqrt_base", 0))
     if kind == "trivial":
         left = _parse_quat(spec.get("left_factor", ["1", "0", "0", "0"]), base)
-        direction = _parse_quat(spec["direction"], base)
+        direction = _parse_quat(_required(spec, "direction"), base)
         coeffs = [(parse_scalar(str(x), expected_base=base),
                    parse_scalar(str(y), expected_base=base))
-                  for x, y in spec["coefficients"]]
+                  for x, y in _required(spec, "coefficients")]
         poly = make_trivial(left, direction, coeffs)
         return poly, {}
     if kind == "cubic":
         poly = make_cubic(CubicSpec(
-            _parse_quat(spec["a1"], base), _parse_quat(spec["a2"], base),
+            _parse_quat(_required(spec, "a1"), base),
+            _parse_quat(_required(spec, "a2"), base),
             _parse_scalar_field(spec, "s3", base),
             _parse_quat(spec.get("left_factor", ["1", "0", "0", "0"]), base)))
         return poly, {}
     if kind == "cubic-monic":
         poly = make_cubic_monic(
-            _parse_quat(spec["a1"], base), _parse_quat(spec["a2"], base),
+            _parse_quat(_required(spec, "a1"), base),
+            _parse_quat(_required(spec, "a2"), base),
             _parse_scalar_field(spec, "s0", base))
         return poly, {}
     if kind == "quartic":
         result = make_quartic(QuarticSpec(
-            _parse_quat(spec["a1"], base), _parse_quat(spec["a2"], base),
+            _parse_quat(_required(spec, "a1"), base),
+            _parse_quat(_required(spec, "a2"), base),
             _parse_scalar_field(spec, "a3_j", base),
             _parse_scalar_field(spec, "a3_k", base),
             _parse_scalar_field(spec, "s3", base),
@@ -133,8 +142,8 @@ def _construct_from_spec(kind: str, spec: dict):
         return result.poly, {"non_trivial": result.non_trivial,
                              "family_dim": result.family_dim}
     if kind == "f-element":
-        b0 = parse_document(spec["b0"]).to_poly()
-        delta = parse_document(spec["delta"]).to_poly()
+        b0 = parse_document(_required(spec, "b0")).to_poly()
+        delta = parse_document(_required(spec, "delta")).to_poly()
         element = make_f_element(QuatPoly.of(b0), delta)
         gamma_doc = document_to_dict(document_for(element.certificate))
         return element.poly, {"gamma": gamma_doc}

@@ -15,7 +15,8 @@ from typing import Any, Optional
 
 from .polynomials import ComplexPoly, QuatPoly, RealPoly
 from .quaternions import Quaternion
-from .scalars import Scalar, format_scalar, is_valid_base, parse_scalar
+from .scalars import (MAX_BASE, Scalar, format_scalar, is_valid_base,
+                      parse_scalar)
 
 
 class DocumentError(ValueError):
@@ -46,6 +47,15 @@ class PolyDocument:
         return RealPoly([row[0] for row in self.coefficients])
 
 
+def parse_base(value) -> int:
+    """Validate a declared ``sqrt_base``; raises DocumentError."""
+    if not isinstance(value, int) or not is_valid_base(value):
+        raise DocumentError(
+            f"sqrt_base must be 0 or a squarefree integer in [2, {MAX_BASE}], "
+            f"got {value!r}")
+    return value
+
+
 def parse_document(data) -> PolyDocument:
     """Parse a dict or JSON text; raises DocumentError on any defect."""
     if isinstance(data, (str, bytes)):
@@ -55,9 +65,7 @@ def parse_document(data) -> PolyDocument:
             raise DocumentError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise DocumentError("document must be a JSON object")
-    base = data.get("sqrt_base", 0)
-    if not isinstance(base, int) or not is_valid_base(base):
-        raise DocumentError(f"sqrt_base must be 0 or a squarefree integer >= 2, got {base!r}")
+    base = parse_base(data.get("sqrt_base", 0))
     kind = data.get("kind")
     if kind not in KINDS:
         raise DocumentError(f"kind must be one of {KINDS}, got {kind!r}")

@@ -200,6 +200,9 @@ def sample_frames(a: QuatPoly, kind: FrameKind, xi_values: Iterable[float],
             if axes is None:
                 warnings.append(f"xi={xi!r}: curvature vanishes, skipped")
                 continue
+            # a NaN parameter passes the curvature test with NaN axes
+            if not all(math.isfinite(c) for axis in axes for c in axis):
+                raise AssertionError(f"frame axis not unit at xi={xi}")
         else:
             axes = frame.evaluate(xi)
             _check_orthonormal(axes, xi)

@@ -23,11 +23,17 @@ class SurdBaseMismatch(ValueError):
     """Raised when two values from different quadratic fields are combined."""
 
 
+MAX_BASE = 2**31 - 1
+"""Largest accepted base.  Squarefreeness is decided by trial division
+up to sqrt(d), so an unbounded base could stall parsing; at this bound
+the division makes at most 46 341 steps."""
+
+
 def is_valid_base(d: int) -> bool:
-    """A base is 0 (pure rational) or a squarefree integer >= 2."""
+    """A base is 0 (pure rational) or a squarefree integer in [2, MAX_BASE]."""
     if d == 0:
         return True
-    if d < 2:
+    if d < 2 or d > MAX_BASE:
         return False
     k = 2
     while k * k <= d:
@@ -52,7 +58,14 @@ class Scalar:
 
     Invariants: ``a`` and ``b`` are Fractions (lowest terms, positive
     denominator, maintained by the Fraction type); ``d`` is 0 or a
-    squarefree integer >= 2; and ``b == 0`` implies ``d == 0``.
+    squarefree integer in [2, MAX_BASE]; and ``b == 0`` implies ``d == 0``.
+
+    Validation happens at the edges: the public constructor checks its
+    arguments and ``parse_scalar`` goes through it.  Arithmetic results
+    (``+``, ``-``, ``*``, ``inverse`` and what is built from them) are
+    assembled without re-validation, because their parts are Fraction
+    operations on valid operands and their base is one of the operands'
+    bases; only the ``b == 0 => d == 0`` normalisation runs on them.
     """
 
     __slots__ = ("a", "b", "d")
@@ -61,7 +74,8 @@ class Scalar:
         if isinstance(a, Scalar) or isinstance(b, Scalar):
             raise TypeError("use Scalar arithmetic, not nested construction")
         if not is_valid_base(d):
-            raise ValueError(f"base {d} is not 0 or a squarefree integer >= 2")
+            raise ValueError(
+                f"base {d} is not 0 or a squarefree integer in [2, {MAX_BASE}]")
         a = Fraction(a)
         b = Fraction(b)
         if b == 0:
@@ -81,7 +95,7 @@ class Scalar:
     def of(cls, value: ScalarLike) -> "Scalar":
         if isinstance(value, Scalar):
             return value
-        return cls(Fraction(value))
+        return _unchecked(Fraction(value), _F0, 0)
 
     @classmethod
     def surd(cls, coefficient: ScalarLike, d: int) -> "Scalar":
@@ -115,29 +129,39 @@ class Scalar:
         return 0  # unreachable for squarefree d >= 2, kept as a guard
 
     # -- arithmetic ----------------------------------------------------
+    # Rational operands (d == 0, hence b == 0) take one Fraction
+    # operation; surd operands take the Q(sqrt(d)) formula.
 
     def __add__(self, other) -> "Scalar":
         other = Scalar.of(other)
+        if self.d == 0 and other.d == 0:
+            return _unchecked(self.a + other.a, _F0, 0)
         d = _merge_bases(self.d, other.d)
-        return Scalar(self.a + other.a, self.b + other.b, d)
+        return _unchecked(self.a + other.a, self.b + other.b, d)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Scalar":
-        return Scalar(-self.a, -self.b, self.d)
+        return _unchecked(-self.a, -self.b, self.d)
 
     def __sub__(self, other) -> "Scalar":
-        return self + (-Scalar.of(other))
+        other = Scalar.of(other)
+        if self.d == 0 and other.d == 0:
+            return _unchecked(self.a - other.a, _F0, 0)
+        d = _merge_bases(self.d, other.d)
+        return _unchecked(self.a - other.a, self.b - other.b, d)
 
     def __rsub__(self, other) -> "Scalar":
-        return (-self) + Scalar.of(other)
+        return Scalar.of(other) - self
 
     def __mul__(self, other) -> "Scalar":
         other = Scalar.of(other)
+        if self.d == 0 and other.d == 0:
+            return _unchecked(self.a * other.a, _F0, 0)
         d = _merge_bases(self.d, other.d)
         a = self.a * other.a + self.b * other.b * d
         b = self.a * other.b + self.b * other.a
-        return Scalar(a, b, d)
+        return _unchecked(a, b, d)
 
     __rmul__ = __mul__
 
@@ -145,11 +169,11 @@ class Scalar:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero scalar")
         if self.b == 0:
-            return Scalar(1 / self.a)
+            return _unchecked(1 / self.a, _F0, 0)
         # (a + b sqrt d)^-1 = (a - b sqrt d) / (a^2 - b^2 d); the norm is
         # nonzero because sqrt(d) is irrational for squarefree d >= 2
         n = self.a * self.a - self.b * self.b * self.d
-        return Scalar(self.a / n, -self.b / n, self.d)
+        return _unchecked(self.a / n, -self.b / n, self.d)
 
     def __truediv__(self, other) -> "Scalar":
         return self * Scalar.of(other).inverse()
@@ -211,6 +235,23 @@ class Scalar:
 
     def __str__(self) -> str:
         return format_scalar(self)
+
+
+_F0 = Fraction(0)
+_new_scalar = object.__new__
+_set_a, _set_b, _set_d = Scalar.a.__set__, Scalar.b.__set__, Scalar.d.__set__
+
+
+def _unchecked(a: Fraction, b: Fraction, d: int) -> Scalar:
+    """Build an arithmetic result from parts already known to be valid:
+    Fractions ``a`` and ``b`` and a base ``d`` taken from an operand.
+    Skips base validation and Fraction re-wrapping; keeps the
+    ``b == 0 => d == 0`` normalisation."""
+    s = _new_scalar(Scalar)
+    _set_a(s, a)
+    _set_b(s, b)
+    _set_d(s, d if b else 0)
+    return s
 
 
 ZERO = Scalar(0)

@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import rrmf
 from rrmf.catalog import (nontrivial_cubic, quintic_left_cancellation,
                           quintic_no_cancellation, quintic_right_cancellation)
 from rrmf.cli import main
@@ -90,6 +95,33 @@ def test_construct_cubic_spec(capsys):
     assert code == 0
     report = json.loads(out)
     assert report["document"]["coefficients"][3] == ["0/1", "-1/3", "0/1", "0/1"]
+
+
+def test_construct_missing_spec_key(capsys):
+    for kind, spec, key in (("cubic", {"s0": "1"}, "'a1'"),
+                            ("trivial", {"direction": ["0", "0", "1", "0"]},
+                             "'coefficients'")):
+        code, _, err = run(capsys, "construct", kind, "--spec-json",
+                           json.dumps(spec))
+        assert code == 2 and key in err
+
+
+def test_oversized_base_rejected_fast(tmp_path):
+    # a 31-digit base once meant trial division up to 10**15.5
+    huge = 10**30 + 57
+    doc = tmp_path / "huge.json"
+    doc.write_text(json.dumps({"sqrt_base": huge, "kind": "real",
+                               "coefficients": ["1", "1"]}))
+    spec = json.dumps({"sqrt_base": huge, "a1": ["0", "0", "0", "1"],
+                       "a2": ["0", "0", "1", "0"]})
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(rrmf.__file__).resolve().parents[1])}
+    for argv in (["classify", str(doc)],
+                 ["construct", "cubic", "--spec-json", spec]):
+        proc = subprocess.run([sys.executable, "-m", "rrmf.cli", *argv],
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert proc.returncode == 2 and "sqrt_base" in proc.stderr
 
 
 def test_construct_invalid_direction(capsys):

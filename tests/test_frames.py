@@ -126,7 +126,7 @@ def test_sample_frames_orthonormal_and_right_handed():
 
 
 def test_sample_frames_rejects_nan_parameter():
-    for kind in ("erf", "rmf"):
+    for kind in ("erf", "rmf", "frenet"):
         with pytest.raises(AssertionError, match="frame axis not unit"):
             sample_frames(EX2.generator, kind, [float("nan")],
                           certificate=EX2.certificate)

@@ -1,10 +1,13 @@
 import math
+import operator
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rrmf.scalars import (ComplexScalar, Scalar, SurdBaseMismatch,
+from rrmf.scalars import (MAX_BASE, ComplexScalar, Scalar, SurdBaseMismatch,
                           format_scalar, is_valid_base, parse_scalar)
 
 from conftest import rand_scalar
@@ -13,6 +16,9 @@ from conftest import rand_scalar
 def test_base_validation():
     assert is_valid_base(0) and is_valid_base(2) and is_valid_base(15)
     assert not is_valid_base(1) and not is_valid_base(4) and not is_valid_base(12)
+    assert is_valid_base(MAX_BASE) and not is_valid_base(MAX_BASE + 2)  # 3 * 715827883
+    with pytest.raises(ValueError, match="squarefree"):
+        Scalar(0, 1, 10**30 + 57)
     with pytest.raises(ValueError):
         Scalar(1, 1, 4)
     with pytest.raises(ValueError):
@@ -114,3 +120,102 @@ def test_complex_scalar_field():
         assert a.norm_sq() == (a * a.conjugate()).re
         if not a.is_zero():
             assert a * a.inverse() == ComplexScalar(1)
+
+
+# -- reference test of the arithmetic kernel ------------------------------
+# Every result is compared with the textbook formula on (a, b, d) triples,
+# built through the validating public constructor.
+
+_KERNEL = settings(max_examples=300, deadline=None, derandomize=True,
+                   database=None)
+_fractions = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+
+
+def _scalars(bases):
+    return st.builds(lambda a, b, d: Scalar(a, b if d else 0, d),
+                     _fractions, _fractions, st.sampled_from(bases))
+
+
+def _triple(s):
+    return s.a, s.b, s.d
+
+
+def _ref_base(d1, d2):
+    assert d1 == d2 or 0 in (d1, d2)
+    return d1 or d2
+
+
+def _ref_add(x, y):
+    (a1, b1, d1), (a2, b2, d2) = x, y
+    return a1 + a2, b1 + b2, _ref_base(d1, d2)
+
+
+def _ref_neg(x):
+    return -x[0], -x[1], x[2]
+
+
+def _ref_mul(x, y):
+    (a1, b1, d1), (a2, b2, d2) = x, y
+    d = _ref_base(d1, d2)
+    return a1 * a2 + b1 * b2 * d, a1 * b2 + b1 * a2, d
+
+
+def _ref_inverse(x):
+    a, b, d = x
+    n = a * a - b * b * d
+    return a / n, -b / n, d
+
+
+def _ref_pow(x, n):
+    if n < 0:
+        x, n = _ref_inverse(x), -n
+    result = (Fraction(1), Fraction(0), 0)
+    for _ in range(n):
+        result = _ref_mul(result, x)
+    return result
+
+
+def _assert_kernel_result(result, expected):
+    assert type(result.a) is Fraction and type(result.b) is Fraction
+    assert result.b != 0 or result.d == 0
+    assert result == Scalar(*expected)
+
+
+@_KERNEL
+@given(_scalars((0, 2, 15)), _scalars((0, 2, 15)))
+def test_kernel_matches_textbook_formulas(x, y):
+    tx, ty = _triple(x), _triple(y)
+    _assert_kernel_result(-x, _ref_neg(tx))
+    if not x.is_zero():
+        _assert_kernel_result(x.inverse(), _ref_inverse(tx))
+    if 0 not in (x.d, y.d) and x.d != y.d:
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(SurdBaseMismatch):
+                op(x, y)
+        return
+    _assert_kernel_result(x + y, _ref_add(tx, ty))
+    _assert_kernel_result(x - y, _ref_add(tx, _ref_neg(ty)))
+    _assert_kernel_result(x * y, _ref_mul(tx, ty))
+
+
+@_KERNEL
+@given(_scalars((0, 15)), st.integers(min_value=-3, max_value=5))
+def test_kernel_pow_matches_repeated_product(x, n):
+    if n < 0 and x.is_zero():
+        return
+    _assert_kernel_result(x ** n, _ref_pow(_triple(x), n))
+
+
+@_KERNEL
+@given(_scalars((0, 15)), _fractions)
+def test_kernel_mixed_with_plain_rationals(x, q):
+    tx, tq = _triple(x), (q, Fraction(0), 0)
+    for left in (q, int(q)):
+        tl = (Fraction(left), Fraction(0), 0)
+        _assert_kernel_result(Scalar.of(left), tl)
+        _assert_kernel_result(left + x, _ref_add(tl, tx))
+        _assert_kernel_result(left - x, _ref_add(tl, _ref_neg(tx)))
+        _assert_kernel_result(left * x, _ref_mul(tl, tx))
+    _assert_kernel_result(x - q, _ref_add(tx, _ref_neg(tq)))
+    _assert_kernel_result(x * q, _ref_mul(tx, tq))
+
