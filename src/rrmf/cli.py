@@ -3,7 +3,8 @@
 Verbs: classify, construct, frames, verify-han, reduce, search-gamma,
 paper-examples.  Polynomials travel as exact JSON documents (see
 documents.py); frame samples leave as CSV.  Exit codes: 0 success,
-2 parse error, 3 precondition violation, 4 regression failure.
+2 parse error, 3 precondition violation, 4 regression failure,
+5 internal error (a consistency check inside the library failed).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_REGRESSION = 4
+EXIT_INTERNAL = 5
 
 
 def _read_input(path: str) -> str:
@@ -82,11 +84,25 @@ def classification_to_dict(c: Classification) -> dict:
 def _parse_quat(value, base: int) -> Quaternion:
     if not isinstance(value, list) or len(value) != 4:
         raise DocumentError(f"quaternion needs 4 scalar strings, got {value!r}")
-    return Quaternion(*(parse_scalar(str(c), expected_base=base) for c in value))
+    return Quaternion(*(_parse_spec_scalar(c, base) for c in value))
+
+
+def _parse_spec_scalar(value, base: int) -> Scalar:
+    try:
+        return parse_scalar(str(value), expected_base=base)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise DocumentError(str(exc)) from exc
 
 
 def _parse_scalar_field(spec: dict, key: str, base: int, default="0") -> Scalar:
-    return parse_scalar(str(spec.get(key, default)), expected_base=base)
+    return _parse_spec_scalar(spec.get(key, default), base)
+
+
+def _parse_pairs(value, base: int) -> list[tuple[Scalar, Scalar]]:
+    if not isinstance(value, list) or not all(
+            isinstance(pair, list) and len(pair) == 2 for pair in value):
+        raise DocumentError(f"coefficients need [x, y] scalar pairs, got {value!r}")
+    return [(_parse_spec_scalar(x, base), _parse_spec_scalar(y, base)) for x, y in value]
 
 
 # -- subcommands -------------------------------------------------------
@@ -113,9 +129,7 @@ def _construct_from_spec(kind: str, spec: dict):
     if kind == "trivial":
         left = _parse_quat(spec.get("left_factor", ["1", "0", "0", "0"]), base)
         direction = _parse_quat(_required(spec, "direction"), base)
-        coeffs = [(parse_scalar(str(x), expected_base=base),
-                   parse_scalar(str(y), expected_base=base))
-                  for x, y in _required(spec, "coefficients")]
+        coeffs = _parse_pairs(_required(spec, "coefficients"), base)
         poly = make_trivial(left, direction, coeffs)
         return poly, {}
     if kind == "cubic":
@@ -344,6 +358,11 @@ def main(argv=None) -> int:
         # includes ConstructionError, CertificateError, SurdBaseMismatch
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except AssertionError as exc:
+        # a runtime consistency check failed, e.g. a sampled frame axis
+        # drifting past the 1e-12 unit tolerance
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

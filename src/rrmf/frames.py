@@ -1,13 +1,15 @@
 """Symbolic adapted frames and numeric sampling.
 
 The Euler-Rodrigues frame of a generator B is the rational orthonormal
-triple (B i B*, B j B*, B k B*)/|B|^2; with a verified certificate
-(a, b) the rotation-minimizing frame is the same construction applied
-to B = A (a - b i).  All nine entries are reduced rational functions
+triple (B i B*, B j B*, B k B*)/|B|^2, read off the ten products of
+B's components; with a verified certificate (a, b) the
+rotation-minimizing frame is the same construction applied to
+B = A (a - b i).  All nine entries are reduced rational functions
 and the orthonormality identities are verified exactly on
 construction.  Sampling evaluates the exact entries in floating point
-(orthonormal to 1e-12 by construction) and also offers a numeric
-Frenet frame for comparison plots.
+at all parameters in one pass (orthonormal to 1e-12 by construction,
+checked per sample) and also offers a numeric Frenet frame for
+comparison plots.
 """
 
 from __future__ import annotations
@@ -16,14 +18,13 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Literal, Optional
 
-from .hodograph import hodograph_of, integrate
+import numpy as np
+
+from .hodograph import Hodograph, hodograph_of, integrate
 from .indicatrix import inner_product_poly, verify_han
 from .classify import has_vanishing_indicatrix
 from .polynomials import (ComplexPoly, QuatPoly, RationalFunction, RealPoly,
                           gcd_real, reduce_fraction)
-from .quaternions import Quaternion
-
-_BASIS = (Quaternion(0, 1), Quaternion(0, 0, 1), Quaternion(0, 0, 0, 1))
 
 Vector = tuple[RationalFunction, RationalFunction, RationalFunction]
 
@@ -46,15 +47,7 @@ class SymbolicFrame:
         b = QuatPoly.of(b)
         if b.is_zero():
             raise ValueError("frame of the zero polynomial")
-        den = b.norm_poly()
-        bc = b.conjugate()
-        raw = []
-        for e in _BASIS:
-            prod = b * QuatPoly([e]) * bc
-            u, x, y, z = prod.components()
-            if not u.is_zero():
-                raise AssertionError("B e B* must be a pure vector")
-            raw.append((x, y, z))
+        den, raw = basis_images(b)
         # orthonormality before reduction: sum_c v_a,c v_b,c == delta_ab den^2
         den_sq = den * den
         for a in range(3):
@@ -81,9 +74,25 @@ class SymbolicFrame:
             acc = acc + c3 * c2.derivative()
         return acc
 
-    def evaluate(self, xi: float) -> tuple[tuple[float, ...], ...]:
+    def evaluate(self, xi):
+        """The nine entries at xi, a float or an ndarray of parameters."""
         return tuple(tuple(rf.evaluate_float(xi) for rf in axis)
                      for axis in (self.f1, self.f2, self.f3))
+
+
+def basis_images(b: QuatPoly) -> tuple[RealPoly, list[tuple[RealPoly, ...]]]:
+    """|B|^2 and (B i B*, B j B*, B k B*) as unreduced real triples.
+
+    The columns of the rotation B e B* read off the ten products of
+    B = u + v i + p j + q k, as in hodograph_of for A i A*.
+    """
+    u, v, p, q = b.components()
+    uu, vv, pp, qq = u * u, v * v, p * p, q * q
+    uv, up, uq, vp, vq, pq = u * v, u * p, u * q, v * p, v * q, p * q
+    raw = [(uu + vv - pp - qq, (uq + vp).scale(2), (vq - up).scale(2)),
+           ((vp - uq).scale(2), uu - vv + pp - qq, (pq + uv).scale(2)),
+           ((vq + up).scale(2), (pq - uv).scale(2), uu - vv - pp + qq)]
+    return uu + vv + pp + qq, raw
 
 
 def _dot(a: Vector, b: Vector) -> RationalFunction:
@@ -165,12 +174,18 @@ def sample_frames(a: QuatPoly, kind: FrameKind, xi_values: Iterable[float],
     generator already has a vanishing indicatrix, where (1, 0) is used.
     An optional constant normal-plane rotation picks a different member
     of the one-parameter frame family.
+
+    Every polynomial is evaluated once over the array of all parameters
+    (memory linear in their number); its Horner steps run in the scalar
+    order, so each value is the same double as a one-parameter
+    evaluation.  Each kept sample is then checked to be orthonormal to
+    1e-12 (erf, rmf) or finite (frenet); the first failing parameter
+    raises AssertionError.
     """
     a = QuatPoly.of(a)
     if a.is_zero():
         raise ValueError("sampling the zero polynomial")
-    position = integrate(hodograph_of(a))
-    sigma = a.norm_poly()
+    h = hodograph_of(a)
     warnings: list[str] = []
     samples: list[FrameSample] = []
 
@@ -188,28 +203,39 @@ def sample_frames(a: QuatPoly, kind: FrameKind, xi_values: Iterable[float],
     elif kind != "frenet":
         raise ValueError(f"unknown frame kind {kind!r}")
 
-    scale = max(abs(c) for c in sigma.float_coeffs())
-    for xi in xi_values:
-        s = sigma.evaluate_float(xi)
+    xis = list(xi_values)
+    xs = np.asarray(xis, dtype=float)
+    # overflow and 0/0 at skipped or non-finite samples stay silent here;
+    # the row loop below skips or rejects those rows
+    with np.errstate(all="ignore"):
+        sigma = h.sigma.evaluate_float(xs)
+        position = integrate(h).evaluate_float(xs)
+        if kind == "frenet":
+            axes, flat = _frenet_axes(h, xs)
+        else:
+            axes, flat = frame.evaluate(xs), np.zeros(xs.shape, dtype=bool)
+    columns = np.broadcast_arrays(sigma, *position, *axes[0], *axes[1], *axes[2])
+    rows = np.stack(columns, axis=1).tolist()
+    flat = flat.tolist()
+
+    scale = max(abs(c) for c in h.sigma.float_coeffs())
+    for xi, (s, *row), is_flat in zip(xis, rows, flat):
         if abs(s) < 1e-12 * max(scale, 1.0):
             warnings.append(f"xi={xi!r}: parametric speed vanishes, skipped")
             continue
-        pos = position.evaluate_float(xi)
+        pos, f1, f2, f3 = (tuple(row[k:k + 3]) for k in range(0, 12, 3))
         if kind == "frenet":
-            axes = _frenet_axes(a, xi)
-            if axes is None:
+            if is_flat:
                 warnings.append(f"xi={xi!r}: curvature vanishes, skipped")
                 continue
             # a NaN parameter passes the curvature test with NaN axes
-            if not all(math.isfinite(c) for axis in axes for c in axis):
+            if not all(math.isfinite(c) for c in row[3:]):
                 raise AssertionError(f"frame axis not unit at xi={xi}")
         else:
-            axes = frame.evaluate(xi)
-            _check_orthonormal(axes, xi)
-        f1, f2, f3 = axes
+            _check_orthonormal((f1, f2, f3), xi)
         if normal_rotation:
             f2, f3 = _apply_normal_rotation(f2, f3, normal_rotation)
-        samples.append(FrameSample(xi, pos, tuple(f1), tuple(f2), tuple(f3)))
+        samples.append(FrameSample(xi, pos, f1, f2, f3))
     return samples, warnings
 
 
@@ -240,22 +266,24 @@ def _apply_normal_rotation(f2, f3, angle: float):
     return new2, new3
 
 
-def _frenet_axes(a: QuatPoly, xi: float):
-    """Numeric Frenet frame: f1 = r'/sigma, f2 along sigma r'' - sigma' r'."""
-    h = hodograph_of(a)
-    rp = tuple(c.evaluate_float(xi) for c in h.components())
-    rpp = tuple(c.derivative().evaluate_float(xi) for c in h.components())
-    s = h.sigma.evaluate_float(xi)
-    sp = h.sigma.derivative().evaluate_float(xi)
+def _frenet_axes(h: Hodograph, xs: np.ndarray):
+    """Numeric Frenet frame: f1 = r'/sigma, f2 along sigma r'' - sigma' r'.
+
+    Evaluated at every parameter at once; also returns where the
+    curvature vanishes (those axes are meaningless).
+    """
+    rp = [c.evaluate_float(xs) for c in h.components()]
+    rpp = [c.derivative().evaluate_float(xs) for c in h.components()]
+    s = h.sigma.evaluate_float(xs)
+    sp = h.sigma.derivative().evaluate_float(xs)
     f1 = tuple(c / s for c in rp)
     d = tuple(s * cpp - sp * cp for cpp, cp in zip(rpp, rp))
-    norm = math.sqrt(_fdot(d, d))
-    scale = math.sqrt(_fdot(rp, rp)) * (abs(s) + abs(sp) + 1.0)
-    if norm <= 1e-12 * max(scale, 1.0):
-        return None
+    norm = np.sqrt(_fdot(d, d))
+    scale = np.sqrt(_fdot(rp, rp)) * (abs(s) + abs(sp) + 1.0)
+    flat = norm <= 1e-12 * np.maximum(scale, 1.0)
     f2 = tuple(c / norm for c in d)
     f3 = _fcross(f1, f2)
-    return f1, f2, f3
+    return (f1, f2, f3), flat
 
 
 def finite_difference_twist(samples: list[FrameSample]) -> list[float]:

@@ -7,7 +7,7 @@ from pathlib import Path
 import rrmf
 from rrmf.catalog import (nontrivial_cubic, quintic_left_cancellation,
                           quintic_no_cancellation, quintic_right_cancellation)
-from rrmf.cli import main
+from rrmf.cli import EXIT_INTERNAL, main
 from rrmf.documents import document_for, dumps_document
 from rrmf.polynomials import QuatPoly
 from rrmf.quaternions import Quaternion
@@ -106,6 +106,23 @@ def test_construct_missing_spec_key(capsys):
         assert code == 2 and key in err
 
 
+def test_construct_malformed_spec_scalar_or_row(capsys):
+    for kind, spec in (
+            ("cubic", {"a1": ["x", "0", "0", "0"], "a2": ["0", "0", "1", "0"]}),
+            ("cubic", {"a1": ["1/0", "0", "0", "0"], "a2": ["0", "0", "1", "0"]}),
+            ("quartic", {"a1": ["0", "0", "1", "0"], "a2": ["0", "0", "0", "0"],
+                         "s3": "y"}),
+            ("trivial", {"direction": ["0", "0", "1", "0"],
+                         "coefficients": [["1"]]}),
+            ("trivial", {"direction": ["0", "0", "1", "0"],
+                         "coefficients": 7}),
+            ("trivial", {"direction": ["0", "0", "1", "0"],
+                         "coefficients": [["1", "z"]]})):
+        code, out, err = run(capsys, "construct", kind, "--spec-json",
+                             json.dumps(spec))
+        assert code == 2 and err.startswith("error: ") and out == ""
+
+
 def test_oversized_base_rejected_fast(tmp_path):
     # a 31-digit base once meant trial division up to 10**15.5
     huge = 10**30 + 57
@@ -182,6 +199,19 @@ def test_frames_rejects_non_finite_range(tmp_path, capsys):
                            f"--range={bounds}", "--out", str(out_csv))
         assert code == 2 and "finite" in err
     assert not out_csv.exists()
+
+
+def test_frames_internal_error_exit_code(tmp_path, capsys):
+    # float evaluation of this degree-10 frame drifts past the 1e-12 unit
+    # check from xi ~ 1.5 on; the CLI reports it instead of a traceback
+    curve = quintic_right_cancellation()
+    path = write_doc(tmp_path, "right.json", curve.generator, curve.certificate)
+    out_csv = tmp_path / "x.csv"
+    code, out, err = run(capsys, "frames", path, "--frame", "rmf",
+                         "--samples", "5", "--range", "1.5:2", "--out", str(out_csv))
+    assert code == EXIT_INTERNAL == 5
+    assert err.startswith("internal error: frame axis not unit at xi=")
+    assert out == "" and not out_csv.exists()
 
 
 def test_frames_rmf_needs_certificate(tmp_path, capsys):

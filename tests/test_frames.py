@@ -4,11 +4,13 @@ import pytest
 
 from rrmf.catalog import (nontrivial_cubic, quintic_left_cancellation,
                           quintic_no_cancellation, quintic_right_cancellation)
-from rrmf.classify import cancel_indicatrix
+from rrmf.classify import cancel_indicatrix, has_vanishing_indicatrix
 from rrmf.construct import make_spatial_family
-from rrmf.frames import (CSV_HEADER, CertificateError, erf_symbolic,
-                         finite_difference_twist, rmf_symbolic, rotate_frame,
-                         sample_frames, write_frames_csv)
+from rrmf.frames import (CSV_HEADER, CertificateError, FrameSample,
+                         basis_images, erf_symbolic, finite_difference_twist,
+                         rmf_symbolic, rotate_frame, sample_frames,
+                         write_frames_csv)
+from rrmf.hodograph import hodograph_of, integrate
 from rrmf.indicatrix import omega1
 from rrmf.polynomials import QuatPoly, RationalFunction, RealPoly
 from rrmf.quaternions import Quaternion
@@ -211,3 +213,106 @@ def test_csv_round_trip(tmp_path):
     for line, sample in zip(lines[1:], samples):
         values = [float(v) for v in line.split(",")]
         assert values[0] == sample.xi and tuple(values[1:4]) == sample.position
+
+
+def test_basis_images_equal_quaternion_products(rng):
+    # the component formula replaces the products B e B*; each is a pure vector
+    cases = [coprime_qpoly(rng, rng.randint(0, 3), base) for base in (0, 0, 15)]
+    cases += [quintic_right_cancellation().generator, make_spatial_family(5)]
+    for b in cases:
+        den, raw = basis_images(b)
+        assert den == b.norm_poly()
+        for e, vector in zip((Quaternion(0, 1), Quaternion(0, 0, 1),
+                              Quaternion(0, 0, 0, 1)), raw):
+            u, x, y, z = (b * QuatPoly([e]) * b.conjugate()).components()
+            assert u.is_zero()
+            assert (x, y, z) == vector
+
+
+def _reference_samples(a, kind, xis, certificate=None, normal_rotation=0.0):
+    """sample_frames one parameter at a time, with scalar float evaluation."""
+    a = QuatPoly.of(a)
+    position = integrate(hodograph_of(a))
+    sigma = a.norm_poly()
+    if kind == "erf":
+        frame = erf_symbolic(a)
+    elif kind == "rmf":
+        if certificate is None:
+            if not has_vanishing_indicatrix(a):
+                raise CertificateError("rotation-minimizing frame requires a certificate")
+            certificate = (RealPoly([1]), RealPoly())
+        frame = rmf_symbolic(a, *certificate)
+    scale = max(abs(c) for c in sigma.float_coeffs())
+    samples, warnings = [], []
+    for xi in xis:
+        if abs(sigma.evaluate_float(xi)) < 1e-12 * max(scale, 1.0):
+            warnings.append(f"xi={xi!r}: parametric speed vanishes, skipped")
+            continue
+        pos = position.evaluate_float(xi)
+        if kind == "frenet":
+            h = hodograph_of(a)
+            rp = [c.evaluate_float(xi) for c in h.components()]
+            rpp = [c.derivative().evaluate_float(xi) for c in h.components()]
+            s = h.sigma.evaluate_float(xi)
+            sp = h.sigma.derivative().evaluate_float(xi)
+            d = [s * cpp - sp * cp for cpp, cp in zip(rpp, rp)]
+            norm = math.sqrt(sum(c * c for c in d))
+            if norm <= 1e-12 * max(math.sqrt(sum(c * c for c in rp))
+                                   * (abs(s) + abs(sp) + 1.0), 1.0):
+                warnings.append(f"xi={xi!r}: curvature vanishes, skipped")
+                continue
+            f1 = tuple(c / s for c in rp)
+            f2 = tuple(c / norm for c in d)
+            f3 = (f1[1] * f2[2] - f1[2] * f2[1], f1[2] * f2[0] - f1[0] * f2[2],
+                  f1[0] * f2[1] - f1[1] * f2[0])
+            if not all(math.isfinite(c) for c in f1 + f2 + f3):
+                raise AssertionError(f"frame axis not unit at xi={xi}")
+        else:
+            f1, f2, f3 = (tuple(rf.evaluate_float(xi) for rf in axis)
+                          for axis in (frame.f1, frame.f2, frame.f3))
+            axes = (f1, f2, f3)
+            for i in range(3):
+                if not abs(sum(x * y for x, y in zip(axes[i], axes[i])) - 1.0) <= 1e-12:
+                    raise AssertionError(f"frame axis not unit at xi={xi}")
+                for j in range(i + 1, 3):
+                    if not abs(sum(x * y for x, y in zip(axes[i], axes[j]))) <= 1e-12:
+                        raise AssertionError(f"frame axes not orthogonal at xi={xi}")
+        if normal_rotation:
+            c, s = math.cos(normal_rotation), math.sin(normal_rotation)
+            f2, f3 = (tuple(c * x - s * y for x, y in zip(f2, f3)),
+                      tuple(s * x + c * y for x, y in zip(f2, f3)))
+        samples.append(FrameSample(xi, pos, f1, f2, f3))
+    return samples, warnings
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        samples, warnings = fn(*args, **kwargs)
+    except (AssertionError, ValueError) as exc:
+        return type(exc), str(exc)
+    # repr tells -0.0 from 0.0 and a numpy scalar from a float
+    return samples, warnings, repr(samples)
+
+
+def test_sampling_is_bit_identical_to_scalar_evaluation():
+    xis = [k / 16 for k in range(17)] + [-0.75, 1.25, 0]
+    curves = [(c.generator, c.certificate)
+              for c in (quintic_left_cancellation(), EX2, quintic_right_cancellation())]
+    curves += [(make_spatial_family(5), None),
+               (RealPoly([0, 1]).as_quat(), None),          # sigma root at 0
+               (QuatPoly([Quaternion(1), Quaternion(0, 0, 1, 0)]), None),  # planar
+               (QuatPoly([Quaternion(1, 2, 0, 1)]), None)]  # a line, no curvature
+    for a, cert in curves:
+        for kind in ("erf", "rmf", "frenet"):
+            for rotation in (0.0, 0.7):
+                for params in (xis, [0.5, float("nan")]):
+                    want = _outcome(_reference_samples, a, kind, params, cert, rotation)
+                    got = _outcome(sample_frames, a, kind, params,
+                                   certificate=cert, normal_rotation=rotation)
+                    assert got == want, (kind, rotation, params)
+    # the comparison above covers both skip paths
+    _, warnings = sample_frames(RealPoly([0, 1]).as_quat(), "erf", xis)
+    assert warnings == ["xi=0.0: parametric speed vanishes, skipped",
+                        "xi=0: parametric speed vanishes, skipped"]
+    _, warnings = sample_frames(curves[-1][0], "frenet", [0.5])
+    assert warnings == ["xi=0.5: curvature vanishes, skipped"]
