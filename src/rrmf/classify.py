@@ -7,29 +7,26 @@ triviality (coefficients confined to a left coset of a plane R + Ru
 with u orthogonal to i), planarity of the generated curve, and
 membership in the class of generators of curves with rational
 rotation-minimizing frames, decided either through a supplied
-certificate, the equal-degree divisibility criterion, or a budgeted
-heuristic search.  No false negatives are ever reported for the
-general membership question: absent proof, the verdict is "unknown".
+certificate, the equal-degree divisibility criterion, or a certificate
+of bounded degree constructed exactly from the residues of the reduced
+Han fraction.  No false negatives are ever reported for the general
+membership question: absent proof, the verdict is "unknown".
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import Optional
 
-import numpy as np
-
 from .hodograph import core_of, has_coprime_components
-from .indicatrix import han_numerator, inner_product_poly, rho_eta, verify_han
+from .indicatrix import han_fraction, inner_product_poly, rho_eta, verify_han
 from .linalg import exact_rank
 from .polynomials import (ComplexPoly, QuatPoly, RealPoly, exact_divide,
                           gcd_complex, gcd_real)
 from .quaternions import Quaternion
-from .scalars import Scalar
+from .scalars import ComplexScalar, Scalar
 
 _I = Quaternion(0, 1)
 
@@ -263,9 +260,9 @@ def rrmf_membership(a: QuatPoly, gamma: ComplexPoly | None = None, *,
 
     With a certificate the reduction test decides membership of that
     particular class.  Without one, a vanishing indicatrix or the
-    equal-degree divisibility criterion prove membership; optionally a
-    budgeted search tries to produce an explicit certificate.  A false
-    "not a member" is never returned.
+    equal-degree divisibility criterion prove membership; optionally
+    search_certificate constructs a certificate of degree at most
+    search_degree.  A false "not a member" is never returned.
     """
     a = _require_nonzero_coprime(a, "membership test")
     if gamma is not None:
@@ -297,129 +294,60 @@ def rrmf_membership(a: QuatPoly, gamma: ComplexPoly | None = None, *,
     return Membership(MembershipStatus.UNKNOWN, "exhausted")
 
 
-# -- heuristic certificate search -------------------------------------
-
-
-def _default_seed() -> int:
-    return int(os.environ.get("RRMF_SEED", "0"))
+# -- certificate construction ------------------------------------------
 
 
 def search_certificate(a: QuatPoly, max_degree: int, *,
                        budget_seconds: float = 10.0,
                        seed: int | None = None
                        ) -> Optional[tuple[RealPoly, RealPoly]]:
-    """Heuristic search for a certificate (a, b) of degree <= max_degree.
+    """The certificate (a, b) of degree <= max_degree, built exactly, or None.
 
-    Strategy: per trial degree, damped Gauss-Newton on the float
-    residual of the cross-multiplied identity from random seeds (the
-    residual is quadratic, so central differences give the Jacobian
-    exactly), then gauge-fix by the leading complex coefficient,
-    rationalize, and confirm with the exact verifier.  Only exactly
-    verified certificates are returned; exhaustion proves nothing.
+    For gamma = a + bi with coprime parts, (ab'-a'b)/(a^2+b^2) is
+    Im(gamma'/gamma): it has a simple pole at each distinct root z of
+    gamma, with residue m/2i for the multiplicity m of z, and one at
+    conj(z) with residue -m/2i.  So when the reduced Han fraction P/D
+    of A has a certificate, D is the product of |xi - z|^2 over the
+    roots z of gamma, and the monic certificate is unique:
+    gamma = prod_m G_m^m with G_m = gcd(D, 2iP - mD'), the roots of D
+    with residue m/2i (Rothstein, Trager).  The result is returned only
+    after verify_han has passed, jointly scaled so that the higher-degree
+    member is monic.
+
+    None proves that no certificate of degree <= max_degree exists,
+    unless budget_seconds ran out between two gcds.  ``seed`` is
+    accepted for compatibility and has no effect.
     """
     a = _require_nonzero_coprime(a, "certificate search")
-    n_poly = han_numerator(a)
-    if n_poly.is_zero():
+    han = han_fraction(a)
+    if han.is_zero():
         return (RealPoly([1]), RealPoly())
-    sigma = a.norm_poly()
-    rng = np.random.RandomState(_default_seed() if seed is None else seed)
     deadline = time.monotonic() + budget_seconds
-    n_f = np.array(n_poly.float_coeffs())
-    s_f = np.array(sigma.float_coeffs())
-    for degree in range(1, max_degree + 1):
-        found = _search_at_degree(a, n_f, s_f, degree, rng, deadline)
-        if found is not None:
-            return found
-        if time.monotonic() > deadline:
-            break
-    return None
-
-
-def _residual(x: np.ndarray, n_f: np.ndarray, s_f: np.ndarray) -> np.ndarray:
-    k = len(x) // 2
-    av, bv = x[:k], x[k:]
-    da = av[1:] * np.arange(1, k)
-    db = bv[1:] * np.arange(1, k)
-    wron = np.convolve(av, db) - np.convolve(da, bv) if k > 1 else np.zeros(1)
-    lhs = np.convolve(wron, s_f)
-    rhs = np.convolve(n_f, np.convolve(av, av) + np.convolve(bv, bv))
-    out = np.zeros(max(len(lhs), len(rhs)) + 1)
-    out[:len(lhs)] += lhs
-    out[:len(rhs)] -= rhs
-    out[-1] = x @ x - 1.0  # gauge: unit coefficient vector
-    return out
-
-
-def _search_at_degree(a: QuatPoly, n_f, s_f, degree, rng, deadline
-                      ) -> Optional[tuple[RealPoly, RealPoly]]:
-    k = degree + 1
-    dim = 2 * k
-    for _ in range(60):
-        if time.monotonic() > deadline:
-            return None
-        x = rng.standard_normal(dim)
-        x /= np.linalg.norm(x)
-        lam = 1e-3
-        for _ in range(120):
-            r = _residual(x, n_f, s_f)
-            if np.max(np.abs(r[:-1])) < 1e-11:
-                break
-            jac = np.empty((len(r), dim))
-            for col in range(dim):
-                e = np.zeros(dim)
-                e[col] = 1.0
-                jac[:, col] = (_residual(x + e, n_f, s_f)
-                               - _residual(x - e, n_f, s_f)) / 2.0
-            try:
-                step = np.linalg.lstsq(
-                    jac.T @ jac + lam * np.eye(dim), -jac.T @ r, rcond=None)[0]
-            except np.linalg.LinAlgError:
-                break
-            x_new = x + step
-            if np.linalg.norm(_residual(x_new, n_f, s_f)) \
-                    < np.linalg.norm(r):
-                x = x_new
-                lam = max(lam * 0.3, 1e-12)
-            else:
-                lam *= 10.0
-                if lam > 1e8:
-                    break
-        r = _residual(x, n_f, s_f)
-        if np.max(np.abs(r[:-1])) > 1e-9:
-            continue
-        cert = _rationalize(a, x, k)
-        if cert is not None:
-            return cert
-    return None
-
-
-def _rationalize(a: QuatPoly, x: np.ndarray, k: int
-                 ) -> Optional[tuple[RealPoly, RealPoly]]:
-    g = x[:k] + 1j * x[k:]
-    mags = np.abs(g)
-    significant = [idx for idx in range(k) if mags[idx] > 1e-8 * mags.max()]
-    if not significant:
+    poles = han.den.degree()
+    if poles == 0 or poles % 2 or poles > 2 * max_degree:
         return None
-    top = significant[-1]
-    g = g / g[top]  # gauge-invariant canonical form: leading coefficient 1
-    for bound in (1, 2, 6, 12, 60, 420, 10 ** 4, 10 ** 7, 10 ** 12):
-        av, bv = [], []
-        for c in g:
-            re = 0.0 if abs(c.real) < 1e-9 else c.real
-            im = 0.0 if abs(c.imag) < 1e-9 else c.imag
-            av.append(Fraction(re).limit_denominator(bound))
-            bv.append(Fraction(im).limit_denominator(bound))
-        ra, rb = RealPoly(av), RealPoly(bv)
-        if ra.is_zero() and rb.is_zero():
-            continue
-        if gcd_real(ra, rb).degree() != 0:
-            continue
-        try:
-            if verify_han(a, ra, rb):
-                return _normalize_certificate(ra, rb)
-        except ValueError:
-            continue
-    return None
+    roots = poles // 2
+    den = ComplexPoly.of(han.den)
+    two_i_num = ComplexPoly.of(han.num).scale(ComplexScalar(0, 2))
+    den_prime = ComplexPoly.of(han.den.derivative())
+    gamma, found, degree, m = ComplexPoly.of(1), 0, 0, 1
+    while found < roots:
+        # every root still missing has multiplicity >= m
+        if degree + m * (roots - found) > max_degree or time.monotonic() > deadline:
+            return None
+        g = gcd_complex(den, two_i_num - den_prime.scale(m))
+        for _ in range(m):
+            gamma = gamma * g
+        found += g.degree()
+        degree += m * g.degree()
+        m += 1
+    # P and D are real, so no root of D with residue m/2i is real or the
+    # conjugate of another: the parts of gamma are coprime, and
+    # verify_han checks that exactly before the identity itself
+    ga, gb = gamma.real_parts()
+    if not verify_han(a, ga, gb):
+        return None
+    return _normalize_certificate(ga, gb)
 
 
 def _normalize_certificate(ra: RealPoly, rb: RealPoly

@@ -108,7 +108,15 @@ def _parse_pairs(value, base: int) -> list[tuple[Scalar, Scalar]]:
 # -- subcommands -------------------------------------------------------
 
 
+def _check_search_limits(flag: str, degree, budget: float) -> None:
+    if degree is not None and degree < 0:
+        raise DocumentError(f"{flag} must be non-negative, got {degree}")
+    if not (math.isfinite(budget) and budget >= 0):
+        raise DocumentError(f"--budget must be finite and non-negative, got {budget}")
+
+
 def cmd_classify(args) -> int:
+    _check_search_limits("--search-degree", args.search_degree, args.budget)
     doc = _load_document(args.input)
     poly = QuatPoly.of(doc.to_poly())
     result = classify(poly, certificate=doc.certificate,
@@ -260,6 +268,7 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_search_gamma(args) -> int:
+    _check_search_limits("--max-degree", args.max_degree, args.budget)
     doc = _load_document(args.input)
     poly = QuatPoly.of(doc.to_poly())
     found = search_certificate(poly, args.max_degree,
@@ -299,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=float, default=10.0,
                    help="search budget in seconds")
     p.add_argument("--seed", type=int, default=None,
-                   help="search seed (default: RRMF_SEED or 0)")
+                   help="accepted for compatibility; has no effect")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("construct", help="generate a catalog family member")
@@ -330,11 +339,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="complex-kind document for the certificate polynomial")
     p.set_defaults(func=cmd_reduce)
 
-    p = sub.add_parser("search-gamma", help="heuristic certificate search")
+    p = sub.add_parser("search-gamma",
+                       help="construct the certificate of degree <= D exactly")
     p.add_argument("input")
     p.add_argument("--max-degree", type=int, required=True)
     p.add_argument("--budget", type=float, default=10.0)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None,
+                   help="accepted for compatibility; has no effect")
     p.set_defaults(func=cmd_search_gamma)
 
     p = sub.add_parser("paper-examples",

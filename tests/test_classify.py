@@ -1,4 +1,5 @@
 import inspect
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,13 +12,13 @@ from rrmf.classify import (MembershipStatus, cancel_indicatrix, classify,
                            hodograph_span_rank, indicatrix_coefficients,
                            is_planar, rrmf_membership, search_certificate,
                            trivial_witness)
-from rrmf.construct import make_spatial_family, make_trivial
+from rrmf.construct import make_f_element, make_spatial_family, make_trivial
 from rrmf.hodograph import core_of
 from rrmf.indicatrix import inner_product_poly, rho_eta, verify_han
 from rrmf.polynomials import (ComplexPoly, QuatPoly, RealPoly, exact_divide,
                               gcd_real)
 from rrmf.quaternions import I, J, K, Quaternion
-from rrmf.scalars import Scalar
+from rrmf.scalars import ComplexScalar, Scalar
 
 from conftest import coprime_cpoly, coprime_qpoly, nonzero_quat
 
@@ -293,3 +294,44 @@ def test_package_does_not_shadow_classify_module():
     assert inspect.ismodule(classify_module)
     assert rrmf.classify is classify_module
     assert classify_module.classify is classify
+
+
+def _linear(re, im):
+    """xi - (re + im i) as a complex polynomial."""
+    return ComplexPoly([ComplexScalar(-Scalar.of(re), -Scalar.of(im)), 1])
+
+
+SQRT15 = Scalar(0, 1, 15)
+CONSTRUCTION_DELTAS = {
+    "double root": _linear(2, 1) * _linear(2, 1),
+    "double and simple root": _linear(0, 1) * _linear(0, 1) * _linear(-1, 2),
+    "surd linear": _linear(SQRT15, 1),
+    "surd quadratic": _linear(0, SQRT15) * _linear(-1, -1),
+}
+
+
+@pytest.mark.parametrize("delta", CONSTRUCTION_DELTAS.values(),
+                         ids=list(CONSTRUCTION_DELTAS))
+@pytest.mark.parametrize("core", [nontrivial_cubic(), nontrivial_quartic_sparse(),
+                                  nontrivial_quartic_dense(), make_spatial_family(3)],
+                         ids=["cubic", "quartic-sparse", "quartic-dense", "family3"])
+def test_search_constructs_certificate_of_f_element(core, delta):
+    element = make_f_element(core, delta)
+    found = search_certificate(element.poly, delta.degree(), budget_seconds=10.0)
+    # the real part of delta.monic() is monic of top degree: already normalised
+    assert found == delta.monic().real_parts()
+    assert search_certificate(element.poly, delta.degree() - 1) is None
+
+
+@pytest.mark.parametrize("max_degree", [1, 2, 3, 4])
+def test_search_misses_unknown_fixture(max_degree):
+    assert search_certificate(UNKNOWN_FIXTURE, max_degree, budget_seconds=10.0) is None
+
+
+def test_search_misses_random_quartics_quickly(rng):
+    # the former numeric search never got through degree 6 in 10 s here
+    for _ in range(5):
+        a = coprime_qpoly(rng, 4)
+        t0 = time.monotonic()
+        assert search_certificate(a, 6, budget_seconds=10.0) is None
+        assert time.monotonic() - t0 < 1.0

@@ -275,6 +275,45 @@ def test_search_gamma(tmp_path, capsys):
     assert report == {"found": True, "a": ["1/1"], "b": []}
 
 
+def test_search_limits_rejected(tmp_path, capsys):
+    path = write_doc(tmp_path, "cubic.json", nontrivial_cubic())
+    cases = [("search-gamma", path, "--max-degree", "-1"),
+             ("classify", path, "--search-degree", "-1")]
+    for budget in ("-1", "nan", "inf", "-inf"):
+        cases.append(("search-gamma", path, "--max-degree", "1", f"--budget={budget}"))
+        cases.append(("classify", path, "--search-degree", "1", f"--budget={budget}"))
+    for argv in cases:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert "non-negative" in err
+
+
+# printed by the former numeric search for the shipped fixtures at max
+# degree 1, 2 and 3; the exact construction prints the same
+SEARCH_GAMMA_GOLDEN = {
+    "quintic-left-cancellation": [
+        '{"found": true, "a": ["-2/1", "1/1"], "b": ["-1/1"]}'] * 3,
+    "quintic-no-cancellation": [
+        '{"found": false}',
+        '{"found": true, "a": ["27/109", "-86/109", "1/1"], "b": ["19/109", "-4/109"]}',
+        '{"found": true, "a": ["27/109", "-86/109", "1/1"], "b": ["19/109", "-4/109"]}'],
+    "quintic-right-cancellation": [
+        '{"found": false}',
+        '{"found": false}',
+        '{"found": true, "a": ["-19/2", "51/4", "-6/1", "1/1"], '
+        '"b": ["-41/4", "8/1", "-2/1"]}'],
+}
+
+
+def test_search_gamma_golden_output(capsys):
+    root = Path(__file__).resolve().parent.parent / "fixtures"
+    for name, expected in SEARCH_GAMMA_GOLDEN.items():
+        for degree, line in enumerate(expected, start=1):
+            code, out, _ = run(capsys, "search-gamma", str(root / f"{name}.json"),
+                               "--max-degree", str(degree))
+            assert (code, out) == (0, line + "\n"), (name, degree)
+
+
 def test_paper_examples_deterministic(capsys):
     code1, out1, _ = run(capsys, "paper-examples")
     code2, out2, _ = run(capsys, "paper-examples")

@@ -1,15 +1,20 @@
 """The dense-polynomial core checked against sympy as an independent oracle.
 
 Seeded random operands over Q, Q(sqrt(15)) and Q(i), with a planted
-common factor so that the gcds are not trivially 1.
+common factor so that the gcds are not trivially 1; and the reduced Han
+fraction of seeded generators, on which the certificate construction
+rests, against sympy's cancellation of the fraction built from the
+components.
 """
 
 import pytest
 
-from rrmf.polynomials import ComplexPoly, RealPoly, gcd_complex, gcd_real
+from rrmf.indicatrix import han_fraction
+from rrmf.polynomials import ComplexPoly, QuatPoly, RealPoly, gcd_complex, gcd_real
+from rrmf.quaternions import J
 from rrmf.scalars import ComplexScalar
 
-from conftest import rand_scalar
+from conftest import coprime_qpoly, nonzero_quat, rand_scalar
 
 sympy = pytest.importorskip("sympy")
 
@@ -72,3 +77,30 @@ def test_complex_gcd_matches_sympy(rng):
         expected = sympy.gcd(to_sympy_poly(a, GAUSSIAN),
                              to_sympy_poly(b, GAUSSIAN)).monic()
         assert to_sympy_poly(gcd_complex(a, b), GAUSSIAN) == expected
+
+
+@pytest.mark.parametrize("base", sorted(DOMAINS))
+def test_han_fraction_matches_sympy_cancel(rng, base):
+    field = DOMAINS[base]
+    cancelled = 0
+    for k in range(10):
+        if k % 2:
+            a = coprime_qpoly(rng, rng.randint(1, 3), base)
+        else:
+            # c(1 + j xi) has a vanishing indicatrix, so the Han fraction
+            # of c(1 + j xi) delta is that of delta: sigma's factor
+            # 1 + xi^2 cancels
+            c = nonzero_quat(rng, base)
+            delta = ComplexPoly([ComplexScalar(rand_scalar(rng, base), rand_scalar(rng, base))
+                                 for _ in range(rng.randint(1, 2))] + [1])
+            a = QuatPoly([c, c * J]) * delta.as_quat()
+        u, v, p, q = (to_sympy_poly(part, field) for part in a.components())
+        num = u * v.diff(XI) - u.diff(XI) * v - p * q.diff(XI) + p.diff(XI) * q
+        sigma = u ** 2 + v ** 2 + p ** 2 + q ** 2
+        expected_num, expected_den = num.cancel(sigma, include=True)
+        lead = expected_den.LC()
+        han = han_fraction(a)
+        assert to_sympy_poly(han.num, field) == expected_num.quo_ground(lead)
+        assert to_sympy_poly(han.den, field) == expected_den.monic()
+        cancelled += han.den.degree() < a.norm_poly().degree()
+    assert cancelled >= 5
