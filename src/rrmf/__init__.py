@@ -20,7 +20,8 @@ from .hodograph import (CoreDecomposition, CurvePosition, Hodograph, core_of,
 from .indicatrix import (IndicatrixPair, RhoEta, han_fraction, han_numerator,
                          indicatrix_product_residual, inner_product_poly,
                          omega1, rho_eta, rotation_indicatrix, verify_han)
-from .classify import (Classification, IndicatrixCoefficients, Membership,
+from .classify import (Classification, GeneratorAnalysis,
+                       IndicatrixCoefficients, Membership,
                        MembershipStatus, ReducedForm, TrivialWitness,
                        cancel_indicatrix, gcd_with_complex,
                        has_vanishing_indicatrix, hodograph_span_rank,

@@ -18,26 +18,111 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Optional
 
-from .hodograph import core_of, has_coprime_components
+from .hodograph import (CoreDecomposition, Hodograph, core_of,
+                        has_coprime_components, hodograph_of)
 from .indicatrix import han_fraction, inner_product_poly, rho_eta, verify_han
 from .linalg import exact_rank
-from .polynomials import (ComplexPoly, QuatPoly, RealPoly, exact_divide,
-                          gcd_complex, gcd_real)
+from .polynomials import (ComplexPoly, QuatPoly, RationalFunction, RealPoly,
+                          exact_divide, gcd_complex, gcd_real)
 from .quaternions import Quaternion
 from .scalars import ComplexScalar, Scalar
 
 _I = Quaternion(0, 1)
 
 
-def _require_nonzero_coprime(a: QuatPoly, what: str) -> QuatPoly:
-    a = QuatPoly.of(a)
-    if a.is_zero():
-        raise ValueError(f"{what}: zero polynomial rejected")
-    if not has_coprime_components(a):
+@dataclass(frozen=True)
+class GeneratorAnalysis:
+    """The facts of one nonzero generator A, each computed once, on first use.
+
+    classify reads every verdict from one analysis, and each public
+    verdict function reads its fact from a fresh one, so every fact has
+    a single implementation.
+    """
+
+    poly: QuatPoly
+
+    @classmethod
+    def of(cls, a: QuatPoly, zero_message: str = "analysis of the zero polynomial"
+           ) -> "GeneratorAnalysis":
+        a = QuatPoly.of(a)
+        if a.is_zero():
+            raise ValueError(zero_message)
+        return cls(a)
+
+    @cached_property
+    def coprime(self) -> bool:
+        """Whether the four real components of A are coprime."""
+        return has_coprime_components(self.poly)
+
+    @cached_property
+    def inner(self) -> RealPoly:
+        """<A'i, A>, the numerator of the rotation indicatrix."""
+        return inner_product_poly(self.poly)
+
+    @cached_property
+    def in_f0(self) -> bool:
+        """Coprime components and identically zero <A'i, A>."""
+        return self.coprime and self.inner.is_zero()
+
+    @cached_property
+    def core(self) -> CoreDecomposition:
+        """A stripped of chi = gcd(alpha, conj(beta)), its maximal monic
+        complex right divisor."""
+        return core_of(self.poly)
+
+    @cached_property
+    def primitive(self) -> bool:
+        """Whether A i A* has coprime components: chi is constant."""
+        return self.core.factor.degree() == 0
+
+    @cached_property
+    def hodograph(self) -> Hodograph:
+        return hodograph_of(self.poly)
+
+    @cached_property
+    def span_rank(self) -> int:
+        """Exact rank of the span of the vector coefficients of A i A*."""
+        h = self.hodograph
+        return exact_rank([[c.coeff(k) for c in h.components()]
+                           for k in range(h.sigma.degree() + 1)])
+
+    @cached_property
+    def planar(self) -> bool:
+        """Whether the generated curve lies in a plane: span rank <= 2."""
+        return self.span_rank <= 2
+
+    @cached_property
+    def trivial(self) -> Optional[TrivialWitness]:
+        """The witness of trivial_witness; meaningful for coprime components."""
+        coeffs = self.poly.coeffs
+        c = next(q for q in coeffs if not q.is_zero())
+        c_inv = c.inverse()
+        vectors = [(c_inv * q).vector_part() for q in coeffs]
+        direction = next((v for v in vectors if not v.is_zero()), None)
+        if direction is None:
+            # constant (up to left factor): plane direction is conventional
+            return TrivialWitness(c, Quaternion(0, 0, 1, 0), Scalar(1))
+        if not direction.inner(_I).is_zero():
+            return None
+        # every v parallel to direction is then orthogonal to i as well
+        if any(not v.cross(direction).is_zero() for v in vectors):
+            return None
+        return TrivialWitness(c, direction, direction.norm_sq())
+
+    @cached_property
+    def han(self) -> RationalFunction:
+        """The reduced Han fraction of A."""
+        return han_fraction(self.poly)
+
+
+def _require_nonzero_coprime(a: QuatPoly, what: str) -> GeneratorAnalysis:
+    analysis = GeneratorAnalysis.of(a, f"{what}: zero polynomial rejected")
+    if not analysis.coprime:
         raise ValueError(f"{what}: components must be coprime")
-    return a
+    return analysis
 
 
 @dataclass(frozen=True)
@@ -53,21 +138,16 @@ class IndicatrixCoefficients:
 def indicatrix_coefficients(a: QuatPoly) -> IndicatrixCoefficients:
     """c_m = sum_{k=0..m} (k+1) <A_{m-k}, A_{k+1} i> for m = 0 .. 2n-2.
 
-    Computed from the quaternion coefficients directly, cross-checked
-    against the coefficients of <A'i, A>, and validated against the
-    degree-(n-1) truncation recursion.
+    Computed from the quaternion coefficients directly; they are the
+    coefficients of <A'i, A>.
     """
     a = QuatPoly.of(a)
     if a.is_zero():
         raise ValueError("coefficient conditions of the zero polynomial")
     n = a.degree()
     rotated = [c * _I for c in a.coeffs]
-    values = tuple(_c_m(a.coeffs, rotated, m) for m in range(max(2 * n - 1, 1)))
-    poly = inner_product_poly(a)
-    if any(values[m] != poly.coeff(m) for m in range(len(values))):
-        raise AssertionError("coefficient conditions disagree with <A'i, A>")
-    _check_truncation_recursion(a, values)
-    return IndicatrixCoefficients(values)
+    return IndicatrixCoefficients(
+        tuple(_c_m(a.coeffs, rotated, m) for m in range(max(2 * n - 1, 1))))
 
 
 def _c_m(coeffs, rotated, m: int) -> Scalar:
@@ -80,47 +160,9 @@ def _c_m(coeffs, rotated, m: int) -> Scalar:
     return acc
 
 
-def _check_truncation_recursion(a: QuatPoly, values) -> None:
-    # c^(n)_m = c^(n-1)_m for m <= n-2, plus (2n-m-1)<A_{m+1-n}, A_n i>
-    # from m = n-1 on; c^(n-1)_m vanishes for m > 2n-4 by degree count.
-    n = a.degree()
-    if n < 1:
-        return
-    trunc = list(a.coeffs[:-1])
-    rotated = [c * _I for c in a.coeffs]
-    for m in range(2 * n - 1):
-        expected = _c_m(trunc, rotated, m)
-        if m >= n - 1:
-            step = trunc[m + 1 - n].inner(rotated[n])
-            expected = expected + step * Scalar.of(2 * n - m - 1)
-        if values[m] != expected:
-            raise AssertionError("truncation recursion failed")
-
-
 def has_vanishing_indicatrix(a: QuatPoly) -> bool:
-    """Coprime components and identically zero <A'i, A>.
-
-    The direct coefficient conditions, the expanded polynomial, and the
-    complex-splitting identity <alpha'i, alpha> == <beta'i, beta> are
-    all evaluated; disagreement is an internal error.
-    """
-    a = QuatPoly.of(a)
-    if a.is_zero():
-        raise ValueError("membership test on the zero polynomial")
-    coprime = has_coprime_components(a)
-    by_coeffs = indicatrix_coefficients(a).all_zero()
-    by_poly = inner_product_poly(a).is_zero()
-    alpha, beta = a.complex_split()
-    by_split = (_complex_inner(alpha) == _complex_inner(beta))
-    if not (by_coeffs == by_poly == by_split):
-        raise AssertionError("vanishing-indicatrix paths disagree")
-    return coprime and by_poly
-
-
-def _complex_inner(gamma: ComplexPoly) -> RealPoly:
-    """<gamma'i, gamma> for a complex polynomial gamma = a + bi."""
-    re, im = gamma.real_parts()
-    return -(im.derivative() * re - re.derivative() * im)
+    """Coprime components and identically zero <A'i, A>."""
+    return GeneratorAnalysis.of(a, "membership test on the zero polynomial").in_f0
 
 
 @dataclass(frozen=True)
@@ -150,51 +192,20 @@ def trivial_witness(a: QuatPoly) -> Optional[TrivialWitness]:
     the coset plane works, since right factors in R + Ru preserve it.
     Returns None when A is not of this form.
     """
-    a = _require_nonzero_coprime(a, "triviality test")
-    c = next(q for q in a.coeffs if not q.is_zero())
-    c_inv = c.inverse()
-    vectors = [(c_inv * q).vector_part() for q in a.coeffs]
-    direction = next((v for v in vectors if not v.is_zero()), None)
-    if direction is None:
-        # constant (up to left factor): plane direction is conventional
-        return TrivialWitness(c, Quaternion(0, 0, 1, 0), Scalar(1))
-    if not direction.inner(_I).is_zero():
-        return None
-    for v in vectors:
-        if not v.inner(_I).is_zero():
-            return None
-        if not v.cross(direction).is_zero():
-            return None
-    return TrivialWitness(c, direction, direction.norm_sq())
+    return _require_nonzero_coprime(a, "triviality test").trivial
 
 
 def hodograph_span_rank(a: QuatPoly) -> int:
     """Exact rank of the span of the vector coefficients of A i A*."""
-    a = QuatPoly.of(a)
-    if a.is_zero():
-        raise ValueError("span rank of the zero polynomial")
-    prod = a * QuatPoly([_I]) * a.conjugate()
-    rows = []
-    for b in prod.coeffs:
-        if not b.scalar_part().is_zero():
-            raise AssertionError("A i A* must have pure vector coefficients")
-        rows.append([b.x, b.y, b.z])
-    return exact_rank(rows)
+    return GeneratorAnalysis.of(a, "span rank of the zero polynomial").span_rank
 
 
 def is_planar(a: QuatPoly) -> bool:
     """Whether the generated curve lies in a plane.
 
     Geometric test: the vector coefficients of A i A* span rank <= 2.
-    For generators with vanishing indicatrix this must coincide with
-    triviality; disagreement is an internal error.
     """
-    a = _require_nonzero_coprime(a, "planarity test")
-    planar = hodograph_span_rank(a) <= 2
-    if has_vanishing_indicatrix(a):
-        if planar != (trivial_witness(a) is not None):
-            raise AssertionError("planarity and triviality verdicts disagree")
-    return planar
+    return _require_nonzero_coprime(a, "planarity test").planar
 
 
 def gcd_with_complex(a: QuatPoly, gamma: ComplexPoly) -> ComplexPoly:
@@ -224,13 +235,17 @@ def cancel_indicatrix(a: QuatPoly, gamma: ComplexPoly) -> ReducedForm:
     The returned polynomial has vanishing indicatrix exactly when A and
     gamma share their indicatrix.
     """
-    a = _require_nonzero_coprime(a, "indicatrix cancellation")
-    gamma = ComplexPoly.of(gamma)
-    gre, gim = gamma.real_parts()
-    if gamma.is_zero() or gcd_real(gre, gim).degree() != 0:
+    return _cancel(_require_nonzero_coprime(a, "indicatrix cancellation"),
+                   ComplexPoly.of(gamma))
+
+
+def _cancel(analysis: GeneratorAnalysis, gamma: ComplexPoly) -> ReducedForm:
+    if gamma.is_zero():
+        raise ValueError("certificate (0, 0) is not allowed")
+    if gcd_real(*gamma.real_parts()).degree() != 0:
         raise ValueError("certificate polynomial must have coprime components")
-    weight = gcd_with_complex(a, gamma).norm_sq()
-    product = a * gamma.conjugate().as_quat()
+    weight = gcd_with_complex(analysis.poly, gamma).norm_sq()
+    product = analysis.poly * gamma.conjugate().as_quat()
     reduced = exact_divide(product, weight.as_quat())
     return ReducedForm(reduced, has_vanishing_indicatrix(reduced))
 
@@ -264,33 +279,34 @@ def rrmf_membership(a: QuatPoly, gamma: ComplexPoly | None = None, *,
     search_certificate constructs a certificate of degree at most
     search_degree.  A false "not a member" is never returned.
     """
-    a = _require_nonzero_coprime(a, "membership test")
+    analysis = _require_nonzero_coprime(a, "membership test")
     if gamma is not None:
         gamma = ComplexPoly.of(gamma)
-        red = cancel_indicatrix(a, gamma)
-        ga, gb = gamma.real_parts()
-        if verify_han(a, ga, gb) != red.vanishing:
-            raise AssertionError("certificate paths disagree")
+    return _membership(analysis, gamma, search_degree, search_budget)
+
+
+def _membership(analysis: GeneratorAnalysis, gamma: ComplexPoly | None,
+                search_degree: int | None, search_budget: float) -> Membership:
+    # rrmf_membership for a generator with coprime components
+    if gamma is not None:
+        red = _cancel(analysis, gamma)
         if red.vanishing:
             return Membership(MembershipStatus.PROVEN, "certificate",
-                              gamma, red.result, (ga, gb))
+                              gamma, red.result, gamma.real_parts())
         return Membership(MembershipStatus.CERTIFICATE_REJECTED, "certificate",
                           gamma, red.result)
-    if has_vanishing_indicatrix(a):
+    if analysis.in_f0:
         one = ComplexPoly.of(1)
         return Membership(MembershipStatus.PROVEN, "vanishing-indicatrix",
-                          one, a, (RealPoly([1]), RealPoly()))
-    if rho_eta(a).divisible:
+                          one, analysis.poly, (RealPoly([1]), RealPoly()))
+    if rho_eta(analysis.poly).divisible:
         return Membership(MembershipStatus.PROVEN, "equal-degree-criterion")
     if search_degree is not None:
-        found = search_certificate(a, search_degree, budget_seconds=search_budget,
-                                   seed=seed)
+        found = _search(analysis, search_degree, search_budget)
         if found is not None:
-            sa, sb = found
-            return Membership(MembershipStatus.PROVEN, "search",
-                              ComplexPoly.from_parts(sa, sb),
-                              cancel_indicatrix(a, ComplexPoly.from_parts(sa, sb)).result,
-                              (sa, sb))
+            gamma = ComplexPoly.from_parts(*found)
+            return Membership(MembershipStatus.PROVEN, "search", gamma,
+                              _cancel(analysis, gamma).result, found)
     return Membership(MembershipStatus.UNKNOWN, "exhausted")
 
 
@@ -318,8 +334,13 @@ def search_certificate(a: QuatPoly, max_degree: int, *,
     unless budget_seconds ran out between two gcds.  ``seed`` is
     accepted for compatibility and has no effect.
     """
-    a = _require_nonzero_coprime(a, "certificate search")
-    han = han_fraction(a)
+    return _search(_require_nonzero_coprime(a, "certificate search"),
+                   max_degree, budget_seconds)
+
+
+def _search(analysis: GeneratorAnalysis, max_degree: int, budget_seconds: float
+            ) -> Optional[tuple[RealPoly, RealPoly]]:
+    han = analysis.han
     if han.is_zero():
         return (RealPoly([1]), RealPoly())
     deadline = time.monotonic() + budget_seconds
@@ -345,7 +366,7 @@ def search_certificate(a: QuatPoly, max_degree: int, *,
     # conjugate of another: the parts of gamma are coprime, and
     # verify_han checks that exactly before the identity itself
     ga, gb = gamma.real_parts()
-    if not verify_han(a, ga, gb):
+    if not verify_han(analysis.poly, ga, gb):
         return None
     return _normalize_certificate(ga, gb)
 
@@ -381,46 +402,25 @@ def classify(a: QuatPoly, certificate: tuple[RealPoly, RealPoly] | None = None,
              search_budget: float = 10.0, seed: int | None = None
              ) -> Classification:
     """Aggregate all verdicts for one generator, certificate optional."""
-    from .hodograph import is_primitive
-
-    a = QuatPoly.of(a)
-    if a.is_zero():
-        raise ValueError("classification of the zero polynomial")
+    analysis = GeneratorAnalysis.of(a, "classification of the zero polynomial")
     notes = ["regularity over the reals (sigma having no real roots) not checked"]
-    coprime = has_coprime_components(a)
-    core = core_of(a)
-    primitive = is_primitive(a)
-    gamma = None
     if certificate is not None:
-        ca, cb = RealPoly.of(certificate[0]), RealPoly.of(certificate[1])
-        gamma = ComplexPoly.from_parts(ca, cb)
-        certificate = (ca, cb)
-    if coprime:
-        in_f0 = has_vanishing_indicatrix(a)
-        trivial = trivial_witness(a)
-        planar = is_planar(a)
-        membership = rrmf_membership(a, gamma, search_degree=search_degree,
-                                     search_budget=search_budget, seed=seed)
+        certificate = (RealPoly.of(certificate[0]), RealPoly.of(certificate[1]))
+    if analysis.coprime:
+        gamma = None if certificate is None else ComplexPoly.from_parts(*certificate)
+        membership = _membership(analysis, gamma, search_degree, search_budget)
+        trivial = analysis.trivial
     else:
-        in_f0 = False
-        trivial = None
-        planar = hodograph_span_rank(a) <= 2
         membership = Membership(MembershipStatus.UNKNOWN, "components-not-coprime")
+        trivial = None
         notes.append("components share a real factor; membership tests skipped")
-    if trivial is not None and not (in_f0 and planar and primitive):
-        raise AssertionError("structural invariants violated")
-    if membership.status is MembershipStatus.PROVEN:
-        # for a proven member, the curve is planar exactly when the
-        # core is trivial
-        if planar != (trivial_witness(core.core) is not None):
-            raise AssertionError("planarity disagrees with core triviality")
     return Classification(
-        in_widetilde=coprime,
-        in_f0=in_f0,
+        in_widetilde=analysis.coprime,
+        in_f0=analysis.in_f0,
         trivial=trivial,
-        planar=planar,
-        primitive=primitive,
-        core_degree=core.core.degree(),
+        planar=analysis.planar,
+        primitive=analysis.primitive,
+        core_degree=analysis.core.core.degree(),
         membership=membership,
         han_certificate=certificate,
         notes="; ".join(notes),

@@ -32,6 +32,10 @@ EXIT_PRECONDITION = 3
 EXIT_REGRESSION = 4
 EXIT_INTERNAL = 5
 
+# upper bound on `rrmf frames --samples`: every row is held in memory
+# before the CSV is written (peak RSS about 1.2 GB at this limit)
+MAX_SAMPLES = 10 ** 6
+
 
 def _read_input(path: str) -> str:
     if path == "-":
@@ -217,6 +221,8 @@ def cmd_frames(args) -> int:
     poly = QuatPoly.of(doc.to_poly())
     if args.samples < 1:
         raise ValueError("--samples must be at least 1")
+    if args.samples > MAX_SAMPLES:
+        raise ValueError(f"--samples must be at most {MAX_SAMPLES}")
     lo, hi = _parse_range(args.range)
     if args.samples == 1:
         xis = [lo]
@@ -322,7 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("frames", help="sample an adapted frame to CSV")
     p.add_argument("input")
     p.add_argument("--frame", choices=["erf", "rmf", "frenet"], default="erf")
-    p.add_argument("--samples", type=int, required=True)
+    p.add_argument("--samples", type=int, required=True,
+                   help=f"number of parameters, 1 to {MAX_SAMPLES}")
     p.add_argument("--range", default="0:1")
     p.add_argument("--out", required=True)
     p.add_argument("--normal-rotation", type=float, default=0.0,

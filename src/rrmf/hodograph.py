@@ -80,19 +80,13 @@ def has_coprime_components(a: QuatPoly) -> bool:
 def is_primitive(a: QuatPoly) -> bool:
     """Whether the generated hodograph has coprime components.
 
-    Tested as gcd(alpha, conj(beta)) = 1 on the complex splitting, and
-    cross-checked against the real gcd of the hodograph components.
+    Tested as gcd(alpha, conj(beta)) = 1 on the complex splitting: A has
+    no nonconstant complex right divisor, so it coincides with its core.
     """
     a = QuatPoly.of(a)
     if a.is_zero():
         raise ValueError("primitivity of the zero polynomial")
-    alpha, beta = a.complex_split()
-    primitive = gcd_complex(alpha, beta.conjugate()).degree() == 0
-    h = hodograph_of(a)
-    real_check = gcd_real(h.xp, h.yp, h.zp).degree() == 0
-    if primitive != real_check:
-        raise AssertionError("primitivity cross-check failed")
-    return primitive
+    return core_of(a).factor.degree() == 0
 
 
 def core_of(a: QuatPoly) -> CoreDecomposition:

@@ -190,7 +190,7 @@ def test_criterion_5_identity_suite():
     report("criterion 5e: product-formula residual, 200 random (exact)", ok_resid)
     for _ in range(N_IDENTITY):
         a = coprime_qpoly(rng, rng.randint(1, 3))
-        values = indicatrix_coefficients(a).values  # recursion asserted inside
+        values = indicatrix_coefficients(a).values  # recursion checked below
         poly = inner_product_poly(a)
         ok_coeffs &= all(v == poly.coeff(m) for m, v in enumerate(values))
         n = a.degree()

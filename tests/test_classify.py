@@ -335,3 +335,91 @@ def test_search_misses_random_quartics_quickly(rng):
         t0 = time.monotonic()
         assert search_certificate(a, 6, budget_seconds=10.0) is None
         assert time.monotonic() - t0 < 1.0
+
+
+def _complex_inner(gamma):
+    """<gamma'i, gamma> for a complex polynomial gamma = a + bi."""
+    re, im = gamma.real_parts()
+    return -(im.derivative() * re - re.derivative() * im)
+
+
+SURD_QUAT = Quaternion(1, SQRT15, 2, Scalar(1, 1, 15))
+
+
+def test_indicatrix_forms_agree(rng):
+    # <A'i, A> = 0, its per-degree coefficient conditions, and the complex
+    # splitting identity <alpha'i, alpha> == <beta'i, beta> are equivalent
+    members = [nontrivial_cubic(), nontrivial_quartic_sparse(),
+               nontrivial_quartic_dense(), QuatPoly([Quaternion(1), J]),
+               *(make_spatial_family(n) for n in range(3, 7))]
+    members += [m.left_scale(SURD_QUAT) for m in members]
+    outsiders = [IXP1, UNKNOWN_FIXTURE, quintic_no_cancellation().generator,
+                 make_f_element(nontrivial_cubic(), _linear(SQRT15, 1)).poly]
+    outsiders += [coprime_qpoly(rng, rng.randint(1, 4), base)
+                  for base in (0, 15) * 10]
+    for a, vanishing in [(m, True) for m in members] + [(o, False) for o in outsiders]:
+        alpha, beta = a.complex_split()
+        assert (_complex_inner(alpha) == _complex_inner(beta)) is vanishing
+        assert inner_product_poly(a).is_zero() is vanishing
+        assert indicatrix_coefficients(a).all_zero() is vanishing
+
+
+def _classified(rng):
+    """(generator, classification) over every generator kind."""
+    curves = (quintic_left_cancellation(), quintic_no_cancellation(),
+              quintic_right_cancellation())
+    records = [(c.generator, classify(c.generator, certificate=c.certificate))
+               for c in curves]
+    trivial_cores = [QuatPoly([Quaternion(1), J]),
+                     make_trivial(Quaternion(1, 1, 0, 2), K, [(1, 0), (0, 1), (2, -1)])]
+    plain = [c.generator for c in curves] + trivial_cores
+    plain += [nontrivial_cubic(), nontrivial_quartic_sparse(), nontrivial_quartic_dense(),
+              IXP1, UNKNOWN_FIXTURE]
+    plain += [make_spatial_family(n) for n in range(3, 9)]
+    plain += [coprime_qpoly(rng, rng.randint(1, 4), base) for base in (0, 15) * 4]
+    plain.append(nontrivial_cubic() * RealPoly([1, 1]).as_quat())  # shared factor
+    records += [(a, classify(a)) for a in plain]
+    for core in (nontrivial_cubic(), make_spatial_family(3), *trivial_cores):
+        for delta in CONSTRUCTION_DELTAS.values():
+            element = make_f_element(core, delta)
+            records.append((element.poly, classify(
+                element.poly, certificate=element.certificate.real_parts())))
+    return records
+
+
+def test_classification_structure(rng):
+    proven_planar = proven_spatial = trivial = 0
+    for a, c in _classified(rng):
+        if c.trivial is not None:
+            trivial += 1
+            assert c.in_f0 and c.planar and c.primitive
+        if c.membership.status is MembershipStatus.PROVEN:
+            # for a proven member the curve is planar exactly when the core is trivial
+            assert c.planar == (trivial_witness(core_of(a).core) is not None)
+            proven_planar += c.planar
+            proven_spatial += not c.planar
+    assert trivial and proven_planar and proven_spatial
+
+
+def test_verify_han_agrees_with_reduction(rng):
+    curves = (quintic_left_cancellation(), quintic_no_cancellation(),
+              quintic_right_cancellation())
+    cases = [(c.generator, ComplexPoly.from_parts(*c.certificate)) for c in curves]
+    for core in (nontrivial_cubic(), make_spatial_family(3)):
+        for delta in CONSTRUCTION_DELTAS.values():
+            element = make_f_element(core, delta)
+            cases.append((element.poly, element.certificate))
+    # rejected: perturbed, unit and random certificates
+    for a, gamma in list(cases):
+        cases.append((a, gamma + ComplexPoly.of(1)))
+        cases.append((a, ComplexPoly.of(1)))
+        cases.append((a, coprime_cpoly(rng, rng.randint(1, 3))))
+    accepted = set()
+    for a, gamma in cases:
+        ga, gb = gamma.real_parts()
+        if gcd_real(ga, gb).degree() != 0:
+            continue
+        vanishing = cancel_indicatrix(a, gamma).vanishing
+        assert verify_han(a, ga, gb) == vanishing
+        accepted.add(vanishing)
+    assert accepted == {True, False}

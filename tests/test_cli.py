@@ -364,3 +364,118 @@ def test_shipped_fixture_documents(capsys):
         code, out, _ = run(capsys, "classify", str(root / f"{curve.name}.json"))
         assert code == 0
         assert json.loads(out)["in_F"] == "proven"
+
+
+# Golden outputs, captured from the CLI before the verdicts were read from
+# one GeneratorAnalysis.  JSON is stored compactly; the CLI prints it with
+# json.dumps(..., indent=2), so the expected bytes are rebuilt that way.
+_REGULARITY = "regularity over the reals (sigma having no real roots) not checked"
+_SPATIAL_PRIMITIVE = ('"in_widetilde": true, "in_F0": false, "trivial": false, '
+                      '"trivial_witness": null, "planar": false, "primitive": true, '
+                      '"core_degree": 2')
+CLASSIFY_GOLDEN = {
+    # fixture name -> (output with its certificate, output with it stripped)
+    "quintic-left-cancellation": (
+        '{%s, "in_F": "proven", "membership_method": "certificate", '
+        '"han_certificate": {"a": ["-2/1", "1/1"], "b": ["-1/1"]}, "notes": "%s"}',
+        '{%s, "in_F": "unknown", "membership_method": "exhausted", '
+        '"han_certificate": null, "notes": "%s"}'),
+    "quintic-no-cancellation": (
+        '{%s, "in_F": "proven", "membership_method": "certificate", '
+        '"han_certificate": {"a": ["10/1", "-22/1", "27/1"], '
+        '"b": ["0/1", "14/1", "-19/1"]}, "notes": "%s"}',
+        '{%s, "in_F": "proven", "membership_method": "equal-degree-criterion", '
+        '"han_certificate": null, "notes": "%s"}'),
+    "quintic-right-cancellation": (
+        '{%s, "in_F": "proven", "membership_method": "certificate", '
+        '"han_certificate": {"a": ["-38/1", "51/1", "-24/1", "4/1"], '
+        '"b": ["-41/1", "32/1", "-8/1"]}, "notes": "%s"}',
+        '{%s, "in_F": "unknown", "membership_method": "exhausted", '
+        '"han_certificate": null, "notes": "%s"}'),
+}
+CONSTRUCT_FAMILY_6_GOLDEN = (
+    '{"document": {"sqrt_base": 0, "kind": "quaternion", "coefficients": '
+    '[["1/1", "0/1", "0/1", "0/1"], ["0/1", "0/1", "1/1", "0/1"], '
+    '["0/1", "0/1", "0/1", "0/1"], ["0/1", "0/1", "0/1", "0/1"], '
+    '["0/1", "0/1", "0/1", "0/1"], ["0/1", "0/1", "0/1", "6/1"], '
+    '["0/1", "4/1", "0/1", "0/1"]]}, "verification": '
+    '{"in_F0": true, "trivial": false, "planar": false, "primitive": true}}')
+REDUCE_LEFT_GOLDEN = (
+    '{"document": {"sqrt_base": 0, "kind": "quaternion", "coefficients": '
+    '[["347/1", "-16/1", "162/1", "-154/1"], ["-163/1", "0/1", "-160/1", "136/1"], '
+    '["-21/1", "0/1", "42/1", "-42/1"], ["21/1", "0/1", "0/1", "0/1"]]}, '
+    '"in_F0": true}')
+_QUINTIC_CHECKS = {
+    "quintic-left-cancellation": ("left cancellation factor",
+                                  "no cancellation on the right"),
+    "quintic-no-cancellation": ("no cancellation on the left",
+                                "no cancellation on the right"),
+    "quintic-right-cancellation": ("no cancellation on the left",
+                                   "right cancellation factor"),
+}
+PAPER_EXAMPLES_GOLDEN = "".join(f"PASS {check}\n" for check in (
+    *(f"{name}: {check}" for name, middle in _QUINTIC_CHECKS.items()
+      for check in ("hodograph components", "parametric speed",
+                    "primitive hodograph", *middle, "reduced fraction",
+                    "certificate verified", "spatial (non-planar) curve")),
+    *(f"{name}: {check}"
+      for name in ("cubic", "quartic-sparse", "quartic-dense",
+                   *(f"family-n{n}" for n in range(3, 13)))
+      for check in ("vanishing indicatrix", "non-trivial")),
+    "cubic constructor reproduces the catalog cubic",
+    "quartic constructor reproduces the sparse quartic",
+    "no-cancellation quintic: equal-degree divisibility",
+)) + "53/53 checks passed\n"
+
+
+def _indented(compact: str) -> str:
+    return json.dumps(json.loads(compact), indent=2) + "\n"
+
+
+def test_classify_golden_output(tmp_path, capsys):
+    from rrmf.documents import parse_document
+
+    root = Path(__file__).resolve().parent.parent / "fixtures"
+    for name, (with_cert, bare) in CLASSIFY_GOLDEN.items():
+        path = root / f"{name}.json"
+        stripped = write_doc(tmp_path, f"{name}-bare.json",
+                             parse_document(path.read_text()).to_poly())
+        for doc, golden in ((str(path), with_cert), (stripped, bare)):
+            code, out, err = run(capsys, "classify", doc)
+            expected = _indented(golden % (_SPATIAL_PRIMITIVE, _REGULARITY))
+            assert (code, out, err) == (0, expected, ""), (name, doc)
+
+
+def test_construct_reduce_and_paper_examples_golden_output(capsys):
+    root = Path(__file__).resolve().parent.parent / "fixtures"
+    cases = [(("construct", "family", "--n", "6"), _indented(CONSTRUCT_FAMILY_6_GOLDEN)),
+             (("reduce", str(root / "quintic-left-cancellation.json")),
+              _indented(REDUCE_LEFT_GOLDEN)),
+             (("paper-examples",), PAPER_EXAMPLES_GOLDEN)]
+    for argv, expected in cases:
+        assert run(capsys, *argv) == (0, expected, ""), argv
+
+
+def test_zero_certificate_rejected(tmp_path, capsys):
+    ex1 = quintic_left_cancellation()
+    path = write_doc(tmp_path, "zero.json", ex1.generator)
+    doc = json.loads(Path(path).read_text())
+    doc["certificate"] = {"a": [], "b": []}
+    Path(path).write_text(json.dumps(doc))
+    for verb in ("classify", "reduce"):
+        code, out, err = run(capsys, verb, path)
+        assert (code, out) == (3, ""), verb
+        assert err == "error: certificate (0, 0) is not allowed\n", verb
+
+
+def test_frames_samples_bound(tmp_path, capsys):
+    from rrmf.cli import MAX_SAMPLES
+
+    path = write_doc(tmp_path, "cubic.json", nontrivial_cubic())
+    out_csv = tmp_path / "x.csv"
+    for samples in (MAX_SAMPLES + 1, 10 ** 12):
+        code, out, err = run(capsys, "frames", path, "--samples", str(samples),
+                             "--out", str(out_csv))
+        assert (code, out) == (3, "")
+        assert err == f"error: --samples must be at most {MAX_SAMPLES}\n"
+    assert not out_csv.exists()

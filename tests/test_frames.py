@@ -69,7 +69,8 @@ def test_rmf_requires_valid_certificate():
 def test_rmf_symbolic_worked_examples():
     for curve in (quintic_left_cancellation(), EX2, quintic_right_cancellation()):
         frame = rmf_symbolic(curve.generator, *curve.certificate)
-        assert frame.tangent_twist().is_zero()  # orthonormality checked on build
+        frame.verify_orthonormal()
+        assert frame.tangent_twist().is_zero()
     frame = rmf_symbolic(EX2.generator, *EX2.certificate)
     assert frame.evaluate(0.0) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
@@ -227,6 +228,11 @@ def test_basis_images_equal_quaternion_products(rng):
             u, x, y, z = (b * QuatPoly([e]) * b.conjugate()).components()
             assert u.is_zero()
             assert (x, y, z) == vector
+        # orthonormality before reduction: sum_c v_a,c v_b,c == delta_ab |B|^4
+        for a in range(3):
+            for c in range(a, 3):
+                dot = sum((x * y for x, y in zip(raw[a], raw[c])), RealPoly())
+                assert dot == (den * den if a == c else RealPoly()), (a, c)
 
 
 def _reference_samples(a, kind, xis, certificate=None, normal_rotation=0.0):

@@ -4,11 +4,11 @@ from rrmf.catalog import (nontrivial_cubic, quintic_left_cancellation,
                           quintic_no_cancellation, quintic_right_cancellation)
 from rrmf.hodograph import (Hodograph, core_of, has_coprime_components,
                             hodograph_of, integrate, is_primitive)
-from rrmf.polynomials import ComplexPoly, QuatPoly, RealPoly
+from rrmf.polynomials import ComplexPoly, QuatPoly, RealPoly, gcd_real
 from rrmf.quaternions import I, Quaternion
 from rrmf.scalars import Scalar
 
-from conftest import nonzero_qpoly, nonzero_quat
+from conftest import coprime_cpoly, nonzero_qpoly, nonzero_quat
 
 XI_PLUS_I = ComplexPoly.from_parts(RealPoly([0, 1]), RealPoly([1]))
 
@@ -127,3 +127,19 @@ def test_pythagorean_identity_in_surd_field(rng):
         a = nonzero_qpoly(rng, rng.randint(0, 2), base=5)
         h = hodograph_of(a)
         assert h.xp * h.xp + h.yp * h.yp + h.zp * h.zp == h.sigma * h.sigma
+
+
+def test_primitive_iff_hodograph_components_coprime(rng):
+    # the real-gcd form of primitivity, independent of the complex split
+    cases = [nonzero_qpoly(rng, rng.randint(0, 3), base) for base in (0, 15) * 10]
+    cases += [curve.generator for curve in (quintic_left_cancellation(),
+                                            quintic_no_cancellation(),
+                                            quintic_right_cancellation())]
+    cases += [a * coprime_cpoly(rng, rng.randint(1, 2)).as_quat()
+              for a in cases[:12]]
+    verdicts = set()
+    for a in cases:
+        primitive = is_primitive(a)
+        assert primitive == (gcd_real(*hodograph_of(a).components()).degree() == 0)
+        verdicts.add(primitive)
+    assert verdicts == {True, False}

@@ -103,12 +103,15 @@ def test_rho_eta_divisibility():
 
 
 def test_rho_eta_footnote_identity(rng):
-    for _ in range(60):
-        a = nonzero_qpoly(rng, 3)
+    cases = [nonzero_qpoly(rng, 3) for _ in range(60)]
+    cases += [quintic_no_cancellation().generator, IXP1]
+    for a in cases:
         result = rho_eta(a)
         du, dv, dp, dq = (t.derivative() for t in a.components())
         assert result.rho + result.eta \
             == a.norm_poly() * (du * du + dv * dv + dp * dp + dq * dq)
+        # so sigma divides rho exactly when it divides eta
+        assert result.divisible == result.eta.divmod(a.norm_poly())[1].is_zero()
 
 
 def test_product_residual(rng):
