@@ -178,12 +178,6 @@ class TrivialWitness:
     direction: Quaternion
     direction_norm_sq: Scalar
 
-    def unit_direction_floats(self) -> tuple[float, float, float]:
-        import math
-        n = math.sqrt(float(self.direction_norm_sq))
-        return (float(self.direction.x) / n, float(self.direction.y) / n,
-                float(self.direction.z) / n)
-
 
 def trivial_witness(a: QuatPoly) -> Optional[TrivialWitness]:
     """Witness (C, u) if every coefficient of C^-1 A lies in R + Ru, u _|_ i.

@@ -224,6 +224,9 @@ def cmd_frames(args) -> int:
     if args.samples > MAX_SAMPLES:
         raise ValueError(f"--samples must be at most {MAX_SAMPLES}")
     lo, hi = _parse_range(args.range)
+    if not math.isfinite(args.normal_rotation):
+        raise DocumentError(
+            f"--normal-rotation must be finite, got {args.normal_rotation}")
     if args.samples == 1:
         xis = [lo]
     else:
@@ -333,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--range", default="0:1")
     p.add_argument("--out", required=True)
     p.add_argument("--normal-rotation", type=float, default=0.0,
-                   help="constant normal-plane rotation in radians")
+                   help="constant normal-plane rotation in radians, finite")
     p.set_defaults(func=cmd_frames)
 
     p = sub.add_parser("verify-han", help="verify the document's certificate")

@@ -2,9 +2,9 @@
 
 The Euler-Rodrigues frame of a generator B is the rational orthonormal
 triple (B i B*, B j B*, B k B*)/|B|^2, read off the ten products of
-B's components; with a verified certificate (a, b) the
-rotation-minimizing frame is the same construction applied to
-B = A (a - b i).  All nine entries are reduced rational functions;
+B's components by hodograph.basis_images; with a verified certificate
+(a, b) the rotation-minimizing frame is the same construction applied
+to B = A (a - b i).  All nine entries are reduced rational functions;
 the orthonormality identities hold exactly (the tests check them on
 the unreduced images and on the reduced entries).  Sampling evaluates the exact entries in floating point
 at all parameters in one pass (orthonormal to 1e-12 by construction,
@@ -20,7 +20,7 @@ from typing import Iterable, Literal, Optional
 
 import numpy as np
 
-from .hodograph import Hodograph, hodograph_of, integrate
+from .hodograph import Hodograph, basis_images, hodograph_of, integrate
 from .indicatrix import verify_han
 from .classify import has_vanishing_indicatrix
 from .polynomials import (ComplexPoly, QuatPoly, RationalFunction, RealPoly,
@@ -71,21 +71,6 @@ class SymbolicFrame:
         """The nine entries at xi, a float or an ndarray of parameters."""
         return tuple(tuple(rf.evaluate_float(xi) for rf in axis)
                      for axis in (self.f1, self.f2, self.f3))
-
-
-def basis_images(b: QuatPoly) -> tuple[RealPoly, list[tuple[RealPoly, ...]]]:
-    """|B|^2 and (B i B*, B j B*, B k B*) as unreduced real triples.
-
-    The columns of the rotation B e B* read off the ten products of
-    B = u + v i + p j + q k, as in hodograph_of for A i A*.
-    """
-    u, v, p, q = b.components()
-    uu, vv, pp, qq = u * u, v * v, p * p, q * q
-    uv, up, uq, vp, vq, pq = u * v, u * p, u * q, v * p, v * q, p * q
-    raw = [(uu + vv - pp - qq, (uq + vp).scale(2), (vq - up).scale(2)),
-           ((vp - uq).scale(2), uu - vv + pp - qq, (pq + uv).scale(2)),
-           ((vq + up).scale(2), (pq - uv).scale(2), uu - vv - pp + qq)]
-    return uu + vv + pp + qq, raw
 
 
 def _dot(a: Vector, b: Vector) -> RationalFunction:
@@ -163,7 +148,7 @@ def sample_frames(a: QuatPoly, kind: FrameKind, xi_values: Iterable[float],
     The rotation-minimizing frame needs a certificate unless the
     generator already has a vanishing indicatrix, where (1, 0) is used.
     An optional constant normal-plane rotation picks a different member
-    of the one-parameter frame family.
+    of the one-parameter frame family; it must be finite.
 
     Every polynomial is evaluated once over the array of all parameters
     (memory linear in their number); its Horner steps run in the scalar
@@ -175,6 +160,8 @@ def sample_frames(a: QuatPoly, kind: FrameKind, xi_values: Iterable[float],
     a = QuatPoly.of(a)
     if a.is_zero():
         raise ValueError("sampling the zero polynomial")
+    if not math.isfinite(normal_rotation):
+        raise ValueError(f"normal rotation must be finite, got {normal_rotation}")
     h = hodograph_of(a)
     warnings: list[str] = []
     samples: list[FrameSample] = []

@@ -2,7 +2,9 @@
 
 A quaternion polynomial A maps to the hodograph r' = A i A*, whose
 components always satisfy x'^2 + y'^2 + z'^2 = sigma^2 with parametric
-speed sigma = |A|^2.  The core of A is A stripped of its maximal monic
+speed sigma = |A|^2.  basis_images is the one kernel that forms the ten
+component products of A: the hodograph is its first image, and the
+frames read all three.  The core of A is A stripped of its maximal monic
 complex right divisor; A generates a primitive hodograph exactly when
 it coincides with its core.
 """
@@ -17,7 +19,12 @@ from .polynomials import (ComplexPoly, QuatPoly, RealPoly, exact_divide,
 
 @dataclass(frozen=True)
 class Hodograph:
-    """Derivative components (x', y', z') and parametric speed sigma."""
+    """Derivative components (x', y', z') and parametric speed sigma.
+
+    Built by hand, it checks the Pythagorean identity and the sign of
+    sigma's leading coefficient; hodograph_of builds it unchecked, since
+    A i A* and |A|^2 satisfy both by construction.
+    """
 
     xp: RealPoly
     yp: RealPoly
@@ -57,16 +64,36 @@ class CoreDecomposition:
     factor: ComplexPoly
 
 
+def basis_images(b: QuatPoly) -> tuple[RealPoly, list[tuple[RealPoly, ...]]]:
+    """|B|^2 and (B i B*, B j B*, B k B*) as unreduced real triples.
+
+    The columns of the rotation B e B* read off the ten products of
+    B = u + v i + p j + q k.
+    """
+    u, v, p, q = b.components()
+    uu, vv, pp, qq = u * u, v * v, p * p, q * q
+    uv, up, uq, vp, vq, pq = u * v, u * p, u * q, v * p, v * q, p * q
+    raw = [(uu + vv - pp - qq, (uq + vp).scale(2), (vq - up).scale(2)),
+           ((vp - uq).scale(2), uu - vv + pp - qq, (pq + uv).scale(2)),
+           ((vq + up).scale(2), (pq - uv).scale(2), uu - vv - pp + qq)]
+    return uu + vv + pp + qq, raw
+
+
+def _unchecked_hodograph(xp: RealPoly, yp: RealPoly, zp: RealPoly,
+                         sigma: RealPoly) -> Hodograph:
+    """A Hodograph of values that satisfy its identities by construction."""
+    h = object.__new__(Hodograph)
+    h.__dict__.update(xp=xp, yp=yp, zp=zp, sigma=sigma)
+    return h
+
+
 def hodograph_of(a: QuatPoly) -> Hodograph:
-    """r' = A i A*: ([u^2+v^2-p^2-q^2], 2[uq+vp], 2[vq-up]) with speed |A|^2."""
+    """r' = A i A*, the first basis image of A, with speed |A|^2."""
     a = QuatPoly.of(a)
     if a.is_zero():
         raise ValueError("hodograph of the zero polynomial")
-    u, v, p, q = a.components()
-    xp = u * u + v * v - p * p - q * q
-    yp = (u * q + v * p).scale(2)
-    zp = (v * q - u * p).scale(2)
-    return Hodograph(xp, yp, zp, a.norm_poly())
+    sigma, (tangent, _, _) = basis_images(a)
+    return _unchecked_hodograph(*tangent, sigma)
 
 
 def has_coprime_components(a: QuatPoly) -> bool:

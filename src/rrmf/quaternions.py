@@ -58,9 +58,6 @@ class Quaternion:
     def vector_part(self) -> "Quaternion":
         return Quaternion(0, self.x, self.y, self.z)
 
-    def scalar_part(self) -> Scalar:
-        return self.w
-
     # -- algebra ---------------------------------------------------------
 
     def __add__(self, other) -> "Quaternion":
@@ -146,18 +143,11 @@ class Quaternion:
     def __repr__(self):
         return f"Quaternion({self.w}, {self.x}, {self.y}, {self.z})"
 
-    def floats(self) -> tuple[float, float, float, float]:
-        return tuple(float(c) for c in self.components())
-
 
 ONE = Quaternion(1)
 I = Quaternion(0, 1)
 J = Quaternion(0, 0, 1)
 K = Quaternion(0, 0, 0, 1)
-
-
-def quat_inner(a: Quaternion, b: Quaternion) -> Scalar:
-    return Quaternion.of(a).inner(Quaternion.of(b))
 
 
 def normalized_component(x: Quaternion, y: Quaternion) -> Scalar:

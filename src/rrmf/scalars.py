@@ -107,9 +107,6 @@ class Scalar:
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
 
-    def is_rational(self) -> bool:
-        return self.b == 0
-
     def sign(self) -> int:
         """Exact sign of a + b*sqrt(d): compares a^2 against b^2*d."""
         a, b, d = self.a, self.b, self.d
@@ -225,11 +222,6 @@ class Scalar:
     def __float__(self) -> float:
         return float(self.a) + float(self.b) * math.sqrt(self.d)
 
-    def as_fraction(self) -> Fraction:
-        if self.b != 0:
-            raise ValueError(f"{self} is irrational")
-        return self.a
-
     def __repr__(self) -> str:
         return f"Scalar({self})"
 
@@ -252,10 +244,6 @@ def _unchecked(a: Fraction, b: Fraction, d: int) -> Scalar:
     _set_b(s, b)
     _set_d(s, d if b else 0)
     return s
-
-
-ZERO = Scalar(0)
-ONE = Scalar(1)
 
 
 def format_scalar(s: Scalar) -> str:

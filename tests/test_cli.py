@@ -201,6 +201,18 @@ def test_frames_rejects_non_finite_range(tmp_path, capsys):
     assert not out_csv.exists()
 
 
+def test_frames_rejects_non_finite_normal_rotation(tmp_path, capsys):
+    ex2 = quintic_no_cancellation()
+    path = write_doc(tmp_path, "ex2.json", ex2.generator)
+    out_csv = tmp_path / "x.csv"
+    for flags in (["--normal-rotation", "nan"], ["--normal-rotation", "inf"],
+                  ["--normal-rotation=-inf"]):
+        code, out, err = run(capsys, "frames", path, "--samples", "3",
+                             *flags, "--out", str(out_csv))
+        assert code == 2 and "finite" in err and out == ""
+    assert not out_csv.exists()
+
+
 def test_frames_internal_error_exit_code(tmp_path, capsys):
     # float evaluation of this degree-10 frame drifts past the 1e-12 unit
     # check from xi ~ 1.5 on; the CLI reports it instead of a traceback

@@ -183,6 +183,12 @@ def test_normal_rotation_option():
     assert half_turn[0].f1 == plain[0].f1
 
 
+@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+def test_normal_rotation_must_be_finite(angle):
+    with pytest.raises(ValueError, match="finite"):
+        sample_frames(EX2.generator, "erf", [0.25], normal_rotation=angle)
+
+
 def test_finite_difference_twist_discriminates():
     xis = [k / 999 for k in range(1000)]
     rmf_samples, _ = sample_frames(EX2.generator, "rmf", xis,

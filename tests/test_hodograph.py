@@ -34,12 +34,20 @@ def test_surd_hodograph_values():
                              Scalar(0, -240, 15)])
 
 
+def _assert_is_a_i_a_star(a, h):
+    # hodograph_of reads the first basis image; check it against the product
+    w, x, y, z = (a * QuatPoly([I]) * a.conjugate()).components()
+    assert w.is_zero() and h.components() == (x, y, z)
+    assert h.sigma == a.norm_poly()
+
+
 def test_pythagorean_identity_random(rng):
     for _ in range(60):
         a = nonzero_qpoly(rng, rng.randint(0, 3))
         h = hodograph_of(a)
         assert h.xp * h.xp + h.yp * h.yp + h.zp * h.zp == h.sigma * h.sigma
         assert h.sigma.leading().sign() == 1
+        _assert_is_a_i_a_star(a, h)
 
 
 def test_hodograph_type_rejects_non_pythagorean():
@@ -127,6 +135,7 @@ def test_pythagorean_identity_in_surd_field(rng):
         a = nonzero_qpoly(rng, rng.randint(0, 2), base=5)
         h = hodograph_of(a)
         assert h.xp * h.xp + h.yp * h.yp + h.zp * h.zp == h.sigma * h.sigma
+        _assert_is_a_i_a_star(a, h)
 
 
 def test_primitive_iff_hodograph_components_coprime(rng):

@@ -12,7 +12,7 @@ from rrmf.quaternions import I, J, K, Quaternion
 from rrmf.scalars import ComplexScalar, Scalar
 
 from conftest import (coprime_cpoly, nonzero_qpoly, rand_cpoly, rand_qpoly,
-                      rand_rpoly)
+                      rand_rpoly, rand_scalar)
 
 XI_PLUS_I = ComplexPoly.from_parts(RealPoly([0, 1]), RealPoly([1]))
 XI_MINUS_I = ComplexPoly.from_parts(RealPoly([0, 1]), RealPoly([-1]))
@@ -85,6 +85,17 @@ def test_norm_poly_is_real_part_of_ppstar(rng):
         u, v, pp, q = prod.components()
         assert u == p.norm_poly()
         assert v.is_zero() and pp.is_zero() and q.is_zero()
+
+
+def test_complex_norm_sq_is_gamma_times_conjugate(rng):
+    for base in (0, 15):
+        for degree in list(range(6)) * 3:
+            gamma = ComplexPoly([ComplexScalar(rand_scalar(rng, base),
+                                               rand_scalar(rng, base))
+                                 for _ in range(degree + 1)])
+            re, im = (gamma * gamma.conjugate()).real_parts()
+            assert gamma.norm_sq() == re
+            assert im.is_zero()
 
 
 def test_norm_poly_multiplicative(rng):
