@@ -23,6 +23,12 @@ class DocumentError(ValueError):
     """Malformed polynomial document."""
 
 
+MAX_DEGREE = 128
+"""Largest accepted degree of a document's polynomial and of each
+certificate member.  The exact kernels grow faster than quadratically
+in the degree; at this bound ``rrmf classify`` of a random integer
+generator takes under a second (README, "Polynomial documents")."""
+
 KINDS = ("quaternion", "complex", "real")
 _WIDTH = {"quaternion": 4, "complex": 2, "real": 1}
 
@@ -72,6 +78,7 @@ def parse_document(data) -> PolyDocument:
     raw = data.get("coefficients")
     if not isinstance(raw, list) or not raw:
         raise DocumentError("coefficients must be a non-empty list")
+    _check_degree("coefficients", raw)
     width = _WIDTH[kind]
     rows = []
     for entry in raw:
@@ -87,8 +94,11 @@ def parse_document(data) -> PolyDocument:
     certificate = None
     if data.get("certificate") is not None:
         cert = data["certificate"]
-        if not isinstance(cert, dict) or "a" not in cert or "b" not in cert:
+        if not (isinstance(cert, dict) and isinstance(cert.get("a"), list)
+                and isinstance(cert.get("b"), list)):
             raise DocumentError('certificate must be {"a": [...], "b": [...]}')
+        _check_degree("certificate a", cert["a"])
+        _check_degree("certificate b", cert["b"])
         try:
             certificate = (
                 RealPoly([parse_scalar(str(c), expected_base=base) for c in cert["a"]]),
@@ -99,6 +109,13 @@ def parse_document(data) -> PolyDocument:
     if not isinstance(metadata, dict):
         raise DocumentError("metadata must be an object")
     return PolyDocument(base, kind, tuple(rows), certificate, metadata)
+
+
+def _check_degree(what: str, rows: list) -> None:
+    if len(rows) > MAX_DEGREE + 1:
+        raise DocumentError(
+            f"{what}: at most {MAX_DEGREE + 1} coefficients (degree {MAX_DEGREE}), "
+            f"got {len(rows)}")
 
 
 def _poly_base(coefficients) -> int:

@@ -20,7 +20,8 @@ from typing import Iterable, Literal, Optional
 
 import numpy as np
 
-from .hodograph import Hodograph, basis_images, hodograph_of, integrate
+from .hodograph import (Hodograph, Images, basis_images, hodograph_of,
+                        hodograph_of_images, integrate)
 from .indicatrix import verify_han
 from .classify import has_vanishing_indicatrix
 from .polynomials import (ComplexPoly, QuatPoly, RationalFunction, RealPoly,
@@ -47,7 +48,12 @@ class SymbolicFrame:
         b = QuatPoly.of(b)
         if b.is_zero():
             raise ValueError("frame of the zero polynomial")
-        den, raw = basis_images(b)
+        return cls.from_images(basis_images(b))
+
+    @classmethod
+    def from_images(cls, images: Images) -> "SymbolicFrame":
+        """The frame of basis_images(B): each image entry over |B|^2."""
+        den, raw = images
         vectors = [tuple(reduce_fraction(c, den) for c in row) for row in raw]
         return cls(vectors[0], vectors[1], vectors[2], den)
 
@@ -162,14 +168,19 @@ def sample_frames(a: QuatPoly, kind: FrameKind, xi_values: Iterable[float],
         raise ValueError("sampling the zero polynomial")
     if not math.isfinite(normal_rotation):
         raise ValueError(f"normal rotation must be finite, got {normal_rotation}")
-    h = hodograph_of(a)
     warnings: list[str] = []
     samples: list[FrameSample] = []
 
+    if kind not in ("erf", "rmf", "frenet"):
+        raise ValueError(f"unknown frame kind {kind!r}")
     frame = None
     if kind == "erf":
-        frame = erf_symbolic(a)
-    elif kind == "rmf":
+        # the hodograph is the frame's first image: form the images once
+        images = basis_images(a)
+        h, frame = hodograph_of_images(images), SymbolicFrame.from_images(images)
+    else:
+        h = hodograph_of(a)
+    if kind == "rmf":
         if certificate is None:
             if has_vanishing_indicatrix(a):
                 certificate = (RealPoly([1]), RealPoly())
@@ -177,8 +188,6 @@ def sample_frames(a: QuatPoly, kind: FrameKind, xi_values: Iterable[float],
                 raise CertificateError(
                     "rotation-minimizing frame requires a certificate")
         frame = rmf_symbolic(a, certificate[0], certificate[1])
-    elif kind != "frenet":
-        raise ValueError(f"unknown frame kind {kind!r}")
 
     xis = list(xi_values)
     xs = np.asarray(xis, dtype=float)

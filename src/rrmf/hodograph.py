@@ -3,8 +3,8 @@
 A quaternion polynomial A maps to the hodograph r' = A i A*, whose
 components always satisfy x'^2 + y'^2 + z'^2 = sigma^2 with parametric
 speed sigma = |A|^2.  basis_images is the one kernel that forms the ten
-component products of A: the hodograph is its first image, and the
-frames read all three.  The core of A is A stripped of its maximal monic
+component products of A, in one integer pass: the hodograph is its
+first image, and the frames read all three.  The core of A is A stripped of its maximal monic
 complex right divisor; A generates a primitive hodograph exactly when
 it coincides with its core.
 """
@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .polynomials import (ComplexPoly, QuatPoly, RealPoly, exact_divide,
-                          gcd_complex, gcd_real)
+from .polynomials import (ComplexPoly, QuatPoly, RealPoly, component_forms,
+                          exact_divide, gcd_complex, gcd_real)
 
 
 @dataclass(frozen=True)
@@ -22,8 +22,9 @@ class Hodograph:
     """Derivative components (x', y', z') and parametric speed sigma.
 
     Built by hand, it checks the Pythagorean identity and the sign of
-    sigma's leading coefficient; hodograph_of builds it unchecked, since
-    A i A* and |A|^2 satisfy both by construction.
+    sigma's leading coefficient; hodograph_of and hodograph_of_images
+    build it unchecked, since A i A* and |A|^2 satisfy both by
+    construction.
     """
 
     xp: RealPoly
@@ -64,26 +65,40 @@ class CoreDecomposition:
     factor: ComplexPoly
 
 
-def basis_images(b: QuatPoly) -> tuple[RealPoly, list[tuple[RealPoly, ...]]]:
+_U, _V, _P, _Q = range(4)
+# |B|^2, then B i B*, B j B*, B k B* as (c, i, j) terms c b_i b_j
+_IMAGE_FORMS = (
+    ((1, _U, _U), (1, _V, _V), (1, _P, _P), (1, _Q, _Q)),
+    ((1, _U, _U), (1, _V, _V), (-1, _P, _P), (-1, _Q, _Q)),
+    ((2, _U, _Q), (2, _V, _P)),
+    ((2, _V, _Q), (-2, _U, _P)),
+    ((2, _V, _P), (-2, _U, _Q)),
+    ((1, _U, _U), (-1, _V, _V), (1, _P, _P), (-1, _Q, _Q)),
+    ((2, _P, _Q), (2, _U, _V)),
+    ((2, _V, _Q), (2, _U, _P)),
+    ((2, _P, _Q), (-2, _U, _V)),
+    ((1, _U, _U), (-1, _V, _V), (-1, _P, _P), (1, _Q, _Q)),
+)
+
+Images = tuple[RealPoly, list[tuple[RealPoly, ...]]]
+
+
+def basis_images(b: QuatPoly) -> Images:
     """|B|^2 and (B i B*, B j B*, B k B*) as unreduced real triples.
 
     The columns of the rotation B e B* read off the ten products of
-    B = u + v i + p j + q k.
+    B = u + v i + p j + q k, formed once each in one integer pass.
     """
-    u, v, p, q = b.components()
-    uu, vv, pp, qq = u * u, v * v, p * p, q * q
-    uv, up, uq, vp, vq, pq = u * v, u * p, u * q, v * p, v * q, p * q
-    raw = [(uu + vv - pp - qq, (uq + vp).scale(2), (vq - up).scale(2)),
-           ((vp - uq).scale(2), uu - vv + pp - qq, (pq + uv).scale(2)),
-           ((vq + up).scale(2), (pq - uv).scale(2), uu - vv - pp + qq)]
-    return uu + vv + pp + qq, raw
+    sigma, *entries = component_forms(b, _IMAGE_FORMS)
+    return sigma, [tuple(entries[k:k + 3]) for k in range(0, 9, 3)]
 
 
-def _unchecked_hodograph(xp: RealPoly, yp: RealPoly, zp: RealPoly,
-                         sigma: RealPoly) -> Hodograph:
-    """A Hodograph of values that satisfy its identities by construction."""
+def hodograph_of_images(images: Images) -> Hodograph:
+    """r' = B i B*, the first basis image, with speed |B|^2."""
+    sigma, (tangent, _, _) = images
     h = object.__new__(Hodograph)
-    h.__dict__.update(xp=xp, yp=yp, zp=zp, sigma=sigma)
+    # A i A* and |A|^2 satisfy the Hodograph identities by construction
+    h.__dict__.update(xp=tangent[0], yp=tangent[1], zp=tangent[2], sigma=sigma)
     return h
 
 
@@ -92,8 +107,7 @@ def hodograph_of(a: QuatPoly) -> Hodograph:
     a = QuatPoly.of(a)
     if a.is_zero():
         raise ValueError("hodograph of the zero polynomial")
-    sigma, (tangent, _, _) = basis_images(a)
-    return _unchecked_hodograph(*tangent, sigma)
+    return hodograph_of_images(basis_images(a))
 
 
 def has_coprime_components(a: QuatPoly) -> bool:

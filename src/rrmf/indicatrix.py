@@ -14,21 +14,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .polynomials import (QuatPoly, RationalFunction, RealPoly, gcd_real,
-                          reduce_fraction)
+from .polynomials import (QuatPoly, RationalFunction, RealPoly, component_forms,
+                          gcd_real, reduce_fraction)
 from .quaternions import Quaternion
 
 _I_POLY = QuatPoly([Quaternion(0, 1)])
 _K_POLY = QuatPoly([Quaternion(0, 0, 0, 1)])
 
+# the components of A and their derivatives, as component_forms numbers them
+_U, _V, _P, _Q, _DU, _DV, _DP, _DQ = range(8)
+_INNER_FORM = ((-1, _DV, _U), (1, _DU, _V), (1, _DQ, _P), (-1, _DP, _Q))
+
 
 def inner_product_poly(a: QuatPoly) -> RealPoly:
     """<A'i, A> = -(v'u - u'v - q'p + p'q), as an exact real polynomial."""
-    a = QuatPoly.of(a)
-    u, v, p, q = a.components()
-    du, dv, dp, dq = (u.derivative(), v.derivative(),
-                      p.derivative(), q.derivative())
-    return -(dv * u - du * v - dq * p + dp * q)
+    return component_forms(a, (_INNER_FORM,))[0]
 
 
 def han_numerator(a: QuatPoly) -> RealPoly:

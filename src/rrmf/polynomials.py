@@ -2,26 +2,45 @@
 
 One dense core, ``_DensePoly``, stores a polynomial as the tuple of its
 coefficients in ascending order with no trailing zeros, so the zero
-polynomial is the empty tuple and ``degree() == -1`` for it.  The core
-multiplies coefficients in order, left operand first, so the same
-arithmetic serves the commutative rings and the quaternions; for
-quaternion polynomials ``divmod`` is therefore right division.  The
-three kinds ``RealPoly``, ``ComplexPoly`` and ``QuatPoly`` name their
+polynomial is the empty tuple and ``degree() == -1`` for it.  The three
+kinds ``RealPoly``, ``ComplexPoly`` and ``QuatPoly`` name their
 coefficient ring, the constants they accept and the smaller kinds they
 lift from (Real -> Complex -> Quat), and add only what is particular to
-their ring.  Real and complex polynomials form Euclidean domains with
-monic gcds.  Reduced ratios of real polynomials (monic denominator,
-coprime parts) provide the canonical form for every rational function
-in the package.
+their ring.
+
+Products, division and gcds run in one fraction-free integer kernel.
+At entry each operand becomes integer rows over one positive common
+denominator: the rational and sqrt(d) parts of each real component (one
+component for real, re/im for complex, the four components for
+quaternion coefficients).  The ring's structure constants (the Hamilton
+table for quaternions) act on those rows in operand order, so the same
+code multiplies in the commutative rings and the quaternions, and
+``divmod`` of quaternion polynomials is right division.  Division is
+pseudo-division scaled by the integer norm of the divisor's leading
+coefficient; the gcd of real or complex polynomials is the subresultant
+remainder sequence over Z, Z[sqrt d], Z[i] or Z[sqrt d][i], whose
+divisions are exact in the ring.  Every output coefficient is built
+once, by one Fraction normalisation of an integer over the result's
+denominator.  The outputs are canonical whatever the integer route: a
+product or a quotient and remainder is a unique field element per
+coefficient, and gcds are made monic in the field, so they equal the
+Euclidean results of the field arithmetic exactly.
+
+Real and complex polynomials form Euclidean domains with monic gcds.
+Reduced ratios of real polynomials (monic denominator, coprime parts)
+provide the canonical form for every rational function in the package.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from functools import lru_cache
+from operator import attrgetter, itemgetter
+from typing import Iterable
 
 from .quaternions import Quaternion
-from .scalars import ComplexScalar, Scalar
+from .scalars import ComplexScalar, Scalar, _merge_bases, _unchecked
 
 
 class InexactDivision(ArithmeticError):
@@ -34,14 +53,233 @@ def _trim(coeffs: list) -> tuple:
     return tuple(coeffs)
 
 
-def _convolve(a: Sequence, b: Sequence, zero):
-    if not a or not b:
-        return []
-    out = [zero] * (len(a) + len(b) - 1)
-    for r, ar in enumerate(a):
-        for s, bs in enumerate(b):
-            out[r + s] = out[r + s] + ar * bs
+# -- the integer kernel ----------------------------------------------------
+#
+# A coefficient is a vector of m integer coordinates: part s (0 rational,
+# 1 sqrt(d)) of real component w sits at w*P + s, with P = 2 over a surd
+# base d and P = 1 over Q.  A polynomial is the list of its m coordinate
+# rows, each a list of ints in ascending degree, over one denominator.
+
+# e_i e_j = sign e_k on the component basis of each coefficient ring
+_REAL = ((0, 0, 0, 1),)
+_COMPLEX = ((0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 0, -1))
+_HAMILTON = (
+    (0, 0, 0, 1), (0, 1, 1, 1), (0, 2, 2, 1), (0, 3, 3, 1),
+    (1, 0, 1, 1), (2, 0, 2, 1), (3, 0, 3, 1),
+    (1, 1, 0, -1), (2, 2, 0, -1), (3, 3, 0, -1),
+    (1, 2, 3, 1), (2, 1, 3, -1), (2, 3, 1, 1), (3, 2, 1, -1),
+    (3, 1, 2, 1), (1, 3, 2, -1))
+
+_F0 = Fraction(0)
+
+
+class _Algebra:
+    """Integer coordinates of a coefficient ring over the base d.
+
+    ``terms`` are the structure constants (i, j, k, c): coordinate i of a
+    left factor times coordinate j of a right factor adds c times their
+    product to coordinate k.
+    """
+
+    def __init__(self, table: tuple, d: int):
+        self.d = d
+        self.width = 1 + max(k for _, _, k, _ in table)
+        self.parts = p = 2 if d else 1
+        self.m = m = self.width * p
+        self.terms = tuple((i * p + s, j * p + t, k * p + (s + t) % 2,
+                            sign * (d if s and t else 1))
+                           for i, j, k, sign in table
+                           for s in range(p) for t in range(p))
+        self.one = (1,) + (0,) * (m - 1)
+        self.conj = tuple(1 if w == 0 else -1 for w in range(self.width)
+                          for _ in range(p))
+
+    def mul(self, x: tuple, y: tuple) -> tuple:
+        out = [0] * self.m
+        for i, j, k, c in self.terms:
+            if x[i] and y[j]:
+                out[k] += c * x[i] * y[j]
+        return tuple(out)
+
+    def power(self, x: tuple, n: int) -> tuple:
+        out = self.one
+        for _ in range(n):
+            out = self.mul(out, x)
+        return out
+
+    def inverse_parts(self, x: tuple) -> tuple[tuple, int]:
+        """(y, n) with y x = x y = n, a positive integer, so x^-1 = y/n.
+
+        y is the conjugate of x, times the Galois conjugate of the norm
+        x conj(x) when that norm has a sqrt(d) part.
+        """
+        y, norm = self.one, x
+        if self.width > 1:
+            y = tuple(s * v for s, v in zip(self.conj, x))
+            norm = self.mul(x, y)
+        if self.parts == 2 and norm[1]:
+            galois = (norm[0], -norm[1]) + (0,) * (self.m - 2)
+            y, norm = self.mul(y, galois), self.mul(norm, galois)
+        g = math.gcd(norm[0], *y)
+        if norm[0] < 0:
+            g = -g
+        return tuple(v // g for v in y), norm[0] // g
+
+    def divide(self, x: tuple, y: tuple) -> tuple:
+        """x / y for a y that divides x in the ring."""
+        inv, n = self.inverse_parts(y)
+        return tuple(v // n for v in self.mul(x, inv))
+
+    def left_scale(self, x: tuple, rows: list) -> list:
+        """The rows of x P for the polynomial P with rows ``rows``."""
+        n = len(rows[0])
+        out = [[0] * n for _ in range(self.m)]
+        for i, j, k, c in self.terms:
+            f = x[i]
+            if f:
+                f *= c
+                out[k] = [a + f * v for a, v in zip(out[k], rows[j])]
+        return out
+
+    def rows(self, p: "_DensePoly") -> tuple[list, int]:
+        """p's coordinate rows over one positive common denominator."""
+        fracs = []
+        for col in zip(*map(p.split, p.coeffs)):
+            fracs.append([s.a for s in col])
+            if self.parts == 2:
+                fracs.append([s.b for s in col])
+        den = math.lcm(*[f.denominator for row in fracs for f in row])
+        if den == 1:
+            return [[f.numerator for f in row] for row in fracs], 1
+        return [[f.numerator * (den // f.denominator) for f in row]
+                for row in fracs], den
+
+    def poly(self, cls, rows: list, den: int):
+        """The polynomial of kind cls with coordinates rows / den, den > 0."""
+        rows = _trim_rows(rows)
+        if den == 1:
+            fracs = [[Fraction(v) for v in row] for row in rows]
+        else:
+            fracs = [[Fraction(v, den) if v else _F0 for v in row] for row in rows]
+        if self.parts == 1:
+            comps = [[_unchecked(a, _F0, 0) for a in row] for row in fracs]
+        else:
+            d = self.d
+            comps = [[_unchecked(a, b, d) for a, b in zip(fracs[w], fracs[w + 1])]
+                     for w in range(0, self.m, 2)]
+        return cls._make(tuple(map(cls.join, zip(*comps))))
+
+
+@lru_cache(maxsize=64)
+def _algebra(table: tuple, d: int) -> _Algebra:
+    return _Algebra(table, d)
+
+
+def _kernel(*polys: "_DensePoly") -> _Algebra:
+    """The algebra of the polynomials' kind over their common surd base;
+    raises SurdBaseMismatch for two different bases."""
+    d = 0
+    for p in polys:
+        split = p.split
+        for c in p.coeffs:
+            for s in split(c):
+                if s.d and s.d != d:
+                    d = _merge_bases(d, s.d)
+    return _algebra(polys[0].table, d)
+
+
+def _add_product(out: list, a: list, b: list, c: int) -> None:
+    """out += c a b for integer coefficient lists (schoolbook)."""
+    for s, y in enumerate(b):
+        if y:
+            y *= c
+            for r, x in enumerate(a):
+                out[r + s] += x * y
+
+
+def _mul_rows(alg: _Algebra, x: list, y: list) -> list:
+    """Rows of the product, left operand first, of polynomials with rows x, y."""
+    n = len(x[0]) + len(y[0]) - 1
+    out = [[0] * n for _ in range(alg.m)]
+    live_x, live_y = [any(r) for r in x], [any(r) for r in y]
+    for i, j, k, c in alg.terms:
+        if live_x[i] and live_y[j]:
+            _add_product(out[k], x[i], y[j], c)
     return out
+
+
+def _leading(rows: list) -> tuple:
+    return tuple(row[-1] for row in rows)
+
+
+def _trim_rows(rows: list) -> list:
+    n = len(rows[0])
+    while n and not any(row[n - 1] for row in rows):
+        n -= 1
+    return [row[:n] for row in rows]
+
+
+def _content_free(rows: list) -> list:
+    """The rows divided by the gcd of all their integers."""
+    g = math.gcd(*[v for row in rows for v in row])
+    return rows if g == 1 else [[v // g for v in row] for row in rows]
+
+
+def _pseudo_divide(alg: _Algebra, r: list, b: list, mult: tuple, scale: tuple,
+                   quotient: bool):
+    """Fraction-free division of the rows r by the rows b, b nonzero.
+
+    Step by step from the top, r becomes mult r - (c scale) x^k B for its
+    top coefficient c, which cancels because scale lead(B) = mult, a
+    central element.  After the s = deg r - deg B + 1 steps
+    mult^s R_in = q B + r; q is only formed when ``quotient`` is set.
+    With mult = lead(B) and scale = 1 in a commutative ring, r is the
+    classical pseudo-remainder.
+    """
+    nb = len(b[0])
+    q = [[0] * max(0, len(r[0]) - nb + 1) for _ in range(alg.m)] if quotient else None
+    for top in range(len(r[0]) - 1, nb - 2, -1):
+        c = tuple(row[top] for row in r)
+        r = [row[:top] for row in r]
+        if mult != alg.one:
+            r = alg.left_scale(mult, r)
+            if quotient:
+                q = alg.left_scale(mult, q)
+        if not any(c):
+            continue
+        k = top - nb + 1
+        t = alg.mul(c, scale)
+        for row, sub in zip(r, alg.left_scale(t, b)):
+            row[k:top] = [u - v for u, v in zip(row[k:top], sub)]
+        if quotient:
+            for row, v in zip(q, t):
+                row[k] = v
+    return q, r
+
+
+def _subresultants(alg: _Algebra, a: list, b: list):
+    """The subresultant remainder sequence of two nonzero polynomials over
+    a commutative integral domain (Collins 1967; Brown 1971).
+
+    Yields the input of lower degree, then each pseudo-remainder divided
+    by g h^delta, a division that is exact in the domain and keeps the
+    coefficient size polynomial in the degree.  The last one is a gcd.
+    """
+    if len(a[0]) < len(b[0]):
+        a, b = b, a
+    g = h = alg.one
+    yield b
+    while len(b[0]) > 1:
+        delta = len(a[0]) - len(b[0])
+        r = _trim_rows(_pseudo_divide(alg, a, b, _leading(b), alg.one, False)[1])
+        if not r[0]:
+            return
+        inv, n = alg.inverse_parts(alg.mul(g, alg.power(h, delta)))
+        a, b = b, [[v // n for v in row] for row in alg.left_scale(inv, r)]
+        yield b
+        g = _leading(a)
+        if delta:
+            h = alg.divide(alg.power(g, delta), alg.power(h, delta - 1))
 
 
 def _term_str(c, k: int) -> str:
@@ -55,8 +293,10 @@ class _DensePoly:
     """Immutable dense polynomial over the coefficient ring ``ring``.
 
     A subclass sets ``ring`` and its ``zero_coeff``, the ``constants``
-    it accepts as degree-0 polynomials, and the polynomial kinds it
-    ``lifts`` coefficientwise into its ring.
+    it accepts as degree-0 polynomials, the polynomial kinds it
+    ``lifts`` coefficientwise into its ring, and for the integer kernel
+    the ring's multiplication ``table``, how to ``split`` a coefficient
+    into its real components and how to ``join`` them back.
     """
 
     __slots__ = ("coeffs",)
@@ -64,6 +304,13 @@ class _DensePoly:
 
     def __init__(self, coeffs: Iterable = ()):
         object.__setattr__(self, "coeffs", _trim([self.ring.of(c) for c in coeffs]))
+
+    @classmethod
+    def _make(cls, coeffs: tuple):
+        """A polynomial of coefficients already in the ring, none trailing zero."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "coeffs", coeffs)
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -109,9 +356,13 @@ class _DensePoly:
         return (-self) + self.of(other)
 
     def __mul__(self, other):
-        """Coefficient convolution with ordered coefficient products."""
+        """Product with ordered coefficient products, in the integer kernel."""
         other = self.of(other)
-        return type(self)(_convolve(self.coeffs, other.coeffs, self.zero_coeff))
+        if not self.coeffs or not other.coeffs:
+            return type(self)()
+        alg = _kernel(self, other)
+        (x, dx), (y, dy) = alg.rows(self), alg.rows(other)
+        return alg.poly(type(self), _mul_rows(alg, x, y), dx * dy)
 
     def __rmul__(self, other):
         return self.of(other) * self
@@ -130,24 +381,26 @@ class _DensePoly:
         return self.scale(self.leading().inverse())
 
     def divmod(self, divisor):
-        """Q, R with self = Q*divisor + R and deg R < deg divisor."""
+        """Q, R with self = Q*divisor + R and deg R < deg divisor.
+
+        Pseudo-division in the integer kernel: with L the leading
+        coefficient of the divisor and N = L^-1's integer denominator,
+        N^s self = q divisor + r over the integer rows, then Q and R are
+        normalised once.
+        """
         divisor = self.of(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        q = [self.zero_coeff] * max(0, self.degree() - divisor.degree() + 1)
-        r = list(self.coeffs)
-        inv_lead = divisor.leading().inverse()
-        dd = divisor.degree()
-        while True:
-            r = list(_trim(r))
-            if len(r) - 1 < dd:
-                break
-            c = r[-1] * inv_lead
-            k = len(r) - 1 - dd
-            q[k] = q[k] + c
-            for s, ds in enumerate(divisor.coeffs):
-                r[k + s] = r[k + s] - c * ds
-        return type(self)(q), type(self)(r)
+        if not self.coeffs:
+            return type(self)(), type(self)()
+        alg = _kernel(self, divisor)
+        (a, da), (b, db) = alg.rows(self), alg.rows(divisor)
+        inv, norm = alg.inverse_parts(_leading(b))
+        mult = (norm,) + (0,) * (alg.m - 1)
+        q, r = _pseudo_divide(alg, a, b, mult, inv, True)
+        den = norm ** max(0, len(a[0]) - len(b[0]) + 1) * da
+        return (alg.poly(type(self), [[v * db for v in row] for row in q], den),
+                alg.poly(type(self), r, den))
 
     def evaluate(self, xi):
         x = self.ring.of(Scalar.of(xi))
@@ -179,6 +432,7 @@ class RealPoly(_DensePoly):
     __slots__ = ()
     ring, zero_coeff = Scalar, Scalar(0)
     constants = (Scalar, Fraction, int)
+    table, split, join = _REAL, staticmethod(lambda c: (c,)), itemgetter(0)
 
     def antiderivative(self) -> "RealPoly":
         """Termwise antiderivative with zero constant term."""
@@ -212,6 +466,8 @@ class ComplexPoly(_DensePoly):
     ring, zero_coeff = ComplexScalar, ComplexScalar(0)
     constants = (ComplexScalar, Scalar, Fraction, int)
     lifts = (RealPoly,)
+    table, split = _COMPLEX, attrgetter("re", "im")
+    join = staticmethod(lambda parts: ComplexScalar(*parts))
 
     @classmethod
     def from_parts(cls, re: RealPoly, im: RealPoly) -> "ComplexPoly":
@@ -242,6 +498,8 @@ class QuatPoly(_DensePoly):
     ring, zero_coeff = Quaternion, Quaternion(0)
     constants = (Quaternion, ComplexScalar, Scalar, Fraction, int)
     lifts = (RealPoly, ComplexPoly)
+    table, split = _HAMILTON, attrgetter("w", "x", "y", "z")
+    join = staticmethod(lambda parts: Quaternion(*parts))
 
     @classmethod
     def from_components(cls, u, v, p, q) -> "QuatPoly":
@@ -284,8 +542,7 @@ class QuatPoly(_DensePoly):
 
     def norm_poly(self) -> RealPoly:
         """u^2 + v^2 + p^2 + q^2, the squared pointwise norm."""
-        u, v, p, q = self.components()
-        return u * u + v * v + p * p + q * q
+        return component_forms(self, (_SQUARES,))[0]
 
     def inner(self, other: "QuatPoly") -> RealPoly:
         """Pointwise Euclidean inner product, as a real polynomial."""
@@ -303,24 +560,69 @@ class QuatPoly(_DensePoly):
 
 
 def _gcd(cls, polys):
-    """Monic gcd of polynomials of a commutative kind, by Euclid's algorithm."""
-    polys = [cls.of(p) for p in polys]
-    if all(p.is_zero() for p in polys):
+    """Monic gcd of polynomials of a commutative kind.
+
+    Subresultant sequences over the integer rows, folded over the
+    arguments, then made monic in the field.
+    """
+    polys = [p for p in map(cls.of, polys) if p.coeffs]
+    if not polys:
         raise ValueError("gcd of all-zero polynomials is undefined")
-    g = cls()
-    for b in polys:
-        while not b.is_zero():
-            g, b = b, g.divmod(b)[1]
-    return g.monic()
+    alg = _kernel(*polys)
+    g = None
+    for p in polys:
+        rows = _content_free(alg.rows(p)[0])
+        if g is not None:
+            *_, rows = _subresultants(alg, g, rows)
+        g = _content_free(rows)
+        if len(g[0]) == 1:
+            return cls([1])
+    inv, n = alg.inverse_parts(_leading(g))
+    return alg.poly(cls, alg.left_scale(inv, g), n)
+
+
+_SQUARES = tuple((1, w, w) for w in range(4))
+
+
+def component_forms(b: QuatPoly, forms) -> list[RealPoly]:
+    """The real polynomials sum c b_i b_j, one per form ((c, i, j), ...),
+    in one integer pass over one common denominator.
+
+    b_0 .. b_3 are the components (u, v, p, q) of b and b_4 .. b_7 their
+    derivatives.  Each product b_i b_j is formed once, however many
+    forms use it.
+    """
+    b = QuatPoly.of(b)
+    if not b.coeffs:
+        return [RealPoly() for _ in forms]
+    alg = _kernel(b)
+    real = _algebra(_REAL, alg.d)
+    rows, den = alg.rows(b)
+    p = alg.parts
+    comps = [rows[w * p:(w + 1) * p] for w in range(4)]
+    comps += [[[k * v for k, v in enumerate(row)][1:] for row in comp]
+              for comp in comps]
+    products: dict = {}
+    out = []
+    for form in forms:
+        acc = [[0] * (2 * len(rows[0]) - 1) for _ in range(p)]
+        for c, i, j in form:
+            key = (i, j) if i <= j else (j, i)
+            if key not in products:
+                products[key] = _mul_rows(real, comps[i], comps[j])
+            for row, src in zip(acc, products[key]):
+                row[:len(src)] = [u + c * v for u, v in zip(row, src)]
+        out.append(real.poly(RealPoly, acc, den * den))
+    return out
 
 
 def gcd_real(*polys) -> RealPoly:
-    """Monic gcd of real polynomials via the Euclidean algorithm."""
+    """Monic gcd of real polynomials (subresultant sequence, made monic)."""
     return _gcd(RealPoly, polys)
 
 
 def gcd_complex(*polys) -> ComplexPoly:
-    """Monic gcd of complex polynomials via the Euclidean algorithm."""
+    """Monic gcd of complex polynomials (subresultant sequence, made monic)."""
     return _gcd(ComplexPoly, polys)
 
 
@@ -351,10 +653,12 @@ class RationalFunction:
                 num, den = RealPoly(), RealPoly([1])
             else:
                 g = gcd_real(num, den)
-                num = exact_divide(num, g)
-                den = exact_divide(den, g)
-                lead = den.leading().inverse()
-                num, den = num.scale(lead), den.scale(lead)
+                if g.degree() > 0:
+                    num = exact_divide(num, g)
+                    den = exact_divide(den, g)
+                if den.leading() != 1:
+                    inv = den.leading().inverse()
+                    num, den = num.scale(inv), den.scale(inv)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 

@@ -480,6 +480,24 @@ def test_zero_certificate_rejected(tmp_path, capsys):
         assert err == "error: certificate (0, 0) is not allowed\n", verb
 
 
+def test_classify_degree_bound(tmp_path, capsys):
+    import random
+
+    from rrmf.documents import MAX_DEGREE
+
+    rng = random.Random(MAX_DEGREE)
+    for degree, expected in ((MAX_DEGREE, 0), (MAX_DEGREE + 1, 2)):
+        rows = [Quaternion(*(rng.randint(-9, 9) for _ in range(4))) for _ in range(degree)]
+        path = write_doc(tmp_path, f"deg{degree}.json", QuatPoly(rows + [Quaternion(1, 2)]))
+        code, out, err = run(capsys, "classify", path)
+        assert code == expected
+        if expected:
+            assert (out, err) == ("", f"error: coefficients: at most {MAX_DEGREE + 1} "
+                                      f"coefficients (degree {MAX_DEGREE}), got {degree + 1}\n")
+        else:
+            assert json.loads(out)["core_degree"] == MAX_DEGREE
+
+
 def test_frames_samples_bound(tmp_path, capsys):
     from rrmf.cli import MAX_SAMPLES
 

@@ -3,8 +3,8 @@ import json
 import pytest
 
 from rrmf.catalog import quintic_right_cancellation
-from rrmf.documents import (DocumentError, document_for, document_to_dict,
-                            dumps_document, parse_document)
+from rrmf.documents import (MAX_DEGREE, DocumentError, document_for,
+                            document_to_dict, dumps_document, parse_document)
 from rrmf.polynomials import QuatPoly, RealPoly
 from rrmf.quaternions import Quaternion
 from rrmf.scalars import Scalar
@@ -89,3 +89,25 @@ def test_document_dict_shape():
     assert data["kind"] == "quaternion"
     assert data["coefficients"] == [["1/1", "0/1", "0/1", "0/1"]]
     assert "certificate" not in data
+
+
+def test_degree_bound():
+    def doc(rows, a=("1",), b=("0",)):
+        return json.dumps({"sqrt_base": 0, "kind": "quaternion", "coefficients": rows,
+                           "certificate": {"a": list(a), "b": list(b)}})
+
+    row = ["1", "0", "0", "1"]
+    at_bound = parse_document(doc([row] * (MAX_DEGREE + 1), a=["1"] * (MAX_DEGREE + 1),
+                                  b=["2"] * (MAX_DEGREE + 1)))
+    assert at_bound.to_poly().degree() == MAX_DEGREE
+    assert [c.degree() for c in at_bound.certificate] == [MAX_DEGREE, MAX_DEGREE]
+    above = ["1"] * (MAX_DEGREE + 2)
+    for text, what in ((doc([row] * (MAX_DEGREE + 2)), "coefficients"),
+                       (doc([row], a=above), "certificate a"),
+                       (doc([row], b=above), "certificate b")):
+        with pytest.raises(DocumentError, match=f"^{what}: at most {MAX_DEGREE + 1} "):
+            parse_document(text)
+    for cert in ({"a": "12", "b": ["1"]}, {"a": ["1"], "b": 7}):
+        bad = {"sqrt_base": 0, "kind": "real", "coefficients": ["1"], "certificate": cert}
+        with pytest.raises(DocumentError, match="certificate must be"):
+            parse_document(json.dumps(bad))

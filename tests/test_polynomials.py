@@ -9,7 +9,7 @@ from rrmf.polynomials import (ComplexPoly, InexactDivision, QuatPoly,
                               RationalFunction, RealPoly, exact_divide,
                               gcd_complex, gcd_real, reduce_fraction)
 from rrmf.quaternions import I, J, K, Quaternion
-from rrmf.scalars import ComplexScalar, Scalar
+from rrmf.scalars import ComplexScalar, Scalar, SurdBaseMismatch
 
 from conftest import (coprime_cpoly, nonzero_qpoly, rand_cpoly, rand_qpoly,
                       rand_rpoly, rand_scalar)
@@ -176,6 +176,80 @@ def test_right_divmod(rng):
         q, r = p.right_divmod(d)
         assert q * d + r == p
         assert r.degree() < d.degree()
+
+
+def schoolbook_product(a, b):
+    """Coefficients of a b by convolution with the Hamilton product of
+    Quaternion, left factor first."""
+    out = [Quaternion(0)] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for r, x in enumerate(a.coeffs):
+        for s, y in enumerate(b.coeffs):
+            out[r + s] = out[r + s] + x * y
+    return tuple(out)
+
+
+def schoolbook_right_divmod(p, d):
+    """Coefficients of Q, R with p = Q d + R, by long division with the
+    quaternion inverse of d's leading coefficient."""
+    r = list(p.coeffs)
+    q = [Quaternion(0)] * max(0, len(r) - len(d.coeffs) + 1)
+    inv = d.coeffs[-1].inverse()
+    while len(r) >= len(d.coeffs):
+        k = len(r) - len(d.coeffs)
+        q[k] = r[-1] * inv
+        for s, ds in enumerate(d.coeffs):
+            r[k + s] = r[k + s] - q[k] * ds
+        r.pop()
+        while r and r[-1].is_zero():
+            r.pop()
+    return tuple(q), tuple(r)
+
+
+@pytest.mark.parametrize("base", [0, 15])
+def test_quat_kernel_matches_schoolbook(rng, base):
+    noncommuting = 0
+    for _ in range(12):
+        a = nonzero_qpoly(rng, rng.randint(0, 8), base)
+        b = nonzero_qpoly(rng, rng.randint(0, 8), base)
+        assert (a * b).coeffs == schoolbook_product(a, b)
+        assert (b * a).coeffs == schoolbook_product(b, a)
+        noncommuting += a * b != b * a
+        p = a * b + nonzero_qpoly(rng, rng.randint(0, 12), base)
+        q, r = p.right_divmod(b)
+        assert (q.coeffs, r.coeffs) == schoolbook_right_divmod(p, b)
+    assert noncommuting >= 10
+
+
+def test_subresultant_sequence_is_the_textbook_one():
+    # Knuth, TAOCP vol. 2, 4.6.1: the subresultants of these two are
+    # 15x^4 - 3x^2 + 9, 65x^2 + 125x - 245, 9326x - 12300 and 260708 up
+    # to sign; degree gaps of 2 exercise the h^delta division
+    from rrmf.polynomials import _REAL, _algebra, _subresultants
+
+    a = [[-5, 2, 8, -3, -3, 0, 1, 0, 1]]
+    b = [[21, -9, -4, 0, 5, 0, 3]]
+    sequence = list(_subresultants(_algebra(_REAL, 0), a, b))
+    assert sequence == [b, [[-9, 0, 3, 0, -15]], [[-245, 125, 65]],
+                        [[12300, -9326]], [[260708]]]
+
+
+def test_mixed_surd_bases_raise_in_the_kernel():
+    r15 = RealPoly([1, Scalar(0, 1, 15)])
+    r5 = RealPoly([Scalar(0, 1, 5), 2])
+    c15 = ComplexPoly.from_parts(r15, RealPoly([3]))
+    c5 = ComplexPoly.from_parts(RealPoly([1]), r5)
+    cases = ((r15, r5, gcd_real), (c15, c5, gcd_complex),
+             (r15.as_quat(), r5.as_quat(), None))
+    for x, y, gcd in cases:
+        for op in (lambda: x * y, lambda: y * x, lambda: x.divmod(y),
+                   lambda: y.divmod(x)):
+            with pytest.raises(SurdBaseMismatch):
+                op()
+        if gcd is not None:
+            with pytest.raises(SurdBaseMismatch):
+                gcd(x, y)
+            with pytest.raises(SurdBaseMismatch):
+                gcd(RealPoly([1, 1]), x, y)
 
 
 def test_reduce_fraction_examples():
