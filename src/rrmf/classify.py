@@ -11,6 +11,12 @@ certificate, the equal-degree divisibility criterion, or a certificate
 of bounded degree constructed exactly from the residues of the reduced
 Han fraction.  No false negatives are ever reported for the general
 membership question: absent proof, the verdict is "unknown".
+
+The span rank of the hodograph and the triviality witness are decided
+on the integer rows of the polynomial kernel (polynomials.vector_rank
+and vector_part_rank), as is the equal-degree criterion
+(indicatrix.rho_eta); only the witness's direction is one Quaternion
+product.
 """
 
 from __future__ import annotations
@@ -23,10 +29,10 @@ from typing import Optional
 
 from .hodograph import (CoreDecomposition, Hodograph, core_of,
                         has_coprime_components, hodograph_of)
-from .indicatrix import han_fraction, inner_product_poly, rho_eta, verify_han
-from .linalg import exact_rank
+from .indicatrix import inner_product_poly, rho_eta, verify_han
 from .polynomials import (ComplexPoly, QuatPoly, RationalFunction, RealPoly,
-                          exact_divide, gcd_complex, gcd_real)
+                          exact_divide, gcd_complex, gcd_real, reduce_fraction,
+                          vector_part_rank, vector_rank)
 from .quaternions import Quaternion
 from .scalars import ComplexScalar, Scalar
 
@@ -84,10 +90,8 @@ class GeneratorAnalysis:
 
     @cached_property
     def span_rank(self) -> int:
-        """Exact rank of the span of the vector coefficients of A i A*."""
-        h = self.hodograph
-        return exact_rank([[c.coeff(k) for c in h.components()]
-                           for k in range(h.sigma.degree() + 1)])
+        """Rank over the field of the vector coefficients of A i A*."""
+        return vector_rank(*self.hodograph.components())
 
     @cached_property
     def planar(self) -> bool:
@@ -98,24 +102,32 @@ class GeneratorAnalysis:
     def trivial(self) -> Optional[TrivialWitness]:
         """The witness of trivial_witness; meaningful for coprime components."""
         coeffs = self.poly.coeffs
-        c = next(q for q in coeffs if not q.is_zero())
-        c_inv = c.inverse()
-        vectors = [(c_inv * q).vector_part() for q in coeffs]
-        direction = next((v for v in vectors if not v.is_zero()), None)
-        if direction is None:
+        k, c = next((k, q) for k, q in enumerate(coeffs) if not q.is_zero())
+        # conj(c) A = |c|^2 c^-1 A with |c|^2 > 0: the vector parts of its
+        # coefficients are parallel, and orthogonal to i, exactly when
+        # those of c^-1 A are
+        rank = vector_part_rank(self.poly, c.conjugate())
+        if rank == 0:
             # constant (up to left factor): plane direction is conventional
             return TrivialWitness(c, Quaternion(0, 0, 1, 0), Scalar(1))
-        if not direction.inner(_I).is_zero():
+        if rank > 1:
             return None
-        # every v parallel to direction is then orthogonal to i as well
-        if any(not v.cross(direction).is_zero() for v in vectors):
+        c_inv = c.inverse()
+        vectors = ((c_inv * q).vector_part() for q in coeffs[k + 1:] if q)
+        direction = next(v for v in vectors if v)
+        if not direction.x.is_zero():
             return None
         return TrivialWitness(c, direction, direction.norm_sq())
 
     @cached_property
+    def sigma(self) -> RealPoly:
+        """|A|^2, the parametric speed."""
+        return self.poly.norm_poly()
+
+    @cached_property
     def han(self) -> RationalFunction:
-        """The reduced Han fraction of A."""
-        return han_fraction(self.poly)
+        """The reduced Han fraction -<A'i, A>/|A|^2 of A."""
+        return reduce_fraction(-self.inner, self.sigma)
 
 
 def _require_nonzero_coprime(a: QuatPoly, what: str) -> GeneratorAnalysis:
@@ -358,9 +370,10 @@ def _search(analysis: GeneratorAnalysis, max_degree: int, budget_seconds: float
         m += 1
     # P and D are real, so no root of D with residue m/2i is real or the
     # conjugate of another: the parts of gamma are coprime, and
-    # verify_han checks that exactly before the identity itself
+    # verify_han checks that exactly before the identity itself, reading
+    # the facts of A from the analysis
     ga, gb = gamma.real_parts()
-    if not verify_han(analysis.poly, ga, gb):
+    if not verify_han(analysis, ga, gb):
         return None
     return _normalize_certificate(ga, gb)
 

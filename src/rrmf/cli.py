@@ -20,11 +20,12 @@ from .construct import (ConstructionError, CubicSpec, QuarticSpec, make_cubic,
                         make_cubic_monic, make_f_element, make_quartic,
                         make_spatial_family, make_trivial)
 from .documents import (DocumentError, PolyDocument, document_for,
-                        document_to_dict, parse_base, parse_document)
+                        document_to_dict, load_json, parse_base, parse_document,
+                        read_scalar)
 from .frames import sample_frames, write_frames_csv
 from .polynomials import InexactDivision, QuatPoly
 from .quaternions import Quaternion
-from .scalars import Scalar, format_scalar, parse_scalar
+from .scalars import Scalar, format_scalar
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -88,25 +89,18 @@ def classification_to_dict(c: Classification) -> dict:
 def _parse_quat(value, base: int) -> Quaternion:
     if not isinstance(value, list) or len(value) != 4:
         raise DocumentError(f"quaternion needs 4 scalar strings, got {value!r}")
-    return Quaternion(*(_parse_spec_scalar(c, base) for c in value))
-
-
-def _parse_spec_scalar(value, base: int) -> Scalar:
-    try:
-        return parse_scalar(str(value), expected_base=base)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise DocumentError(str(exc)) from exc
+    return Quaternion(*(read_scalar(c, base) for c in value))
 
 
 def _parse_scalar_field(spec: dict, key: str, base: int, default="0") -> Scalar:
-    return _parse_spec_scalar(spec.get(key, default), base)
+    return read_scalar(spec.get(key, default), base)
 
 
 def _parse_pairs(value, base: int) -> list[tuple[Scalar, Scalar]]:
     if not isinstance(value, list) or not all(
             isinstance(pair, list) and len(pair) == 2 for pair in value):
         raise DocumentError(f"coefficients need [x, y] scalar pairs, got {value!r}")
-    return [(_parse_spec_scalar(x, base), _parse_spec_scalar(y, base)) for x, y in value]
+    return [(read_scalar(x, base), read_scalar(y, base)) for x, y in value]
 
 
 # -- subcommands -------------------------------------------------------
@@ -183,9 +177,9 @@ def cmd_construct(args) -> int:
         poly, extra = make_spatial_family(args.n), {}
     else:
         if args.spec is not None:
-            spec = json.loads(_read_input(args.spec))
+            spec = load_json(_read_input(args.spec))
         elif args.spec_json is not None:
-            spec = json.loads(args.spec_json)
+            spec = load_json(args.spec_json)
         else:
             raise DocumentError("construction requires --spec or --spec-json")
         if not isinstance(spec, dict):

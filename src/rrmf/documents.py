@@ -10,6 +10,7 @@ other base are rejected.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -28,6 +29,15 @@ MAX_DEGREE = 128
 certificate member.  The exact kernels grow faster than quadratically
 in the degree; at this bound ``rrmf classify`` of a random integer
 generator takes under a second (README, "Polynomial documents")."""
+
+MAX_DIGITS = 1000
+"""Most digits, as written, in one number (numerator or denominator) of
+a scalar.  Python prints no integer of more than 4300 digits, and
+outputs outgrow their inputs: at this bound the trivial witness of
+1 + N xi j, with N^2 as its squared norm, still prints (README,
+"Polynomial documents")."""
+
+_LONG_NUMBER = re.compile(r"\d{%d}" % (MAX_DIGITS + 1))
 
 KINDS = ("quaternion", "complex", "real")
 _WIDTH = {"quaternion": 4, "complex": 2, "real": 1}
@@ -53,6 +63,29 @@ class PolyDocument:
         return RealPoly([row[0] for row in self.coefficients])
 
 
+def load_json(text):
+    """json.loads, raising DocumentError on invalid JSON and on integer
+    literals longer than Python converts."""
+    try:
+        return json.loads(text)
+    except ValueError as exc:
+        raise DocumentError(f"invalid JSON: {exc}") from exc
+
+
+def read_scalar(value, base: int) -> Scalar:
+    """One scalar of a document or construction spec; raises DocumentError,
+    also for a number of more than MAX_DIGITS digits."""
+    text = str(value)
+    if _LONG_NUMBER.search(text):
+        raise DocumentError(
+            f"scalar numbers have at most {MAX_DIGITS} digits "
+            f"(rrmf.documents.MAX_DIGITS), got {text[:40]}...")
+    try:
+        return parse_scalar(text, expected_base=base)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise DocumentError(str(exc)) from exc
+
+
 def parse_base(value) -> int:
     """Validate a declared ``sqrt_base``; raises DocumentError."""
     if not isinstance(value, int) or not is_valid_base(value):
@@ -65,10 +98,7 @@ def parse_base(value) -> int:
 def parse_document(data) -> PolyDocument:
     """Parse a dict or JSON text; raises DocumentError on any defect."""
     if isinstance(data, (str, bytes)):
-        try:
-            data = json.loads(data)
-        except json.JSONDecodeError as exc:
-            raise DocumentError(f"invalid JSON: {exc}") from exc
+        data = load_json(data)
     if not isinstance(data, dict):
         raise DocumentError("document must be a JSON object")
     base = parse_base(data.get("sqrt_base", 0))
@@ -87,10 +117,7 @@ def parse_document(data) -> PolyDocument:
         if not isinstance(entry, list) or len(entry) != width:
             raise DocumentError(
                 f"each {kind} coefficient needs {width} component(s), got {entry!r}")
-        try:
-            rows.append(tuple(parse_scalar(str(c), expected_base=base) for c in entry))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise DocumentError(str(exc)) from exc
+        rows.append(tuple(read_scalar(c, base) for c in entry))
     certificate = None
     if data.get("certificate") is not None:
         cert = data["certificate"]
@@ -99,12 +126,8 @@ def parse_document(data) -> PolyDocument:
             raise DocumentError('certificate must be {"a": [...], "b": [...]}')
         _check_degree("certificate a", cert["a"])
         _check_degree("certificate b", cert["b"])
-        try:
-            certificate = (
-                RealPoly([parse_scalar(str(c), expected_base=base) for c in cert["a"]]),
-                RealPoly([parse_scalar(str(c), expected_base=base) for c in cert["b"]]))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise DocumentError(str(exc)) from exc
+        certificate = (RealPoly([read_scalar(c, base) for c in cert["a"]]),
+                       RealPoly([read_scalar(c, base) for c in cert["b"]]))
     metadata = data.get("metadata") or {}
     if not isinstance(metadata, dict):
         raise DocumentError("metadata must be an object")

@@ -2,9 +2,10 @@
 
 A quaternion polynomial A maps to the hodograph r' = A i A*, whose
 components always satisfy x'^2 + y'^2 + z'^2 = sigma^2 with parametric
-speed sigma = |A|^2.  basis_images is the one kernel that forms the ten
-component products of A, in one integer pass: the hodograph is its
-first image, and the frames read all three.  The core of A is A stripped of its maximal monic
+speed sigma = |A|^2.  hodograph_of forms |A|^2 and the three entries of
+A i A*, the first four image forms, in one integer pass of the
+polynomial kernel; basis_images, the frames' kernel, forms all ten
+component products of B for the three images B e B*.  The core of A is A stripped of its maximal monic
 complex right divisor; A generates a primitive hodograph exactly when
 it coincides with its core.
 """
@@ -95,7 +96,7 @@ def basis_images(b: QuatPoly) -> Images:
 
 def hodograph_of_images(images: Images) -> Hodograph:
     """r' = B i B*, the first basis image, with speed |B|^2."""
-    sigma, (tangent, _, _) = images
+    sigma, (tangent, *_) = images
     h = object.__new__(Hodograph)
     # A i A* and |A|^2 satisfy the Hodograph identities by construction
     h.__dict__.update(xp=tangent[0], yp=tangent[1], zp=tangent[2], sigma=sigma)
@@ -103,11 +104,12 @@ def hodograph_of_images(images: Images) -> Hodograph:
 
 
 def hodograph_of(a: QuatPoly) -> Hodograph:
-    """r' = A i A*, the first basis image of A, with speed |A|^2."""
+    """r' = A i A* with speed |A|^2, from the first four image forms only."""
     a = QuatPoly.of(a)
     if a.is_zero():
         raise ValueError("hodograph of the zero polynomial")
-    return hodograph_of_images(basis_images(a))
+    sigma, *tangent = component_forms(a, _IMAGE_FORMS[:4])
+    return hodograph_of_images((sigma, [tangent]))
 
 
 def has_coprime_components(a: QuatPoly) -> bool:

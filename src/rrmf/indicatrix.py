@@ -24,6 +24,14 @@ _K_POLY = QuatPoly([Quaternion(0, 0, 0, 1)])
 # the components of A and their derivatives, as component_forms numbers them
 _U, _V, _P, _Q, _DU, _DV, _DP, _DQ = range(8)
 _INNER_FORM = ((-1, _DV, _U), (1, _DU, _V), (1, _DQ, _P), (-1, _DP, _Q))
+# r1, r2, e1, e2 of rho_eta, then sigma = |A|^2
+_RHO_ETA_FORMS = (
+    ((1, _U, _DP), (-1, _DU, _P), (1, _V, _DQ), (-1, _DV, _Q)),
+    ((1, _U, _DQ), (-1, _DU, _Q), (-1, _V, _DP), (1, _DV, _P)),
+    ((1, _U, _DU), (1, _V, _DV), (1, _P, _DP), (1, _Q, _DQ)),
+    ((1, _U, _DV), (-1, _DU, _V), (-1, _P, _DQ), (1, _DP, _Q)),
+    ((1, _U, _U), (1, _V, _V), (1, _P, _P), (1, _Q, _Q)),
+)
 
 
 def inner_product_poly(a: QuatPoly) -> RealPoly:
@@ -81,28 +89,30 @@ def omega1(a: QuatPoly) -> RationalFunction:
     return reduce_fraction(han_numerator(a).scale(2), a.norm_poly())
 
 
-def verify_han(a_poly: QuatPoly, a: RealPoly, b: RealPoly) -> bool:
+def verify_han(a_poly, a: RealPoly, b: RealPoly) -> bool:
     """Exact cross-multiplied test of Han's condition for certificate (a, b).
 
     Requires coprime (a, b) and a generator with coprime components;
     never evaluates the rational functions, so no spurious cancellation
-    decisions can occur.
+    decisions can occur.  ``a_poly`` is the generator or its
+    classify.GeneratorAnalysis, whose cached coprimality, <A'i, A> and
+    sigma are then read rather than recomputed.
     """
-    from .hodograph import has_coprime_components
+    from .classify import GeneratorAnalysis
 
-    a_poly = QuatPoly.of(a_poly)
+    analysis = a_poly
+    if not isinstance(analysis, GeneratorAnalysis):
+        analysis = GeneratorAnalysis.of(
+            a_poly, "certificate check against the zero polynomial")
     a, b = RealPoly.of(a), RealPoly.of(b)
-    if a_poly.is_zero():
-        raise ValueError("certificate check against the zero polynomial")
     if a.is_zero() and b.is_zero():
         raise ValueError("certificate (0, 0) is not allowed")
     if gcd_real(a, b).degree() != 0:
         raise ValueError("certificate polynomials must be coprime")
-    if not has_coprime_components(a_poly):
+    if not analysis.coprime:
         raise ValueError("generator components must be coprime")
-    lhs = (a * b.derivative() - a.derivative() * b) * a_poly.norm_poly()
-    rhs = han_numerator(a_poly) * (a * a + b * b)
-    return lhs == rhs
+    lhs = (a * b.derivative() - a.derivative() * b) * analysis.sigma
+    return lhs == -analysis.inner * (a * a + b * b)
 
 
 @dataclass(frozen=True)
@@ -125,16 +135,10 @@ def rho_eta(a: QuatPoly) -> RhoEta:
     a = QuatPoly.of(a)
     if a.is_zero():
         raise ValueError("criterion on the zero polynomial")
-    u, v, p, q = a.components()
-    du, dv, dp, dq = (u.derivative(), v.derivative(),
-                      p.derivative(), q.derivative())
-    r1 = u * dp - du * p + v * dq - dv * q
-    r2 = u * dq - du * q - v * dp + dv * p
-    e1 = u * du + v * dv + p * dp + q * dq
-    e2 = u * dv - du * v - p * dq + dp * q
+    r1, r2, e1, e2, sigma = component_forms(a, _RHO_ETA_FORMS)
     rho = r1 * r1 + r2 * r2
     eta = e1 * e1 + e2 * e2
-    return RhoEta(rho, eta, rho.divmod(a.norm_poly())[1].is_zero())
+    return RhoEta(rho, eta, rho.divmod(sigma)[1].is_zero())
 
 
 def indicatrix_product_residual(b: QuatPoly, a: QuatPoly) -> RealPoly:

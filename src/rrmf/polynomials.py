@@ -24,7 +24,10 @@ once, by one Fraction normalisation of an integer over the result's
 denominator.  The outputs are canonical whatever the integer route: a
 product or a quotient and remainder is a unique field element per
 coefficient, and gcds are made monic in the field, so they equal the
-Euclidean results of the field arithmetic exactly.
+Euclidean results of the field arithmetic exactly.  The rank of the
+coefficient vectors of three real polynomials, or of the vector parts
+of a quaternion polynomial's coefficients, is decided on the same
+integer rows by cross and triple products.
 
 Real and complex polynomials form Euclidean domains with monic gcds.
 Reduced ratios of real polynomials (monic denominator, coprime parts)
@@ -280,6 +283,43 @@ def _subresultants(alg: _Algebra, a: list, b: list):
         g = _leading(a)
         if delta:
             h = alg.divide(alg.power(g, delta), alg.power(h, delta - 1))
+
+
+def _vector_rank(vectors, d: int) -> int:
+    """Rank over Q(sqrt d) of integer 3-vectors.
+
+    A coordinate is an integer tuple of the real algebra over d: (a,) for
+    a in Z, (a, b) for a + b sqrt(d) in Z[sqrt d].  The rank is 0 when no
+    vector is nonzero, 1 when every cross product with the first nonzero
+    vector vanishes, and otherwise 3 when some triple product is nonzero,
+    else 2.
+    """
+    mul = _algebra(_REAL, d).mul
+
+    def live(v) -> bool:
+        return any(map(any, v))
+
+    def cross(x, y) -> tuple:
+        return tuple(tuple(s - t for s, t in zip(mul(x[i], y[j]), mul(x[j], y[i])))
+                     for i, j in ((1, 2), (2, 0), (0, 1)))
+
+    vectors = [v for v in vectors if live(v)]
+    if not vectors:
+        return 0
+    first = vectors[0]
+    normal = next((n for n in (cross(first, v) for v in vectors[1:]) if live(n)), None)
+    if normal is None:
+        return 1
+    for v in vectors:
+        if any(map(sum, zip(*map(mul, normal, v)))):
+            return 3
+    return 2
+
+
+def _coordinate_vectors(rows: list, parts: int) -> list:
+    """Per coefficient, the 3-vector of coordinate tuples of the first three
+    real components of the rows."""
+    return list(zip(*(zip(*rows[w * parts:(w + 1) * parts]) for w in range(3))))
 
 
 def _term_str(c, k: int) -> str:
@@ -614,6 +654,34 @@ def component_forms(b: QuatPoly, forms) -> list[RealPoly]:
                 row[:len(src)] = [u + c * v for u, v in zip(row, src)]
         out.append(real.poly(RealPoly, acc, den * den))
     return out
+
+
+def vector_rank(x: RealPoly, y: RealPoly, z: RealPoly) -> int:
+    """Rank over the field of the coefficient vectors (x_k, y_k, z_k) of
+    three real polynomials, decided on their integer rows over one common
+    denominator."""
+    polys = [RealPoly.of(p) for p in (x, y, z)]
+    alg = _kernel(*polys)
+    n = max(len(p.coeffs) for p in polys)
+    comps = []
+    for p in polys:
+        rows, den = alg.rows(p)
+        comps.append((rows or [[]] * alg.parts, den))
+    common = math.lcm(*(den for _, den in comps))
+    rows = [[v * (common // den) for v in row] + [0] * (n - len(row))
+            for comp, den in comps for row in comp]
+    return _vector_rank(_coordinate_vectors(rows, alg.parts), alg.d)
+
+
+def vector_part_rank(a: QuatPoly, left: Quaternion) -> int:
+    """Rank over the field of the vector parts of the coefficients of
+    left * a, whose integer rows are formed in one pass."""
+    a, left = QuatPoly.of(a), QuatPoly.of(left)
+    if not a.coeffs or not left.coeffs:
+        return 0
+    alg = _kernel(left, a)
+    scaled = alg.left_scale(_leading(alg.rows(left)[0]), alg.rows(a)[0])
+    return _vector_rank(_coordinate_vectors(scaled[alg.parts:], alg.parts), alg.d)
 
 
 def gcd_real(*polys) -> RealPoly:

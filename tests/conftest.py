@@ -74,6 +74,30 @@ def coprime_qpoly(rng: random.Random, degree: int, base: int = 0) -> QuatPoly:
             return p
 
 
+def verdict_generators(rng: random.Random, count: int = 10) -> list[QuatPoly]:
+    """Nonzero generators of every span rank, over Q and Q(sqrt 15): random
+    ones, trivial ones (make_trivial), planar ones with coefficients in
+    C (R + Rj) and lines C (real coefficients), for random left factors C."""
+    from rrmf.construct import ConstructionError, make_trivial
+
+    out = []
+    for base in (0, 15):
+        for _ in range(count):
+            degree = rng.randint(0, 5)
+            out.append(rand_qpoly(rng, degree, base))
+            u = Quaternion(0, 0, rand_scalar(rng, base), rand_scalar(rng, base))
+            pairs = [(rand_scalar(rng, base), rand_scalar(rng, base))
+                     for _ in range(degree + 1)]
+            try:
+                out.append(make_trivial(nonzero_quat(rng, base), u, pairs))
+            except ConstructionError:
+                pass
+            c = nonzero_quat(rng, base)
+            out.append(QuatPoly([Quaternion(x, 0, y, 0) for x, y in pairs]).left_scale(c))
+            out.append(QuatPoly([Quaternion(x) for x, _ in pairs]).left_scale(c))
+    return [a for a in out if not a.is_zero()]
+
+
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20260811)

@@ -7,20 +7,24 @@ import pytest
 from rrmf.catalog import (nontrivial_cubic, nontrivial_quartic_dense,
                           nontrivial_quartic_sparse, quintic_left_cancellation,
                           quintic_no_cancellation, quintic_right_cancellation)
-from rrmf.classify import (MembershipStatus, cancel_indicatrix, classify,
+from rrmf.classify import (GeneratorAnalysis, MembershipStatus,
+                           cancel_indicatrix, classify,
                            gcd_with_complex, has_vanishing_indicatrix,
                            hodograph_span_rank, indicatrix_coefficients,
                            is_planar, rrmf_membership, search_certificate,
                            trivial_witness)
 from rrmf.construct import make_f_element, make_spatial_family, make_trivial
-from rrmf.hodograph import core_of
+from rrmf.hodograph import (basis_images, core_of, hodograph_of,
+                            hodograph_of_images)
 from rrmf.indicatrix import inner_product_poly, rho_eta, verify_han
+from rrmf.linalg import exact_rank
 from rrmf.polynomials import (ComplexPoly, QuatPoly, RealPoly, exact_divide,
                               gcd_real)
 from rrmf.quaternions import I, J, K, Quaternion
 from rrmf.scalars import ComplexScalar, Scalar
 
-from conftest import coprime_cpoly, coprime_qpoly, nonzero_quat
+from conftest import (coprime_cpoly, coprime_qpoly, nonzero_quat,
+                      verdict_generators)
 
 IXP1 = QuatPoly([Quaternion(1), I])
 UNKNOWN_FIXTURE = QuatPoly([Quaternion(1), I, J])  # j xi^2 + i xi + 1
@@ -423,3 +427,44 @@ def test_verify_han_agrees_with_reduction(rng):
         assert verify_han(a, ga, gb) == vanishing
         accepted.add(vanishing)
     assert accepted == {True, False}
+
+
+def _reference_witness(a):
+    """The triviality witness in Scalar arithmetic: the vector parts of
+    c^-1 q for the lowest nonzero coefficient c, as (C, u, |u|^2)."""
+    c = next(q for q in a.coeffs if not q.is_zero())
+    c_inv = c.inverse()
+    vectors = [(c_inv * q).vector_part() for q in a.coeffs]
+    direction = next((v for v in vectors if not v.is_zero()), None)
+    if direction is None:
+        return c, J, Scalar(1)
+    if not direction.inner(I).is_zero():
+        return None
+    if any(not v.cross(direction).is_zero() for v in vectors):
+        return None
+    return c, direction, direction.norm_sq()
+
+
+def test_verdict_facts_match_scalar_oracles(rng):
+    # the span rank, the triviality witness and the hodograph are decided
+    # on integer rows; Scalar row reduction, c^-1 q products and the ten
+    # image products give the same facts
+    ranks, witnesses = set(), 0
+    for a in verdict_generators(rng):
+        analysis = GeneratorAnalysis.of(a)
+        h = hodograph_of(a)
+        assert h == hodograph_of_images(basis_images(a))
+        rows = [[c.coeff(k) for c in h.components()]
+                for k in range(h.sigma.degree() + 1)]
+        assert analysis.span_rank == exact_rank(rows)
+        ranks.add(analysis.span_rank)
+        reference = _reference_witness(a)
+        w = analysis.trivial
+        assert (w is None) == (reference is None)
+        if w is not None:
+            assert (w.left_factor, w.direction, w.direction_norm_sq) == reference
+            witnesses += 1
+        if analysis.coprime:
+            assert trivial_witness(a) == w
+            assert hodograph_span_rank(a) == analysis.span_rank
+    assert ranks == {1, 2, 3} and witnesses >= 20

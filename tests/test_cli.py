@@ -509,3 +509,41 @@ def test_frames_samples_bound(tmp_path, capsys):
         assert (code, out) == (3, "")
         assert err == f"error: --samples must be at most {MAX_SAMPLES}\n"
     assert not out_csv.exists()
+
+
+def _long_scalar_doc(tmp_path, digits):
+    # 1 + N xi j: trivial, with witness direction N j and squared norm N^2
+    path = tmp_path / f"digits{digits}.json"
+    path.write_text(json.dumps({"sqrt_base": 0, "kind": "quaternion",
+                                "coefficients": [["1", "0", "0", "0"],
+                                                 ["0", "0", "7" * digits, "0"]]}))
+    return str(path)
+
+
+def test_classify_digit_bound(tmp_path, capsys):
+    from rrmf.documents import MAX_DIGITS
+
+    code, out, err = run(capsys, "classify", _long_scalar_doc(tmp_path, MAX_DIGITS))
+    assert code == 0 and err == ""
+    witness = json.loads(out)["trivial_witness"]
+    assert witness["direction"] == ["0/1", "0/1", "7" * MAX_DIGITS + "/1", "0/1"]
+    assert witness["direction_norm_sq"] == f"{int('7' * MAX_DIGITS) ** 2}/1"
+    code, out, err = run(capsys, "classify", _long_scalar_doc(tmp_path, MAX_DIGITS + 1))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: scalar numbers have at most {MAX_DIGITS} digits")
+    spec = json.dumps({"a1": ["0", "0", "0", "1" * (MAX_DIGITS + 1)],
+                       "a2": ["0", "0", "1", "0"]})
+    code, out, err = run(capsys, "construct", "cubic", "--spec-json", spec)
+    assert code == 2 and f"at most {MAX_DIGITS} digits" in err
+    # an integer literal too long for Python to convert
+    code, out, err = run(capsys, "construct", "cubic", "--spec-json",
+                         '{"a1": [0, 0, 0, %s], "a2": [0, 0, 1, 0]}' % ("1" * 5000))
+    assert code == 2 and err.startswith("error: invalid JSON")
+
+
+def test_classify_rejects_scalar_whose_witness_cannot_be_printed(tmp_path, capsys):
+    # a valid-looking 3000-digit scalar once passed parsing, and printing
+    # the witness's 6000-digit squared norm then failed with exit 3
+    code, out, err = run(capsys, "classify", _long_scalar_doc(tmp_path, 3000))
+    assert (code, out) == (2, "")
+    assert "at most" in err and "digits" in err

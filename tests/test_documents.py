@@ -1,10 +1,12 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 from rrmf.catalog import quintic_right_cancellation
-from rrmf.documents import (MAX_DEGREE, DocumentError, document_for,
-                            document_to_dict, dumps_document, parse_document)
+from rrmf.documents import (MAX_DEGREE, MAX_DIGITS, DocumentError,
+                            document_for, document_to_dict, dumps_document,
+                            parse_document)
 from rrmf.polynomials import QuatPoly, RealPoly
 from rrmf.quaternions import Quaternion
 from rrmf.scalars import Scalar
@@ -111,3 +113,24 @@ def test_degree_bound():
         bad = {"sqrt_base": 0, "kind": "real", "coefficients": ["1"], "certificate": cert}
         with pytest.raises(DocumentError, match="certificate must be"):
             parse_document(json.dumps(bad))
+
+
+def test_digit_bound():
+    def doc(scalar, base=0, cert=("1",)):
+        return json.dumps({"sqrt_base": base, "kind": "quaternion",
+                           "coefficients": [["1", "0", "0", "0"], ["0", "0", scalar, "0"]],
+                           "certificate": {"a": list(cert), "b": ["0"]}})
+
+    n = "9" * MAX_DIGITS
+    at_bound = parse_document(doc(f"-{n}/{n[:-1]}8+{n}/7*sqrt(15)", base=15, cert=[n]))
+    assert at_bound.coefficients[1][2].a == Fraction(-int(n), int(n) - 1)
+    assert at_bound.certificate[0].coeff(0) == int(n)
+    over = "1" + "0" * MAX_DIGITS
+    for text in (doc(over), doc(f"1/{over}"), doc(f"1+{over}*sqrt(15)", base=15),
+                 doc(f"1+1/{over}*sqrt(15)", base=15), doc("1", cert=[over])):
+        with pytest.raises(DocumentError, match=f"at most {MAX_DIGITS} digits"):
+            parse_document(text)
+    # an integer literal too long for Python to convert is a parse error too
+    literal = '{"sqrt_base": 0, "kind": "real", "coefficients": [%s]}' % ("1" * 5000)
+    with pytest.raises(DocumentError, match="invalid JSON"):
+        parse_document(literal)

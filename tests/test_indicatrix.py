@@ -10,7 +10,8 @@ from rrmf.indicatrix import (IndicatrixPair, han_fraction,
 from rrmf.polynomials import QuatPoly, RealPoly, reduce_fraction
 from rrmf.quaternions import I, J, K, Quaternion
 
-from conftest import coprime_cpoly, coprime_qpoly, nonzero_qpoly
+from conftest import (coprime_cpoly, coprime_qpoly, nonzero_qpoly,
+                      verdict_generators)
 
 IXP1 = QuatPoly([Quaternion(1), I])  # i xi + 1
 
@@ -112,6 +113,31 @@ def test_rho_eta_footnote_identity(rng):
             == a.norm_poly() * (du * du + dv * dv + dp * dp + dq * dq)
         # so sigma divides rho exactly when it divides eta
         assert result.divisible == result.eta.divmod(a.norm_poly())[1].is_zero()
+
+
+def _rho_eta_products(a):
+    """rho and eta from the twenty component products of their definition."""
+    u, v, p, q = a.components()
+    du, dv, dp, dq = (u.derivative(), v.derivative(),
+                      p.derivative(), q.derivative())
+    r1 = u * dp - du * p + v * dq - dv * q
+    r2 = u * dq - du * q - v * dp + dv * p
+    e1 = u * du + v * dv + p * dp + q * dq
+    e2 = u * dv - du * v - p * dq + dp * q
+    return r1 * r1 + r2 * r2, e1 * e1 + e2 * e2
+
+
+def test_rho_eta_matches_product_formula(rng):
+    cases = verdict_generators(rng)
+    cases += [quintic_no_cancellation().generator, IXP1,
+              quintic_right_cancellation().generator]
+    verdicts = set()
+    for a in cases:
+        result = rho_eta(a)
+        assert (result.rho, result.eta) == _rho_eta_products(a)
+        assert result.divisible == result.rho.divmod(a.norm_poly())[1].is_zero()
+        verdicts.add(result.divisible)
+    assert verdicts == {True, False}
 
 
 def test_product_residual(rng):

@@ -5,14 +5,16 @@ import pytest
 from rrmf.catalog import (quintic_left_cancellation, quintic_no_cancellation,
                           quintic_right_cancellation)
 from rrmf.indicatrix import han_numerator
+from rrmf.linalg import exact_rank
 from rrmf.polynomials import (ComplexPoly, InexactDivision, QuatPoly,
                               RationalFunction, RealPoly, exact_divide,
-                              gcd_complex, gcd_real, reduce_fraction)
+                              gcd_complex, gcd_real, reduce_fraction,
+                              vector_part_rank, vector_rank)
 from rrmf.quaternions import I, J, K, Quaternion
 from rrmf.scalars import ComplexScalar, Scalar, SurdBaseMismatch
 
-from conftest import (coprime_cpoly, nonzero_qpoly, rand_cpoly, rand_qpoly,
-                      rand_rpoly, rand_scalar)
+from conftest import (coprime_cpoly, nonzero_qpoly, nonzero_quat, rand_cpoly,
+                      rand_qpoly, rand_rpoly, rand_scalar)
 
 XI_PLUS_I = ComplexPoly.from_parts(RealPoly([0, 1]), RealPoly([1]))
 XI_MINUS_I = ComplexPoly.from_parts(RealPoly([0, 1]), RealPoly([-1]))
@@ -250,6 +252,44 @@ def test_mixed_surd_bases_raise_in_the_kernel():
                 gcd(x, y)
             with pytest.raises(SurdBaseMismatch):
                 gcd(RealPoly([1, 1]), x, y)
+
+
+def _columns(vectors):
+    return [RealPoly([v[w] for v in vectors]) for w in range(3)]
+
+
+def test_vector_ranks_match_row_reduction(rng):
+    s = Scalar(0, 1, 15)
+    examples = [
+        ([], 0),
+        ([(0, 0, 0), (0, 0, 0)], 0),
+        ([(1, 0, 3), (0, 0, 0), (2, 0, 6)], 1),
+        # (s, 1, 0) and (15, s, 0) are parallel because s s = 15
+        ([(s, 1, 0), (15, s, 0)], 1),
+        ([(s, 1, 0), (15, s + 1, 0)], 2),
+        ([(1, 0, s), (0, 1, 1), (s, 1, 16)], 2),
+        ([(1, 0, s), (0, 1, 1), (s, 1, 15)], 3),
+        ([(0, 0, 0), (Fraction(1, 3), 0, 0), (0, Fraction(2, 5), 0), (1, 1, 1)], 3),
+    ]
+    for vectors, rank in examples:
+        assert vector_rank(*_columns(vectors)) == rank
+    ranks = set()
+    for base in (0, 15) * 15:
+        spanning = [[rand_scalar(rng, base) for _ in range(3)]
+                    for _ in range(rng.randint(1, 3))]
+        vectors = []
+        for _ in range(rng.randint(0, 5)):
+            weights = [rand_scalar(rng, base) for _ in spanning]
+            vectors.append([sum((w * x[i] for w, x in zip(weights, spanning)), Scalar(0))
+                            for i in range(3)])
+        rank = vector_rank(*_columns(vectors))
+        assert rank == (exact_rank(vectors) if vectors else 0)
+        ranks.add(rank)
+        a = QuatPoly([Quaternion(rand_scalar(rng, base), *v) for v in vectors])
+        c = nonzero_quat(rng, base)
+        parts = [(c * q).vector_part().components()[1:] for q in a.coeffs]
+        assert vector_part_rank(a, c) == (exact_rank(parts) if parts else 0)
+    assert ranks == {0, 1, 2, 3}
 
 
 def test_reduce_fraction_examples():
