@@ -29,9 +29,10 @@ from typing import Optional
 
 from .hodograph import (CoreDecomposition, Hodograph, core_of,
                         has_coprime_components, hodograph_of)
-from .indicatrix import inner_product_poly, rho_eta, verify_han
+from .indicatrix import (inner_product_poly, require_certificate, rho_eta,
+                         verify_han)
 from .polynomials import (ComplexPoly, QuatPoly, RationalFunction, RealPoly,
-                          exact_divide, gcd_complex, gcd_real, reduce_fraction,
+                          exact_divide, gcd_complex, reduce_fraction,
                           vector_part_rank, vector_rank)
 from .quaternions import Quaternion
 from .scalars import ComplexScalar, Scalar
@@ -239,20 +240,14 @@ def cancel_indicatrix(a: QuatPoly, gamma: ComplexPoly) -> ReducedForm:
     The real content of A*conj(gamma) is exactly |gcd(A, gamma)|^2, so
     the division is always exact; a remainder signals corrupted inputs.
     The returned polynomial has vanishing indicatrix exactly when A and
-    gamma share their indicatrix.
+    gamma share their indicatrix, that is when verify_han accepts the
+    parts of gamma.
     """
-    return _cancel(_require_nonzero_coprime(a, "indicatrix cancellation"),
-                   ComplexPoly.of(gamma))
-
-
-def _cancel(analysis: GeneratorAnalysis, gamma: ComplexPoly) -> ReducedForm:
-    if gamma.is_zero():
-        raise ValueError("certificate (0, 0) is not allowed")
-    if gcd_real(*gamma.real_parts()).degree() != 0:
-        raise ValueError("certificate polynomial must have coprime components")
-    weight = gcd_with_complex(analysis.poly, gamma).norm_sq()
-    product = analysis.poly * gamma.conjugate().as_quat()
-    reduced = exact_divide(product, weight.as_quat())
+    a = _require_nonzero_coprime(a, "indicatrix cancellation").poly
+    gamma = ComplexPoly.of(gamma)
+    require_certificate(*gamma.real_parts())
+    weight = gcd_with_complex(a, gamma).norm_sq()
+    reduced = exact_divide(a * gamma.conjugate().as_quat(), weight.as_quat())
     return ReducedForm(reduced, has_vanishing_indicatrix(reduced))
 
 
@@ -268,51 +263,43 @@ class Membership:
 
     status: MembershipStatus
     method: str
-    gamma: Optional[ComplexPoly] = None
-    reduced: Optional[QuatPoly] = None
     certificate: Optional[tuple[RealPoly, RealPoly]] = None
 
 
 def rrmf_membership(a: QuatPoly, gamma: ComplexPoly | None = None, *,
                     search_degree: int | None = None,
-                    search_budget: float = 10.0,
-                    seed: int | None = None) -> Membership:
+                    search_budget: float = 10.0) -> Membership:
     """Three-valued verdict: proven / certificate-rejected / unknown.
 
-    With a certificate the reduction test decides membership of that
-    particular class.  Without one, a vanishing indicatrix or the
-    equal-degree divisibility criterion prove membership; optionally
-    search_certificate constructs a certificate of degree at most
-    search_degree.  A false "not a member" is never returned.
+    With a certificate gamma = a + bi, Han's identity decides membership
+    of that particular class (verify_han).  Without one, a vanishing
+    indicatrix or the equal-degree divisibility criterion prove
+    membership; optionally search_certificate constructs a certificate
+    of degree at most search_degree.  A false "not a member" is never
+    returned.
     """
     analysis = _require_nonzero_coprime(a, "membership test")
-    if gamma is not None:
-        gamma = ComplexPoly.of(gamma)
-    return _membership(analysis, gamma, search_degree, search_budget)
+    certificate = None if gamma is None else ComplexPoly.of(gamma).real_parts()
+    return _membership(analysis, certificate, search_degree, search_budget)
 
 
-def _membership(analysis: GeneratorAnalysis, gamma: ComplexPoly | None,
+def _membership(analysis: GeneratorAnalysis,
+                certificate: tuple[RealPoly, RealPoly] | None,
                 search_degree: int | None, search_budget: float) -> Membership:
     # rrmf_membership for a generator with coprime components
-    if gamma is not None:
-        red = _cancel(analysis, gamma)
-        if red.vanishing:
-            return Membership(MembershipStatus.PROVEN, "certificate",
-                              gamma, red.result, gamma.real_parts())
-        return Membership(MembershipStatus.CERTIFICATE_REJECTED, "certificate",
-                          gamma, red.result)
+    if certificate is not None:
+        if verify_han(analysis, *certificate):
+            return Membership(MembershipStatus.PROVEN, "certificate", certificate)
+        return Membership(MembershipStatus.CERTIFICATE_REJECTED, "certificate")
     if analysis.in_f0:
-        one = ComplexPoly.of(1)
         return Membership(MembershipStatus.PROVEN, "vanishing-indicatrix",
-                          one, analysis.poly, (RealPoly([1]), RealPoly()))
+                          (RealPoly([1]), RealPoly()))
     if rho_eta(analysis.poly).divisible:
         return Membership(MembershipStatus.PROVEN, "equal-degree-criterion")
     if search_degree is not None:
         found = _search(analysis, search_degree, search_budget)
         if found is not None:
-            gamma = ComplexPoly.from_parts(*found)
-            return Membership(MembershipStatus.PROVEN, "search", gamma,
-                              _cancel(analysis, gamma).result, found)
+            return Membership(MembershipStatus.PROVEN, "search", found)
     return Membership(MembershipStatus.UNKNOWN, "exhausted")
 
 
@@ -406,16 +393,14 @@ class Classification:
 
 def classify(a: QuatPoly, certificate: tuple[RealPoly, RealPoly] | None = None,
              *, search_degree: int | None = None,
-             search_budget: float = 10.0, seed: int | None = None
-             ) -> Classification:
+             search_budget: float = 10.0) -> Classification:
     """Aggregate all verdicts for one generator, certificate optional."""
     analysis = GeneratorAnalysis.of(a, "classification of the zero polynomial")
     notes = ["regularity over the reals (sigma having no real roots) not checked"]
     if certificate is not None:
         certificate = (RealPoly.of(certificate[0]), RealPoly.of(certificate[1]))
     if analysis.coprime:
-        gamma = None if certificate is None else ComplexPoly.from_parts(*certificate)
-        membership = _membership(analysis, gamma, search_degree, search_budget)
+        membership = _membership(analysis, certificate, search_degree, search_budget)
         trivial = analysis.trivial
     else:
         membership = Membership(MembershipStatus.UNKNOWN, "components-not-coprime")

@@ -119,7 +119,7 @@ def cmd_classify(args) -> int:
     poly = QuatPoly.of(doc.to_poly())
     result = classify(poly, certificate=doc.certificate,
                       search_degree=args.search_degree,
-                      search_budget=args.budget, seed=args.seed)
+                      search_budget=args.budget)
     print(json.dumps(classification_to_dict(result), indent=2))
     return EXIT_OK
 

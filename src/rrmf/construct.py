@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .classify import (cancel_indicatrix, has_vanishing_indicatrix,
-                       trivial_witness)
+from .classify import has_vanishing_indicatrix
 from .hodograph import core_of, has_coprime_components
 from .linalg import exact_rank, min_norm_solution
 from .polynomials import ComplexPoly, QuatPoly, exact_divide, gcd_complex, gcd_real
@@ -101,7 +100,6 @@ def make_cubic(spec: CubicSpec) -> QuatPoly:
     poly = QuatPoly([Quaternion(1), a1, a2, a3]).left_scale(c)
     if not has_coprime_components(poly):
         raise ConstructionError("components of the result are not coprime")
-    assert has_vanishing_indicatrix(poly) and trivial_witness(poly) is None
     return poly
 
 
@@ -122,7 +120,6 @@ def make_cubic_monic(a1: Quaternion, a2: Quaternion,
     poly = QuatPoly([a0, a1, a2, Quaternion(1)])
     if not has_coprime_components(poly):
         raise ConstructionError("components of the result are not coprime")
-    assert has_vanishing_indicatrix(poly) and trivial_witness(poly) is None
     return poly
 
 
@@ -181,10 +178,7 @@ def make_quartic(spec: QuarticSpec) -> QuarticResult:
         raise ConstructionError("components of the result are not coprime")
     cond1 = _jk_rank(a1, a2) == 2
     cond2 = _jk_rank(a1, a2) == 1 and _jk_rank(a1, a2, a3) == 2
-    assert has_vanishing_indicatrix(poly)
-    result = QuarticResult(poly, cond1 or cond2, family_dim)
-    assert (trivial_witness(poly) is None) == result.non_trivial
-    return result
+    return QuarticResult(poly, cond1 or cond2, family_dim)
 
 
 def make_spatial_family(n: int) -> QuatPoly:
@@ -231,5 +225,4 @@ def make_f_element(b0: QuatPoly, delta: ComplexPoly) -> FElement:
     nre, nim = nu.real_parts()
     if gcd_real(nre, nim).degree() != 0:
         raise ConstructionError("degenerate certificate")
-    assert cancel_indicatrix(poly, nu).vanishing
     return FElement(poly, nu)

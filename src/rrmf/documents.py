@@ -32,10 +32,10 @@ generator takes under a second (README, "Polynomial documents")."""
 
 MAX_DIGITS = 1000
 """Most digits, as written, in one number (numerator or denominator) of
-a scalar.  Python prints no integer of more than 4300 digits, and
-outputs outgrow their inputs: at this bound the trivial witness of
-1 + N xi j, with N^2 as its squared norm, still prints (README,
-"Polynomial documents")."""
+a scalar (README, "Polynomial documents").  Outputs outgrow their
+inputs and are printed in full, also beyond Python's 4300-digit limit
+for converting an int, which load_json keeps for JSON integer
+literals."""
 
 _LONG_NUMBER = re.compile(r"\d{%d}" % (MAX_DIGITS + 1))
 

@@ -139,7 +139,8 @@ def core_of(a: QuatPoly) -> CoreDecomposition:
         raise ValueError("core of the zero polynomial")
     alpha, beta = a.complex_split()
     chi = gcd_complex(alpha, beta.conjugate())
-    core = exact_divide(a, chi.as_quat())
+    # chi is monic: of degree 0 it is 1, and A is its own core
+    core = a if chi.degree() == 0 else exact_divide(a, chi.as_quat())
     return CoreDecomposition(core, chi)
 
 

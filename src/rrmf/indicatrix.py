@@ -89,6 +89,17 @@ def omega1(a: QuatPoly) -> RationalFunction:
     return reduce_fraction(han_numerator(a).scale(2), a.norm_poly())
 
 
+def require_certificate(a: RealPoly, b: RealPoly) -> tuple[RealPoly, RealPoly]:
+    """The certificate (a, b) as real polynomials; raises ValueError
+    unless they are nonzero and coprime."""
+    a, b = RealPoly.of(a), RealPoly.of(b)
+    if a.is_zero() and b.is_zero():
+        raise ValueError("certificate (0, 0) is not allowed")
+    if gcd_real(a, b).degree() != 0:
+        raise ValueError("certificate polynomials must be coprime")
+    return a, b
+
+
 def verify_han(a_poly, a: RealPoly, b: RealPoly) -> bool:
     """Exact cross-multiplied test of Han's condition for certificate (a, b).
 
@@ -104,11 +115,7 @@ def verify_han(a_poly, a: RealPoly, b: RealPoly) -> bool:
     if not isinstance(analysis, GeneratorAnalysis):
         analysis = GeneratorAnalysis.of(
             a_poly, "certificate check against the zero polynomial")
-    a, b = RealPoly.of(a), RealPoly.of(b)
-    if a.is_zero() and b.is_zero():
-        raise ValueError("certificate (0, 0) is not allowed")
-    if gcd_real(a, b).degree() != 0:
-        raise ValueError("certificate polynomials must be coprime")
+    a, b = require_certificate(a, b)
     if not analysis.coprime:
         raise ValueError("generator components must be coprime")
     lhs = (a * b.derivative() - a.derivative() * b) * analysis.sigma

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import re
+from decimal import Decimal
 from fractions import Fraction
 from typing import Union
 
@@ -246,14 +247,20 @@ def _unchecked(a: Fraction, b: Fraction, d: int) -> Scalar:
     return s
 
 
+def _ratio(q: Fraction) -> str:
+    # Decimal converts an int of any length, where str() stops at the
+    # interpreter's int-string limit (4300 digits by default); the limit
+    # itself stays in force for parsing
+    return f"{Decimal(q.numerator)}/{Decimal(q.denominator)}"
+
+
 def format_scalar(s: Scalar) -> str:
     """Canonical text form: "a/b" or "a/b+c/e*sqrt(d)" (ASCII, no spaces)."""
-    a = f"{s.a.numerator}/{s.a.denominator}"
+    a = _ratio(s.a)
     if s.b == 0:
         return a
     sign = "+" if s.b > 0 else "-"
-    c = abs(s.b)
-    return f"{a}{sign}{c.numerator}/{c.denominator}*sqrt({s.d})"
+    return f"{a}{sign}{_ratio(abs(s.b))}*sqrt({s.d})"
 
 
 _RAT = r"[+-]?\d+(?:/\d+)?"

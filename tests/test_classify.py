@@ -220,7 +220,7 @@ def test_membership_verdicts():
 
 
 def test_membership_never_claims_nonmembership():
-    m = rrmf_membership(UNKNOWN_FIXTURE, search_degree=1, search_budget=2.0, seed=1)
+    m = rrmf_membership(UNKNOWN_FIXTURE, search_degree=1, search_budget=2.0)
     assert m.status is MembershipStatus.UNKNOWN  # absence of proof only
 
 
@@ -321,6 +321,7 @@ CONSTRUCTION_DELTAS = {
                          ids=["cubic", "quartic-sparse", "quartic-dense", "family3"])
 def test_search_constructs_certificate_of_f_element(core, delta):
     element = make_f_element(core, delta)
+    assert cancel_indicatrix(element.poly, element.certificate).vanishing
     found = search_certificate(element.poly, delta.degree(), budget_seconds=10.0)
     # the real part of delta.monic() is monic of top degree: already normalised
     assert found == delta.monic().real_parts()
@@ -425,6 +426,9 @@ def test_verify_han_agrees_with_reduction(rng):
             continue
         vanishing = cancel_indicatrix(a, gamma).vanishing
         assert verify_han(a, ga, gb) == vanishing
+        # classify decides a supplied certificate by verify_han
+        status = classify(a, certificate=(ga, gb)).membership.status
+        assert (status is MembershipStatus.PROVEN) == vanishing
         accepted.add(vanishing)
     assert accepted == {True, False}
 

@@ -472,12 +472,16 @@ def test_zero_certificate_rejected(tmp_path, capsys):
     ex1 = quintic_left_cancellation()
     path = write_doc(tmp_path, "zero.json", ex1.generator)
     doc = json.loads(Path(path).read_text())
-    doc["certificate"] = {"a": [], "b": []}
-    Path(path).write_text(json.dumps(doc))
-    for verb in ("classify", "reduce"):
-        code, out, err = run(capsys, verb, path)
-        assert (code, out) == (3, ""), verb
-        assert err == "error: certificate (0, 0) is not allowed\n", verb
+    # zero, then sharing the factor xi - 2
+    cases = (({"a": [], "b": []}, "certificate (0, 0) is not allowed"),
+             ({"a": ["-2", "1"], "b": ["-4", "2"]}, "certificate polynomials must be coprime"))
+    for certificate, message in cases:
+        doc["certificate"] = certificate
+        Path(path).write_text(json.dumps(doc))
+        for verb in ("classify", "reduce", "verify-han"):
+            code, out, err = run(capsys, verb, path)
+            assert (code, out) == (3, ""), verb
+            assert err == f"error: {message}\n", verb
 
 
 def test_classify_degree_bound(tmp_path, capsys):
@@ -547,3 +551,32 @@ def test_classify_rejects_scalar_whose_witness_cannot_be_printed(tmp_path, capsy
     code, out, err = run(capsys, "classify", _long_scalar_doc(tmp_path, 3000))
     assert (code, out) == (2, "")
     assert "at most" in err and "digits" in err
+
+
+def test_classify_prints_numbers_beyond_the_int_string_limit(tmp_path, capsys):
+    # over Q(sqrt 15) the witness of 1 + q xi with q = (0, 0, y, z) has the
+    # squared norm y^2 + z^2, whose numbers outgrow Python's 4300-digit
+    # limit for printing an int; the limit still holds for parsing
+    import random
+    import re
+    from decimal import Decimal
+    from fractions import Fraction
+
+    from rrmf.documents import MAX_DIGITS
+    from rrmf.scalars import parse_scalar
+
+    rng = random.Random(MAX_DIGITS)
+    numbers = [str(rng.randrange(10 ** (MAX_DIGITS - 1), 10 ** MAX_DIGITS)) for _ in range(8)]
+    y, z = (f"{n[0]}/{n[1]}+{n[2]}/{n[3]}*sqrt(15)" for n in (numbers[:4], numbers[4:]))
+    path = tmp_path / "long-norm.json"
+    path.write_text(json.dumps({"sqrt_base": 15, "kind": "quaternion",
+                                "coefficients": [["1", "0", "0", "0"], ["0", "0", y, z]]}))
+    code, out, err = run(capsys, "classify", str(path))
+    assert (code, err) == (0, "")
+    printed = json.loads(out)["trivial_witness"]["direction_norm_sq"]
+    parts = re.fullmatch(r"(\d+)/(\d+)\+(\d+)/(\d+)\*sqrt\(15\)", printed).groups()
+    num, den, c_num, c_den = (int(Decimal(p)) for p in parts)
+    assert num > 10 ** 4300
+    y, z = parse_scalar(y, 15), parse_scalar(z, 15)
+    norm_sq = y * y + z * z
+    assert (Fraction(num, den), Fraction(c_num, c_den)) == (norm_sq.a, norm_sq.b)

@@ -5,9 +5,9 @@ import pytest
 
 from rrmf.catalog import (nontrivial_cubic, nontrivial_quartic_dense,
                           nontrivial_quartic_sparse, quintic_left_cancellation)
-from rrmf.classify import (MembershipStatus, has_vanishing_indicatrix,
-                           indicatrix_coefficients, rrmf_membership,
-                           trivial_witness)
+from rrmf.classify import (MembershipStatus, cancel_indicatrix,
+                           has_vanishing_indicatrix, indicatrix_coefficients,
+                           rrmf_membership, trivial_witness)
 from rrmf.construct import (ConstructionError, CubicSpec, QuarticSpec,
                             make_cubic, make_cubic_monic, make_f_element,
                             make_quartic, make_spatial_family, make_trivial)
@@ -20,6 +20,13 @@ from rrmf.scalars import Scalar
 from conftest import nonzero_quat
 
 XI_PLUS_I = ComplexPoly.from_parts(RealPoly([0, 1]), RealPoly([1]))
+
+
+def assert_certified(element):
+    """The certificate of an f-element cancels its indicatrix and proves it."""
+    assert cancel_indicatrix(element.poly, element.certificate).vanishing
+    m = rrmf_membership(element.poly, element.certificate)
+    assert m.status is MembershipStatus.PROVEN
 
 
 def rand_jk(rng):
@@ -54,19 +61,21 @@ def test_make_cubic_reproduces_catalog():
 
 
 def test_make_cubic_random_specs(rng):
+    # the generic cubic and its monic mirror on the same A1, A2
     built = 0
     while built < 30:
         a1, a2 = rand_jk(rng), rand_jk(rng)
         s3 = Scalar(rng.randint(-2, 2))
         c = nonzero_quat(rng)
         try:
-            poly = make_cubic(CubicSpec(a1, a2, s3, c))
+            polys = (make_cubic(CubicSpec(a1, a2, s3, c)), make_cubic_monic(a1, a2, s3))
         except ConstructionError:
             continue
         built += 1
-        assert indicatrix_coefficients(poly).all_zero()
-        assert has_vanishing_indicatrix(poly)
-        assert trivial_witness(poly) is None
+        for poly in polys:
+            assert indicatrix_coefficients(poly).all_zero()
+            assert has_vanishing_indicatrix(poly)
+            assert trivial_witness(poly) is None
 
 
 def test_make_cubic_errors():
@@ -139,12 +148,12 @@ def test_make_f_element_primitive_base():
     element = make_f_element(cubic, ComplexPoly.of(1))
     assert element.poly == cubic
     assert element.certificate == ComplexPoly.of(1)
+    assert_certified(element)
 
     element = make_f_element(cubic, XI_PLUS_I)
     assert element.poly == cubic * XI_PLUS_I.as_quat()
     assert element.certificate == XI_PLUS_I
-    m = rrmf_membership(element.poly, element.certificate)
-    assert m.status is MembershipStatus.PROVEN
+    assert_certified(element)
 
 
 def test_make_f_element_exercises_gcd_weight():
@@ -160,14 +169,12 @@ def test_make_f_element_exercises_gcd_weight():
     delta = XI_PLUS_I
     element = make_f_element(b0, delta)
     assert element.poly == ex1 * delta.as_quat()
-    m = rrmf_membership(element.poly, element.certificate)
-    assert m.status is MembershipStatus.PROVEN
+    assert_certified(element)
 
     # delta sharing a factor with mu exercises the gcd weight
     element = make_f_element(b0, mu.monic())
     assert element.certificate.degree() == 0
-    m = rrmf_membership(element.poly, element.certificate)
-    assert m.status is MembershipStatus.PROVEN
+    assert_certified(element)
 
 
 def test_make_f_element_requires_vanishing_base():
