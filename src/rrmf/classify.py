@@ -102,8 +102,9 @@ class GeneratorAnalysis:
     @cached_property
     def trivial(self) -> Optional[TrivialWitness]:
         """The witness of trivial_witness; meaningful for coprime components."""
-        coeffs = self.poly.coeffs
-        k, c = next((k, q) for k, q in enumerate(coeffs) if not q.is_zero())
+        # an iterator: coefficients are built only as far as c and the direction
+        coeffs = map(self.poly.coeff, range(self.poly.degree() + 1))
+        c = next(q for q in coeffs if q)
         # conj(c) A = |c|^2 c^-1 A with |c|^2 > 0: the vector parts of its
         # coefficients are parallel, and orthogonal to i, exactly when
         # those of c^-1 A are
@@ -114,7 +115,7 @@ class GeneratorAnalysis:
         if rank > 1:
             return None
         c_inv = c.inverse()
-        vectors = ((c_inv * q).vector_part() for q in coeffs[k + 1:] if q)
+        vectors = ((c_inv * q).vector_part() for q in coeffs if q)
         direction = next(v for v in vectors if v)
         if not direction.x.is_zero():
             return None
@@ -403,6 +404,8 @@ def classify(a: QuatPoly, certificate: tuple[RealPoly, RealPoly] | None = None,
         membership = _membership(analysis, certificate, search_degree, search_budget)
         trivial = analysis.trivial
     else:
+        if certificate is not None:
+            require_certificate(*certificate)
         membership = Membership(MembershipStatus.UNKNOWN, "components-not-coprime")
         trivial = None
         notes.append("components share a real factor; membership tests skipped")

@@ -141,13 +141,6 @@ def _check_degree(what: str, rows: list) -> None:
             f"got {len(rows)}")
 
 
-def _poly_base(coefficients) -> int:
-    bases = {s.d for row in coefficients for s in row if s.d != 0}
-    if len(bases) > 1:
-        raise DocumentError(f"mixed surd bases {sorted(bases)} in one document")
-    return bases.pop() if bases else 0
-
-
 def document_for(poly, certificate: Optional[tuple[RealPoly, RealPoly]] = None,
                  metadata: Optional[dict] = None) -> PolyDocument:
     """Build a document from a polynomial of any kind."""
@@ -161,11 +154,11 @@ def document_for(poly, certificate: Optional[tuple[RealPoly, RealPoly]] = None,
         raise DocumentError(f"cannot serialize {type(poly).__name__}")
     if not rows:
         rows = [(Scalar(0),) * _WIDTH[kind]]
-    all_rows = list(rows)
-    if certificate is not None:
-        all_rows += [(c,) for c in certificate[0].coeffs]
-        all_rows += [(c,) for c in certificate[1].coeffs]
-    base = _poly_base(all_rows)
+    # each polynomial stores one base, 0 when it has no sqrt(d) part
+    bases = {p.d for p in (poly, *(certificate or ())) if p.d}
+    if len(bases) > 1:
+        raise DocumentError(f"mixed surd bases {sorted(bases)} in one document")
+    base = bases.pop() if bases else 0
     return PolyDocument(base, kind, tuple(rows), certificate, metadata or {})
 
 

@@ -1,37 +1,34 @@
 """Univariate polynomials over the exact scalar field.
 
-One dense core, ``_DensePoly``, stores a polynomial as the tuple of its
-coefficients in ascending order with no trailing zeros, so the zero
-polynomial is the empty tuple and ``degree() == -1`` for it.  The three
-kinds ``RealPoly``, ``ComplexPoly`` and ``QuatPoly`` name their
-coefficient ring, the constants they accept and the smaller kinds they
-lift from (Real -> Complex -> Quat), and add only what is particular to
-their ring.
+One dense core, ``_DensePoly``, stores every polynomial as integer rows
+over one positive denominator and a surd base d.  A coefficient is a
+vector of integer coordinates, the rational and sqrt(d) parts of each
+real component (one component for real, re/im for complex, four for
+quaternion coefficients); the rows hold them in ascending degree.  The
+form is canonical: rows trimmed (the zero polynomial has empty rows and
+``degree() == -1``), the gcd of the denominator and every integer 1,
+and base 0 when no sqrt(d) row is nonzero, so ``==`` and ``hash``
+compare the stored triple.  Coefficients are converted only at the
+edges: the constructor from coefficients turns them into rows, which
+raises SurdBaseMismatch for two different surd bases, and ``coeffs``,
+``coeff``, ``leading``, ``evaluate`` and the text forms build Scalars on
+access.  The kinds ``RealPoly``, ``ComplexPoly`` and ``QuatPoly`` name
+their coefficient ring, the constants they accept and the smaller kinds
+they lift from (Real -> Complex -> Quat).
 
-Products, division and gcds run in one fraction-free integer kernel.
-At entry each operand becomes integer rows over one positive common
-denominator: the rational and sqrt(d) parts of each real component (one
-component for real, re/im for complex, the four components for
-quaternion coefficients).  The ring's structure constants (the Hamilton
-table for quaternions) act on those rows in operand order, so the same
-code multiplies in the commutative rings and the quaternions, and
+Every operation reads the stored rows.  Sums, derivatives, conjugates,
+splits into and joins of components are row slicing or stacking over
+one lcm of denominators.  Products, division and gcds run in one
+fraction-free integer kernel: the ring's structure constants (the
+Hamilton table for quaternions) act on the rows in operand order, so
 ``divmod`` of quaternion polynomials is right division.  Division is
 pseudo-division scaled by the integer norm of the divisor's leading
 coefficient; the gcd of real or complex polynomials is the subresultant
-remainder sequence over Z, Z[sqrt d], Z[i] or Z[sqrt d][i], whose
-divisions are exact in the ring.  Every output coefficient is built
-once, by one Fraction normalisation of an integer over the result's
-denominator.  The outputs are canonical whatever the integer route: a
-product or a quotient and remainder is a unique field element per
-coefficient, and gcds are made monic in the field, so they equal the
-Euclidean results of the field arithmetic exactly.  The rank of the
-coefficient vectors of three real polynomials, or of the vector parts
-of a quaternion polynomial's coefficients, is decided on the same
-integer rows by cross and triple products.
-
-Real and complex polynomials form Euclidean domains with monic gcds.
-Reduced ratios of real polynomials (monic denominator, coprime parts)
-provide the canonical form for every rational function in the package.
+remainder sequence over Z, Z[sqrt d], Z[i] or Z[sqrt d][i], made monic
+in the field.  The rank of the vector parts of a quaternion
+polynomial's coefficients is decided on the same rows by cross and
+triple products.  Reduced ratios of real polynomials (monic
+denominator, coprime parts) are the canonical rational functions.
 """
 
 from __future__ import annotations
@@ -50,18 +47,13 @@ class InexactDivision(ArithmeticError):
     """Division that was required to be exact left a remainder."""
 
 
-def _trim(coeffs: list) -> tuple:
-    while coeffs and coeffs[-1].is_zero():
-        coeffs.pop()
-    return tuple(coeffs)
-
-
 # -- the integer kernel ----------------------------------------------------
 #
 # A coefficient is a vector of m integer coordinates: part s (0 rational,
 # 1 sqrt(d)) of real component w sits at w*P + s, with P = 2 over a surd
-# base d and P = 1 over Q.  A polynomial is the list of its m coordinate
-# rows, each a list of ints in ascending degree, over one denominator.
+# base d and P = 1 over Q.  A polynomial is its m coordinate rows of ints
+# in ascending degree over one denominator: tuples as stored, lists while
+# the kernel rewrites them.
 
 # e_i e_j = sign e_k on the component basis of each coefficient ring
 _REAL = ((0, 0, 0, 1),)
@@ -144,51 +136,34 @@ class _Algebra:
                 out[k] = [a + f * v for a, v in zip(out[k], rows[j])]
         return out
 
-    def rows(self, p: "_DensePoly") -> tuple[list, int]:
-        """p's coordinate rows over one positive common denominator."""
-        fracs = []
-        for col in zip(*map(p.split, p.coeffs)):
-            fracs.append([s.a for s in col])
-            if self.parts == 2:
-                fracs.append([s.b for s in col])
-        den = math.lcm(*[f.denominator for row in fracs for f in row])
-        if den == 1:
-            return [[f.numerator for f in row] for row in fracs], 1
-        return [[f.numerator * (den // f.denominator) for f in row]
-                for row in fracs], den
-
-    def poly(self, cls, rows: list, den: int):
-        """The polynomial of kind cls with coordinates rows / den, den > 0."""
-        rows = _trim_rows(rows)
-        if den == 1:
-            fracs = [[Fraction(v) for v in row] for row in rows]
-        else:
-            fracs = [[Fraction(v, den) if v else _F0 for v in row] for row in rows]
-        if self.parts == 1:
-            comps = [[_unchecked(a, _F0, 0) for a in row] for row in fracs]
-        else:
-            d = self.d
-            comps = [[_unchecked(a, b, d) for a, b in zip(fracs[w], fracs[w + 1])]
-                     for w in range(0, self.m, 2)]
-        return cls._make(tuple(map(cls.join, zip(*comps))))
-
 
 @lru_cache(maxsize=64)
 def _algebra(table: tuple, d: int) -> _Algebra:
     return _Algebra(table, d)
 
 
-def _kernel(*polys: "_DensePoly") -> _Algebra:
-    """The algebra of the polynomials' kind over their common surd base;
-    raises SurdBaseMismatch for two different bases."""
+def _base(polys) -> int:
+    """The common surd base of polynomials or scalars, or SurdBaseMismatch."""
     d = 0
     for p in polys:
-        split = p.split
-        for c in p.coeffs:
-            for s in split(c):
-                if s.d and s.d != d:
-                    d = _merge_bases(d, s.d)
-    return _algebra(polys[0].table, d)
+        if p.d and p.d != d:
+            d = _merge_bases(d, p.d)
+    return d
+
+
+def _kernel(*polys: "_DensePoly") -> _Algebra:
+    """The algebra of the polynomials' kind over their common surd base."""
+    return _algebra(polys[0].table, _base(polys))
+
+
+def _stack(polys) -> tuple:
+    """(d, den, rows): the common base, the lcm of the denominators, and
+    per polynomial its rows over both, padded to one length."""
+    d = _base(polys)
+    den = math.lcm(*(p.den for p in polys))
+    n = max(len(p.rows[0]) for p in polys)
+    return d, den, [[[v * (den // p.den) for v in row] + [0] * (n - len(row))
+                     for row in p._rows_over(d)] for p in polys]
 
 
 def _add_product(out: list, a: list, b: list, c: int) -> None:
@@ -222,6 +197,18 @@ def _trim_rows(rows: list) -> list:
     return [row[:n] for row in rows]
 
 
+def _canonical(d: int, rows: list, den: int) -> tuple:
+    """(d, rows, den) in the stored form, for a positive den: rows trimmed
+    into tuples, gcd(den, every integer) = 1, base 0 without sqrt(d) part."""
+    rows = _trim_rows(rows)
+    if d and not any(map(any, rows[1::2])):
+        d, rows = 0, rows[::2]
+    g = math.gcd(den, *[v for row in rows for v in row])
+    if g != 1:
+        rows = [[v // g for v in row] for row in rows]
+    return d, tuple(map(tuple, rows)), den // g
+
+
 def _content_free(rows: list) -> list:
     """The rows divided by the gcd of all their integers."""
     g = math.gcd(*[v for row in rows for v in row])
@@ -243,7 +230,7 @@ def _pseudo_divide(alg: _Algebra, r: list, b: list, mult: tuple, scale: tuple,
     q = [[0] * max(0, len(r[0]) - nb + 1) for _ in range(alg.m)] if quotient else None
     for top in range(len(r[0]) - 1, nb - 2, -1):
         c = tuple(row[top] for row in r)
-        r = [row[:top] for row in r]
+        r = [list(row[:top]) for row in r]
         if mult != alg.one:
             r = alg.left_scale(mult, r)
             if quotient:
@@ -332,25 +319,57 @@ def _term_str(c, k: int) -> str:
 class _DensePoly:
     """Immutable dense polynomial over the coefficient ring ``ring``.
 
-    A subclass sets ``ring`` and its ``zero_coeff``, the ``constants``
-    it accepts as degree-0 polynomials, the polynomial kinds it
-    ``lifts`` coefficientwise into its ring, and for the integer kernel
-    the ring's multiplication ``table``, how to ``split`` a coefficient
-    into its real components and how to ``join`` them back.
+    Stored as its surd base ``d``, integer coordinate ``rows`` and one
+    positive denominator ``den``, in the canonical form of the module
+    docstring.  A subclass sets ``ring`` and its ``zero_coeff``, the
+    ``constants`` it accepts as degree-0 polynomials, the polynomial
+    kinds it ``lifts`` coefficientwise into its ring, and for the integer
+    kernel the ring's multiplication ``table``, how to ``split`` a
+    coefficient into its real components and how to ``join`` them back.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("d", "rows", "den")
     lifts: tuple = ()
 
     def __init__(self, coeffs: Iterable = ()):
-        object.__setattr__(self, "coeffs", _trim([self.ring.of(c) for c in coeffs]))
+        comps = [self.split(self.ring.of(c)) for c in coeffs]
+        d = _base(s for c in comps for s in c)
+        parts = ("a", "b") if d else ("a",)
+        fracs = [[getattr(c[w], part) for c in comps]
+                 for w in range(len(self.split(self.zero_coeff))) for part in parts]
+        den = math.lcm(*[f.denominator for row in fracs for f in row])
+        rows = [[f.numerator * (den // f.denominator) for f in row] for row in fracs]
+        self._set(*_canonical(d, rows, den))
+
+    def _set(self, d: int, rows: tuple, den: int) -> None:
+        for name, value in (("d", d), ("rows", rows), ("den", den)):
+            object.__setattr__(self, name, value)
 
     @classmethod
-    def _make(cls, coeffs: tuple):
-        """A polynomial of coefficients already in the ring, none trailing zero."""
+    def _from_rows(cls, d: int, rows: list, den: int):
+        """The polynomial with coordinate rows / den over the base d, den > 0."""
         p = object.__new__(cls)
-        object.__setattr__(p, "coeffs", coeffs)
+        p._set(*_canonical(d, rows, den))
         return p
+
+    def _rows_over(self, d: int):
+        """The stored rows over the base d, which is self.d or self.d = 0."""
+        if d == self.d:
+            return self.rows
+        zero = (0,) * len(self.rows[0])
+        return [r for row in self.rows for r in (row, zero)]
+
+    @classmethod
+    def _join(cls, polys):
+        """The polynomial whose real components are those of polys, in order."""
+        d, den, rows = _stack(polys)
+        return cls._from_rows(d, [row for part in rows for row in part], den)
+
+    def _split(self, kind) -> tuple:
+        """The real components of self, grouped into polynomials of kind."""
+        k = _algebra(kind.table, self.d).m
+        return tuple(kind._from_rows(self.d, self.rows[i:i + k], self.den)
+                     for i in range(0, len(self.rows), k))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -360,34 +379,46 @@ class _DensePoly:
         if isinstance(value, cls):
             return value
         if isinstance(value, cls.lifts):
-            return cls(value.coeffs)
+            zero = (0,) * len(value.rows[0])
+            missing = _algebra(cls.table, value.d).m - len(value.rows)
+            return cls._from_rows(value.d, value.rows + (zero,) * missing, value.den)
         if isinstance(value, cls.constants):
             return cls([value])
         return cls(value)
 
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients in ascending order, built from the rows."""
+        return tuple(map(self.coeff, range(len(self.rows[0]))))
+
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.rows[0]) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.rows[0]
 
     def leading(self):
-        if not self.coeffs:
+        if self.is_zero():
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self.coeff(self.degree())
 
     def coeff(self, k: int):
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else self.zero_coeff
+        if not 0 <= k < len(self.rows[0]):
+            return self.zero_coeff
+        parts = [Fraction(row[k], self.den) if row[k] else _F0 for row in self.rows]
+        pairs = zip(parts[::2], parts[1::2]) if self.d else ((a, _F0) for a in parts)
+        return self.join([_unchecked(a, b, self.d) for a, b in pairs])
 
     def __add__(self, other):
-        other = self.of(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return type(self)([self.coeff(k) + other.coeff(k) for k in range(n)])
+        d, den, (x, y) = _stack((self, self.of(other)))
+        rows = [[u + v for u, v in zip(a, b)] for a, b in zip(x, y)]
+        return self._from_rows(d, rows, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return type(self)([-c for c in self.coeffs])
+        rows = [[-v for v in row] for row in self.rows]
+        return self._from_rows(self.d, rows, self.den)
 
     def __sub__(self, other):
         return self + (-self.of(other))
@@ -398,27 +429,34 @@ class _DensePoly:
     def __mul__(self, other):
         """Product with ordered coefficient products, in the integer kernel."""
         other = self.of(other)
-        if not self.coeffs or not other.coeffs:
+        if self.is_zero() or other.is_zero():
             return type(self)()
         alg = _kernel(self, other)
-        (x, dx), (y, dy) = alg.rows(self), alg.rows(other)
-        return alg.poly(type(self), _mul_rows(alg, x, y), dx * dy)
+        x, y = self._rows_over(alg.d), other._rows_over(alg.d)
+        return self._from_rows(alg.d, _mul_rows(alg, x, y), self.den * other.den)
 
     def __rmul__(self, other):
         return self.of(other) * self
 
     def scale(self, s):
         """Every coefficient multiplied on the right by the constant s."""
-        s = self.ring.of(s)
-        return type(self)([c * s for c in self.coeffs])
+        return self * type(self)([s])
 
     def derivative(self):
-        return type(self)([self.coeffs[k] * k for k in range(1, len(self.coeffs))])
+        return self._from_rows(self.d, [[k * v for k, v in enumerate(row)][1:]
+                                        for row in self.rows], self.den)
+
+    def conjugate(self):
+        """Coefficientwise conjugate: every component but the real one negated."""
+        p = 2 if self.d else 1
+        return self._from_rows(self.d, self.rows[:p] + tuple(
+            tuple(-v for v in row) for row in self.rows[p:]), self.den)
 
     def monic(self):
         if self.is_zero():
             return self
-        return self.scale(self.leading().inverse())
+        inv, n = _algebra(self.table, self.d).inverse_parts(_leading(self.rows))
+        return self * self._from_rows(self.d, [[self.den * v] for v in inv], n)
 
     def divmod(self, divisor):
         """Q, R with self = Q*divisor + R and deg R < deg divisor.
@@ -431,16 +469,16 @@ class _DensePoly:
         divisor = self.of(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        if not self.coeffs:
+        if self.is_zero():
             return type(self)(), type(self)()
         alg = _kernel(self, divisor)
-        (a, da), (b, db) = alg.rows(self), alg.rows(divisor)
+        a, b = self._rows_over(alg.d), divisor._rows_over(alg.d)
         inv, norm = alg.inverse_parts(_leading(b))
         mult = (norm,) + (0,) * (alg.m - 1)
         q, r = _pseudo_divide(alg, a, b, mult, inv, True)
-        den = norm ** max(0, len(a[0]) - len(b[0]) + 1) * da
-        return (alg.poly(type(self), [[v * db for v in row] for row in q], den),
-                alg.poly(type(self), r, den))
+        den = norm ** max(0, len(a[0]) - len(b[0]) + 1) * self.den
+        q = [[v * divisor.den for v in row] for row in q]
+        return self._from_rows(alg.d, q, den), self._from_rows(alg.d, r, den)
 
     def evaluate(self, xi):
         x = self.ring.of(Scalar.of(xi))
@@ -457,10 +495,10 @@ class _DensePoly:
             other = self.of(other)
         if not isinstance(other, type(self)):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return (self.d, self.rows, self.den) == (other.d, other.rows, other.den)
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.d, self.rows, self.den))
 
     def __bool__(self):
         return not self.is_zero()
@@ -476,18 +514,22 @@ class RealPoly(_DensePoly):
 
     def antiderivative(self) -> "RealPoly":
         """Termwise antiderivative with zero constant term."""
-        out = [Scalar(0)]
-        out += [c * Fraction(1, k + 1) for k, c in enumerate(self.coeffs)]
-        return RealPoly(out)
+        n = math.lcm(*range(1, len(self.rows[0]) + 1))
+        rows = [[0] + [v * (n // k) for k, v in enumerate(row, 1)] for row in self.rows]
+        return self._from_rows(self.d, rows, self.den * n)
 
     def evaluate_float(self, xi: float) -> float:
         acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * xi + float(c)
+        for c in reversed(self.float_coeffs()):
+            acc = acc * xi + c
         return acc
 
     def float_coeffs(self) -> list[float]:
-        return [float(c) for c in self.coeffs]
+        den = self.den
+        if not self.d:
+            return [v / den for v in self.rows[0]]
+        root = math.sqrt(self.d)
+        return [a / den + b / den * root for a, b in zip(*self.rows)]
 
     def __repr__(self):
         return f"RealPoly({[str(c) for c in self.coeffs]})"
@@ -511,16 +553,10 @@ class ComplexPoly(_DensePoly):
 
     @classmethod
     def from_parts(cls, re: RealPoly, im: RealPoly) -> "ComplexPoly":
-        re, im = RealPoly.of(re), RealPoly.of(im)
-        n = max(len(re.coeffs), len(im.coeffs))
-        return cls([ComplexScalar(re.coeff(k), im.coeff(k)) for k in range(n)])
+        return cls._join((RealPoly.of(re), RealPoly.of(im)))
 
     def real_parts(self) -> tuple[RealPoly, RealPoly]:
-        return (RealPoly([c.re for c in self.coeffs]),
-                RealPoly([c.im for c in self.coeffs]))
-
-    def conjugate(self) -> "ComplexPoly":
-        return ComplexPoly([c.conjugate() for c in self.coeffs])
+        return self._split(RealPoly)
 
     def norm_sq(self) -> RealPoly:
         """|gamma|^2 = gamma * conj(gamma) = re^2 + im^2, real by construction."""
@@ -543,30 +579,20 @@ class QuatPoly(_DensePoly):
 
     @classmethod
     def from_components(cls, u, v, p, q) -> "QuatPoly":
-        u, v = RealPoly.of(u), RealPoly.of(v)
-        p, q = RealPoly.of(p), RealPoly.of(q)
-        n = max(len(u.coeffs), len(v.coeffs), len(p.coeffs), len(q.coeffs))
-        return cls([Quaternion(u.coeff(k), v.coeff(k), p.coeff(k), q.coeff(k))
-                    for k in range(n)])
+        return cls._join([RealPoly.of(c) for c in (u, v, p, q)])
 
     @classmethod
     def from_complex_pair(cls, alpha: ComplexPoly, beta: ComplexPoly) -> "QuatPoly":
         """alpha + beta*j."""
-        ar, ai = ComplexPoly.of(alpha).real_parts()
-        br, bi = ComplexPoly.of(beta).real_parts()
-        return cls.from_components(ar, ai, br, bi)
+        return cls._join((ComplexPoly.of(alpha), ComplexPoly.of(beta)))
 
     def components(self) -> tuple[RealPoly, RealPoly, RealPoly, RealPoly]:
         """(u, v, p, q) with self = u + v*i + p*j + q*k."""
-        return (RealPoly([c.w for c in self.coeffs]),
-                RealPoly([c.x for c in self.coeffs]),
-                RealPoly([c.y for c in self.coeffs]),
-                RealPoly([c.z for c in self.coeffs]))
+        return self._split(RealPoly)
 
     def complex_split(self) -> tuple[ComplexPoly, ComplexPoly]:
         """(alpha, beta) with self = alpha + beta*j."""
-        u, v, p, q = self.components()
-        return (ComplexPoly.from_parts(u, v), ComplexPoly.from_parts(p, q))
+        return self._split(ComplexPoly)
 
     # kept in this class body: bench/tracing.py wraps QuatPoly.__mul__ on its class
     __mul__ = _DensePoly.__mul__
@@ -574,11 +600,7 @@ class QuatPoly(_DensePoly):
     right_divmod = _DensePoly.divmod
 
     def left_scale(self, c: Quaternion) -> "QuatPoly":
-        c = Quaternion.of(c)
-        return QuatPoly([c * a for a in self.coeffs])
-
-    def conjugate(self) -> "QuatPoly":
-        return QuatPoly([c.conjugate() for c in self.coeffs])
+        return QuatPoly([c]) * self
 
     def norm_poly(self) -> RealPoly:
         """u^2 + v^2 + p^2 + q^2, the squared pointwise norm."""
@@ -586,14 +608,8 @@ class QuatPoly(_DensePoly):
 
     def inner(self, other: "QuatPoly") -> RealPoly:
         """Pointwise Euclidean inner product, as a real polynomial."""
-        other = QuatPoly.of(other)
-        if self.is_zero() or other.is_zero():
-            return RealPoly()
-        out = [Scalar(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for r, ar in enumerate(self.coeffs):
-            for s, bs in enumerate(other.coeffs):
-                out[r + s] = out[r + s] + ar.inner(bs)
-        return RealPoly(out)
+        pairs = zip(self.components(), QuatPoly.of(other).components())
+        return sum((x * y for x, y in pairs), RealPoly())
 
     def __repr__(self):
         return f"QuatPoly({self.coeffs!r})"
@@ -605,20 +621,20 @@ def _gcd(cls, polys):
     Subresultant sequences over the integer rows, folded over the
     arguments, then made monic in the field.
     """
-    polys = [p for p in map(cls.of, polys) if p.coeffs]
+    polys = [p for p in map(cls.of, polys) if not p.is_zero()]
     if not polys:
         raise ValueError("gcd of all-zero polynomials is undefined")
     alg = _kernel(*polys)
     g = None
     for p in polys:
-        rows = _content_free(alg.rows(p)[0])
+        rows = _content_free(p._rows_over(alg.d))
         if g is not None:
             *_, rows = _subresultants(alg, g, rows)
         g = _content_free(rows)
         if len(g[0]) == 1:
-            return cls([1])
+            return cls._from_rows(alg.d, [[v] for v in alg.one], 1)
     inv, n = alg.inverse_parts(_leading(g))
-    return alg.poly(cls, alg.left_scale(inv, g), n)
+    return cls._from_rows(alg.d, alg.left_scale(inv, g), n)
 
 
 _SQUARES = tuple((1, w, w) for w in range(4))
@@ -626,19 +642,17 @@ _SQUARES = tuple((1, w, w) for w in range(4))
 
 def component_forms(b: QuatPoly, forms) -> list[RealPoly]:
     """The real polynomials sum c b_i b_j, one per form ((c, i, j), ...),
-    in one integer pass over one common denominator.
+    in one integer pass over the stored rows.
 
     b_0 .. b_3 are the components (u, v, p, q) of b and b_4 .. b_7 their
     derivatives.  Each product b_i b_j is formed once, however many
     forms use it.
     """
     b = QuatPoly.of(b)
-    if not b.coeffs:
+    if b.is_zero():
         return [RealPoly() for _ in forms]
-    alg = _kernel(b)
-    real = _algebra(_REAL, alg.d)
-    rows, den = alg.rows(b)
-    p = alg.parts
+    real = _algebra(_REAL, b.d)
+    p, rows = real.parts, b.rows
     comps = [rows[w * p:(w + 1) * p] for w in range(4)]
     comps += [[[k * v for k, v in enumerate(row)][1:] for row in comp]
               for comp in comps]
@@ -652,35 +666,24 @@ def component_forms(b: QuatPoly, forms) -> list[RealPoly]:
                 products[key] = _mul_rows(real, comps[i], comps[j])
             for row, src in zip(acc, products[key]):
                 row[:len(src)] = [u + c * v for u, v in zip(row, src)]
-        out.append(real.poly(RealPoly, acc, den * den))
+        out.append(RealPoly._from_rows(b.d, acc, b.den * b.den))
     return out
 
 
 def vector_rank(x: RealPoly, y: RealPoly, z: RealPoly) -> int:
     """Rank over the field of the coefficient vectors (x_k, y_k, z_k) of
-    three real polynomials, decided on their integer rows over one common
-    denominator."""
-    polys = [RealPoly.of(p) for p in (x, y, z)]
-    alg = _kernel(*polys)
-    n = max(len(p.coeffs) for p in polys)
-    comps = []
-    for p in polys:
-        rows, den = alg.rows(p)
-        comps.append((rows or [[]] * alg.parts, den))
-    common = math.lcm(*(den for _, den in comps))
-    rows = [[v * (common // den) for v in row] + [0] * (n - len(row))
-            for comp, den in comps for row in comp]
-    return _vector_rank(_coordinate_vectors(rows, alg.parts), alg.d)
+    three real polynomials: the vector parts of x i + y j + z k."""
+    return vector_part_rank(QuatPoly.from_components(0, x, y, z), 1)
 
 
 def vector_part_rank(a: QuatPoly, left: Quaternion) -> int:
     """Rank over the field of the vector parts of the coefficients of
     left * a, whose integer rows are formed in one pass."""
     a, left = QuatPoly.of(a), QuatPoly.of(left)
-    if not a.coeffs or not left.coeffs:
+    if a.is_zero() or left.is_zero():
         return 0
     alg = _kernel(left, a)
-    scaled = alg.left_scale(_leading(alg.rows(left)[0]), alg.rows(a)[0])
+    scaled = alg.left_scale(_leading(left._rows_over(alg.d)), a._rows_over(alg.d))
     return _vector_rank(_coordinate_vectors(scaled[alg.parts:], alg.parts), alg.d)
 
 

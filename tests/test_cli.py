@@ -9,7 +9,7 @@ from rrmf.catalog import (nontrivial_cubic, quintic_left_cancellation,
                           quintic_no_cancellation, quintic_right_cancellation)
 from rrmf.cli import EXIT_INTERNAL, main
 from rrmf.documents import document_for, dumps_document
-from rrmf.polynomials import QuatPoly
+from rrmf.polynomials import QuatPoly, RealPoly
 from rrmf.quaternions import Quaternion
 
 
@@ -482,6 +482,24 @@ def test_zero_certificate_rejected(tmp_path, capsys):
             code, out, err = run(capsys, verb, path)
             assert (code, out) == (3, ""), verb
             assert err == f"error: {message}\n", verb
+    # components sharing the real factor 1 + xi: classify checks a supplied
+    # certificate as verify-han does, before skipping the membership tests
+    shared = write_doc(tmp_path, "shared.json", nontrivial_cubic() * RealPoly([1, 1]))
+    doc = json.loads(Path(shared).read_text())
+    for certificate, message in cases:
+        doc["certificate"] = certificate
+        Path(shared).write_text(json.dumps(doc))
+        for verb in ("classify", "verify-han"):
+            code, out, err = run(capsys, verb, shared)
+            assert (code, out) == (3, ""), verb
+            assert err == f"error: {message}\n", verb
+    doc["certificate"] = {"a": ["1"], "b": ["0", "1"]}
+    Path(shared).write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "classify", shared)
+    verdict = json.loads(out)
+    assert code == 0 and not verdict["in_widetilde"]
+    assert verdict["membership_method"] == "components-not-coprime"
+    assert verdict["han_certificate"] == {"a": ["1/1"], "b": ["0/1", "1/1"]}
 
 
 def test_classify_degree_bound(tmp_path, capsys):

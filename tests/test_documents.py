@@ -2,14 +2,16 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rrmf.catalog import quintic_right_cancellation
-from rrmf.documents import (MAX_DEGREE, MAX_DIGITS, DocumentError,
+from rrmf.documents import (KINDS, MAX_DEGREE, MAX_DIGITS, DocumentError,
                             document_for, document_to_dict, dumps_document,
                             parse_document)
 from rrmf.polynomials import QuatPoly, RealPoly
 from rrmf.quaternions import Quaternion
-from rrmf.scalars import Scalar
+from rrmf.scalars import Scalar, SurdBaseMismatch
 
 from conftest import rand_cpoly, rand_qpoly, rand_rpoly
 
@@ -80,9 +82,15 @@ def test_parse_errors():
 
 
 def test_mixed_bases_rejected_on_serialize():
-    poly = QuatPoly([Quaternion(Scalar(0, 1, 2)), Quaternion(Scalar(0, 1, 15))])
-    with pytest.raises(DocumentError):
-        document_for(poly)
+    # one polynomial cannot hold two surd bases: it is rejected when built
+    with pytest.raises(SurdBaseMismatch):
+        QuatPoly([Quaternion(Scalar(0, 1, 2)), Quaternion(Scalar(0, 1, 15))])
+    # a document can: a certificate whose base differs from the polynomial's
+    poly = QuatPoly([Quaternion(1), Quaternion(Scalar(0, 1, 15))])
+    for certificate in ((RealPoly([Scalar(0, 1, 2)]), RealPoly([1])),
+                        (RealPoly([1]), RealPoly([0, Scalar(1, 1, 2)]))):
+        with pytest.raises(DocumentError, match=r"mixed surd bases \[2, 15\]"):
+            document_for(poly, certificate=certificate)
 
 
 def test_document_dict_shape():
@@ -134,3 +142,61 @@ def test_digit_bound():
     literal = '{"sqrt_base": 0, "kind": "real", "coefficients": [%s]}' % ("1" * 5000)
     with pytest.raises(DocumentError, match="invalid JSON"):
         parse_document(literal)
+
+
+# -- fuzzed documents ----------------------------------------------------------
+# Documents of degree <= 6 with numbers of at most 30 digits over the bases
+# 0, 2 and 15, with a field or a coefficient sometimes replaced by junk.
+
+_INT = st.integers(-(10 ** 30) + 1, 10 ** 30 - 1)
+_DEN = st.integers(1, 10 ** 30 - 1)
+_JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 20), st.floats(), st.text(max_size=6),
+    st.sampled_from(["1+sqrt(2)", "sqrt(15)", "1/0", "1.5", "x", "", "-0/7"]),
+    st.lists(st.text(max_size=3), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2))
+_FIELDS = ("sqrt_base", "kind", "coefficients", "certificate", "metadata")
+
+
+@st.composite
+def _scalar_texts(draw, base):
+    text = f"{draw(_INT)}/{draw(_DEN)}"
+    if draw(st.sampled_from((0, base))):
+        c = draw(_INT)
+        text += f"{'+' if c >= 0 else '-'}{abs(c)}/{draw(_DEN)}*sqrt({base})"
+    return text
+
+
+@st.composite
+def _documents(draw):
+    base, kind = draw(st.sampled_from((0, 2, 15))), draw(st.sampled_from(KINDS))
+    scalar = _scalar_texts(base)
+    width = {"quaternion": 4, "complex": 2, "real": 1}[kind]
+    row = scalar if width == 1 else st.lists(scalar, min_size=width, max_size=width)
+    rows = draw(st.lists(row, min_size=1, max_size=7))
+    doc = {"sqrt_base": base, "kind": kind, "coefficients": rows}
+    if draw(st.booleans()):
+        doc["certificate"] = {"a": draw(st.lists(scalar, max_size=7)),
+                              "b": draw(st.lists(scalar, max_size=7))}
+    if draw(st.booleans()):
+        doc["metadata"] = {"name": draw(st.text(max_size=8))}
+    if draw(st.booleans()):
+        rows[draw(st.integers(0, len(rows) - 1))] = draw(_JUNK)
+    for key in draw(st.lists(st.sampled_from(_FIELDS), max_size=2)):
+        doc[key] = draw(_JUNK)
+    return json.dumps(doc)
+
+
+def _serialized(doc):
+    return dumps_document(document_for(doc.to_poly(), doc.certificate, doc.metadata))
+
+
+@settings(max_examples=200, deadline=2000, derandomize=True, database=None)
+@given(_documents())
+def test_fuzzed_documents_parse_or_reject(text):
+    try:
+        doc = parse_document(text)
+    except DocumentError:
+        return
+    once = _serialized(doc)
+    assert _serialized(parse_document(once)) == once

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -252,6 +253,103 @@ def test_mixed_surd_bases_raise_in_the_kernel():
                 gcd(x, y)
             with pytest.raises(SurdBaseMismatch):
                 gcd(RealPoly([1, 1]), x, y)
+
+
+# -- the stored form ---------------------------------------------------------
+# Every operation reads and writes integer rows over one denominator; the
+# references below redo each one on the Scalar coefficients.
+
+
+def _trimmed(coeffs) -> tuple:
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1].is_zero():
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def _pointwise(x, y, op) -> tuple:
+    n = max(len(x.coeffs), len(y.coeffs))
+    return _trimmed(op(x.coeff(k), y.coeff(k)) for k in range(n))
+
+
+def assert_stored_form(p):
+    """Trimmed rows, gcd(den, every integer) = 1, base 0 without sqrt(d) part."""
+    assert p.den > 0 and len({len(row) for row in p.rows}) == 1
+    assert p.is_zero() or any(row[-1] for row in p.rows)
+    assert math.gcd(p.den, *[v for row in p.rows for v in row]) == 1
+    assert p.d == 0 or any(map(any, p.rows[1::2]))
+    assert type(p)(p.coeffs) == p and hash(type(p)(p.coeffs)) == hash(p)
+
+
+@pytest.mark.parametrize("base", [0, 15])
+def test_linear_operations_match_coefficientwise(rng, base):
+    for _ in range(12):
+        a = rand_qpoly(rng, rng.randint(0, 5), base)
+        b = rand_qpoly(rng, rng.randint(0, 5), base)
+        s, c = rand_scalar(rng, base), nonzero_quat(rng, base)
+        x, y = a.components()[0], b.components()[2]
+        alpha, beta = a.complex_split()
+        results = [
+            (a + b, _pointwise(a, b, lambda u, v: u + v)),
+            (a - b, _pointwise(a, b, lambda u, v: u - v)),
+            (x + y, _pointwise(x, y, lambda u, v: u + v)),
+            (alpha - beta, _pointwise(alpha, beta, lambda u, v: u - v)),
+            (-a, _trimmed(-q for q in a.coeffs)),
+            (a.scale(s), _trimmed(q * s for q in a.coeffs)),
+            (a.scale(c), _trimmed(q * c for q in a.coeffs)),
+            (x.scale(s), _trimmed(q * s for q in x.coeffs)),
+            (alpha.scale(s), _trimmed(q * s for q in alpha.coeffs)),
+            (a.derivative(), _trimmed(q * k for k, q in enumerate(a.coeffs))[1:]),
+            (x.derivative(), _trimmed(q * k for k, q in enumerate(x.coeffs))[1:]),
+            (x.antiderivative(), _trimmed([Scalar(0)] + [q * Fraction(1, k + 1)
+                                                         for k, q in enumerate(x.coeffs)])),
+            (a.conjugate(), _trimmed(q.conjugate() for q in a.coeffs)),
+            (alpha.conjugate(), _trimmed(q.conjugate() for q in alpha.coeffs)),
+            (a.left_scale(c), _trimmed(c * q for q in a.coeffs)),
+        ]
+        inner = [Scalar(0)] * max(0, len(a.coeffs) + len(b.coeffs) - 1)
+        for r, ar in enumerate(a.coeffs):
+            for t, bt in enumerate(b.coeffs):
+                inner[r + t] = inner[r + t] + ar.inner(bt)
+        results.append((a.inner(b), _trimmed(inner)))
+        for p, expected in results:
+            assert p.coeffs == expected
+            assert_stored_form(p)
+        for p in (a, x, alpha, a * b, a.monic(), x.monic()):
+            assert_stored_form(p)
+
+
+def test_equal_polynomials_store_alike():
+    s = Scalar(0, 1, 15)
+    real = RealPoly([1, Fraction(-2, 3), 5])
+    # (built, built directly, stored base)
+    routes = [
+        # Fraction vs int coefficients
+        (RealPoly([Fraction(4, 2), Fraction(3)]), RealPoly([2, 3]), 0),
+        (QuatPoly([Quaternion(Fraction(6, 3), 1)]), QuatPoly([Quaternion(2, 1)]), 0),
+        # Q(sqrt 15) coefficients whose surd parts vanish, vs base 0
+        (RealPoly([s, 1]) * RealPoly([s, -1]), RealPoly([15, 0, -1]), 0),
+        (RealPoly([Scalar(2, 1, 15) - s, s * s]), RealPoly([2, 15]), 0),
+        (ComplexPoly([ComplexScalar(s, 1)]) * ComplexPoly([ComplexScalar(s, -1)]),
+         ComplexPoly([ComplexScalar(16)]), 0),
+        # Real -> Complex -> Quat lifts
+        (QuatPoly.of(ComplexPoly.of(real)),
+         QuatPoly([Quaternion(c) for c in real.coeffs]), 0),
+        (real.as_quat(), QuatPoly.from_components(real, 0, 0, 0), 0),
+        (ComplexPoly.of(RealPoly([s, 1])), ComplexPoly.from_parts(RealPoly([s, 1]), 0), 15),
+        # a sum whose surd parts cancel
+        (RealPoly([1, Scalar(2, 1, 15)]) + RealPoly([0, -s]), RealPoly([1, 2]), 0),
+        (QuatPoly([Quaternion(s, 1)]) - QuatPoly([Quaternion(s)]),
+         QuatPoly([Quaternion(0, 1)]), 0),
+    ]
+    for built, direct, base in routes:
+        assert built == direct and hash(built) == hash(direct)
+        assert (built.d, built.rows, built.den) == (direct.d, direct.rows, direct.den)
+        assert built.d == base
+        assert_stored_form(built)
+    # the zero polynomial of every route stores empty rows over 1
+    for zero in (RealPoly([s]) - RealPoly([s]), RealPoly([0, 0]), QuatPoly.of(RealPoly())):
+        assert zero.rows[0] == () and (zero.d, zero.den) == (0, 1)
 
 
 def _columns(vectors):
