@@ -12,11 +12,12 @@ of bounded degree constructed exactly from the residues of the reduced
 Han fraction.  No false negatives are ever reported for the general
 membership question: absent proof, the verdict is "unknown".
 
-The span rank of the hodograph and the triviality witness are decided
-on the integer rows of the polynomial kernel (polynomials.vector_rank
-and vector_part_rank), as is the equal-degree criterion
-(indicatrix.rho_eta); only the witness's direction is one Quaternion
-product.
+Every fact of a generator is read from one hodograph.GeneratorAnalysis,
+re-exported here with TrivialWitness.  Its span rank and triviality
+witness are decided on the integer rows of the polynomial kernel
+(polynomials.vector_rank and vector_part_rank), as is the equal-degree
+criterion (indicatrix.rho_eta, which reads sigma and <A'i, A> from the
+analysis); only the witness's direction is one Quaternion product.
 """
 
 from __future__ import annotations
@@ -24,112 +25,16 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from typing import Optional
 
-from .hodograph import (CoreDecomposition, Hodograph, core_of,
-                        has_coprime_components, hodograph_of)
-from .indicatrix import (inner_product_poly, require_certificate, rho_eta,
-                         verify_han)
-from .polynomials import (ComplexPoly, QuatPoly, RationalFunction, RealPoly,
-                          exact_divide, gcd_complex, reduce_fraction,
-                          vector_part_rank, vector_rank)
+from .hodograph import GeneratorAnalysis, TrivialWitness
+from .indicatrix import require_certificate, rho_eta, verify_han
+from .polynomials import (ComplexPoly, QuatPoly, RealPoly, exact_divide,
+                          gcd_complex)
 from .quaternions import Quaternion
 from .scalars import ComplexScalar, Scalar
 
 _I = Quaternion(0, 1)
-
-
-@dataclass(frozen=True)
-class GeneratorAnalysis:
-    """The facts of one nonzero generator A, each computed once, on first use.
-
-    classify reads every verdict from one analysis, and each public
-    verdict function reads its fact from a fresh one, so every fact has
-    a single implementation.
-    """
-
-    poly: QuatPoly
-
-    @classmethod
-    def of(cls, a: QuatPoly, zero_message: str = "analysis of the zero polynomial"
-           ) -> "GeneratorAnalysis":
-        a = QuatPoly.of(a)
-        if a.is_zero():
-            raise ValueError(zero_message)
-        return cls(a)
-
-    @cached_property
-    def coprime(self) -> bool:
-        """Whether the four real components of A are coprime."""
-        return has_coprime_components(self.poly)
-
-    @cached_property
-    def inner(self) -> RealPoly:
-        """<A'i, A>, the numerator of the rotation indicatrix."""
-        return inner_product_poly(self.poly)
-
-    @cached_property
-    def in_f0(self) -> bool:
-        """Coprime components and identically zero <A'i, A>."""
-        return self.coprime and self.inner.is_zero()
-
-    @cached_property
-    def core(self) -> CoreDecomposition:
-        """A stripped of chi = gcd(alpha, conj(beta)), its maximal monic
-        complex right divisor."""
-        return core_of(self.poly)
-
-    @cached_property
-    def primitive(self) -> bool:
-        """Whether A i A* has coprime components: chi is constant."""
-        return self.core.factor.degree() == 0
-
-    @cached_property
-    def hodograph(self) -> Hodograph:
-        return hodograph_of(self.poly)
-
-    @cached_property
-    def span_rank(self) -> int:
-        """Rank over the field of the vector coefficients of A i A*."""
-        return vector_rank(*self.hodograph.components())
-
-    @cached_property
-    def planar(self) -> bool:
-        """Whether the generated curve lies in a plane: span rank <= 2."""
-        return self.span_rank <= 2
-
-    @cached_property
-    def trivial(self) -> Optional[TrivialWitness]:
-        """The witness of trivial_witness; meaningful for coprime components."""
-        # an iterator: coefficients are built only as far as c and the direction
-        coeffs = map(self.poly.coeff, range(self.poly.degree() + 1))
-        c = next(q for q in coeffs if q)
-        # conj(c) A = |c|^2 c^-1 A with |c|^2 > 0: the vector parts of its
-        # coefficients are parallel, and orthogonal to i, exactly when
-        # those of c^-1 A are
-        rank = vector_part_rank(self.poly, c.conjugate())
-        if rank == 0:
-            # constant (up to left factor): plane direction is conventional
-            return TrivialWitness(c, Quaternion(0, 0, 1, 0), Scalar(1))
-        if rank > 1:
-            return None
-        c_inv = c.inverse()
-        vectors = ((c_inv * q).vector_part() for q in coeffs if q)
-        direction = next(v for v in vectors if v)
-        if not direction.x.is_zero():
-            return None
-        return TrivialWitness(c, direction, direction.norm_sq())
-
-    @cached_property
-    def sigma(self) -> RealPoly:
-        """|A|^2, the parametric speed."""
-        return self.poly.norm_poly()
-
-    @cached_property
-    def han(self) -> RationalFunction:
-        """The reduced Han fraction -<A'i, A>/|A|^2 of A."""
-        return reduce_fraction(-self.inner, self.sigma)
 
 
 def _require_nonzero_coprime(a: QuatPoly, what: str) -> GeneratorAnalysis:
@@ -177,20 +82,6 @@ def _c_m(coeffs, rotated, m: int) -> Scalar:
 def has_vanishing_indicatrix(a: QuatPoly) -> bool:
     """Coprime components and identically zero <A'i, A>."""
     return GeneratorAnalysis.of(a, "membership test on the zero polynomial").in_f0
-
-
-@dataclass(frozen=True)
-class TrivialWitness:
-    """Left factor C and plane direction u with A = C*(coefficients in R+Ru).
-
-    The direction is stored unnormalized together with its squared norm,
-    since unit normalization may leave the working field; all membership
-    checks are homogeneous in u.
-    """
-
-    left_factor: Quaternion
-    direction: Quaternion
-    direction_norm_sq: Scalar
 
 
 def trivial_witness(a: QuatPoly) -> Optional[TrivialWitness]:
@@ -295,7 +186,7 @@ def _membership(analysis: GeneratorAnalysis,
     if analysis.in_f0:
         return Membership(MembershipStatus.PROVEN, "vanishing-indicatrix",
                           (RealPoly([1]), RealPoly()))
-    if rho_eta(analysis.poly).divisible:
+    if rho_eta(analysis).divisible:
         return Membership(MembershipStatus.PROVEN, "equal-degree-criterion")
     if search_degree is not None:
         found = _search(analysis, search_degree, search_budget)
@@ -370,8 +261,8 @@ def _normalize_certificate(ra: RealPoly, rb: RealPoly
                            ) -> tuple[RealPoly, RealPoly]:
     """Joint real scaling: the higher-degree member becomes monic."""
     leader = ra if ra.degree() >= rb.degree() else rb
-    inv = leader.leading().inverse()
-    return ra.scale(inv), rb.scale(inv)
+    inv = leader.leading_inverse()
+    return ra * inv, rb * inv
 
 
 # -- aggregate verdict -------------------------------------------------

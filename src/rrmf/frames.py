@@ -20,12 +20,11 @@ from typing import Iterable, Literal, Optional
 
 import numpy as np
 
-from .hodograph import (Hodograph, Images, basis_images, hodograph_of,
+from .hodograph import (GeneratorAnalysis, Hodograph, Images, basis_images,
                         hodograph_of_images, integrate)
-from .indicatrix import verify_han
-from .classify import has_vanishing_indicatrix
+from .indicatrix import require_certificate, verify_han
 from .polynomials import (ComplexPoly, QuatPoly, RationalFunction, RealPoly,
-                          gcd_real, reduce_fraction)
+                          reduce_fraction)
 
 Vector = tuple[RationalFunction, RationalFunction, RationalFunction]
 
@@ -98,12 +97,12 @@ def certificate_generator(a: QuatPoly, ca: RealPoly, cb: RealPoly) -> QuatPoly:
 
 
 def rmf_symbolic(a: QuatPoly, ca: RealPoly, cb: RealPoly) -> SymbolicFrame:
-    """Rational rotation-minimizing frame for a verified certificate (a, b)."""
-    a = QuatPoly.of(a)
+    """Rational RMF for a verified certificate (a, b); ``a`` may be an analysis."""
+    analysis = GeneratorAnalysis.of(a, "certificate check against the zero polynomial")
     ca, cb = RealPoly.of(ca), RealPoly.of(cb)
-    if not verify_han(a, ca, cb):
+    if not verify_han(analysis, ca, cb):
         raise CertificateError("certificate does not satisfy the frame condition")
-    return SymbolicFrame.from_generator(certificate_generator(a, ca, cb))
+    return SymbolicFrame.from_generator(certificate_generator(analysis.poly, ca, cb))
 
 
 def rotate_frame(a: QuatPoly, ca: RealPoly, cb: RealPoly) -> tuple[Vector, Vector]:
@@ -113,11 +112,7 @@ def rotate_frame(a: QuatPoly, ca: RealPoly, cb: RealPoly) -> tuple[Vector, Vecto
     to (e2, e3); for a verified certificate this reproduces the RMF
     normal-plane vectors exactly.
     """
-    ca, cb = RealPoly.of(ca), RealPoly.of(cb)
-    if ca.is_zero() and cb.is_zero():
-        raise ValueError("rotation with a = b = 0")
-    if gcd_real(ca, cb).degree() != 0:
-        raise ValueError("rotation polynomials must be coprime")
+    ca, cb = require_certificate(ca, cb)
     erf = erf_symbolic(a)
     den = ca * ca + cb * cb
     cos_term = reduce_fraction(ca * ca - cb * cb, den)
@@ -163,9 +158,7 @@ def sample_frames(a: QuatPoly, kind: FrameKind, xi_values: Iterable[float],
     1e-12 (erf, rmf) or finite (frenet); the first failing parameter
     raises AssertionError.
     """
-    a = QuatPoly.of(a)
-    if a.is_zero():
-        raise ValueError("sampling the zero polynomial")
+    analysis = GeneratorAnalysis.of(a, "sampling the zero polynomial")
     if not math.isfinite(normal_rotation):
         raise ValueError(f"normal rotation must be finite, got {normal_rotation}")
     warnings: list[str] = []
@@ -176,18 +169,18 @@ def sample_frames(a: QuatPoly, kind: FrameKind, xi_values: Iterable[float],
     frame = None
     if kind == "erf":
         # the hodograph is the frame's first image: form the images once
-        images = basis_images(a)
+        images = basis_images(analysis.poly)
         h, frame = hodograph_of_images(images), SymbolicFrame.from_images(images)
     else:
-        h = hodograph_of(a)
+        h = analysis.hodograph
     if kind == "rmf":
         if certificate is None:
-            if has_vanishing_indicatrix(a):
+            if analysis.in_f0:
                 certificate = (RealPoly([1]), RealPoly())
             else:
                 raise CertificateError(
                     "rotation-minimizing frame requires a certificate")
-        frame = rmf_symbolic(a, certificate[0], certificate[1])
+        frame = rmf_symbolic(analysis, certificate[0], certificate[1])
 
     xis = list(xi_values)
     xs = np.asarray(xis, dtype=float)

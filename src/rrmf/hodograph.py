@@ -2,20 +2,26 @@
 
 A quaternion polynomial A maps to the hodograph r' = A i A*, whose
 components always satisfy x'^2 + y'^2 + z'^2 = sigma^2 with parametric
-speed sigma = |A|^2.  hodograph_of forms |A|^2 and the three entries of
-A i A*, the first four image forms, in one integer pass of the
-polynomial kernel; basis_images, the frames' kernel, forms all ten
-component products of B for the three images B e B*.  The core of A is A stripped of its maximal monic
-complex right divisor; A generates a primitive hodograph exactly when
-it coincides with its core.
+speed sigma = |A|^2.  GeneratorAnalysis owns every fact of A: one
+integer pass of the polynomial kernel forms sigma, A i A* and <A'i, A>,
+and hodograph_of and is_primitive read a fresh analysis.  basis_images,
+the frames' kernel, forms all ten component products of B for the three
+images B e B*.  The core of A is A stripped of its maximal monic complex
+right divisor; A generates a primitive hodograph exactly when it
+coincides with its core.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Optional
 
-from .polynomials import (ComplexPoly, QuatPoly, RealPoly, component_forms,
-                          exact_divide, gcd_complex, gcd_real)
+from .polynomials import (ComplexPoly, QuatPoly, RationalFunction, RealPoly,
+                          component_forms, exact_divide, gcd_complex, gcd_real,
+                          reduce_fraction, vector_part_rank, vector_rank)
+from .quaternions import Quaternion
+from .scalars import Scalar
 
 
 @dataclass(frozen=True)
@@ -66,7 +72,8 @@ class CoreDecomposition:
     factor: ComplexPoly
 
 
-_U, _V, _P, _Q = range(4)
+# the components of A and their derivatives, as component_forms numbers them
+_U, _V, _P, _Q, _DU, _DV, _DP, _DQ = range(8)
 # |B|^2, then B i B*, B j B*, B k B* as (c, i, j) terms c b_i b_j
 _IMAGE_FORMS = (
     ((1, _U, _U), (1, _V, _V), (1, _P, _P), (1, _Q, _Q)),
@@ -80,6 +87,10 @@ _IMAGE_FORMS = (
     ((2, _P, _Q), (-2, _U, _V)),
     ((1, _U, _U), (-1, _V, _V), (-1, _P, _P), (1, _Q, _Q)),
 )
+# <A'i, A> = -(v'u - u'v - q'p + p'q)
+_INNER_FORM = ((-1, _DV, _U), (1, _DU, _V), (1, _DQ, _P), (-1, _DP, _Q))
+# the one form pass of an analysis: |A|^2, A i A*, then <A'i, A>
+_ANALYSIS_FORMS = _IMAGE_FORMS[:4] + (_INNER_FORM,)
 
 Images = tuple[RealPoly, list[tuple[RealPoly, ...]]]
 
@@ -104,12 +115,8 @@ def hodograph_of_images(images: Images) -> Hodograph:
 
 
 def hodograph_of(a: QuatPoly) -> Hodograph:
-    """r' = A i A* with speed |A|^2, from the first four image forms only."""
-    a = QuatPoly.of(a)
-    if a.is_zero():
-        raise ValueError("hodograph of the zero polynomial")
-    sigma, *tangent = component_forms(a, _IMAGE_FORMS[:4])
-    return hodograph_of_images((sigma, [tangent]))
+    """r' = A i A* with speed |A|^2, read from a fresh analysis of A."""
+    return GeneratorAnalysis.of(a, "hodograph of the zero polynomial").hodograph
 
 
 def has_coprime_components(a: QuatPoly) -> bool:
@@ -126,10 +133,7 @@ def is_primitive(a: QuatPoly) -> bool:
     Tested as gcd(alpha, conj(beta)) = 1 on the complex splitting: A has
     no nonconstant complex right divisor, so it coincides with its core.
     """
-    a = QuatPoly.of(a)
-    if a.is_zero():
-        raise ValueError("primitivity of the zero polynomial")
-    return core_of(a).factor.degree() == 0
+    return GeneratorAnalysis.of(a, "primitivity of the zero polynomial").primitive
 
 
 def core_of(a: QuatPoly) -> CoreDecomposition:
@@ -142,6 +146,121 @@ def core_of(a: QuatPoly) -> CoreDecomposition:
     # chi is monic: of degree 0 it is 1, and A is its own core
     core = a if chi.degree() == 0 else exact_divide(a, chi.as_quat())
     return CoreDecomposition(core, chi)
+
+
+@dataclass(frozen=True)
+class TrivialWitness:
+    """Left factor C and plane direction u with A = C*(coefficients in R+Ru).
+
+    The direction is stored unnormalized together with its squared norm,
+    since unit normalization may leave the working field; all membership
+    checks are homogeneous in u.
+    """
+
+    left_factor: Quaternion
+    direction: Quaternion
+    direction_norm_sq: Scalar
+
+
+@dataclass(frozen=True)
+class GeneratorAnalysis:
+    """The facts of one nonzero generator A, each computed once, on first use.
+
+    sigma, the hodograph and <A'i, A> come from one form pass over A.
+    classify reads every verdict from one analysis, verify_han and
+    rho_eta accept one, and each public verdict function reads its fact
+    from a fresh one, so every fact has a single implementation.
+    """
+
+    poly: QuatPoly
+
+    @classmethod
+    def of(cls, a, zero_message: str = "analysis of the zero polynomial"
+           ) -> "GeneratorAnalysis":
+        """The analysis of the generator a; an analysis is returned as is."""
+        if isinstance(a, cls):
+            return a
+        a = QuatPoly.of(a)
+        if a.is_zero():
+            raise ValueError(zero_message)
+        return cls(a)
+
+    @cached_property
+    def coprime(self) -> bool:
+        """Whether the four real components of A are coprime."""
+        return has_coprime_components(self.poly)
+
+    @cached_property
+    def _forms(self) -> list[RealPoly]:
+        return component_forms(self.poly, _ANALYSIS_FORMS)
+
+    @cached_property
+    def sigma(self) -> RealPoly:
+        """|A|^2, the parametric speed."""
+        return self._forms[0]
+
+    @cached_property
+    def inner(self) -> RealPoly:
+        """<A'i, A>, the numerator of the rotation indicatrix."""
+        return self._forms[4]
+
+    @cached_property
+    def hodograph(self) -> Hodograph:
+        """r' = A i A* with speed |A|^2."""
+        return hodograph_of_images((self.sigma, [tuple(self._forms[1:4])]))
+
+    @cached_property
+    def in_f0(self) -> bool:
+        """Coprime components and identically zero <A'i, A>."""
+        return self.coprime and self.inner.is_zero()
+
+    @cached_property
+    def core(self) -> CoreDecomposition:
+        """A stripped of chi = gcd(alpha, conj(beta)), its maximal monic
+        complex right divisor."""
+        return core_of(self.poly)
+
+    @cached_property
+    def primitive(self) -> bool:
+        """Whether A i A* has coprime components: chi is constant."""
+        return self.core.factor.degree() == 0
+
+    @cached_property
+    def span_rank(self) -> int:
+        """Rank over the field of the vector coefficients of A i A*."""
+        return vector_rank(*self.hodograph.components())
+
+    @cached_property
+    def planar(self) -> bool:
+        """Whether the generated curve lies in a plane: span rank <= 2."""
+        return self.span_rank <= 2
+
+    @cached_property
+    def trivial(self) -> Optional[TrivialWitness]:
+        """The witness of trivial_witness; meaningful for coprime components."""
+        # an iterator: coefficients are built only as far as c and the direction
+        coeffs = map(self.poly.coeff, range(self.poly.degree() + 1))
+        c = next(q for q in coeffs if q)
+        # conj(c) A = |c|^2 c^-1 A with |c|^2 > 0: the vector parts of its
+        # coefficients are parallel, and orthogonal to i, exactly when
+        # those of c^-1 A are
+        rank = vector_part_rank(self.poly, c.conjugate())
+        if rank == 0:
+            # constant (up to left factor): plane direction is conventional
+            return TrivialWitness(c, Quaternion(0, 0, 1, 0), Scalar(1))
+        if rank > 1:
+            return None
+        c_inv = c.inverse()
+        vectors = ((c_inv * q).vector_part() for q in coeffs if q)
+        direction = next(v for v in vectors if v)
+        if not direction.x.is_zero():
+            return None
+        return TrivialWitness(c, direction, direction.norm_sq())
+
+    @cached_property
+    def han(self) -> RationalFunction:
+        """The reduced Han fraction -<A'i, A>/|A|^2 of A."""
+        return reduce_fraction(-self.inner, self.sigma)
 
 
 def integrate(h: Hodograph) -> CurvePosition:

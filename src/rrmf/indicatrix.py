@@ -7,30 +7,29 @@ with (uv'-u'v-pq'+p'q)/sigma == (ab'-a'b)/(a^2+b^2); the left side is
 exposed here as the Han fraction.  The two fractions differ exactly by
 sign: indicatrix(A) == -han_fraction(A).  Both printed forms are kept,
 with the exact relation checked in the tests, rather than silently
-reconciling the orientation convention.
+reconciling the orientation convention.  <A'i, A>, sigma and the Han
+fraction, reduced once, are read from a hodograph.GeneratorAnalysis,
+which verify_han and rho_eta also accept in place of A.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .hodograph import (_DP, _DQ, _DU, _DV, _INNER_FORM, _P, _Q, _U, _V,
+                        GeneratorAnalysis)
 from .polynomials import (QuatPoly, RationalFunction, RealPoly, component_forms,
-                          gcd_real, reduce_fraction)
+                          gcd_real)
 from .quaternions import Quaternion
 
 _I_POLY = QuatPoly([Quaternion(0, 1)])
 _K_POLY = QuatPoly([Quaternion(0, 0, 0, 1)])
 
-# the components of A and their derivatives, as component_forms numbers them
-_U, _V, _P, _Q, _DU, _DV, _DP, _DQ = range(8)
-_INNER_FORM = ((-1, _DV, _U), (1, _DU, _V), (1, _DQ, _P), (-1, _DP, _Q))
-# r1, r2, e1, e2 of rho_eta, then sigma = |A|^2
+# r1, r2, e1 of rho_eta; e2 is -<A'i, A>, read from the analysis
 _RHO_ETA_FORMS = (
     ((1, _U, _DP), (-1, _DU, _P), (1, _V, _DQ), (-1, _DV, _Q)),
     ((1, _U, _DQ), (-1, _DU, _Q), (-1, _V, _DP), (1, _DV, _P)),
     ((1, _U, _DU), (1, _V, _DV), (1, _P, _DP), (1, _Q, _DQ)),
-    ((1, _U, _DV), (-1, _DU, _V), (-1, _P, _DQ), (1, _DP, _Q)),
-    ((1, _U, _U), (1, _V, _V), (1, _P, _P), (1, _Q, _Q)),
 )
 
 
@@ -54,20 +53,14 @@ class IndicatrixPair:
 
     @classmethod
     def of(cls, a: QuatPoly) -> "IndicatrixPair":
-        a = QuatPoly.of(a)
-        if a.is_zero():
-            raise ValueError("indicatrix pair of the zero polynomial")
-        num = inner_product_poly(a)
-        sigma = a.norm_poly()
-        return cls(num, sigma, reduce_fraction(num, sigma))
+        analysis = GeneratorAnalysis.of(a, "indicatrix pair of the zero polynomial")
+        return cls(analysis.inner, analysis.sigma, -analysis.han)
 
 
 def rotation_indicatrix(a: QuatPoly) -> RationalFunction:
     """Normalized component of A'i along A; defined as 0 for A = 0."""
     a = QuatPoly.of(a)
-    if a.is_zero():
-        return RationalFunction.zero
-    return IndicatrixPair.of(a).reduced
+    return RationalFunction.zero if a.is_zero() else -GeneratorAnalysis.of(a).han
 
 
 def han_fraction(a: QuatPoly) -> RationalFunction:
@@ -75,18 +68,14 @@ def han_fraction(a: QuatPoly) -> RationalFunction:
 
     Equals the negation of the rotation indicatrix.
     """
-    a = QuatPoly.of(a)
-    if a.is_zero():
-        raise ValueError("Han fraction of the zero polynomial")
-    return reduce_fraction(han_numerator(a), a.norm_poly())
+    return GeneratorAnalysis.of(a, "Han fraction of the zero polynomial").han
 
 
 def omega1(a: QuatPoly) -> RationalFunction:
     """Tangent component of the ERF angular velocity: twice the Han fraction."""
-    a = QuatPoly.of(a)
-    if a.is_zero():
-        raise ValueError("angular velocity of the zero polynomial")
-    return reduce_fraction(han_numerator(a).scale(2), a.norm_poly())
+    han = GeneratorAnalysis.of(a, "angular velocity of the zero polynomial").han
+    # twice a reduced fraction with monic denominator is still reduced
+    return RationalFunction(han.num.scale(2), han.den, _reduced=True)
 
 
 def require_certificate(a: RealPoly, b: RealPoly) -> tuple[RealPoly, RealPoly]:
@@ -106,15 +95,11 @@ def verify_han(a_poly, a: RealPoly, b: RealPoly) -> bool:
     Requires coprime (a, b) and a generator with coprime components;
     never evaluates the rational functions, so no spurious cancellation
     decisions can occur.  ``a_poly`` is the generator or its
-    classify.GeneratorAnalysis, whose cached coprimality, <A'i, A> and
-    sigma are then read rather than recomputed.
+    GeneratorAnalysis, whose cached coprimality, <A'i, A> and sigma are
+    then read rather than recomputed.
     """
-    from .classify import GeneratorAnalysis
-
-    analysis = a_poly
-    if not isinstance(analysis, GeneratorAnalysis):
-        analysis = GeneratorAnalysis.of(
-            a_poly, "certificate check against the zero polynomial")
+    analysis = GeneratorAnalysis.of(
+        a_poly, "certificate check against the zero polynomial")
     a, b = require_certificate(a, b)
     if not analysis.coprime:
         raise ValueError("generator components must be coprime")
@@ -131,21 +116,21 @@ class RhoEta:
     divisible: bool
 
 
-def rho_eta(a: QuatPoly) -> RhoEta:
+def rho_eta(a) -> RhoEta:
     """Divisibility criterion for certificates with deg(a^2+b^2) = deg sigma.
 
     rho = (up'-u'p+vq'-v'q)^2 + (uq'-u'q-vp'+v'p)^2 and
     eta = (uu'+vv'+pp'+qq')^2 + (uv'-u'v-pq'+p'q)^2 satisfy
     rho + eta = sigma * (u'^2+v'^2+p'^2+q'^2), so sigma divides either
-    both or neither; the verdict tests rho.
+    both or neither; the verdict tests rho.  ``a`` is the generator or
+    its GeneratorAnalysis, whose sigma and <A'i, A> are read.
     """
-    a = QuatPoly.of(a)
-    if a.is_zero():
-        raise ValueError("criterion on the zero polynomial")
-    r1, r2, e1, e2, sigma = component_forms(a, _RHO_ETA_FORMS)
+    analysis = GeneratorAnalysis.of(a, "criterion on the zero polynomial")
+    r1, r2, e1 = component_forms(analysis.poly, _RHO_ETA_FORMS)
+    e2 = -analysis.inner
     rho = r1 * r1 + r2 * r2
     eta = e1 * e1 + e2 * e2
-    return RhoEta(rho, eta, rho.divmod(sigma)[1].is_zero())
+    return RhoEta(rho, eta, rho.divmod(analysis.sigma)[1].is_zero())
 
 
 def indicatrix_product_residual(b: QuatPoly, a: QuatPoly) -> RealPoly:
@@ -159,8 +144,7 @@ def indicatrix_product_residual(b: QuatPoly, a: QuatPoly) -> RealPoly:
     if a.is_zero() or b.is_zero():
         raise ValueError("product residual needs nonzero polynomials")
     ba = b * a
-    lhs = ba.derivative() * _I_POLY
-    lhs = lhs.inner(ba)
+    lhs = (ba.derivative() * _I_POLY).inner(ba)
     alpha, beta = a.complex_split()
     na = alpha.norm_sq()
     nb = beta.norm_sq()

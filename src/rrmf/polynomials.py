@@ -452,11 +452,13 @@ class _DensePoly:
         return self._from_rows(self.d, self.rows[:p] + tuple(
             tuple(-v for v in row) for row in self.rows[p:]), self.den)
 
-    def monic(self):
-        if self.is_zero():
-            return self
+    def leading_inverse(self):
+        """The constant 1/lead(self) of a nonzero polynomial, from its rows."""
         inv, n = _algebra(self.table, self.d).inverse_parts(_leading(self.rows))
-        return self * self._from_rows(self.d, [[self.den * v] for v in inv], n)
+        return self._from_rows(self.d, [[self.den * v] for v in inv], n)
+
+    def monic(self):
+        return self if self.is_zero() else self * self.leading_inverse()
 
     def divmod(self, divisor):
         """Q, R with self = Q*divisor + R and deg R < deg divisor.
@@ -710,6 +712,9 @@ def exact_divide(p, divisor):
     return q
 
 
+_ONE = RealPoly([1])
+
+
 class RationalFunction:
     """Reduced ratio of real polynomials: monic denominator, coprime parts."""
 
@@ -721,15 +726,15 @@ class RationalFunction:
             raise ZeroDivisionError("rational function with zero denominator")
         if not _reduced:
             if num.is_zero():
-                num, den = RealPoly(), RealPoly([1])
+                num, den = RealPoly(), _ONE
             else:
                 g = gcd_real(num, den)
                 if g.degree() > 0:
                     num = exact_divide(num, g)
                     den = exact_divide(den, g)
-                if den.leading() != 1:
-                    inv = den.leading().inverse()
-                    num, den = num.scale(inv), den.scale(inv)
+                inv = den.leading_inverse()
+                if inv != _ONE:
+                    num, den = num * inv, den * inv
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -740,7 +745,7 @@ class RationalFunction:
     def of(cls, value) -> "RationalFunction":
         if isinstance(value, RationalFunction):
             return value
-        return cls(RealPoly.of(value), RealPoly([1]))
+        return cls(RealPoly.of(value), _ONE)
 
     zero: "RationalFunction"
 
@@ -803,7 +808,7 @@ class RationalFunction:
         return f"RationalFunction(({self.num}) / ({self.den}))"
 
 
-RationalFunction.zero = RationalFunction(RealPoly(), RealPoly([1]), _reduced=True)
+RationalFunction.zero = RationalFunction(RealPoly(), _ONE, _reduced=True)
 
 
 def reduce_fraction(num, den) -> RationalFunction:

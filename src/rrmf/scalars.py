@@ -62,7 +62,8 @@ class Scalar:
     squarefree integer in [2, MAX_BASE]; and ``b == 0`` implies ``d == 0``.
 
     Validation happens at the edges: the public constructor checks its
-    arguments and ``parse_scalar`` goes through it.  Arithmetic results
+    arguments, and ``parse_scalar`` goes through it for any base but the
+    expected one its caller has validated.  Arithmetic results
     (``+``, ``-``, ``*``, ``inverse`` and what is built from them) are
     assembled without re-validation, because their parts are Fraction
     operations on valid operands and their base is one of the operands'
@@ -271,22 +272,25 @@ _SCALAR_RE = re.compile(
 
 def parse_scalar(text: str, expected_base: int | None = None) -> Scalar:
     """Parse the canonical text form, tolerating bare integers and
-    a missing rational part ("sqrt(15)", "-3/2*sqrt(5)")."""
+    a missing rational part ("sqrt(15)", "-3/2*sqrt(5)").  A surd over
+    ``expected_base``, which the caller has validated (documents.parse_base),
+    is built unchecked; any other base goes through the constructor."""
     text = text.strip().replace(" ", "")
     if not text:
         raise ValueError("empty scalar")
     m = _SCALAR_RE.match(text)
     if not m or (m.group("a") is None and m.group("d") is None):
         raise ValueError(f"cannot parse scalar {text!r}")
-    a = Fraction(m.group("a")) if m.group("a") is not None else Fraction(0)
+    a = Fraction(m.group("a")) if m.group("a") is not None else _F0
     if m.group("d") is None:
-        result = Scalar(a)
-    else:
-        d = int(m.group("d"))
-        c = Fraction(m.group("c")) if m.group("c") else Fraction(1)
-        if m.group("sign") == "-":
-            c = -c
-        result = Scalar(a, c, d)
+        return _unchecked(a, _F0, 0)
+    d = int(m.group("d"))
+    c = Fraction(m.group("c")) if m.group("c") else Fraction(1)
+    if m.group("sign") == "-":
+        c = -c
+    if d and d == expected_base:
+        return _unchecked(a, c, d)
+    result = Scalar(a, c, d)
     if expected_base is not None and result.d not in (0, expected_base):
         raise SurdBaseMismatch(
             f"scalar {text!r} uses base {result.d}, document declares {expected_base}"

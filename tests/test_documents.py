@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,7 @@ from rrmf.documents import (KINDS, MAX_DEGREE, MAX_DIGITS, DocumentError,
                             parse_document)
 from rrmf.polynomials import QuatPoly, RealPoly
 from rrmf.quaternions import Quaternion
-from rrmf.scalars import Scalar, SurdBaseMismatch
+from rrmf.scalars import MAX_BASE, Scalar, SurdBaseMismatch, parse_scalar
 
 from conftest import rand_cpoly, rand_qpoly, rand_rpoly
 
@@ -79,6 +80,39 @@ def test_parse_errors():
         parse_document("{not json")
     with pytest.raises(DocumentError):
         parse_document(json.dumps([1, 2]))
+
+
+def test_surd_document_at_max_base_parses_fast():
+    # the declared base is validated once, not once per scalar: trial
+    # division up to sqrt(MAX_BASE) for each of 646 scalars took seconds
+    surd = f"sqrt({MAX_BASE})"
+    rows = [[f"{k}+{surd}", f"-{surd}", f"1/2*{surd}", f"{k}-3*{surd}"]
+            for k in range(MAX_DEGREE + 1)]
+    half = [f"{k}+{surd}" for k in range((MAX_DEGREE + 1) // 2 + 1)]
+    text = json.dumps({"sqrt_base": MAX_BASE, "kind": "quaternion", "coefficients": rows,
+                       "certificate": {"a": half, "b": half}})
+    start = time.perf_counter()
+    doc = parse_document(text)
+    assert time.perf_counter() - start < 0.5
+    assert sum(map(len, doc.coefficients)) + 2 * len(half) == 646
+    assert doc.coefficients[3][2] == Scalar(0, Fraction(1, 2), MAX_BASE)
+    assert doc.certificate[0].coeff(0) == Scalar(0, 1, MAX_BASE)
+
+
+def test_invalid_and_foreign_bases_still_rejected():
+    for scalar in ("sqrt(4)", "1+sqrt(1)", "sqrt(7)", "2*sqrt(0)"):
+        text = json.dumps({"sqrt_base": 15, "kind": "real", "coefficients": [scalar]})
+        with pytest.raises(DocumentError):
+            parse_document(text)
+    with pytest.raises(SurdBaseMismatch):
+        parse_scalar("sqrt(7)", expected_base=15)
+    with pytest.raises(ValueError, match="base 4 is not"):
+        parse_scalar("sqrt(4)", expected_base=15)
+    with pytest.raises(ValueError, match="irrational part requires a nonzero base"):
+        parse_scalar("sqrt(0)", expected_base=0)
+    # a zero surd part over the expected base normalises to base 0
+    assert parse_scalar("3+0*sqrt(15)", expected_base=15).d == 0
+    assert parse_scalar("sqrt(15)", expected_base=15) == Scalar(0, 1, 15)
 
 
 def test_mixed_bases_rejected_on_serialize():

@@ -82,9 +82,9 @@ def test_rotate_frame_identity_and_half_turn():
     assert f2 == erf.f2 and f3 == erf.f3
     f2, f3 = rotate_frame(cubic, RealPoly(), RealPoly([1]))
     assert f2 == tuple(-c for c in erf.f2) and f3 == tuple(-c for c in erf.f3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"certificate \(0, 0\) is not allowed"):
         rotate_frame(cubic, RealPoly(), RealPoly())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="certificate polynomials must be coprime"):
         rotate_frame(cubic, RealPoly([0, 2]), RealPoly([0, 0, 2]))
 
 
