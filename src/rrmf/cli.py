@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from . import catalog
@@ -22,7 +23,7 @@ from .construct import (ConstructionError, CubicSpec, QuarticSpec, make_cubic,
 from .documents import (DocumentError, PolyDocument, document_for,
                         document_to_dict, load_json, parse_base, parse_document,
                         read_scalar)
-from .frames import sample_frames, write_frames_csv
+from .frames import CSV_HEADER, sample_frames, write_frame_rows
 from .polynomials import InexactDivision, QuatPoly
 from .quaternions import Quaternion
 from .scalars import Scalar, format_scalar
@@ -33,9 +34,11 @@ EXIT_PRECONDITION = 3
 EXIT_REGRESSION = 4
 EXIT_INTERNAL = 5
 
-# upper bound on `rrmf frames --samples`: every row is held in memory
-# before the CSV is written (peak RSS about 1.2 GB at this limit)
+# upper bound on `rrmf frames --samples`
 MAX_SAMPLES = 10 ** 6
+# `rrmf frames` samples and writes this many parameters at a time, so its
+# memory does not grow with --samples
+FRAME_CHUNK = 10 ** 4
 
 
 def _read_input(path: str) -> str:
@@ -221,18 +224,40 @@ def cmd_frames(args) -> int:
     if not math.isfinite(args.normal_rotation):
         raise DocumentError(
             f"--normal-rotation must be finite, got {args.normal_rotation}")
-    if args.samples == 1:
-        xis = [lo]
+    n = args.samples
+    if n == 1:
+        chunks = iter([[lo]])
     else:
-        step = (hi - lo) / (args.samples - 1)
-        xis = [lo + k * step for k in range(args.samples)]
-    samples, warnings = sample_frames(poly, args.frame, xis,
-                                      certificate=doc.certificate,
-                                      normal_rotation=args.normal_rotation)
-    write_frames_csv(samples, args.out)
+        step = (hi - lo) / (n - 1)
+        chunks = ([lo + k * step for k in range(start, min(start + FRAME_CHUNK, n))]
+                  for start in range(0, n, FRAME_CHUNK))
+
+    def sample(xis):
+        return sample_frames(poly, args.frame, xis, certificate=doc.certificate,
+                             normal_rotation=args.normal_rotation)
+
+    # a rejected generator or certificate fails here, before --out is opened
+    samples, warnings = sample(next(chunks))
+    fh = open(args.out, "w", encoding="utf-8", newline="\n")
+    try:
+        with fh:
+            fh.write(CSV_HEADER + "\n")
+            write_frame_rows(samples, fh)
+            written = len(samples)
+            for xis in chunks:
+                samples, skipped = sample(xis)
+                write_frame_rows(samples, fh)
+                written += len(samples)
+                warnings += skipped
+    except BaseException:
+        # no partial CSV is left behind; a device or a link such as
+        # /dev/stdout is never removed
+        if os.path.isfile(args.out) and not os.path.islink(args.out):
+            os.remove(args.out)
+        raise
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
-    print(f"wrote {len(samples)} samples to {args.out}")
+    print(f"wrote {written} samples to {args.out}")
     return EXIT_OK
 
 

@@ -4,11 +4,13 @@ The Euler-Rodrigues frame of a generator B is the rational orthonormal
 triple (B i B*, B j B*, B k B*)/|B|^2, read off the ten products of
 B's components by hodograph.basis_images; with a verified certificate
 (a, b) the rotation-minimizing frame is the same construction applied
-to B = A (a - b i).  All nine entries are reduced rational functions;
-the orthonormality identities hold exactly (the tests check them on
-the unreduced images and on the reduced entries).  Sampling evaluates the exact entries in floating point
-at all parameters in one pass (orthonormal to 1e-12 by construction,
-checked per sample) and also offers a numeric Frenet frame for
+to B = A (a - b i).  SymbolicFrame holds the nine entries as reduced
+rational functions; the orthonormality identities hold exactly (the
+tests check them on the unreduced images and on the reduced entries).
+Sampling does not reduce them: it evaluates B's four components over
+the array of all parameters, forms the same ten products in floats
+(hodograph.float_images), checks the kept samples to be orthonormal to
+1e-12 in one array pass, and also offers a numeric Frenet frame for
 comparison plots.
 """
 
@@ -20,8 +22,8 @@ from typing import Iterable, Literal, Optional
 
 import numpy as np
 
-from .hodograph import (GeneratorAnalysis, Hodograph, Images, basis_images,
-                        hodograph_of_images, integrate)
+from .hodograph import (GeneratorAnalysis, Hodograph, basis_images,
+                        float_images, integrate)
 from .indicatrix import require_certificate, verify_han
 from .polynomials import (ComplexPoly, QuatPoly, RationalFunction, RealPoly,
                           reduce_fraction)
@@ -47,12 +49,8 @@ class SymbolicFrame:
         b = QuatPoly.of(b)
         if b.is_zero():
             raise ValueError("frame of the zero polynomial")
-        return cls.from_images(basis_images(b))
-
-    @classmethod
-    def from_images(cls, images: Images) -> "SymbolicFrame":
-        """The frame of basis_images(B): each image entry over |B|^2."""
-        den, raw = images
+        # each entry of the images B e B* over |B|^2
+        den, raw = basis_images(b)
         vectors = [tuple(reduce_fraction(c, den) for c in row) for row in raw]
         return cls(vectors[0], vectors[1], vectors[2], den)
 
@@ -96,13 +94,18 @@ def certificate_generator(a: QuatPoly, ca: RealPoly, cb: RealPoly) -> QuatPoly:
     return QuatPoly.of(a) * gamma_conj.as_quat()
 
 
-def rmf_symbolic(a: QuatPoly, ca: RealPoly, cb: RealPoly) -> SymbolicFrame:
-    """Rational RMF for a verified certificate (a, b); ``a`` may be an analysis."""
+def _rmf_generator(a, ca: RealPoly, cb: RealPoly) -> QuatPoly:
+    """B = A (a - b i) once Han's identity verifies (a, b); ``a`` may be
+    an analysis."""
     analysis = GeneratorAnalysis.of(a, "certificate check against the zero polynomial")
-    ca, cb = RealPoly.of(ca), RealPoly.of(cb)
     if not verify_han(analysis, ca, cb):
         raise CertificateError("certificate does not satisfy the frame condition")
-    return SymbolicFrame.from_generator(certificate_generator(analysis.poly, ca, cb))
+    return certificate_generator(analysis.poly, ca, cb)
+
+
+def rmf_symbolic(a: QuatPoly, ca: RealPoly, cb: RealPoly) -> SymbolicFrame:
+    """Rational RMF for a verified certificate (a, b); ``a`` may be an analysis."""
+    return SymbolicFrame.from_generator(_rmf_generator(a, ca, cb))
 
 
 def rotate_frame(a: QuatPoly, ca: RealPoly, cb: RealPoly) -> tuple[Vector, Vector]:
@@ -152,80 +155,78 @@ def sample_frames(a: QuatPoly, kind: FrameKind, xi_values: Iterable[float],
     of the one-parameter frame family; it must be finite.
 
     Every polynomial is evaluated once over the array of all parameters
-    (memory linear in their number); its Horner steps run in the scalar
-    order, so each value is the same double as a one-parameter
-    evaluation.  Each kept sample is then checked to be orthonormal to
-    1e-12 (erf, rmf) or finite (frenet); the first failing parameter
-    raises AssertionError.
+    (memory linear in their number).  The erf and rmf axes are B e B*
+    over |B|^2 formed in floats from the four components of B (A for
+    erf, A (a - b i) for rmf); no rational entry is reduced.  The kept
+    samples are checked in one array pass to be orthonormal to 1e-12
+    (erf, rmf) or finite (frenet); the first failing parameter raises
+    AssertionError.
     """
     analysis = GeneratorAnalysis.of(a, "sampling the zero polynomial")
     if not math.isfinite(normal_rotation):
         raise ValueError(f"normal rotation must be finite, got {normal_rotation}")
-    warnings: list[str] = []
-    samples: list[FrameSample] = []
-
     if kind not in ("erf", "rmf", "frenet"):
         raise ValueError(f"unknown frame kind {kind!r}")
-    frame = None
-    if kind == "erf":
-        # the hodograph is the frame's first image: form the images once
-        images = basis_images(analysis.poly)
-        h, frame = hodograph_of_images(images), SymbolicFrame.from_images(images)
-    else:
-        h = analysis.hodograph
+    h, b = analysis.hodograph, analysis.poly
     if kind == "rmf":
         if certificate is None:
-            if analysis.in_f0:
-                certificate = (RealPoly([1]), RealPoly())
-            else:
+            if not analysis.in_f0:
                 raise CertificateError(
                     "rotation-minimizing frame requires a certificate")
-        frame = rmf_symbolic(analysis, certificate[0], certificate[1])
+            certificate = (RealPoly([1]), RealPoly())
+        b = _rmf_generator(analysis, *certificate)
 
     xis = list(xi_values)
     xs = np.asarray(xis, dtype=float)
     # overflow and 0/0 at skipped or non-finite samples stay silent here;
-    # the row loop below skips or rejects those rows
+    # the checks below skip or reject those rows
     with np.errstate(all="ignore"):
         sigma = h.sigma.evaluate_float(xs)
         position = integrate(h).evaluate_float(xs)
         if kind == "frenet":
             axes, flat = _frenet_axes(h, xs)
         else:
-            axes, flat = frame.evaluate(xs), np.zeros(xs.shape, dtype=bool)
-    columns = np.broadcast_arrays(sigma, *position, *axes[0], *axes[1], *axes[2])
-    rows = np.stack(columns, axis=1).tolist()
-    flat = flat.tolist()
-
-    scale = max(abs(c) for c in h.sigma.float_coeffs())
-    for xi, (s, *row), is_flat in zip(xis, rows, flat):
-        if abs(s) < 1e-12 * max(scale, 1.0):
-            warnings.append(f"xi={xi!r}: parametric speed vanishes, skipped")
-            continue
-        pos, f1, f2, f3 = (tuple(row[k:k + 3]) for k in range(0, 12, 3))
+            den, images = float_images(b, xs)
+            axes = tuple(tuple(e / den for e in row) for row in images)
+            flat = np.zeros(xs.shape, dtype=bool)
+        # position and the three axes, one row per parameter
+        table = np.stack(np.broadcast_arrays(*position, *axes[0], *axes[1], *axes[2]),
+                         axis=1)
+        scale = max(abs(c) for c in h.sigma.float_coeffs())
+        slow = abs(sigma) < 1e-12 * max(scale, 1.0)
+        kept = ~(slow | flat)
         if kind == "frenet":
-            if is_flat:
-                warnings.append(f"xi={xi!r}: curvature vanishes, skipped")
-                continue
             # a NaN parameter passes the curvature test with NaN axes
-            if not all(math.isfinite(c) for c in row[3:]):
-                raise AssertionError(f"frame axis not unit at xi={xi}")
+            checks = [("frame axis not unit", ~np.isfinite(table[:, 3:]).all(axis=1))]
         else:
-            _check_orthonormal((f1, f2, f3), xi)
+            checks = list(_orthonormality_checks(axes))
+        failed = kept & np.logical_or.reduce([bad for _, bad in checks])
         if normal_rotation:
-            f2, f3 = _apply_normal_rotation(f2, f3, normal_rotation)
-        samples.append(FrameSample(xi, pos, f1, f2, f3))
+            c, s = math.cos(normal_rotation), math.sin(normal_rotation)
+            f2, f3 = table[:, 6:9], table[:, 9:12]
+            table[:, 6:] = np.hstack((c * f2 - s * f3, s * f2 + c * f3))
+    if failed.any():
+        k = int(np.flatnonzero(failed)[0])
+        raise AssertionError(next(f"{message} at xi={xis[k]}"
+                                  for message, bad in checks if bad[k]))
+
+    warnings = [f"xi={xis[k]!r}: parametric speed vanishes, skipped" if slow[k]
+                else f"xi={xis[k]!r}: curvature vanishes, skipped"
+                for k in np.flatnonzero(~kept).tolist()]
+    samples = [FrameSample(xis[k], tuple(row[0:3]), tuple(row[3:6]),
+                           tuple(row[6:9]), tuple(row[9:12]))
+               for k, row in zip(np.flatnonzero(kept).tolist(), table[kept].tolist())]
     return samples, warnings
 
 
-def _check_orthonormal(axes, xi: float) -> None:
+def _orthonormality_checks(axes):
+    """(message, failed) for each Gram entry of the axes, arrays over the
+    parameters, in the order a sample is checked."""
     # written as "not <=" so that a NaN entry fails the check
     for i in range(3):
-        if not abs(_fdot(axes[i], axes[i]) - 1.0) <= _ORTHO_TOL:
-            raise AssertionError(f"frame axis not unit at xi={xi}")
+        yield "frame axis not unit", ~(abs(_fdot(axes[i], axes[i]) - 1.0) <= _ORTHO_TOL)
         for j in range(i + 1, 3):
-            if not abs(_fdot(axes[i], axes[j])) <= _ORTHO_TOL:
-                raise AssertionError(f"frame axes not orthogonal at xi={xi}")
+            yield "frame axes not orthogonal", ~(abs(_fdot(axes[i], axes[j])) <= _ORTHO_TOL)
 
 
 def _fdot(a, b) -> float:
@@ -236,13 +237,6 @@ def _fcross(a, b) -> tuple[float, float, float]:
     return (a[1] * b[2] - a[2] * b[1],
             a[2] * b[0] - a[0] * b[2],
             a[0] * b[1] - a[1] * b[0])
-
-
-def _apply_normal_rotation(f2, f3, angle: float):
-    c, s = math.cos(angle), math.sin(angle)
-    new2 = tuple(c * x - s * y for x, y in zip(f2, f3))
-    new3 = tuple(s * x + c * y for x, y in zip(f2, f3))
-    return new2, new3
 
 
 def _frenet_axes(h: Hodograph, xs: np.ndarray):
@@ -286,9 +280,13 @@ CSV_HEADER = "xi,px,py,pz,f1x,f1y,f1z,f2x,f2y,f2z,f3x,f3y,f3z"
 
 
 def write_frames_csv(samples: list[FrameSample], path) -> None:
-    """Write samples with shortest round-trip float formatting."""
+    """Write the header and the samples' rows to a new file at path."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
-        for s in samples:
-            row = [s.xi, *s.position, *s.f1, *s.f2, *s.f3]
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        write_frame_rows(samples, fh)
+
+
+def write_frame_rows(samples: list[FrameSample], fh) -> None:
+    """Append one CSV row per sample, shortest round-trip float formatting."""
+    fh.writelines(",".join(map(repr, map(float, (s.xi, *s.position, *s.f1, *s.f2, *s.f3))))
+                  + "\n" for s in samples)

@@ -4,9 +4,10 @@ A quaternion polynomial A maps to the hodograph r' = A i A*, whose
 components always satisfy x'^2 + y'^2 + z'^2 = sigma^2 with parametric
 speed sigma = |A|^2.  GeneratorAnalysis owns every fact of A: one
 integer pass of the polynomial kernel forms sigma, A i A* and <A'i, A>,
-and hodograph_of and is_primitive read a fresh analysis.  basis_images,
-the frames' kernel, forms all ten component products of B for the three
-images B e B*.  The core of A is A stripped of its maximal monic complex
+and hodograph_of and is_primitive read a fresh analysis.  basis_images
+forms all ten component products of B for the three images B e B*,
+exactly for the symbolic frames and in floats (float_images) for
+sampling.  The core of A is A stripped of its maximal monic complex
 right divisor; A generates a primitive hodograph exactly when it
 coincides with its core.
 """
@@ -102,6 +103,26 @@ def basis_images(b: QuatPoly) -> Images:
     B = u + v i + p j + q k, formed once each in one integer pass.
     """
     sigma, *entries = component_forms(b, _IMAGE_FORMS)
+    return sigma, [tuple(entries[k:k + 3]) for k in range(0, 9, 3)]
+
+
+def float_images(b: QuatPoly, xs):
+    """basis_images(B) evaluated in floats at xs, a float or an ndarray.
+
+    B's four components are evaluated once and each of the ten
+    products is formed once, by the same table as basis_images.
+    """
+    comps = [c.evaluate_float(xs) for c in QuatPoly.of(b).components()]
+    products: dict = {}
+    values = []
+    for form in _IMAGE_FORMS:
+        acc = 0.0
+        for c, i, j in form:
+            if (i, j) not in products:
+                products[i, j] = comps[i] * comps[j]
+            acc = acc + c * products[i, j]
+        values.append(acc)
+    sigma, *entries = values
     return sigma, [tuple(entries[k:k + 3]) for k in range(0, 9, 3)]
 
 

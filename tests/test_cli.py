@@ -5,12 +5,18 @@ import sys
 from pathlib import Path
 
 import rrmf
+from rrmf import cli
 from rrmf.catalog import (nontrivial_cubic, quintic_left_cancellation,
                           quintic_no_cancellation, quintic_right_cancellation)
 from rrmf.cli import EXIT_INTERNAL, main
 from rrmf.documents import document_for, dumps_document
+from rrmf.frames import certificate_generator, sample_frames, write_frames_csv
 from rrmf.polynomials import QuatPoly, RealPoly
 from rrmf.quaternions import Quaternion
+
+from conftest import FRAME_TOL, exact_axes
+
+EX2 = quintic_no_cancellation()
 
 
 def write_doc(tmp_path, name, poly, certificate=None):
@@ -213,17 +219,75 @@ def test_frames_rejects_non_finite_normal_rotation(tmp_path, capsys):
     assert not out_csv.exists()
 
 
-def test_frames_internal_error_exit_code(tmp_path, capsys):
-    # float evaluation of this degree-10 frame drifts past the 1e-12 unit
-    # check from xi ~ 1.5 on; the CLI reports it instead of a traceback
-    curve = quintic_right_cancellation()
-    path = write_doc(tmp_path, "right.json", curve.generator, curve.certificate)
+def test_frames_internal_error_exit_code(tmp_path, capsys, monkeypatch):
+    # a library consistency check failing is exit 5, with no traceback and
+    # no CSV: raised by the first chunk, before --out is opened, and by a
+    # later one, after rows were written
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(len(args[2]))
+        if len(calls) == fail_at:
+            raise AssertionError("frame axis not unit at xi=0.75")
+        return sample_frames(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "sample_frames", failing)
+    monkeypatch.setattr(cli, "FRAME_CHUNK", 2)
+    path = write_doc(tmp_path, "ex2.json", EX2.generator, EX2.certificate)
     out_csv = tmp_path / "x.csv"
-    code, out, err = run(capsys, "frames", path, "--frame", "rmf",
-                         "--samples", "5", "--range", "1.5:2", "--out", str(out_csv))
-    assert code == EXIT_INTERNAL == 5
-    assert err.startswith("internal error: frame axis not unit at xi=")
-    assert out == "" and not out_csv.exists()
+    for fail_at in (1, 2):
+        calls.clear()
+        code, out, err = run(capsys, "frames", path, "--frame", "rmf",
+                             "--samples", "5", "--out", str(out_csv))
+        assert code == EXIT_INTERNAL == 5
+        assert err == "internal error: frame axis not unit at xi=0.75\n"
+        assert out == "" and not out_csv.exists()
+        assert calls == [2, 2][:fail_at]
+
+
+def _exact_frame_rows(path, b):
+    for line in path.read_text().splitlines()[1:]:
+        xi, *values = (float(v) for v in line.split(","))
+        yield xi, values[3:], [c for axis in exact_axes(b, xi) for c in axis]
+
+
+def test_frames_rmf_beyond_the_unit_interval(tmp_path, capsys):
+    # the reduced rational entries once failed the 1e-12 unit check here
+    fixture = Path(__file__).resolve().parent.parent / "fixtures" / "quintic-right-cancellation.json"
+    curve = quintic_right_cancellation()
+    b = certificate_generator(curve.generator, *curve.certificate)
+    for bounds in ("-1.5:2", "-3:3"):
+        out_csv = tmp_path / "r.csv"
+        code, out, err = run(capsys, "frames", str(fixture), "--frame", "rmf",
+                             f"--range={bounds}", "--samples", "201", "--out", str(out_csv))
+        assert (code, err) == (0, "")
+        assert out == f"wrote 201 samples to {out_csv}\n"
+        rows = list(_exact_frame_rows(out_csv, b))
+        assert len(rows) == 201
+        for xi, got, want in rows:
+            assert all(abs(x - y) <= FRAME_TOL for x, y in zip(got, want)), xi
+
+
+def test_frames_csv_streams_in_chunks(tmp_path, capsys, monkeypatch):
+    # chunked writing is byte-identical to one-call sampling, skips included
+    xi_poly = RealPoly([0, 1]).as_quat()  # sigma = xi^2 vanishes at 0
+    cases = [(EX2.generator, EX2.certificate, "rmf"), (xi_poly, None, "erf"),
+             (EX2.generator, None, "frenet")]
+    for poly, cert, frame in cases:
+        path = write_doc(tmp_path, f"{frame}.json", poly, cert)
+        samples, warnings = sample_frames(poly, frame, [-1 + k * 0.2 for k in range(11)],
+                                          certificate=cert)
+        assert len(warnings) == (frame == "erf")  # the speed root of xi_poly
+        write_frames_csv(samples, tmp_path / "whole.csv")
+        for chunk in (1, 3, 11, 10 ** 4):
+            monkeypatch.setattr(cli, "FRAME_CHUNK", chunk)
+            out_csv = tmp_path / f"{frame}-{chunk}.csv"
+            code, out, err = run(capsys, "frames", path, "--frame", frame,
+                                 "--range=-1:1", "--samples", "11", "--out", str(out_csv))
+            assert code == 0
+            assert out_csv.read_bytes() == (tmp_path / "whole.csv").read_bytes()
+            assert err == "".join(f"warning: {w}\n" for w in warnings)
+            assert out == f"wrote {len(samples)} samples to {out_csv}\n"
 
 
 def test_frames_rmf_needs_certificate(tmp_path, capsys):

@@ -1,7 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
+from rrmf import frames
 from rrmf.catalog import (nontrivial_cubic, quintic_left_cancellation,
                           quintic_no_cancellation, quintic_right_cancellation)
 from rrmf.classify import cancel_indicatrix, has_vanishing_indicatrix
@@ -12,10 +14,10 @@ from rrmf.frames import (CSV_HEADER, CertificateError, FrameSample,
                          write_frames_csv)
 from rrmf.hodograph import hodograph_of, integrate
 from rrmf.indicatrix import omega1
-from rrmf.polynomials import QuatPoly, RationalFunction, RealPoly
+from rrmf.polynomials import ComplexPoly, QuatPoly, RationalFunction, RealPoly
 from rrmf.quaternions import Quaternion
 
-from conftest import coprime_cpoly, coprime_qpoly
+from conftest import FRAME_TOL, coprime_cpoly, coprime_qpoly, exact_axes
 
 EX2 = quintic_no_cancellation()
 
@@ -135,6 +137,22 @@ def test_sample_frames_rejects_nan_parameter():
                           certificate=EX2.certificate)
 
 
+def test_sample_frames_names_the_first_failing_parameter(monkeypatch):
+    # f2 replaced by f1 at xi = 0.5: unit axes that are not orthogonal
+    exact_images = frames.float_images
+
+    def skewed(b, xs):
+        den, (f1, f2, f3) = exact_images(b, xs)
+        return den, [f1, tuple(np.where(xs == 0.5, x, y) for x, y in zip(f1, f2)), f3]
+
+    monkeypatch.setattr(frames, "float_images", skewed)
+    for xis in ([0.25, 0.5, float("nan")], [0.5, 0.75]):
+        with pytest.raises(AssertionError, match=r"^frame axes not orthogonal at xi=0\.5$"):
+            sample_frames(EX2.generator, "erf", xis)
+    with pytest.raises(AssertionError, match=r"^frame axis not unit at xi=nan$"):
+        sample_frames(EX2.generator, "erf", [float("nan"), 0.5])
+
+
 def test_sample_frames_positions():
     samples, _ = sample_frames(EX2.generator, "erf", [0.0, 1.0])
     assert samples[0].position == (0.0, 0.0, 0.0)
@@ -242,18 +260,24 @@ def test_basis_images_equal_quaternion_products(rng):
 
 
 def _reference_samples(a, kind, xis, certificate=None, normal_rotation=0.0):
-    """sample_frames one parameter at a time, with scalar float evaluation."""
+    """sample_frames one parameter at a time.
+
+    The skips, the position and the Frenet frame use scalar float
+    evaluation; the erf/rmf axes are the exact frame of B (A for erf,
+    A (a - b i) for rmf) at Fraction(xi), rounded to floats.
+    """
     a = QuatPoly.of(a)
     position = integrate(hodograph_of(a))
     sigma = a.norm_poly()
-    if kind == "erf":
-        frame = erf_symbolic(a)
-    elif kind == "rmf":
+    b = a
+    if kind == "rmf":
         if certificate is None:
             if not has_vanishing_indicatrix(a):
                 raise CertificateError("rotation-minimizing frame requires a certificate")
             certificate = (RealPoly([1]), RealPoly())
-        frame = rmf_symbolic(a, *certificate)
+        rmf_symbolic(a, *certificate)  # raises for an invalid certificate
+        ca, cb = certificate
+        b = a * ComplexPoly.from_parts(ca, -cb).as_quat()
     scale = max(abs(c) for c in sigma.float_coeffs())
     samples, warnings = [], []
     for xi in xis:
@@ -279,16 +303,10 @@ def _reference_samples(a, kind, xis, certificate=None, normal_rotation=0.0):
                   f1[0] * f2[1] - f1[1] * f2[0])
             if not all(math.isfinite(c) for c in f1 + f2 + f3):
                 raise AssertionError(f"frame axis not unit at xi={xi}")
+        elif not math.isfinite(xi):
+            raise AssertionError(f"frame axis not unit at xi={xi}")
         else:
-            f1, f2, f3 = (tuple(rf.evaluate_float(xi) for rf in axis)
-                          for axis in (frame.f1, frame.f2, frame.f3))
-            axes = (f1, f2, f3)
-            for i in range(3):
-                if not abs(sum(x * y for x, y in zip(axes[i], axes[i])) - 1.0) <= 1e-12:
-                    raise AssertionError(f"frame axis not unit at xi={xi}")
-                for j in range(i + 1, 3):
-                    if not abs(sum(x * y for x, y in zip(axes[i], axes[j]))) <= 1e-12:
-                        raise AssertionError(f"frame axes not orthogonal at xi={xi}")
+            f1, f2, f3 = exact_axes(b, xi)
         if normal_rotation:
             c, s = math.cos(normal_rotation), math.sin(normal_rotation)
             f2, f3 = (tuple(c * x - s * y for x, y in zip(f2, f3)),
@@ -299,15 +317,15 @@ def _reference_samples(a, kind, xis, certificate=None, normal_rotation=0.0):
 
 def _outcome(fn, *args, **kwargs):
     try:
-        samples, warnings = fn(*args, **kwargs)
+        return fn(*args, **kwargs)
     except (AssertionError, ValueError) as exc:
         return type(exc), str(exc)
-    # repr tells -0.0 from 0.0 and a numpy scalar from a float
-    return samples, warnings, repr(samples)
 
 
-def test_sampling_is_bit_identical_to_scalar_evaluation():
-    xis = [k / 16 for k in range(17)] + [-0.75, 1.25, 0]
+def test_sampling_matches_exact_frame_and_scalar_evaluation():
+    # 1.75 to 2.5 lie where the reduced rational entries once drifted
+    # past the 1e-12 unit check on the right-cancellation RMF
+    xis = [k / 16 for k in range(17)] + [-0.75, 1.25, 0, 1.75, 1.965, 2.5]
     curves = [(c.generator, c.certificate)
               for c in (quintic_left_cancellation(), EX2, quintic_right_cancellation())]
     curves += [(make_spatial_family(5), None),
@@ -318,10 +336,27 @@ def test_sampling_is_bit_identical_to_scalar_evaluation():
         for kind in ("erf", "rmf", "frenet"):
             for rotation in (0.0, 0.7):
                 for params in (xis, [0.5, float("nan")]):
+                    case = (kind, rotation, params)
                     want = _outcome(_reference_samples, a, kind, params, cert, rotation)
                     got = _outcome(sample_frames, a, kind, params,
                                    certificate=cert, normal_rotation=rotation)
-                    assert got == want, (kind, rotation, params)
+                    if not isinstance(want[0], list):
+                        assert got == want, case  # the same error and message
+                        continue
+                    assert isinstance(got[0], list), (case, got)
+                    (got_samples, got_warnings), (want_samples, want_warnings) = got, want
+                    assert got_warnings == want_warnings, case
+                    assert len(got_samples) == len(want_samples), case
+                    for g, w in zip(got_samples, want_samples):
+                        # repr tells -0.0 from 0.0 and a numpy scalar from a float
+                        assert repr((g.xi, g.position)) == repr((w.xi, w.position)), case
+                        got_axes, want_axes = g.f1 + g.f2 + g.f3, w.f1 + w.f2 + w.f3
+                        if kind == "frenet":
+                            assert repr(got_axes) == repr(want_axes), case
+                        else:
+                            assert all(type(v) is float for v in got_axes), case
+                            assert all(abs(x - y) <= FRAME_TOL
+                                       for x, y in zip(got_axes, want_axes)), (case, g.xi)
     # the comparison above covers both skip paths
     _, warnings = sample_frames(RealPoly([0, 1]).as_quat(), "erf", xis)
     assert warnings == ["xi=0.0: parametric speed vanishes, skipped",
