@@ -31,10 +31,8 @@ from .hodograph import GeneratorAnalysis, TrivialWitness
 from .indicatrix import require_certificate, rho_eta, verify_han
 from .polynomials import (ComplexPoly, QuatPoly, RealPoly, exact_divide,
                           gcd_complex)
-from .quaternions import Quaternion
+from .quaternions import I
 from .scalars import ComplexScalar, Scalar
-
-_I = Quaternion(0, 1)
 
 
 def _require_nonzero_coprime(a: QuatPoly, what: str) -> GeneratorAnalysis:
@@ -64,7 +62,7 @@ def indicatrix_coefficients(a: QuatPoly) -> IndicatrixCoefficients:
     if a.is_zero():
         raise ValueError("coefficient conditions of the zero polynomial")
     n = a.degree()
-    rotated = [c * _I for c in a.coeffs]
+    rotated = [c * I for c in a.coeffs]
     return IndicatrixCoefficients(
         tuple(_c_m(a.coeffs, rotated, m) for m in range(max(2 * n - 1, 1))))
 

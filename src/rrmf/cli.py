@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 
 from . import catalog
@@ -385,6 +386,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse reads the -1.5:2 of "--range -1.5:2" as an option: join the two
+    for k in range(len(argv) - 1, 0, -1):
+        if argv[k - 1] == "--range" and re.match(r"-\.?\d", argv[k]):
+            argv[k - 1:k + 1] = [f"--range={argv[k]}"]
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

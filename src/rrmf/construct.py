@@ -16,10 +16,8 @@ from .classify import has_vanishing_indicatrix
 from .hodograph import core_of, has_coprime_components
 from .linalg import exact_rank, min_norm_solution
 from .polynomials import ComplexPoly, QuatPoly, exact_divide, gcd_complex, gcd_real
-from .quaternions import Quaternion
+from .quaternions import I, Quaternion
 from .scalars import Scalar
-
-_I = Quaternion(0, 1)
 
 _THIRD = Scalar(Fraction(1, 3))
 _HALF = Scalar(Fraction(1, 2))
@@ -48,7 +46,7 @@ def make_trivial(left_factor: Quaternion, direction: Quaternion,
     u = Quaternion.of(direction)
     if c.is_zero():
         raise ConstructionError("left factor must be nonzero")
-    if u.is_zero() or not u.is_pure() or not u.inner(_I).is_zero():
+    if u.is_zero() or not u.is_pure() or not u.inner(I).is_zero():
         raise ConstructionError(
             "direction must be a nonzero pure vector orthogonal to i")
     if not coeffs:
@@ -74,7 +72,7 @@ class CubicSpec:
 def _forced_vector(a1: Quaternion, a2: Quaternion, i_component: Scalar
                    ) -> Quaternion:
     """The pure vector parallel to (A1 i) x (A2 i) with the given i part."""
-    w = (a1 * _I).cross(a2 * _I)
+    w = (a1 * I).cross(a2 * I)
     # with independent j,k parts the i component of w is their determinant
     if w.x.is_zero():
         raise ConstructionError("cross product degenerate: no forced vector")
@@ -96,7 +94,7 @@ def make_cubic(spec: CubicSpec) -> QuatPoly:
     if _jk_rank(a1, a2) != 2:
         raise ConstructionError("degenerate span: 1, A1, A2 must span R+Rj+Rk")
     a3 = Quaternion.of(Scalar.of(spec.s3)) + _forced_vector(
-        a1, a2, a1.inner(a2 * _I) * _THIRD)
+        a1, a2, a1.inner(a2 * I) * _THIRD)
     poly = QuatPoly([Quaternion(1), a1, a2, a3]).left_scale(c)
     if not has_coprime_components(poly):
         raise ConstructionError("components of the result are not coprime")
@@ -116,7 +114,7 @@ def make_cubic_monic(a1: Quaternion, a2: Quaternion,
     if _jk_rank(a1, a2) != 2:
         raise ConstructionError("degenerate span: 1, A1, A2 must span R+Rj+Rk")
     a0 = Quaternion.of(Scalar.of(s0)) + _forced_vector(
-        a1, a2, -(a1.inner(a2 * _I)) * _THIRD)
+        a1, a2, -(a1.inner(a2 * I)) * _THIRD)
     poly = QuatPoly([a0, a1, a2, Quaternion(1)])
     if not has_coprime_components(poly):
         raise ConstructionError("components of the result are not coprime")
@@ -157,15 +155,15 @@ def make_quartic(spec: QuarticSpec) -> QuarticResult:
     if not (_in_jk_plane(a1) and _in_jk_plane(a2)):
         raise ConstructionError("A1 and A2 must lie in R + Rj + Rk")
     a3 = (Quaternion.of(Scalar.of(spec.s3))
-          + _I.scale(a1.inner(a2 * _I) * _THIRD)
+          + I.scale(a1.inner(a2 * I) * _THIRD)
           + Quaternion(0, 0, Scalar.of(spec.a3_j), 0)
           + Quaternion(0, 0, 0, Scalar.of(spec.a3_k)))
-    rows = [list(_I.components()),
-            list((a1 * _I).components()),
-            list((a2 * _I).components()),
-            list((a3 * _I).components())]
-    rhs = [a1.inner(a3 * _I) * _HALF,
-           a2.inner(a3 * _I) * _THIRD,
+    rows = [list(I.components()),
+            list((a1 * I).components()),
+            list((a2 * I).components()),
+            list((a3 * I).components())]
+    rhs = [a1.inner(a3 * I) * _HALF,
+           a2.inner(a3 * I) * _THIRD,
            Scalar(0),
            Scalar(0)]
     solved = min_norm_solution(rows, rhs)

@@ -15,9 +15,7 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from .polynomials import ComplexPoly, QuatPoly, RealPoly
-from .quaternions import Quaternion
-from .scalars import (MAX_BASE, Scalar, format_scalar, is_valid_base,
-                      parse_scalar)
+from .scalars import MAX_BASE, Scalar, format_scalar, is_valid_base, parse_scalar
 
 
 class DocumentError(ValueError):
@@ -39,8 +37,8 @@ literals."""
 
 _LONG_NUMBER = re.compile(r"\d{%d}" % (MAX_DIGITS + 1))
 
-KINDS = ("quaternion", "complex", "real")
-_WIDTH = {"quaternion": 4, "complex": 2, "real": 1}
+_POLY = {"quaternion": QuatPoly, "complex": ComplexPoly, "real": RealPoly}
+KINDS = tuple(_POLY)
 
 
 @dataclass(frozen=True)
@@ -54,13 +52,8 @@ class PolyDocument:
     metadata: dict = field(default_factory=dict)
 
     def to_poly(self):
-        if self.kind == "quaternion":
-            return QuatPoly([Quaternion(*row) for row in self.coefficients])
-        if self.kind == "complex":
-            return ComplexPoly.from_parts(
-                RealPoly([row[0] for row in self.coefficients]),
-                RealPoly([row[1] for row in self.coefficients]))
-        return RealPoly([row[0] for row in self.coefficients])
+        kind = _POLY[self.kind]
+        return kind([kind.ring.from_parts(row) for row in self.coefficients])
 
 
 def load_json(text):
@@ -109,7 +102,7 @@ def parse_document(data) -> PolyDocument:
     if not isinstance(raw, list) or not raw:
         raise DocumentError("coefficients must be a non-empty list")
     _check_degree("coefficients", raw)
-    width = _WIDTH[kind]
+    width = _POLY[kind].ring.width
     rows = []
     for entry in raw:
         if width == 1:
@@ -144,16 +137,10 @@ def _check_degree(what: str, rows: list) -> None:
 def document_for(poly, certificate: Optional[tuple[RealPoly, RealPoly]] = None,
                  metadata: Optional[dict] = None) -> PolyDocument:
     """Build a document from a polynomial of any kind."""
-    if isinstance(poly, QuatPoly):
-        kind, rows = "quaternion", [q.components() for q in poly.coeffs]
-    elif isinstance(poly, ComplexPoly):
-        kind, rows = "complex", [(c.re, c.im) for c in poly.coeffs]
-    elif isinstance(poly, RealPoly):
-        kind, rows = "real", [(c,) for c in poly.coeffs]
-    else:
+    kind = next((k for k, cls in _POLY.items() if isinstance(poly, cls)), None)
+    if kind is None:
         raise DocumentError(f"cannot serialize {type(poly).__name__}")
-    if not rows:
-        rows = [(Scalar(0),) * _WIDTH[kind]]
+    rows = [c.parts for c in poly.coeffs] or [poly.ring.of(0).parts]
     # each polynomial stores one base, 0 when it has no sqrt(d) part
     bases = {p.d for p in (poly, *(certificate or ())) if p.d}
     if len(bases) > 1:
@@ -163,8 +150,7 @@ def document_for(poly, certificate: Optional[tuple[RealPoly, RealPoly]] = None,
 
 
 def document_to_dict(doc: PolyDocument) -> dict:
-    width = _WIDTH[doc.kind]
-    if width == 1:
+    if _POLY[doc.kind].ring.width == 1:
         coeffs: Any = [format_scalar(row[0]) for row in doc.coefficients]
     else:
         coeffs = [[format_scalar(c) for c in row] for row in doc.coefficients]

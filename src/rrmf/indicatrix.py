@@ -20,10 +20,7 @@ from .hodograph import (_DP, _DQ, _DU, _DV, _INNER_FORM, _P, _Q, _U, _V,
                         GeneratorAnalysis)
 from .polynomials import (QuatPoly, RationalFunction, RealPoly, component_forms,
                           gcd_real)
-from .quaternions import Quaternion
-
-_I_POLY = QuatPoly([Quaternion(0, 1)])
-_K_POLY = QuatPoly([Quaternion(0, 0, 0, 1)])
+from .quaternions import I, K
 
 # r1, r2, e1 of rho_eta; e2 is -<A'i, A>, read from the analysis
 _RHO_ETA_FORMS = (
@@ -144,12 +141,12 @@ def indicatrix_product_residual(b: QuatPoly, a: QuatPoly) -> RealPoly:
     if a.is_zero() or b.is_zero():
         raise ValueError("product residual needs nonzero polynomials")
     ba = b * a
-    lhs = (ba.derivative() * _I_POLY).inner(ba)
+    lhs = (ba.derivative() * I).inner(ba)
     alpha, beta = a.complex_split()
     na = alpha.norm_sq()
     nb = beta.norm_sq()
     db = b.derivative()
-    first = (db * _I_POLY).inner(b) * (na - nb)
-    mid = (db * (alpha * beta).as_quat() * _K_POLY).inner(b).scale(2)
+    first = (db * I).inner(b) * (na - nb)
+    mid = (db * (alpha * beta).as_quat() * K).inner(b).scale(2)
     last = inner_product_poly(a) * b.norm_poly()
     return lhs - (first - mid + last)

@@ -14,14 +14,15 @@ raises SurdBaseMismatch for two different surd bases, and ``coeffs``,
 ``coeff``, ``leading``, ``evaluate`` and the text forms build Scalars on
 access.  The kinds ``RealPoly``, ``ComplexPoly`` and ``QuatPoly`` name
 their coefficient ring, the constants they accept and the smaller kinds
-they lift from (Real -> Complex -> Quat).
+they lift from (Real -> Complex -> Quat).  The ring (rrmf.scalars) gives
+its width, the parts of a coefficient and its multiplication table.
 
 Every operation reads the stored rows.  Sums, derivatives, conjugates,
 splits into and joins of components are row slicing or stacking over
 one lcm of denominators.  Products, division and gcds run in one
-fraction-free integer kernel: the ring's structure constants (the
-Hamilton table for quaternions) act on the rows in operand order, so
-``divmod`` of quaternion polynomials is right division.  Division is
+fraction-free integer kernel: the ring's table (the one the coefficient
+class multiplies by) acts on the rows in operand order, so ``divmod`` of
+quaternion polynomials is right division.  Division is
 pseudo-division scaled by the integer norm of the divisor's leading
 coefficient; the gcd of real or complex polynomials is the subresultant
 remainder sequence over Z, Z[sqrt d], Z[i] or Z[sqrt d][i], made monic
@@ -36,11 +37,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from operator import attrgetter, itemgetter
 from typing import Iterable
 
 from .quaternions import Quaternion
-from .scalars import ComplexScalar, Scalar, _merge_bases, _unchecked
+from .scalars import _REAL, ComplexScalar, Scalar, _merge_bases, _unchecked
 
 
 class InexactDivision(ArithmeticError):
@@ -55,25 +55,15 @@ class InexactDivision(ArithmeticError):
 # in ascending degree over one denominator: tuples as stored, lists while
 # the kernel rewrites them.
 
-# e_i e_j = sign e_k on the component basis of each coefficient ring
-_REAL = ((0, 0, 0, 1),)
-_COMPLEX = ((0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 0, -1))
-_HAMILTON = (
-    (0, 0, 0, 1), (0, 1, 1, 1), (0, 2, 2, 1), (0, 3, 3, 1),
-    (1, 0, 1, 1), (2, 0, 2, 1), (3, 0, 3, 1),
-    (1, 1, 0, -1), (2, 2, 0, -1), (3, 3, 0, -1),
-    (1, 2, 3, 1), (2, 1, 3, -1), (2, 3, 1, 1), (3, 2, 1, -1),
-    (3, 1, 2, 1), (1, 3, 2, -1))
-
 _F0 = Fraction(0)
 
 
 class _Algebra:
     """Integer coordinates of a coefficient ring over the base d.
 
-    ``terms`` are the structure constants (i, j, k, c): coordinate i of a
-    left factor times coordinate j of a right factor adds c times their
-    product to coordinate k.
+    ``terms`` are the ring's ``table`` over the integer coordinates
+    (i, j, k, c): coordinate i of a left factor times coordinate j of a
+    right factor adds c times their product to coordinate k.
     """
 
     def __init__(self, table: tuple, d: int):
@@ -153,7 +143,7 @@ def _base(polys) -> int:
 
 def _kernel(*polys: "_DensePoly") -> _Algebra:
     """The algebra of the polynomials' kind over their common surd base."""
-    return _algebra(polys[0].table, _base(polys))
+    return _algebra(polys[0].ring.table, _base(polys))
 
 
 def _stack(polys) -> tuple:
@@ -321,22 +311,23 @@ class _DensePoly:
 
     Stored as its surd base ``d``, integer coordinate ``rows`` and one
     positive denominator ``den``, in the canonical form of the module
-    docstring.  A subclass sets ``ring`` and its ``zero_coeff``, the
-    ``constants`` it accepts as degree-0 polynomials, the polynomial
-    kinds it ``lifts`` coefficientwise into its ring, and for the integer
-    kernel the ring's multiplication ``table``, how to ``split`` a
-    coefficient into its real components and how to ``join`` them back.
+    docstring.  A subclass sets its coefficient ``ring``, the
+    ``constants`` it accepts as degree-0 polynomials and the polynomial
+    kinds it ``lifts`` coefficientwise into its ring.  The ring gives
+    the rest: its ``width`` real components, a coefficient's ``parts``
+    and ``from_parts`` to split and join them, and the multiplication
+    ``table`` the integer kernel runs.
     """
 
     __slots__ = ("d", "rows", "den")
     lifts: tuple = ()
 
     def __init__(self, coeffs: Iterable = ()):
-        comps = [self.split(self.ring.of(c)) for c in coeffs]
+        comps = [self.ring.of(c).parts for c in coeffs]
         d = _base(s for c in comps for s in c)
-        parts = ("a", "b") if d else ("a",)
-        fracs = [[getattr(c[w], part) for c in comps]
-                 for w in range(len(self.split(self.zero_coeff))) for part in parts]
+        fields = ("a", "b") if d else ("a",)
+        fracs = [[getattr(c[w], field) for c in comps]
+                 for w in range(self.ring.width) for field in fields]
         den = math.lcm(*[f.denominator for row in fracs for f in row])
         rows = [[f.numerator * (den // f.denominator) for f in row] for row in fracs]
         self._set(*_canonical(d, rows, den))
@@ -367,7 +358,7 @@ class _DensePoly:
 
     def _split(self, kind) -> tuple:
         """The real components of self, grouped into polynomials of kind."""
-        k = _algebra(kind.table, self.d).m
+        k = _algebra(kind.ring.table, self.d).m
         return tuple(kind._from_rows(self.d, self.rows[i:i + k], self.den)
                      for i in range(0, len(self.rows), k))
 
@@ -380,7 +371,7 @@ class _DensePoly:
             return value
         if isinstance(value, cls.lifts):
             zero = (0,) * len(value.rows[0])
-            missing = _algebra(cls.table, value.d).m - len(value.rows)
+            missing = _algebra(cls.ring.table, value.d).m - len(value.rows)
             return cls._from_rows(value.d, value.rows + (zero,) * missing, value.den)
         if isinstance(value, cls.constants):
             return cls([value])
@@ -404,10 +395,10 @@ class _DensePoly:
 
     def coeff(self, k: int):
         if not 0 <= k < len(self.rows[0]):
-            return self.zero_coeff
+            return self.ring.of(0)
         parts = [Fraction(row[k], self.den) if row[k] else _F0 for row in self.rows]
         pairs = zip(parts[::2], parts[1::2]) if self.d else ((a, _F0) for a in parts)
-        return self.join([_unchecked(a, b, self.d) for a, b in pairs])
+        return self.ring.from_parts([_unchecked(a, b, self.d) for a, b in pairs])
 
     def __add__(self, other):
         d, den, (x, y) = _stack((self, self.of(other)))
@@ -454,7 +445,7 @@ class _DensePoly:
 
     def leading_inverse(self):
         """The constant 1/lead(self) of a nonzero polynomial, from its rows."""
-        inv, n = _algebra(self.table, self.d).inverse_parts(_leading(self.rows))
+        inv, n = _algebra(self.ring.table, self.d).inverse_parts(_leading(self.rows))
         return self._from_rows(self.d, [[self.den * v] for v in inv], n)
 
     def monic(self):
@@ -484,7 +475,7 @@ class _DensePoly:
 
     def evaluate(self, xi):
         x = self.ring.of(Scalar.of(xi))
-        acc = self.zero_coeff
+        acc = self.ring.of(0)
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
@@ -510,9 +501,8 @@ class RealPoly(_DensePoly):
     """Polynomial with Scalar coefficients, ascending order."""
 
     __slots__ = ()
-    ring, zero_coeff = Scalar, Scalar(0)
+    ring = Scalar
     constants = (Scalar, Fraction, int)
-    table, split, join = _REAL, staticmethod(lambda c: (c,)), itemgetter(0)
 
     def antiderivative(self) -> "RealPoly":
         """Termwise antiderivative with zero constant term."""
@@ -547,11 +537,9 @@ class ComplexPoly(_DensePoly):
     """Polynomial with ComplexScalar coefficients."""
 
     __slots__ = ()
-    ring, zero_coeff = ComplexScalar, ComplexScalar(0)
+    ring = ComplexScalar
     constants = (ComplexScalar, Scalar, Fraction, int)
     lifts = (RealPoly,)
-    table, split = _COMPLEX, attrgetter("re", "im")
-    join = staticmethod(lambda parts: ComplexScalar(*parts))
 
     @classmethod
     def from_parts(cls, re: RealPoly, im: RealPoly) -> "ComplexPoly":
@@ -573,11 +561,9 @@ class QuatPoly(_DensePoly):
     """Quaternion polynomial u + v*i + p*j + q*k with ordered products."""
 
     __slots__ = ()
-    ring, zero_coeff = Quaternion, Quaternion(0)
+    ring = Quaternion
     constants = (Quaternion, ComplexScalar, Scalar, Fraction, int)
     lifts = (RealPoly, ComplexPoly)
-    table, split = _HAMILTON, attrgetter("w", "x", "y", "z")
-    join = staticmethod(lambda parts: Quaternion(*parts))
 
     @classmethod
     def from_components(cls, u, v, p, q) -> "QuatPoly":

@@ -2,38 +2,39 @@
 
 The algebra H = R + Ri + Rj + Rk with the Hamilton product, the
 Euclidean inner product of R^4, and the normalized-component map used
-throughout the frame computations.
+throughout the frame computations.  The Hamilton product is stated once,
+as the table ``_HAMILTON``, which Quaternion (through the ring base in
+rrmf.scalars) and QuatPoly's integer kernel both multiply by.
 """
 
 from __future__ import annotations
 
-from .scalars import ComplexScalar, Scalar, ScalarLike
+import operator
+
+from .scalars import ComplexScalar, Scalar, ScalarLike, _Hypercomplex
+
+# e_i e_j = sign e_k on the basis (1, i, j, k): i j = k, j i = -k, ...
+_HAMILTON = (
+    (0, 0, 0, 1), (0, 1, 1, 1), (0, 2, 2, 1), (0, 3, 3, 1),
+    (1, 0, 1, 1), (2, 0, 2, 1), (3, 0, 3, 1),
+    (1, 1, 0, -1), (2, 2, 0, -1), (3, 3, 0, -1),
+    (1, 2, 3, 1), (2, 1, 3, -1), (2, 3, 1, 1), (3, 2, 1, -1),
+    (3, 1, 2, 1), (1, 3, 2, -1))
 
 
-class Quaternion:
+class Quaternion(_Hypercomplex):
     """w + x*i + y*j + z*k with exact Scalar components, immutable."""
 
-    __slots__ = ("w", "x", "y", "z")
+    __slots__ = ()
+    width, table = 4, _HAMILTON
+    w = property(lambda self: self.parts[0])
+    x = property(lambda self: self.parts[1])
+    y = property(lambda self: self.parts[2])
+    z = property(lambda self: self.parts[3])
 
     def __init__(self, w: ScalarLike = 0, x: ScalarLike = 0, y: ScalarLike = 0,
                  z: ScalarLike = 0):
-        object.__setattr__(self, "w", Scalar.of(w))
-        object.__setattr__(self, "x", Scalar.of(x))
-        object.__setattr__(self, "y", Scalar.of(y))
-        object.__setattr__(self, "z", Scalar.of(z))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Quaternion is immutable")
-
-    # -- constructors --------------------------------------------------
-
-    @classmethod
-    def of(cls, value) -> "Quaternion":
-        if isinstance(value, Quaternion):
-            return value
-        if isinstance(value, ComplexScalar):
-            return cls(value.re, value.im)
-        return cls(Scalar.of(value))
+        super().__init__(w, x, y, z)
 
     @classmethod
     def from_complex_pair(cls, alpha: ComplexScalar, beta: ComplexScalar) -> "Quaternion":
@@ -43,14 +44,12 @@ class Quaternion:
     # -- structure -----------------------------------------------------
 
     def components(self) -> tuple[Scalar, Scalar, Scalar, Scalar]:
-        return (self.w, self.x, self.y, self.z)
+        return self.parts
 
     def complex_pair(self) -> tuple[ComplexScalar, ComplexScalar]:
         """(alpha, beta) with self = alpha + beta*j."""
-        return (ComplexScalar(self.w, self.x), ComplexScalar(self.y, self.z))
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.components())
+        return (ComplexScalar.from_parts(self.parts[:2]),
+                ComplexScalar.from_parts(self.parts[2:]))
 
     def is_pure(self) -> bool:
         return self.w.is_zero()
@@ -58,90 +57,14 @@ class Quaternion:
     def vector_part(self) -> "Quaternion":
         return Quaternion(0, self.x, self.y, self.z)
 
-    # -- algebra ---------------------------------------------------------
-
-    def __add__(self, other) -> "Quaternion":
-        other = Quaternion.of(other)
-        return Quaternion(self.w + other.w, self.x + other.x,
-                          self.y + other.y, self.z + other.z)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Quaternion":
-        return Quaternion(-self.w, -self.x, -self.y, -self.z)
-
-    def __sub__(self, other) -> "Quaternion":
-        return self + (-Quaternion.of(other))
-
-    def __rsub__(self, other) -> "Quaternion":
-        return (-self) + Quaternion.of(other)
-
-    def __mul__(self, other) -> "Quaternion":
-        """Hamilton product (i*j = k, j*i = -k)."""
-        q = Quaternion.of(other)
-        a, b, c, d = self.w, self.x, self.y, self.z
-        e, f, g, h = q.w, q.x, q.y, q.z
-        return Quaternion(
-            a * e - b * f - c * g - d * h,
-            a * f + b * e + c * h - d * g,
-            a * g - b * h + c * e + d * f,
-            a * h + b * g - c * f + d * e,
-        )
-
-    def __rmul__(self, other) -> "Quaternion":
-        return Quaternion.of(other) * self
-
-    def scale(self, s: ScalarLike) -> "Quaternion":
-        s = Scalar.of(s)
-        return Quaternion(self.w * s, self.x * s, self.y * s, self.z * s)
-
-    def conjugate(self) -> "Quaternion":
-        return Quaternion(self.w, -self.x, -self.y, -self.z)
-
-    def norm_sq(self) -> Scalar:
-        return (self.w * self.w + self.x * self.x
-                + self.y * self.y + self.z * self.z)
-
-    def inverse(self) -> "Quaternion":
-        n = self.norm_sq()
-        if n.is_zero():
-            raise ZeroDivisionError("inverse of zero quaternion")
-        return self.conjugate().scale(n.inverse())
-
     def inner(self, other: "Quaternion") -> Scalar:
         """Euclidean inner product of R^4."""
-        other = Quaternion.of(other)
-        return (self.w * other.w + self.x * other.x
-                + self.y * other.y + self.z * other.z)
+        return sum(map(operator.mul, self.parts, Quaternion.of(other).parts), Scalar(0))
 
     def cross(self, other: "Quaternion") -> "Quaternion":
-        """Vector cross product of the pure parts."""
-        a, b = self.vector_part(), Quaternion.of(other).vector_part()
-        return Quaternion(
-            0,
-            a.y * b.z - a.z * b.y,
-            a.z * b.x - a.x * b.z,
-            a.x * b.y - a.y * b.x,
-        )
-
-    # -- comparison / conversion ---------------------------------------
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Quaternion):
-            return self.components() == other.components()
-        try:
-            return self == Quaternion.of(other)
-        except TypeError:
-            return NotImplemented
-
-    def __hash__(self):
-        return hash(self.components())
-
-    def __bool__(self) -> bool:
-        return not self.is_zero()
-
-    def __repr__(self):
-        return f"Quaternion({self.w}, {self.x}, {self.y}, {self.z})"
+        """Vector cross product of the pure parts: for pure a and b,
+        a b = -<a, b> + a x b."""
+        return (self.vector_part() * Quaternion.of(other).vector_part()).vector_part()
 
 
 ONE = Quaternion(1)

@@ -7,11 +7,18 @@ determination never touches floating point.  Pure rationals are
 canonicalized to base 0 and combine freely with values of any base;
 combining two genuinely irrational values of different bases is an
 error rather than an implicit field extension.
+
+Scalar, ComplexScalar and rrmf.quaternions.Quaternion are the
+coefficient rings of polynomials.  Each exposes ``width``, a value's
+Scalar ``parts``, ``from_parts`` and ``table``, the one statement of its
+multiplication rule.  ComplexScalar and Quaternion multiply by the table
+through their common base _Hypercomplex; rrmf.polynomials' kernel too.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from decimal import Decimal
 from fractions import Fraction
@@ -54,6 +61,12 @@ def _merge_bases(d1: int, d2: int) -> int:
     raise SurdBaseMismatch(f"cannot combine sqrt({d1}) with sqrt({d2})")
 
 
+# The multiplication rule of each coefficient ring, as rows (i, j, k, sign)
+# for e_i e_j = sign e_k on its basis: here the reals, below the complex
+# numbers, and the Hamilton product in rrmf.quaternions.
+_REAL = ((0, 0, 0, 1),)
+
+
 class Scalar:
     """An element a + b*sqrt(d) of Q(sqrt(d)), immutable.
 
@@ -68,9 +81,12 @@ class Scalar:
     assembled without re-validation, because their parts are Fraction
     operations on valid operands and their base is one of the operands'
     bases; only the ``b == 0 => d == 0`` normalisation runs on them.
+
+    As a coefficient ring it has ``width`` 1: its ``parts`` are ``(self,)``.
     """
 
     __slots__ = ("a", "b", "d")
+    width, table = 1, _REAL
 
     def __init__(self, a: ScalarLike = 0, b: ScalarLike = 0, d: int = 0):
         if isinstance(a, Scalar) or isinstance(b, Scalar):
@@ -103,6 +119,9 @@ class Scalar:
     def surd(cls, coefficient: ScalarLike, d: int) -> "Scalar":
         """The value coefficient * sqrt(d)."""
         return cls(0, Fraction(coefficient), d)
+
+    parts = property(lambda self: (self,))
+    from_parts = staticmethod(operator.itemgetter(0))
 
     # -- predicates ----------------------------------------------------
 
@@ -298,81 +317,127 @@ def parse_scalar(text: str, expected_base: int | None = None) -> Scalar:
     return result
 
 
-class ComplexScalar:
-    """An element of Q(sqrt(d))(i), the coefficient field of complex polynomials."""
+class _Hypercomplex:
+    """An immutable element of a ring of ``width`` Scalar ``parts`` that
+    multiply by ``table``.  A value of a narrower ring is lifted by zero
+    parts, and ``==`` compares across rings that way.
+    """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("parts",)
+    width: int
+    table: tuple
 
-    def __init__(self, re: ScalarLike = 0, im: ScalarLike = 0):
-        object.__setattr__(self, "re", Scalar.of(re))
-        object.__setattr__(self, "im", Scalar.of(im))
+    def __init__(self, *parts: ScalarLike):
+        _set_parts(self, tuple(map(Scalar.of, parts)))
 
     def __setattr__(self, name, value):
-        raise AttributeError("ComplexScalar is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
-    def of(cls, value) -> "ComplexScalar":
-        if isinstance(value, ComplexScalar):
+    def from_parts(cls, parts):
+        """The element with the given ``width`` Scalar coordinates."""
+        z = object.__new__(cls)
+        _set_parts(z, tuple(parts))
+        return z
+
+    @classmethod
+    def of(cls, value):
+        if isinstance(value, cls):
             return value
-        return cls(Scalar.of(value))
+        if not isinstance(value, (Scalar, _Hypercomplex)):
+            value = Scalar.of(value)
+        if value.width > cls.width:
+            raise TypeError(f"cannot convert {type(value).__name__} to {cls.__name__}")
+        return cls.from_parts(value.parts + (_ZERO,) * (cls.width - value.width))
 
     def is_zero(self) -> bool:
-        return self.re.is_zero() and self.im.is_zero()
+        return not any(self.parts)
 
-    def conjugate(self) -> "ComplexScalar":
-        return ComplexScalar(self.re, -self.im)
-
-    def norm_sq(self) -> Scalar:
-        return self.re * self.re + self.im * self.im
-
-    def __add__(self, other) -> "ComplexScalar":
-        other = ComplexScalar.of(other)
-        return ComplexScalar(self.re + other.re, self.im + other.im)
+    def __add__(self, other):
+        return self.from_parts(map(operator.add, self.parts, self.of(other).parts))
 
     __radd__ = __add__
 
-    def __neg__(self) -> "ComplexScalar":
-        return ComplexScalar(-self.re, -self.im)
+    def __neg__(self):
+        return self.from_parts(-p for p in self.parts)
 
-    def __sub__(self, other) -> "ComplexScalar":
-        return self + (-ComplexScalar.of(other))
+    def __sub__(self, other):
+        return self.from_parts(map(operator.sub, self.parts, self.of(other).parts))
 
-    def __rsub__(self, other) -> "ComplexScalar":
-        return (-self) + ComplexScalar.of(other)
+    def __rsub__(self, other):
+        return self.of(other) - self
 
-    def __mul__(self, other) -> "ComplexScalar":
-        other = ComplexScalar.of(other)
-        return ComplexScalar(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+    def __mul__(self, other):
+        """The product by ``table``, self the left factor."""
+        x, y = self.parts, self.of(other).parts
+        out = [None] * self.width
+        for i, j, k, sign in self.table:
+            t = x[i] * y[j]
+            if out[k] is None:
+                out[k] = t if sign > 0 else -t
+            else:
+                out[k] = out[k] + t if sign > 0 else out[k] - t
+        return self.from_parts(out)
 
-    __rmul__ = __mul__
+    def __rmul__(self, other):
+        return self.of(other) * self
 
-    def inverse(self) -> "ComplexScalar":
+    def scale(self, s: ScalarLike):
+        """Every part multiplied by the scalar s."""
+        s = Scalar.of(s)
+        return self.from_parts(p * s for p in self.parts)
+
+    def conjugate(self):
+        """The real part kept, every other part negated."""
+        real, *rest = self.parts
+        return self.from_parts((real, *(-p for p in rest)))
+
+    def norm_sq(self) -> Scalar:
+        return sum((p * p for p in self.parts), _ZERO)
+
+    def inverse(self):
         n = self.norm_sq()
         if n.is_zero():
-            raise ZeroDivisionError("inverse of zero complex scalar")
-        return ComplexScalar(self.re / n, -self.im / n)
+            raise ZeroDivisionError(f"inverse of zero {type(self).__name__}")
+        return self.conjugate().scale(n.inverse())
 
-    def __truediv__(self, other) -> "ComplexScalar":
-        return self * ComplexScalar.of(other).inverse()
+    def __truediv__(self, other):
+        return self * self.of(other).inverse()
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction, Scalar)):
-            other = ComplexScalar.of(other)
-        if not isinstance(other, ComplexScalar):
+        if isinstance(other, (int, Fraction)):
+            other = Scalar.of(other)
+        if not isinstance(other, (Scalar, _Hypercomplex)) or other.width > self.width:
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return self.parts == self.of(other).parts
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash(self.parts)
 
     def __bool__(self) -> bool:
         return not self.is_zero()
 
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(map(str, self.parts))})"
+
+
+_set_parts = _Hypercomplex.parts.__set__
+_ZERO = Scalar(0)
+
+# e_i e_j = sign e_k on the basis (1, i)
+_COMPLEX = ((0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 0, -1))
+
+
+class ComplexScalar(_Hypercomplex):
+    """re + im*i in Q(sqrt(d))(i), the coefficient field of complex polynomials."""
+
+    __slots__ = ()
+    width, table = 2, _COMPLEX
+    re = property(lambda self: self.parts[0])
+    im = property(lambda self: self.parts[1])
+
+    def __init__(self, re: ScalarLike = 0, im: ScalarLike = 0):
+        super().__init__(re, im)
+
     def __complex__(self) -> complex:
         return complex(float(self.re), float(self.im))
-
-    def __repr__(self):
-        return f"ComplexScalar({self.re}, {self.im})"

@@ -270,7 +270,8 @@ def test_criterion_7_frames():
     for _ in range(N_FRAMES):
         a, gamma, _ = _random_certified(rng, base_pool)
         ga, gb = gamma.real_parts()
-        frame = rmf_symbolic(a, ga, gb)  # orthonormality verified on build
+        frame = rmf_symbolic(a, ga, gb)  # builds the frame without checking it
+        frame.verify_orthonormal()
         ok_sym &= frame.tangent_twist().is_zero()
     report("criterion 7a: symbolic orthonormality and zero twist, "
            "3 worked + 25 random certified (exact)", ok_sym)

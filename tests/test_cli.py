@@ -266,16 +266,23 @@ def test_frames_rmf_beyond_the_unit_interval(tmp_path, capsys):
         assert len(rows) == 201
         for xi, got, want in rows:
             assert all(abs(x - y) <= FRAME_TOL for x, y in zip(got, want)), xi
+        # a negative lower bound after a space is the same range
+        spaced = tmp_path / "spaced.csv"
+        code, out, err = run(capsys, "frames", str(fixture), "--frame", "rmf",
+                             "--range", bounds, "--samples", "201", "--out", str(spaced))
+        assert (code, out, err) == (0, f"wrote 201 samples to {spaced}\n", "")
+        assert spaced.read_bytes() == out_csv.read_bytes()
 
 
 def test_frames_csv_streams_in_chunks(tmp_path, capsys, monkeypatch):
     # chunked writing is byte-identical to one-call sampling, skips included
     xi_poly = RealPoly([0, 1]).as_quat()  # sigma = xi^2 vanishes at 0
-    cases = [(EX2.generator, EX2.certificate, "rmf"), (xi_poly, None, "erf"),
-             (EX2.generator, None, "frenet")]
-    for poly, cert, frame in cases:
+    # --samples 1 writes the one row at the lower bound
+    cases = [(EX2.generator, EX2.certificate, "rmf", 11), (xi_poly, None, "erf", 11),
+             (EX2.generator, None, "frenet", 11), (EX2.generator, EX2.certificate, "rmf", 1)]
+    for poly, cert, frame, n in cases:
         path = write_doc(tmp_path, f"{frame}.json", poly, cert)
-        samples, warnings = sample_frames(poly, frame, [-1 + k * 0.2 for k in range(11)],
+        samples, warnings = sample_frames(poly, frame, [-1 + k * 0.2 for k in range(n)],
                                           certificate=cert)
         assert len(warnings) == (frame == "erf")  # the speed root of xi_poly
         write_frames_csv(samples, tmp_path / "whole.csv")
@@ -283,7 +290,7 @@ def test_frames_csv_streams_in_chunks(tmp_path, capsys, monkeypatch):
             monkeypatch.setattr(cli, "FRAME_CHUNK", chunk)
             out_csv = tmp_path / f"{frame}-{chunk}.csv"
             code, out, err = run(capsys, "frames", path, "--frame", frame,
-                                 "--range=-1:1", "--samples", "11", "--out", str(out_csv))
+                                 "--range=-1:1", "--samples", str(n), "--out", str(out_csv))
             assert code == 0
             assert out_csv.read_bytes() == (tmp_path / "whole.csv").read_bytes()
             assert err == "".join(f"warning: {w}\n" for w in warnings)
@@ -469,12 +476,30 @@ CLASSIFY_GOLDEN = {
         '{%s, "in_F": "unknown", "membership_method": "exhausted", '
         '"han_certificate": null, "notes": "%s"}'),
 }
+# stripped fixture and --search-degree -> output: the search proves
+# membership with the certificate search-gamma prints, or exhausts
+CLASSIFY_SEARCH_GOLDEN = {
+    ("quintic-left-cancellation", 1):
+        '{%s, "in_F": "proven", "membership_method": "search", '
+        '"han_certificate": {"a": ["-2/1", "1/1"], "b": ["-1/1"]}, "notes": "%s"}',
+    ("quintic-right-cancellation", 2): CLASSIFY_GOLDEN["quintic-right-cancellation"][1],
+    ("quintic-right-cancellation", 3):
+        '{%s, "in_F": "proven", "membership_method": "search", '
+        '"han_certificate": {"a": ["-19/2", "51/4", "-6/1", "1/1"], '
+        '"b": ["-41/4", "8/1", "-2/1"]}, "notes": "%s"}',
+}
 CONSTRUCT_FAMILY_6_GOLDEN = (
     '{"document": {"sqrt_base": 0, "kind": "quaternion", "coefficients": '
     '[["1/1", "0/1", "0/1", "0/1"], ["0/1", "0/1", "1/1", "0/1"], '
     '["0/1", "0/1", "0/1", "0/1"], ["0/1", "0/1", "0/1", "0/1"], '
     '["0/1", "0/1", "0/1", "0/1"], ["0/1", "0/1", "0/1", "6/1"], '
     '["0/1", "4/1", "0/1", "0/1"]]}, "verification": '
+    '{"in_F0": true, "trivial": false, "planar": false, "primitive": true}}')
+CUBIC_MONIC_SPEC = {"a1": ["0", "0", "0", "1"], "a2": ["0", "0", "1", "0"], "s0": "1/3"}
+CUBIC_MONIC_GOLDEN = (
+    '{"document": {"sqrt_base": 0, "kind": "quaternion", "coefficients": '
+    '[["1/3", "1/3", "0/1", "0/1"], ["0/1", "0/1", "0/1", "1/1"], '
+    '["0/1", "0/1", "1/1", "0/1"], ["1/1", "0/1", "0/1", "0/1"]]}, "verification": '
     '{"in_F0": true, "trivial": false, "planar": false, "primitive": true}}')
 REDUCE_LEFT_GOLDEN = (
     '{"document": {"sqrt_base": 0, "kind": "quaternion", "coefficients": '
@@ -516,20 +541,34 @@ def test_classify_golden_output(tmp_path, capsys):
         path = root / f"{name}.json"
         stripped = write_doc(tmp_path, f"{name}-bare.json",
                              parse_document(path.read_text()).to_poly())
-        for doc, golden in ((str(path), with_cert), (stripped, bare)):
-            code, out, err = run(capsys, "classify", doc)
+        cases = [((str(path),), with_cert), ((stripped,), bare)]
+        cases += [((stripped, "--search-degree", str(degree)), golden)
+                  for (fixture, degree), golden in CLASSIFY_SEARCH_GOLDEN.items()
+                  if fixture == name]
+        for argv, golden in cases:
+            code, out, err = run(capsys, "classify", *argv)
             expected = _indented(golden % (_SPATIAL_PRIMITIVE, _REGULARITY))
-            assert (code, out, err) == (0, expected, ""), (name, doc)
+            assert (code, out, err) == (0, expected, ""), (name, argv)
 
 
-def test_construct_reduce_and_paper_examples_golden_output(capsys):
+def test_construct_reduce_and_paper_examples_golden_output(tmp_path, capsys):
     root = Path(__file__).resolve().parent.parent / "fixtures"
+    left = str(root / "quintic-left-cancellation.json")
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(CUBIC_MONIC_SPEC))
+    real_gamma = write_doc(tmp_path, "real.json", RealPoly([0, 1]))
     cases = [(("construct", "family", "--n", "6"), _indented(CONSTRUCT_FAMILY_6_GOLDEN)),
-             (("reduce", str(root / "quintic-left-cancellation.json")),
-              _indented(REDUCE_LEFT_GOLDEN)),
+             (("construct", "cubic-monic", "--spec-json", json.dumps(CUBIC_MONIC_SPEC)),
+              _indented(CUBIC_MONIC_GOLDEN)),
+             (("construct", "cubic-monic", "--spec", str(spec)),
+              _indented(CUBIC_MONIC_GOLDEN)),
+             (("reduce", left), _indented(REDUCE_LEFT_GOLDEN)),
              (("paper-examples",), PAPER_EXAMPLES_GOLDEN)]
+    cases = [(argv, (0, out, "")) for argv, out in cases]
+    cases.append((("reduce", left, "--gamma", real_gamma),
+                  (3, "", "error: --gamma document must have complex kind\n")))
     for argv, expected in cases:
-        assert run(capsys, *argv) == (0, expected, ""), argv
+        assert run(capsys, *argv) == expected, argv
 
 
 def test_zero_certificate_rejected(tmp_path, capsys):

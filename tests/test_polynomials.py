@@ -183,7 +183,10 @@ def test_right_divmod(rng):
 
 def schoolbook_product(a, b):
     """Coefficients of a b by convolution with the Hamilton product of
-    Quaternion, left factor first."""
+    Quaternion, left factor first.  Quaternion and the integer kernel read
+    one table, so this checks the kernel's coordinates and convolution;
+    tests/test_quaternions.py checks Quaternion against the written-out
+    Hamilton formula."""
     out = [Quaternion(0)] * (len(a.coeffs) + len(b.coeffs) - 1)
     for r, x in enumerate(a.coeffs):
         for s, y in enumerate(b.coeffs):

@@ -1,16 +1,79 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rrmf.quaternions import I, J, K, ONE, Quaternion, normalized_component
-from rrmf.scalars import Scalar
+from rrmf.scalars import ComplexScalar, Scalar
 
 from conftest import nonzero_quat, rand_quat
 
 
 def test_defining_relations():
-    assert I * J == K
-    assert J * I == -K
-    assert J * K == I and K * I == J
-    assert I * I == Quaternion(-1) and J * J == Quaternion(-1)
+    # all 16 products of the basis (1, i, j, k), written out
+    assert ONE * ONE == ONE and ONE * I == I and ONE * J == J and ONE * K == K
+    assert I * ONE == I and J * ONE == J and K * ONE == K
+    assert I * I == Quaternion(-1) and J * J == Quaternion(-1) and K * K == Quaternion(-1)
+    assert I * J == K and J * I == -K
+    assert J * K == I and K * J == -I
+    assert K * I == J and I * K == -J
+
+
+# -- reference test of the coefficient rings --------------------------------
+# Products, conjugates, norms and inverses against the textbook formulas
+# written out here, independently of the multiplication tables the classes
+# and the polynomial kernel read.
+
+_RINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+_fractions = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+_scalars = st.builds(lambda a, b, d: Scalar(a, b if d else 0, d),
+                     _fractions, _fractions, st.sampled_from((0, 15)))
+
+
+@_RINGS
+@given(st.lists(_scalars, min_size=8, max_size=8))
+def test_quaternion_arithmetic_matches_written_formulas(parts):
+    (a1, b1, c1, d1), (a2, b2, c2, d2) = parts[:4], parts[4:]
+    p, q = Quaternion(a1, b1, c1, d1), Quaternion(a2, b2, c2, d2)
+    assert (p * q).components() == (
+        a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+        a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+        a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+        a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2)
+    assert p.conjugate().components() == (a1, -b1, -c1, -d1)
+    n = a1 * a1 + b1 * b1 + c1 * c1 + d1 * d1
+    assert p.norm_sq() == n
+    if n.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            p.inverse()
+    else:
+        assert p.inverse().components() == (a1 / n, -b1 / n, -c1 / n, -d1 / n)
+
+
+@_RINGS
+@given(st.lists(_scalars, min_size=4, max_size=4))
+def test_complex_scalar_arithmetic_matches_written_formulas(parts):
+    a, b, c, d = parts
+    x, y = ComplexScalar(a, b), ComplexScalar(c, d)
+    product = x * y
+    assert (product.re, product.im) == (a * c - b * d, a * d + b * c)
+    assert (x.conjugate().re, x.conjugate().im) == (a, -b)
+    n = a * a + b * b
+    assert x.norm_sq() == n
+    if n.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            x.inverse()
+    else:
+        assert (x.inverse().re, x.inverse().im) == (a / n, -b / n)
+
+
+def test_cross_kind_equality_repr_and_hash():
+    assert ComplexScalar(1) == Quaternion(1) and Quaternion(1) == ComplexScalar(1)
+    assert Quaternion(2) == 2 and ComplexScalar(2) == Scalar(2) and Scalar(2) == Quaternion(2)
+    assert Quaternion(1, 2) == ComplexScalar(1, 2) and ComplexScalar(1, 2) != Quaternion(1, 2, 3)
+    q, c = Quaternion(1, 2, 3, Scalar(1, 1, 15)), ComplexScalar(-1, Scalar(0, 2, 15))
+    assert repr(q) == "Quaternion(1/1, 2/1, 3/1, 1/1+1/1*sqrt(15))"
+    assert repr(c) == "ComplexScalar(-1/1, 0/1+2/1*sqrt(15))"
+    assert hash(q) == hash((q.w, q.x, q.y, q.z)) and hash(c) == hash((c.re, c.im))
 
 
 def test_norm_product_example():
