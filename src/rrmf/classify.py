@@ -16,8 +16,10 @@ Every fact of a generator is read from one hodograph.GeneratorAnalysis,
 re-exported here with TrivialWitness.  Its span rank and triviality
 witness are decided on the integer rows of the polynomial kernel
 (polynomials.vector_rank and vector_part_rank), as is the equal-degree
-criterion (indicatrix.rho_eta, which reads sigma and <A'i, A> from the
-analysis); only the witness's direction is one Quaternion product.
+criterion (indicatrix.sigma_divides_rho: ruled out on the analysis's
+prime image when it can be, else indicatrix.rho_eta, which reads sigma
+and <A'i, A> from the analysis); only the witness's direction is one
+Quaternion product.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from enum import Enum
 from typing import Optional
 
 from .hodograph import GeneratorAnalysis, TrivialWitness
-from .indicatrix import require_certificate, rho_eta, verify_han
+from .indicatrix import require_certificate, sigma_divides_rho, verify_han
 from .polynomials import (ComplexPoly, QuatPoly, RealPoly, exact_divide,
                           gcd_complex)
 from .quaternions import I
@@ -184,7 +186,7 @@ def _membership(analysis: GeneratorAnalysis,
     if analysis.in_f0:
         return Membership(MembershipStatus.PROVEN, "vanishing-indicatrix",
                           (RealPoly([1]), RealPoly()))
-    if rho_eta(analysis).divisible:
+    if sigma_divides_rho(analysis):
         return Membership(MembershipStatus.PROVEN, "equal-degree-criterion")
     if search_degree is not None:
         found = _search(analysis, search_degree, search_budget)

@@ -4,10 +4,15 @@ A quaternion polynomial A maps to the hodograph r' = A i A*, whose
 components always satisfy x'^2 + y'^2 + z'^2 = sigma^2 with parametric
 speed sigma = |A|^2.  GeneratorAnalysis owns every fact of A: one
 integer pass of the polynomial kernel forms sigma, A i A* and <A'i, A>,
-and hodograph_of and is_primitive read a fresh analysis.  basis_images
-forms all ten component products of B for the three images B e B*,
-exactly for the symbolic frames and in floats (float_images) for
-sampling.  The core of A is A stripped of its maximal monic complex
+and hodograph_of and is_primitive read a fresh analysis.  The analysis
+forms one prime image of A (polynomials.ComponentImage) and asks it
+first: it can prove the components coprime, chi = 1 (the core is then
+A), <A'i, A> nonzero at a point (not in F0) and span rank 3 (not
+planar).  An image proves only those answers, and the exact kernel
+(has_coprime_components, core_of, the form pass, vector_rank) runs
+whenever it cannot.  basis_images forms all ten component products of
+B for the three images B e B*, exactly for the symbolic frames and in
+floats (float_images) for sampling.  The core of A is A stripped of its maximal monic complex
 right divisor; A generates a primitive hodograph exactly when it
 coincides with its core.
 """
@@ -18,9 +23,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-from .polynomials import (ComplexPoly, QuatPoly, RationalFunction, RealPoly,
-                          component_forms, exact_divide, gcd_complex, gcd_real,
-                          reduce_fraction, vector_part_rank, vector_rank)
+from .polynomials import (ComplexPoly, ComponentImage, QuatPoly,
+                          RationalFunction, RealPoly, component_forms,
+                          exact_divide, gcd_complex, gcd_real, reduce_fraction,
+                          vector_part_rank, vector_rank)
 from .quaternions import Quaternion
 from .scalars import Scalar
 
@@ -94,6 +100,9 @@ _INNER_FORM = ((-1, _DV, _U), (1, _DU, _V), (1, _DQ, _P), (-1, _DP, _Q))
 _ANALYSIS_FORMS = _IMAGE_FORMS[:4] + (_INNER_FORM,)
 
 Images = tuple[RealPoly, list[tuple[RealPoly, ...]]]
+# fixed points of F_p at which an analysis evaluates the image of A
+_POINTS = (0x2545F491, 0x1B873593, 0x3C6EF372)
+_ONE = ComplexPoly([1])
 
 
 def basis_images(b: QuatPoly) -> Images:
@@ -207,8 +216,16 @@ class GeneratorAnalysis:
         return cls(a)
 
     @cached_property
+    def image(self) -> Optional[ComponentImage]:
+        """A's components at one prime, read by every screen below; None
+        when no listed prime fits the base, and then every fact is exact."""
+        return ComponentImage.of(self.poly)
+
+    @cached_property
     def coprime(self) -> bool:
         """Whether the four real components of A are coprime."""
+        if self.image is not None and self.image.coprime():
+            return True
         return has_coprime_components(self.poly)
 
     @cached_property
@@ -232,13 +249,19 @@ class GeneratorAnalysis:
 
     @cached_property
     def in_f0(self) -> bool:
-        """Coprime components and identically zero <A'i, A>."""
+        """Coprime components and identically zero <A'i, A>; an image of
+        <A'i, A> that is nonzero at one point rules it out."""
+        if (self.image is not None
+                and self.image.form_values((_INNER_FORM,), _POINTS[0])[0]):
+            return False
         return self.coprime and self.inner.is_zero()
 
     @cached_property
     def core(self) -> CoreDecomposition:
         """A stripped of chi = gcd(alpha, conj(beta)), its maximal monic
-        complex right divisor."""
+        complex right divisor; A itself when the image proves chi = 1."""
+        if self.image is not None and self.image.split_coprime():
+            return CoreDecomposition(self.poly, _ONE)
         return core_of(self.poly)
 
     @cached_property
@@ -248,7 +271,10 @@ class GeneratorAnalysis:
 
     @cached_property
     def span_rank(self) -> int:
-        """Rank over the field of the vector coefficients of A i A*."""
+        """Rank over the field of the vector coefficients of A i A*: 3
+        when its image takes three independent values at _POINTS."""
+        if self.image is not None and self.image.spans(_IMAGE_FORMS[1:4], _POINTS):
+            return 3
         return vector_rank(*self.hodograph.components())
 
     @cached_property

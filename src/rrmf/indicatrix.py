@@ -16,10 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .hodograph import (_DP, _DQ, _DU, _DV, _INNER_FORM, _P, _Q, _U, _V,
-                        GeneratorAnalysis)
+from .hodograph import (_ANALYSIS_FORMS, _DP, _DQ, _DU, _DV, _INNER_FORM, _P,
+                        _Q, _U, _V, GeneratorAnalysis)
 from .polynomials import (QuatPoly, RationalFunction, RealPoly, component_forms,
-                          gcd_real)
+                          gcd_real, image_forms, rem_mod)
 from .quaternions import I, K
 
 # r1, r2, e1 of rho_eta; e2 is -<A'i, A>, read from the analysis
@@ -128,6 +128,22 @@ def rho_eta(a) -> RhoEta:
     rho = r1 * r1 + r2 * r2
     eta = e1 * e1 + e2 * e2
     return RhoEta(rho, eta, rho.divmod(analysis.sigma)[1].is_zero())
+
+
+def sigma_divides_rho(analysis: GeneratorAnalysis) -> bool:
+    """rho_eta(analysis).divisible, ruled out on the analysis's image when
+    it can be: if sigma keeps its degree 2 deg A there, then sigma | rho
+    would reduce to sigma | rho in F_p[xi], so a nonzero image remainder
+    proves that sigma does not divide rho."""
+    image = analysis.image
+    if image is not None:
+        sigma, r1, r2 = image.forms(_ANALYSIS_FORMS[:1] + _RHO_ETA_FORMS[:2])
+        if len(sigma) == 2 * analysis.poly.degree() + 1:
+            # rho = r1^2 + r2^2, as one form of the two
+            rho, = image_forms([r1, r2], (((1, 0, 0), (1, 1, 1)),), image.p)
+            if rem_mod(rho, sigma, image.p):
+                return False
+    return rho_eta(analysis).divisible
 
 
 def indicatrix_product_residual(b: QuatPoly, a: QuatPoly) -> RealPoly:

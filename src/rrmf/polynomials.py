@@ -7,12 +7,14 @@ real component (one component for real, re/im for complex, four for
 quaternion coefficients); the rows hold them in ascending degree.  The
 form is canonical: rows trimmed (the zero polynomial has empty rows and
 ``degree() == -1``), the gcd of the denominator and every integer 1,
-and base 0 when no sqrt(d) row is nonzero, so ``==`` and ``hash``
-compare the stored triple.  Coefficients are converted only at the
-edges: the constructor from coefficients turns them into rows, which
-raises SurdBaseMismatch for two different surd bases, and ``coeffs``,
-``coeff``, ``leading``, ``evaluate`` and the text forms build Scalars on
-access.  The kinds ``RealPoly``, ``ComplexPoly`` and ``QuatPoly`` name
+and base 0 when no sqrt(d) row is nonzero, so ``==`` compares the
+stored triple; ``hash`` reads the narrowest equal value (a constant as
+its coefficient, without the zero rows a lift appends), so equal
+polynomials of different kinds hash alike.  Coefficients are converted
+only at the edges: the constructor from coefficients turns them into
+rows, which raises SurdBaseMismatch for two different surd bases, and
+``coeffs``, ``coeff``, ``leading``, ``evaluate`` and the text forms
+build Scalars on access.  The kinds ``RealPoly``, ``ComplexPoly`` and ``QuatPoly`` name
 their coefficient ring, the constants they accept and the smaller kinds
 they lift from (Real -> Complex -> Quat).  The ring (rrmf.scalars) gives
 its width, the parts of a coefficient and its multiplication table.
@@ -30,6 +32,23 @@ in the field.  The rank of the vector parts of a quaternion
 polynomial's coefficients is decided on the same rows by cross and
 triple products.  Reduced ratios of real polynomials (monic
 denominator, coprime parts) are the canonical rational functions.
+
+A prime image screens the yes/no questions before the exact kernel
+runs.  It maps the stored integer rows to F_p at the first prime of a
+fixed list of sixteen primes p = 1 (mod 4) below 2^30 that does not
+divide the base d and at which d is a square: sqrt(d) -> s and i -> r
+with s^2 = d and r^2 = -1, a prime of degree 1 of Q(sqrt d)(i).  On the
+elements that are integral at p the map is a ring homomorphism, so it
+can only lower a rank, and it can only raise the degree of a gcd of
+polynomials one of which keeps its degree (Brown 1971).  Each image
+answer is therefore one-sided: a constant image gcd proves the gcd 1
+(``images_coprime``; ``gcd_real`` and ``gcd_complex`` then return 1
+without a subresultant sequence), a nonzero image proves a polynomial
+nonzero, three independent image vectors prove rank 3.  Any other image
+answer proves nothing, and the exact kernel decides; so does it when no
+listed prime fits d.  ComponentImage holds the four real components of
+a quaternion polynomial at that prime, for the screens of
+hodograph.GeneratorAnalysis.
 """
 
 from __future__ import annotations
@@ -37,7 +56,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable
+from itertools import zip_longest
+from typing import Iterable, Optional
 
 from .quaternions import Quaternion
 from .scalars import _REAL, ComplexScalar, Scalar, _merge_bases, _unchecked
@@ -491,7 +511,14 @@ class _DensePoly:
         return (self.d, self.rows, self.den) == (other.d, other.rows, other.den)
 
     def __hash__(self):
-        return hash((self.d, self.rows, self.den))
+        # the narrowest equal value: a constant hashes as its coefficient,
+        # and the all-zero component rows a lift appends are dropped
+        if len(self.rows[0]) <= 1:
+            return hash(self.coeff(0))
+        rows = self.rows
+        while not any(rows[-1]):
+            rows = rows[:-1]
+        return hash((self.d, rows, self.den))
 
     def __bool__(self):
         return not self.is_zero()
@@ -606,13 +633,20 @@ class QuatPoly(_DensePoly):
 def _gcd(cls, polys):
     """Monic gcd of polynomials of a commutative kind.
 
-    Subresultant sequences over the integer rows, folded over the
+    1 when the prime image proves it (images_coprime); otherwise
+    subresultant sequences over the integer rows, folded over the
     arguments, then made monic in the field.
     """
     polys = [p for p in map(cls.of, polys) if not p.is_zero()]
     if not polys:
         raise ValueError("gcd of all-zero polynomials is undefined")
     alg = _kernel(*polys)
+    embedding = _embedding(cls.ring.width, alg.d)
+    if embedding is not None:
+        p, weights = embedding
+        images = [_image(q._rows_over(alg.d), weights, p) for q in polys]
+        if images_coprime(images, [q.degree() for q in polys], p):
+            return cls._from_rows(alg.d, [[v] for v in alg.one], 1)
     g = None
     for p in polys:
         rows = _content_free(p._rows_over(alg.d))
@@ -644,18 +678,202 @@ def component_forms(b: QuatPoly, forms) -> list[RealPoly]:
     comps = [rows[w * p:(w + 1) * p] for w in range(4)]
     comps += [[[k * v for k, v in enumerate(row)][1:] for row in comp]
               for comp in comps]
+    return [RealPoly._from_rows(b.d, acc, b.den * b.den)
+            for acc in _form_rows(real, comps, forms)]
+
+
+def _form_rows(real: _Algebra, comps: list, forms) -> list:
+    """Per form ((c, i, j), ...), the rows of sum c b_i b_j over the real
+    algebra for the coordinate rows b_i = comps[i], each product formed once."""
+    n = 2 * max(len(comp[0]) for comp in comps) - 1
     products: dict = {}
     out = []
     for form in forms:
-        acc = [[0] * (2 * len(rows[0]) - 1) for _ in range(p)]
+        acc = [[0] * n for _ in range(real.parts)]
         for c, i, j in form:
             key = (i, j) if i <= j else (j, i)
             if key not in products:
                 products[key] = _mul_rows(real, comps[i], comps[j])
             for row, src in zip(acc, products[key]):
                 row[:len(src)] = [u + c * v for u, v in zip(row, src)]
-        out.append(RealPoly._from_rows(b.d, acc, b.den * b.den))
+        out.append(acc)
     return out
+
+
+# -- the prime image -------------------------------------------------------
+#
+# See the module docstring.  An image is that of the integer rows, the
+# polynomial times its denominator: every fact screened is blind to that
+# constant factor, and the rows are integral at every prime.
+
+# primes p = 1 (mod 4) below 2^30, so -1 is a square and residues stay one
+# machine word; half are 1 and half 5 (mod 8), so that 2 is a square at some
+_PRIMES = (1073741789, 1073741689, 1073741741, 1073741561, 1073741717,
+           1073741441, 1073741621, 1073741329, 1073741477, 1073740793,
+           1073741381, 1073740697, 1073741309, 1073740649, 1073741237,
+           1073740609)
+
+
+def _sqrt_mod(a: int, p: int) -> Optional[int]:
+    """A square root of a modulo an odd prime p, or None if a is not a
+    nonzero square (Tonelli-Shanks)."""
+    a %= p
+    if not a or pow(a, (p - 1) // 2, p) != 1:
+        return None
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q, s = q // 2, s + 1
+    z = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
+    c, t, x = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, u = 0, t
+        while u != 1:
+            i, u = i + 1, u * u % p
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c, t, x = i, b * b % p, t * b * b % p, x * b % p
+    return x
+
+
+@lru_cache(maxsize=64)
+def _embedding(width: int, d: int) -> Optional[tuple[int, tuple]]:
+    """(p, weights) for a ring of ``width`` 1 (real) or 2 (complex) over
+    the base d: the first listed prime p that does not divide d and at
+    which d is a square, and the image in F_p of each integer coordinate,
+    sqrt(d) -> s and i -> r.  None when no listed prime fits d."""
+    for p in _PRIMES:
+        parts = (1,)
+        if d:
+            s = _sqrt_mod(d, p)
+            if s is None:
+                continue
+            parts = (1, s)
+        units = (1, _sqrt_mod(-1, p))[:width]
+        return p, tuple(e * t % p for e in units for t in parts)
+    return None
+
+
+def _trim_mod(f: list) -> list:
+    while f and not f[-1]:
+        f.pop()
+    return f
+
+
+def _image(rows, weights: tuple, p: int) -> list:
+    """The coordinate rows combined by the weights in F_p: one coefficient
+    list, ascending and trimmed."""
+    acc = [0] * len(rows[0])
+    for w, row in zip(weights, rows):
+        acc = [a + w * v for a, v in zip(acc, row)]
+    return _trim_mod([a % p for a in acc])
+
+
+def rem_mod(f: list, g: list, p: int) -> list:
+    """f mod g over F_p for coefficient lists in ascending order, g
+    trimmed and nonzero; the remainder comes back trimmed."""
+    n = len(g) - 1
+    f = list(f)
+    inv = pow(g[-1], -1, p)
+    for top in range(len(f) - 1, n - 1, -1):
+        c = f[top] * inv % p
+        if c:
+            k = top - n
+            f[k:top] = [(u - c * v) % p for u, v in zip(f[k:top], g)]
+    return _trim_mod(f[:n])
+
+
+def _gcd_mod(polys, p: int) -> list:
+    """A gcd over F_p of coefficient lists by Euclid's algorithm, folded
+    and stopped at the first constant; [] when every list is zero."""
+    g: list = []
+    for f in polys:
+        while f:
+            g, f = f, rem_mod(g, f, p)
+        if len(g) == 1:
+            break
+    return g
+
+
+def images_coprime(images, degrees, p: int) -> bool:
+    """Whether images in F_p prove the polynomials they reduce coprime:
+    one nonzero polynomial keeps its exact degree in ``degrees``, and
+    the images have a constant gcd.  A common factor of the polynomials
+    would keep its degree too, and divide every image."""
+    return (any(len(f) == n + 1 > 0 for f, n in zip(images, degrees))
+            and len(_gcd_mod(images, p)) == 1)
+
+
+def image_forms(comps: list, forms, p: int) -> list[list[int]]:
+    """The forms sum c f_i f_j over F_p of coefficient lists f_i = comps[i],
+    by the integer pass of component_forms."""
+    real = _algebra(_REAL, 0)
+    return [_trim_mod([v % p for v in row])
+            for (row,) in _form_rows(real, [[f] for f in comps], forms)]
+
+
+class ComponentImage:
+    """The real components u, v, p, q of a quaternion polynomial and their
+    derivatives as coefficient lists over F_p, formed in one pass over the
+    stored rows at the prime _embedding picks for the base.
+
+    ``i`` is the image of i, and ``degrees`` are the exact degrees of
+    u, v, p and q, read from the rows.  Each method answers one way only,
+    as the prime image section above says.
+    """
+
+    __slots__ = ("p", "i", "comps", "degrees")
+
+    @classmethod
+    def of(cls, a) -> Optional["ComponentImage"]:
+        """The image of a, or None when no listed prime fits its base."""
+        a = QuatPoly.of(a)
+        embedding = _embedding(ComplexScalar.width, a.d)
+        if embedding is None:
+            return None
+        p, weights = embedding
+        parts = 2 if a.d else 1
+        rows = [a.rows[w * parts:(w + 1) * parts] for w in range(4)]
+        comps = [_image(comp, weights[:parts], p) for comp in rows]
+        comps += [[k * v % p for k, v in enumerate(f)][1:] for f in comps]
+        image = object.__new__(cls)
+        image.p, image.i, image.comps = p, weights[parts], comps
+        image.degrees = [len(_trim_rows(comp)[0]) - 1 for comp in rows]
+        return image
+
+    def coprime(self) -> bool:
+        """Whether the image proves u, v, p and q coprime."""
+        return images_coprime(self.comps[:4], self.degrees, self.p)
+
+    def split_coprime(self) -> bool:
+        """Whether the image proves gcd(alpha, conj(beta)) = 1 for the
+        complex splitting alpha + beta j = (u + v i) + (p + q i) j."""
+        p, r = self.p, self.i
+        u, v, x, y = self.comps[:4]
+        du, dv, dx, dy = self.degrees
+        split = [_trim_mod([(s + t * r) % p for s, t in zip_longest(f, g, fillvalue=0)])
+                 for f, g in ((u, v), (x, [-c for c in y]))]
+        return images_coprime(split, (max(du, dv), max(dx, dy)), p)
+
+    def forms(self, forms) -> list[list[int]]:
+        """The image of component_forms(a, forms)."""
+        return image_forms(self.comps, forms, self.p)
+
+    def form_values(self, forms, t: int) -> list[int]:
+        """The values in F_p at t of the images of component_forms(a, forms)."""
+        p = self.p
+        values = []
+        for f in self.comps:
+            acc = 0
+            for c in reversed(f):
+                acc = (acc * t + c) % p
+            values.append(acc)
+        return [sum(c * values[i] * values[j] for c, i, j in form) % p for form in forms]
+
+    def spans(self, forms, points) -> bool:
+        """Whether the values of three forms at three points are independent
+        over F_p: then the images of the forms' coefficient vectors span
+        F_p^3, and the coefficient vectors themselves have rank 3."""
+        (a, b, c), (d, e, f), (g, h, k) = (self.form_values(forms, t) for t in points)
+        return (a * (e * k - f * h) - b * (d * k - f * g) + c * (d * h - e * g)) % self.p != 0
 
 
 def vector_rank(x: RealPoly, y: RealPoly, z: RealPoly) -> int:
@@ -785,7 +1003,8 @@ class RationalFunction:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        # a polynomial, den = 1, hashes as the RealPoly it equals
+        return hash(self.num) if self.den == _ONE else hash((self.num, self.den))
 
     def __bool__(self):
         return not self.is_zero()

@@ -113,6 +113,8 @@ class Scalar:
     def of(cls, value: ScalarLike) -> "Scalar":
         if isinstance(value, Scalar):
             return value
+        if isinstance(value, _Hypercomplex):
+            raise TypeError(f"cannot convert {type(value).__name__} to Scalar")
         return _unchecked(Fraction(value), _F0, 0)
 
     @classmethod
@@ -148,9 +150,13 @@ class Scalar:
 
     # -- arithmetic ----------------------------------------------------
     # Rational operands (d == 0, hence b == 0) take one Fraction
-    # operation; surd operands take the Q(sqrt(d)) formula.
+    # operation; surd operands take the Q(sqrt(d)) formula.  With a
+    # ComplexScalar or Quaternion operand the wider ring's reflected
+    # operation runs, on this value lifted into that ring.
 
     def __add__(self, other) -> "Scalar":
+        if isinstance(other, _Hypercomplex):
+            return NotImplemented
         other = Scalar.of(other)
         if self.d == 0 and other.d == 0:
             return _unchecked(self.a + other.a, _F0, 0)
@@ -163,6 +169,8 @@ class Scalar:
         return _unchecked(-self.a, -self.b, self.d)
 
     def __sub__(self, other) -> "Scalar":
+        if isinstance(other, _Hypercomplex):
+            return NotImplemented
         other = Scalar.of(other)
         if self.d == 0 and other.d == 0:
             return _unchecked(self.a - other.a, _F0, 0)
@@ -173,6 +181,8 @@ class Scalar:
         return Scalar.of(other) - self
 
     def __mul__(self, other) -> "Scalar":
+        if isinstance(other, _Hypercomplex):
+            return NotImplemented
         other = Scalar.of(other)
         if self.d == 0 and other.d == 0:
             return _unchecked(self.a * other.a, _F0, 0)
@@ -221,7 +231,8 @@ class Scalar:
         return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self):
-        return hash((self.a, self.b, self.d))
+        # a rational value hashes as its Fraction, which it equals
+        return hash((self.a, self.b, self.d)) if self.d else hash(self.a)
 
     def __lt__(self, other) -> bool:
         return (self - Scalar.of(other)).sign() < 0
@@ -320,7 +331,10 @@ def parse_scalar(text: str, expected_base: int | None = None) -> Scalar:
 class _Hypercomplex:
     """An immutable element of a ring of ``width`` Scalar ``parts`` that
     multiply by ``table``.  A value of a narrower ring is lifted by zero
-    parts, and ``==`` compares across rings that way.
+    parts, and ``==`` and ``hash`` compare across rings that way.  With
+    an operand of a wider ring, ``+``, ``-`` and ``*`` return
+    NotImplemented, so that ring's reflected operation lifts this value
+    and keeps the operand order.
     """
 
     __slots__ = ("parts",)
@@ -354,6 +368,8 @@ class _Hypercomplex:
         return not any(self.parts)
 
     def __add__(self, other):
+        if _wider(other, self):
+            return NotImplemented
         return self.from_parts(map(operator.add, self.parts, self.of(other).parts))
 
     __radd__ = __add__
@@ -362,6 +378,8 @@ class _Hypercomplex:
         return self.from_parts(-p for p in self.parts)
 
     def __sub__(self, other):
+        if _wider(other, self):
+            return NotImplemented
         return self.from_parts(map(operator.sub, self.parts, self.of(other).parts))
 
     def __rsub__(self, other):
@@ -369,6 +387,8 @@ class _Hypercomplex:
 
     def __mul__(self, other):
         """The product by ``table``, self the left factor."""
+        if _wider(other, self):
+            return NotImplemented
         x, y = self.parts, self.of(other).parts
         out = [None] * self.width
         for i, j, k, sign in self.table:
@@ -412,7 +432,12 @@ class _Hypercomplex:
         return self.parts == self.of(other).parts
 
     def __hash__(self):
-        return hash(self.parts)
+        # the narrowest equal value: trailing zero parts dropped, and a
+        # single part hashed as the Scalar it equals
+        parts = list(self.parts)
+        while len(parts) > 1 and not parts[-1]:
+            parts.pop()
+        return hash(parts[0]) if len(parts) == 1 else hash(tuple(parts))
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -422,6 +447,13 @@ class _Hypercomplex:
 
 
 _set_parts = _Hypercomplex.parts.__set__
+
+
+def _wider(value, ring) -> bool:
+    """Whether value belongs to a ring wider than ring's."""
+    return isinstance(value, _Hypercomplex) and value.width > ring.width
+
+
 _ZERO = Scalar(0)
 
 # e_i e_j = sign e_k on the basis (1, i)

@@ -24,14 +24,16 @@ from conftest import nonzero_qpoly
 
 
 def _count_calls(monkeypatch, target: str) -> list:
-    """Route every rrmf binding of ``layer.name`` through a call counter."""
+    """Route every rrmf binding of ``layer.name`` through a call counter,
+    which lists the result of each call."""
     layer, name = target.split(".")
     original = getattr(importlib.import_module(f"rrmf.{layer}"), name)
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(name)
-        return original(*args, **kwargs)
+        result = original(*args, **kwargs)
+        calls.append(result)
+        return result
 
     for module_name, module in list(sys.modules.items()):
         if module is None or not (module_name == "rrmf" or module_name.startswith("rrmf.")):
@@ -52,16 +54,40 @@ def test_analysis_lives_below_the_indicatrix():
     assert GeneratorAnalysis.of(analysis) is analysis
 
 
+# the exact kernel entry points that the prime image stands in front of
+_EXACT = ("hodograph.has_coprime_components", "hodograph.core_of",
+          "polynomials.vector_rank", "indicatrix.rho_eta")
+
+
 def test_classify_forms_the_generator_once(monkeypatch):
     forms = _count_calls(monkeypatch, "polynomials.component_forms")
+    screens = _count_calls(monkeypatch, "polynomials.images_coprime")
+    exact = {target: _count_calls(monkeypatch, target) for target in _EXACT}
+    counters = [forms, screens, *exact.values()]
+
+    def run(*args):
+        for counter in counters:
+            counter.clear()
+        return classify(*args)
+
     for curve in worked_quintics():
-        forms.clear()
-        classify(curve.generator, curve.certificate)
+        run(curve.generator, curve.certificate)
+        # Han's identity reads sigma and <A'i, A> from the one form pass; the
+        # image proves the components coprime, chi = 1 and the certificate
+        # coprime, and rules out planarity
         assert len(forms) == 1, curve.name
-        # without a certificate the equal-degree criterion adds its own forms
-        forms.clear()
-        classify(curve.generator)
-        assert len(forms) == 2, curve.name
+        assert screens == [True, True, True], curve.name
+        assert {len(calls) for calls in exact.values()} == {0}, curve.name
+        verdict = run(curve.generator)
+        # without a certificate the image also rules out F0 and, for the
+        # cancellation quintics, the equal-degree criterion: the exact forms
+        # run only where sigma divides rho, and rho_eta adds its own there
+        holds = verdict.membership.method == "equal-degree-criterion"
+        assert holds is (curve.name == "quintic-no-cancellation")
+        assert len(forms) == (2 if holds else 0), curve.name
+        assert screens == [True, True], curve.name
+        assert {target: len(calls) for target, calls in exact.items()} == {
+            **dict.fromkeys(_EXACT, 0), "indicatrix.rho_eta": int(holds)}, curve.name
 
 
 def test_han_entry_points_form_the_generator_once(monkeypatch):
@@ -75,9 +101,13 @@ def test_han_entry_points_form_the_generator_once(monkeypatch):
 
 def test_rmf_sampling_decides_coprimality_once(monkeypatch):
     coprime = _count_calls(monkeypatch, "hodograph.has_coprime_components")
+    screens = _count_calls(monkeypatch, "polynomials.images_coprime")
     samples, _ = sample_frames(make_spatial_family(6), "rmf", np.linspace(0, 1, 5))
     assert len(samples) == 5
-    assert len(coprime) == 1
+    # once for the generator's components, once for the certificate's
+    # parts: the image proves both, so the exact gcd never runs
+    assert screens == [True, True]
+    assert coprime == []
 
 
 @pytest.mark.parametrize("base", [0, 15])

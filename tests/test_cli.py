@@ -4,6 +4,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
 import rrmf
 from rrmf import cli
 from rrmf.catalog import (nontrivial_cubic, quintic_left_cancellation,
@@ -701,3 +704,108 @@ def test_classify_prints_numbers_beyond_the_int_string_limit(tmp_path, capsys):
     y, z = parse_scalar(y, 15), parse_scalar(z, 15)
     norm_sq = y * y + z * z
     assert (Fraction(num, den), Fraction(c_num, c_den)) == (norm_sq.a, norm_sq.b)
+
+
+# -- long coefficients and fuzzed verbs ------------------------------------
+
+# Wall-clock bound for one verb on a long-coefficient document, process
+# start included.  Measured on a 2-core VM (Python 3.11): 0.2 s for
+# classify at degree 16 x 100 digits, 0.6 s at degree 8 x 1000 digits and
+# 0.3 s for search-gamma --max-degree 8 at degree 8 x 100 digits.
+LONG_BOUND_S = 5
+
+
+def _long_generator_doc(tmp_path, degree, digits, seed=1):
+    """A seeded random generator whose scalars are p/q, both of ``digits`` digits."""
+    import random
+
+    rng = random.Random(seed)
+
+    def number():
+        return rng.randrange(10 ** (digits - 1), 10 ** digits)
+
+    rows = [[f"{rng.choice('+-')}{number()}/{number()}" for _ in range(4)]
+            for _ in range(degree + 1)]
+    path = tmp_path / f"long-{degree}x{digits}.json"
+    path.write_text(json.dumps({"sqrt_base": 0, "kind": "quaternion", "coefficients": rows}))
+    return str(path)
+
+
+def test_long_coefficient_documents_finish_within_a_bound(tmp_path):
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(rrmf.__file__).resolve().parents[1])}
+    runs = [["classify", _long_generator_doc(tmp_path, 16, 100)],
+            ["classify", _long_generator_doc(tmp_path, 8, 1000)],
+            ["search-gamma", _long_generator_doc(tmp_path, 8, 100), "--max-degree", "8"]]
+    for argv in runs:
+        proc = subprocess.run([sys.executable, "-m", "rrmf.cli", *argv],
+                              capture_output=True, text=True, env=env,
+                              timeout=LONG_BOUND_S)
+        assert (proc.returncode, proc.stderr) == (0, ""), argv
+        assert json.loads(proc.stdout)
+
+
+# Fuzzed documents for the verbs that read one: quaternion generators of
+# degree <= 16 whose scalars are integers, p/q with up to 100 digits each
+# or (over Q(sqrt 15)) surds, sometimes with a certificate, and in about
+# one document in four one field made junk.  Every example must finish
+# within FUZZ_DEADLINE_MS, exit with a documented code and print no
+# traceback.
+FUZZ_DEADLINE_MS = 5000
+_NUMBERS = st.integers(min_value=-(10 ** 100 - 1), max_value=10 ** 100 - 1)
+_JUNK = st.one_of(st.sampled_from(["", "1/0", "x", "sqrt(", "1e5", "--1", "1/2/3",
+                                   "sqrt(-1)", "2*sqrt(16)", "7" * 1001, None, [],
+                                   -3, 2.5, {"a": 1}]),
+                  st.text(max_size=6))
+
+
+def _scalars(base):
+    rationals = st.builds(lambda n, d: f"{n}/{d}", _NUMBERS,
+                          st.integers(min_value=1, max_value=10 ** 100 - 1))
+    options = [st.integers(-9, 9).map(str), rationals]
+    if base:
+        options.append(st.builds(lambda a, b: f"{a}+{abs(b) + 1}*sqrt({base})",
+                                 rationals, _NUMBERS))
+    return st.one_of(options)
+
+
+@st.composite
+def _fuzzed_documents(draw):
+    base = draw(st.sampled_from([0, 15]))
+    scalar = _scalars(base)
+    degree = draw(st.integers(min_value=0, max_value=16))
+    rows = draw(st.lists(st.lists(scalar, min_size=4, max_size=4),
+                         min_size=degree + 1, max_size=degree + 1))
+    doc = {"sqrt_base": base, "kind": "quaternion", "coefficients": rows}
+    if draw(st.booleans()):
+        doc["certificate"] = {"a": draw(st.lists(scalar, min_size=1, max_size=4)),
+                              "b": draw(st.lists(scalar, max_size=4))}
+    junk = draw(st.sampled_from(["", "", "", "sqrt_base", "kind", "coefficient",
+                                 "certificate"]))
+    if junk == "coefficient":
+        rows[draw(st.integers(0, degree))][draw(st.integers(0, 3))] = draw(_JUNK)
+    elif junk:
+        doc[junk] = draw(_JUNK)
+    return json.dumps(doc)
+
+
+_VERBS = [["classify"], ["classify", "--search-degree", "2"], ["verify-han"],
+          ["reduce"], ["search-gamma", "--max-degree", "8"]]
+
+
+@settings(max_examples=100, deadline=FUZZ_DEADLINE_MS, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(_fuzzed_documents(), st.sampled_from(_VERBS))
+def test_fuzzed_verbs_exit_cleanly(text, verb):
+    import contextlib
+    import io
+    import tempfile
+
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        path.write_text(text)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([verb[0], str(path), *verb[1:]])
+    assert code in (0, 2, 3, 4, 5), (code, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -284,6 +284,38 @@ def assert_stored_form(p):
     assert type(p)(p.coeffs) == p and hash(type(p)(p.coeffs)) == hash(p)
 
 
+def test_every_small_base_has_a_screening_prime():
+    from rrmf.polynomials import _embedding
+    from rrmf.scalars import is_valid_base
+
+    for d in filter(is_valid_base, range(0, 3000)):
+        p, weights = _embedding(2, d)
+        assert _embedding(1, d) == (p, weights[:len(weights) // 2])
+        r = weights[len(weights) // 2]
+        assert r * r % p == p - 1
+        if d:
+            assert d % p and weights[1] ** 2 % p == d
+
+
+@pytest.mark.parametrize("base", [0, 15])
+def test_equal_polynomials_hash_alike_across_kinds(rng, base):
+    # the hash of the narrowest equal form: a lift's zero component rows
+    # dropped, a constant hashed as its coefficient
+    assert len({RealPoly([1, 2]), ComplexPoly.of(RealPoly([1, 2])),
+                QuatPoly.of(RealPoly([1, 2]))}) == 1
+    for degree in (0, 0, 1, 2, 3):
+        real = RealPoly([rand_scalar(rng, base) for _ in range(degree + 1)])
+        cpoly = ComplexPoly([ComplexScalar(rand_scalar(rng, base), rand_scalar(rng, base))
+                             for _ in range(degree + 1)])
+        groups = [[real, ComplexPoly.of(real), QuatPoly.of(real)],
+                  [real, RationalFunction.of(real)], [cpoly, QuatPoly.of(cpoly)]]
+        if real.degree() <= 0:
+            groups.append([real, real.coeff(0), ComplexPoly.of(real), QuatPoly.of(real)])
+        for group in groups:
+            assert all(v == group[0] for v in group)
+            assert {hash(v) for v in group} == {hash(group[0])}
+
+
 @pytest.mark.parametrize("base", [0, 15])
 def test_linear_operations_match_coefficientwise(rng, base):
     for _ in range(12):

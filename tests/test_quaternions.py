@@ -1,3 +1,6 @@
+import operator
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,7 +8,7 @@ from hypothesis import strategies as st
 from rrmf.quaternions import I, J, K, ONE, Quaternion, normalized_component
 from rrmf.scalars import ComplexScalar, Scalar
 
-from conftest import nonzero_quat, rand_quat
+from conftest import nonzero_quat, rand_quat, rand_scalar
 
 
 def test_defining_relations():
@@ -74,6 +77,50 @@ def test_cross_kind_equality_repr_and_hash():
     assert repr(q) == "Quaternion(1/1, 2/1, 3/1, 1/1+1/1*sqrt(15))"
     assert repr(c) == "ComplexScalar(-1/1, 0/1+2/1*sqrt(15))"
     assert hash(q) == hash((q.w, q.x, q.y, q.z)) and hash(c) == hash((c.re, c.im))
+
+
+RINGS = (Scalar, ComplexScalar, Quaternion)
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+@pytest.mark.parametrize("right", RINGS)
+@pytest.mark.parametrize("left", RINGS)
+def test_mixed_ring_arithmetic_lifts_the_narrower_operand(rng, left, right, op):
+    wide = left if left.width >= right.width else right
+    for base in (0, 15):
+        for _ in range(4):
+            x, y = (ring.from_parts([rand_scalar(rng, base) for _ in range(ring.width)])
+                    for ring in (left, right))
+            result = op(x, y)
+            assert type(result) is wide
+            assert result == op(wide.of(x), wide.of(y))
+
+
+def test_mixed_ring_examples_keep_the_operand_order():
+    q = Quaternion(1, 2, 3, 4)
+    assert Scalar(1) + ComplexScalar(1, 2) == ComplexScalar(2, 2)
+    assert Scalar(2) * q == Quaternion(2, 4, 6, 8)
+    assert ComplexScalar(1, 2) * q == Quaternion(1, 2, 0, 0) * q != q * Quaternion(1, 2)
+    assert ComplexScalar(1, 2) - q == -(q - ComplexScalar(1, 2))
+    for narrow, wide in ((Scalar, ComplexScalar(1)), (Scalar, Quaternion(1)),
+                         (ComplexScalar, Quaternion(1))):
+        with pytest.raises(TypeError):
+            narrow.of(wide)
+
+
+def test_equal_values_hash_alike_across_rings(rng):
+    # the hash of the narrowest equal form, so that equal values of the
+    # three rings (and rationals) are one set element
+    assert len({Quaternion(1), ComplexScalar(1), Scalar(1), 1, Fraction(1)}) == 1
+    assert len({Quaternion(1, 2), ComplexScalar(1, 2)}) == 1
+    for base in (0, 15):
+        for _ in range(10):
+            s = rand_scalar(rng, base)
+            c = ComplexScalar(rand_scalar(rng, base), rand_scalar(rng, base))
+            equal = [s, ComplexScalar.of(s), Quaternion.of(s)] + ([s.a] if s.d == 0 else [])
+            assert all(v == s for v in equal)
+            assert {hash(v) for v in equal} == {hash(s)}
+            assert c == Quaternion.of(c) and hash(c) == hash(Quaternion.of(c))
 
 
 def test_norm_product_example():

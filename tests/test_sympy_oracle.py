@@ -6,15 +6,30 @@ trivially 1, up to degree 24; the reduced Han fraction of seeded
 generators, on which the certificate construction rests, against
 sympy's cancellation of the fraction built from the components; and
 the hodograph A i A* against sympy's quaternion products.
+
+The facts the prime image screens (rrmf.polynomials, "the prime image")
+are checked the same way, on short and on 100-digit coefficients, with
+inputs on which the screen must fall through to the exact kernel: a
+planted common factor, leading coefficients divisible by the prime, a
+shift by the prime that leaves the image unchanged, chi != 1, F0
+members, planar curves and a rho that sigma divides.
 """
 
-import pytest
+import functools
+from fractions import Fraction
 
-from rrmf.hodograph import hodograph_of
-from rrmf.indicatrix import han_fraction
-from rrmf.polynomials import ComplexPoly, QuatPoly, RealPoly, gcd_complex, gcd_real
-from rrmf.quaternions import J
-from rrmf.scalars import ComplexScalar
+import pytest
+from sympy.polys.matrices import DomainMatrix
+
+from rrmf import polynomials
+from rrmf.catalog import quintic_no_cancellation
+from rrmf.construct import make_spatial_family
+from rrmf.hodograph import GeneratorAnalysis, hodograph_of
+from rrmf.indicatrix import han_fraction, sigma_divides_rho
+from rrmf.polynomials import (ComplexPoly, QuatPoly, RealPoly, _embedding,
+                              gcd_complex, gcd_real)
+from rrmf.quaternions import J, Quaternion
+from rrmf.scalars import ComplexScalar, Scalar
 
 from conftest import coprime_qpoly, nonzero_qpoly, nonzero_quat, rand_scalar
 
@@ -206,3 +221,142 @@ def test_hodograph_matches_sympy_quaternion_products(rng, base):
         for mine, theirs in zip((h.xp, h.yp, h.zp, h.sigma),
                                 (image.b, image.c, image.d, qa.norm() ** 2)):
             assert sympy.expand(to_sympy_poly(mine, field).as_expr() - theirs) == 0
+
+
+# -- the prime image -------------------------------------------------------
+
+# None: the short coefficients of conftest.rand_scalar; 100: numerators and
+# denominators of up to 100 digits
+SIZES = (None, 100)
+
+
+def sized_scalar(rng, base, digits):
+    if digits is None:
+        return rand_scalar(rng, base)
+
+    def part():
+        return Fraction(rng.randrange(-10 ** digits, 10 ** digits),
+                        rng.randrange(1, 10 ** digits))
+
+    return Scalar(part(), part(), base) if base and rng.random() < 0.5 else Scalar(part())
+
+
+def sized_poly(rng, cls, degree, base, digits):
+    """A polynomial of kind cls and exact degree with sized coefficients,
+    over the base itself below its leading coefficient, so that the prime
+    of that base reduces it even with a new leading coefficient."""
+    while True:
+        coeffs = [cls.ring.from_parts([sized_scalar(rng, base, digits)
+                                       for _ in range(cls.ring.width)])
+                  for _ in range(degree + 1)]
+        if coeffs[-1] and cls(coeffs[:-1]).d == base:
+            return cls(coeffs)
+
+
+def _record_screens(monkeypatch) -> list:
+    """The result of every images_coprime call, in order."""
+    results = []
+    original = polynomials.images_coprime
+
+    def recorded(*args):
+        results.append(original(*args))
+        return results[-1]
+
+    monkeypatch.setattr(polynomials, "images_coprime", recorded)
+    return results
+
+
+@pytest.mark.parametrize("digits", SIZES)
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("base", [0, 15])
+def test_screened_gcds_match_sympy(rng, monkeypatch, base, kind, digits):
+    cls, gcd, field = ((RealPoly, gcd_real, DOMAINS[base]) if kind == "real"
+                       else (ComplexPoly, gcd_complex, COMPLEX_DOMAINS[base]))
+    prime = _embedding(cls.ring.width, base)[0]
+    screens = _record_screens(monkeypatch)
+    # sympy's field arithmetic is slow on long coefficients: one round of those
+    for _ in range(3 if digits is None else 1):
+        a, b = (sized_poly(rng, cls, rng.randint(1, 4), base, digits) for _ in range(2))
+        common = sized_poly(rng, cls, rng.randint(1, 2), base, digits)
+        lead = [cls(list(f.coeffs[:-1]) + [prime * rng.randint(1, 9)]) for f in (a, b)]
+        # the case, and whether the image decides it
+        for case, decides in (((a, b), True), ((common * a, common * b), False),
+                              (lead, False), ((a, a + prime), False)):
+            screens.clear()
+            result = gcd(*case)
+            assert screens == [decides]
+            expected = sympy.gcd(*(to_sympy_poly(f, field) for f in case)).monic()
+            assert to_sympy_poly(result, field) == expected
+            if decides:
+                assert expected.degree() == 0
+
+
+def _sympy_facts(a, base):
+    """coprime, chi, in F0, planar and sigma | rho for A, from sympy."""
+    real, complex_field = DOMAINS[base], COMPLEX_DOMAINS[base]
+    u, v, p, q = (to_sympy_poly(c, real) for c in a.components())
+    coprime = functools.reduce(sympy.gcd, (u, v, p, q)).degree() == 0
+    cu, cv, cp, cq = a.components()
+    chi = sympy.gcd(to_sympy_poly(ComplexPoly.from_parts(cu, cv), complex_field),
+                    to_sympy_poly(ComplexPoly.from_parts(cp, -cq), complex_field)).monic()
+    du, dv, dp, dq = (f.diff(XI) for f in (u, v, p, q))
+    inner = -(dv * u - du * v - dq * p + dp * q)
+    # A i A*; its coefficient vectors as the rows of a matrix over the field
+    images = [f.rep.to_list() for f in (u * u + v * v - p * p - q * q,
+                                         2 * (u * q + v * p), 2 * (v * q - u * p))]
+    n = max(map(len, images))
+    domain = real[0]
+    columns = [[domain.zero] * (n - len(f)) + f for f in images]
+    rank = DomainMatrix([list(row) for row in zip(*columns)], (n, 3), domain).rank()
+    sigma = u * u + v * v + p * p + q * q
+    r1 = u * dp - du * p + v * dq - dv * q
+    r2 = u * dq - du * q - v * dp + dv * p
+    divisible = (r1 * r1 + r2 * r2).rem(sigma).is_zero
+    return coprime, chi, coprime and inner.is_zero, rank <= 2, divisible
+
+
+def sized_quat(rng, base, digits):
+    while True:
+        q = Quaternion(*(sized_scalar(rng, base, digits) for _ in range(4)))
+        if q:
+            return q
+
+
+@pytest.mark.parametrize("digits", SIZES)
+@pytest.mark.parametrize("base", [0, 15])
+def test_screened_facts_match_sympy(rng, base, digits):
+    prime = _embedding(2, base)[0]
+    c = sized_quat(rng, base, digits)
+    b = sized_poly(rng, QuatPoly, 2, base, digits)
+    # degrees stay low: sympy's gcds over Q(sqrt 15)(i) are slow on long coefficients
+    gamma = sized_poly(rng, ComplexPoly, 1, base, digits)
+    pairs = [(sized_scalar(rng, base, digits), sized_scalar(rng, base, digits))
+             for _ in range(3)]
+    cases = {
+        "random": b,
+        "shared real factor": RealPoly([rng.randint(-3, 3), 1]).as_quat() * b,
+        "complex right factor": sized_poly(rng, QuatPoly, 1, base, digits) * gamma.as_quat(),
+        "leading coefficient divisible by the prime": QuatPoly(
+            list(b.coeffs[:-1]) + [Quaternion(*(prime * rng.randint(1, 9) for _ in range(4)))]),
+        "F0 member": make_spatial_family(3).left_scale(c),
+        "planar": QuatPoly([Quaternion(x, 0, y, 0) for x, y in pairs]).left_scale(c),
+        "sigma divides rho": quintic_no_cancellation().generator.left_scale(c),
+    }
+    facts = {}
+    for name, a in cases.items():
+        analysis = GeneratorAnalysis.of(a)
+        coprime, chi, in_f0, planar, divisible = facts[name] = _sympy_facts(a, base)
+        assert analysis.coprime is coprime, name
+        assert to_sympy_poly(analysis.core.factor, COMPLEX_DOMAINS[base]) == chi, name
+        assert analysis.in_f0 is in_f0, name
+        assert analysis.planar is planar, name
+        assert sigma_divides_rho(analysis) is divisible, name
+    # each case reaches the exact kernel for the fact it was built for
+    lead = GeneratorAnalysis.of(cases["leading coefficient divisible by the prime"]).image
+    assert not lead.coprime() and not lead.split_coprime()
+    assert not facts["shared real factor"][0]
+    assert facts["complex right factor"][1].degree() >= 1
+    assert facts["F0 member"][2] and not facts["F0 member"][3]
+    assert facts["planar"][3]
+    assert facts["sigma divides rho"][4]
+    assert facts["random"][:4] == (True, 1, False, False)
