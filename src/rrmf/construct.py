@@ -4,7 +4,8 @@ Covers the planar (coset-plane) family, the complete degree-3 and
 degree-4 families of spatial generators, a ready-made spatial family
 for every degree >= 3, and products core * delta that generate curves
 with rational rotation-minimizing frames together with a verifiable
-certificate.
+certificate.  The quartic's A4 comes from Gram-Schmidt on the four
+quaternions i, A1 i, A2 i and A3 i that its conditions pair it with.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from fractions import Fraction
 
 from .classify import has_vanishing_indicatrix
 from .hodograph import core_of, has_coprime_components
-from .linalg import exact_rank, min_norm_solution
+from .linalg import exact_rank
 from .polynomials import ComplexPoly, QuatPoly, exact_divide, gcd_complex, gcd_real
 from .quaternions import I, Quaternion
 from .scalars import Scalar
@@ -140,13 +141,30 @@ class QuarticResult:
     family_dim: int
 
 
+def _least_norm(rows) -> tuple[Quaternion, int] | None:
+    """The least-norm x with <x, q> = v for each row (q, v), and the
+    dimension of all solutions; None when the rows are inconsistent.
+    Gram-Schmidt carries each value along with its row; x is the sum of
+    (v_k / |e_k|^2) e_k over the orthogonal rows (e_k, v_k)."""
+    basis = []
+    for q, v in rows:
+        for e, value, norm in basis:
+            t = q.inner(e) / norm
+            q, v = q - e.scale(t), v - t * value
+        if not q.is_zero():
+            basis.append((q, v, q.norm_sq()))
+        elif not v.is_zero():
+            return None
+    return sum((e.scale(v / n) for e, v, n in basis), Quaternion(0)), 4 - len(basis)
+
+
 def make_quartic(spec: QuarticSpec) -> QuarticResult:
     """C (A4 xi^4 + A3 xi^3 + A2 xi^2 + A1 xi + 1) with A4 solved exactly.
 
     A4 obeys four linear conditions: <A4, i> = <A1, A3 i>/2,
     <A4, A1 i> = <A2, A3 i>/3, and orthogonality to A2 i and A3 i.
-    A rank-deficient system yields the minimal-norm representative and
-    the family dimension.
+    The least-norm A4 is returned with the family dimension, 4 minus the
+    number of independent rows.
     """
     a1, a2 = Quaternion.of(spec.a1), Quaternion.of(spec.a2)
     c = Quaternion.of(spec.left_factor)
@@ -158,19 +176,13 @@ def make_quartic(spec: QuarticSpec) -> QuarticResult:
           + I.scale(a1.inner(a2 * I) * _THIRD)
           + Quaternion(0, 0, Scalar.of(spec.a3_j), 0)
           + Quaternion(0, 0, 0, Scalar.of(spec.a3_k)))
-    rows = [list(I.components()),
-            list((a1 * I).components()),
-            list((a2 * I).components()),
-            list((a3 * I).components())]
-    rhs = [a1.inner(a3 * I) * _HALF,
-           a2.inner(a3 * I) * _THIRD,
-           Scalar(0),
-           Scalar(0)]
-    solved = min_norm_solution(rows, rhs)
+    solved = _least_norm([(I, a1.inner(a3 * I) * _HALF),
+                          (a1 * I, a2.inner(a3 * I) * _THIRD),
+                          (a2 * I, Scalar(0)),
+                          (a3 * I, Scalar(0))])
     if solved is None:
         raise ConstructionError("inconsistent linear conditions for A4")
-    a4_components, family_dim = solved
-    a4 = Quaternion(*a4_components)
+    a4, family_dim = solved
     poly = QuatPoly([Quaternion(1), a1, a2, a3, a4]).left_scale(c)
     if not has_coprime_components(poly):
         raise ConstructionError("components of the result are not coprime")

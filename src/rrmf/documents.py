@@ -35,7 +35,8 @@ inputs and are printed in full, also beyond Python's 4300-digit limit
 for converting an int, which load_json keeps for JSON integer
 literals."""
 
-_LONG_NUMBER = re.compile(r"\d{%d}" % (MAX_DIGITS + 1))
+# digit runs, whose lengths are checked: a search for too many digits backtracks
+_DIGIT_RUN = re.compile(r"\d+")
 
 _POLY = {"quaternion": QuatPoly, "complex": ComplexPoly, "real": RealPoly}
 KINDS = tuple(_POLY)
@@ -69,7 +70,7 @@ def read_scalar(value, base: int) -> Scalar:
     """One scalar of a document or construction spec; raises DocumentError,
     also for a number of more than MAX_DIGITS digits."""
     text = str(value)
-    if _LONG_NUMBER.search(text):
+    if any(len(run) > MAX_DIGITS for run in _DIGIT_RUN.findall(text)):
         raise DocumentError(
             f"scalar numbers have at most {MAX_DIGITS} digits "
             f"(rrmf.documents.MAX_DIGITS), got {text[:40]}...")

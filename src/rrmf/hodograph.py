@@ -284,7 +284,11 @@ class GeneratorAnalysis:
 
     @cached_property
     def trivial(self) -> Optional[TrivialWitness]:
-        """The witness of trivial_witness; meaningful for coprime components."""
+        """The witness of trivial_witness; meaningful for coprime components.
+        None for a spatial A: a trivial A = C (x + y u), u _|_ i, has A i A*
+        in the plane of C i C* and C (u x i) C*."""
+        if not self.planar:
+            return None
         # an iterator: coefficients are built only as far as c and the direction
         coeffs = map(self.poly.coeff, range(self.poly.degree() + 1))
         c = next(q for q in coeffs if q)

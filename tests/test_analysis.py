@@ -56,7 +56,8 @@ def test_analysis_lives_below_the_indicatrix():
 
 # the exact kernel entry points that the prime image stands in front of
 _EXACT = ("hodograph.has_coprime_components", "hodograph.core_of",
-          "polynomials.vector_rank", "indicatrix.rho_eta")
+          "polynomials.vector_rank", "polynomials.vector_part_rank",
+          "indicatrix.rho_eta")
 
 
 def test_classify_forms_the_generator_once(monkeypatch):
@@ -74,7 +75,7 @@ def test_classify_forms_the_generator_once(monkeypatch):
         run(curve.generator, curve.certificate)
         # Han's identity reads sigma and <A'i, A> from the one form pass; the
         # image proves the components coprime, chi = 1 and the certificate
-        # coprime, and rules out planarity
+        # coprime, and rules out planarity and with it a triviality witness
         assert len(forms) == 1, curve.name
         assert screens == [True, True, True], curve.name
         assert {len(calls) for calls in exact.values()} == {0}, curve.name

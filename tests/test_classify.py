@@ -17,7 +17,6 @@ from rrmf.construct import make_f_element, make_spatial_family, make_trivial
 from rrmf.hodograph import (basis_images, core_of, hodograph_of,
                             hodograph_of_images)
 from rrmf.indicatrix import inner_product_poly, rho_eta, verify_han
-from rrmf.linalg import exact_rank
 from rrmf.polynomials import (ComplexPoly, QuatPoly, RealPoly, exact_divide,
                               gcd_real)
 from rrmf.quaternions import I, J, K, Quaternion
@@ -25,6 +24,7 @@ from rrmf.scalars import ComplexScalar, Scalar
 
 from conftest import (coprime_cpoly, coprime_qpoly, nonzero_quat,
                       verdict_generators)
+from linalg_reference import gauss_jordan_rank
 
 IXP1 = QuatPoly([Quaternion(1), I])
 UNKNOWN_FIXTURE = QuatPoly([Quaternion(1), I, J])  # j xi^2 + i xi + 1
@@ -451,8 +451,8 @@ def _reference_witness(a):
 
 def test_verdict_facts_match_scalar_oracles(rng):
     # the span rank, the triviality witness and the hodograph are decided
-    # on integer rows; Scalar row reduction, c^-1 q products and the ten
-    # image products give the same facts
+    # on integer rows; Gauss-Jordan elimination in Scalars, c^-1 q products
+    # and the ten image products give the same facts
     ranks, witnesses = set(), 0
     for a in verdict_generators(rng):
         analysis = GeneratorAnalysis.of(a)
@@ -460,7 +460,7 @@ def test_verdict_facts_match_scalar_oracles(rng):
         assert h == hodograph_of_images(basis_images(a))
         rows = [[c.coeff(k) for c in h.components()]
                 for k in range(h.sigma.degree() + 1)]
-        assert analysis.span_rank == exact_rank(rows)
+        assert analysis.span_rank == gauss_jordan_rank(rows)
         ranks.add(analysis.span_rank)
         reference = _reference_witness(a)
         w = analysis.trivial

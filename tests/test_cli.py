@@ -16,6 +16,7 @@ from rrmf.documents import document_for, dumps_document
 from rrmf.frames import certificate_generator, sample_frames, write_frames_csv
 from rrmf.polynomials import QuatPoly, RealPoly
 from rrmf.quaternions import Quaternion
+from rrmf.scalars import format_scalar, parse_scalar
 
 from conftest import FRAME_TOL, exact_axes
 
@@ -166,6 +167,10 @@ def test_construct_quartic(capsys):
     assert report["document"]["coefficients"][4] == ["0/1", "2/1", "0/1", "0/1"]
     assert report["verification"]["non_trivial"] is True
     assert report["verification"]["family_dim"] == 1
+    # A1 = 1 repeats the condition row i with a different value
+    spec = {"a1": ["1", "0", "0", "0"], "a2": ["0", "0", "1", "0"], "a3_k": "1"}
+    assert run(capsys, "construct", "quartic", "--spec-json", json.dumps(spec)) == (
+        3, "", "error: inconsistent linear conditions for A4\n")
 
 
 def test_construct_f_element(tmp_path, capsys):
@@ -659,6 +664,22 @@ def test_classify_digit_bound(tmp_path, capsys):
     code, out, err = run(capsys, "classify", _long_scalar_doc(tmp_path, MAX_DIGITS + 1))
     assert code == 2 and out == ""
     assert err.startswith(f"error: scalar numbers have at most {MAX_DIGITS} digits")
+    # the numerator and the denominator of the rational part and of the
+    # surd coefficient each take MAX_DIGITS digits, and not one more
+    path = tmp_path / "digits.json"
+    for digits in (MAX_DIGITS, MAX_DIGITS + 1):
+        n = "7" * digits
+        for scalar in (f"{n}/3+1/2*sqrt(15)", f"1/{n}+1/2*sqrt(15)",
+                       f"1+{n}/2*sqrt(15)", f"1+1/{n}*sqrt(15)"):
+            path.write_text(json.dumps({"sqrt_base": 15, "kind": "quaternion",
+                                        "coefficients": [["1", "0", "0", "0"],
+                                                         ["0", "0", scalar, "0"]]}))
+            code, out, err = run(capsys, "classify", str(path))
+            if digits == MAX_DIGITS:
+                assert (code, err) == (0, "") and json.loads(out)["trivial_witness"], scalar
+            else:
+                assert (code, out) == (2, ""), scalar
+                assert err.startswith(f"error: scalar numbers have at most {MAX_DIGITS} digits")
     spec = json.dumps({"a1": ["0", "0", "0", "1" * (MAX_DIGITS + 1)],
                        "a2": ["0", "0", "1", "0"]})
     code, out, err = run(capsys, "construct", "cubic", "--spec-json", spec)
@@ -748,7 +769,9 @@ def test_long_coefficient_documents_finish_within_a_bound(tmp_path):
 # Fuzzed documents for the verbs that read one: quaternion generators of
 # degree <= 16 whose scalars are integers, p/q with up to 100 digits each
 # or (over Q(sqrt 15)) surds, sometimes with a certificate, and in about
-# one document in four one field made junk.  Every example must finish
+# one document in four one field made junk.  frames also gets edge values
+# of --samples, --range and --normal-rotation, and construct a fuzzed spec
+# instead of a document.  Every example runs in this process, must finish
 # within FUZZ_DEADLINE_MS, exit with a documented code and print no
 # traceback.
 FUZZ_DEADLINE_MS = 5000
@@ -789,13 +812,66 @@ def _fuzzed_documents(draw):
     return json.dumps(doc)
 
 
+# verbs that read the fuzzed document; "frames" gets the document too
 _VERBS = [["classify"], ["classify", "--search-degree", "2"], ["verify-han"],
           ["reduce"], ["search-gamma", "--max-degree", "8"]]
+_RANGES = st.one_of(
+    st.sampled_from(["0:1", "1:0", "2:2", "-1.5:2", "-1e308:1e308", "1e308:-1e308",
+                     "1e308:1e308"]),
+    st.builds("{}:{}".format, st.floats(-3, 3), st.floats(-3, 3)))
+_ROTATIONS = st.one_of(st.sampled_from(["nan", "inf", "-inf", "1e308", "-1e308"]),
+                       st.floats(-10, 10).map(repr))
 
 
-@settings(max_examples=100, deadline=FUZZ_DEADLINE_MS, derandomize=True, database=None,
+@st.composite
+def _frames_argv(draw):
+    samples = draw(st.one_of(st.sampled_from([0, 1, cli.MAX_SAMPLES + 1]),
+                             st.integers(2, 300)))
+    return ["frames", "--frame", draw(st.sampled_from(["erf", "rmf", "frenet"])),
+            "--samples", str(samples), f"--range={draw(_RANGES)}",
+            f"--normal-rotation={draw(_ROTATIONS)}"]
+
+
+@st.composite
+def _construct_argv(draw):
+    """construct with a spec of jk-plane, zero, real, parallel or off-plane
+    A1 and A2, read by the quartic, the two cubics and the trivial kind."""
+    base = draw(st.sampled_from([0, 15]))
+    small = st.sampled_from(["1", "-1", "1/2", "-3/7", "2", "0"]
+                            + (["sqrt(15)", "1-1/2*sqrt(15)"] if base else []))
+
+    def quaternion(shape):
+        if shape == "zero":
+            return ["0"] * 4
+        if shape == "real":
+            return [draw(small), "0", "0", "0"]
+        i = draw(small) if shape == "off-plane" else "0"
+        return [draw(small), i, draw(small), draw(small)]
+
+    shapes = st.sampled_from(["jk", "zero", "real", "off-plane"])
+    a1 = quaternion(draw(shapes))
+    if draw(st.booleans()):
+        factor = parse_scalar(draw(small), base)
+        a2 = [format_scalar(parse_scalar(c, base) * factor) for c in a1]
+    else:
+        a2 = quaternion(draw(shapes))
+    spec = {"sqrt_base": base, "a1": a1, "a2": a2, "a3_j": draw(small),
+            "a3_k": draw(small), "s3": draw(small), "s0": draw(small),
+            "direction": quaternion("jk"),
+            "coefficients": [[draw(small), draw(small)] for _ in range(draw(st.integers(0, 3)))]}
+    if draw(st.booleans()):
+        spec["left_factor"] = quaternion(draw(shapes))
+    junk = draw(st.sampled_from([None, None, None, "a1", "a3_j", "sqrt_base"]))
+    if junk:
+        spec[junk] = draw(_JUNK)
+    kind = draw(st.sampled_from(["quartic", "quartic", "cubic", "cubic-monic", "trivial"]))
+    return ["construct", kind, "--spec-json", json.dumps(spec)]
+
+
+@settings(max_examples=200, deadline=FUZZ_DEADLINE_MS, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
-@given(_fuzzed_documents(), st.sampled_from(_VERBS))
+@given(_fuzzed_documents(), st.one_of(_construct_argv(), _frames_argv(),
+                                      st.sampled_from(_VERBS)))
 def test_fuzzed_verbs_exit_cleanly(text, verb):
     import contextlib
     import io
@@ -805,7 +881,13 @@ def test_fuzzed_verbs_exit_cleanly(text, verb):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "doc.json"
         path.write_text(text)
+        if verb[0] == "construct":
+            argv = verb
+        elif verb[0] == "frames":
+            argv = [*verb, str(path), "--out", str(Path(tmp) / "frames.csv")]
+        else:
+            argv = [verb[0], str(path), *verb[1:]]
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([verb[0], str(path), *verb[1:]])
+            code = main(argv)
     assert code in (0, 2, 3, 4, 5), (code, err.getvalue())
     assert "Traceback" not in err.getvalue()

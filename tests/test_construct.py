@@ -9,15 +9,17 @@ from rrmf.classify import (MembershipStatus, cancel_indicatrix,
                            has_vanishing_indicatrix, indicatrix_coefficients,
                            rrmf_membership, trivial_witness)
 from rrmf.construct import (ConstructionError, CubicSpec, QuarticSpec,
-                            make_cubic, make_cubic_monic, make_f_element,
-                            make_quartic, make_spatial_family, make_trivial)
+                            _least_norm, make_cubic, make_cubic_monic,
+                            make_f_element, make_quartic, make_spatial_family,
+                            make_trivial)
 from rrmf.hodograph import core_of
 from rrmf.indicatrix import inner_product_poly
 from rrmf.polynomials import ComplexPoly, QuatPoly, RealPoly
 from rrmf.quaternions import I, J, K, Quaternion
 from rrmf.scalars import Scalar
 
-from conftest import nonzero_quat
+from conftest import nonzero_quat, rand_quat, rand_scalar
+from linalg_reference import min_norm_solution
 
 XI_PLUS_I = ComplexPoly.from_parts(RealPoly([0, 1]), RealPoly([1]))
 
@@ -132,6 +134,40 @@ def test_make_quartic_rank_deficient():
     assert result.family_dim == 2
     assert not result.non_trivial
     assert has_vanishing_indicatrix(result.poly)
+    # A1 = 1 repeats the row i, with <A2, A3 i>/3 = 1/3 against <A1, A3 i>/2 = 0
+    with pytest.raises(ConstructionError, match="inconsistent linear conditions for A4"):
+        make_quartic(QuarticSpec(Quaternion(1), J, a3_k=Scalar(1)))
+
+
+def _rand_system(rng, base):
+    """Four quaternion rows spanning a random number of dimensions, so that
+    rows are dependent below four, with values that either some x meets
+    or that are drawn at random."""
+    spanning = [nonzero_quat(rng, base) for _ in range(rng.randint(0, 4))]
+    rows = [sum((q.scale(rand_scalar(rng, base)) for q in spanning), Quaternion(0))
+            for _ in range(4)]
+    if rng.random() < 0.5:
+        x = rand_quat(rng, base)
+        return rows, [q.inner(x) for q in rows]
+    return rows, [rand_scalar(rng, base) for _ in rows]
+
+
+def test_least_norm_solve_matches_gauss_jordan(rng):
+    # make_quartic's Gram-Schmidt solve against elimination in Scalars and
+    # a Gram system on the nullspace
+    nullities, inconsistent = set(), 0
+    for base in (0, 15) * 100:
+        rows, values = _rand_system(rng, base)
+        solved = _least_norm(list(zip(rows, values)))
+        reference = min_norm_solution([q.components() for q in rows], values)
+        if reference is None:
+            assert solved is None
+            inconsistent += 1
+        else:
+            x, nullity = reference
+            assert solved == (Quaternion(*x), nullity)
+            nullities.add(nullity)
+    assert nullities == {0, 1, 2, 3, 4} and inconsistent >= 20
 
 
 def test_make_spatial_family():

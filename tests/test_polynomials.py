@@ -16,6 +16,7 @@ from rrmf.scalars import ComplexScalar, Scalar, SurdBaseMismatch
 
 from conftest import (coprime_cpoly, nonzero_qpoly, nonzero_quat, rand_cpoly,
                       rand_qpoly, rand_rpoly, rand_scalar)
+from linalg_reference import gauss_jordan_rank
 
 XI_PLUS_I = ComplexPoly.from_parts(RealPoly([0, 1]), RealPoly([1]))
 XI_MINUS_I = ComplexPoly.from_parts(RealPoly([0, 1]), RealPoly([-1]))
@@ -416,13 +417,18 @@ def test_vector_ranks_match_row_reduction(rng):
             vectors.append([sum((w * x[i] for w, x in zip(weights, spanning)), Scalar(0))
                             for i in range(3)])
         rank = vector_rank(*_columns(vectors))
-        assert rank == (exact_rank(vectors) if vectors else 0)
+        assert rank == gauss_jordan_rank(vectors) == exact_rank(vectors)
         ranks.add(rank)
+        # linalg.exact_rank pads narrower rows with zeros
+        pairs = [v[:2] for v in vectors]
+        assert exact_rank(pairs) == gauss_jordan_rank(pairs)
         a = QuatPoly([Quaternion(rand_scalar(rng, base), *v) for v in vectors])
         c = nonzero_quat(rng, base)
         parts = [(c * q).vector_part().components()[1:] for q in a.coeffs]
-        assert vector_part_rank(a, c) == (exact_rank(parts) if parts else 0)
+        assert vector_part_rank(a, c) == gauss_jordan_rank(parts)
     assert ranks == {0, 1, 2, 3}
+    with pytest.raises(ValueError, match="at most three"):
+        exact_rank([[1, 0, 0, 0]])
 
 
 def test_reduce_fraction_examples():
