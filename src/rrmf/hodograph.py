@@ -270,12 +270,14 @@ class GeneratorAnalysis:
         return self.core.factor.degree() == 0
 
     @cached_property
+    def image_spatial(self) -> bool:
+        """Whether the image of A i A* proves span rank 3 at _POINTS."""
+        return self.image is not None and self.image.spans(_IMAGE_FORMS[1:4], _POINTS)
+
+    @cached_property
     def span_rank(self) -> int:
-        """Rank over the field of the vector coefficients of A i A*: 3
-        when its image takes three independent values at _POINTS."""
-        if self.image is not None and self.image.spans(_IMAGE_FORMS[1:4], _POINTS):
-            return 3
-        return vector_rank(*self.hodograph.components())
+        """Rank over the field of the vector coefficients of A i A*."""
+        return 3 if self.image_spatial else vector_rank(*self.hodograph.components())
 
     @cached_property
     def planar(self) -> bool:
@@ -285,9 +287,8 @@ class GeneratorAnalysis:
     @cached_property
     def trivial(self) -> Optional[TrivialWitness]:
         """The witness of trivial_witness; meaningful for coprime components.
-        None for a spatial A: a trivial A = C (x + y u), u _|_ i, has A i A*
-        in the plane of C i C* and C (u x i) C*."""
-        if not self.planar:
+        None when the image proves A spatial, since trivial implies planar."""
+        if self.image_spatial:
             return None
         # an iterator: coefficients are built only as far as c and the direction
         coeffs = map(self.poly.coeff, range(self.poly.degree() + 1))

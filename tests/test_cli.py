@@ -1,7 +1,10 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings
@@ -769,10 +772,10 @@ def test_long_coefficient_documents_finish_within_a_bound(tmp_path):
 # Fuzzed documents for the verbs that read one: quaternion generators of
 # degree <= 16 whose scalars are integers, p/q with up to 100 digits each
 # or (over Q(sqrt 15)) surds, sometimes with a certificate, and in about
-# one document in four one field made junk.  frames also gets edge values
-# of --samples, --range and --normal-rotation, and construct a fuzzed spec
-# instead of a document.  Every example runs in this process, must finish
-# within FUZZ_DEADLINE_MS, exit with a documented code and print no
+# one document in four one field made junk.  frames reads such a document
+# with edge values of --samples, --range and --normal-rotation; construct
+# reads a fuzzed spec instead.  Every example runs in this process, must
+# finish within FUZZ_DEADLINE_MS, exit with a documented code and print no
 # traceback.
 FUZZ_DEADLINE_MS = 5000
 _NUMBERS = st.integers(min_value=-(10 ** 100 - 1), max_value=10 ** 100 - 1)
@@ -812,7 +815,6 @@ def _fuzzed_documents(draw):
     return json.dumps(doc)
 
 
-# verbs that read the fuzzed document; "frames" gets the document too
 _VERBS = [["classify"], ["classify", "--search-degree", "2"], ["verify-han"],
           ["reduce"], ["search-gamma", "--max-degree", "8"]]
 _RANGES = st.one_of(
@@ -868,26 +870,38 @@ def _construct_argv(draw):
     return ["construct", kind, "--spec-json", json.dumps(spec)]
 
 
-@settings(max_examples=200, deadline=FUZZ_DEADLINE_MS, derandomize=True, database=None,
-          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
-@given(_fuzzed_documents(), st.one_of(_construct_argv(), _frames_argv(),
-                                      st.sampled_from(_VERBS)))
-def test_fuzzed_verbs_exit_cleanly(text, verb):
-    import contextlib
-    import io
-    import tempfile
+_FUZZ = settings(max_examples=100, deadline=FUZZ_DEADLINE_MS, derandomize=True,
+                 database=None,
+                 suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 
+
+def _exits_cleanly(argv):
     out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3, 4, 5), (code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+
+
+@_FUZZ
+@given(_fuzzed_documents(), st.sampled_from(_VERBS))
+def test_fuzzed_verbs_exit_cleanly(text, verb):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "doc.json"
         path.write_text(text)
-        if verb[0] == "construct":
-            argv = verb
-        elif verb[0] == "frames":
-            argv = [*verb, str(path), "--out", str(Path(tmp) / "frames.csv")]
-        else:
-            argv = [verb[0], str(path), *verb[1:]]
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-    assert code in (0, 2, 3, 4, 5), (code, err.getvalue())
-    assert "Traceback" not in err.getvalue()
+        _exits_cleanly([verb[0], str(path), *verb[1:]])
+
+
+@_FUZZ
+@given(_fuzzed_documents(), _frames_argv())
+def test_fuzzed_frames_exit_cleanly(text, argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        path.write_text(text)
+        _exits_cleanly([*argv, str(path), "--out", str(Path(tmp) / "frames.csv")])
+
+
+@_FUZZ
+@given(_construct_argv())
+def test_fuzzed_construct_exits_cleanly(argv):
+    _exits_cleanly(argv)
