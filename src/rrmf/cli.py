@@ -3,8 +3,9 @@
 Verbs: classify, construct, frames, verify-han, reduce, search-gamma,
 paper-examples.  Polynomials travel as exact JSON documents (see
 documents.py); frame samples leave as CSV.  Exit codes: 0 success,
-2 parse error, 3 precondition violation, 4 regression failure,
-5 internal error (a consistency check inside the library failed).
+1 standard output closed early (no traceback), 2 parse error,
+3 precondition violation, 4 regression failure, 5 internal error (a
+consistency check inside the library failed).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .classify import Classification, classify, search_certificate
 from .construct import (ConstructionError, CubicSpec, QuarticSpec, make_cubic,
                         make_cubic_monic, make_f_element, make_quartic,
                         make_spatial_family, make_trivial)
-from .documents import (DocumentError, PolyDocument, document_for,
+from .documents import (MAX_DEGREE, DocumentError, PolyDocument, document_for,
                         document_to_dict, load_json, parse_base, parse_document,
                         read_scalar)
 from .frames import CSV_HEADER, sample_frames, write_frame_rows
@@ -30,6 +31,7 @@ from .quaternions import Quaternion
 from .scalars import Scalar, format_scalar
 
 EXIT_OK = 0
+EXIT_CLOSED_OUTPUT = 1
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_REGRESSION = 4
@@ -178,6 +180,10 @@ def cmd_construct(args) -> int:
     if args.kind == "family":
         if args.n is None:
             raise ConstructionError("family construction requires --n")
+        # the degree bound every verb reading the document holds
+        if args.n > MAX_DEGREE:
+            raise DocumentError(f"--n must be at most {MAX_DEGREE} "
+                                f"(rrmf.documents.MAX_DEGREE), got {args.n}")
         poly, extra = make_spatial_family(args.n), {}
     else:
         if args.spec is not None:
@@ -230,6 +236,11 @@ def cmd_frames(args) -> int:
         chunks = iter([[lo]])
     else:
         step = (hi - lo) / (n - 1)
+        # the parameters run from lo to lo + (n - 1) step
+        if not (math.isfinite(step) and math.isfinite(lo + (n - 1) * step)):
+            raise DocumentError(
+                f"range {args.range!r} gives a non-finite step or parameter "
+                f"over {n} samples")
         chunks = ([lo + k * step for k in range(start, min(start + FRAME_CHUNK, n))]
                   for start in range(0, n, FRAME_CHUNK))
 
@@ -393,7 +404,16 @@ def main(argv=None) -> int:
             argv[k - 1:k + 1] = [f"--range={argv[k]}"]
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # buffered output reaches a closed pipe here, not at interpreter exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader has gone (`rrmf classify ... | head -c 1`): what is still
+        # buffered goes to devnull, so the flush at exit raises nothing
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_CLOSED_OUTPUT
     except (DocumentError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

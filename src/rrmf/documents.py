@@ -5,6 +5,13 @@ Coefficients are exchanged as exact scalar strings ("a/b" or
 for quaternion kind, 2-component rows for complex, bare strings for
 real.  The surd base is declared once per document; scalars using any
 other base are rejected.
+
+Parsing reads each scalar by the one grammar of scalars.scalar_terms
+into integers and builds the polynomial and the certificate's two
+polynomials straight from them (polynomials' ``from_terms``), with no
+Fraction or Scalar per coefficient.  A document's ``coefficients``, the
+rows as written in ring parts, are built from the polynomial when first
+read.
 """
 
 from __future__ import annotations
@@ -12,10 +19,11 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Optional
 
 from .polynomials import ComplexPoly, QuatPoly, RealPoly
-from .scalars import MAX_BASE, Scalar, format_scalar, is_valid_base, parse_scalar
+from .scalars import MAX_BASE, Scalar, format_scalar, is_valid_base, scalar_terms
 
 
 class DocumentError(ValueError):
@@ -29,11 +37,11 @@ in the degree; at this bound ``rrmf classify`` of a random integer
 generator takes under a second (README, "Polynomial documents")."""
 
 MAX_DIGITS = 1000
-"""Most digits, as written, in one number (numerator or denominator) of
-a scalar (README, "Polynomial documents").  Outputs outgrow their
-inputs and are printed in full, also beyond Python's 4300-digit limit
-for converting an int, which load_json keeps for JSON integer
-literals."""
+"""Most digits in one number (numerator, denominator or surd base) of a
+scalar once its spaces are removed (README, "Polynomial documents").
+Outputs outgrow their inputs and are printed in full, also beyond
+Python's 4300-digit limit for converting an int, which load_json keeps
+for JSON integer literals."""
 
 # digit runs, whose lengths are checked: a search for too many digits backtracks
 _DIGIT_RUN = re.compile(r"\d+")
@@ -44,17 +52,24 @@ KINDS = tuple(_POLY)
 
 @dataclass(frozen=True)
 class PolyDocument:
-    """Parsed document: base, kind, coefficient rows, optional certificate."""
+    """Parsed document: base, kind, its polynomial and the number of
+    coefficient rows it writes, optional certificate and metadata."""
 
     sqrt_base: int
     kind: str
-    coefficients: tuple
+    poly: Any
+    length: int
     certificate: Optional[tuple[RealPoly, RealPoly]] = None
     metadata: dict = field(default_factory=dict)
 
     def to_poly(self):
-        kind = _POLY[self.kind]
-        return kind([kind.ring.from_parts(row) for row in self.coefficients])
+        return self.poly
+
+    @cached_property
+    def coefficients(self) -> tuple:
+        """The ``length`` coefficient rows, zero rows included, each the
+        tuple of its ring parts (one Scalar per real component)."""
+        return tuple(self.poly.coeff(k).parts for k in range(self.length))
 
 
 def load_json(text):
@@ -66,18 +81,26 @@ def load_json(text):
         raise DocumentError(f"invalid JSON: {exc}") from exc
 
 
-def read_scalar(value, base: int) -> Scalar:
-    """One scalar of a document or construction spec; raises DocumentError,
-    also for a number of more than MAX_DIGITS digits."""
+def read_terms(value, base: int) -> tuple[int, int, int, int, int]:
+    """The integers (p, q, r, s, d) of one scalar of a document, as
+    scalars.scalar_terms reads them; raises DocumentError, also for a
+    number of more than MAX_DIGITS digits once spaces are removed."""
     text = str(value)
-    if any(len(run) > MAX_DIGITS for run in _DIGIT_RUN.findall(text)):
+    # a text no longer than the bound holds no number longer than it
+    if len(text) > MAX_DIGITS and any(
+            len(run) > MAX_DIGITS for run in _DIGIT_RUN.findall(text.replace(" ", ""))):
         raise DocumentError(
             f"scalar numbers have at most {MAX_DIGITS} digits "
             f"(rrmf.documents.MAX_DIGITS), got {text[:40]}...")
     try:
-        return parse_scalar(text, expected_base=base)
+        return scalar_terms(text, base)
     except (ValueError, ZeroDivisionError) as exc:
         raise DocumentError(str(exc)) from exc
+
+
+def read_scalar(value, base: int) -> Scalar:
+    """One scalar of a construction spec, as read_terms reads it."""
+    return Scalar.from_terms(*read_terms(value, base))
 
 
 def parse_base(value) -> int:
@@ -103,15 +126,16 @@ def parse_document(data) -> PolyDocument:
     if not isinstance(raw, list) or not raw:
         raise DocumentError("coefficients must be a non-empty list")
     _check_degree("coefficients", raw)
-    width = _POLY[kind].ring.width
-    rows = []
+    cls = _POLY[kind]
+    width = cls.ring.width
+    terms = []
     for entry in raw:
         if width == 1:
             entry = [entry]
         if not isinstance(entry, list) or len(entry) != width:
             raise DocumentError(
                 f"each {kind} coefficient needs {width} component(s), got {entry!r}")
-        rows.append(tuple(read_scalar(c, base) for c in entry))
+        terms += [read_terms(c, base) for c in entry]
     certificate = None
     if data.get("certificate") is not None:
         cert = data["certificate"]
@@ -120,12 +144,13 @@ def parse_document(data) -> PolyDocument:
             raise DocumentError('certificate must be {"a": [...], "b": [...]}')
         _check_degree("certificate a", cert["a"])
         _check_degree("certificate b", cert["b"])
-        certificate = (RealPoly([read_scalar(c, base) for c in cert["a"]]),
-                       RealPoly([read_scalar(c, base) for c in cert["b"]]))
+        certificate = tuple(RealPoly.from_terms([read_terms(c, base) for c in cert[part]],
+                                                base) for part in "ab")
     metadata = data.get("metadata") or {}
     if not isinstance(metadata, dict):
         raise DocumentError("metadata must be an object")
-    return PolyDocument(base, kind, tuple(rows), certificate, metadata)
+    return PolyDocument(base, kind, cls.from_terms(terms, base), len(raw),
+                        certificate, metadata)
 
 
 def _check_degree(what: str, rows: list) -> None:
@@ -141,13 +166,14 @@ def document_for(poly, certificate: Optional[tuple[RealPoly, RealPoly]] = None,
     kind = next((k for k, cls in _POLY.items() if isinstance(poly, cls)), None)
     if kind is None:
         raise DocumentError(f"cannot serialize {type(poly).__name__}")
-    rows = [c.parts for c in poly.coeffs] or [poly.ring.of(0).parts]
     # each polynomial stores one base, 0 when it has no sqrt(d) part
     bases = {p.d for p in (poly, *(certificate or ())) if p.d}
     if len(bases) > 1:
         raise DocumentError(f"mixed surd bases {sorted(bases)} in one document")
     base = bases.pop() if bases else 0
-    return PolyDocument(base, kind, tuple(rows), certificate, metadata or {})
+    # the zero polynomial is written as one zero coefficient
+    return PolyDocument(base, kind, poly, max(1, poly.degree() + 1), certificate,
+                        metadata or {})
 
 
 def document_to_dict(doc: PolyDocument) -> dict:

@@ -148,7 +148,8 @@ def sample_frames(a: QuatPoly, kind: FrameKind, xi_values: Iterable[float],
     """Evaluate the requested frame at the given parameters.
 
     Samples at parametric-speed roots (and, for the Frenet frame,
-    vanishing-curvature points) are skipped and reported as warnings.
+    vanishing-curvature points), and samples at which an evaluation
+    overflows, are skipped and reported as warnings.
     The rotation-minimizing frame needs a certificate unless the
     generator already has a vanishing indicatrix, where (1, 0) is used.
     An optional constant normal-plane rotation picks a different member
@@ -184,17 +185,22 @@ def sample_frames(a: QuatPoly, kind: FrameKind, xi_values: Iterable[float],
         sigma = h.sigma.evaluate_float(xs)
         position = integrate(h).evaluate_float(xs)
         if kind == "frenet":
-            axes, flat = _frenet_axes(h, xs)
+            axes, flat, values = _frenet_axes(h, xs)
         else:
             den, images = float_images(b, xs)
             axes = tuple(tuple(e / den for e in row) for row in images)
             flat = np.zeros(xs.shape, dtype=bool)
+            values = (den, *images[0], *images[1], *images[2])
         # position and the three axes, one row per parameter
         table = np.stack(np.broadcast_arrays(*position, *axes[0], *axes[1], *axes[2]),
                          axis=1)
+        # a finite parameter at which a polynomial or product overflowed
+        # (xs gives the columns their shape where a value is a constant)
+        evaluated = np.stack(np.broadcast_arrays(xs, sigma, *position, *values), axis=1)
+        overflow = np.isfinite(xs) & ~np.isfinite(evaluated).all(axis=1)
         scale = max(abs(c) for c in h.sigma.float_coeffs())
-        slow = abs(sigma) < 1e-12 * max(scale, 1.0)
-        kept = ~(slow | flat)
+        slow = ~overflow & (abs(sigma) < 1e-12 * max(scale, 1.0))
+        kept = ~(overflow | slow | flat)
         if kind == "frenet":
             # a NaN parameter passes the curvature test with NaN axes
             checks = [("frame axis not unit", ~np.isfinite(table[:, 3:]).all(axis=1))]
@@ -210,8 +216,9 @@ def sample_frames(a: QuatPoly, kind: FrameKind, xi_values: Iterable[float],
         raise AssertionError(next(f"{message} at xi={xis[k]}"
                                   for message, bad in checks if bad[k]))
 
-    warnings = [f"xi={xis[k]!r}: parametric speed vanishes, skipped" if slow[k]
-                else f"xi={xis[k]!r}: curvature vanishes, skipped"
+    reasons = [(overflow, "evaluation overflows"), (slow, "parametric speed vanishes"),
+               (flat, "curvature vanishes")]
+    warnings = [f"xi={xis[k]!r}: {next(r for mask, r in reasons if mask[k])}, skipped"
                 for k in np.flatnonzero(~kept).tolist()]
     samples = [FrameSample(xis[k], tuple(row[0:3]), tuple(row[3:6]),
                            tuple(row[6:9]), tuple(row[9:12]))
@@ -243,7 +250,8 @@ def _frenet_axes(h: Hodograph, xs: np.ndarray):
     """Numeric Frenet frame: f1 = r'/sigma, f2 along sigma r'' - sigma' r'.
 
     Evaluated at every parameter at once; also returns where the
-    curvature vanishes (those axes are meaningless).
+    curvature vanishes (those axes are meaningless) and the values the
+    axes are formed from, for the overflow check.
     """
     rp = [c.evaluate_float(xs) for c in h.components()]
     rpp = [c.derivative().evaluate_float(xs) for c in h.components()]
@@ -256,7 +264,7 @@ def _frenet_axes(h: Hodograph, xs: np.ndarray):
     flat = norm <= 1e-12 * np.maximum(scale, 1.0)
     f2 = tuple(c / norm for c in d)
     f3 = _fcross(f1, f2)
-    return (f1, f2, f3), flat
+    return (f1, f2, f3), flat, (*rp, *rpp, s, sp, norm, scale)
 
 
 def finite_difference_twist(samples: list[FrameSample]) -> list[float]:

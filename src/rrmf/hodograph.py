@@ -9,8 +9,9 @@ forms one prime image of A (polynomials.ComponentImage) and asks it
 first: it can prove the components coprime, chi = 1 (the core is then
 A), <A'i, A> nonzero at a point (not in F0) and span rank 3 (not
 planar).  An image proves only those answers, and the exact kernel
-(has_coprime_components, core_of, the form pass, vector_rank) runs
-whenever it cannot.  basis_images forms all ten component products of
+(the gcds without a second screen, the form pass, vector_rank) runs
+whenever it cannot; has_coprime_components and core_of read a fresh
+analysis too.  basis_images forms all ten component products of
 B for the three images B e B*, exactly for the symbolic frames and in
 floats (float_images) for sampling.  The core of A is A stripped of its maximal monic complex
 right divisor; A generates a primitive hodograph exactly when it
@@ -150,11 +151,10 @@ def hodograph_of(a: QuatPoly) -> Hodograph:
 
 
 def has_coprime_components(a: QuatPoly) -> bool:
-    """Whether gcd of the four real components is 1."""
+    """Whether gcd of the four real components is 1, read from a fresh
+    analysis of A; False for the zero polynomial."""
     a = QuatPoly.of(a)
-    if a.is_zero():
-        return False
-    return gcd_real(*a.components()).degree() == 0
+    return not a.is_zero() and GeneratorAnalysis(a).coprime
 
 
 def is_primitive(a: QuatPoly) -> bool:
@@ -167,15 +167,9 @@ def is_primitive(a: QuatPoly) -> bool:
 
 
 def core_of(a: QuatPoly) -> CoreDecomposition:
-    """Strip the maximal monic complex right divisor gcd(alpha, conj(beta))."""
-    a = QuatPoly.of(a)
-    if a.is_zero():
-        raise ValueError("core of the zero polynomial")
-    alpha, beta = a.complex_split()
-    chi = gcd_complex(alpha, beta.conjugate())
-    # chi is monic: of degree 0 it is 1, and A is its own core
-    core = a if chi.degree() == 0 else exact_divide(a, chi.as_quat())
-    return CoreDecomposition(core, chi)
+    """Strip the maximal monic complex right divisor gcd(alpha, conj(beta)),
+    read from a fresh analysis of A."""
+    return GeneratorAnalysis.of(a, "core of the zero polynomial").core
 
 
 @dataclass(frozen=True)
@@ -226,7 +220,8 @@ class GeneratorAnalysis:
         """Whether the four real components of A are coprime."""
         if self.image is not None and self.image.coprime():
             return True
-        return has_coprime_components(self.poly)
+        # the image has been screened: the exact gcd runs without it
+        return gcd_real(*self.poly.components(), screen=False).degree() == 0
 
     @cached_property
     def _forms(self) -> list[RealPoly]:
@@ -262,7 +257,11 @@ class GeneratorAnalysis:
         complex right divisor; A itself when the image proves chi = 1."""
         if self.image is not None and self.image.split_coprime():
             return CoreDecomposition(self.poly, _ONE)
-        return core_of(self.poly)
+        alpha, beta = self.poly.complex_split()
+        chi = gcd_complex(alpha, beta.conjugate(), screen=False)
+        # chi is monic: of degree 0 it is 1, and A is its own core
+        core = self.poly if chi.degree() == 0 else exact_divide(self.poly, chi.as_quat())
+        return CoreDecomposition(core, chi)
 
     @cached_property
     def primitive(self) -> bool:

@@ -12,7 +12,8 @@ stored triple; ``hash`` reads the narrowest equal value (a constant as
 its coefficient, without the zero rows a lift appends), so equal
 polynomials of different kinds hash alike.  Coefficients are converted
 only at the edges: the constructor from coefficients turns them into
-rows, which raises SurdBaseMismatch for two different surd bases, and
+rows, which raises SurdBaseMismatch for two different surd bases,
+``from_terms`` builds the rows from a parsed document's integers, and
 ``coeffs``, ``coeff``, ``leading``, ``evaluate`` and the text forms
 build Scalars on access.  The kinds ``RealPoly``, ``ComplexPoly`` and ``QuatPoly`` name
 their coefficient ring, the constants they accept and the smaller kinds
@@ -363,6 +364,23 @@ class _DensePoly:
         p._set(*_canonical(d, rows, den))
         return p
 
+    @classmethod
+    def from_terms(cls, terms: list, d: int):
+        """The polynomial whose coefficient components, in ascending degree
+        and each coefficient's ``width`` components in order, have the
+        values p/q + r/s*sqrt(d) of ``terms`` (p, q, r, s, _), as
+        scalars.scalar_terms reads them over the base d: q, s > 0 and r = 0
+        unless the component has a sqrt(d) part."""
+        width = cls.ring.width
+        den = math.lcm(*[t[1] for t in terms], *[t[3] for t in terms])
+        rows = []
+        for w in range(width):
+            column = terms[w::width]
+            rows.append([p * (den // q) for p, q, *_ in column])
+            if d:
+                rows.append([r * (den // s) for _, _, r, s, _ in column])
+        return cls._from_rows(d, rows, den)
+
     def _rows_over(self, d: int):
         """The stored rows over the base d, which is self.d or self.d = 0."""
         if d == self.d:
@@ -630,18 +648,18 @@ class QuatPoly(_DensePoly):
         return f"QuatPoly({self.coeffs!r})"
 
 
-def _gcd(cls, polys):
+def _gcd(cls, polys, screen: bool):
     """Monic gcd of polynomials of a commutative kind.
 
-    1 when the prime image proves it (images_coprime); otherwise
-    subresultant sequences over the integer rows, folded over the
-    arguments, then made monic in the field.
+    With ``screen``, 1 when the prime image proves it (images_coprime);
+    otherwise subresultant sequences over the integer rows, folded over
+    the arguments, then made monic in the field.
     """
     polys = [p for p in map(cls.of, polys) if not p.is_zero()]
     if not polys:
         raise ValueError("gcd of all-zero polynomials is undefined")
     alg = _kernel(*polys)
-    embedding = _embedding(cls.ring.width, alg.d)
+    embedding = _embedding(cls.ring.width, alg.d) if screen else None
     if embedding is not None:
         p, weights = embedding
         images = [_image(q._rows_over(alg.d), weights, p) for q in polys]
@@ -893,14 +911,17 @@ def vector_part_rank(a: QuatPoly, left: Quaternion) -> int:
     return _vector_rank(_coordinate_vectors(scaled[alg.parts:], alg.parts), alg.d)
 
 
-def gcd_real(*polys) -> RealPoly:
-    """Monic gcd of real polynomials (subresultant sequence, made monic)."""
-    return _gcd(RealPoly, polys)
+def gcd_real(*polys, screen: bool = True) -> RealPoly:
+    """Monic gcd of real polynomials (subresultant sequence, made monic).
+    ``screen=False`` skips the prime image, for a caller that has
+    screened the same image already."""
+    return _gcd(RealPoly, polys, screen)
 
 
-def gcd_complex(*polys) -> ComplexPoly:
-    """Monic gcd of complex polynomials (subresultant sequence, made monic)."""
-    return _gcd(ComplexPoly, polys)
+def gcd_complex(*polys, screen: bool = True) -> ComplexPoly:
+    """Monic gcd of complex polynomials (subresultant sequence, made
+    monic); ``screen`` as for gcd_real."""
+    return _gcd(ComplexPoly, polys, screen)
 
 
 def exact_divide(p, divisor):

@@ -75,8 +75,8 @@ class Scalar:
     squarefree integer in [2, MAX_BASE]; and ``b == 0`` implies ``d == 0``.
 
     Validation happens at the edges: the public constructor checks its
-    arguments, and ``parse_scalar`` goes through it for any base but the
-    expected one its caller has validated.  Arithmetic results
+    arguments, and ``parse_scalar`` checks a parsed base the same way,
+    unless it is the expected one its caller has validated.  Arithmetic results
     (``+``, ``-``, ``*``, ``inverse`` and what is built from them) are
     assembled without re-validation, because their parts are Fraction
     operations on valid operands and their base is one of the operands'
@@ -121,6 +121,12 @@ class Scalar:
     def surd(cls, coefficient: ScalarLike, d: int) -> "Scalar":
         """The value coefficient * sqrt(d)."""
         return cls(0, Fraction(coefficient), d)
+
+    @classmethod
+    def from_terms(cls, p: int, q: int, r: int, s: int, d: int) -> "Scalar":
+        """p/q + r/s*sqrt(d) for the integers scalar_terms reads: q, s > 0,
+        and d valid, or 0 when r = 0."""
+        return _unchecked(Fraction(p, q), Fraction(r, s) if r else _F0, d)
 
     parts = property(lambda self: (self,))
     from_parts = staticmethod(operator.itemgetter(0))
@@ -294,38 +300,63 @@ def format_scalar(s: Scalar) -> str:
     return f"{a}{sign}{_ratio(abs(s.b))}*sqrt({s.d})"
 
 
-_RAT = r"[+-]?\d+(?:/\d+)?"
+# one grammar for every scalar read: p/q, then the surd term r/s*sqrt(d);
+# a missing q or s is 1, a missing r is 1 after a sqrt sign, and the
+# rational term may be missing too ("sqrt(15)", "-3/2*sqrt(5)")
 _SCALAR_RE = re.compile(
-    rf"^(?P<a>{_RAT})?(?:(?P<sign>(?<=.)[+-]|^[+-]?)(?P<c>\d+(?:/\d+)?)?\*?sqrt\((?P<d>\d+)\))?$"
+    r"^(?:(?P<p>[+-]?\d+)(?:/(?P<q>\d+))?)?"
+    r"(?:(?P<sign>(?<=.)[+-]|^[+-]?)(?:(?P<r>\d+)(?:/(?P<s>\d+))?)?\*?sqrt\((?P<d>\d+)\))?$"
 )
 
 
-def parse_scalar(text: str, expected_base: int | None = None) -> Scalar:
-    """Parse the canonical text form, tolerating bare integers and
-    a missing rational part ("sqrt(15)", "-3/2*sqrt(5)").  A surd over
-    ``expected_base``, which the caller has validated (documents.parse_base),
-    is built unchecked; any other base goes through the constructor."""
+def scalar_terms(text: str, expected_base: int | None = None
+                 ) -> tuple[int, int, int, int, int]:
+    """The integers (p, q, r, s, d) of the text form p/q + r/s*sqrt(d),
+    unreduced, with q, s > 0, and r = 0, s = 1 and d = 0 for a rational
+    value.  Spaces anywhere and whitespace at either end are ignored.
+
+    A surd over ``expected_base``, which the caller has validated
+    (documents.parse_base), is taken as is; any other base is checked as
+    the Scalar constructor checks it, and then must not differ from a
+    given ``expected_base``.  Raises ValueError (SurdBaseMismatch for a
+    foreign base) or ZeroDivisionError, with Fraction's message, for a
+    zero denominator.
+    """
     text = text.strip().replace(" ", "")
     if not text:
         raise ValueError("empty scalar")
     m = _SCALAR_RE.match(text)
-    if not m or (m.group("a") is None and m.group("d") is None):
+    if m is None or m.group("p") is None and m.group("d") is None:
         raise ValueError(f"cannot parse scalar {text!r}")
-    a = Fraction(m.group("a")) if m.group("a") is not None else _F0
-    if m.group("d") is None:
-        return _unchecked(a, _F0, 0)
-    d = int(m.group("d"))
-    c = Fraction(m.group("c")) if m.group("c") else Fraction(1)
-    if m.group("sign") == "-":
-        c = -c
-    if d and d == expected_base:
-        return _unchecked(a, c, d)
-    result = Scalar(a, c, d)
-    if expected_base is not None and result.d not in (0, expected_base):
-        raise SurdBaseMismatch(
-            f"scalar {text!r} uses base {result.d}, document declares {expected_base}"
-        )
-    return result
+    p, q, sign, r, s, d = m.groups()
+    p = int(p) if p else 0
+    q = int(q) if q else 1
+    if not q:
+        raise ZeroDivisionError(f"Fraction({p}, 0)")
+    if d is None:
+        return p, q, 0, 1, 0
+    d = int(d)
+    r = int(r) if r else 1
+    s = int(s) if s else 1
+    if not s:
+        raise ZeroDivisionError(f"Fraction({r}, 0)")
+    if sign == "-":
+        r = -r
+    if not (d and d == expected_base):
+        if not is_valid_base(d):
+            raise ValueError(
+                f"base {d} is not 0 or a squarefree integer in [2, {MAX_BASE}]")
+        if r and not d:
+            raise ValueError("irrational part requires a nonzero base")
+        if r and expected_base is not None:
+            raise SurdBaseMismatch(
+                f"scalar {text!r} uses base {d}, document declares {expected_base}")
+    return (p, q, r, s, d) if r else (p, q, 0, 1, 0)
+
+
+def parse_scalar(text: str, expected_base: int | None = None) -> Scalar:
+    """The Scalar of the text form, as ``scalar_terms`` reads it."""
+    return Scalar.from_terms(*scalar_terms(text, expected_base))
 
 
 class _Hypercomplex:

@@ -13,26 +13,29 @@ import pytest
 
 from rrmf.catalog import worked_quintics
 from rrmf.classify import GeneratorAnalysis, TrivialWitness, classify
-from rrmf.construct import make_spatial_family
+from rrmf.construct import make_f_element, make_spatial_family
 from rrmf.frames import sample_frames
 from rrmf.indicatrix import (IndicatrixPair, han_fraction, han_numerator,
                              inner_product_poly, omega1, rho_eta,
                              rotation_indicatrix)
-from rrmf.polynomials import RealPoly, reduce_fraction
+from rrmf.polynomials import ComplexPoly, RealPoly, reduce_fraction
+from rrmf.scalars import ComplexScalar
 
 from conftest import nonzero_qpoly
 
 
-def _count_calls(monkeypatch, target: str) -> list:
+def _count_calls(monkeypatch, target: str, keep=lambda kwargs: True, calls=None) -> list:
     """Route every rrmf binding of ``layer.name`` through a call counter,
-    which lists the result of each call."""
+    which lists (in ``calls``, if given) the result of each call whose
+    keyword arguments ``keep`` accepts."""
     layer, name = target.split(".")
     original = getattr(importlib.import_module(f"rrmf.{layer}"), name)
-    calls = []
+    calls = [] if calls is None else calls
 
     def counted(*args, **kwargs):
         result = original(*args, **kwargs)
-        calls.append(result)
+        if keep(kwargs):
+            calls.append(result)
         return result
 
     for module_name, module in list(sys.modules.items()):
@@ -54,9 +57,17 @@ def test_analysis_lives_below_the_indicatrix():
     assert GeneratorAnalysis.of(analysis) is analysis
 
 
+def _exact_gcds(monkeypatch) -> list:
+    """The results of the gcds an analysis runs after its own screen, which
+    skip the prime image: coprime components (real) and the core (complex)."""
+    calls: list = []
+    for target in ("polynomials.gcd_real", "polynomials.gcd_complex"):
+        _count_calls(monkeypatch, target, lambda kwargs: kwargs.get("screen") is False, calls)
+    return calls
+
+
 # the exact kernel entry points that the prime image stands in front of
-_EXACT = ("hodograph.has_coprime_components", "hodograph.core_of",
-          "polynomials.vector_rank", "polynomials.vector_part_rank",
+_EXACT = ("polynomials.vector_rank", "polynomials.vector_part_rank",
           "indicatrix.rho_eta")
 
 
@@ -64,6 +75,7 @@ def test_classify_forms_the_generator_once(monkeypatch):
     forms = _count_calls(monkeypatch, "polynomials.component_forms")
     screens = _count_calls(monkeypatch, "polynomials.images_coprime")
     exact = {target: _count_calls(monkeypatch, target) for target in _EXACT}
+    exact["gcds"] = _exact_gcds(monkeypatch)
     counters = [forms, screens, *exact.values()]
 
     def run(*args):
@@ -88,7 +100,26 @@ def test_classify_forms_the_generator_once(monkeypatch):
         assert len(forms) == (2 if holds else 0), curve.name
         assert screens == [True, True], curve.name
         assert {target: len(calls) for target, calls in exact.items()} == {
-            **dict.fromkeys(_EXACT, 0), "indicatrix.rho_eta": int(holds)}, curve.name
+            **dict.fromkeys(exact, 0), "indicatrix.rho_eta": int(holds)}, curve.name
+
+
+def test_classify_screens_each_fact_once(monkeypatch):
+    screens = _count_calls(monkeypatch, "polynomials.images_coprime")
+    gcds = _exact_gcds(monkeypatch)
+    # chi = 1 + xi i is a complex right divisor of the f-element, and xi + 2
+    # a common real factor of the planted generator's components: the image
+    # cannot prove chi = 1, nor the planted components coprime
+    f_element = make_f_element(make_spatial_family(4), ComplexPoly([ComplexScalar(0, 1), 1]))
+    planted = RealPoly([2, 1]).as_quat() * make_spatial_family(5)
+    for a, expected, exact in ((f_element.poly, [True, False], [ComplexPoly]),
+                               (planted, [False, False], [RealPoly, ComplexPoly])):
+        screens.clear()
+        gcds.clear()
+        classify(a)
+        # each fact is screened once, and decided exactly once after a
+        # failed screen, by the gcd that does not screen again
+        assert screens == expected
+        assert [type(g) for g in gcds] == exact
 
 
 def test_han_entry_points_form_the_generator_once(monkeypatch):
@@ -101,7 +132,7 @@ def test_han_entry_points_form_the_generator_once(monkeypatch):
 
 
 def test_rmf_sampling_decides_coprimality_once(monkeypatch):
-    coprime = _count_calls(monkeypatch, "hodograph.has_coprime_components")
+    coprime = _exact_gcds(monkeypatch)
     screens = _count_calls(monkeypatch, "polynomials.images_coprime")
     samples, _ = sample_frames(make_spatial_family(6), "rmf", np.linspace(0, 1, 5))
     assert len(samples) == 5

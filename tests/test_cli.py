@@ -16,7 +16,7 @@ from rrmf.catalog import (nontrivial_cubic, quintic_left_cancellation,
                           quintic_no_cancellation, quintic_right_cancellation)
 from rrmf.cli import EXIT_INTERNAL, main
 from rrmf.documents import document_for, dumps_document
-from rrmf.frames import certificate_generator, sample_frames, write_frames_csv
+from rrmf.frames import CSV_HEADER, certificate_generator, sample_frames, write_frames_csv
 from rrmf.polynomials import QuatPoly, RealPoly
 from rrmf.quaternions import Quaternion
 from rrmf.scalars import format_scalar, parse_scalar
@@ -100,6 +100,21 @@ def test_construct_family(capsys):
 def test_construct_family_requires_n(capsys):
     code, _, err = run(capsys, "construct", "family")
     assert code == 3
+
+
+def test_construct_family_degree_bound(capsys):
+    from rrmf.documents import MAX_DEGREE
+
+    # the document must stay readable by classify: degree n <= MAX_DEGREE
+    for n in (MAX_DEGREE + 1, 200):
+        code, out, err = run(capsys, "construct", "family", "--n", str(n))
+        assert (code, out) == (2, "")
+        assert err == (f"error: --n must be at most {MAX_DEGREE} "
+                       f"(rrmf.documents.MAX_DEGREE), got {n}\n")
+    code, out, _ = run(capsys, "construct", "family", "--n", str(MAX_DEGREE))
+    assert code == 0
+    document = json.dumps(json.loads(out)["document"])
+    assert len(json.loads(document)["coefficients"]) == MAX_DEGREE + 1
 
 
 def test_construct_cubic_spec(capsys):
@@ -216,6 +231,31 @@ def test_frames_rejects_non_finite_range(tmp_path, capsys):
                            f"--range={bounds}", "--out", str(out_csv))
         assert code == 2 and "finite" in err
     assert not out_csv.exists()
+
+
+def test_frames_overflowing_ranges(tmp_path, capsys):
+    curve = quintic_right_cancellation()
+    path = write_doc(tmp_path, "right.json", curve.generator, curve.certificate)
+    out_csv = tmp_path / "x.csv"
+    for frame in ("erf", "rmf", "frenet"):
+        # the step (hi - lo) / (n - 1) overflows: a parse error, no CSV
+        code, out, err = run(capsys, "frames", path, "--frame", frame, "--samples", "3",
+                             "--range=-1e308:1e308", "--out", str(out_csv))
+        assert (code, out) == (2, "") and "non-finite step" in err, frame
+        assert not out_csv.exists()
+        # finite parameters whose evaluation overflows are skipped, with a warning
+        # each; at 1e62 only the position (degree 5) overflows, and erf wrote
+        # rows of inf positions
+        for bounds, xis in (("1e308:1e308", ["1e+308"] * 3),
+                            ("1e100:1e101", ["1e+100", "5.4999999999999994e+100", "1e+101"]),
+                            ("1e62:2e62", ["1e+62", "1.5e+62", "2e+62"])):
+            code, out, err = run(capsys, "frames", path, "--frame", frame, "--samples", "3",
+                                 f"--range={bounds}", "--out", str(out_csv))
+            assert (code, out) == (0, f"wrote 0 samples to {out_csv}\n"), (frame, bounds)
+            assert err == "".join(f"warning: xi={xi}: evaluation overflows, skipped\n"
+                                  for xi in xis), (frame, bounds)
+            assert out_csv.read_text() == CSV_HEADER + "\n"
+            out_csv.unlink()
 
 
 def test_frames_rejects_non_finite_normal_rotation(tmp_path, capsys):
@@ -753,6 +793,23 @@ def _long_generator_doc(tmp_path, degree, digits, seed=1):
     path = tmp_path / f"long-{degree}x{digits}.json"
     path.write_text(json.dumps({"sqrt_base": 0, "kind": "quaternion", "coefficients": rows}))
     return str(path)
+
+
+def test_closed_stdout_exits_without_traceback():
+    # the reader of the pipe has gone before anything is written, as after
+    # `rrmf classify ... | head -c 1`
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(rrmf.__file__).resolve().parents[1])}
+    fixture = Path(__file__).resolve().parents[1] / "fixtures" / "quintic-no-cancellation.json"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "rrmf.cli", "classify", str(fixture)],
+                              stdout=write, stderr=subprocess.PIPE, text=True, env=env,
+                              timeout=60)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (cli.EXIT_CLOSED_OUTPUT, "")
 
 
 def test_long_coefficient_documents_finish_within_a_bound(tmp_path):

@@ -10,7 +10,7 @@ from rrmf.catalog import quintic_right_cancellation
 from rrmf.documents import (KINDS, MAX_DEGREE, MAX_DIGITS, DocumentError,
                             document_for, document_to_dict, dumps_document,
                             parse_document)
-from rrmf.polynomials import QuatPoly, RealPoly
+from rrmf.polynomials import ComplexPoly, QuatPoly, RealPoly
 from rrmf.quaternions import Quaternion
 from rrmf.scalars import MAX_BASE, Scalar, SurdBaseMismatch, parse_scalar
 
@@ -168,10 +168,16 @@ def test_digit_bound():
     assert at_bound.coefficients[1][2].a == Fraction(-int(n), int(n) - 1)
     assert at_bound.certificate[0].coeff(0) == int(n)
     over = "1" + "0" * MAX_DIGITS
+    # a number split by spaces is one number once they are removed
+    half = "1" * (MAX_DIGITS // 2)
     for text in (doc(over), doc(f"1/{over}"), doc(f"1+{over}*sqrt(15)", base=15),
-                 doc(f"1+1/{over}*sqrt(15)", base=15), doc("1", cert=[over])):
+                 doc(f"1+1/{over}*sqrt(15)", base=15), doc("1", cert=[over]),
+                 doc(f"{half}1 {half}/1"), doc(f"1/{half} {half}1"),
+                 doc("1" * 600 + " " + "1" * 600 + "/1")):
         with pytest.raises(DocumentError, match=f"at most {MAX_DIGITS} digits"):
             parse_document(text)
+    split = parse_document(doc(f"{half} {half}/1"))
+    assert split.coefficients[1][2] == int(half * 2)
     # an integer literal too long for Python to convert is a parse error too
     literal = '{"sqrt_base": 0, "kind": "real", "coefficients": [%s]}' % ("1" * 5000)
     with pytest.raises(DocumentError, match="invalid JSON"):
@@ -234,3 +240,143 @@ def test_fuzzed_documents_parse_or_reject(text):
         return
     once = _serialized(doc)
     assert _serialized(parse_document(once)) == once
+
+
+# -- the parser against the Scalar path ------------------------------------------
+# Documents of every kind over Q and Q(sqrt 15), whose scalars are written in
+# the forms the grammar accepts: bare integers (as JSON numbers too), p/q
+# unreduced (2/4) or signed zero (-0/3), sqrt(d) with or without a
+# coefficient or a rational part, and spaces between the tokens; high-degree
+# zero rows are written out.  The oracle builds the same values as Scalars
+# and the polynomials by the constructor from coefficients.
+
+_SMALL = st.integers(-30, 30)
+
+
+@st.composite
+def _written_scalar(draw, base):
+    """(value, text) for one scalar over the base."""
+    a = Fraction(draw(_SMALL), draw(st.integers(1, 12)))
+    b = Fraction(draw(_SMALL), draw(st.integers(1, 12))) if base and draw(st.booleans()) else 0
+    k = draw(st.integers(1, 3))
+    tokens = []
+    if b == 0 or a != 0 or draw(st.booleans()):
+        if a.denominator == 1 and draw(st.booleans()):
+            tokens += [str(a.numerator)]
+        elif a == 0 and draw(st.booleans()):
+            tokens += ["-0", "/", str(k)]
+        else:
+            tokens += [str(a.numerator * k), "/", str(a.denominator * k)]
+    if b:
+        tokens += ["-" if b < 0 else "+"] if tokens or b < 0 else []
+        if abs(b) != 1 or draw(st.booleans()):
+            tokens += [str(abs(b.numerator) * k), "/", str(b.denominator * k), "*"]
+        tokens += ["sqrt(", str(base), ")"]
+    elif base and draw(st.booleans()):
+        tokens += ["+", "0", "/", str(k), "*", "sqrt(", str(base), ")"]
+    text = "".join(token + draw(st.sampled_from(["", "", " "])) for token in tokens)
+    if b == 0 and a.denominator == 1 and draw(st.booleans()):
+        return Scalar(a), int(a)
+    return Scalar(a, b, base if b else 0), draw(st.sampled_from(["", " "])) + text
+
+
+def _oracle(kind, rows):
+    cls = {"quaternion": QuatPoly, "complex": ComplexPoly, "real": RealPoly}[kind]
+    return cls([cls.ring.from_parts(row) for row in rows])
+
+
+@st.composite
+def _written_documents(draw):
+    base, kind = draw(st.sampled_from((0, 15))), draw(st.sampled_from(KINDS))
+    width = {"quaternion": 4, "complex": 2, "real": 1}[kind]
+    scalar = _written_scalar(base)
+    zero = st.sampled_from([(Scalar(0), "0"), (Scalar(0), "-0/3"), (Scalar(0), 0)])
+    rows = draw(st.lists(st.lists(scalar, min_size=width, max_size=width),
+                         min_size=1, max_size=6))
+    rows += draw(st.lists(st.lists(zero, min_size=width, max_size=width), max_size=2))
+    cert = [draw(st.lists(scalar, max_size=4)) for _ in "ab"] if draw(st.booleans()) else None
+    written = [[t for _, t in row] if width > 1 else row[0][1] for row in rows]
+    doc = {"sqrt_base": base, "kind": kind, "coefficients": written}
+    if cert is not None:
+        doc["certificate"] = {part: [t for _, t in c] for part, c in zip("ab", cert)}
+    values = [tuple(v for v, _ in row) for row in rows]
+    certificate = None if cert is None else tuple(
+        RealPoly([v for v, _ in c]) for c in cert)
+    return json.dumps(doc), kind, values, certificate
+
+
+def _stored(poly):
+    return type(poly), poly.d, poly.rows, poly.den
+
+
+@settings(max_examples=300, deadline=2000, derandomize=True, database=None)
+@given(_written_documents())
+def test_parser_matches_the_scalar_path(case):
+    text, kind, values, certificate = case
+    doc = parse_document(text)
+    assert _stored(doc.to_poly()) == _stored(_oracle(kind, values))
+    assert doc.coefficients == tuple(values)
+    assert [list(map(Scalar.__repr__, row)) for row in doc.coefficients] == [
+        list(map(Scalar.__repr__, row)) for row in values]
+    if certificate is None:
+        assert doc.certificate is None
+    else:
+        assert list(map(_stored, doc.certificate)) == list(map(_stored, certificate))
+
+
+# malformed scalars and their messages, the same as before the parser read
+# scalars into integers; in a real document over Q (over Q(sqrt 15) a surd
+# over 15 is valid, and a foreign base is named against 15)
+_LONG = f"scalar numbers have at most {MAX_DIGITS} digits (rrmf.documents.MAX_DIGITS), got "
+_MALFORMED = [
+    ("", "empty scalar"), ("   ", "empty scalar"), ("x", "cannot parse scalar 'x'"),
+    ("1/0", "Fraction(1, 0)"), ("-5/0", "Fraction(-5, 0)"), ("+0/0", "Fraction(0, 0)"),
+    ("-0/0", "Fraction(0, 0)"), ("3 / 0", "Fraction(3, 0)"), ("1/0+sqrt(4)", "Fraction(1, 0)"),
+    ("2/0*sqrt(4)", "Fraction(2, 0)"), ("1+2/0*sqrt(15)", "Fraction(2, 0)"),
+    ("1-0/0*sqrt(15)", "Fraction(0, 0)"), ("1.5", "cannot parse scalar '1.5'"),
+    ("1e5", "cannot parse scalar '1e5'"), ("--1", "cannot parse scalar '--1'"),
+    ("+", "cannot parse scalar '+'"), ("-", "cannot parse scalar '-'"),
+    ("1/2/3", "cannot parse scalar '1/2/3'"), ("1/-2", "cannot parse scalar '1/-2'"),
+    ("sqrt(", "cannot parse scalar 'sqrt('"), ("sqrt()", "cannot parse scalar 'sqrt()'"),
+    ("sqrt(-1)", "cannot parse scalar 'sqrt(-1)'"),
+    ("2*sqrt(16)", "base 16 is not 0 or a squarefree integer in [2, 2147483647]"),
+    ("sqrt(4)", "base 4 is not 0 or a squarefree integer in [2, 2147483647]"),
+    ("1+sqrt(1)", "base 1 is not 0 or a squarefree integer in [2, 2147483647]"),
+    ("sqrt(7)", "scalar 'sqrt(7)' uses base 7, document declares 0"),
+    ("1 - 2/3 * sqrt(7)", "scalar '1-2/3*sqrt(7)' uses base 7, document declares 0"),
+    ("sqrt(0)", "irrational part requires a nonzero base"),
+    ("-2*sqrt(0)", "irrational part requires a nonzero base"),
+    ("3+0*sqrt(4)", "base 4 is not 0 or a squarefree integer in [2, 2147483647]"),
+    ("sqrt(15)sqrt(15)", "cannot parse scalar 'sqrt(15)sqrt(15)'"),
+    ("sqrt(15)+1", "cannot parse scalar 'sqrt(15)+1'"),
+    ("*sqrt(15)", "scalar '*sqrt(15)' uses base 15, document declares 0"),
+    ("1**sqrt(15)", "cannot parse scalar '1**sqrt(15)'"),
+    ("1+*sqrt(15)", "scalar '1+*sqrt(15)' uses base 15, document declares 0"),
+    ("1 2 3/0", "Fraction(123, 0)"),
+    ("sqrt(" + "9" * 30 + ")",
+     "base " + "9" * 30 + " is not 0 or a squarefree integer in [2, 2147483647]"),
+    ("\u0663/0", "Fraction(3, 0)"), ("1\t+sqrt(15)", "cannot parse scalar '1\\t+sqrt(15)'"),
+    ("7" * 1001, _LONG + "7" * 40 + "..."), ("1/" + "2" * 1001, _LONG + "1/" + "2" * 38 + "..."),
+    ("x" + "7" * 1001, _LONG + "x" + "7" * 39 + "..."),
+    ("1+" + "3" * 1001 + "*sqrt(15)", _LONG + "1+" + "3" * 38 + "..."),
+    (None, "cannot parse scalar 'None'"), (True, "cannot parse scalar 'True'"),
+    (2.5, "cannot parse scalar '2.5'"), ([], "cannot parse scalar '[]'"),
+    ({"a": 1}, "cannot parse scalar \"{'a':1}\""), (10 ** 1001, _LONG + "1" + "0" * 39 + "..."),
+]
+
+
+@pytest.mark.parametrize("base", [0, 15])
+def test_malformed_scalar_messages(base):
+    for scalar, message in _MALFORMED:
+        if base:
+            if scalar in ("*sqrt(15)", "1+*sqrt(15)"):
+                continue
+            message = message.replace("document declares 0", "document declares 15")
+        text = json.dumps({"sqrt_base": base, "kind": "real", "coefficients": [scalar]})
+        with pytest.raises(DocumentError) as info:
+            parse_document(text)
+        assert str(info.value) == message, scalar
+    # the surds over 15 that a document over Q rejects are valid over Q(sqrt 15)
+    for scalar in ("*sqrt(15)", "1+*sqrt(15)"):
+        text = json.dumps({"sqrt_base": 15, "kind": "real", "coefficients": [scalar]})
+        assert parse_document(text).to_poly() == RealPoly([Scalar(int(scalar[0] == "1"), 1, 15)])
