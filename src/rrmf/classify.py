@@ -2,26 +2,26 @@
 
 A generator with coprime components has an identically vanishing
 rotation indicatrix exactly when all its per-degree coefficient
-conditions vanish; that class underlies every other verdict here:
-triviality (coefficients confined to a left coset of a plane R + Ru
-with u orthogonal to i), planarity of the generated curve, and
-membership in the class of generators of curves with rational
-rotation-minimizing frames, decided either through a supplied
-certificate, the equal-degree divisibility criterion, or a certificate
-of bounded degree constructed exactly from the residues of the reduced
-Han fraction.  No false negatives are ever reported for the general
-membership question: absent proof, the verdict is "unknown".
+conditions, the coefficients of <A'i, A>, vanish; that class underlies
+every other verdict here: triviality (coefficients confined to a left
+coset of a plane R + Ru with u orthogonal to i), planarity of the
+generated curve, and membership in the class of generators of curves
+with rational rotation-minimizing frames, decided either through a
+supplied certificate, the equal-degree divisibility criterion, or a
+certificate of bounded degree constructed exactly from the residues of
+the reduced Han fraction.  No false negatives are ever reported for the
+general membership question: absent proof, the verdict is "unknown".
 
-Every fact of a generator is read from one hodograph.GeneratorAnalysis,
-re-exported here with TrivialWitness.  Its span rank and triviality
-witness are decided on the integer rows of the polynomial kernel
-(polynomials.vector_rank and vector_part_rank), as is the equal-degree
-criterion (indicatrix.sigma_divides_rho: ruled out on the analysis's
-prime image when it can be, else indicatrix.rho_eta, which reads sigma
-and <A'i, A> from the analysis); only the witness's direction is one
+Every fact of a generator, the coefficient conditions included, is read
+from one hodograph.GeneratorAnalysis, re-exported here with
+TrivialWitness.  Its span rank and triviality witness are decided on
+the integer rows of the polynomial kernel (polynomials.vector_rank and
+vector_part_rank), as is the equal-degree criterion
+(indicatrix.sigma_divides_rho: ruled out on the analysis's prime image
+when it can be, else indicatrix.rho_eta, which reads sigma and
+<A'i, A> from the analysis); only the witness's direction is one
 Quaternion product.
 """
-
 from __future__ import annotations
 
 import time
@@ -33,7 +33,6 @@ from .hodograph import GeneratorAnalysis, TrivialWitness
 from .indicatrix import require_certificate, sigma_divides_rho, verify_han
 from .polynomials import (ComplexPoly, QuatPoly, RealPoly, exact_divide,
                           gcd_complex)
-from .quaternions import I
 from .scalars import ComplexScalar, Scalar
 
 
@@ -55,28 +54,12 @@ class IndicatrixCoefficients:
 
 
 def indicatrix_coefficients(a: QuatPoly) -> IndicatrixCoefficients:
-    """c_m = sum_{k=0..m} (k+1) <A_{m-k}, A_{k+1} i> for m = 0 .. 2n-2.
-
-    Computed from the quaternion coefficients directly; they are the
-    coefficients of <A'i, A>.
-    """
-    a = QuatPoly.of(a)
-    if a.is_zero():
-        raise ValueError("coefficient conditions of the zero polynomial")
-    n = a.degree()
-    rotated = [c * I for c in a.coeffs]
-    return IndicatrixCoefficients(
-        tuple(_c_m(a.coeffs, rotated, m) for m in range(max(2 * n - 1, 1))))
-
-
-def _c_m(coeffs, rotated, m: int) -> Scalar:
-    # rotated[k] is coeffs[k] * i, computed once by the caller
-    acc = Scalar(0)
-    for k in range(m + 1):
-        lo, hi = m - k, k + 1
-        if lo < len(coeffs) and hi < len(coeffs):
-            acc = acc + coeffs[lo].inner(rotated[hi]) * Scalar.of(k + 1)
-    return acc
+    """c_m = sum_{k=0..m} (k+1) <A_{m-k}, A_{k+1} i> for m = 0 .. 2n-2 (one
+    0 for a constant A): the coefficients of <A'i, A>, read from the
+    analysis's one form pass, whether or not the components are coprime."""
+    analysis = GeneratorAnalysis.of(a, "coefficient conditions of the zero polynomial")
+    inner, n = analysis.inner, analysis.poly.degree()
+    return IndicatrixCoefficients(tuple(map(inner.coeff, range(max(2 * n - 1, 1)))))
 
 
 def has_vanishing_indicatrix(a: QuatPoly) -> bool:

@@ -18,15 +18,17 @@ import re
 import sys
 
 from . import catalog
-from .classify import Classification, classify, search_certificate
+from .classify import (Classification, cancel_indicatrix, classify,
+                       search_certificate)
 from .construct import (ConstructionError, CubicSpec, QuarticSpec, make_cubic,
                         make_cubic_monic, make_f_element, make_quartic,
                         make_spatial_family, make_trivial)
-from .documents import (MAX_DEGREE, DocumentError, PolyDocument, document_for,
-                        document_to_dict, load_json, parse_base, parse_document,
-                        read_scalar)
+from .documents import (MAX_DEGREE, DocumentError, PolyDocument,
+                        certificate_to_dict, document_for, document_to_dict,
+                        load_json, parse_base, parse_document, read_scalar)
 from .frames import CSV_HEADER, sample_frames, write_frame_rows
-from .polynomials import InexactDivision, QuatPoly
+from .indicatrix import verify_han
+from .polynomials import ComplexPoly, InexactDivision, QuatPoly
 from .quaternions import Quaternion
 from .scalars import Scalar, format_scalar
 
@@ -59,12 +61,6 @@ def _quat_json(q: Quaternion) -> list[str]:
     return [format_scalar(c) for c in q.components()]
 
 
-def _certificate_json(cert) -> dict:
-    a, b = cert
-    return {"a": [format_scalar(c) for c in a.coeffs],
-            "b": [format_scalar(c) for c in b.coeffs]}
-
-
 def classification_to_dict(c: Classification) -> dict:
     out = {
         "in_widetilde": c.in_widetilde,
@@ -86,9 +82,9 @@ def classification_to_dict(c: Classification) -> dict:
             "direction_norm_sq": format_scalar(c.trivial.direction_norm_sq),
         }
     if c.han_certificate is not None:
-        out["han_certificate"] = _certificate_json(c.han_certificate)
+        out["han_certificate"] = certificate_to_dict(c.han_certificate)
     elif c.membership.certificate is not None:
-        out["han_certificate"] = _certificate_json(c.membership.certificate)
+        out["han_certificate"] = certificate_to_dict(c.membership.certificate)
     return out
 
 
@@ -277,8 +273,6 @@ def cmd_verify_han(args) -> int:
     doc = _load_document(args.input)
     if doc.certificate is None:
         raise ValueError("document carries no certificate to verify")
-    from .indicatrix import verify_han
-
     poly = QuatPoly.of(doc.to_poly())
     valid = verify_han(poly, doc.certificate[0], doc.certificate[1])
     print(json.dumps({"valid": valid}))
@@ -286,9 +280,6 @@ def cmd_verify_han(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    from .classify import cancel_indicatrix
-    from .polynomials import ComplexPoly
-
     doc = _load_document(args.input)
     poly = QuatPoly.of(doc.to_poly())
     if args.gamma is not None:
@@ -316,7 +307,7 @@ def cmd_search_gamma(args) -> int:
     if found is None:
         print(json.dumps({"found": False}))
     else:
-        print(json.dumps({"found": True, **_certificate_json(found)}))
+        print(json.dumps({"found": True, **certificate_to_dict(found)}))
     return EXIT_OK
 
 

@@ -44,7 +44,7 @@ Python's 4300-digit limit for converting an int, which load_json keeps
 for JSON integer literals."""
 
 # digit runs, whose lengths are checked: a search for too many digits backtracks
-_DIGIT_RUN = re.compile(r"\d+")
+_DIGIT_RUN = re.compile(r"[0-9]+")
 
 _POLY = {"quaternion": QuatPoly, "complex": ComplexPoly, "real": RealPoly}
 KINDS = tuple(_POLY)
@@ -176,6 +176,12 @@ def document_for(poly, certificate: Optional[tuple[RealPoly, RealPoly]] = None,
                         metadata or {})
 
 
+def certificate_to_dict(cert: tuple[RealPoly, RealPoly]) -> dict:
+    """The certificate (a, b) as {"a": [...], "b": [...]} of scalar strings."""
+    return {part: [format_scalar(c) for c in poly.coeffs]
+            for part, poly in zip("ab", cert)}
+
+
 def document_to_dict(doc: PolyDocument) -> dict:
     if _POLY[doc.kind].ring.width == 1:
         coeffs: Any = [format_scalar(row[0]) for row in doc.coefficients]
@@ -184,9 +190,7 @@ def document_to_dict(doc: PolyDocument) -> dict:
     out: dict = {"sqrt_base": doc.sqrt_base, "kind": doc.kind,
                  "coefficients": coeffs}
     if doc.certificate is not None:
-        out["certificate"] = {
-            "a": [format_scalar(c) for c in doc.certificate[0].coeffs],
-            "b": [format_scalar(c) for c in doc.certificate[1].coeffs]}
+        out["certificate"] = certificate_to_dict(doc.certificate)
     if doc.metadata:
         out["metadata"] = doc.metadata
     return out

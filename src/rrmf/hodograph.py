@@ -4,20 +4,20 @@ A quaternion polynomial A maps to the hodograph r' = A i A*, whose
 components always satisfy x'^2 + y'^2 + z'^2 = sigma^2 with parametric
 speed sigma = |A|^2.  GeneratorAnalysis owns every fact of A: one
 integer pass of the polynomial kernel forms sigma, A i A* and <A'i, A>,
-and hodograph_of and is_primitive read a fresh analysis.  The analysis
-forms one prime image of A (polynomials.ComponentImage) and asks it
-first: it can prove the components coprime, chi = 1 (the core is then
-A), <A'i, A> nonzero at a point (not in F0) and span rank 3 (not
-planar).  An image proves only those answers, and the exact kernel
-(the gcds without a second screen, the form pass, vector_rank) runs
-whenever it cannot; has_coprime_components and core_of read a fresh
-analysis too.  basis_images forms all ten component products of
-B for the three images B e B*, exactly for the symbolic frames and in
-floats (float_images) for sampling.  The core of A is A stripped of its maximal monic complex
+and the analysis alone builds the Hodograph record from them.
+hodograph_of, is_primitive, has_coprime_components and core_of read a
+fresh analysis.  The analysis forms one prime image of A
+(polynomials.ComponentImage) and asks it first: it can prove the
+components coprime, chi = 1 (the core is then A), <A'i, A> nonzero at
+a point (not in F0) and span rank 3 (not planar).  An image proves only
+those answers, and the exact kernel (the gcds without a second screen,
+the form pass, vector_rank) runs whenever it cannot.  basis_images
+forms all ten component products of B for the three images B e B*,
+exactly for the symbolic frames and in floats (float_images) for
+sampling.  The core of A is A stripped of its maximal monic complex
 right divisor; A generates a primitive hodograph exactly when it
 coincides with its core.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -37,9 +37,9 @@ class Hodograph:
     """Derivative components (x', y', z') and parametric speed sigma.
 
     Built by hand, it checks the Pythagorean identity and the sign of
-    sigma's leading coefficient; hodograph_of and hodograph_of_images
-    build it unchecked, since A i A* and |A|^2 satisfy both by
-    construction.
+    sigma's leading coefficient; GeneratorAnalysis.hodograph, which
+    hodograph_of reads, builds it unchecked, since A i A* and |A|^2
+    satisfy both by construction.
     """
 
     xp: RealPoly
@@ -136,15 +136,6 @@ def float_images(b: QuatPoly, xs):
     return sigma, [tuple(entries[k:k + 3]) for k in range(0, 9, 3)]
 
 
-def hodograph_of_images(images: Images) -> Hodograph:
-    """r' = B i B*, the first basis image, with speed |B|^2."""
-    sigma, (tangent, *_) = images
-    h = object.__new__(Hodograph)
-    # A i A* and |A|^2 satisfy the Hodograph identities by construction
-    h.__dict__.update(xp=tangent[0], yp=tangent[1], zp=tangent[2], sigma=sigma)
-    return h
-
-
 def hodograph_of(a: QuatPoly) -> Hodograph:
     """r' = A i A* with speed |A|^2, read from a fresh analysis of A."""
     return GeneratorAnalysis.of(a, "hodograph of the zero polynomial").hodograph
@@ -239,8 +230,11 @@ class GeneratorAnalysis:
 
     @cached_property
     def hodograph(self) -> Hodograph:
-        """r' = A i A* with speed |A|^2."""
-        return hodograph_of_images((self.sigma, [tuple(self._forms[1:4])]))
+        """r' = A i A* with speed |A|^2, unchecked: both satisfy the
+        Hodograph identities by construction."""
+        h = object.__new__(Hodograph)
+        h.__dict__.update(zip(("sigma", "xp", "yp", "zp"), self._forms[:4]))
+        return h
 
     @cached_property
     def in_f0(self) -> bool:

@@ -300,12 +300,13 @@ def format_scalar(s: Scalar) -> str:
     return f"{a}{sign}{_ratio(abs(s.b))}*sqrt({s.d})"
 
 
-# one grammar for every scalar read: p/q, then the surd term r/s*sqrt(d);
-# a missing q or s is 1, a missing r is 1 after a sqrt sign, and the
-# rational term may be missing too ("sqrt(15)", "-3/2*sqrt(5)")
+# one grammar for every scalar read: p/q, then the surd term r/s*sqrt(d),
+# in ASCII digits; a missing q or s is 1, a missing r is 1 after a sqrt
+# sign, a "*" stands only after r or r/s, and the rational term may be
+# missing too ("sqrt(15)", "-3/2*sqrt(5)")
 _SCALAR_RE = re.compile(
-    r"^(?:(?P<p>[+-]?\d+)(?:/(?P<q>\d+))?)?"
-    r"(?:(?P<sign>(?<=.)[+-]|^[+-]?)(?:(?P<r>\d+)(?:/(?P<s>\d+))?)?\*?sqrt\((?P<d>\d+)\))?$"
+    r"^(?:(?P<p>[+-]?[0-9]+)(?:/(?P<q>[0-9]+))?)?"
+    r"(?:(?P<sign>(?<=.)[+-]|^[+-]?)(?:(?P<r>[0-9]+)(?:/(?P<s>[0-9]+))?\*?)?sqrt\((?P<d>[0-9]+)\))?$"
 )
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from rrmf.polynomials import ComplexPoly, QuatPoly, RealPoly, gcd_real
-from rrmf.quaternions import Quaternion
+from rrmf.quaternions import I, Quaternion
 from rrmf.scalars import ComplexScalar, Scalar
 
 
@@ -96,6 +96,23 @@ def verdict_generators(rng: random.Random, count: int = 10) -> list[QuatPoly]:
             out.append(QuatPoly([Quaternion(x, 0, y, 0) for x, y in pairs]).left_scale(c))
             out.append(QuatPoly([Quaternion(x) for x, _ in pairs]).left_scale(c))
     return [a for a in out if not a.is_zero()]
+
+
+def reference_coefficient_conditions(a: QuatPoly) -> tuple[Scalar, ...]:
+    """The paper's coefficient conditions in Scalar arithmetic on the
+    quaternion coefficients of A, the oracle of rrmf's integer form pass:
+    c_m = sum_{k=0..m} (k+1) <A_{m-k}, A_{k+1} i> for m = 0 .. 2n-2."""
+    coeffs = a.coeffs
+    rotated = [c * I for c in coeffs]
+    values = []
+    for m in range(max(2 * a.degree() - 1, 1)):
+        acc = Scalar(0)
+        for k in range(m + 1):
+            lo, hi = m - k, k + 1
+            if lo < len(coeffs) and hi < len(coeffs):
+                acc = acc + coeffs[lo].inner(rotated[hi]) * Scalar.of(k + 1)
+        values.append(acc)
+    return tuple(values)
 
 
 @pytest.fixture

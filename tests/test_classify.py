@@ -14,16 +14,16 @@ from rrmf.classify import (GeneratorAnalysis, MembershipStatus,
                            is_planar, rrmf_membership, search_certificate,
                            trivial_witness)
 from rrmf.construct import make_f_element, make_spatial_family, make_trivial
-from rrmf.hodograph import (basis_images, core_of, hodograph_of,
-                            hodograph_of_images)
+from rrmf.hodograph import (basis_images, core_of, has_coprime_components,
+                            hodograph_of)
 from rrmf.indicatrix import inner_product_poly, rho_eta, verify_han
 from rrmf.polynomials import (ComplexPoly, QuatPoly, RealPoly, exact_divide,
                               gcd_real)
 from rrmf.quaternions import I, J, K, Quaternion
 from rrmf.scalars import ComplexScalar, Scalar
 
-from conftest import (coprime_cpoly, coprime_qpoly, nonzero_quat,
-                      verdict_generators)
+from conftest import (coprime_cpoly, coprime_qpoly, nonzero_qpoly, nonzero_quat,
+                      reference_coefficient_conditions, verdict_generators)
 from linalg_reference import gauss_jordan_rank
 
 IXP1 = QuatPoly([Quaternion(1), I])
@@ -53,14 +53,28 @@ def test_coefficient_condition_examples():
 
 
 def test_coefficient_conditions_match_polynomial(rng):
-    for _ in range(60):
-        a = coprime_qpoly(rng, rng.randint(1, 4))
-        values = indicatrix_coefficients(a).values
-        poly = inner_product_poly(a)
-        assert len(values) == 2 * a.degree() - 1
-        for m, v in enumerate(values):
-            assert v == poly.coeff(m)
-        assert poly.degree() < len(values)
+    # the conditions and <A'i, A> both come from the integer form pass; the
+    # Scalar loop over the quaternion coefficients is their oracle, also
+    # when the components share a real factor
+    shared = 0
+    for base in (0, 15):
+        for degree in range(6):
+            for _ in range(6):
+                a = nonzero_qpoly(rng, degree, base)
+                if degree and rng.random() < 0.5:
+                    h = RealPoly([rng.randint(-3, 3), 1])
+                    a = nonzero_qpoly(rng, degree - 1, base) * h.as_quat()
+                    assert not has_coprime_components(a)
+                    shared += 1
+                reference = reference_coefficient_conditions(a)
+                assert len(reference) == max(2 * a.degree() - 1, 1)
+                assert indicatrix_coefficients(a).values == reference
+                poly = inner_product_poly(a)
+                assert poly.degree() < len(reference)
+                assert tuple(map(poly.coeff, range(len(reference)))) == reference
+    assert shared >= 20
+    with pytest.raises(ValueError, match="^coefficient conditions of the zero polynomial$"):
+        indicatrix_coefficients(QuatPoly())
 
 
 def test_vanishing_indicatrix_examples():
@@ -457,7 +471,8 @@ def test_verdict_facts_match_scalar_oracles(rng):
     for a in verdict_generators(rng):
         analysis = GeneratorAnalysis.of(a)
         h = hodograph_of(a)
-        assert h == hodograph_of_images(basis_images(a))
+        sigma, (tangent, *_) = basis_images(a)
+        assert (h.sigma, h.components()) == (sigma, tangent)
         rows = [[c.coeff(k) for c in h.components()]
                 for k in range(h.sigma.degree() + 1)]
         assert analysis.span_rank == gauss_jordan_rank(rows)
