@@ -206,9 +206,19 @@ def cmd_construct(args) -> int:
     return EXIT_OK
 
 
+def _ascii(convert):
+    """int or float of ASCII text only, so that no other digits are read."""
+    def parse(text: str):
+        if not text.isascii():
+            raise ValueError(text)
+        return convert(text)
+    parse.__name__ = convert.__name__  # argparse: "invalid int value: ..."
+    return parse
+
+
 def _parse_range(text: str) -> tuple[float, float]:
     try:
-        lo, hi = (float(bound) for bound in text.split(":"))
+        lo, hi = (_ascii(float)(bound) for bound in text.split(":"))
     except ValueError as exc:
         raise DocumentError(f"range must be lo:hi, got {text!r}") from exc
     if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -302,8 +312,7 @@ def cmd_search_gamma(args) -> int:
     _check_search_limits("--max-degree", args.max_degree, args.budget)
     doc = _load_document(args.input)
     poly = QuatPoly.of(doc.to_poly())
-    found = search_certificate(poly, args.max_degree,
-                               budget_seconds=args.budget, seed=args.seed)
+    found = search_certificate(poly, args.max_degree, budget_seconds=args.budget)
     if found is None:
         print(json.dumps({"found": False}))
     else:
@@ -334,18 +343,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="full verdict record for a generator")
     p.add_argument("input", help="polynomial document (path or - for stdin)")
-    p.add_argument("--search-degree", type=int, default=None,
+    p.add_argument("--search-degree", type=_ascii(int), default=None,
                    help="also search for a certificate up to this degree")
-    p.add_argument("--budget", type=float, default=10.0,
+    p.add_argument("--budget", type=_ascii(float), default=10.0,
                    help="search budget in seconds")
-    p.add_argument("--seed", type=int, default=None,
-                   help="accepted for compatibility; has no effect")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("construct", help="generate a catalog family member")
     p.add_argument("kind", choices=["trivial", "cubic", "cubic-monic",
                                     "quartic", "family", "f-element"])
-    p.add_argument("--n", type=int, default=None, help="degree for kind=family")
+    p.add_argument("--n", type=_ascii(int), default=None, help="degree for kind=family")
     p.add_argument("--spec", default=None, help="spec JSON file")
     p.add_argument("--spec-json", default=None, help="inline spec JSON")
     p.set_defaults(func=cmd_construct)
@@ -353,11 +360,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("frames", help="sample an adapted frame to CSV")
     p.add_argument("input")
     p.add_argument("--frame", choices=["erf", "rmf", "frenet"], default="erf")
-    p.add_argument("--samples", type=int, required=True,
+    p.add_argument("--samples", type=_ascii(int), required=True,
                    help=f"number of parameters, 1 to {MAX_SAMPLES}")
     p.add_argument("--range", default="0:1")
     p.add_argument("--out", required=True)
-    p.add_argument("--normal-rotation", type=float, default=0.0,
+    p.add_argument("--normal-rotation", type=_ascii(float), default=0.0,
                    help="constant normal-plane rotation in radians, finite")
     p.set_defaults(func=cmd_frames)
 
@@ -374,10 +381,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search-gamma",
                        help="construct the certificate of degree <= D exactly")
     p.add_argument("input")
-    p.add_argument("--max-degree", type=int, required=True)
-    p.add_argument("--budget", type=float, default=10.0)
-    p.add_argument("--seed", type=int, default=None,
-                   help="accepted for compatibility; has no effect")
+    p.add_argument("--max-degree", type=_ascii(int), required=True)
+    p.add_argument("--budget", type=_ascii(float), default=10.0)
     p.set_defaults(func=cmd_search_gamma)
 
     p = sub.add_parser("paper-examples",
@@ -391,7 +396,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # argparse reads the -1.5:2 of "--range -1.5:2" as an option: join the two
     for k in range(len(argv) - 1, 0, -1):
-        if argv[k - 1] == "--range" and re.match(r"-\.?\d", argv[k]):
+        if argv[k - 1] == "--range" and re.match(r"-\.?[0-9]", argv[k]):
             argv[k - 1:k + 1] = [f"--range={argv[k]}"]
     args = build_parser().parse_args(argv)
     try:
@@ -405,10 +410,8 @@ def main(argv=None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return EXIT_CLOSED_OUTPUT
-    except (DocumentError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except FileNotFoundError as exc:
+    except (DocumentError, json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
+        # an input or --out that cannot be opened or decoded is a parse error
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (ValueError, ZeroDivisionError, InexactDivision) as exc:

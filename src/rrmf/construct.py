@@ -4,36 +4,39 @@ Covers the planar (coset-plane) family, the complete degree-3 and
 degree-4 families of spatial generators, a ready-made spatial family
 for every degree >= 3, and products core * delta that generate curves
 with rational rotation-minimizing frames together with a verifiable
-certificate.  The quartic's A4 comes from Gram-Schmidt on the four
-quaternions i, A1 i, A2 i and A3 i that its conditions pair it with.
+certificate.  Every forced coefficient is the least-norm solution, by
+Gram-Schmidt, of the coefficient conditions that are linear in it; the
+monic cubic is the coefficient reversal of a generic one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import combinations
 
 from .classify import has_vanishing_indicatrix
 from .hodograph import core_of, has_coprime_components
-from .linalg import exact_rank
+from .indicatrix import inner_product_poly
 from .polynomials import ComplexPoly, QuatPoly, exact_divide, gcd_complex, gcd_real
 from .quaternions import I, Quaternion
 from .scalars import Scalar
-
-_THIRD = Scalar(Fraction(1, 3))
-_HALF = Scalar(Fraction(1, 2))
 
 
 class ConstructionError(ValueError):
     """Constructor preconditions violated or result degenerate."""
 
 
-def _in_jk_plane(q: Quaternion) -> bool:
-    return q.x.is_zero()
-
-
 def _jk_rank(*quats: Quaternion) -> int:
-    return exact_rank([[q.y, q.z] for q in quats])
+    """Rank of the (j, k) parts, read from their 2x2 determinants."""
+    if any(not (p.y * q.z - p.z * q.y).is_zero() for p, q in combinations(quats, 2)):
+        return 2
+    return int(any(not (q.y.is_zero() and q.z.is_zero()) for q in quats))
+
+
+def _coprime(poly: QuatPoly, message: str) -> QuatPoly:
+    if poly.is_zero() or not has_coprime_components(poly):
+        raise ConstructionError(message)
+    return poly
 
 
 def make_trivial(left_factor: Quaternion, direction: Quaternion,
@@ -54,10 +57,8 @@ def make_trivial(left_factor: Quaternion, direction: Quaternion,
         raise ConstructionError("at least one coefficient required")
     quats = [Quaternion.of(Scalar.of(x)) + u.scale(Scalar.of(y))
              for x, y in coeffs]
-    poly = QuatPoly(quats).left_scale(c)
-    if poly.is_zero() or not has_coprime_components(poly):
-        raise ConstructionError("resulting components are not coprime")
-    return poly
+    return _coprime(QuatPoly(quats).left_scale(c),
+                    "resulting components are not coprime")
 
 
 @dataclass(frozen=True)
@@ -70,14 +71,25 @@ class CubicSpec:
     left_factor: Quaternion = Quaternion(1)
 
 
-def _forced_vector(a1: Quaternion, a2: Quaternion, i_component: Scalar
-                   ) -> Quaternion:
-    """The pure vector parallel to (A1 i) x (A2 i) with the given i part."""
-    w = (a1 * I).cross(a2 * I)
-    # with independent j,k parts the i component of w is their determinant
-    if w.x.is_zero():
-        raise ConstructionError("cross product degenerate: no forced vector")
-    return w.scale(i_component / w.x)
+def _conditions(lower: list[Quaternion]) -> list[tuple[Quaternion, Scalar]]:
+    """The conditions c_(n-1+j) = 0 on A_n, j < n, as rows (A_j i, v_j) of
+    _least_norm: their A_n terms add up to (j - n) <A_n, A_j i>, and the
+    rest is coefficient n-1+j of <A'i, A> of the lower coefficients."""
+    n = len(lower)
+    rest = inner_product_poly(QuatPoly(lower))
+    return [(a * I, rest.coeff(n - 1 + j) / (n - j)) for j, a in enumerate(lower)]
+
+
+def _cubic_coeffs(a1: Quaternion, a2: Quaternion, s3: Scalar) -> list[Quaternion]:
+    """1, A1, A2 and A3 = s3 + the vector that c_2 = c_3 = c_4 = 0 force."""
+    if not (a1.x.is_zero() and a2.x.is_zero()):
+        raise ConstructionError("A1 and A2 must lie in R + Rj + Rk")
+    if _jk_rank(a1, a2) != 2:
+        raise ConstructionError("degenerate span: 1, A1, A2 must span R+Rj+Rk")
+    lower = [Quaternion(1), a1, a2]
+    # the rows i, A1 i, A2 i are independent: the family is the scalar part
+    vector, _ = _least_norm(_conditions(lower))
+    return lower + [Quaternion.of(Scalar.of(s3)) + vector]
 
 
 def make_cubic(spec: CubicSpec) -> QuatPoly:
@@ -86,40 +98,24 @@ def make_cubic(spec: CubicSpec) -> QuatPoly:
     The vector part of A3 is forced: parallel to (A1 i) x (A2 i) with
     i component <A1, A2 i>/3; only its scalar part s3 is free.
     """
-    a1, a2 = Quaternion.of(spec.a1), Quaternion.of(spec.a2)
     c = Quaternion.of(spec.left_factor)
     if c.is_zero():
         raise ConstructionError("left factor must be nonzero")
-    if not (_in_jk_plane(a1) and _in_jk_plane(a2)):
-        raise ConstructionError("A1 and A2 must lie in R + Rj + Rk")
-    if _jk_rank(a1, a2) != 2:
-        raise ConstructionError("degenerate span: 1, A1, A2 must span R+Rj+Rk")
-    a3 = Quaternion.of(Scalar.of(spec.s3)) + _forced_vector(
-        a1, a2, a1.inner(a2 * I) * _THIRD)
-    poly = QuatPoly([Quaternion(1), a1, a2, a3]).left_scale(c)
-    if not has_coprime_components(poly):
-        raise ConstructionError("components of the result are not coprime")
-    return poly
+    coeffs = _cubic_coeffs(Quaternion.of(spec.a1), Quaternion.of(spec.a2), spec.s3)
+    return _coprime(QuatPoly(coeffs).left_scale(c),
+                    "components of the result are not coprime")
 
 
 def make_cubic_monic(a1: Quaternion, a2: Quaternion,
                      s0: Scalar = Scalar(0)) -> QuatPoly:
-    """xi^3 + A2 xi^2 + A1 xi + A0 with the constant term forced.
+    """xi^3 + A2 xi^2 + A1 xi + A0, the reversal of the generic cubic on A2, A1.
 
-    Mirror of the generic cubic: A0's vector part is parallel to
-    (A1 i) x (A2 i) with i component -<A1, A2 i>/3.
+    A0's vector part is parallel to (A1 i) x (A2 i) with i component
+    -<A1, A2 i>/3, a third of minus the j,k determinant: A0 is never 0.
     """
-    a1, a2 = Quaternion.of(a1), Quaternion.of(a2)
-    if not (_in_jk_plane(a1) and _in_jk_plane(a2)):
-        raise ConstructionError("A1 and A2 must lie in R + Rj + Rk")
-    if _jk_rank(a1, a2) != 2:
-        raise ConstructionError("degenerate span: 1, A1, A2 must span R+Rj+Rk")
-    a0 = Quaternion.of(Scalar.of(s0)) + _forced_vector(
-        a1, a2, -(a1.inner(a2 * I)) * _THIRD)
-    poly = QuatPoly([a0, a1, a2, Quaternion(1)])
-    if not has_coprime_components(poly):
-        raise ConstructionError("components of the result are not coprime")
-    return poly
+    coeffs = _cubic_coeffs(Quaternion.of(a2), Quaternion.of(a1), s0)
+    return _coprime(QuatPoly(coeffs[::-1]),
+                    "components of the result are not coprime")
 
 
 @dataclass(frozen=True)
@@ -161,7 +157,8 @@ def _least_norm(rows) -> tuple[Quaternion, int] | None:
 def make_quartic(spec: QuarticSpec) -> QuarticResult:
     """C (A4 xi^4 + A3 xi^3 + A2 xi^2 + A1 xi + 1) with A4 solved exactly.
 
-    A4 obeys four linear conditions: <A4, i> = <A1, A3 i>/2,
+    The i part of A3 is <A1, A2 i>/3 (c_2 = 0).  A4 obeys the four
+    conditions c_3 = ... = c_6 = 0: <A4, i> = <A1, A3 i>/2,
     <A4, A1 i> = <A2, A3 i>/3, and orthogonality to A2 i and A3 i.
     The least-norm A4 is returned with the family dimension, 4 minus the
     number of independent rows.
@@ -170,25 +167,22 @@ def make_quartic(spec: QuarticSpec) -> QuarticResult:
     c = Quaternion.of(spec.left_factor)
     if c.is_zero():
         raise ConstructionError("left factor must be nonzero")
-    if not (_in_jk_plane(a1) and _in_jk_plane(a2)):
+    if not (a1.x.is_zero() and a2.x.is_zero()):
         raise ConstructionError("A1 and A2 must lie in R + Rj + Rk")
+    _, a3_i = _conditions([Quaternion(1), a1, a2])[0]
     a3 = (Quaternion.of(Scalar.of(spec.s3))
-          + I.scale(a1.inner(a2 * I) * _THIRD)
+          + I.scale(a3_i)
           + Quaternion(0, 0, Scalar.of(spec.a3_j), 0)
           + Quaternion(0, 0, 0, Scalar.of(spec.a3_k)))
-    solved = _least_norm([(I, a1.inner(a3 * I) * _HALF),
-                          (a1 * I, a2.inner(a3 * I) * _THIRD),
-                          (a2 * I, Scalar(0)),
-                          (a3 * I, Scalar(0))])
+    solved = _least_norm(_conditions([Quaternion(1), a1, a2, a3]))
     if solved is None:
         raise ConstructionError("inconsistent linear conditions for A4")
     a4, family_dim = solved
-    poly = QuatPoly([Quaternion(1), a1, a2, a3, a4]).left_scale(c)
-    if not has_coprime_components(poly):
-        raise ConstructionError("components of the result are not coprime")
-    cond1 = _jk_rank(a1, a2) == 2
-    cond2 = _jk_rank(a1, a2) == 1 and _jk_rank(a1, a2, a3) == 2
-    return QuarticResult(poly, cond1 or cond2, family_dim)
+    poly = _coprime(QuatPoly([Quaternion(1), a1, a2, a3, a4]).left_scale(c),
+                    "components of the result are not coprime")
+    # rank 2 of (A1, A2), or rank 1 raised to 2 by A3
+    non_trivial = _jk_rank(a1, a2) > 0 and _jk_rank(a1, a2, a3) == 2
+    return QuarticResult(poly, non_trivial, family_dim)
 
 
 def make_spatial_family(n: int) -> QuatPoly:
@@ -229,9 +223,7 @@ def make_f_element(b0: QuatPoly, delta: ComplexPoly) -> FElement:
     mu = dec.factor
     g = gcd_complex(mu, delta)
     nu = exact_divide(mu, g).conjugate() * exact_divide(delta, g)
-    poly = dec.core * delta.as_quat()
-    if not has_coprime_components(poly):
-        raise ConstructionError("product has non-coprime components")
+    poly = _coprime(dec.core * delta.as_quat(), "product has non-coprime components")
     nre, nim = nu.real_parts()
     if gcd_real(nre, nim).degree() != 0:
         raise ConstructionError("degenerate certificate")

@@ -7,6 +7,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -24,6 +25,8 @@ from rrmf.scalars import format_scalar, parse_scalar
 from conftest import FRAME_TOL, exact_axes
 
 EX2 = quintic_no_cancellation()
+NO_CANCELLATION = str(Path(__file__).resolve().parent.parent / "fixtures"
+                      / "quintic-no-cancellation.json")
 
 
 def write_doc(tmp_path, name, poly, certificate=None):
@@ -84,6 +87,64 @@ def test_classify_parse_error(tmp_path, capsys):
 def test_classify_missing_file(capsys):
     code, _, err = run(capsys, "classify", "/nonexistent/input.json")
     assert code == 2
+
+
+def test_unreadable_input_or_output_is_a_parse_error(tmp_path, capsys):
+    # a directory, or a file that is not UTF-8, in place of a document or
+    # of the CSV: exit 2 with the OS or codec message, no traceback
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\x7fELF\x02\x01\x01\xd0\xcf")
+    cases = [(("classify", str(tmp_path)), "Is a directory"),
+             (("classify", str(binary)), "'utf-8' codec can't decode byte 0xd0"),
+             (("frames", NO_CANCELLATION, "--samples", "3", "--out", str(tmp_path)),
+              "Is a directory")]
+    for argv, message in cases:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and message in err, argv
+
+
+def _usage_error(capsys, *argv):
+    """The exit code and stderr of an argument argparse rejects."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    return exc.value.code, capsys.readouterr().err
+
+
+def test_seed_flags_are_gone(capsys):
+    for argv in (("classify", NO_CANCELLATION, "--seed", "1"),
+                 ("search-gamma", NO_CANCELLATION, "--max-degree", "1", "--seed", "1")):
+        code, err = _usage_error(capsys, *argv)
+        assert code == 2 and "unrecognized arguments: --seed 1" in err, argv
+
+
+def test_numeric_flags_read_ascii_digits_only(tmp_path, capsys):
+    # int and float read every Unicode decimal digit; the flags read only
+    # ASCII ones, as documents do (U+0660, U+0661, U+0663: Arabic-Indic 0, 1, 3)
+    zero, one, three = "\u0660", "\u0661", "\u0663"
+    out_csv = tmp_path / "u.csv"
+    frames = ("frames", NO_CANCELLATION, "--out", str(out_csv))
+    classify = ("classify", NO_CANCELLATION)
+    search = ("search-gamma", NO_CANCELLATION, "--max-degree")
+    for flag, argv in (("--samples", (*frames, "--samples", three)),
+                       ("--normal-rotation", (*frames, "--samples", "3",
+                                              "--normal-rotation", one)),
+                       ("--search-degree", (*classify, "--search-degree", three)),
+                       ("--budget", (*classify, "--budget", one)),
+                       ("--max-degree", (*search, three)),
+                       ("--budget", (*search, "1", "--budget", one)),
+                       ("--n", ("construct", "family", "--n", three))):
+        code, err = _usage_error(capsys, *argv)
+        assert code == 2 and f"argument {flag}: invalid" in err, argv
+    for bounds in (f"{zero}:{one}", f"0:{one}", f"-{one}:2"):
+        code, out, err = run(capsys, *frames, "--samples", "3", f"--range={bounds}")
+        assert (code, out, err) == (2, "", f"error: range must be lo:hi, got {bounds!r}\n")
+    # "--range -1:2" is joined into one argument; with a non-ASCII digit it is not
+    assert _usage_error(capsys, *frames, "--samples", "3", "--range", f"-{one}:2")[0] == 2
+    assert not out_csv.exists()
+    code, out, _ = run(capsys, *frames, "--samples", "3", "--range", "-1:2",
+                       "--normal-rotation", "0.5")
+    assert (code, out) == (0, f"wrote 3 samples to {out_csv}\n")
 
 
 def test_construct_family(capsys):
@@ -552,6 +613,59 @@ CUBIC_MONIC_GOLDEN = (
     '[["1/3", "1/3", "0/1", "0/1"], ["0/1", "0/1", "0/1", "1/1"], '
     '["0/1", "0/1", "1/1", "0/1"], ["1/1", "0/1", "0/1", "0/1"]]}, "verification": '
     '{"in_F0": true, "trivial": false, "planar": false, "primitive": true}}')
+# the construction of each CI spec, over Q and Q(sqrt 15): the generic and
+# the monic cubic, a spatial quartic on each base, and the rank-deficient
+# quartic (family_dim 2, trivial)
+CONSTRUCT_GOLDEN = [
+    ("cubic", {"a1": ["1/2", "0", "1", "3"], "a2": ["2", "0", "1", "-1"], "s3": "2/3",
+               "left_factor": ["1", "2", "0", "1"]},
+     '{"document": {"sqrt_base": 0, "kind": "quaternion", '
+     '"coefficients": [["1/1", "2/1", "0/1", "1/1"], ["-5/2", "0/1", "-5/1", '
+     '"11/2"], ["3/1", "3/1", "3/1", "3/1"], ["11/2", "1/2", "5/2", '
+     '"-5/2"]]}, "verification": {"in_F0": true, "trivial": false, '
+     '"planar": false, "primitive": true}}'),
+    ("cubic", {"sqrt_base": 15, "a1": ["sqrt(15)", "0", "0", "1"],
+               "a2": ["1", "0", "1/2*sqrt(15)", "0"], "s3": "1+sqrt(15)"},
+     '{"document": {"sqrt_base": 15, "kind": "quaternion", '
+     '"coefficients": [["1/1", "0/1", "0/1", "0/1"], ["0/1+1/1*sqrt(15)", '
+     '"0/1", "0/1", "1/1"], ["1/1", "0/1", "0/1+1/2*sqrt(15)", "0/1"], '
+     '["1/1+1/1*sqrt(15)", "0/1-1/6*sqrt(15)", "5/2", "-1/3"]]}, '
+     '"verification": {"in_F0": true, "trivial": false, "planar": false, '
+     '"primitive": true}}'),
+    ("cubic-monic", {"sqrt_base": 15, "a1": ["1", "0", "sqrt(15)", "1"],
+                     "a2": ["2", "0", "1", "0"], "s0": "sqrt(15)"},
+     '{"document": {"sqrt_base": 15, "kind": "quaternion", '
+     '"coefficients": [["0/1+1/1*sqrt(15)", "1/3", "-1/3+2/3*sqrt(15)", '
+     '"2/3"], ["1/1", "0/1", "0/1+1/1*sqrt(15)", "1/1"], ["2/1", "0/1", '
+     '"1/1", "0/1"], ["1/1", "0/1", "0/1", "0/1"]]}, '
+     '"verification": {"in_F0": true, "trivial": false, "planar": false, '
+     '"primitive": true}}'),
+    ("quartic", {"a1": ["1", "0", "1", "2"], "a2": ["1", "0", "0", "3"], "a3_j": "1/2",
+                 "a3_k": "-1", "s3": "3", "left_factor": ["0", "1", "1", "0"]},
+     '{"document": {"sqrt_base": 0, "kind": "quaternion", '
+     '"coefficients": [["0/1", "1/1", "1/1", "0/1"], ["-1/1", "3/1", "-1/1", '
+     '"1/1"], ["0/1", "4/1", "-2/1", "0/1"], ["-3/2", "2/1", "4/1", "-1/2"], '
+     '["1/1", "-29/6", "-11/2", "2/1"]]}, "verification": {"in_F0": true, '
+     '"trivial": false, "planar": false, "primitive": true, '
+     '"non_trivial": true, "family_dim": 0}}'),
+    ("quartic", {"sqrt_base": 15, "a1": ["1", "0", "sqrt(15)", "2"], "a2": ["2", "0", "0", "3"],
+                 "a3_j": "1/2", "a3_k": "-sqrt(15)", "s3": "3"},
+     '{"document": {"sqrt_base": 15, "kind": "quaternion", '
+     '"coefficients": [["1/1", "0/1", "0/1", "0/1"], ["1/1", "0/1", '
+     '"0/1+1/1*sqrt(15)", "2/1"], ["2/1", "0/1", "0/1", "3/1"], ["3/1", '
+     '"0/1+1/1*sqrt(15)", "1/2", "0/1-1/1*sqrt(15)"], '
+     '["-1249/180-353/180*sqrt(15)", "-8/1-1/2*sqrt(15)", '
+     '"16/3+1/3*sqrt(15)", "5/6+19/90*sqrt(15)"]]}, '
+     '"verification": {"in_F0": true, "trivial": false, "planar": false, '
+     '"primitive": true, "non_trivial": true, "family_dim": 0}}'),
+    ("quartic", {"a1": ["0", "0", "0", "0"], "a2": ["0", "0", "0", "0"], "a3_j": "1",
+                 "s3": "2"},
+     '{"document": {"sqrt_base": 0, "kind": "quaternion", '
+     '"coefficients": [["1/1", "0/1", "0/1", "0/1"], ["0/1", "0/1", "0/1", '
+     '"0/1"], ["0/1", "0/1", "0/1", "0/1"], ["2/1", "0/1", "1/1", "0/1"]]}, '
+     '"verification": {"in_F0": true, "trivial": true, "planar": true, '
+     '"primitive": true, "non_trivial": false, "family_dim": 2}}'),
+]
 REDUCE_LEFT_GOLDEN = (
     '{"document": {"sqrt_base": 0, "kind": "quaternion", "coefficients": '
     '[["347/1", "-16/1", "162/1", "-154/1"], ["-163/1", "0/1", "-160/1", "136/1"], '
@@ -613,6 +727,8 @@ def test_construct_reduce_and_paper_examples_golden_output(tmp_path, capsys):
               _indented(CUBIC_MONIC_GOLDEN)),
              (("construct", "cubic-monic", "--spec", str(spec)),
               _indented(CUBIC_MONIC_GOLDEN)),
+             *((("construct", kind, "--spec-json", json.dumps(construct_spec)),
+                _indented(golden)) for kind, construct_spec, golden in CONSTRUCT_GOLDEN),
              (("reduce", left), _indented(REDUCE_LEFT_GOLDEN)),
              (("paper-examples",), PAPER_EXAMPLES_GOLDEN)]
     cases = [(argv, (0, out, "")) for argv, out in cases]

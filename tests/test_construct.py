@@ -9,9 +9,9 @@ from rrmf.classify import (MembershipStatus, cancel_indicatrix,
                            has_vanishing_indicatrix, indicatrix_coefficients,
                            rrmf_membership, trivial_witness)
 from rrmf.construct import (ConstructionError, CubicSpec, QuarticSpec,
-                            _least_norm, make_cubic, make_cubic_monic,
-                            make_f_element, make_quartic, make_spatial_family,
-                            make_trivial)
+                            _conditions, _least_norm, make_cubic,
+                            make_cubic_monic, make_f_element, make_quartic,
+                            make_spatial_family, make_trivial)
 from rrmf.hodograph import core_of
 from rrmf.indicatrix import inner_product_poly
 from rrmf.polynomials import ComplexPoly, QuatPoly, RealPoly
@@ -168,6 +168,82 @@ def test_least_norm_solve_matches_gauss_jordan(rng):
             assert solved == (Quaternion(*x), nullity)
             nullities.add(nullity)
     assert nullities == {0, 1, 2, 3, 4} and inconsistent >= 20
+
+
+# The forced coefficients derived by hand, the cubic's by a cross product
+# and the quartic's A4 from four written-out conditions: the oracles of
+# test_forced_coefficients_match_hand_derived_formulas.
+def forced_vector(a1, a2, i_component):
+    """The pure vector parallel to (A1 i) x (A2 i) with the given i part."""
+    w = (a1 * I).cross(a2 * I)
+    return w.scale(i_component / w.x)
+
+
+def quartic_rows(a1, a2, a3):
+    """<A4, i> = <A1, A3 i>/2, <A4, A1 i> = <A2, A3 i>/3, and A4
+    orthogonal to A2 i and A3 i."""
+    return [(I, a1.inner(a3 * I) / 2), (a1 * I, a2.inner(a3 * I) / 3),
+            (a2 * I, Scalar(0)), (a3 * I, Scalar(0))]
+
+
+def _sparse_jk(rng, base):
+    """A quaternion in R + Rj + Rk whose parts are each 0 two times in five."""
+    x, y, z = (rand_scalar(rng, base) if rng.random() < 0.6 else Scalar(0)
+               for _ in range(3))
+    return Quaternion(x, 0, y, z)
+
+
+def _built_or_message(build):
+    try:
+        return build()
+    except ConstructionError as exc:
+        return str(exc)
+
+
+def test_forced_coefficients_match_hand_derived_formulas(rng):
+    cubics, messages, nullities, inconsistent = 0, set(), set(), 0
+    for base in (0, 15) * 100:
+        a1, a2 = _sparse_jk(rng, base), _sparse_jk(rng, base)
+        if rng.random() < 0.2:
+            a2 = a1.scale(rand_scalar(rng, base))
+        if rng.random() < 0.1:
+            a1 = a1 + I  # off the plane, which every constructor refuses first
+        s, a3_j, a3_k = (rand_scalar(rng, base) for _ in range(3))
+        generic = _built_or_message(lambda: make_cubic(CubicSpec(a1, a2, s)))
+        swapped = _built_or_message(lambda: make_cubic(CubicSpec(a2, a1, s)))
+        monic = _built_or_message(lambda: make_cubic_monic(a1, a2, s))
+        det = a1.inner(a2 * I)
+        if isinstance(swapped, str):
+            # the monic cubic fails as the swapped generic one does
+            assert monic == swapped == generic
+            messages.add(monic)
+        else:
+            cubics += 1
+            assert generic.coeffs[3] - Quaternion.of(s) == forced_vector(a1, a2, det / 3)
+            assert monic == QuatPoly(swapped.coeffs[::-1])
+            assert monic.coeffs[0] - Quaternion.of(s) == forced_vector(a1, a2, -det / 3)
+        a3 = Quaternion(s, det / 3, a3_j, a3_k)
+        rows = quartic_rows(a1, a2, a3)
+        assert _conditions([Quaternion(1), a1, a2, a3]) == rows
+        solved = _least_norm(rows)
+        quartic = _built_or_message(
+            lambda: make_quartic(QuarticSpec(a1, a2, a3_j, a3_k, s)))
+        if not a1.x.is_zero():
+            assert quartic == "A1 and A2 must lie in R + Rj + Rk"
+        elif solved is None:
+            assert quartic == "inconsistent linear conditions for A4"
+            inconsistent += 1
+        elif isinstance(quartic, str):
+            assert quartic == "components of the result are not coprime"
+        else:
+            a4, family_dim = solved
+            assert quartic.poly == QuatPoly([Quaternion(1), a1, a2, a3, a4])
+            assert quartic.family_dim == family_dim
+            nullities.add(family_dim)
+    assert cubics >= 50 and messages == {
+        "A1 and A2 must lie in R + Rj + Rk",
+        "degenerate span: 1, A1, A2 must span R+Rj+Rk"}
+    assert nullities >= {0, 1, 2} and inconsistent >= 20, (nullities, inconsistent)
 
 
 def test_make_spatial_family():
