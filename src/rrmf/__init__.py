@@ -18,8 +18,8 @@ from .hodograph import (CoreDecomposition, CurvePosition, Hodograph, core_of,
                         has_coprime_components, hodograph_of, integrate,
                         is_primitive)
 from .indicatrix import (IndicatrixPair, RhoEta, han_fraction, han_numerator,
-                         indicatrix_product_residual, inner_product_poly,
-                         omega1, rho_eta, rotation_indicatrix, verify_han)
+                         inner_product_poly, omega1, rho_eta,
+                         rotation_indicatrix, verify_han)
 from .classify import (Classification, GeneratorAnalysis,
                        IndicatrixCoefficients, Membership,
                        MembershipStatus, ReducedForm, TrivialWitness,

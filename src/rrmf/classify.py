@@ -12,15 +12,12 @@ certificate of bounded degree constructed exactly from the residues of
 the reduced Han fraction.  No false negatives are ever reported for the
 general membership question: absent proof, the verdict is "unknown".
 
-Every fact of a generator, the coefficient conditions included, is read
-from one hodograph.GeneratorAnalysis, re-exported here with
-TrivialWitness.  Its span rank and triviality witness are decided on
-the integer rows of the polynomial kernel (polynomials.vector_rank and
-vector_part_rank), as is the equal-degree criterion
-(indicatrix.sigma_divides_rho: ruled out on the analysis's prime image
-when it can be, else indicatrix.rho_eta, which reads sigma and
-<A'i, A> from the analysis); only the witness's direction is one
-Quaternion product.
+Every fact of a generator, the coefficient conditions and the
+equal-degree criterion included, is read from one
+hodograph.GeneratorAnalysis, re-exported here with TrivialWitness.  Its
+span rank and triviality witness are decided on the integer rows of the
+polynomial kernel (polynomials.vector_rank and vector_part_rank); only
+the witness's direction is one Quaternion product.
 """
 from __future__ import annotations
 
@@ -30,7 +27,7 @@ from enum import Enum
 from typing import Optional
 
 from .hodograph import GeneratorAnalysis, TrivialWitness
-from .indicatrix import require_certificate, sigma_divides_rho, verify_han
+from .indicatrix import require_certificate, verify_han
 from .polynomials import (ComplexPoly, QuatPoly, RealPoly, exact_divide,
                           gcd_complex)
 from .scalars import ComplexScalar, Scalar
@@ -169,7 +166,7 @@ def _membership(analysis: GeneratorAnalysis,
     if analysis.in_f0:
         return Membership(MembershipStatus.PROVEN, "vanishing-indicatrix",
                           (RealPoly([1]), RealPoly()))
-    if sigma_divides_rho(analysis):
+    if analysis.equal_degree:
         return Membership(MembershipStatus.PROVEN, "equal-degree-criterion")
     if search_degree is not None:
         found = _search(analysis, search_degree, search_budget)

@@ -14,8 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .classify import has_vanishing_indicatrix
-from .hodograph import core_of, has_coprime_components
+from .hodograph import GeneratorAnalysis, has_coprime_components
 from .indicatrix import inner_product_poly
 from .polynomials import ComplexPoly, QuatPoly, exact_divide, gcd_complex, gcd_real
 from .quaternions import I, Quaternion
@@ -81,7 +80,12 @@ def _conditions(lower: list[Quaternion]) -> list[tuple[Quaternion, Scalar]]:
 
 
 def _cubic_coeffs(a1: Quaternion, a2: Quaternion, s3: Scalar) -> list[Quaternion]:
-    """1, A1, A2 and A3 = s3 + the vector that c_2 = c_3 = c_4 = 0 force."""
+    """1, A1, A2 and A3 = s3 + the vector that c_2 = c_3 = c_4 = 0 force.
+
+    Their components are coprime, under any nonzero left factor and in
+    either order: the i component is <A1, A2 i>/3 xi^3, nonzero after
+    the span check, and the real one is 1 at xi = 0.
+    """
     if not (a1.x.is_zero() and a2.x.is_zero()):
         raise ConstructionError("A1 and A2 must lie in R + Rj + Rk")
     if _jk_rank(a1, a2) != 2:
@@ -102,8 +106,7 @@ def make_cubic(spec: CubicSpec) -> QuatPoly:
     if c.is_zero():
         raise ConstructionError("left factor must be nonzero")
     coeffs = _cubic_coeffs(Quaternion.of(spec.a1), Quaternion.of(spec.a2), spec.s3)
-    return _coprime(QuatPoly(coeffs).left_scale(c),
-                    "components of the result are not coprime")
+    return QuatPoly(coeffs).left_scale(c)
 
 
 def make_cubic_monic(a1: Quaternion, a2: Quaternion,
@@ -114,8 +117,7 @@ def make_cubic_monic(a1: Quaternion, a2: Quaternion,
     -<A1, A2 i>/3, a third of minus the j,k determinant: A0 is never 0.
     """
     coeffs = _cubic_coeffs(Quaternion.of(a2), Quaternion.of(a1), s0)
-    return _coprime(QuatPoly(coeffs[::-1]),
-                    "components of the result are not coprime")
+    return QuatPoly(coeffs[::-1])
 
 
 @dataclass(frozen=True)
@@ -214,12 +216,13 @@ def make_f_element(b0: QuatPoly, delta: ComplexPoly) -> FElement:
     """
     b0 = QuatPoly.of(b0)
     delta = ComplexPoly.of(delta)
-    if not has_vanishing_indicatrix(b0):
+    analysis = GeneratorAnalysis.of(b0, "membership test on the zero polynomial")
+    if not analysis.in_f0:
         raise ConstructionError("B0 must have a vanishing rotation indicatrix")
     dre, dim_ = delta.real_parts()
     if delta.is_zero() or gcd_real(dre, dim_).degree() != 0:
         raise ConstructionError("delta must have coprime real components")
-    dec = core_of(b0)
+    dec = analysis.core
     mu = dec.factor
     g = gcd_complex(mu, delta)
     nu = exact_divide(mu, g).conjugate() * exact_divide(delta, g)

@@ -6,12 +6,14 @@ speed sigma = |A|^2.  GeneratorAnalysis owns every fact of A: one
 integer pass of the polynomial kernel forms sigma, A i A* and <A'i, A>,
 and the analysis alone builds the Hodograph record from them.
 hodograph_of, is_primitive, has_coprime_components and core_of read a
-fresh analysis.  The analysis forms one prime image of A
-(polynomials.ComponentImage) and asks it first: it can prove the
-components coprime, chi = 1 (the core is then A), <A'i, A> nonzero at
-a point (not in F0) and span rank 3 (not planar).  An image proves only
-those answers, and the exact kernel (the gcds without a second screen,
-the form pass, vector_rank) runs whenever it cannot.  basis_images
+fresh analysis.  The equal-degree criterion sigma | rho is decided
+here too, as sigma | sigma'^2 + 4 <A'i, A>^2 on the same pass.  The
+analysis forms one prime image of A (polynomials.ComponentImage) and
+asks it first: it can prove the components coprime, chi = 1 (the core
+is then A), <A'i, A> nonzero at a point (not in F0), span rank 3 (not
+planar) and sigma not dividing rho.  An image proves only those
+answers, and the exact kernel (the gcds without a second screen, the
+form pass, vector_rank) runs whenever it cannot.  basis_images
 forms all ten component products of B for the three images B e B*,
 exactly for the symbolic frames and in floats (float_images) for
 sampling.  The core of A is A stripped of its maximal monic complex
@@ -26,8 +28,9 @@ from typing import Optional
 
 from .polynomials import (ComplexPoly, ComponentImage, QuatPoly,
                           RationalFunction, RealPoly, component_forms,
-                          exact_divide, gcd_complex, gcd_real, reduce_fraction,
-                          vector_part_rank, vector_rank)
+                          exact_divide, gcd_complex, gcd_real, image_forms,
+                          reduce_fraction, rem_mod, vector_part_rank,
+                          vector_rank)
 from .quaternions import Quaternion
 from .scalars import Scalar
 
@@ -181,10 +184,11 @@ class TrivialWitness:
 class GeneratorAnalysis:
     """The facts of one nonzero generator A, each computed once, on first use.
 
-    sigma, the hodograph and <A'i, A> come from one form pass over A.
-    classify reads every verdict from one analysis, verify_han and
-    rho_eta accept one, and each public verdict function reads its fact
-    from a fresh one, so every fact has a single implementation.
+    sigma, the hodograph and <A'i, A> come from one form pass over A,
+    and the equal-degree criterion reads sigma and <A'i, A>.  classify
+    reads every verdict from one analysis, verify_han and rho_eta accept
+    one, and each public verdict function reads its fact from a fresh
+    one, so every fact has a single implementation.
     """
 
     poly: QuatPoly
@@ -301,6 +305,24 @@ class GeneratorAnalysis:
         if not direction.x.is_zero():
             return None
         return TrivialWitness(c, direction, direction.norm_sq())
+
+    @cached_property
+    def equal_degree(self) -> bool:
+        """The equal-degree criterion sigma | rho, decided as
+        sigma | sigma'^2 + 4 <A'i, A>^2: that is 4 eta, and rho + eta =
+        sigma |A'|^2.  If sigma keeps its degree 2 deg A in the image, a
+        nonzero remainder over F_p proves that sigma does not divide it."""
+        if self.image is not None:
+            p = self.image.p
+            sigma, inner = self.image.forms((_IMAGE_FORMS[0], _INNER_FORM))
+            if len(sigma) == 2 * self.poly.degree() + 1:
+                d_sigma = [k * c % p for k, c in enumerate(sigma)][1:]
+                four_eta, = image_forms([d_sigma, inner], (((1, 0, 0), (4, 1, 1)),), p)
+                if rem_mod(four_eta, sigma, p):
+                    return False
+        d_sigma = self.sigma.derivative()
+        four_eta = d_sigma * d_sigma + (self.inner * self.inner).scale(4)
+        return four_eta.divmod(self.sigma)[1].is_zero()
 
     @cached_property
     def han(self) -> RationalFunction:

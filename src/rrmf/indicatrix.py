@@ -7,27 +7,19 @@ with (uv'-u'v-pq'+p'q)/sigma == (ab'-a'b)/(a^2+b^2); the left side is
 exposed here as the Han fraction.  The two fractions differ exactly by
 sign: indicatrix(A) == -han_fraction(A).  Both printed forms are kept,
 with the exact relation checked in the tests, rather than silently
-reconciling the orientation convention.  <A'i, A>, sigma and the Han
-fraction, reduced once, are read from a hodograph.GeneratorAnalysis,
-which verify_han and rho_eta also accept in place of A.
+reconciling the orientation convention.  <A'i, A>, sigma, the Han
+fraction, reduced once, and the equal-degree verdict are read from a
+hodograph.GeneratorAnalysis, which verify_han and rho_eta also accept
+in place of A.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .hodograph import (_ANALYSIS_FORMS, _DP, _DQ, _DU, _DV, _INNER_FORM, _P,
-                        _Q, _U, _V, GeneratorAnalysis)
+from .hodograph import _INNER_FORM, GeneratorAnalysis
 from .polynomials import (QuatPoly, RationalFunction, RealPoly, component_forms,
-                          gcd_real, image_forms, rem_mod)
-from .quaternions import I, K
-
-# r1, r2, e1 of rho_eta; e2 is -<A'i, A>, read from the analysis
-_RHO_ETA_FORMS = (
-    ((1, _U, _DP), (-1, _DU, _P), (1, _V, _DQ), (-1, _DV, _Q)),
-    ((1, _U, _DQ), (-1, _DU, _Q), (-1, _V, _DP), (1, _DV, _P)),
-    ((1, _U, _DU), (1, _V, _DV), (1, _P, _DP), (1, _Q, _DQ)),
-)
+                          gcd_real)
 
 
 def inner_product_poly(a: QuatPoly) -> RealPoly:
@@ -119,50 +111,10 @@ def rho_eta(a) -> RhoEta:
     rho = (up'-u'p+vq'-v'q)^2 + (uq'-u'q-vp'+v'p)^2 and
     eta = (uu'+vv'+pp'+qq')^2 + (uv'-u'v-pq'+p'q)^2 satisfy
     rho + eta = sigma * (u'^2+v'^2+p'^2+q'^2), so sigma divides either
-    both or neither; the verdict tests rho.  ``a`` is the generator or
-    its GeneratorAnalysis, whose sigma and <A'i, A> are read.
+    both or neither.  The four bases are the components of conj(A) A',
+    and the verdict is read from the analysis (GeneratorAnalysis.
+    equal_degree); ``a`` is the generator or its GeneratorAnalysis.
     """
     analysis = GeneratorAnalysis.of(a, "criterion on the zero polynomial")
-    r1, r2, e1 = component_forms(analysis.poly, _RHO_ETA_FORMS)
-    e2 = -analysis.inner
-    rho = r1 * r1 + r2 * r2
-    eta = e1 * e1 + e2 * e2
-    return RhoEta(rho, eta, rho.divmod(analysis.sigma)[1].is_zero())
-
-
-def sigma_divides_rho(analysis: GeneratorAnalysis) -> bool:
-    """rho_eta(analysis).divisible, ruled out on the analysis's image when
-    it can be: if sigma keeps its degree 2 deg A there, then sigma | rho
-    would reduce to sigma | rho in F_p[xi], so a nonzero image remainder
-    proves that sigma does not divide rho."""
-    image = analysis.image
-    if image is not None:
-        sigma, r1, r2 = image.forms(_ANALYSIS_FORMS[:1] + _RHO_ETA_FORMS[:2])
-        if len(sigma) == 2 * analysis.poly.degree() + 1:
-            # rho = r1^2 + r2^2, as one form of the two
-            rho, = image_forms([r1, r2], (((1, 0, 0), (1, 1, 1)),), image.p)
-            if rem_mod(rho, sigma, image.p):
-                return False
-    return rho_eta(analysis).divisible
-
-
-def indicatrix_product_residual(b: QuatPoly, a: QuatPoly) -> RealPoly:
-    """Cross-multiplied residual of the product formula for indicatrices.
-
-    residual = <(BA)'i, BA> - [(|alpha|^2-|beta|^2)<B'i, B>
-               - 2<B'(alpha beta)k, B> + <A'i, A>|B|^2]
-    with A = alpha + beta j; identically zero for all nonzero A, B.
-    """
-    a, b = QuatPoly.of(a), QuatPoly.of(b)
-    if a.is_zero() or b.is_zero():
-        raise ValueError("product residual needs nonzero polynomials")
-    ba = b * a
-    lhs = (ba.derivative() * I).inner(ba)
-    alpha, beta = a.complex_split()
-    na = alpha.norm_sq()
-    nb = beta.norm_sq()
-    db = b.derivative()
-    first = (db * I).inner(b) * (na - nb)
-    mid = (db * (alpha * beta).as_quat() * K).inner(b).scale(2)
-    last = inner_product_poly(a) * b.norm_poly()
-    return lhs - (first - mid + last)
+    e1, e2, r1, r2 = (analysis.poly.conjugate() * analysis.poly.derivative()).components()
+    return RhoEta(r1 * r1 + r2 * r2, e1 * e1 + e2 * e2, analysis.equal_degree)

@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from rrmf.indicatrix import inner_product_poly
 from rrmf.polynomials import ComplexPoly, QuatPoly, RealPoly, gcd_real
-from rrmf.quaternions import I, Quaternion
+from rrmf.quaternions import I, K, Quaternion
 from rrmf.scalars import ComplexScalar, Scalar
 
 
@@ -113,6 +114,29 @@ def reference_coefficient_conditions(a: QuatPoly) -> tuple[Scalar, ...]:
                 acc = acc + coeffs[lo].inner(rotated[hi]) * Scalar.of(k + 1)
         values.append(acc)
     return tuple(values)
+
+
+def indicatrix_product_residual(b: QuatPoly, a: QuatPoly) -> RealPoly:
+    """Cross-multiplied residual of the product formula for indicatrices,
+    the oracle for <A'i, A> of products:
+
+    residual = <(BA)'i, BA> - [(|alpha|^2-|beta|^2)<B'i, B>
+               - 2<B'(alpha beta)k, B> + <A'i, A>|B|^2]
+    with A = alpha + beta j; identically zero for all nonzero A, B.
+    """
+    a, b = QuatPoly.of(a), QuatPoly.of(b)
+    if a.is_zero() or b.is_zero():
+        raise ValueError("product residual needs nonzero polynomials")
+    ba = b * a
+    lhs = (ba.derivative() * I).inner(ba)
+    alpha, beta = a.complex_split()
+    na = alpha.norm_sq()
+    nb = beta.norm_sq()
+    db = b.derivative()
+    first = (db * I).inner(b) * (na - nb)
+    mid = (db * (alpha * beta).as_quat() * K).inner(b).scale(2)
+    last = inner_product_poly(a) * b.norm_poly()
+    return lhs - (first - mid + last)
 
 
 @pytest.fixture

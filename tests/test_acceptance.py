@@ -19,15 +19,15 @@ from rrmf.construct import (ConstructionError, CubicSpec, QuarticSpec,
 from rrmf.frames import (erf_symbolic, finite_difference_twist, rmf_symbolic,
                          sample_frames)
 from rrmf.hodograph import core_of, has_coprime_components, hodograph_of
-from rrmf.indicatrix import (han_fraction, han_numerator,
-                             indicatrix_product_residual, inner_product_poly,
+from rrmf.indicatrix import (han_fraction, han_numerator, inner_product_poly,
                              rho_eta, rotation_indicatrix, verify_han)
 from rrmf.polynomials import (ComplexPoly, QuatPoly, RealPoly, exact_divide,
                               gcd_real, reduce_fraction)
 from rrmf.quaternions import I, J, K, Quaternion
 from rrmf.scalars import Scalar
 
-from conftest import (coprime_cpoly, coprime_qpoly, nonzero_qpoly,
+from conftest import (coprime_cpoly, coprime_qpoly,
+                      indicatrix_product_residual, nonzero_qpoly,
                       nonzero_quat, reference_coefficient_conditions)
 
 N_IDENTITY = 200

@@ -66,7 +66,8 @@ def _exact_gcds(monkeypatch) -> list:
     return calls
 
 
-# the exact kernel entry points that the prime image stands in front of
+# the exact kernel entry points that the prime image stands in front of,
+# and rho_eta, which classify does not call
 _EXACT = ("polynomials.vector_rank", "polynomials.vector_part_rank",
           "indicatrix.rho_eta")
 
@@ -93,14 +94,13 @@ def test_classify_forms_the_generator_once(monkeypatch):
         assert {len(calls) for calls in exact.values()} == {0}, curve.name
         verdict = run(curve.generator)
         # without a certificate the image also rules out F0 and, for the
-        # cancellation quintics, the equal-degree criterion: the exact forms
-        # run only where sigma divides rho, and rho_eta adds its own there
+        # cancellation quintics, the equal-degree criterion: the one form
+        # pass runs only where sigma divides rho, and decides it there
         holds = verdict.membership.method == "equal-degree-criterion"
         assert holds is (curve.name == "quintic-no-cancellation")
-        assert len(forms) == (2 if holds else 0), curve.name
+        assert len(forms) == (1 if holds else 0), curve.name
         assert screens == [True, True], curve.name
-        assert {target: len(calls) for target, calls in exact.items()} == {
-            **dict.fromkeys(exact, 0), "indicatrix.rho_eta": int(holds)}, curve.name
+        assert {len(calls) for calls in exact.values()} == {0}, curve.name
 
 
 def test_classify_screens_each_fact_once(monkeypatch):

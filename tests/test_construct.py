@@ -14,7 +14,7 @@ from rrmf.construct import (ConstructionError, CubicSpec, QuarticSpec,
                             make_spatial_family, make_trivial)
 from rrmf.hodograph import core_of
 from rrmf.indicatrix import inner_product_poly
-from rrmf.polynomials import ComplexPoly, QuatPoly, RealPoly
+from rrmf.polynomials import ComplexPoly, QuatPoly, RealPoly, gcd_real
 from rrmf.quaternions import I, J, K, Quaternion
 from rrmf.scalars import Scalar
 
@@ -78,6 +78,23 @@ def test_make_cubic_random_specs(rng):
             assert indicatrix_coefficients(poly).all_zero()
             assert has_vanishing_indicatrix(poly)
             assert trivial_witness(poly) is None
+
+
+def test_cubic_constructors_give_coprime_components(rng):
+    # the constructors do not check it: construct._cubic_coeffs says why
+    built = 0
+    for base in (0, 15) * 40:
+        a1, a2 = _sparse_jk(rng, base), _sparse_jk(rng, base)
+        s = rand_scalar(rng, base)
+        try:
+            polys = (make_cubic(CubicSpec(a1, a2, s, nonzero_quat(rng, base))),
+                     make_cubic_monic(a1, a2, s))
+        except ConstructionError:
+            continue
+        built += 1
+        for poly in polys:
+            assert gcd_real(*poly.components(), screen=False).degree() == 0
+    assert built >= 20
 
 
 def test_make_cubic_errors():

@@ -4,14 +4,15 @@ from rrmf.catalog import (nontrivial_cubic, quintic_left_cancellation,
                           quintic_no_cancellation, quintic_right_cancellation)
 from rrmf.construct import make_spatial_family, make_trivial
 from rrmf.frames import certificate_generator
-from rrmf.indicatrix import (IndicatrixPair, han_fraction,
-                             indicatrix_product_residual, inner_product_poly,
+from rrmf.indicatrix import (IndicatrixPair, han_fraction, inner_product_poly,
                              omega1, rho_eta, rotation_indicatrix, verify_han)
-from rrmf.polynomials import QuatPoly, RealPoly, reduce_fraction
+from rrmf.hodograph import _IMAGE_FORMS, GeneratorAnalysis
+from rrmf.polynomials import QuatPoly, RealPoly, _embedding, reduce_fraction
 from rrmf.quaternions import I, J, K, Quaternion
 
-from conftest import (coprime_cpoly, coprime_qpoly, nonzero_qpoly,
-                      verdict_generators)
+from conftest import (coprime_cpoly, coprime_qpoly,
+                      indicatrix_product_residual, nonzero_qpoly,
+                      nonzero_quat, verdict_generators)
 
 IXP1 = QuatPoly([Quaternion(1), I])  # i xi + 1
 
@@ -127,17 +128,39 @@ def _rho_eta_products(a):
     return r1 * r1 + r2 * r2, e1 * e1 + e2 * e2
 
 
+def _shifted(a: QuatPoly, k: int) -> QuatPoly:
+    """A(xi + k), by Horner's rule in xi + k."""
+    shift, out = QuatPoly([Quaternion(k), Quaternion(1)]), QuatPoly()
+    for c in reversed(a.coeffs):
+        out = out * shift + QuatPoly([c])
+    return out
+
+
 def test_rho_eta_matches_product_formula(rng):
+    quintic = quintic_no_cancellation().generator
     cases = verdict_generators(rng)
-    cases += [quintic_no_cancellation().generator, IXP1,
-              quintic_right_cancellation().generator]
+    cases += [quintic, IXP1, quintic_right_cancellation().generator]
+    # sigma divides rho for every left factor and shift of the quintic
+    moved = [_shifted(quintic.left_scale(nonzero_quat(rng, base)), rng.randint(-3, 3))
+             for base in (0, 15) for _ in range(4)]
+    # sigma keeps no degree 2 deg A at the prime, so the exact remainder
+    # decides: a leading coefficient divisible by the prime, and the left
+    # factor r + i of norm r^2 + 1, for r the image of i
+    prime, (_, r) = _embedding(2, 0)
+    b = nonzero_qpoly(rng, 3)
+    lead = QuatPoly(list(b.coeffs[:-1]) + [Quaternion(prime, 2 * prime, 0, prime)])
+    moved.append(quintic.left_scale(Quaternion(r, 1)))
+    for a in (lead, moved[-1]):
+        sigma, = GeneratorAnalysis.of(a).image.forms(_IMAGE_FORMS[:1])
+        assert len(sigma) <= 2 * a.degree()
     verdicts = set()
-    for a in cases:
+    for a in cases + moved + [lead]:
         result = rho_eta(a)
         assert (result.rho, result.eta) == _rho_eta_products(a)
         assert result.divisible == result.rho.divmod(a.norm_poly())[1].is_zero()
         verdicts.add(result.divisible)
     assert verdicts == {True, False}
+    assert all(rho_eta(a).divisible for a in moved)
 
 
 def test_product_residual(rng):

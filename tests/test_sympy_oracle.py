@@ -25,7 +25,7 @@ from rrmf import polynomials
 from rrmf.catalog import quintic_no_cancellation
 from rrmf.construct import make_spatial_family
 from rrmf.hodograph import GeneratorAnalysis, hodograph_of
-from rrmf.indicatrix import han_fraction, sigma_divides_rho
+from rrmf.indicatrix import han_fraction
 from rrmf.polynomials import (ComplexPoly, QuatPoly, RealPoly, _embedding,
                               gcd_complex, gcd_real)
 from rrmf.quaternions import J, Quaternion
@@ -350,7 +350,7 @@ def test_screened_facts_match_sympy(rng, base, digits):
         assert to_sympy_poly(analysis.core.factor, COMPLEX_DOMAINS[base]) == chi, name
         assert analysis.in_f0 is in_f0, name
         assert analysis.planar is planar, name
-        assert sigma_divides_rho(analysis) is divisible, name
+        assert analysis.equal_degree is divisible, name
     # each case reaches the exact kernel for the fact it was built for
     lead = GeneratorAnalysis.of(cases["leading coefficient divisible by the prime"]).image
     assert not lead.coprime() and not lead.split_coprime()
