@@ -32,9 +32,8 @@ from .construct import (ConstructionError, CubicSpec, FElement, QuarticResult,
                         make_f_element, make_quartic, make_spatial_family,
                         make_trivial)
 from .frames import (CertificateError, FrameSample, SymbolicFrame,
-                     certificate_generator, erf_symbolic,
-                     finite_difference_twist, rmf_symbolic, rotate_frame,
-                     sample_frames, write_frames_csv)
+                     certificate_generator, erf_symbolic, rmf_symbolic,
+                     rotate_frame, sample_frames, write_frames_csv)
 from .documents import (DocumentError, PolyDocument, document_for,
                         document_to_dict, dumps_document, parse_document)
 

@@ -12,6 +12,10 @@ the array of all parameters, forms the same ten products in floats
 (hodograph.float_images), checks the kept samples to be orthonormal to
 1e-12 in one array pass, and also offers a numeric Frenet frame for
 comparison plots.
+
+Sampling is the package's only use of numpy, and it imports numpy on
+its first call: importing rrmf, and every exact computation, leaves
+numpy unloaded.
 """
 
 from __future__ import annotations
@@ -19,8 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Iterable, Literal, Optional
-
-import numpy as np
 
 from .hodograph import (GeneratorAnalysis, Hodograph, basis_images,
                         float_images, integrate)
@@ -54,15 +56,6 @@ class SymbolicFrame:
         vectors = [tuple(reduce_fraction(c, den) for c in row) for row in raw]
         return cls(vectors[0], vectors[1], vectors[2], den)
 
-    def verify_orthonormal(self) -> None:
-        """Recheck the six identities on the reduced entries."""
-        axes = (self.f1, self.f2, self.f3)
-        for a in range(3):
-            for b in range(a, 3):
-                expect = RationalFunction.of(1 if a == b else 0)
-                if _dot(axes[a], axes[b]) != expect:
-                    raise AssertionError("frame orthonormality violated")
-
     def tangent_twist(self) -> RationalFunction:
         """<f3, f2'>: the tangent component of the frame angular velocity."""
         acc = RationalFunction.zero
@@ -74,13 +67,6 @@ class SymbolicFrame:
         """The nine entries at xi, a float or an ndarray of parameters."""
         return tuple(tuple(rf.evaluate_float(xi) for rf in axis)
                      for axis in (self.f1, self.f2, self.f3))
-
-
-def _dot(a: Vector, b: Vector) -> RationalFunction:
-    acc = RationalFunction.zero
-    for x, y in zip(a, b):
-        acc = acc + x * y
-    return acc
 
 
 def erf_symbolic(a: QuatPoly) -> SymbolicFrame:
@@ -163,6 +149,8 @@ def sample_frames(a: QuatPoly, kind: FrameKind, xi_values: Iterable[float],
     (erf, rmf) or finite (frenet); the first failing parameter raises
     AssertionError.
     """
+    import numpy as np
+
     analysis = GeneratorAnalysis.of(a, "sampling the zero polynomial")
     if not math.isfinite(normal_rotation):
         raise ValueError(f"normal rotation must be finite, got {normal_rotation}")
@@ -246,13 +234,15 @@ def _fcross(a, b) -> tuple[float, float, float]:
             a[0] * b[1] - a[1] * b[0])
 
 
-def _frenet_axes(h: Hodograph, xs: np.ndarray):
+def _frenet_axes(h: Hodograph, xs):
     """Numeric Frenet frame: f1 = r'/sigma, f2 along sigma r'' - sigma' r'.
 
-    Evaluated at every parameter at once; also returns where the
-    curvature vanishes (those axes are meaningless) and the values the
-    axes are formed from, for the overflow check.
+    Evaluated at every parameter of the ndarray xs at once; also returns
+    where the curvature vanishes (those axes are meaningless) and the
+    values the axes are formed from, for the overflow check.
     """
+    import numpy as np
+
     rp = [c.evaluate_float(xs) for c in h.components()]
     rpp = [c.derivative().evaluate_float(xs) for c in h.components()]
     s = h.sigma.evaluate_float(xs)
@@ -265,23 +255,6 @@ def _frenet_axes(h: Hodograph, xs: np.ndarray):
     f2 = tuple(c / norm for c in d)
     f3 = _fcross(f1, f2)
     return (f1, f2, f3), flat, (*rp, *rpp, s, sp, norm, scale)
-
-
-def finite_difference_twist(samples: list[FrameSample]) -> list[float]:
-    """Finite-difference estimate of the twist rate <f3, f2'> at interior samples.
-
-    Fourth-order central stencil on a uniform grid, so the estimate is
-    zero to discretization order for a rotation-minimizing frame and
-    clearly nonzero for a frame with tangent rotation.
-    """
-    out = []
-    for k in range(2, len(samples) - 2):
-        h = samples[k + 1].xi - samples[k].xi
-        d2 = tuple((-a2 + 8 * a1 - 8 * b1 + b2) / (12 * h)
-                   for a2, a1, b1, b2 in zip(samples[k + 2].f2, samples[k + 1].f2,
-                                             samples[k - 1].f2, samples[k - 2].f2))
-        out.append(_fdot(d2, samples[k].f3))
-    return out
 
 
 CSV_HEADER = "xi,px,py,pz,f1x,f1y,f1z,f2x,f2y,f2z,f3x,f3y,f3z"

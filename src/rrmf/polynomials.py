@@ -208,12 +208,18 @@ def _trim_rows(rows: list) -> list:
     return [row[:n] for row in rows]
 
 
-def _canonical(d: int, rows: list, den: int) -> tuple:
-    """(d, rows, den) in the stored form, for a positive den: rows trimmed
-    into tuples, gcd(den, every integer) = 1, base 0 without sqrt(d) part."""
+def _shaped(d: int, rows: list) -> tuple:
+    """(d, rows) with the rows trimmed, and base 0 without sqrt(d) part."""
     rows = _trim_rows(rows)
     if d and not any(map(any, rows[1::2])):
         d, rows = 0, rows[::2]
+    return d, rows
+
+
+def _canonical(d: int, rows: list, den: int) -> tuple:
+    """(d, rows, den) in the stored form, for a positive den: rows trimmed
+    into tuples, gcd(den, every integer) = 1, base 0 without sqrt(d) part."""
+    d, rows = _shaped(d, rows)
     g = math.gcd(den, *[v for row in rows for v in row])
     if g != 1:
         rows = [[v // g for v in row] for row in rows]
@@ -370,16 +376,29 @@ class _DensePoly:
         and each coefficient's ``width`` components in order, have the
         values p/q + r/s*sqrt(d) of ``terms`` (p, q, r, s, _), as
         scalars.scalar_terms reads them over the base d: q, s > 0 and r = 0
-        unless the component has a sqrt(d) part."""
+        unless the component has a sqrt(d) part.
+
+        Each p/q and r/s is reduced first, and den is the lcm of the
+        reduced denominators.  The rows are then content-free with den:
+        for each prime power l^e exactly dividing den, a reduced q carries
+        l^e and p (den/q) is prime to l.  So the stored form takes no gcd
+        over every integer, which costs seconds at long coefficients."""
         width = cls.ring.width
-        den = math.lcm(*[t[1] for t in terms], *[t[3] for t in terms])
+        reduced = []
+        for p, q, r, s, _ in terms:
+            g, h = math.gcd(p, q), math.gcd(r, s)
+            reduced.append((p // g, q // g, r // h, s // h))
+        den = math.lcm(*[t[1] for t in reduced], *[t[3] for t in reduced])
         rows = []
         for w in range(width):
-            column = terms[w::width]
-            rows.append([p * (den // q) for p, q, *_ in column])
+            column = reduced[w::width]
+            rows.append([p * (den // q) for p, q, _, _ in column])
             if d:
-                rows.append([r * (den // s) for _, _, r, s, _ in column])
-        return cls._from_rows(d, rows, den)
+                rows.append([r * (den // s) for _, _, r, s in column])
+        d, rows = _shaped(d, rows)
+        poly = object.__new__(cls)
+        poly._set(d, tuple(map(tuple, rows)), den)
+        return poly
 
     def _rows_over(self, d: int):
         """The stored rows over the base d, which is self.d or self.d = 0."""

@@ -16,8 +16,7 @@ from rrmf.classify import (cancel_indicatrix, has_vanishing_indicatrix,
 from rrmf.construct import (ConstructionError, CubicSpec, QuarticSpec,
                             make_cubic, make_quartic, make_spatial_family,
                             make_trivial)
-from rrmf.frames import (erf_symbolic, finite_difference_twist, rmf_symbolic,
-                         sample_frames)
+from rrmf.frames import erf_symbolic, rmf_symbolic, sample_frames
 from rrmf.hodograph import core_of, has_coprime_components, hodograph_of
 from rrmf.indicatrix import (han_fraction, han_numerator, inner_product_poly,
                              rho_eta, rotation_indicatrix, verify_han)
@@ -29,6 +28,7 @@ from rrmf.scalars import Scalar
 from conftest import (coprime_cpoly, coprime_qpoly,
                       indicatrix_product_residual, nonzero_qpoly,
                       nonzero_quat, reference_coefficient_conditions)
+from frame_reference import finite_difference_twist, verify_orthonormal
 
 N_IDENTITY = 200
 N_STRUCTURAL = 100
@@ -266,14 +266,14 @@ def test_criterion_7_frames():
               quintic_right_cancellation()]
     for curve in curves:
         frame = rmf_symbolic(curve.generator, *curve.certificate)
-        frame.verify_orthonormal()  # six reduced identities, exact
+        verify_orthonormal(frame)  # six reduced identities, exact
         ok_sym &= frame.tangent_twist().is_zero()
     base_pool = [nontrivial_cubic(), make_spatial_family(3)]
     for _ in range(N_FRAMES):
         a, gamma, _ = _random_certified(rng, base_pool)
         ga, gb = gamma.real_parts()
         frame = rmf_symbolic(a, ga, gb)  # builds the frame without checking it
-        frame.verify_orthonormal()
+        verify_orthonormal(frame)
         ok_sym &= frame.tangent_twist().is_zero()
     report("criterion 7a: symbolic orthonormality and zero twist, "
            "3 worked + 25 random certified (exact)", ok_sym)

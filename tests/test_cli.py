@@ -886,11 +886,51 @@ def test_classify_prints_numbers_beyond_the_int_string_limit(tmp_path, capsys):
     assert (Fraction(num, den), Fraction(c_num, c_den)) == (norm_sq.a, norm_sq.b)
 
 
+# -- numpy on first use ----------------------------------------------------
+
+_SAMPLE_IN_FRESH_INTERPRETER = """
+import sys
+from rrmf.catalog import quintic_left_cancellation
+from rrmf.frames import sample_frames, write_frames_csv
+assert "numpy" not in sys.modules
+curve = quintic_left_cancellation()
+samples, _ = sample_frames(curve.generator, "rmf", [k / 49 for k in range(50)],
+                           certificate=curve.certificate)
+assert "numpy" in sys.modules
+write_frames_csv(samples, sys.argv[1])
+"""
+
+
+def test_only_frame_sampling_imports_numpy(tmp_path):
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(rrmf.__file__).resolve().parents[1])}
+    left = str(Path(NO_CANCELLATION).with_name("quintic-left-cancellation.json"))
+    for argv in (["-c", "import rrmf"], ["-c", "import rrmf.cli"],
+                 ["-m", "rrmf.cli", "classify", left]):
+        # -X importtime lists every module the process imports on stderr
+        proc = subprocess.run([sys.executable, "-X", "importtime", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, argv
+        imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+        assert "rrmf.classify" in imported and "numpy" not in imported, argv
+    # the first sample imports numpy, and the CSV is the one this process writes
+    fresh, here = tmp_path / "fresh.csv", tmp_path / "here.csv"
+    proc = subprocess.run([sys.executable, "-c", _SAMPLE_IN_FRESH_INTERPRETER, str(fresh)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    curve = quintic_left_cancellation()
+    samples, _ = sample_frames(curve.generator, "rmf", [k / 49 for k in range(50)],
+                               certificate=curve.certificate)
+    write_frames_csv(samples, here)
+    assert fresh.read_bytes() == here.read_bytes()
+
+
 # -- long coefficients and fuzzed verbs ------------------------------------
 
 # Wall-clock bound for one verb on a long-coefficient document, process
 # start included.  Measured on a 2-core VM (Python 3.11): 0.2 s for
-# classify at degree 16 x 100 digits, 0.6 s at degree 8 x 1000 digits and
+# classify at degree 16 x 100 digits, 0.6 s at degree 8 x 1000 digits,
+# 0.6 s at degree 64 x 300 digits and at degree 128 x 100 digits, and
 # 0.3 s for search-gamma --max-degree 8 at degree 8 x 100 digits.
 LONG_BOUND_S = 5
 
@@ -933,6 +973,8 @@ def test_long_coefficient_documents_finish_within_a_bound(tmp_path):
            "PYTHONPATH": str(Path(rrmf.__file__).resolve().parents[1])}
     runs = [["classify", _long_generator_doc(tmp_path, 16, 100)],
             ["classify", _long_generator_doc(tmp_path, 8, 1000)],
+            ["classify", _long_generator_doc(tmp_path, 64, 300)],
+            ["classify", _long_generator_doc(tmp_path, 128, 100)],
             ["search-gamma", _long_generator_doc(tmp_path, 8, 100), "--max-degree", "8"]]
     for argv in runs:
         proc = subprocess.run([sys.executable, "-m", "rrmf.cli", *argv],
