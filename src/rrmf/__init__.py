@@ -10,7 +10,7 @@ the package does not re-export it, so ``rrmf.classify`` stays the module.
 """
 
 from .scalars import ComplexScalar, Scalar, SurdBaseMismatch, format_scalar, parse_scalar
-from .quaternions import Quaternion, normalized_component
+from .quaternions import Quaternion
 from .polynomials import (ComplexPoly, InexactDivision, QuatPoly,
                           RationalFunction, RealPoly, exact_divide,
                           gcd_complex, gcd_real, reduce_fraction)

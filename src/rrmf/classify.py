@@ -46,9 +46,6 @@ class IndicatrixCoefficients:
 
     values: tuple[Scalar, ...]
 
-    def all_zero(self) -> bool:
-        return all(v.is_zero() for v in self.values)
-
 
 def indicatrix_coefficients(a: QuatPoly) -> IndicatrixCoefficients:
     """c_m = sum_{k=0..m} (k+1) <A_{m-k}, A_{k+1} i> for m = 0 .. 2n-2 (one
@@ -286,7 +283,8 @@ def classify(a: QuatPoly, certificate: tuple[RealPoly, RealPoly] | None = None,
         trivial=trivial,
         planar=analysis.planar,
         primitive=analysis.primitive,
-        core_degree=analysis.core.core.degree(),
+        # deg A = deg core + deg chi: the core itself is not formed
+        core_degree=analysis.poly.degree() - analysis.chi.degree(),
         membership=membership,
         han_certificate=certificate,
         notes="; ".join(notes),

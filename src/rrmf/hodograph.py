@@ -2,23 +2,25 @@
 
 A quaternion polynomial A maps to the hodograph r' = A i A*, whose
 components always satisfy x'^2 + y'^2 + z'^2 = sigma^2 with parametric
-speed sigma = |A|^2.  GeneratorAnalysis owns every fact of A: one
-integer pass of the polynomial kernel forms sigma, A i A* and <A'i, A>,
-and the analysis alone builds the Hodograph record from them.
+speed sigma = |A|^2.  GeneratorAnalysis owns every fact of A and forms
+each only for its readers, in two integer passes of the polynomial
+kernel: sigma with <A'i, A> for the verdicts, and sigma with A i A*,
+from which the analysis alone builds the Hodograph record.
 hodograph_of, is_primitive, has_coprime_components and core_of read a
 fresh analysis.  The equal-degree criterion sigma | rho is decided
-here too, as sigma | sigma'^2 + 4 <A'i, A>^2 on the same pass.  The
+here too, as sigma | sigma'^2 + 4 <A'i, A>^2 on the first pass.  The
 analysis forms one prime image of A (polynomials.ComponentImage) and
 asks it first: it can prove the components coprime, chi = 1 (the core
 is then A), <A'i, A> nonzero at a point (not in F0), span rank 3 (not
 planar) and sigma not dividing rho.  An image proves only those
 answers, and the exact kernel (the gcds without a second screen, the
-form pass, vector_rank) runs whenever it cannot.  basis_images
+form passes, vector_rank) runs whenever it cannot.  basis_images
 forms all ten component products of B for the three images B e B*,
 exactly for the symbolic frames and in floats (float_images) for
-sampling.  The core of A is A stripped of its maximal monic complex
-right divisor; A generates a primitive hodograph exactly when it
-coincides with its core.
+sampling.  The core of A is A stripped of chi = gcd(alpha, conj(beta)),
+its maximal monic complex right divisor; A generates a primitive
+hodograph exactly when chi = 1.  A verdict reads chi alone, and only
+core_of divides A by it.
 """
 from __future__ import annotations
 
@@ -100,8 +102,8 @@ _IMAGE_FORMS = (
 )
 # <A'i, A> = -(v'u - u'v - q'p + p'q)
 _INNER_FORM = ((-1, _DV, _U), (1, _DU, _V), (1, _DQ, _P), (-1, _DP, _Q))
-# the one form pass of an analysis: |A|^2, A i A*, then <A'i, A>
-_ANALYSIS_FORMS = _IMAGE_FORMS[:4] + (_INNER_FORM,)
+# the form pass of the verdicts: |A|^2, then <A'i, A>
+_SPEED_INNER = (_IMAGE_FORMS[0], _INNER_FORM)
 
 Images = tuple[RealPoly, list[tuple[RealPoly, ...]]]
 # fixed points of F_p at which an analysis evaluates the image of A
@@ -184,11 +186,14 @@ class TrivialWitness:
 class GeneratorAnalysis:
     """The facts of one nonzero generator A, each computed once, on first use.
 
-    sigma, the hodograph and <A'i, A> come from one form pass over A,
-    and the equal-degree criterion reads sigma and <A'i, A>.  classify
-    reads every verdict from one analysis, verify_han and rho_eta accept
-    one, and each public verdict function reads its fact from a fresh
-    one, so every fact has a single implementation.
+    sigma and <A'i, A> come from one form pass over A, which the
+    verdicts read (F0, the equal-degree criterion, the Han fraction and
+    Han's identity); the hodograph comes from a second pass, sigma with
+    A i A*, which only hodograph_of, span rank and frame sampling read.
+    primitive and classify's core degree read chi; only core divides A
+    by it.  classify reads every verdict from one analysis, verify_han
+    and rho_eta accept one, and each public verdict function reads its
+    fact from a fresh one, so every fact has a single implementation.
     """
 
     poly: QuatPoly
@@ -219,25 +224,26 @@ class GeneratorAnalysis:
         return gcd_real(*self.poly.components(), screen=False).degree() == 0
 
     @cached_property
-    def _forms(self) -> list[RealPoly]:
-        return component_forms(self.poly, _ANALYSIS_FORMS)
+    def _speed_inner(self) -> list[RealPoly]:
+        return component_forms(self.poly, _SPEED_INNER)
 
     @cached_property
     def sigma(self) -> RealPoly:
         """|A|^2, the parametric speed."""
-        return self._forms[0]
+        return self._speed_inner[0]
 
     @cached_property
     def inner(self) -> RealPoly:
         """<A'i, A>, the numerator of the rotation indicatrix."""
-        return self._forms[4]
+        return self._speed_inner[1]
 
     @cached_property
     def hodograph(self) -> Hodograph:
-        """r' = A i A* with speed |A|^2, unchecked: both satisfy the
-        Hodograph identities by construction."""
+        """r' = A i A* with speed |A|^2, from a pass of its own, unchecked:
+        both satisfy the Hodograph identities by construction."""
         h = object.__new__(Hodograph)
-        h.__dict__.update(zip(("sigma", "xp", "yp", "zp"), self._forms[:4]))
+        forms = component_forms(self.poly, _IMAGE_FORMS[:4])
+        h.__dict__.update(zip(("sigma", "xp", "yp", "zp"), forms))
         return h
 
     @cached_property
@@ -250,21 +256,26 @@ class GeneratorAnalysis:
         return self.coprime and self.inner.is_zero()
 
     @cached_property
-    def core(self) -> CoreDecomposition:
-        """A stripped of chi = gcd(alpha, conj(beta)), its maximal monic
-        complex right divisor; A itself when the image proves chi = 1."""
+    def chi(self) -> ComplexPoly:
+        """gcd(alpha, conj(beta)), the maximal monic complex right divisor
+        of A; 1 when the image proves it."""
         if self.image is not None and self.image.split_coprime():
-            return CoreDecomposition(self.poly, _ONE)
+            return _ONE
         alpha, beta = self.poly.complex_split()
-        chi = gcd_complex(alpha, beta.conjugate(), screen=False)
-        # chi is monic: of degree 0 it is 1, and A is its own core
+        return gcd_complex(alpha, beta.conjugate(), screen=False)
+
+    @cached_property
+    def core(self) -> CoreDecomposition:
+        """A stripped of chi by the one exact division of the analysis;
+        A itself when chi, which is monic, has degree 0."""
+        chi = self.chi
         core = self.poly if chi.degree() == 0 else exact_divide(self.poly, chi.as_quat())
         return CoreDecomposition(core, chi)
 
     @cached_property
     def primitive(self) -> bool:
         """Whether A i A* has coprime components: chi is constant."""
-        return self.core.factor.degree() == 0
+        return self.chi.degree() == 0
 
     @cached_property
     def image_spatial(self) -> bool:
@@ -314,7 +325,7 @@ class GeneratorAnalysis:
         nonzero remainder over F_p proves that sigma does not divide it."""
         if self.image is not None:
             p = self.image.p
-            sigma, inner = self.image.forms((_IMAGE_FORMS[0], _INNER_FORM))
+            sigma, inner = self.image.forms(_SPEED_INNER)
             if len(sigma) == 2 * self.poly.degree() + 1:
                 d_sigma = [k * c % p for k, c in enumerate(sigma)][1:]
                 four_eta, = image_forms([d_sigma, inner], (((1, 0, 0), (4, 1, 1)),), p)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .hodograph import _INNER_FORM, GeneratorAnalysis
 from .polynomials import (QuatPoly, RationalFunction, RealPoly, component_forms,
-                          gcd_real)
+                          gcd_real, real_forms)
 
 
 def inner_product_poly(a: QuatPoly) -> RealPoly:
@@ -78,22 +78,29 @@ def require_certificate(a: RealPoly, b: RealPoly) -> tuple[RealPoly, RealPoly]:
     return a, b
 
 
+# a'b - ab' and a^2 + b^2 for the certificate parts a, b and their
+# derivatives a', b', numbered 0 .. 3 as real_forms numbers them
+_HAN_FORMS = (((1, 2, 1), (-1, 0, 3)), ((1, 0, 0), (1, 1, 1)))
+
+
 def verify_han(a_poly, a: RealPoly, b: RealPoly) -> bool:
     """Exact cross-multiplied test of Han's condition for certificate (a, b).
 
     Requires coprime (a, b) and a generator with coprime components;
     never evaluates the rational functions, so no spurious cancellation
-    decisions can occur.  ``a_poly`` is the generator or its
-    GeneratorAnalysis, whose cached coprimality, <A'i, A> and sigma are
-    then read rather than recomputed.
+    decisions can occur.  The identity (a'b - ab') sigma = <A'i, A>
+    (a^2 + b^2) takes both certificate forms from one integer pass over
+    the rows of a and b, and two products.  ``a_poly`` is the generator
+    or its GeneratorAnalysis, whose cached coprimality, <A'i, A> and
+    sigma are then read rather than recomputed.
     """
     analysis = GeneratorAnalysis.of(
         a_poly, "certificate check against the zero polynomial")
     a, b = require_certificate(a, b)
     if not analysis.coprime:
         raise ValueError("generator components must be coprime")
-    lhs = (a * b.derivative() - a.derivative() * b) * analysis.sigma
-    return lhs == -analysis.inner * (a * a + b * b)
+    wronskian, norm = real_forms((a, b), _HAN_FORMS)
+    return wronskian * analysis.sigma == analysis.inner * norm
 
 
 @dataclass(frozen=True)

@@ -633,11 +633,6 @@ class QuatPoly(_DensePoly):
     def from_components(cls, u, v, p, q) -> "QuatPoly":
         return cls._join([RealPoly.of(c) for c in (u, v, p, q)])
 
-    @classmethod
-    def from_complex_pair(cls, alpha: ComplexPoly, beta: ComplexPoly) -> "QuatPoly":
-        """alpha + beta*j."""
-        return cls._join((ComplexPoly.of(alpha), ComplexPoly.of(beta)))
-
     def components(self) -> tuple[RealPoly, RealPoly, RealPoly, RealPoly]:
         """(u, v, p, q) with self = u + v*i + p*j + q*k."""
         return self._split(RealPoly)
@@ -653,10 +648,6 @@ class QuatPoly(_DensePoly):
 
     def left_scale(self, c: Quaternion) -> "QuatPoly":
         return QuatPoly([c]) * self
-
-    def norm_poly(self) -> RealPoly:
-        """u^2 + v^2 + p^2 + q^2, the squared pointwise norm."""
-        return component_forms(self, (_SQUARES,))[0]
 
     def inner(self, other: "QuatPoly") -> RealPoly:
         """Pointwise Euclidean inner product, as a real polynomial."""
@@ -696,9 +687,6 @@ def _gcd(cls, polys, screen: bool):
     return cls._from_rows(alg.d, alg.left_scale(inv, g), n)
 
 
-_SQUARES = tuple((1, w, w) for w in range(4))
-
-
 def component_forms(b: QuatPoly, forms) -> list[RealPoly]:
     """The real polynomials sum c b_i b_j, one per form ((c, i, j), ...),
     in one integer pass over the stored rows.
@@ -710,13 +698,24 @@ def component_forms(b: QuatPoly, forms) -> list[RealPoly]:
     b = QuatPoly.of(b)
     if b.is_zero():
         return [RealPoly() for _ in forms]
-    real = _algebra(_REAL, b.d)
-    p, rows = real.parts, b.rows
-    comps = [rows[w * p:(w + 1) * p] for w in range(4)]
-    comps += [[[k * v for k, v in enumerate(row)][1:] for row in comp]
-              for comp in comps]
-    return [RealPoly._from_rows(b.d, acc, b.den * b.den)
-            for acc in _form_rows(real, comps, forms)]
+    p = 2 if b.d else 1
+    return _forms_over(b.d, b.den, [b.rows[w * p:(w + 1) * p] for w in range(4)], forms)
+
+
+def real_forms(polys, forms) -> list[RealPoly]:
+    """The forms of component_forms over real polynomials f_0 .. f_{n-1}
+    and their derivatives f_n .. f_{2n-1}, in one integer pass over their
+    rows on one denominator."""
+    return _forms_over(*_stack(polys), forms)
+
+
+def _forms_over(d: int, den: int, comps: list, forms) -> list[RealPoly]:
+    """The forms over the coordinate rows comps, each of a real
+    polynomial over den, and over their derivatives."""
+    comps = comps + [[[k * v for k, v in enumerate(row)][1:] for row in comp]
+                     for comp in comps]
+    return [RealPoly._from_rows(d, acc, den * den)
+            for acc in _form_rows(_algebra(_REAL, d), comps, forms)]
 
 
 def _form_rows(real: _Algebra, comps: list, forms) -> list:

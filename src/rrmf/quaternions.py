@@ -1,17 +1,17 @@
 """Quaternions over the exact scalar field.
 
 The algebra H = R + Ri + Rj + Rk with the Hamilton product, the
-Euclidean inner product of R^4, and the normalized-component map used
-throughout the frame computations.  The Hamilton product is stated once,
-as the table ``_HAMILTON``, which Quaternion (through the ring base in
-rrmf.scalars) and QuatPoly's integer kernel both multiply by.
+Euclidean inner product of R^4 and the vector cross product.  The
+Hamilton product is stated once, as the table ``_HAMILTON``, which
+Quaternion (through the ring base in rrmf.scalars) and QuatPoly's
+integer kernel both multiply by.
 """
 
 from __future__ import annotations
 
 import operator
 
-from .scalars import ComplexScalar, Scalar, ScalarLike, _Hypercomplex
+from .scalars import Scalar, ScalarLike, _Hypercomplex
 
 # e_i e_j = sign e_k on the basis (1, i, j, k): i j = k, j i = -k, ...
 _HAMILTON = (
@@ -36,20 +36,10 @@ class Quaternion(_Hypercomplex):
                  z: ScalarLike = 0):
         super().__init__(w, x, y, z)
 
-    @classmethod
-    def from_complex_pair(cls, alpha: ComplexScalar, beta: ComplexScalar) -> "Quaternion":
-        """alpha + beta*j, the standard complex splitting."""
-        return cls(alpha.re, alpha.im, beta.re, beta.im)
-
     # -- structure -----------------------------------------------------
 
     def components(self) -> tuple[Scalar, Scalar, Scalar, Scalar]:
         return self.parts
-
-    def complex_pair(self) -> tuple[ComplexScalar, ComplexScalar]:
-        """(alpha, beta) with self = alpha + beta*j."""
-        return (ComplexScalar.from_parts(self.parts[:2]),
-                ComplexScalar.from_parts(self.parts[2:]))
 
     def is_pure(self) -> bool:
         return self.w.is_zero()
@@ -71,12 +61,3 @@ ONE = Quaternion(1)
 I = Quaternion(0, 1)
 J = Quaternion(0, 0, 1)
 K = Quaternion(0, 0, 0, 1)
-
-
-def normalized_component(x: Quaternion, y: Quaternion) -> Scalar:
-    """<x,y>/<y,y>: oriented length of the projection of x onto y in |y| units."""
-    y = Quaternion.of(y)
-    n = y.norm_sq()
-    if n.is_zero():
-        raise ZeroDivisionError("normalized component along the zero quaternion")
-    return Quaternion.of(x).inner(y) / n

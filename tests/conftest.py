@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from rrmf.indicatrix import inner_product_poly
+from rrmf.hodograph import has_coprime_components
+from rrmf.indicatrix import inner_product_poly, require_certificate
 from rrmf.polynomials import ComplexPoly, QuatPoly, RealPoly, gcd_real
 from rrmf.quaternions import I, K, Quaternion
 from rrmf.scalars import ComplexScalar, Scalar
@@ -49,15 +50,15 @@ def rand_rpoly(rng: random.Random, degree: int) -> RealPoly:
     return RealPoly([rand_scalar(rng) for _ in range(degree + 1)])
 
 
-def rand_cpoly(rng: random.Random, degree: int) -> ComplexPoly:
-    return ComplexPoly([ComplexScalar(rand_scalar(rng), rand_scalar(rng))
+def rand_cpoly(rng: random.Random, degree: int, base: int = 0) -> ComplexPoly:
+    return ComplexPoly([ComplexScalar(rand_scalar(rng, base), rand_scalar(rng, base))
                         for _ in range(degree + 1)])
 
 
-def coprime_cpoly(rng: random.Random, degree: int) -> ComplexPoly:
+def coprime_cpoly(rng: random.Random, degree: int, base: int = 0) -> ComplexPoly:
     """Complex polynomial whose real and imaginary parts are coprime."""
     while True:
-        p = rand_cpoly(rng, degree)
+        p = rand_cpoly(rng, degree, base)
         re, im = p.real_parts()
         if p.is_zero() or (re.is_zero() and im.is_zero()):
             continue
@@ -67,8 +68,6 @@ def coprime_cpoly(rng: random.Random, degree: int) -> ComplexPoly:
 
 def coprime_qpoly(rng: random.Random, degree: int, base: int = 0) -> QuatPoly:
     """Quaternion polynomial with coprime real components."""
-    from rrmf.hodograph import has_coprime_components
-
     while True:
         p = rand_qpoly(rng, degree, base)
         if not p.is_zero() and has_coprime_components(p):
@@ -97,6 +96,53 @@ def verdict_generators(rng: random.Random, count: int = 10) -> list[QuatPoly]:
             out.append(QuatPoly([Quaternion(x, 0, y, 0) for x, y in pairs]).left_scale(c))
             out.append(QuatPoly([Quaternion(x) for x, _ in pairs]).left_scale(c))
     return [a for a in out if not a.is_zero()]
+
+
+def norm_poly(a: QuatPoly) -> RealPoly:
+    """u^2 + v^2 + p^2 + q^2, the squared pointwise norm of A, from its
+    components: the oracle of GeneratorAnalysis.sigma."""
+    u, v, p, q = QuatPoly.of(a).components()
+    return u * u + v * v + p * p + q * q
+
+
+def qpoly_from_complex_pair(alpha: ComplexPoly, beta: ComplexPoly) -> QuatPoly:
+    """alpha + beta j for complex polynomials alpha and beta."""
+    return QuatPoly.from_components(*ComplexPoly.of(alpha).real_parts(),
+                                    *ComplexPoly.of(beta).real_parts())
+
+
+def quaternion_from_complex_pair(alpha: ComplexScalar, beta: ComplexScalar) -> Quaternion:
+    """alpha + beta j, the standard complex splitting."""
+    return Quaternion(alpha.re, alpha.im, beta.re, beta.im)
+
+
+def complex_pair(q: Quaternion) -> tuple[ComplexScalar, ComplexScalar]:
+    """(alpha, beta) with q = alpha + beta j."""
+    return ComplexScalar(q.w, q.x), ComplexScalar(q.y, q.z)
+
+
+def normalized_component(x: Quaternion, y: Quaternion) -> Scalar:
+    """<x,y>/<y,y>: oriented length of the projection of x onto y in |y| units."""
+    n = y.norm_sq()
+    if n.is_zero():
+        raise ZeroDivisionError("normalized component along the zero quaternion")
+    return x.inner(y) / n
+
+
+def all_zero(coefficients) -> bool:
+    """Whether every coefficient condition of indicatrix_coefficients vanishes."""
+    return all(v.is_zero() for v in coefficients.values)
+
+
+def reference_verify_han(a_poly: QuatPoly, a: RealPoly, b: RealPoly) -> bool:
+    """Han's identity (ab' - a'b) sigma = -<A'i, A> (a^2 + b^2) by plain
+    polynomial products, with sigma and <A'i, A> formed from A directly:
+    the oracle of verify_han, which checks its arguments the same way."""
+    a, b = require_certificate(a, b)
+    if not has_coprime_components(a_poly):
+        raise ValueError("generator components must be coprime")
+    lhs = (a * b.derivative() - a.derivative() * b) * norm_poly(a_poly)
+    return lhs == -inner_product_poly(a_poly) * (a * a + b * b)
 
 
 def reference_coefficient_conditions(a: QuatPoly) -> tuple[Scalar, ...]:
@@ -135,7 +181,7 @@ def indicatrix_product_residual(b: QuatPoly, a: QuatPoly) -> RealPoly:
     db = b.derivative()
     first = (db * I).inner(b) * (na - nb)
     mid = (db * (alpha * beta).as_quat() * K).inner(b).scale(2)
-    last = inner_product_poly(a) * b.norm_poly()
+    last = inner_product_poly(a) * norm_poly(b)
     return lhs - (first - mid + last)
 
 

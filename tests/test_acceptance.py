@@ -27,7 +27,7 @@ from rrmf.scalars import Scalar
 
 from conftest import (coprime_cpoly, coprime_qpoly,
                       indicatrix_product_residual, nonzero_qpoly,
-                      nonzero_quat, reference_coefficient_conditions)
+                      nonzero_quat, norm_poly, reference_coefficient_conditions)
 from frame_reference import finite_difference_twist, verify_orthonormal
 
 N_IDENTITY = 200
@@ -170,7 +170,7 @@ def test_criterion_5_identity_suite():
         result = rho_eta(a)
         du, dv, dp, dq = (t.derivative() for t in a.components())
         ok_footnote &= (result.rho + result.eta
-                        == a.norm_poly() * (du * du + dv * dv + dp * dp + dq * dq))
+                        == norm_poly(a) * (du * du + dv * dv + dp * dp + dq * dq))
     report("criterion 5a: Pythagorean identity, 200 random (exact)", ok_pythag)
     report("criterion 5b: rho+eta factorization, 200 random (exact)", ok_footnote)
     for _ in range(N_IDENTITY):

@@ -11,22 +11,25 @@ import sys
 import numpy as np
 import pytest
 
-from rrmf.catalog import worked_quintics
+from rrmf.catalog import nontrivial_cubic, worked_quintics
 from rrmf.classify import GeneratorAnalysis, TrivialWitness, classify
 from rrmf.construct import make_f_element, make_spatial_family
 from rrmf.frames import sample_frames
+from rrmf.hodograph import _INNER_FORM, core_of
 from rrmf.indicatrix import (IndicatrixPair, han_fraction, han_numerator,
                              inner_product_poly, omega1, rho_eta,
                              rotation_indicatrix)
 from rrmf.polynomials import ComplexPoly, RealPoly, reduce_fraction
 from rrmf.scalars import ComplexScalar
 
-from conftest import nonzero_qpoly
+from conftest import coprime_cpoly, nonzero_qpoly, norm_poly
 
 
-def _count_calls(monkeypatch, target: str, keep=lambda kwargs: True, calls=None) -> list:
+def _count_calls(monkeypatch, target: str, keep=lambda kwargs: True, calls=None,
+                 record=lambda args, result: result) -> list:
     """Route every rrmf binding of ``layer.name`` through a call counter,
-    which lists (in ``calls``, if given) the result of each call whose
+    which lists (in ``calls``, if given) ``record`` of the positional
+    arguments and result, by default the result, of each call whose
     keyword arguments ``keep`` accepts."""
     layer, name = target.split(".")
     original = getattr(importlib.import_module(f"rrmf.{layer}"), name)
@@ -35,7 +38,7 @@ def _count_calls(monkeypatch, target: str, keep=lambda kwargs: True, calls=None)
     def counted(*args, **kwargs):
         result = original(*args, **kwargs)
         if keep(kwargs):
-            calls.append(result)
+            calls.append(record(args, result))
         return result
 
     for module_name, module in list(sys.modules.items()):
@@ -122,6 +125,28 @@ def test_classify_screens_each_fact_once(monkeypatch):
         assert [type(g) for g in gcds] == exact
 
 
+def test_verdicts_do_not_divide_by_chi(monkeypatch):
+    # chi = xi + i: the image cannot prove chi = 1, and the core is the family member
+    element = make_f_element(make_spatial_family(4), ComplexPoly([ComplexScalar(0, 1), 1]))
+    divisions = _count_calls(monkeypatch, "polynomials.exact_divide")
+    for certificate in (element.certificate.real_parts(), None):
+        verdict = classify(element.poly, certificate)
+        # primitive and the core degree read deg chi alone
+        assert (verdict.primitive, verdict.core_degree) == (False, 4)
+        assert divisions == []
+    assert core_of(element.poly).core == make_spatial_family(4)
+    assert len(divisions) == 1
+
+
+def test_erf_sampling_forms_no_inner_product(monkeypatch):
+    forms = _count_calls(monkeypatch, "polynomials.component_forms",
+                         record=lambda args, result: args[1])
+    samples, _ = sample_frames(make_spatial_family(6), "erf", np.linspace(0, 1, 5))
+    assert len(samples) == 5
+    # sigma and A i A*, the hodograph's pass: <A'i, A> is not formed
+    assert len(forms) == 1 and _INNER_FORM not in forms[0]
+
+
 def test_han_entry_points_form_the_generator_once(monkeypatch):
     forms = _count_calls(monkeypatch, "polynomials.component_forms")
     a = worked_quintics()[1].generator
@@ -149,7 +174,7 @@ def test_analysis_readers_match_direct_formulas(rng, base):
     generators += [RealPoly([rng.randint(-3, 3), 1]).as_quat()
                    * nonzero_qpoly(rng, rng.randint(1, 3), base) for _ in range(6)]
     for a in generators:
-        sigma, inner = a.norm_poly(), inner_product_poly(a)
+        sigma, inner = norm_poly(a), inner_product_poly(a)
         assert omega1(a) == reduce_fraction(han_numerator(a).scale(2), sigma)
         assert han_fraction(a) == reduce_fraction(han_numerator(a), sigma)
         indicatrix = rotation_indicatrix(a)
@@ -157,3 +182,21 @@ def test_analysis_readers_match_direct_formulas(rng, base):
         pair = IndicatrixPair.of(a)
         assert (pair.numerator_inner, pair.sigma, pair.reduced) == (inner, sigma, indicatrix)
         assert rho_eta(GeneratorAnalysis.of(a)) == rho_eta(a)
+
+
+@pytest.mark.parametrize("base", [0, 15])
+def test_core_degree_and_primitivity_read_chi(rng, base):
+    generators = [curve.generator for curve in worked_quintics()]
+    generators += [nonzero_qpoly(rng, rng.randint(1, 4), base) for _ in range(6)]
+    chi_degrees = set()
+    for degree in (1, 2, 3):
+        delta = coprime_cpoly(rng, degree, base)
+        while delta.degree() != degree:
+            delta = coprime_cpoly(rng, degree, base)
+        generators.append(make_f_element(nontrivial_cubic(), delta).poly)
+    for a in generators:
+        verdict, decomposition = classify(a), core_of(a)
+        assert verdict.core_degree == decomposition.core.degree()
+        assert verdict.primitive == (decomposition.factor.degree() == 0)
+        chi_degrees.add(decomposition.factor.degree())
+    assert chi_degrees == {0, 1, 2, 3}

@@ -22,8 +22,9 @@ from rrmf.polynomials import (ComplexPoly, QuatPoly, RealPoly, exact_divide,
 from rrmf.quaternions import I, J, K, Quaternion
 from rrmf.scalars import ComplexScalar, Scalar
 
-from conftest import (coprime_cpoly, coprime_qpoly, nonzero_qpoly, nonzero_quat,
-                      reference_coefficient_conditions, verdict_generators)
+from conftest import (all_zero, coprime_cpoly, coprime_qpoly, nonzero_qpoly,
+                      nonzero_quat, reference_coefficient_conditions,
+                      verdict_generators)
 from linalg_reference import gauss_jordan_rank
 
 IXP1 = QuatPoly([Quaternion(1), I])
@@ -47,7 +48,7 @@ def test_coefficient_condition_examples():
     assert [str(v) for v in indicatrix_coefficients(QuatPoly([Quaternion(1), J])).values] \
         == ["0/1"]
     cubic = nontrivial_cubic()
-    assert indicatrix_coefficients(cubic).all_zero()
+    assert all_zero(indicatrix_coefficients(cubic))
     assert len(indicatrix_coefficients(cubic).values) == 5
     assert indicatrix_coefficients(IXP1).values == (Scalar(-1),)
 
@@ -380,7 +381,7 @@ def test_indicatrix_forms_agree(rng):
         alpha, beta = a.complex_split()
         assert (_complex_inner(alpha) == _complex_inner(beta)) is vanishing
         assert inner_product_poly(a).is_zero() is vanishing
-        assert indicatrix_coefficients(a).all_zero() is vanishing
+        assert all_zero(indicatrix_coefficients(a)) is vanishing
 
 
 def _classified(rng):

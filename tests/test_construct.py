@@ -18,7 +18,7 @@ from rrmf.polynomials import ComplexPoly, QuatPoly, RealPoly, gcd_real
 from rrmf.quaternions import I, J, K, Quaternion
 from rrmf.scalars import Scalar
 
-from conftest import nonzero_quat, rand_quat, rand_scalar
+from conftest import all_zero, nonzero_quat, rand_quat, rand_scalar
 from linalg_reference import min_norm_solution
 
 XI_PLUS_I = ComplexPoly.from_parts(RealPoly([0, 1]), RealPoly([1]))
@@ -75,7 +75,7 @@ def test_make_cubic_random_specs(rng):
             continue
         built += 1
         for poly in polys:
-            assert indicatrix_coefficients(poly).all_zero()
+            assert all_zero(indicatrix_coefficients(poly))
             assert has_vanishing_indicatrix(poly)
             assert trivial_witness(poly) is None
 

@@ -16,7 +16,7 @@ from rrmf.indicatrix import omega1
 from rrmf.polynomials import ComplexPoly, QuatPoly, RationalFunction, RealPoly
 from rrmf.quaternions import Quaternion
 
-from conftest import FRAME_TOL, coprime_cpoly, coprime_qpoly, exact_axes
+from conftest import FRAME_TOL, coprime_cpoly, coprime_qpoly, exact_axes, norm_poly
 from frame_reference import finite_difference_twist, verify_orthonormal
 
 EX2 = quintic_no_cancellation()
@@ -246,7 +246,7 @@ def test_basis_images_equal_quaternion_products(rng):
     cases += [quintic_right_cancellation().generator, make_spatial_family(5)]
     for b in cases:
         den, raw = basis_images(b)
-        assert den == b.norm_poly()
+        assert den == norm_poly(b)
         for e, vector in zip((Quaternion(0, 1), Quaternion(0, 0, 1),
                               Quaternion(0, 0, 0, 1)), raw):
             u, x, y, z = (b * QuatPoly([e]) * b.conjugate()).components()
@@ -268,7 +268,7 @@ def _reference_samples(a, kind, xis, certificate=None, normal_rotation=0.0):
     """
     a = QuatPoly.of(a)
     position = integrate(hodograph_of(a))
-    sigma = a.norm_poly()
+    sigma = norm_poly(a)
     b = a
     if kind == "rmf":
         if certificate is None:

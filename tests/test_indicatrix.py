@@ -1,18 +1,25 @@
+import re
+from fractions import Fraction
+
 import pytest
 
 from rrmf.catalog import (nontrivial_cubic, quintic_left_cancellation,
                           quintic_no_cancellation, quintic_right_cancellation)
-from rrmf.construct import make_spatial_family, make_trivial
+from rrmf.construct import (CubicSpec, make_cubic, make_f_element,
+                            make_spatial_family, make_trivial)
 from rrmf.frames import certificate_generator
 from rrmf.indicatrix import (IndicatrixPair, han_fraction, inner_product_poly,
                              omega1, rho_eta, rotation_indicatrix, verify_han)
 from rrmf.hodograph import _IMAGE_FORMS, GeneratorAnalysis
-from rrmf.polynomials import QuatPoly, RealPoly, _embedding, reduce_fraction
+from rrmf.polynomials import (ComplexPoly, QuatPoly, RealPoly, _embedding,
+                              reduce_fraction)
 from rrmf.quaternions import I, J, K, Quaternion
+from rrmf.scalars import ComplexScalar, Scalar
 
 from conftest import (coprime_cpoly, coprime_qpoly,
                       indicatrix_product_residual, nonzero_qpoly,
-                      nonzero_quat, verdict_generators)
+                      nonzero_quat, norm_poly, rand_fraction, rand_scalar,
+                      reference_verify_han, verdict_generators)
 
 IXP1 = QuatPoly([Quaternion(1), I])  # i xi + 1
 
@@ -80,6 +87,70 @@ def test_verify_han_preconditions():
         verify_han(shared, RealPoly([-2, 1]), RealPoly([-1]))
 
 
+SQRT15 = Scalar(0, 1, 15)
+# a spatial cubic over Q(sqrt 15) with vanishing indicatrix
+CUBIC15 = make_cubic(CubicSpec(Quaternion(SQRT15, 0, 0, 1), Quaternion(1, 0, SQRT15 / 2, 0),
+                               s3=1 + SQRT15))
+
+
+def _han_cases(rng, base: int) -> list[tuple[QuatPoly, RealPoly, RealPoly]]:
+    """(A, a, b) for accepted and rejected certificates: f-elements with
+    their certificates, the degree-0 certificates (1, 0) and (0, 1),
+    perturbed and random certificates."""
+    cores = [nontrivial_cubic(), make_spatial_family(4)]
+    cores += [CUBIC15] if base else []
+    elements = []
+    for core in cores:
+        for degree in (1, 2, 3):
+            elements.append(make_f_element(core, coprime_cpoly(rng, degree, base)))
+        # a certificate over Q for a generator over Q(sqrt 15) when the core
+        # is CUBIC15; a = xi/3 and b = 1/2 have different denominators
+        elements.append(make_f_element(core, ComplexPoly(
+            [ComplexScalar(0, Fraction(1, 2)), Fraction(1, 3)])))
+    cases = []
+    for a in cores + [e.poly for e in elements]:
+        cases += [(a, RealPoly([1]), RealPoly()), (a, RealPoly(), RealPoly([1]))]
+    for e in elements:
+        gamma = e.certificate
+        for cert in (gamma, gamma + ComplexPoly.of(1), coprime_cpoly(rng, rng.randint(1, 3))):
+            cases.append((e.poly, *cert.real_parts()))
+        # parts with random, different denominators
+        cases.append((e.poly, RealPoly([rand_fraction(rng, 5, (1, 2, 3, 7)) for _ in range(2)]),
+                      RealPoly([rand_scalar(rng, base), rand_fraction(rng, 5, (1, 5))])))
+    return cases
+
+
+@pytest.mark.parametrize("base", [0, 15])
+def test_verify_han_matches_reference_identity(rng, base):
+    verdicts = []
+    for a, ca, cb in _han_cases(rng, base):
+        try:
+            expected = reference_verify_han(a, ca, cb)
+        except ValueError as error:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(error))}$"):
+                verify_han(a, ca, cb)
+            continue
+        assert verify_han(a, ca, cb) is expected
+        assert verify_han(GeneratorAnalysis.of(a), ca, cb) is expected
+        verdicts.append(expected)
+    assert set(verdicts) == {True, False}
+
+
+def test_verify_han_special_certificates():
+    # the degree-0 certificates of a generator with vanishing indicatrix
+    for core in (make_spatial_family(4), CUBIC15):
+        assert verify_han(core, RealPoly([1]), RealPoly())
+        assert verify_han(core, RealPoly(), RealPoly([1]))
+    # a = xi/3 and b = 1/2, over Q, certify the f-element over Q(sqrt 15)
+    delta = ComplexPoly([ComplexScalar(0, Fraction(1, 2)), Fraction(1, 3)])
+    element = make_f_element(CUBIC15, delta)
+    assert element.poly.d == 15 and element.certificate == delta
+    a, b = delta.real_parts()
+    assert (a.den, b.den, a.d, b.d) == (3, 2, 0, 0)
+    assert verify_han(element.poly, a, b) and reference_verify_han(element.poly, a, b)
+    assert not verify_han(element.poly, RealPoly([1]), RealPoly())
+
+
 def test_omega1():
     ex2 = quintic_no_cancellation().generator
     assert omega1(ex2) == reduce_fraction(
@@ -111,9 +182,9 @@ def test_rho_eta_footnote_identity(rng):
         result = rho_eta(a)
         du, dv, dp, dq = (t.derivative() for t in a.components())
         assert result.rho + result.eta \
-            == a.norm_poly() * (du * du + dv * dv + dp * dp + dq * dq)
+            == norm_poly(a) * (du * du + dv * dv + dp * dp + dq * dq)
         # so sigma divides rho exactly when it divides eta
-        assert result.divisible == result.eta.divmod(a.norm_poly())[1].is_zero()
+        assert result.divisible == result.eta.divmod(norm_poly(a))[1].is_zero()
 
 
 def _rho_eta_products(a):
@@ -157,7 +228,7 @@ def test_rho_eta_matches_product_formula(rng):
     for a in cases + moved + [lead]:
         result = rho_eta(a)
         assert (result.rho, result.eta) == _rho_eta_products(a)
-        assert result.divisible == result.rho.divmod(a.norm_poly())[1].is_zero()
+        assert result.divisible == result.rho.divmod(norm_poly(a))[1].is_zero()
         verdicts.add(result.divisible)
     assert verdicts == {True, False}
     assert all(rho_eta(a).divisible for a in moved)

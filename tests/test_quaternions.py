@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rrmf.quaternions import I, J, K, ONE, Quaternion, normalized_component
+from rrmf.quaternions import I, J, K, ONE, Quaternion
 from rrmf.scalars import ComplexScalar, Scalar
 
-from conftest import nonzero_quat, rand_quat, rand_scalar
+from conftest import (complex_pair, nonzero_quat, normalized_component,
+                      quaternion_from_complex_pair, rand_quat, rand_scalar)
 
 
 def test_defining_relations():
@@ -180,8 +181,8 @@ def test_norm_positive_definite(rng):
 def test_complex_pair_round_trip(rng):
     for _ in range(50):
         q = rand_quat(rng)
-        alpha, beta = q.complex_pair()
-        assert Quaternion.from_complex_pair(alpha, beta) == q
+        alpha, beta = complex_pair(q)
+        assert quaternion_from_complex_pair(alpha, beta) == q
 
 
 def test_cross_product():
