@@ -886,6 +886,78 @@ def test_classify_prints_numbers_beyond_the_int_string_limit(tmp_path, capsys):
     assert (Fraction(num, den), Fraction(c_num, c_den)) == (norm_sq.a, norm_sq.b)
 
 
+# -- golden frame CSVs -----------------------------------------------------
+
+# sha256 of the CSV `rrmf frames --samples 200` writes for (fixture, frame
+# kind, range, normal rotation); each run exits 0 with nothing on stderr
+FRAME_CSV_SHA256 = {
+    ("quintic-left-cancellation", "erf", "0:1", None):
+        "97550fefdc45c5105fe408c29b4bd5f1f48ea411cb200ee4128d69ec4e89e23b",
+    ("quintic-left-cancellation", "erf", "-1.5:2", None):
+        "a9921bf41c1a902865d435a917ab9c492b45d7e7efc42b3227a134342ca79629",
+    ("quintic-left-cancellation", "rmf", "0:1", None):
+        "874cd544152b2d41a8b1103ea402601751fc0b16e59066ca992102d32748858d",
+    ("quintic-left-cancellation", "rmf", "-1.5:2", None):
+        "ad9fd82b54400cee9b7ec008732c257a0778dbab14dd245f6bbc175bc035ab6a",
+    ("quintic-left-cancellation", "frenet", "0:1", None):
+        "d954c75b30f9c57de2b0a6b05eacfe8fbfcb72568436646e7e611d13365956fb",
+    ("quintic-left-cancellation", "frenet", "-1.5:2", None):
+        "1bb755432ee46ccbfa4c8b5cab4ddfba6be4fb40ebd7cf120f8f7b72b69a5d01",
+    ("quintic-left-cancellation", "erf", "0:1", "0.3"):
+        "a4149b677504e118ca1b24f41285fafc1d0df5eebbdac02bfd8dca2b76e72c9f",
+    ("quintic-left-cancellation", "rmf", "0:1", "0.3"):
+        "621217c449a61ccf5689322d255a7176b92e9f1da37c62c6ba9ce62f453b6985",
+    ("quintic-no-cancellation", "erf", "0:1", None):
+        "deccde0022e1ea82d4454fe6bd949487901b4bf7bcbb263e52139caa32b851d8",
+    ("quintic-no-cancellation", "erf", "-1.5:2", None):
+        "f3adab93665b440d261ad6ef67ae3ce552b2c8cff398cdc4676b068afde3d0e5",
+    ("quintic-no-cancellation", "rmf", "0:1", None):
+        "5020a48e8838095e90b79bb27e5846fb97fe8de2557fc225d1f6519a8df7d6c7",
+    ("quintic-no-cancellation", "rmf", "-1.5:2", None):
+        "b645943d7dc6c2f3f8c126f398592016da94904e5357d8617e66c84321b52dda",
+    ("quintic-no-cancellation", "frenet", "0:1", None):
+        "1ef94ee4de49eea936411404a09c59636702c863cb6679e4de606ef7ab7720fd",
+    ("quintic-no-cancellation", "frenet", "-1.5:2", None):
+        "b8356d8ac2f77885564683912c8dfa7116cbc090a4a533eb0321855df266a4d4",
+    ("quintic-no-cancellation", "erf", "0:1", "0.3"):
+        "3d3aa009dc7c5e6394edaee05e0fdee92b7a50565c87321bf08de201b31988c2",
+    ("quintic-no-cancellation", "rmf", "0:1", "0.3"):
+        "46143fb057c3b591c93a71476e0d64f71ee10387c5bfda72f677774ff5d79337",
+    ("quintic-right-cancellation", "erf", "0:1", None):
+        "41f1df44f210c506693119948404be62816983a645d13586a523650fad7295d0",
+    ("quintic-right-cancellation", "erf", "-1.5:2", None):
+        "9defe51e5178089b938f6fedf2c11ee7d805339889f2db8ee343b1d6b7680a3f",
+    ("quintic-right-cancellation", "rmf", "0:1", None):
+        "93f433b0934b23c59987e80282a174b77561248ce3d795d7353894274a74bbfb",
+    ("quintic-right-cancellation", "rmf", "-1.5:2", None):
+        "259cf1ca129f674a40015e7ebf021375a7c771aefe68d38543673c4bd9e0dd8e",
+    ("quintic-right-cancellation", "frenet", "0:1", None):
+        "0c0b2600073e513f6bbae3fe64bab66bbe11b3a54c98e52cca759883d600026a",
+    ("quintic-right-cancellation", "frenet", "-1.5:2", None):
+        "2afc8335336a36e5969aba38b2d61c81f847281e9257775d7e9191948446d1dd",
+    ("quintic-right-cancellation", "erf", "0:1", "0.3"):
+        "78be4ed1a1ac722e6162ef184f3869c5b485d106ad7e46aef58809a6bfd8b54d",
+    ("quintic-right-cancellation", "rmf", "0:1", "0.3"):
+        "77f62b5c1df621f86a1b952a9c06718d0229f04a860d05fb81f56dc5e97c9bbb",
+}
+
+
+@pytest.mark.parametrize("fixture, kind, span, rotation", list(FRAME_CSV_SHA256),
+                         ids=["/".join(filter(None, case)) for case in FRAME_CSV_SHA256])
+def test_frames_csv_bytes_match_golden(tmp_path, capsys, fixture, kind, span, rotation):
+    import hashlib
+
+    out = tmp_path / "frames.csv"
+    argv = ["frames", str(Path(NO_CANCELLATION).with_name(f"{fixture}.json")),
+            "--frame", kind, "--samples", "200", f"--range={span}", "--out", str(out)]
+    if rotation is not None:
+        argv += ["--normal-rotation", rotation]
+    code, stdout, err = run(capsys, *argv)
+    assert (code, err, stdout) == (0, "", f"wrote 200 samples to {out}\n")
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == FRAME_CSV_SHA256[fixture, kind, span, rotation]
+
+
 # -- numpy on first use ----------------------------------------------------
 
 _SAMPLE_IN_FRESH_INTERPRETER = """
