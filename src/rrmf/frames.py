@@ -7,15 +7,13 @@ B's components by hodograph.basis_images; with a verified certificate
 to B = A (a - b i).  SymbolicFrame holds the nine entries as reduced
 rational functions; the orthonormality identities hold exactly (the
 tests check them on the unreduced images and on the reduced entries).
-Sampling does not reduce them: it evaluates B's four components over
-the array of all parameters, forms the same ten products in floats
-(hodograph.float_images), checks the kept samples to be orthonormal to
-1e-12 in one array pass, and also offers a numeric Frenet frame for
-comparison plots.
-
-Sampling is the package's only use of numpy, and it imports numpy on
-its first call: importing rrmf, and every exact computation, leaves
-numpy unloaded.
+Sampling does not reduce them: at each parameter on its own it
+evaluates B's four components in Python floats, forms the same ten
+products (hodograph.float_images), checks the sample to be orthonormal
+to 1e-12, and also offers a numeric Frenet frame for comparison plots.
+The float operations are those of RealPoly.evaluate_float and IEEE
+division, so a zero divisor gives inf or nan and fails the check
+rather than raising ZeroDivisionError.
 """
 
 from __future__ import annotations
@@ -24,8 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Literal, Optional
 
-from .hodograph import (GeneratorAnalysis, Hodograph, basis_images,
-                        float_images, integrate)
+from .hodograph import GeneratorAnalysis, basis_images, float_images
 from .indicatrix import require_certificate, verify_han
 from .polynomials import (ComplexPoly, QuatPoly, RationalFunction, RealPoly,
                           reduce_fraction)
@@ -63,8 +60,8 @@ class SymbolicFrame:
             acc = acc + c3 * c2.derivative()
         return acc
 
-    def evaluate(self, xi):
-        """The nine entries at xi, a float or an ndarray of parameters."""
+    def evaluate(self, xi: float):
+        """The nine entries at the float xi."""
         return tuple(tuple(rf.evaluate_float(xi) for rf in axis)
                      for axis in (self.f1, self.f2, self.f3))
 
@@ -141,16 +138,14 @@ def sample_frames(a: QuatPoly, kind: FrameKind, xi_values: Iterable[float],
     An optional constant normal-plane rotation picks a different member
     of the one-parameter frame family; it must be finite.
 
-    Every polynomial is evaluated once over the array of all parameters
-    (memory linear in their number).  The erf and rmf axes are B e B*
-    over |B|^2 formed in floats from the four components of B (A for
-    erf, A (a - b i) for rmf); no rational entry is reduced.  The kept
-    samples are checked in one array pass to be orthonormal to 1e-12
+    Each parameter is evaluated on its own in Python floats, so memory
+    beyond the returned samples does not grow with their number.  The
+    erf and rmf axes are B e B* over |B|^2 formed in floats from the four
+    components of B (A for erf, A (a - b i) for rmf); no rational entry
+    is reduced.  Every kept sample is checked to be orthonormal to 1e-12
     (erf, rmf) or finite (frenet); the first failing parameter raises
     AssertionError.
     """
-    import numpy as np
-
     analysis = GeneratorAnalysis.of(a, "sampling the zero polynomial")
     if not math.isfinite(normal_rotation):
         raise ValueError(f"normal rotation must be finite, got {normal_rotation}")
@@ -165,96 +160,139 @@ def sample_frames(a: QuatPoly, kind: FrameKind, xi_values: Iterable[float],
             certificate = (RealPoly([1]), RealPoly())
         b = _rmf_generator(analysis, *certificate)
 
-    xis = list(xi_values)
-    xs = np.asarray(xis, dtype=float)
-    # overflow and 0/0 at skipped or non-finite samples stay silent here;
-    # the checks below skip or reject those rows
-    with np.errstate(all="ignore"):
-        sigma = h.sigma.evaluate_float(xs)
-        position = integrate(h).evaluate_float(xs)
-        if kind == "frenet":
-            axes, flat, values = _frenet_axes(h, xs)
+    # sigma and the position r with r(0) = 0
+    curve = _horner_rows((h.sigma, *(c.antiderivative() for c in h.components())))
+    if kind == "frenet":
+        axes_at, failure = _frenet_axes, _nonfinite_failure
+        rows = (_horner_rows((*h.components(), h.sigma.derivative())),
+                _horner_rows((*(c.derivative() for c in h.components()), h.sigma)))
+    else:
+        axes_at, failure = _image_axes, _orthonormality_failure
+        rows = _horner_rows(b.components())
+    scale = max(abs(c) for c in h.sigma.float_coeffs())
+    slow = 1e-12 * max(scale, 1.0)
+    cos, sin = math.cos(normal_rotation), math.sin(normal_rotation)
+    samples, warnings = [], []
+    for xi in xi_values:
+        x = float(xi)
+        sigma, px, py, pz = _horner4(curve, x)
+        axes, flat, values = axes_at(rows, x)
+        # a finite sum shows every value finite (a sum of finite values can overflow)
+        if (math.isfinite(x) and not math.isfinite(sigma + px + py + pz + sum(values))
+                and not all(map(math.isfinite, (sigma, px, py, pz, *values)))):
+            warnings.append(f"xi={xi!r}: evaluation overflows, skipped")
+        elif abs(sigma) < slow:
+            warnings.append(f"xi={xi!r}: parametric speed vanishes, skipped")
+        elif flat:
+            warnings.append(f"xi={xi!r}: curvature vanishes, skipped")
         else:
-            den, images = float_images(b, xs)
-            axes = tuple(tuple(e / den for e in row) for row in images)
-            flat = np.zeros(xs.shape, dtype=bool)
-            values = (den, *images[0], *images[1], *images[2])
-        # position and the three axes, one row per parameter
-        table = np.stack(np.broadcast_arrays(*position, *axes[0], *axes[1], *axes[2]),
-                         axis=1)
-        # a finite parameter at which a polynomial or product overflowed
-        # (xs gives the columns their shape where a value is a constant)
-        evaluated = np.stack(np.broadcast_arrays(xs, sigma, *position, *values), axis=1)
-        overflow = np.isfinite(xs) & ~np.isfinite(evaluated).all(axis=1)
-        scale = max(abs(c) for c in h.sigma.float_coeffs())
-        slow = ~overflow & (abs(sigma) < 1e-12 * max(scale, 1.0))
-        kept = ~(overflow | slow | flat)
-        if kind == "frenet":
-            # a NaN parameter passes the curvature test with NaN axes
-            checks = [("frame axis not unit", ~np.isfinite(table[:, 3:]).all(axis=1))]
-        else:
-            checks = list(_orthonormality_checks(axes))
-        failed = kept & np.logical_or.reduce([bad for _, bad in checks])
-        if normal_rotation:
-            c, s = math.cos(normal_rotation), math.sin(normal_rotation)
-            f2, f3 = table[:, 6:9], table[:, 9:12]
-            table[:, 6:] = np.hstack((c * f2 - s * f3, s * f2 + c * f3))
-    if failed.any():
-        k = int(np.flatnonzero(failed)[0])
-        raise AssertionError(next(f"{message} at xi={xis[k]}"
-                                  for message, bad in checks if bad[k]))
-
-    reasons = [(overflow, "evaluation overflows"), (slow, "parametric speed vanishes"),
-               (flat, "curvature vanishes")]
-    warnings = [f"xi={xis[k]!r}: {next(r for mask, r in reasons if mask[k])}, skipped"
-                for k in np.flatnonzero(~kept).tolist()]
-    samples = [FrameSample(xis[k], tuple(row[0:3]), tuple(row[3:6]),
-                           tuple(row[6:9]), tuple(row[9:12]))
-               for k, row in zip(np.flatnonzero(kept).tolist(), table[kept].tolist())]
+            message = failure(axes)
+            if message:
+                raise AssertionError(f"{message} at xi={xi}")
+            f1, f2, f3 = axes
+            if normal_rotation:
+                f2, f3 = (tuple(cos * u - sin * w for u, w in zip(f2, f3)),
+                          tuple(sin * u + cos * w for u, w in zip(f2, f3)))
+            samples.append(FrameSample(xi, (px, py, pz), f1, f2, f3))
     return samples, warnings
 
 
-def _orthonormality_checks(axes):
-    """(message, failed) for each Gram entry of the axes, arrays over the
-    parameters, in the order a sample is checked."""
-    # written as "not <=" so that a NaN entry fails the check
-    for i in range(3):
-        yield "frame axis not unit", ~(abs(_fdot(axes[i], axes[i]) - 1.0) <= _ORTHO_TOL)
-        for j in range(i + 1, 3):
-            yield "frame axes not orthogonal", ~(abs(_fdot(axes[i], axes[j])) <= _ORTHO_TOL)
+def _horner_rows(polys) -> list[tuple[float, ...]]:
+    """The float coefficients of the polynomials as rows from the top
+    power down, one entry per polynomial, zero above a degree."""
+    coeffs = [p.float_coeffs() for p in polys]
+    n = max(map(len, coeffs))
+    return list(zip(*(c + [0.0] * (n - len(c)) for c in coeffs)))[::-1]
+
+
+def _horner4(rows, x: float) -> tuple[float, float, float, float]:
+    """The four polynomials of ``rows`` at x, as RealPoly.evaluate_float
+    forms each: a zero row above a degree leaves 0.0 for a finite x."""
+    a = b = c = d = 0.0
+    for ca, cb, cc, cd in rows:
+        a = a * x + ca
+        b = b * x + cb
+        c = c * x + cc
+        d = d * x + cd
+    return a, b, c, d
+
+
+def _image_axes(rows, x: float):
+    """The erf/rmf axes at x: B e B* over |B|^2 from the components of B,
+    whose Horner rows are ``rows``.  Also returns that no curvature test
+    applies, and the values the axes are formed from."""
+    values = float_images(*_horner4(rows, x))
+    den, a, b, c, d, e, f, g, h, i = values
+    if not den:
+        return tuple(_over(values[k:k + 3], den) for k in (1, 4, 7)), False, values
+    return ((a / den, b / den, c / den), (d / den, e / den, f / den),
+            (g / den, h / den, i / den)), False, values
+
+
+def _frenet_axes(rows, x: float):
+    """Numeric Frenet frame: f1 = r'/sigma, f2 along sigma r'' - sigma' r'.
+
+    ``rows`` holds the Horner rows of (x', y', z', sigma') and of
+    (x'', y'', z'', sigma).  Also returns whether the curvature vanishes
+    at x (the axes are then meaningless) and the values the axes are
+    formed from, for the overflow check.
+    """
+    (*rp, sp), (*rpp, s) = _horner4(rows[0], x), _horner4(rows[1], x)
+    d = [s * cpp - sp * cp for cpp, cp in zip(rpp, rp)]
+    norm = math.sqrt(_fdot(d, d))
+    scale = math.sqrt(_fdot(rp, rp)) * (abs(s) + abs(sp) + 1.0)
+    flat = norm <= 1e-12 * max(scale, 1.0)
+    f1, f2 = _over(rp, s), _over(d, norm)
+    return (f1, f2, _fcross(f1, f2)), flat, (*rp, *rpp, s, sp, norm, scale)
+
+
+def _over(v, den: float) -> tuple[float, float, float]:
+    """The triple v divided by den, where a zero den gives inf or nan
+    as IEEE division does, not ZeroDivisionError."""
+    if den:
+        return (v[0] / den, v[1] / den, v[2] / den)
+    sign = math.copysign(1.0, den)
+    return tuple(math.nan if c != c or not c else math.copysign(math.inf, c) * sign
+                 for c in v)
+
+
+# the Gram entries of the axes in the order a sample is checked
+_GRAM = (("frame axis not unit", 0, 0), ("frame axes not orthogonal", 0, 1),
+         ("frame axes not orthogonal", 0, 2), ("frame axis not unit", 1, 1),
+         ("frame axes not orthogonal", 1, 2), ("frame axis not unit", 2, 2))
+
+
+def _orthonormality_failure(axes) -> Optional[str]:
+    """The check of the first Gram entry that is off the identity by
+    more than 1e-12, or None."""
+    (a, b, c), (d, e, f), (g, h, i) = axes
+    tol = _ORTHO_TOL
+    # the six entries of _GRAM written out, for the samples that pass;
+    # written as "<=" so that a NaN entry fails
+    if (abs(a * a + b * b + c * c - 1.0) <= tol and abs(a * d + b * e + c * f) <= tol
+            and abs(a * g + b * h + c * i) <= tol and abs(d * d + e * e + f * f - 1.0) <= tol
+            and abs(d * g + e * h + f * i) <= tol and abs(g * g + h * h + i * i - 1.0) <= tol):
+        return None
+    return next(message for message, j, k in _GRAM
+                if not abs(_fdot(axes[j], axes[k]) - (j == k)) <= tol)
+
+
+def _nonfinite_failure(axes) -> Optional[str]:
+    """The Frenet check, that the axes are finite: a NaN parameter
+    passes the curvature test with NaN axes."""
+    if all(map(math.isfinite, (*axes[0], *axes[1], *axes[2]))):
+        return None
+    return "frame axis not unit"
 
 
 def _fdot(a, b) -> float:
-    return sum(x * y for x, y in zip(a, b))
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
 def _fcross(a, b) -> tuple[float, float, float]:
     return (a[1] * b[2] - a[2] * b[1],
             a[2] * b[0] - a[0] * b[2],
             a[0] * b[1] - a[1] * b[0])
-
-
-def _frenet_axes(h: Hodograph, xs):
-    """Numeric Frenet frame: f1 = r'/sigma, f2 along sigma r'' - sigma' r'.
-
-    Evaluated at every parameter of the ndarray xs at once; also returns
-    where the curvature vanishes (those axes are meaningless) and the
-    values the axes are formed from, for the overflow check.
-    """
-    import numpy as np
-
-    rp = [c.evaluate_float(xs) for c in h.components()]
-    rpp = [c.derivative().evaluate_float(xs) for c in h.components()]
-    s = h.sigma.evaluate_float(xs)
-    sp = h.sigma.derivative().evaluate_float(xs)
-    f1 = tuple(c / s for c in rp)
-    d = tuple(s * cpp - sp * cp for cpp, cp in zip(rpp, rp))
-    norm = np.sqrt(_fdot(d, d))
-    scale = np.sqrt(_fdot(rp, rp)) * (abs(s) + abs(sp) + 1.0)
-    flat = norm <= 1e-12 * np.maximum(scale, 1.0)
-    f2 = tuple(c / norm for c in d)
-    f3 = _fcross(f1, f2)
-    return (f1, f2, f3), flat, (*rp, *rpp, s, sp, norm, scale)
 
 
 CSV_HEADER = "xi,px,py,pz,f1x,f1y,f1z,f2x,f2y,f2z,f3x,f3y,f3z"

@@ -16,11 +16,11 @@ planar) and sigma not dividing rho.  An image proves only those
 answers, and the exact kernel (the gcds without a second screen, the
 form passes, vector_rank) runs whenever it cannot.  basis_images
 forms all ten component products of B for the three images B e B*,
-exactly for the symbolic frames and in floats (float_images) for
-sampling.  The core of A is A stripped of chi = gcd(alpha, conj(beta)),
-its maximal monic complex right divisor; A generates a primitive
-hodograph exactly when chi = 1.  A verdict reads chi alone, and only
-core_of divides A by it.
+exactly for the symbolic frames; float_images forms them in floats
+from B's values at one parameter, for sampling.  The core of A is A
+stripped of chi = gcd(alpha, conj(beta)), its maximal monic complex
+right divisor; A generates a primitive hodograph exactly when chi = 1.
+A verdict reads chi alone, and only core_of divides A by it.
 """
 from __future__ import annotations
 
@@ -121,24 +121,22 @@ def basis_images(b: QuatPoly) -> Images:
     return sigma, [tuple(entries[k:k + 3]) for k in range(0, 9, 3)]
 
 
-def float_images(b: QuatPoly, xs):
-    """basis_images(B) evaluated in floats at xs, a float or an ndarray.
+def float_images(u: float, v: float, p: float, q: float) -> tuple[float, ...]:
+    """basis_images(B) at one parameter, in floats, from the values of
+    B = u + v i + p j + q k there: |B|^2, then the entries of B i B*,
+    B j B*, B k B* in turn.
 
-    B's four components are evaluated once and each of the ten
-    products is formed once, by the same table as basis_images.
+    The ten sums of _IMAGE_FORMS written out: each product is formed
+    once, scaled by its integer, and each sum starts from 0.0, so that
+    -0.0 terms sum to 0.0.
     """
-    comps = [c.evaluate_float(xs) for c in QuatPoly.of(b).components()]
-    products: dict = {}
-    values = []
-    for form in _IMAGE_FORMS:
-        acc = 0.0
-        for c, i, j in form:
-            if (i, j) not in products:
-                products[i, j] = comps[i] * comps[j]
-            acc = acc + c * products[i, j]
-        values.append(acc)
-    sigma, *entries = values
-    return sigma, [tuple(entries[k:k + 3]) for k in range(0, 9, 3)]
+    uu, vv, pp, qq = u * u, v * v, p * p, q * q
+    uv, up, uq = 2 * (u * v), 2 * (u * p), 2 * (u * q)
+    vp, vq, pq = 2 * (v * p), 2 * (v * q), 2 * (p * q)
+    return (0.0 + uu + vv + pp + qq,
+            0.0 + uu + vv - pp - qq, 0.0 + uq + vp, 0.0 + vq - up,
+            0.0 + vp - uq, 0.0 + uu - vv + pp - qq, 0.0 + pq + uv,
+            0.0 + vq + up, 0.0 + pq - uv, 0.0 + uu - vv - pp + qq)
 
 
 def hodograph_of(a: QuatPoly) -> Hodograph:

@@ -487,7 +487,11 @@ class _DensePoly:
         return self.of(other) * self
 
     def scale(self, s):
-        """Every coefficient multiplied on the right by the constant s."""
+        """Every coefficient multiplied on the right by the constant s;
+        an int scales the integer rows."""
+        if isinstance(s, int):
+            return self._from_rows(self.d, [[v * s for v in row] for row in self.rows],
+                                   self.den)
         return self * type(self)([s])
 
     def derivative(self):

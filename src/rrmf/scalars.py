@@ -156,9 +156,10 @@ class Scalar:
 
     # -- arithmetic ----------------------------------------------------
     # Rational operands (d == 0, hence b == 0) take one Fraction
-    # operation; surd operands take the Q(sqrt(d)) formula.  With a
-    # ComplexScalar or Quaternion operand the wider ring's reflected
-    # operation runs, on this value lifted into that ring.
+    # operation; surd operands take the Q(sqrt(d)) formula, of which a
+    # product with one rational operand forms only the two nonzero
+    # terms.  With a ComplexScalar or Quaternion operand the wider
+    # ring's reflected operation runs, on this value lifted into that ring.
 
     def __add__(self, other) -> "Scalar":
         if isinstance(other, _Hypercomplex):
@@ -190,8 +191,12 @@ class Scalar:
         if isinstance(other, _Hypercomplex):
             return NotImplemented
         other = Scalar.of(other)
-        if self.d == 0 and other.d == 0:
-            return _unchecked(self.a * other.a, _F0, 0)
+        if self.d == 0:
+            if other.d == 0:
+                return _unchecked(self.a * other.a, _F0, 0)
+            return _unchecked(self.a * other.a, self.a * other.b, other.d)
+        if other.d == 0:
+            return _unchecked(self.a * other.a, self.b * other.a, self.d)
         d = _merge_bases(self.d, other.d)
         a = self.a * other.a + self.b * other.b * d
         b = self.a * other.b + self.b * other.a

@@ -958,43 +958,32 @@ def test_frames_csv_bytes_match_golden(tmp_path, capsys, fixture, kind, span, ro
     assert digest == FRAME_CSV_SHA256[fixture, kind, span, rotation]
 
 
-# -- numpy on first use ----------------------------------------------------
-
-_SAMPLE_IN_FRESH_INTERPRETER = """
-import sys
-from rrmf.catalog import quintic_left_cancellation
-from rrmf.frames import sample_frames, write_frames_csv
-assert "numpy" not in sys.modules
-curve = quintic_left_cancellation()
-samples, _ = sample_frames(curve.generator, "rmf", [k / 49 for k in range(50)],
-                           certificate=curve.certificate)
-assert "numpy" in sys.modules
-write_frames_csv(samples, sys.argv[1])
-"""
+# -- no numpy at run time --------------------------------------------------
 
 
-def test_only_frame_sampling_imports_numpy(tmp_path):
+def test_no_verb_imports_numpy(tmp_path, capsys):
     env = {**os.environ,
            "PYTHONPATH": str(Path(rrmf.__file__).resolve().parents[1])}
     left = str(Path(NO_CANCELLATION).with_name("quintic-left-cancellation.json"))
-    for argv in (["-c", "import rrmf"], ["-c", "import rrmf.cli"],
-                 ["-m", "rrmf.cli", "classify", left]):
+    kinds = ("erf", "rmf", "frenet")
+    runs = [["-c", "import rrmf"], ["-c", "import rrmf.cli"],
+            ["-m", "rrmf.cli", "classify", left]]
+    runs += [["-m", "rrmf.cli", "frames", left, "--frame", kind, "--samples", "50",
+              "--out", str(tmp_path / f"fresh-{kind}.csv")] for kind in kinds]
+    for argv in runs:
         # -X importtime lists every module the process imports on stderr
         proc = subprocess.run([sys.executable, "-X", "importtime", *argv],
                               capture_output=True, text=True, env=env, timeout=60)
         assert proc.returncode == 0, argv
         imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
         assert "rrmf.classify" in imported and "numpy" not in imported, argv
-    # the first sample imports numpy, and the CSV is the one this process writes
-    fresh, here = tmp_path / "fresh.csv", tmp_path / "here.csv"
-    proc = subprocess.run([sys.executable, "-c", _SAMPLE_IN_FRESH_INTERPRETER, str(fresh)],
-                          capture_output=True, text=True, env=env, timeout=60)
-    assert (proc.returncode, proc.stderr) == (0, "")
-    curve = quintic_left_cancellation()
-    samples, _ = sample_frames(curve.generator, "rmf", [k / 49 for k in range(50)],
-                               certificate=curve.certificate)
-    write_frames_csv(samples, here)
-    assert fresh.read_bytes() == here.read_bytes()
+    # each fresh process writes the CSV this process writes
+    for kind in kinds:
+        here = tmp_path / f"here-{kind}.csv"
+        code, _, err = run(capsys, "frames", left, "--frame", kind, "--samples", "50",
+                           "--out", str(here))
+        assert (code, err) == (0, "")
+        assert (tmp_path / f"fresh-{kind}.csv").read_bytes() == here.read_bytes(), kind
 
 
 # -- long coefficients and fuzzed verbs ------------------------------------

@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 
 from rrmf import frames
@@ -139,18 +138,33 @@ def test_sample_frames_rejects_nan_parameter():
 
 def test_sample_frames_names_the_first_failing_parameter(monkeypatch):
     # f2 replaced by f1 at xi = 0.5: unit axes that are not orthogonal
-    exact_images = frames.float_images
+    image_axes = frames._image_axes
 
-    def skewed(b, xs):
-        den, (f1, f2, f3) = exact_images(b, xs)
-        return den, [f1, tuple(np.where(xs == 0.5, x, y) for x, y in zip(f1, f2)), f3]
+    def skewed(rows, x):
+        (f1, f2, f3), flat, values = image_axes(rows, x)
+        return (f1, f1 if x == 0.5 else f2, f3), flat, values
 
-    monkeypatch.setattr(frames, "float_images", skewed)
+    monkeypatch.setattr(frames, "_image_axes", skewed)
     for xis in ([0.25, 0.5, float("nan")], [0.5, 0.75]):
         with pytest.raises(AssertionError, match=r"^frame axes not orthogonal at xi=0\.5$"):
             sample_frames(EX2.generator, "erf", xis)
     with pytest.raises(AssertionError, match=r"^frame axis not unit at xi=nan$"):
         sample_frames(EX2.generator, "erf", [float("nan"), 0.5])
+
+
+def test_orthonormality_check_names_the_first_failing_gram_entry():
+    # entries in the order (f1, f1), (f1, f2), (f1, f3), (f2, f2), (f2, f3), (f3, f3)
+    e1, e2, e3 = (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)
+    cases = [((e1, e2, e3), None),
+             (((1.0, 1e-9, 0.0), e2, e3), "frame axes not orthogonal"),
+             (((1 + 1e-9, 1e-9, 0.0), e2, e3), "frame axis not unit"),
+             ((e1, e2, (1e-9, 0.0, 1.0)), "frame axes not orthogonal"),
+             ((e1, (0.0, 1 + 1e-9, 0.0), e3), "frame axis not unit"),
+             ((e1, e2, (0.0, 0.0, math.nan)), "frame axes not orthogonal"),
+             (((math.nan, 0.0, 0.0), e2, e3), "frame axis not unit"),
+             ((e1, e2, (0.0, 0.0, -1.0)), None)]
+    for axes, check in cases:
+        assert frames._orthonormality_failure(axes) == check, axes
 
 
 def test_sample_frames_positions():
@@ -348,7 +362,7 @@ def test_sampling_matches_exact_frame_and_scalar_evaluation():
                     assert got_warnings == want_warnings, case
                     assert len(got_samples) == len(want_samples), case
                     for g, w in zip(got_samples, want_samples):
-                        # repr tells -0.0 from 0.0 and a numpy scalar from a float
+                        # repr tells -0.0 from 0.0
                         assert repr((g.xi, g.position)) == repr((w.xi, w.position)), case
                         got_axes, want_axes = g.f1 + g.f2 + g.f3, w.f1 + w.f2 + w.f3
                         if kind == "frenet":

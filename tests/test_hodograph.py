@@ -1,9 +1,13 @@
+import math
+import random
+
 import pytest
 
 from rrmf.catalog import (nontrivial_cubic, quintic_left_cancellation,
                           quintic_no_cancellation, quintic_right_cancellation)
-from rrmf.hodograph import (Hodograph, core_of, has_coprime_components,
-                            hodograph_of, integrate, is_primitive)
+from rrmf.hodograph import (_IMAGE_FORMS, Hodograph, core_of, float_images,
+                            has_coprime_components, hodograph_of, integrate,
+                            is_primitive)
 from rrmf.polynomials import ComplexPoly, QuatPoly, RealPoly, gcd_real
 from rrmf.quaternions import I, Quaternion
 from rrmf.scalars import Scalar
@@ -152,3 +156,21 @@ def test_primitive_iff_hodograph_components_coprime(rng):
         assert primitive == (gcd_real(*hodograph_of(a).components()).degree() == 0)
         verdicts.add(primitive)
     assert verdicts == {True, False}
+
+
+def test_float_images_walk_the_image_forms():
+    # each sum starts from 0.0 and adds c (b_i b_j) in table order, so the
+    # written-out forms round, overflow and sign zeros as the table does
+    rng = random.Random(10)
+    specials = (0.0, -0.0, 1.0, -1.0, 1e-170, -1e200, math.inf, -math.inf, math.nan)
+    for _ in range(2000):
+        b = [rng.choice(specials) if rng.random() < 0.3 else rng.uniform(-10, 10)
+             for _ in range(4)]
+        want = []
+        for form in _IMAGE_FORMS:
+            acc = 0.0
+            for c, i, j in form:
+                acc = acc + c * (b[i] * b[j])
+            want.append(acc)
+        # repr tells -0.0 from 0.0 and matches nan
+        assert repr(float_images(*b)) == repr(tuple(want)), b

@@ -513,3 +513,17 @@ def rand_rpoly_surd(rng, degree):
     from conftest import rand_scalar
 
     return RealPoly([rand_scalar(rng, base=5) for _ in range(degree + 1)])
+
+
+@pytest.mark.parametrize("base", [0, 15])
+def test_integer_scale_stores_the_product_form(rng, base):
+    # scale(int) scales the rows; the product by the constant polynomial
+    # must store the same (d, rows, den)
+    for _ in range(20):
+        degree = rng.randint(0, 6)
+        a = rand_qpoly(rng, degree, base)
+        polys = (a.components()[1], a.complex_split()[0], a)
+        for p in polys + tuple(type(q)() for q in polys):
+            for s in (0, 1, -1, 4, -6, 2 ** 70, rng.randint(-50, 50)):
+                got, want = p.scale(s), p * type(p)([s])
+                assert (got.d, got.rows, got.den) == (want.d, want.rows, want.den), (p, s)

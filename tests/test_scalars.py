@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from rrmf.scalars import (MAX_BASE, ComplexScalar, Scalar, SurdBaseMismatch,
                           format_scalar, is_valid_base, parse_scalar)
 
-from conftest import rand_scalar
+from conftest import rand_fraction, rand_scalar
 
 
 def test_base_validation():
@@ -219,3 +219,16 @@ def test_kernel_mixed_with_plain_rationals(x, q):
     _assert_kernel_result(x - q, _ref_add(tx, _ref_neg(tq)))
     _assert_kernel_result(x * q, _ref_mul(tx, tq))
 
+
+
+def test_mul_of_a_rational_and_a_surd_matches_the_general_formula():
+    # one operand rational (b = 0, d = 0), the other over Q(sqrt 15), in
+    # both orders, including a zero rational whose product is rational
+    rng = random.Random(15)
+    for k in range(300):
+        r = Scalar(0) if k % 50 == 0 else rand_scalar(rng)
+        s = Scalar(rand_fraction(rng), rand_fraction(rng) or 1, 15)
+        for x, y in ((r, s), (s, r), (s, r.a), (r.a, s)):
+            _assert_kernel_result(x * y, _ref_mul(_triple(Scalar.of(x)), _triple(Scalar.of(y))))
+    with pytest.raises(SurdBaseMismatch):
+        Scalar(1, 1, 15) * Scalar(2, 1, 6)
