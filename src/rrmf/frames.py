@@ -138,8 +138,10 @@ def sample_frames(a: QuatPoly, kind: FrameKind, xi_values: Iterable[float],
     An optional constant normal-plane rotation picks a different member
     of the one-parameter frame family; it must be finite.
 
-    Each parameter is evaluated on its own in Python floats, so memory
-    beyond the returned samples does not grow with their number.  The
+    The parameters are converted to floats up front, so a parameter that
+    is not a real number raises before any sample is checked.  Each is
+    then evaluated on its own in Python floats, so memory beyond the
+    parameters and the returned samples does not grow with their number.  The
     erf and rmf axes are B e B* over |B|^2 formed in floats from the four
     components of B (A for erf, A (a - b i) for rmf); no rational entry
     is reduced.  Every kept sample is checked to be orthonormal to 1e-12
@@ -173,8 +175,8 @@ def sample_frames(a: QuatPoly, kind: FrameKind, xi_values: Iterable[float],
     slow = 1e-12 * max(scale, 1.0)
     cos, sin = math.cos(normal_rotation), math.sin(normal_rotation)
     samples, warnings = [], []
-    for xi in xi_values:
-        x = float(xi)
+    xis = list(xi_values)
+    for xi, x in zip(xis, [float(xi) for xi in xis]):
         sigma, px, py, pz = _horner4(curve, x)
         axes, flat, values = axes_at(rows, x)
         # a finite sum shows every value finite (a sum of finite values can overflow)
@@ -223,10 +225,7 @@ def _image_axes(rows, x: float):
     applies, and the values the axes are formed from."""
     values = float_images(*_horner4(rows, x))
     den, a, b, c, d, e, f, g, h, i = values
-    if not den:
-        return tuple(_over(values[k:k + 3], den) for k in (1, 4, 7)), False, values
-    return ((a / den, b / den, c / den), (d / den, e / den, f / den),
-            (g / den, h / den, i / den)), False, values
+    return (_over(a, b, c, den), _over(d, e, f, den), _over(g, h, i, den)), False, values
 
 
 def _frenet_axes(rows, x: float):
@@ -242,39 +241,40 @@ def _frenet_axes(rows, x: float):
     norm = math.sqrt(_fdot(d, d))
     scale = math.sqrt(_fdot(rp, rp)) * (abs(s) + abs(sp) + 1.0)
     flat = norm <= 1e-12 * max(scale, 1.0)
-    f1, f2 = _over(rp, s), _over(d, norm)
+    f1, f2 = _over(*rp, s), _over(*d, norm)
     return (f1, f2, _fcross(f1, f2)), flat, (*rp, *rpp, s, sp, norm, scale)
 
 
-def _over(v, den: float) -> tuple[float, float, float]:
-    """The triple v divided by den, where a zero den gives inf or nan
-    as IEEE division does, not ZeroDivisionError."""
+def _over(x: float, y: float, z: float, den: float) -> tuple[float, float, float]:
+    """The triple (x, y, z) divided by den, where a zero den gives inf
+    or nan as IEEE division does, not ZeroDivisionError."""
     if den:
-        return (v[0] / den, v[1] / den, v[2] / den)
+        return (x / den, y / den, z / den)
     sign = math.copysign(1.0, den)
     return tuple(math.nan if c != c or not c else math.copysign(math.inf, c) * sign
-                 for c in v)
-
-
-# the Gram entries of the axes in the order a sample is checked
-_GRAM = (("frame axis not unit", 0, 0), ("frame axes not orthogonal", 0, 1),
-         ("frame axes not orthogonal", 0, 2), ("frame axis not unit", 1, 1),
-         ("frame axes not orthogonal", 1, 2), ("frame axis not unit", 2, 2))
+                 for c in (x, y, z))
 
 
 def _orthonormality_failure(axes) -> Optional[str]:
     """The check of the first Gram entry that is off the identity by
-    more than 1e-12, or None."""
+    more than 1e-12, or None.  The entries are checked in the order
+    (f1, f1), (f1, f2), (f1, f3), (f2, f2), (f2, f3), (f3, f3), each
+    as "<=" so that a NaN entry fails."""
     (a, b, c), (d, e, f), (g, h, i) = axes
     tol = _ORTHO_TOL
-    # the six entries of _GRAM written out, for the samples that pass;
-    # written as "<=" so that a NaN entry fails
-    if (abs(a * a + b * b + c * c - 1.0) <= tol and abs(a * d + b * e + c * f) <= tol
-            and abs(a * g + b * h + c * i) <= tol and abs(d * d + e * e + f * f - 1.0) <= tol
-            and abs(d * g + e * h + f * i) <= tol and abs(g * g + h * h + i * i - 1.0) <= tol):
-        return None
-    return next(message for message, j, k in _GRAM
-                if not abs(_fdot(axes[j], axes[k]) - (j == k)) <= tol)
+    if not abs(a * a + b * b + c * c - 1.0) <= tol:
+        return "frame axis not unit"
+    if not abs(a * d + b * e + c * f) <= tol:
+        return "frame axes not orthogonal"
+    if not abs(a * g + b * h + c * i) <= tol:
+        return "frame axes not orthogonal"
+    if not abs(d * d + e * e + f * f - 1.0) <= tol:
+        return "frame axis not unit"
+    if not abs(d * g + e * h + f * i) <= tol:
+        return "frame axes not orthogonal"
+    if not abs(g * g + h * h + i * i - 1.0) <= tol:
+        return "frame axis not unit"
+    return None
 
 
 def _nonfinite_failure(axes) -> Optional[str]:

@@ -152,6 +152,20 @@ def test_sample_frames_names_the_first_failing_parameter(monkeypatch):
         sample_frames(EX2.generator, "erf", [float("nan"), 0.5])
 
 
+def test_sample_frames_converts_every_parameter_before_checking(monkeypatch):
+    # a parameter that is not a real number raises TypeError even after
+    # a sample that would fail the orthonormality check
+    image_axes = frames._image_axes
+
+    def skewed(rows, x):
+        (f1, f2, f3), flat, values = image_axes(rows, x)
+        return (f1, f1, f3), flat, values
+
+    monkeypatch.setattr(frames, "_image_axes", skewed)
+    with pytest.raises(TypeError):
+        sample_frames(EX2.generator, "erf", [0.5, 1j])
+
+
 def test_orthonormality_check_names_the_first_failing_gram_entry():
     # entries in the order (f1, f1), (f1, f2), (f1, f3), (f2, f2), (f2, f3), (f3, f3)
     e1, e2, e3 = (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)
