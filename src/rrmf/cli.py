@@ -26,7 +26,7 @@ from .construct import (ConstructionError, CubicSpec, QuarticSpec, make_cubic,
 from .documents import (MAX_DEGREE, DocumentError, PolyDocument,
                         certificate_to_dict, document_for, document_to_dict,
                         load_json, parse_base, parse_document, read_scalar)
-from .frames import CSV_HEADER, sample_frames, write_frame_rows
+from .frames import frame_sampler, write_frames_csv
 from .indicatrix import verify_han
 from .polynomials import ComplexPoly, InexactDivision, QuatPoly
 from .quaternions import Quaternion
@@ -39,11 +39,9 @@ EXIT_PRECONDITION = 3
 EXIT_REGRESSION = 4
 EXIT_INTERNAL = 5
 
-# upper bound on `rrmf frames --samples`
+# upper bound on `rrmf frames --samples`, which bounds its run time; its
+# memory does not grow with --samples, as each row is written when sampled
 MAX_SAMPLES = 10 ** 6
-# `rrmf frames` samples and writes this many parameters at a time, so its
-# memory does not grow with --samples
-FRAME_CHUNK = 10 ** 4
 
 
 def _read_input(path: str) -> str:
@@ -238,35 +236,22 @@ def cmd_frames(args) -> int:
         raise DocumentError(
             f"--normal-rotation must be finite, got {args.normal_rotation}")
     n = args.samples
-    if n == 1:
-        chunks = iter([[lo]])
-    else:
-        step = (hi - lo) / (n - 1)
-        # the parameters run from lo to lo + (n - 1) step
-        if not (math.isfinite(step) and math.isfinite(lo + (n - 1) * step)):
-            raise DocumentError(
-                f"range {args.range!r} gives a non-finite step or parameter "
-                f"over {n} samples")
-        chunks = ([lo + k * step for k in range(start, min(start + FRAME_CHUNK, n))]
-                  for start in range(0, n, FRAME_CHUNK))
-
-    def sample(xis):
-        return sample_frames(poly, args.frame, xis, certificate=doc.certificate,
-                             normal_rotation=args.normal_rotation)
-
+    # with --samples 1 the one parameter is lo itself: lo + 0 * -0.0 is lo, -0.0 too
+    step = (hi - lo) / (n - 1) if n > 1 else -0.0
+    # the parameters run from lo to lo + (n - 1) step
+    if not (math.isfinite(step) and math.isfinite(lo + (n - 1) * step)):
+        raise DocumentError(
+            f"range {args.range!r} gives a non-finite step or parameter "
+            f"over {n} samples")
     # a rejected generator or certificate fails here, before --out is opened
-    samples, warnings = sample(next(chunks))
-    fh = open(args.out, "w", encoding="utf-8", newline="\n")
+    samples = frame_sampler(poly, args.frame, doc.certificate, args.normal_rotation)
+    xis = (lo + k * step for k in range(n))
+    warnings: list[str] = []
+    # opened outside the clean-up below, so an --out that cannot be opened stays
+    fd = os.open(args.out, os.O_WRONLY | os.O_CREAT | os.O_TRUNC
+                 | getattr(os, "O_BINARY", 0), 0o666)
     try:
-        with fh:
-            fh.write(CSV_HEADER + "\n")
-            write_frame_rows(samples, fh)
-            written = len(samples)
-            for xis in chunks:
-                samples, skipped = sample(xis)
-                write_frame_rows(samples, fh)
-                written += len(samples)
-                warnings += skipped
+        write_frames_csv(samples(((x, x) for x in xis), warnings), fd)
     except BaseException:
         # no partial CSV is left behind; a device or a link such as
         # /dev/stdout is never removed
@@ -275,7 +260,7 @@ def cmd_frames(args) -> int:
         raise
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
-    print(f"wrote {written} samples to {args.out}")
+    print(f"wrote {n - len(warnings)} samples to {args.out}")
     return EXIT_OK
 
 

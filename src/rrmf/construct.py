@@ -212,7 +212,10 @@ def make_f_element(b0: QuatPoly, delta: ComplexPoly) -> FElement:
 
     Writing B0 = core * mu, the certificate is conj(mu/g) * (delta/g)
     for g = gcd(mu, delta); the reduction of the output by it lands
-    back in the vanishing-indicatrix class.
+    back in the vanishing-indicatrix class.  Its parts are coprime
+    without a check: it has no roots z and conj(z) both, as delta has
+    coprime parts, mu would otherwise put a real factor in B0, and
+    conj(mu/g) and delta/g share no such pair by the choice of g.
     """
     b0 = QuatPoly.of(b0)
     delta = ComplexPoly.of(delta)
@@ -227,7 +230,4 @@ def make_f_element(b0: QuatPoly, delta: ComplexPoly) -> FElement:
     g = gcd_complex(mu, delta)
     nu = exact_divide(mu, g).conjugate() * exact_divide(delta, g)
     poly = _coprime(dec.core * delta.as_quat(), "product has non-coprime components")
-    nre, nim = nu.real_parts()
-    if gcd_real(nre, nim).degree() != 0:
-        raise ConstructionError("degenerate certificate")
     return FElement(poly, nu)

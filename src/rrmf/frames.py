@@ -7,7 +7,8 @@ B's components by hodograph.basis_images; with a verified certificate
 to B = A (a - b i).  SymbolicFrame holds the nine entries as reduced
 rational functions; the orthonormality identities hold exactly (the
 tests check them on the unreduced images and on the reduced entries).
-Sampling does not reduce them: at each parameter on its own it
+Sampling does not reduce them.  frame_sampler sets up B once, and the
+generator function it returns takes each parameter on its own: it
 evaluates B's four components in Python floats, forms the same ten
 products (hodograph.float_images), checks the sample to be orthonormal
 to 1e-12, and also offers a numeric Frenet frame for comparison plots.
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Literal, Optional
+from typing import Callable, Iterable, Iterator, Literal, Optional
 
 from .hodograph import GeneratorAnalysis, basis_images, float_images
 from .indicatrix import require_certificate, verify_han
@@ -124,29 +125,28 @@ FrameKind = Literal["erf", "rmf", "frenet"]
 _ORTHO_TOL = 1e-12
 
 
-def sample_frames(a: QuatPoly, kind: FrameKind, xi_values: Iterable[float],
+def frame_sampler(a: QuatPoly, kind: FrameKind,
                   certificate: Optional[tuple[RealPoly, RealPoly]] = None,
                   normal_rotation: float = 0.0
-                  ) -> tuple[list[FrameSample], list[str]]:
-    """Evaluate the requested frame at the given parameters.
+                  ) -> Callable[..., Iterator[FrameSample]]:
+    """The sampler of the requested frame, checked and set up once.
 
-    Samples at parametric-speed roots (and, for the Frenet frame,
-    vanishing-curvature points), and samples at which an evaluation
-    overflows, are skipped and reported as warnings.
+    The returned generator function ``samples(pairs, warnings)`` runs
+    over (xi, float(xi)) pairs.  It yields the sample of each kept
+    parameter and appends to ``warnings`` a line for each one skipped:
+    at a parametric-speed root (for the Frenet frame also where the
+    curvature vanishes) or where an evaluation overflows.
     The rotation-minimizing frame needs a certificate unless the
     generator already has a vanishing indicatrix, where (1, 0) is used.
     An optional constant normal-plane rotation picks a different member
     of the one-parameter frame family; it must be finite.
 
-    The parameters are converted to floats up front, so a parameter that
-    is not a real number raises before any sample is checked.  Each is
-    then evaluated on its own in Python floats, so memory beyond the
-    parameters and the returned samples does not grow with their number.  The
-    erf and rmf axes are B e B* over |B|^2 formed in floats from the four
-    components of B (A for erf, A (a - b i) for rmf); no rational entry
-    is reduced.  Every kept sample is checked to be orthonormal to 1e-12
-    (erf, rmf) or finite (frenet); the first failing parameter raises
-    AssertionError.
+    Each parameter is evaluated on its own in Python floats, so memory
+    does not grow with their number.  The erf and rmf axes are B e B*
+    over |B|^2 formed in floats from the four components of B (A for
+    erf, A (a - b i) for rmf); no rational entry is reduced.  Every kept
+    sample is checked to be orthonormal to 1e-12 (erf, rmf) or finite
+    (frenet); the first failing parameter raises AssertionError.
     """
     analysis = GeneratorAnalysis.of(a, "sampling the zero polynomial")
     if not math.isfinite(normal_rotation):
@@ -174,29 +174,43 @@ def sample_frames(a: QuatPoly, kind: FrameKind, xi_values: Iterable[float],
     scale = max(abs(c) for c in h.sigma.float_coeffs())
     slow = 1e-12 * max(scale, 1.0)
     cos, sin = math.cos(normal_rotation), math.sin(normal_rotation)
-    samples, warnings = [], []
+
+    def samples(pairs, warnings):
+        for xi, x in pairs:
+            sigma, px, py, pz = _horner4(curve, x)
+            axes, flat, values = axes_at(rows, x)
+            # a finite sum shows every value finite (a sum of finite values can overflow)
+            if (math.isfinite(x) and not math.isfinite(sigma + px + py + pz + sum(values))
+                    and not all(map(math.isfinite, (sigma, px, py, pz, *values)))):
+                warnings.append(f"xi={xi!r}: evaluation overflows, skipped")
+            elif abs(sigma) < slow:
+                warnings.append(f"xi={xi!r}: parametric speed vanishes, skipped")
+            elif flat:
+                warnings.append(f"xi={xi!r}: curvature vanishes, skipped")
+            else:
+                message = failure(axes)
+                if message:
+                    raise AssertionError(f"{message} at xi={xi}")
+                f1, f2, f3 = axes
+                if normal_rotation:
+                    f2, f3 = (tuple(cos * u - sin * w for u, w in zip(f2, f3)),
+                              tuple(sin * u + cos * w for u, w in zip(f2, f3)))
+                yield FrameSample(xi, (px, py, pz), f1, f2, f3)
+    return samples
+
+
+def sample_frames(a: QuatPoly, kind: FrameKind, xi_values: Iterable[float],
+                  certificate: Optional[tuple[RealPoly, RealPoly]] = None,
+                  normal_rotation: float = 0.0
+                  ) -> tuple[list[FrameSample], list[str]]:
+    """The samples of frame_sampler at the given parameters, as a list
+    of samples and a list of warnings.  The parameters are converted to
+    floats up front, so a parameter that is not a real number raises
+    before any sample is checked."""
+    samples = frame_sampler(a, kind, certificate, normal_rotation)
     xis = list(xi_values)
-    for xi, x in zip(xis, [float(xi) for xi in xis]):
-        sigma, px, py, pz = _horner4(curve, x)
-        axes, flat, values = axes_at(rows, x)
-        # a finite sum shows every value finite (a sum of finite values can overflow)
-        if (math.isfinite(x) and not math.isfinite(sigma + px + py + pz + sum(values))
-                and not all(map(math.isfinite, (sigma, px, py, pz, *values)))):
-            warnings.append(f"xi={xi!r}: evaluation overflows, skipped")
-        elif abs(sigma) < slow:
-            warnings.append(f"xi={xi!r}: parametric speed vanishes, skipped")
-        elif flat:
-            warnings.append(f"xi={xi!r}: curvature vanishes, skipped")
-        else:
-            message = failure(axes)
-            if message:
-                raise AssertionError(f"{message} at xi={xi}")
-            f1, f2, f3 = axes
-            if normal_rotation:
-                f2, f3 = (tuple(cos * u - sin * w for u, w in zip(f2, f3)),
-                          tuple(sin * u + cos * w for u, w in zip(f2, f3)))
-            samples.append(FrameSample(xi, (px, py, pz), f1, f2, f3))
-    return samples, warnings
+    warnings: list[str] = []
+    return list(samples(zip(xis, [float(xi) for xi in xis]), warnings)), warnings
 
 
 def _horner_rows(polys) -> list[tuple[float, ...]]:
@@ -298,14 +312,11 @@ def _fcross(a, b) -> tuple[float, float, float]:
 CSV_HEADER = "xi,px,py,pz,f1x,f1y,f1z,f2x,f2y,f2z,f3x,f3y,f3z"
 
 
-def write_frames_csv(samples: list[FrameSample], path) -> None:
-    """Write the header and the samples' rows to a new file at path."""
+def write_frames_csv(samples: Iterable[FrameSample], path) -> None:
+    """Write the header and one row per sample, shortest round-trip float
+    formatting, to a new file at path (or file descriptor); each row is
+    written as its sample is drawn."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
-        write_frame_rows(samples, fh)
-
-
-def write_frame_rows(samples: list[FrameSample], fh) -> None:
-    """Append one CSV row per sample, shortest round-trip float formatting."""
-    fh.writelines(",".join(map(repr, map(float, (s.xi, *s.position, *s.f1, *s.f2, *s.f3))))
-                  + "\n" for s in samples)
+        fh.writelines(",".join(map(repr, map(float, (s.xi, *s.position, *s.f1, *s.f2, *s.f3))))
+                      + "\n" for s in samples)

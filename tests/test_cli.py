@@ -1,3 +1,4 @@
+import builtins
 import contextlib
 import io
 import json
@@ -12,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import rrmf
-from rrmf import cli
+from rrmf import cli, frames, hodograph, indicatrix, polynomials
 from rrmf.catalog import (nontrivial_cubic, quintic_left_cancellation,
                           quintic_no_cancellation, quintic_right_cancellation)
 from rrmf.cli import EXIT_INTERNAL, main
@@ -27,6 +28,8 @@ from conftest import FRAME_TOL, exact_axes
 EX2 = quintic_no_cancellation()
 NO_CANCELLATION = str(Path(__file__).resolve().parent.parent / "fixtures"
                       / "quintic-no-cancellation.json")
+RIGHT_CANCELLATION = str(Path(__file__).resolve().parent.parent / "fixtures"
+                         / "quintic-right-cancellation.json")
 
 
 def write_doc(tmp_path, name, poly, certificate=None):
@@ -333,28 +336,54 @@ def test_frames_rejects_non_finite_normal_rotation(tmp_path, capsys):
 
 def test_frames_internal_error_exit_code(tmp_path, capsys, monkeypatch):
     # a library consistency check failing is exit 5, with no traceback and
-    # no CSV: raised by the first chunk, before --out is opened, and by a
-    # later one, after rows were written
-    calls = []
+    # no CSV: raised at the first parameter, and at a later one after rows
+    # were written (25,001 rows fill the write buffer many times over)
+    image_axes = frames._image_axes
 
-    def failing(*args, **kwargs):
-        calls.append(len(args[2]))
-        if len(calls) == fail_at:
-            raise AssertionError("frame axis not unit at xi=0.75")
-        return sample_frames(*args, **kwargs)
+    def skewed(rows, x):
+        (f1, f2, f3), flat, values = image_axes(rows, x)
+        return (f1, f1 if x == fail_at else f2, f3), flat, values
 
-    monkeypatch.setattr(cli, "sample_frames", failing)
-    monkeypatch.setattr(cli, "FRAME_CHUNK", 2)
+    monkeypatch.setattr(frames, "_image_axes", skewed)
     path = write_doc(tmp_path, "ex2.json", EX2.generator, EX2.certificate)
     out_csv = tmp_path / "x.csv"
-    for fail_at in (1, 2):
-        calls.clear()
+    for n, fail_at in ((5, 0.0), (25001, 20000 * (1.0 / 25000))):
+        # an existing file at --out is removed too
+        out_csv.write_text("old\n")
         code, out, err = run(capsys, "frames", path, "--frame", "rmf",
-                             "--samples", "5", "--out", str(out_csv))
+                             "--samples", str(n), "--out", str(out_csv))
         assert code == EXIT_INTERNAL == 5
-        assert err == "internal error: frame axis not unit at xi=0.75\n"
+        assert err == f"internal error: frame axes not orthogonal at xi={fail_at}\n"
         assert out == "" and not out_csv.exists()
-        assert calls == [2, 2][:fail_at]
+    # a link given as --out is never removed, nor the file it names
+    target = tmp_path / "target.csv"
+    target.write_text("old\n")
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    fail_at = 0.0
+    code, out, err = run(capsys, "frames", path, "--frame", "rmf",
+                         "--samples", "5", "--out", str(link))
+    assert (code, out) == (EXIT_INTERNAL, "") and link.is_symlink() and target.exists()
+
+
+def test_frames_out_that_cannot_be_opened_stays(tmp_path, capsys, monkeypatch):
+    # a failure to open --out is a parse error and removes nothing
+    out_csv = tmp_path / "x.csv"
+    out_csv.write_text("old\n")
+
+    def denied(real_open):
+        def opener(file, *args, **kwargs):
+            if file == str(out_csv):
+                raise PermissionError(13, "Permission denied", file)
+            return real_open(file, *args, **kwargs)
+        return opener
+
+    monkeypatch.setattr(os, "open", denied(os.open))
+    monkeypatch.setattr(builtins, "open", denied(builtins.open))
+    code, out, err = run(capsys, "frames", NO_CANCELLATION, "--samples", "5",
+                         "--out", str(out_csv))
+    assert (code, out) == (2, "") and err.startswith("error: [Errno 13] Permission denied")
+    assert out_csv.read_text() == "old\n"
 
 
 def _exact_frame_rows(path, b):
@@ -386,27 +415,71 @@ def test_frames_rmf_beyond_the_unit_interval(tmp_path, capsys):
         assert spaced.read_bytes() == out_csv.read_bytes()
 
 
-def test_frames_csv_streams_in_chunks(tmp_path, capsys, monkeypatch):
-    # chunked writing is byte-identical to one-call sampling, skips included
+def test_frames_csv_matches_sample_frames(tmp_path, capsys):
+    # the CLI CSV, warnings and row count are those of sample_frames plus
+    # write_frames_csv over the same parameters, skips included
     xi_poly = RealPoly([0, 1]).as_quat()  # sigma = xi^2 vanishes at 0
-    # --samples 1 writes the one row at the lower bound
+    # --samples 1 writes the one row at the lower bound; 25,001 rows are
+    # flushed to the file many times before the run ends
     cases = [(EX2.generator, EX2.certificate, "rmf", 11), (xi_poly, None, "erf", 11),
-             (EX2.generator, None, "frenet", 11), (EX2.generator, EX2.certificate, "rmf", 1)]
+             (EX2.generator, None, "frenet", 11), (EX2.generator, EX2.certificate, "rmf", 1),
+             (EX2.generator, EX2.certificate, "rmf", 25001)]
     for poly, cert, frame, n in cases:
         path = write_doc(tmp_path, f"{frame}.json", poly, cert)
-        samples, warnings = sample_frames(poly, frame, [-1 + k * 0.2 for k in range(n)],
+        step = 2 / max(n - 1, 1)
+        samples, warnings = sample_frames(poly, frame, [-1 + k * step for k in range(n)],
                                           certificate=cert)
         assert len(warnings) == (frame == "erf")  # the speed root of xi_poly
         write_frames_csv(samples, tmp_path / "whole.csv")
-        for chunk in (1, 3, 11, 10 ** 4):
-            monkeypatch.setattr(cli, "FRAME_CHUNK", chunk)
-            out_csv = tmp_path / f"{frame}-{chunk}.csv"
-            code, out, err = run(capsys, "frames", path, "--frame", frame,
-                                 "--range=-1:1", "--samples", str(n), "--out", str(out_csv))
-            assert code == 0
-            assert out_csv.read_bytes() == (tmp_path / "whole.csv").read_bytes()
-            assert err == "".join(f"warning: {w}\n" for w in warnings)
-            assert out == f"wrote {len(samples)} samples to {out_csv}\n"
+        out_csv = tmp_path / f"{frame}-{n}.csv"
+        code, out, err = run(capsys, "frames", path, "--frame", frame,
+                             "--range=-1:1", "--samples", str(n), "--out", str(out_csv))
+        assert code == 0
+        assert out_csv.read_bytes() == (tmp_path / "whole.csv").read_bytes()
+        assert err == "".join(f"warning: {w}\n" for w in warnings)
+        assert out == f"wrote {len(samples)} samples to {out_csv}\n"
+
+
+def test_frames_sets_up_the_sampler_once(tmp_path, capsys, monkeypatch):
+    # one analysis, one check of Han's identity and one B = A (a - b i) per
+    # run, however many parameters it samples
+    calls = {"verify_han": 0, "component_forms": 0}
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (hodograph, indicatrix):
+        monkeypatch.setattr(module, "component_forms", counted(polynomials.component_forms))
+    monkeypatch.setattr(frames, "verify_han", counted(indicatrix.verify_han))
+    code, out, err = run(capsys, "frames", RIGHT_CANCELLATION, "--frame", "rmf",
+                         "--samples", "25001", "--out", str(tmp_path / "r.csv"))
+    assert (code, err) == (0, "")
+    assert calls == {"verify_han": 1, "component_forms": 2}
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_frames_memory_does_not_grow_with_samples(tmp_path):
+    # peak RSS of a fresh interpreter sampling 10^5 parameters against 10^3.
+    # VmHWM, not ru_maxrss: Linux carries ru_maxrss over exec, so a child of
+    # this test process would read at least the test process's own peak
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(rrmf.__file__).resolve().parents[1])}
+    script = ("import sys\n"
+              "from rrmf.cli import main\n"
+              "code = main(sys.argv[1:])\n"
+              "with open('/proc/self/status') as fh:\n"
+              "    print(code, *(line.split()[1] for line in fh if line.startswith('VmHWM:')))\n")
+    peak_kb = {}
+    for n in (10 ** 3, 10 ** 5):
+        proc = subprocess.run([sys.executable, "-c", script, "frames", RIGHT_CANCELLATION,
+                               "--samples", str(n), "--out", str(tmp_path / "e.csv")],
+                              capture_output=True, text=True, env=env, timeout=120)
+        code, peak_kb[n] = map(int, proc.stdout.splitlines()[-1].split())
+        assert (code, proc.stderr) == (0, ""), n
+    assert peak_kb[10 ** 5] - peak_kb[10 ** 3] < 4 * 1024, peak_kb
 
 
 def test_frames_rmf_needs_certificate(tmp_path, capsys):

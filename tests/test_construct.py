@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from rrmf.catalog import (nontrivial_cubic, nontrivial_quartic_dense,
-                          nontrivial_quartic_sparse, quintic_left_cancellation)
+                          nontrivial_quartic_sparse, quintic_left_cancellation,
+                          quintic_no_cancellation, quintic_right_cancellation)
 from rrmf.classify import (MembershipStatus, cancel_indicatrix,
                            has_vanishing_indicatrix, indicatrix_coefficients,
                            rrmf_membership, trivial_witness)
@@ -13,8 +14,8 @@ from rrmf.construct import (ConstructionError, CubicSpec, QuarticSpec,
                             make_cubic_monic, make_f_element, make_quartic,
                             make_spatial_family, make_trivial)
 from rrmf.hodograph import core_of
-from rrmf.indicatrix import inner_product_poly
-from rrmf.polynomials import ComplexPoly, QuatPoly, RealPoly, gcd_real
+from rrmf.indicatrix import inner_product_poly, verify_han
+from rrmf.polynomials import ComplexPoly, QuatPoly, RealPoly, exact_divide, gcd_real
 from rrmf.quaternions import I, J, K, Quaternion
 from rrmf.scalars import Scalar
 
@@ -304,6 +305,53 @@ def test_make_f_element_exercises_gcd_weight():
     element = make_f_element(b0, mu.monic())
     assert element.certificate.degree() == 0
     assert_certified(element)
+
+
+def _coprime_parts(c):
+    return not c.is_zero() and gcd_real(*c.real_parts()).degree() == 0
+
+
+def _rand_complex(rng, degree):
+    return ComplexPoly.from_parts(RealPoly([rng.randint(-3, 3) for _ in range(degree + 1)]),
+                                  RealPoly([rng.randint(-3, 3) for _ in range(degree + 1)]))
+
+
+def test_f_element_certificate_has_coprime_parts(rng):
+    # make_f_element does not check that its certificate nu = conj(mu/g) (delta/g)
+    # has coprime parts; the bases here have chi = mu of degree 1, 2 and 3 (the
+    # worked quintics reduced by their certificates) and 0 (the family)
+    def linear(re, im):  # xi + re + im i
+        return ComplexPoly.from_parts(RealPoly([re, 1]), RealPoly([im]))
+
+    bases = []
+    # the linear factors of chi over Q(i) that are known: chi of the
+    # right-cancellation quintic is (xi - 2 - i)(xi - 2 + 3/2 i)^2
+    for curve, factors in ((quintic_left_cancellation(), [linear(-2, 1)]),
+                           (quintic_no_cancellation(), []),
+                           (quintic_right_cancellation(),
+                            [linear(-2, -1), linear(-2, Fraction(3, 2))])):
+        gamma = ComplexPoly.from_parts(*curve.certificate)
+        bases.append((cancel_indicatrix(curve.generator, gamma).result, factors))
+    bases += [(make_spatial_family(n), []) for n in range(3, 7)]
+    assert [core_of(b0).factor.degree() for b0, _ in bases] == [1, 2, 3, 0, 0, 0, 0]
+    for b0, factors in bases:
+        chi = core_of(b0).factor
+        # monic chi, its conjugate, one root of chi or the conjugate of one
+        # times a seeded linear factor, and seeded deltas of degree 0..3
+        deltas = [chi, chi.conjugate()]
+        for factor in factors:
+            exact_divide(chi, factor)  # a factor of chi, or this raises
+            for shared in (factor, factor.conjugate()):
+                deltas += [shared * _rand_complex(rng, 1) for _ in range(3)]
+        deltas += [_rand_complex(rng, degree) for degree in (0, 1, 2, 3) for _ in range(3)]
+        assert all(_coprime_parts(delta) for delta in deltas[:2])
+        kept = [delta for delta in deltas if _coprime_parts(delta)]
+        assert len(kept) >= len(deltas) // 2
+        for delta in kept:
+            element = make_f_element(b0, delta)
+            nu = element.certificate
+            assert _coprime_parts(nu), (b0, delta)
+            assert verify_han(element.poly, *nu.real_parts()), (b0, delta)
 
 
 def test_make_f_element_requires_vanishing_base():
