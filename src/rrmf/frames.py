@@ -4,10 +4,11 @@ The Euler-Rodrigues frame of a generator B is the rational orthonormal
 triple (B i B*, B j B*, B k B*)/|B|^2, read off the ten products of
 B's components by hodograph.basis_images; with a verified certificate
 (a, b) the rotation-minimizing frame is the same construction applied
-to B = A (a - b i).  SymbolicFrame holds the nine entries as reduced
-rational functions; the orthonormality identities hold exactly (the
-tests check them on the unreduced images and on the reduced entries).
-Sampling does not reduce them.  frame_sampler sets up B once, and the
+to B = A (a - b i).  SymbolicFrame holds W = |B|^2 and the images
+N_e = B e B* unreduced, so its identities are polynomial:
+N_e . N_f = delta_ef W^2 (the tests check them), and the tangent twist
+<f3, f2'> is exactly (N3 . N2')/W^2.  An entry is reduced only when it
+is read; sampling reduces none.  frame_sampler sets up B once, and the
 generator function it returns takes each parameter on its own: it
 evaluates B's four components in Python floats, forms the same ten
 products (hodograph.float_images), checks the sample to be orthonormal
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Literal, Optional
+from typing import Callable, Iterable, Iterator, Literal, NamedTuple, Optional
 
 from .hodograph import GeneratorAnalysis, basis_images, float_images
 from .indicatrix import require_certificate, verify_han
@@ -37,34 +38,38 @@ class CertificateError(ValueError):
 
 @dataclass(frozen=True)
 class SymbolicFrame:
-    """Nine reduced rational functions forming an exact orthonormal frame."""
+    """An exact orthonormal frame: the images N1, N2, N3 over the
+    denominator W, as hodograph.basis_images returns them."""
 
-    f1: Vector
-    f2: Vector
-    f3: Vector
     denominator: RealPoly
+    images: tuple[tuple[RealPoly, ...], ...]
 
     @classmethod
     def from_generator(cls, b: QuatPoly) -> "SymbolicFrame":
         b = QuatPoly.of(b)
         if b.is_zero():
             raise ValueError("frame of the zero polynomial")
-        # each entry of the images B e B* over |B|^2
         den, raw = basis_images(b)
-        vectors = [tuple(reduce_fraction(c, den) for c in row) for row in raw]
-        return cls(vectors[0], vectors[1], vectors[2], den)
+        return cls(den, tuple(raw))
+
+    def _axis(self, e: int) -> Vector:
+        return tuple(reduce_fraction(c, self.denominator) for c in self.images[e])
+
+    f1 = property(lambda self: self._axis(0), doc="N1/W, reduced.")
+    f2 = property(lambda self: self._axis(1), doc="N2/W, reduced.")
+    f3 = property(lambda self: self._axis(2), doc="N3/W, reduced.")
 
     def tangent_twist(self) -> RationalFunction:
-        """<f3, f2'>: the tangent component of the frame angular velocity."""
-        acc = RationalFunction.zero
-        for c3, c2 in zip(self.f3, self.f2):
-            acc = acc + c3 * c2.derivative()
-        return acc
+        """<f3, f2'>: the tangent component of the frame angular velocity,
+        (N3 . N2')/W^2, since N2 . N3 = 0."""
+        _, n2, n3 = self.images
+        dot = sum((c3 * c2.derivative() for c3, c2 in zip(n3, n2)), RealPoly())
+        return reduce_fraction(dot, self.denominator * self.denominator)
 
     def evaluate(self, xi: float):
-        """The nine entries at the float xi."""
-        return tuple(tuple(rf.evaluate_float(xi) for rf in axis)
-                     for axis in (self.f1, self.f2, self.f3))
+        """The nine entries N_e/W at the float xi."""
+        w = self.denominator.evaluate_float(xi)
+        return tuple(tuple(c.evaluate_float(xi) / w for c in row) for row in self.images)
 
 
 def erf_symbolic(a: QuatPoly) -> SymbolicFrame:
@@ -96,21 +101,20 @@ def rotate_frame(a: QuatPoly, ca: RealPoly, cb: RealPoly) -> tuple[Vector, Vecto
     """Normal-plane rotation of the ERF by angle -2*atan(b/a).
 
     Rotation matrix ((a^2-b^2, -2ab), (2ab, a^2-b^2))/(a^2+b^2) applied
-    to (e2, e3); for a verified certificate this reproduces the RMF
+    to (N2, N3)/W; for a verified certificate this reproduces the RMF
     normal-plane vectors exactly.
     """
     ca, cb = require_certificate(ca, cb)
     erf = erf_symbolic(a)
-    den = ca * ca + cb * cb
-    cos_term = reduce_fraction(ca * ca - cb * cb, den)
-    sin_term = reduce_fraction((ca * cb).scale(2), den)
-    f2 = tuple(cos_term * e2 - sin_term * e3 for e2, e3 in zip(erf.f2, erf.f3))
-    f3 = tuple(sin_term * e2 + cos_term * e3 for e2, e3 in zip(erf.f2, erf.f3))
+    _, n2, n3 = erf.images
+    den = (ca * ca + cb * cb) * erf.denominator
+    cos, sin = ca * ca - cb * cb, (ca * cb).scale(2)
+    f2 = tuple(reduce_fraction(cos * e2 - sin * e3, den) for e2, e3 in zip(n2, n3))
+    f3 = tuple(reduce_fraction(sin * e2 + cos * e3, den) for e2, e3 in zip(n2, n3))
     return f2, f3
 
 
-@dataclass(frozen=True)
-class FrameSample:
+class FrameSample(NamedTuple):
     """One sampled frame: parameter, position, and the three axes."""
 
     xi: float

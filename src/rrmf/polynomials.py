@@ -999,44 +999,11 @@ class RationalFunction:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def __add__(self, other) -> "RationalFunction":
-        other = RationalFunction.of(other)
-        return RationalFunction(self.num * other.den + other.num * self.den,
-                                self.den * other.den)
-
-    __radd__ = __add__
-
     def __neg__(self) -> "RationalFunction":
         return RationalFunction(-self.num, self.den, _reduced=True)
 
-    def __sub__(self, other) -> "RationalFunction":
-        return self + (-RationalFunction.of(other))
-
-    def __rsub__(self, other) -> "RationalFunction":
-        return (-self) + RationalFunction.of(other)
-
-    def __mul__(self, other) -> "RationalFunction":
-        other = RationalFunction.of(other)
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "RationalFunction":
-        other = RationalFunction.of(other)
-        if other.is_zero():
-            raise ZeroDivisionError("division by the zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
-
-    def derivative(self) -> "RationalFunction":
-        return RationalFunction(
-            self.num.derivative() * self.den - self.num * self.den.derivative(),
-            self.den * self.den)
-
     def evaluate_float(self, xi: float) -> float:
         return self.num.evaluate_float(xi) / self.den.evaluate_float(xi)
-
-    def evaluate(self, xi) -> Scalar:
-        return self.num.evaluate(xi) / self.den.evaluate(xi)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (RealPoly, Scalar, Fraction, int)):

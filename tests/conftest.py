@@ -7,7 +7,8 @@ import pytest
 
 from rrmf.hodograph import has_coprime_components
 from rrmf.indicatrix import inner_product_poly, require_certificate
-from rrmf.polynomials import ComplexPoly, QuatPoly, RealPoly, gcd_real
+from rrmf.polynomials import (ComplexPoly, QuatPoly, RationalFunction, RealPoly,
+                              gcd_real, reduce_fraction)
 from rrmf.quaternions import I, K, Quaternion
 from rrmf.scalars import ComplexScalar, Scalar
 
@@ -103,6 +104,12 @@ def norm_poly(a: QuatPoly) -> RealPoly:
     components: the oracle of GeneratorAnalysis.sigma."""
     u, v, p, q = QuatPoly.of(a).components()
     return u * u + v * v + p * p + q * q
+
+
+def fraction_sum(f: RationalFunction, g: RationalFunction) -> RationalFunction:
+    """f + g reduced, by cross-multiplying: RationalFunction has no
+    arithmetic of its own."""
+    return reduce_fraction(f.num * g.den + g.num * f.den, f.den * g.den)
 
 
 def qpoly_from_complex_pair(alpha: ComplexPoly, beta: ComplexPoly) -> QuatPoly:

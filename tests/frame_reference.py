@@ -1,29 +1,22 @@
 """Reference checks of sampled and symbolic frames for the tests.
 
-verify_orthonormal rechecks the six orthonormality identities on a
-SymbolicFrame's reduced entries, which hold by construction;
-finite_difference_twist estimates the twist rate <f3, f2'> from
-samples, independently of SymbolicFrame.tangent_twist.
+verify_orthonormal rechecks the six orthonormality identities
+N_e . N_f = delta_ef W^2 on a SymbolicFrame's unreduced images, which
+hold by construction; finite_difference_twist estimates the twist rate
+<f3, f2'> from samples, independently of SymbolicFrame.tangent_twist.
 """
 
 from rrmf.frames import FrameSample, SymbolicFrame
-from rrmf.polynomials import RationalFunction
-
-
-def _dot(a, b) -> RationalFunction:
-    acc = RationalFunction.zero
-    for x, y in zip(a, b):
-        acc = acc + x * y
-    return acc
+from rrmf.polynomials import RealPoly
 
 
 def verify_orthonormal(frame: SymbolicFrame) -> None:
-    """Recheck the six identities on the reduced entries."""
-    axes = (frame.f1, frame.f2, frame.f3)
+    """Recheck the six polynomial identities on the images."""
+    images, w = frame.images, frame.denominator
     for a in range(3):
         for b in range(a, 3):
-            expect = RationalFunction.of(1 if a == b else 0)
-            if _dot(axes[a], axes[b]) != expect:
+            dot = sum((x * y for x, y in zip(images[a], images[b])), RealPoly())
+            if dot != (w * w if a == b else RealPoly()):
                 raise AssertionError("frame orthonormality violated")
 
 

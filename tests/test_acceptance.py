@@ -25,7 +25,7 @@ from rrmf.polynomials import (ComplexPoly, QuatPoly, RealPoly, exact_divide,
 from rrmf.quaternions import I, J, K, Quaternion
 from rrmf.scalars import Scalar
 
-from conftest import (coprime_cpoly, coprime_qpoly,
+from conftest import (coprime_cpoly, coprime_qpoly, fraction_sum,
                       indicatrix_product_residual, nonzero_qpoly,
                       nonzero_quat, norm_poly, reference_coefficient_conditions)
 from frame_reference import finite_difference_twist, verify_orthonormal
@@ -177,7 +177,7 @@ def test_criterion_5_identity_suite():
         b = coprime_qpoly(rng, rng.randint(1, 3))
         alpha = coprime_cpoly(rng, rng.randint(1, 2))
         ok_add &= (han_fraction(b * alpha.as_quat())
-                   == han_fraction(b) + han_fraction(alpha.as_quat()))
+                   == fraction_sum(han_fraction(b), han_fraction(alpha.as_quat())))
         delta = coprime_cpoly(rng, rng.randint(1, 3))
         ok_conj &= (rotation_indicatrix(delta.conjugate().as_quat())
                     == -rotation_indicatrix(delta.as_quat()))

@@ -52,7 +52,7 @@ def test_erf_twist_is_angular_velocity(rng):
 
 
 def test_erf_zero_twist_for_vanishing_indicatrix():
-    for poly in (nontrivial_cubic(), make_spatial_family(4)):
+    for poly in (nontrivial_cubic(), *map(make_spatial_family, (4, 12, 30))):
         assert erf_symbolic(poly).tangent_twist().is_zero()
 
 
@@ -112,6 +112,7 @@ def test_rmf_equals_erf_of_reduction(rng):
         rmf = rmf_symbolic(a, ga, gb)
         reduced = cancel_indicatrix(a, gamma).result
         assert frames_equal(rmf, erf_symbolic(reduced))
+        assert rotate_frame(a, ga, gb) == (rmf.f2, rmf.f3)
         checked += 1
 
 
