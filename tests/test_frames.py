@@ -12,7 +12,7 @@ from rrmf.frames import (CSV_HEADER, CertificateError, FrameSample,
                          rotate_frame, sample_frames, write_frames_csv)
 from rrmf.hodograph import hodograph_of, integrate
 from rrmf.indicatrix import omega1
-from rrmf.polynomials import ComplexPoly, QuatPoly, RationalFunction, RealPoly
+from rrmf.polynomials import ComplexPoly, QuatPoly, RationalFunction, RealPoly, gcd_real
 from rrmf.quaternions import Quaternion
 
 from conftest import FRAME_TOL, coprime_cpoly, coprime_qpoly, exact_axes, norm_poly
@@ -286,6 +286,26 @@ def test_basis_images_equal_quaternion_products(rng):
             for c in range(a, 3):
                 dot = sum((x * y for x, y in zip(raw[a], raw[c])), RealPoly())
                 assert dot == (den * den if a == c else RealPoly()), (a, c)
+
+
+def test_symbolic_frame_keeps_images_and_reduces_views(rng):
+    # W and N_e are stored as basis_images returns them; f_e is N_e/W in
+    # lowest terms, and evaluate divides N_e by W at a float
+    cases = [coprime_qpoly(rng, rng.randint(1, 3)) for _ in range(4)]
+    cases += [EX2.generator, make_spatial_family(5)]
+    for b in cases:
+        frame = erf_symbolic(b)
+        den, raw = basis_images(b)
+        assert (frame.denominator, frame.images) == (den, tuple(raw))
+        for axis, image in zip((frame.f1, frame.f2, frame.f3), frame.images):
+            for f, n in zip(axis, image):
+                assert f.num * den == n * f.den
+                assert f.den.leading() == 1
+                assert f.is_zero() or gcd_real(f.num, f.den).degree() == 0
+        for xi in (-1.5, 0.25, 2.0):
+            got = frame.evaluate(xi)
+            assert all(abs(x - y) <= FRAME_TOL for row, want in zip(got, exact_axes(b, xi))
+                       for x, y in zip(row, want)), xi
 
 
 def _reference_samples(a, kind, xis, certificate=None, normal_rotation=0.0):
