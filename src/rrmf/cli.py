@@ -163,8 +163,10 @@ def _construct_from_spec(kind: str, spec: dict):
                              "family_dim": result.family_dim}
     if kind == "f-element":
         b0 = parse_document(_required(spec, "b0")).to_poly()
-        delta = parse_document(_required(spec, "delta")).to_poly()
-        element = make_f_element(QuatPoly.of(b0), delta)
+        delta = parse_document(_required(spec, "delta"))
+        if delta.kind == "quaternion":
+            raise ValueError("delta document must have real or complex kind")
+        element = make_f_element(QuatPoly.of(b0), delta.to_poly())
         gamma_doc = document_to_dict(document_for(element.certificate))
         return element.poly, {"gamma": gamma_doc}
     raise DocumentError(f"unknown construction kind {kind!r}")

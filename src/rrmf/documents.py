@@ -105,7 +105,8 @@ def read_scalar(value, base: int) -> Scalar:
 
 def parse_base(value) -> int:
     """Validate a declared ``sqrt_base``; raises DocumentError."""
-    if not isinstance(value, int) or not is_valid_base(value):
+    # a JSON true or false is a bool, which is an int too
+    if isinstance(value, bool) or not isinstance(value, int) or not is_valid_base(value):
         raise DocumentError(
             f"sqrt_base must be 0 or a squarefree integer in [2, {MAX_BASE}], "
             f"got {value!r}")

@@ -15,10 +15,12 @@ only at the edges: the constructor from coefficients turns them into
 rows, which raises SurdBaseMismatch for two different surd bases,
 ``from_terms`` builds the rows from a parsed document's integers, and
 ``coeffs``, ``coeff``, ``leading``, ``evaluate`` and the text forms
-build Scalars on access.  The kinds ``RealPoly``, ``ComplexPoly`` and ``QuatPoly`` name
-their coefficient ring, the constants they accept and the smaller kinds
-they lift from (Real -> Complex -> Quat).  The ring (rrmf.scalars) gives
-its width, the parts of a coefficient and its multiplication table.
+read ring values on access.  Both ends copy the coordinates, which a
+ring value (rrmf.scalars) stores in the layout of the rows as
+Fractions.  The kinds ``RealPoly``, ``ComplexPoly`` and ``QuatPoly``
+name their coefficient ring, the constants they accept and the smaller
+kinds they lift from (Real -> Complex -> Quat).  The ring gives its
+width and its multiplication table.
 
 Every operation reads the stored rows.  Sums, derivatives, conjugates,
 splits into and joins of components are row slicing or stacking over
@@ -61,7 +63,7 @@ from itertools import zip_longest
 from typing import Iterable, Optional
 
 from .quaternions import Quaternion
-from .scalars import _REAL, ComplexScalar, Scalar, _merge_bases, _unchecked
+from .scalars import _F0, _REAL, ComplexScalar, Scalar, _Algebra, _algebra, _base
 
 
 class InexactDivision(ArithmeticError):
@@ -70,96 +72,12 @@ class InexactDivision(ArithmeticError):
 
 # -- the integer kernel ----------------------------------------------------
 #
-# A coefficient is a vector of m integer coordinates: part s (0 rational,
-# 1 sqrt(d)) of real component w sits at w*P + s, with P = 2 over a surd
-# base d and P = 1 over Q.  A polynomial is its m coordinate rows of ints
-# in ascending degree over one denominator: tuples as stored, lists while
-# the kernel rewrites them.
-
-_F0 = Fraction(0)
-
-
-class _Algebra:
-    """Integer coordinates of a coefficient ring over the base d.
-
-    ``terms`` are the ring's ``table`` over the integer coordinates
-    (i, j, k, c): coordinate i of a left factor times coordinate j of a
-    right factor adds c times their product to coordinate k.
-    """
-
-    def __init__(self, table: tuple, d: int):
-        self.d = d
-        self.width = 1 + max(k for _, _, k, _ in table)
-        self.parts = p = 2 if d else 1
-        self.m = m = self.width * p
-        self.terms = tuple((i * p + s, j * p + t, k * p + (s + t) % 2,
-                            sign * (d if s and t else 1))
-                           for i, j, k, sign in table
-                           for s in range(p) for t in range(p))
-        self.one = (1,) + (0,) * (m - 1)
-        self.conj = tuple(1 if w == 0 else -1 for w in range(self.width)
-                          for _ in range(p))
-
-    def mul(self, x: tuple, y: tuple) -> tuple:
-        out = [0] * self.m
-        for i, j, k, c in self.terms:
-            if x[i] and y[j]:
-                out[k] += c * x[i] * y[j]
-        return tuple(out)
-
-    def power(self, x: tuple, n: int) -> tuple:
-        out = self.one
-        for _ in range(n):
-            out = self.mul(out, x)
-        return out
-
-    def inverse_parts(self, x: tuple) -> tuple[tuple, int]:
-        """(y, n) with y x = x y = n, a positive integer, so x^-1 = y/n.
-
-        y is the conjugate of x, times the Galois conjugate of the norm
-        x conj(x) when that norm has a sqrt(d) part.
-        """
-        y, norm = self.one, x
-        if self.width > 1:
-            y = tuple(s * v for s, v in zip(self.conj, x))
-            norm = self.mul(x, y)
-        if self.parts == 2 and norm[1]:
-            galois = (norm[0], -norm[1]) + (0,) * (self.m - 2)
-            y, norm = self.mul(y, galois), self.mul(norm, galois)
-        g = math.gcd(norm[0], *y)
-        if norm[0] < 0:
-            g = -g
-        return tuple(v // g for v in y), norm[0] // g
-
-    def divide(self, x: tuple, y: tuple) -> tuple:
-        """x / y for a y that divides x in the ring."""
-        inv, n = self.inverse_parts(y)
-        return tuple(v // n for v in self.mul(x, inv))
-
-    def left_scale(self, x: tuple, rows: list) -> list:
-        """The rows of x P for the polynomial P with rows ``rows``."""
-        n = len(rows[0])
-        out = [[0] * n for _ in range(self.m)]
-        for i, j, k, c in self.terms:
-            f = x[i]
-            if f:
-                f *= c
-                out[k] = [a + f * v for a, v in zip(out[k], rows[j])]
-        return out
-
-
-@lru_cache(maxsize=64)
-def _algebra(table: tuple, d: int) -> _Algebra:
-    return _Algebra(table, d)
-
-
-def _base(polys) -> int:
-    """The common surd base of polynomials or scalars, or SurdBaseMismatch."""
-    d = 0
-    for p in polys:
-        if p.d and p.d != d:
-            d = _merge_bases(d, p.d)
-    return d
+# A coefficient is a vector of m integer coordinates in the layout of the
+# rings of rrmf.scalars: part s (0 rational, 1 sqrt(d)) of real component
+# w sits at w*P + s, with P = 2 over a surd base d and P = 1 over Q, and
+# the ring's _Algebra multiplies them.  A polynomial is its m coordinate
+# rows of ints in ascending degree over one denominator: tuples as stored,
+# lists while the kernel rewrites them.
 
 
 def _kernel(*polys: "_DensePoly") -> _Algebra:
@@ -341,20 +259,19 @@ class _DensePoly:
     docstring.  A subclass sets its coefficient ``ring``, the
     ``constants`` it accepts as degree-0 polynomials and the polynomial
     kinds it ``lifts`` coefficientwise into its ring.  The ring gives
-    the rest: its ``width`` real components, a coefficient's ``parts``
-    and ``from_parts`` to split and join them, and the multiplication
-    ``table`` the integer kernel runs.
+    the rest: its ``width`` real components, a coefficient's coordinates
+    in the layout of the rows, and the multiplication ``table`` the
+    integer kernel runs.
     """
 
     __slots__ = ("d", "rows", "den")
     lifts: tuple = ()
 
     def __init__(self, coeffs: Iterable = ()):
-        comps = [self.ring.of(c).parts for c in coeffs]
-        d = _base(s for c in comps for s in c)
-        fields = ("a", "b") if d else ("a",)
-        fracs = [[getattr(c[w], field) for c in comps]
-                 for w in range(self.ring.width) for field in fields]
+        coeffs = [self.ring.of(c) for c in coeffs]
+        d = _base(coeffs)
+        columns = [c._over(d) for c in coeffs]
+        fracs = [[c[k] for c in columns] for k in range(self.ring.width * (2 if d else 1))]
         den = math.lcm(*[f.denominator for row in fracs for f in row])
         rows = [[f.numerator * (den // f.denominator) for f in row] for row in fracs]
         self._set(*_canonical(d, rows, den))
@@ -430,6 +347,8 @@ class _DensePoly:
             zero = (0,) * len(value.rows[0])
             missing = _algebra(cls.ring.table, value.d).m - len(value.rows)
             return cls._from_rows(value.d, value.rows + (zero,) * missing, value.den)
+        if isinstance(value, _DensePoly):
+            raise TypeError(f"cannot convert {type(value).__name__} to {cls.__name__}")
         if isinstance(value, cls.constants):
             return cls([value])
         return cls(value)
@@ -453,9 +372,8 @@ class _DensePoly:
     def coeff(self, k: int):
         if not 0 <= k < len(self.rows[0]):
             return self.ring.of(0)
-        parts = [Fraction(row[k], self.den) if row[k] else _F0 for row in self.rows]
-        pairs = zip(parts[::2], parts[1::2]) if self.d else ((a, _F0) for a in parts)
-        return self.ring.from_parts([_unchecked(a, b, self.d) for a, b in pairs])
+        return self.ring._from_coords(self.d, tuple(
+            Fraction(row[k], self.den) if row[k] else _F0 for row in self.rows))
 
     def __add__(self, other):
         d, den, (x, y) = _stack((self, self.of(other)))

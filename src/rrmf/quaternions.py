@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import operator
 
-from .scalars import Scalar, ScalarLike, _Hypercomplex
+from .scalars import Scalar, ScalarLike, _Ring
 
 # e_i e_j = sign e_k on the basis (1, i, j, k): i j = k, j i = -k, ...
 _HAMILTON = (
@@ -22,15 +22,15 @@ _HAMILTON = (
     (3, 1, 2, 1), (1, 3, 2, -1))
 
 
-class Quaternion(_Hypercomplex):
+class Quaternion(_Ring):
     """w + x*i + y*j + z*k with exact Scalar components, immutable."""
 
     __slots__ = ()
     width, table = 4, _HAMILTON
-    w = property(lambda self: self.parts[0])
-    x = property(lambda self: self.parts[1])
-    y = property(lambda self: self.parts[2])
-    z = property(lambda self: self.parts[3])
+    w = property(lambda self: self._part(0))
+    x = property(lambda self: self._part(1))
+    y = property(lambda self: self._part(2))
+    z = property(lambda self: self._part(3))
 
     def __init__(self, w: ScalarLike = 0, x: ScalarLike = 0, y: ScalarLike = 0,
                  z: ScalarLike = 0):

@@ -1,4 +1,4 @@
-"""Exact arithmetic in the quadratic field Q(sqrt(d)).
+"""Exact arithmetic in the quadratic field Q(sqrt(d)) and its rings.
 
 Every symbolic computation in this package runs over a field Q(sqrt(d))
 for a fixed squarefree base d.  A value is stored as ``a + b*sqrt(d)``
@@ -9,10 +9,13 @@ combining two genuinely irrational values of different bases is an
 error rather than an implicit field extension.
 
 Scalar, ComplexScalar and rrmf.quaternions.Quaternion are the
-coefficient rings of polynomials.  Each exposes ``width``, a value's
-Scalar ``parts``, ``from_parts`` and ``table``, the one statement of its
-multiplication rule.  ComplexScalar and Quaternion multiply by the table
-through their common base _Hypercomplex; rrmf.polynomials' kernel too.
+coefficient rings of polynomials.  Each states its multiplication rule
+once, as its ``table``, and stores a value in the layout of the integer
+kernel of rrmf.polynomials: Fraction coordinates, part s (0 rational,
+1 sqrt(d)) of real component w at w*P + s, with P = 2 over a surd base
+and 1 over Q.  Their common base _Ring adds and subtracts coordinate by
+coordinate and multiplies by _Algebra, the table expanded over the
+coordinates, which the polynomial kernel runs on integers.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import operator
 import re
 from decimal import Decimal
 from fractions import Fraction
+from functools import lru_cache
 from typing import Union
 
 ScalarLike = Union["Scalar", Fraction, int]
@@ -51,23 +55,271 @@ def is_valid_base(d: int) -> bool:
     return True
 
 
-def _merge_bases(d1: int, d2: int) -> int:
-    if d1 == d2:
-        return d1
-    if d1 == 0:
-        return d2
-    if d2 == 0:
-        return d1
-    raise SurdBaseMismatch(f"cannot combine sqrt({d1}) with sqrt({d2})")
+def _base(values) -> int:
+    """The common surd base of ring values or polynomials, or SurdBaseMismatch."""
+    d = 0
+    for v in values:
+        if v.d and v.d != d:
+            if d:
+                raise SurdBaseMismatch(f"cannot combine sqrt({d}) with sqrt({v.d})")
+            d = v.d
+    return d
 
 
 # The multiplication rule of each coefficient ring, as rows (i, j, k, sign)
-# for e_i e_j = sign e_k on its basis: here the reals, below the complex
-# numbers, and the Hamilton product in rrmf.quaternions.
+# for e_i e_j = sign e_k on its basis: the reals, the complex numbers on
+# the basis (1, i), and the Hamilton product in rrmf.quaternions.
 _REAL = ((0, 0, 0, 1),)
+_COMPLEX = ((0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 0, -1))
 
 
-class Scalar:
+class _Algebra:
+    """The coordinates of a coefficient ring over the base d.
+
+    ``terms`` are the ring's ``table`` over the coordinates (i, j, k, c):
+    coordinate i of a left factor times coordinate j of a right factor
+    adds c times their product to coordinate k.  The coordinates are
+    ints in the polynomial kernel and Fractions in the rings.
+    """
+
+    def __init__(self, table: tuple, d: int):
+        self.d = d
+        self.width = 1 + max(k for _, _, k, _ in table)
+        self.parts = p = 2 if d else 1
+        self.m = m = self.width * p
+        self.terms = tuple((i * p + s, j * p + t, k * p + (s + t) % 2,
+                            sign * (d if s and t else 1))
+                           for i, j, k, sign in table
+                           for s in range(p) for t in range(p))
+        self.one = (1,) + (0,) * (m - 1)
+        self.conj = tuple(1 if w == 0 else -1 for w in range(self.width)
+                          for _ in range(p))
+
+    def mul(self, x: tuple, y: tuple, zero=0) -> tuple:
+        """x y, with ``zero`` in the coordinates no term reaches."""
+        out = [zero] * self.m
+        for i, j, k, c in self.terms:
+            if x[i] and y[j]:
+                out[k] += c * x[i] * y[j]
+        return tuple(out)
+
+    def power(self, x: tuple, n: int) -> tuple:
+        out = self.one
+        for _ in range(n):
+            out = self.mul(out, x)
+        return out
+
+    def adjugate(self, x: tuple) -> tuple:
+        """(y, n) with y x = x y = n, the rational coordinate of a norm,
+        which is nonzero unless x is zero.
+
+        y is the conjugate of x, times the Galois conjugate of the norm
+        x conj(x) when that norm has a sqrt(d) part.
+        """
+        y, norm = self.one, x
+        if self.width > 1:
+            y = tuple(s * v for s, v in zip(self.conj, x))
+            norm = self.mul(x, y)
+        if self.parts == 2 and norm[1]:
+            galois = (norm[0], -norm[1]) + (0,) * (self.m - 2)
+            y, norm = self.mul(y, galois), self.mul(norm, galois)
+        return y, norm[0]
+
+    def inverse_parts(self, x: tuple) -> tuple[tuple, int]:
+        """(y, n) for integer coordinates x: y x = x y = n, a positive
+        integer, so x^-1 = y/n, with the content of y and n removed."""
+        y, n = self.adjugate(x)
+        g = math.gcd(n, *y)
+        if n < 0:
+            g = -g
+        return tuple(v // g for v in y), n // g
+
+    def divide(self, x: tuple, y: tuple) -> tuple:
+        """x / y for a y that divides x in the ring."""
+        inv, n = self.inverse_parts(y)
+        return tuple(v // n for v in self.mul(x, inv))
+
+    def left_scale(self, x: tuple, rows: list) -> list:
+        """The rows of x P for the polynomial P with rows ``rows``."""
+        n = len(rows[0])
+        out = [[0] * n for _ in range(self.m)]
+        for i, j, k, c in self.terms:
+            f = x[i]
+            if f:
+                f *= c
+                out[k] = [a + f * v for a, v in zip(out[k], rows[j])]
+        return out
+
+
+@lru_cache(maxsize=64)
+def _algebra(table: tuple, d: int) -> _Algebra:
+    return _Algebra(table, d)
+
+
+_F0 = Fraction(0)
+
+
+class _Ring:
+    """An immutable value of a coefficient ring of ``width`` real
+    components over Q(sqrt(d)) that multiply by ``table``.
+
+    Stored as the base ``d`` and the Fraction ``coords`` in the layout of
+    the module docstring; d is 0 when no sqrt(d) coordinate is nonzero,
+    so ``==`` compares the stored pair.  A value of a narrower ring is
+    lifted by zero components, and ``==`` and ``hash`` compare across
+    rings that way.  With an operand of a wider ring, ``+``, ``-`` and
+    ``*`` return NotImplemented, so that ring's reflected operation lifts
+    this value and keeps the operand order.
+    """
+
+    __slots__ = ("d", "coords")
+    width: int
+    table: tuple
+
+    def __init__(self, *parts: ScalarLike):
+        self._set(*_join(map(Scalar.of, parts)))
+
+    def _set(self, d: int, coords: tuple) -> None:
+        if d and not any(coords[1::2]):
+            d, coords = 0, coords[::2]
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "coords", coords)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @classmethod
+    def _from_coords(cls, d: int, coords: tuple):
+        """The value with the Fraction coordinates ``coords`` over the base d."""
+        value = object.__new__(cls)
+        value._set(d, coords)
+        return value
+
+    @classmethod
+    def from_parts(cls, parts):
+        """The value with the given ``width`` Scalar components."""
+        return cls._from_coords(*_join(parts))
+
+    @classmethod
+    def of(cls, value):
+        if isinstance(value, cls):
+            return value
+        if not isinstance(value, _Ring):
+            return cls._from_coords(0, (Fraction(value),) + (_F0,) * (cls.width - 1))
+        if value.width > cls.width:
+            raise TypeError(f"cannot convert {type(value).__name__} to {cls.__name__}")
+        pad = (cls.width - value.width) * (2 if value.d else 1)
+        return cls._from_coords(value.d, value.coords + (_F0,) * pad)
+
+    def _over(self, d: int) -> tuple:
+        """The coordinates over the base d, which is self.d or self.d = 0."""
+        if d == self.d:
+            return self.coords
+        return tuple(v for c in self.coords for v in (c, _F0))
+
+    def _part(self, w: int) -> "Scalar":
+        p = 2 if self.d else 1
+        return Scalar._from_coords(self.d, self.coords[w * p:(w + 1) * p])
+
+    @property
+    def parts(self) -> tuple:
+        """The ``width`` real components, as Scalars."""
+        return tuple(map(self._part, range(self.width)))
+
+    def is_zero(self) -> bool:
+        return not any(self.coords)
+
+    def _binary(self, other, op):
+        d = _base((self, other))
+        return self._from_coords(d, tuple(map(op, self._over(d), other._over(d))))
+
+    def __add__(self, other):
+        if _wider(other, self):
+            return NotImplemented
+        return self._binary(self.of(other), operator.add)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._from_coords(self.d, tuple(-v for v in self.coords))
+
+    def __sub__(self, other):
+        if _wider(other, self):
+            return NotImplemented
+        return self._binary(self.of(other), operator.sub)
+
+    def __rsub__(self, other):
+        return self.of(other) - self
+
+    def __mul__(self, other):
+        """The product by ``table``, self the left factor."""
+        if _wider(other, self):
+            return NotImplemented
+        other = self.of(other)
+        d = _base((self, other))
+        mul = _algebra(self.table, d).mul
+        return self._from_coords(d, mul(self._over(d), other._over(d), _F0))
+
+    def __rmul__(self, other):
+        return self.of(other) * self
+
+    def scale(self, s: ScalarLike):
+        """Every component multiplied by the scalar s."""
+        return self * self.of(Scalar.of(s))
+
+    def conjugate(self):
+        """The real component kept, every other component negated."""
+        p = 2 if self.d else 1
+        return self._from_coords(self.d, self.coords[:p] + tuple(-v for v in self.coords[p:]))
+
+    def norm_sq(self) -> "Scalar":
+        return sum((p * p for p in self.parts), Scalar(0))
+
+    def inverse(self):
+        y, n = _algebra(self.table, self.d).adjugate(self.coords)
+        if not n:
+            raise ZeroDivisionError(f"inverse of zero {type(self).__name__}")
+        return self._from_coords(self.d, tuple(v / n for v in y))
+
+    def __truediv__(self, other):
+        return self * self.of(other).inverse()
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (int, Fraction)):
+            other = Scalar.of(other)
+        if not isinstance(other, _Ring) or other.width > self.width:
+            return NotImplemented
+        other = self.of(other)
+        return self.d == other.d and self.coords == other.coords
+
+    def __hash__(self):
+        # the narrowest equal value: trailing zero parts dropped, and a
+        # single part hashed as the Scalar it equals
+        parts = list(self.parts)
+        while len(parts) > 1 and not parts[-1]:
+            parts.pop()
+        return hash(parts[0]) if len(parts) == 1 else hash(tuple(parts))
+
+    def __bool__(self) -> bool:
+        return not self.is_zero()
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(map(str, self.parts))})"
+
+
+def _join(parts) -> tuple[int, tuple]:
+    """(d, coords) of the Scalars ``parts`` over their common base."""
+    parts = tuple(parts)
+    d = _base(parts)
+    return d, tuple(v for s in parts for v in s._over(d))
+
+
+def _wider(value, ring) -> bool:
+    """Whether value belongs to a ring wider than ring's."""
+    return isinstance(value, _Ring) and value.width > ring.width
+
+
+class Scalar(_Ring):
     """An element a + b*sqrt(d) of Q(sqrt(d)), immutable.
 
     Invariants: ``a`` and ``b`` are Fractions (lowest terms, positive
@@ -76,16 +328,17 @@ class Scalar:
 
     Validation happens at the edges: the public constructor checks its
     arguments, and ``parse_scalar`` checks a parsed base the same way,
-    unless it is the expected one its caller has validated.  Arithmetic results
-    (``+``, ``-``, ``*``, ``inverse`` and what is built from them) are
-    assembled without re-validation, because their parts are Fraction
-    operations on valid operands and their base is one of the operands'
-    bases; only the ``b == 0 => d == 0`` normalisation runs on them.
+    unless it is the expected one its caller has validated.  Arithmetic
+    results are assembled without re-validation, because their
+    coordinates are Fraction operations on valid operands and their base
+    is one of the operands' bases; only the ``b == 0 => d == 0``
+    normalisation runs on them.
 
-    As a coefficient ring it has ``width`` 1: its ``parts`` are ``(self,)``.
+    As a coefficient ring it has ``width`` 1: its ``parts`` are ``(self,)``
+    and its coordinates ``(a,)`` over Q, ``(a, b)`` over Q(sqrt(d)).
     """
 
-    __slots__ = ("a", "b", "d")
+    __slots__ = ()
     width, table = 1, _REAL
 
     def __init__(self, a: ScalarLike = 0, b: ScalarLike = 0, d: int = 0):
@@ -96,26 +349,15 @@ class Scalar:
                 f"base {d} is not 0 or a squarefree integer in [2, {MAX_BASE}]")
         a = Fraction(a)
         b = Fraction(b)
-        if b == 0:
-            d = 0
-        elif d == 0:
+        if b and not d:
             raise ValueError("irrational part requires a nonzero base")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "d", d)
+        self._set(d, (a, b) if d else (a,))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Scalar is immutable")
+    a = property(lambda self: self.coords[0])
+    b = property(lambda self: self.coords[1] if self.d else _F0)
+    parts = property(lambda self: (self,))
 
     # -- constructors -------------------------------------------------
-
-    @classmethod
-    def of(cls, value: ScalarLike) -> "Scalar":
-        if isinstance(value, Scalar):
-            return value
-        if isinstance(value, _Hypercomplex):
-            raise TypeError(f"cannot convert {type(value).__name__} to Scalar")
-        return _unchecked(Fraction(value), _F0, 0)
 
     @classmethod
     def surd(cls, coefficient: ScalarLike, d: int) -> "Scalar":
@@ -126,15 +368,9 @@ class Scalar:
     def from_terms(cls, p: int, q: int, r: int, s: int, d: int) -> "Scalar":
         """p/q + r/s*sqrt(d) for the integers scalar_terms reads: q, s > 0,
         and d valid, or 0 when r = 0."""
-        return _unchecked(Fraction(p, q), Fraction(r, s) if r else _F0, d)
-
-    parts = property(lambda self: (self,))
-    from_parts = staticmethod(operator.itemgetter(0))
+        return cls._from_coords(d, (Fraction(p, q), Fraction(r, s)) if d else (Fraction(p, q),))
 
     # -- predicates ----------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
 
     def sign(self) -> int:
         """Exact sign of a + b*sqrt(d): compares a^2 against b^2*d."""
@@ -155,67 +391,6 @@ class Scalar:
         return 0  # unreachable for squarefree d >= 2, kept as a guard
 
     # -- arithmetic ----------------------------------------------------
-    # Rational operands (d == 0, hence b == 0) take one Fraction
-    # operation; surd operands take the Q(sqrt(d)) formula, of which a
-    # product with one rational operand forms only the two nonzero
-    # terms.  With a ComplexScalar or Quaternion operand the wider
-    # ring's reflected operation runs, on this value lifted into that ring.
-
-    def __add__(self, other) -> "Scalar":
-        if isinstance(other, _Hypercomplex):
-            return NotImplemented
-        other = Scalar.of(other)
-        if self.d == 0 and other.d == 0:
-            return _unchecked(self.a + other.a, _F0, 0)
-        d = _merge_bases(self.d, other.d)
-        return _unchecked(self.a + other.a, self.b + other.b, d)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Scalar":
-        return _unchecked(-self.a, -self.b, self.d)
-
-    def __sub__(self, other) -> "Scalar":
-        if isinstance(other, _Hypercomplex):
-            return NotImplemented
-        other = Scalar.of(other)
-        if self.d == 0 and other.d == 0:
-            return _unchecked(self.a - other.a, _F0, 0)
-        d = _merge_bases(self.d, other.d)
-        return _unchecked(self.a - other.a, self.b - other.b, d)
-
-    def __rsub__(self, other) -> "Scalar":
-        return Scalar.of(other) - self
-
-    def __mul__(self, other) -> "Scalar":
-        if isinstance(other, _Hypercomplex):
-            return NotImplemented
-        other = Scalar.of(other)
-        if self.d == 0:
-            if other.d == 0:
-                return _unchecked(self.a * other.a, _F0, 0)
-            return _unchecked(self.a * other.a, self.a * other.b, other.d)
-        if other.d == 0:
-            return _unchecked(self.a * other.a, self.b * other.a, self.d)
-        d = _merge_bases(self.d, other.d)
-        a = self.a * other.a + self.b * other.b * d
-        b = self.a * other.b + self.b * other.a
-        return _unchecked(a, b, d)
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "Scalar":
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero scalar")
-        if self.b == 0:
-            return _unchecked(1 / self.a, _F0, 0)
-        # (a + b sqrt d)^-1 = (a - b sqrt d) / (a^2 - b^2 d); the norm is
-        # nonzero because sqrt(d) is irrational for squarefree d >= 2
-        n = self.a * self.a - self.b * self.b * self.d
-        return _unchecked(self.a / n, -self.b / n, self.d)
-
-    def __truediv__(self, other) -> "Scalar":
-        return self * Scalar.of(other).inverse()
 
     def __rtruediv__(self, other) -> "Scalar":
         return Scalar.of(other) * self.inverse()
@@ -234,13 +409,6 @@ class Scalar:
 
     # -- comparisons ---------------------------------------------------
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = Scalar.of(other)
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        return self.a == other.a and self.b == other.b and self.d == other.d
-
     def __hash__(self):
         # a rational value hashes as its Fraction, which it equals
         return hash((self.a, self.b, self.d)) if self.d else hash(self.a)
@@ -257,9 +425,6 @@ class Scalar:
     def __ge__(self, other) -> bool:
         return (self - Scalar.of(other)).sign() >= 0
 
-    def __bool__(self) -> bool:
-        return not self.is_zero()
-
     # -- conversion / text form ----------------------------------------
 
     def __float__(self) -> float:
@@ -270,23 +435,6 @@ class Scalar:
 
     def __str__(self) -> str:
         return format_scalar(self)
-
-
-_F0 = Fraction(0)
-_new_scalar = object.__new__
-_set_a, _set_b, _set_d = Scalar.a.__set__, Scalar.b.__set__, Scalar.d.__set__
-
-
-def _unchecked(a: Fraction, b: Fraction, d: int) -> Scalar:
-    """Build an arithmetic result from parts already known to be valid:
-    Fractions ``a`` and ``b`` and a base ``d`` taken from an operand.
-    Skips base validation and Fraction re-wrapping; keeps the
-    ``b == 0 => d == 0`` normalisation."""
-    s = _new_scalar(Scalar)
-    _set_a(s, a)
-    _set_b(s, b)
-    _set_d(s, d if b else 0)
-    return s
 
 
 def _ratio(q: Fraction) -> str:
@@ -365,145 +513,13 @@ def parse_scalar(text: str, expected_base: int | None = None) -> Scalar:
     return Scalar.from_terms(*scalar_terms(text, expected_base))
 
 
-class _Hypercomplex:
-    """An immutable element of a ring of ``width`` Scalar ``parts`` that
-    multiply by ``table``.  A value of a narrower ring is lifted by zero
-    parts, and ``==`` and ``hash`` compare across rings that way.  With
-    an operand of a wider ring, ``+``, ``-`` and ``*`` return
-    NotImplemented, so that ring's reflected operation lifts this value
-    and keeps the operand order.
-    """
-
-    __slots__ = ("parts",)
-    width: int
-    table: tuple
-
-    def __init__(self, *parts: ScalarLike):
-        _set_parts(self, tuple(map(Scalar.of, parts)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    @classmethod
-    def from_parts(cls, parts):
-        """The element with the given ``width`` Scalar coordinates."""
-        z = object.__new__(cls)
-        _set_parts(z, tuple(parts))
-        return z
-
-    @classmethod
-    def of(cls, value):
-        if isinstance(value, cls):
-            return value
-        if not isinstance(value, (Scalar, _Hypercomplex)):
-            value = Scalar.of(value)
-        if value.width > cls.width:
-            raise TypeError(f"cannot convert {type(value).__name__} to {cls.__name__}")
-        return cls.from_parts(value.parts + (_ZERO,) * (cls.width - value.width))
-
-    def is_zero(self) -> bool:
-        return not any(self.parts)
-
-    def __add__(self, other):
-        if _wider(other, self):
-            return NotImplemented
-        return self.from_parts(map(operator.add, self.parts, self.of(other).parts))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return self.from_parts(-p for p in self.parts)
-
-    def __sub__(self, other):
-        if _wider(other, self):
-            return NotImplemented
-        return self.from_parts(map(operator.sub, self.parts, self.of(other).parts))
-
-    def __rsub__(self, other):
-        return self.of(other) - self
-
-    def __mul__(self, other):
-        """The product by ``table``, self the left factor."""
-        if _wider(other, self):
-            return NotImplemented
-        x, y = self.parts, self.of(other).parts
-        out = [None] * self.width
-        for i, j, k, sign in self.table:
-            t = x[i] * y[j]
-            if out[k] is None:
-                out[k] = t if sign > 0 else -t
-            else:
-                out[k] = out[k] + t if sign > 0 else out[k] - t
-        return self.from_parts(out)
-
-    def __rmul__(self, other):
-        return self.of(other) * self
-
-    def scale(self, s: ScalarLike):
-        """Every part multiplied by the scalar s."""
-        s = Scalar.of(s)
-        return self.from_parts(p * s for p in self.parts)
-
-    def conjugate(self):
-        """The real part kept, every other part negated."""
-        real, *rest = self.parts
-        return self.from_parts((real, *(-p for p in rest)))
-
-    def norm_sq(self) -> Scalar:
-        return sum((p * p for p in self.parts), _ZERO)
-
-    def inverse(self):
-        n = self.norm_sq()
-        if n.is_zero():
-            raise ZeroDivisionError(f"inverse of zero {type(self).__name__}")
-        return self.conjugate().scale(n.inverse())
-
-    def __truediv__(self, other):
-        return self * self.of(other).inverse()
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = Scalar.of(other)
-        if not isinstance(other, (Scalar, _Hypercomplex)) or other.width > self.width:
-            return NotImplemented
-        return self.parts == self.of(other).parts
-
-    def __hash__(self):
-        # the narrowest equal value: trailing zero parts dropped, and a
-        # single part hashed as the Scalar it equals
-        parts = list(self.parts)
-        while len(parts) > 1 and not parts[-1]:
-            parts.pop()
-        return hash(parts[0]) if len(parts) == 1 else hash(tuple(parts))
-
-    def __bool__(self) -> bool:
-        return not self.is_zero()
-
-    def __repr__(self):
-        return f"{type(self).__name__}({', '.join(map(str, self.parts))})"
-
-
-_set_parts = _Hypercomplex.parts.__set__
-
-
-def _wider(value, ring) -> bool:
-    """Whether value belongs to a ring wider than ring's."""
-    return isinstance(value, _Hypercomplex) and value.width > ring.width
-
-
-_ZERO = Scalar(0)
-
-# e_i e_j = sign e_k on the basis (1, i)
-_COMPLEX = ((0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 0, -1))
-
-
-class ComplexScalar(_Hypercomplex):
+class ComplexScalar(_Ring):
     """re + im*i in Q(sqrt(d))(i), the coefficient field of complex polynomials."""
 
     __slots__ = ()
     width, table = 2, _COMPLEX
-    re = property(lambda self: self.parts[0])
-    im = property(lambda self: self.parts[1])
+    re = property(lambda self: self._part(0))
+    im = property(lambda self: self._part(1))
 
     def __init__(self, re: ScalarLike = 0, im: ScalarLike = 0):
         super().__init__(re, im)

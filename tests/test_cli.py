@@ -265,6 +265,12 @@ def test_construct_f_element(tmp_path, capsys):
     assert code == 0
     report = json.loads(out)
     assert report["verification"]["gamma"]["kind"] == "complex"
+    # a delta of quaternion kind is a precondition failure, not a traceback
+    spec["delta"] = {"sqrt_base": 0, "kind": "quaternion",
+                     "coefficients": [["0", "1", "0", "0"], ["1", "0", "0", "0"]]}
+    code, _, err = run(capsys, "construct", "f-element", "--spec-json",
+                       json.dumps(spec))
+    assert code == 3 and "Traceback" not in err
 
 
 def test_frames_rmf_csv(tmp_path, capsys):

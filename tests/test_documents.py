@@ -64,6 +64,8 @@ def test_parse_errors():
             {"kind": "octonion"},
             {"sqrt_base": 4},
             {"sqrt_base": "15"},
+            {"sqrt_base": False},
+            {"sqrt_base": True},
             {"coefficients": []},
             {"coefficients": [["1", "0", "0"]]},
             {"coefficients": [["1.5", "0", "0", "0"]]},

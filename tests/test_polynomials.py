@@ -515,3 +515,13 @@ def test_integer_scale_stores_the_product_form(rng, base):
             for s in (0, 1, -1, 4, -6, 2 ** 70, rng.randint(-50, 50)):
                 got, want = p.scale(s), p * type(p)([s])
                 assert (got.d, got.rows, got.den) == (want.d, want.rows, want.den), (p, s)
+
+
+def test_narrower_kind_rejects_a_wider_polynomial():
+    # a wider kind names both kinds, as the rings do, rather than being
+    # read as an iterable of coefficients
+    quat = QuatPoly([Quaternion(0, 1, 0, 0), 1])
+    for narrow, wide in ((RealPoly, ComplexPoly.of(quat.complex_split()[0])),
+                         (RealPoly, quat), (ComplexPoly, quat)):
+        with pytest.raises(TypeError, match=f"{type(wide).__name__} to {narrow.__name__}"):
+            narrow.of(wide)

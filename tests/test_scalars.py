@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rrmf.quaternions import Quaternion
 from rrmf.scalars import (MAX_BASE, ComplexScalar, Scalar, SurdBaseMismatch,
                           format_scalar, is_valid_base, parse_scalar)
 
@@ -35,6 +36,11 @@ def test_mismatched_bases_reject():
         Scalar(0, 1, 2) + Scalar(0, 1, 15)
     with pytest.raises(SurdBaseMismatch):
         Scalar(0, 1, 2) * Scalar(0, 1, 15)
+    # a value of a wider ring holds one base, so its parts must agree
+    with pytest.raises(SurdBaseMismatch):
+        ComplexScalar(Scalar(0, 1, 2), Scalar(0, 1, 15))
+    with pytest.raises(SurdBaseMismatch):
+        Quaternion(1, Scalar(0, 1, 2), 0, Scalar(0, 1, 15))
     # rationals embed into any field
     assert Scalar(2) * Scalar(0, 1, 15) == Scalar(0, 2, 15)
 
