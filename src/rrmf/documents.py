@@ -147,8 +147,10 @@ def parse_document(data) -> PolyDocument:
         _check_degree("certificate b", cert["b"])
         certificate = tuple(RealPoly.from_terms([read_terms(c, base) for c in cert[part]],
                                                 base) for part in "ab")
-    metadata = data.get("metadata") or {}
-    if not isinstance(metadata, dict):
+    metadata = data.get("metadata")
+    if metadata is None:
+        metadata = {}
+    elif not isinstance(metadata, dict):
         raise DocumentError("metadata must be an object")
     return PolyDocument(base, kind, cls.from_terms(terms, base), len(raw),
                         certificate, metadata)

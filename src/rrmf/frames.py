@@ -21,6 +21,7 @@ rather than raising ZeroDivisionError.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Literal, NamedTuple, Optional
 
@@ -150,7 +151,8 @@ def frame_sampler(a: QuatPoly, kind: FrameKind,
     over |B|^2 formed in floats from the four components of B (A for
     erf, A (a - b i) for rmf); no rational entry is reduced.  Every kept
     sample is checked to be orthonormal to 1e-12 (erf, rmf) or finite
-    (frenet); the first failing parameter raises AssertionError.
+    (frenet); the first failing parameter raises AssertionError.  A
+    coefficient beyond the float range raises ValueError at set-up.
     """
     analysis = GeneratorAnalysis.of(a, "sampling the zero polynomial")
     if not math.isfinite(normal_rotation):
@@ -219,8 +221,13 @@ def sample_frames(a: QuatPoly, kind: FrameKind, xi_values: Iterable[float],
 
 def _horner_rows(polys) -> list[tuple[float, ...]]:
     """The float coefficients of the polynomials as rows from the top
-    power down, one entry per polynomial, zero above a degree."""
-    coeffs = [p.float_coeffs() for p in polys]
+    power down, one entry per polynomial, zero above a degree; ValueError
+    for a coefficient beyond the float range."""
+    try:
+        coeffs = [p.float_coeffs() for p in polys]
+    except OverflowError:
+        raise ValueError("a coefficient of the frame lies beyond the float range "
+                         f"(about {sys.float_info.max:.3g}), so it cannot be sampled") from None
     n = max(map(len, coeffs))
     return list(zip(*(c + [0.0] * (n - len(c)) for c in coeffs)))[::-1]
 

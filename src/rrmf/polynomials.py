@@ -1,26 +1,24 @@
 """Univariate polynomials over the exact scalar field.
 
-One dense core, ``_DensePoly``, stores every polynomial as integer rows
-over one positive denominator and a surd base d.  A coefficient is a
-vector of integer coordinates, the rational and sqrt(d) parts of each
-real component (one component for real, re/im for complex, four for
-quaternion coefficients); the rows hold them in ascending degree.  The
-form is canonical: rows trimmed (the zero polynomial has empty rows and
-``degree() == -1``), the gcd of the denominator and every integer 1,
-and base 0 when no sqrt(d) row is nonzero, so ``==`` compares the
-stored triple; ``hash`` reads the narrowest equal value (a constant as
-its coefficient, without the zero rows a lift appends), so equal
-polynomials of different kinds hash alike.  Coefficients are converted
-only at the edges: the constructor from coefficients turns them into
-rows, which raises SurdBaseMismatch for two different surd bases,
+One dense core, ``_DensePoly``, on the base of rrmf.scalars, stores
+every polynomial in the form of the ring values: integer rows over one
+positive denominator and a surd base d.  A coefficient is one column of
+the rows: the rational and sqrt(d) parts of each real component (one
+component for real, re/im for complex, four for quaternion
+coefficients), in ascending degree.  The form is canonical: rows
+trimmed (the zero polynomial has empty rows and ``degree() == -1``),
+the gcd of the denominator and every integer 1, and base 0 when no
+sqrt(d) row is nonzero, so ``==`` compares the stored triple; ``hash``
+reads the narrowest equal value (a constant as its coefficient, without
+the zero rows a lift appends), so equal polynomials of different kinds
+hash alike.  The constructor from coefficients writes each as one
+column, which raises SurdBaseMismatch for two different surd bases,
 ``from_terms`` builds the rows from a parsed document's integers, and
-``coeffs``, ``coeff``, ``leading``, ``evaluate`` and the text forms
-read ring values on access.  Both ends copy the coordinates, which a
-ring value (rrmf.scalars) stores in the layout of the rows as
-Fractions.  The kinds ``RealPoly``, ``ComplexPoly`` and ``QuatPoly``
-name their coefficient ring, the constants they accept and the smaller
-kinds they lift from (Real -> Complex -> Quat).  The ring gives its
-width and its multiplication table.
+``coeffs``, ``coeff``, ``leading``, ``evaluate`` and the text forms read
+a column back as a ring value.  The kinds ``RealPoly``, ``ComplexPoly``
+and ``QuatPoly`` name only their coefficient ring, which gives the
+width and the multiplication table; the base lifts a narrower kind or
+a ring value into a kind, as rrmf.scalars states.
 
 Every operation reads the stored rows.  Sums, derivatives, conjugates,
 splits into and joins of components are row slicing or stacking over
@@ -63,85 +61,15 @@ from itertools import zip_longest
 from typing import Iterable, Optional
 
 from .quaternions import Quaternion
-from .scalars import _F0, _REAL, ComplexScalar, Scalar, _Algebra, _algebra, _base
+from .scalars import (_REAL, ComplexScalar, Scalar, _Algebra, _algebra, _canonical, _Exact,
+                      _kernel, _leading, _mul_rows, _shaped, _stack, _trim_rows)
 
 
 class InexactDivision(ArithmeticError):
     """Division that was required to be exact left a remainder."""
 
 
-# -- the integer kernel ----------------------------------------------------
-#
-# A coefficient is a vector of m integer coordinates in the layout of the
-# rings of rrmf.scalars: part s (0 rational, 1 sqrt(d)) of real component
-# w sits at w*P + s, with P = 2 over a surd base d and P = 1 over Q, and
-# the ring's _Algebra multiplies them.  A polynomial is its m coordinate
-# rows of ints in ascending degree over one denominator: tuples as stored,
-# lists while the kernel rewrites them.
-
-
-def _kernel(*polys: "_DensePoly") -> _Algebra:
-    """The algebra of the polynomials' kind over their common surd base."""
-    return _algebra(polys[0].ring.table, _base(polys))
-
-
-def _stack(polys) -> tuple:
-    """(d, den, rows): the common base, the lcm of the denominators, and
-    per polynomial its rows over both, padded to one length."""
-    d = _base(polys)
-    den = math.lcm(*(p.den for p in polys))
-    n = max(len(p.rows[0]) for p in polys)
-    return d, den, [[[v * (den // p.den) for v in row] + [0] * (n - len(row))
-                     for row in p._rows_over(d)] for p in polys]
-
-
-def _add_product(out: list, a: list, b: list, c: int) -> None:
-    """out += c a b for integer coefficient lists (schoolbook)."""
-    for s, y in enumerate(b):
-        if y:
-            y *= c
-            for r, x in enumerate(a):
-                out[r + s] += x * y
-
-
-def _mul_rows(alg: _Algebra, x: list, y: list) -> list:
-    """Rows of the product, left operand first, of polynomials with rows x, y."""
-    n = len(x[0]) + len(y[0]) - 1
-    out = [[0] * n for _ in range(alg.m)]
-    live_x, live_y = [any(r) for r in x], [any(r) for r in y]
-    for i, j, k, c in alg.terms:
-        if live_x[i] and live_y[j]:
-            _add_product(out[k], x[i], y[j], c)
-    return out
-
-
-def _leading(rows: list) -> tuple:
-    return tuple(row[-1] for row in rows)
-
-
-def _trim_rows(rows: list) -> list:
-    n = len(rows[0])
-    while n and not any(row[n - 1] for row in rows):
-        n -= 1
-    return [row[:n] for row in rows]
-
-
-def _shaped(d: int, rows: list) -> tuple:
-    """(d, rows) with the rows trimmed, and base 0 without sqrt(d) part."""
-    rows = _trim_rows(rows)
-    if d and not any(map(any, rows[1::2])):
-        d, rows = 0, rows[::2]
-    return d, rows
-
-
-def _canonical(d: int, rows: list, den: int) -> tuple:
-    """(d, rows, den) in the stored form, for a positive den: rows trimmed
-    into tuples, gcd(den, every integer) = 1, base 0 without sqrt(d) part."""
-    d, rows = _shaped(d, rows)
-    g = math.gcd(den, *[v for row in rows for v in row])
-    if g != 1:
-        rows = [[v // g for v in row] for row in rows]
-    return d, tuple(map(tuple, rows)), den // g
+# -- division, gcds and ranks on the integer rows ---------------------------
 
 
 def _content_free(rows: list) -> list:
@@ -251,41 +179,27 @@ def _term_str(c, k: int) -> str:
     return f"({c})*{xi}"
 
 
-class _DensePoly:
+class _DensePoly(_Exact):
     """Immutable dense polynomial over the coefficient ring ``ring``.
 
-    Stored as its surd base ``d``, integer coordinate ``rows`` and one
-    positive denominator ``den``, in the canonical form of the module
-    docstring.  A subclass sets its coefficient ``ring``, the
-    ``constants`` it accepts as degree-0 polynomials and the polynomial
-    kinds it ``lifts`` coefficientwise into its ring.  The ring gives
-    the rest: its ``width`` real components, a coefficient's coordinates
-    in the layout of the rows, and the multiplication ``table`` the
-    integer kernel runs.
+    Stored as a value of rrmf.scalars' base: its surd base ``d``,
+    integer coordinate ``rows`` and one positive denominator ``den``,
+    which also give it ``+``, ``-``, ``*``, ``scale``, ``conjugate``,
+    ``==`` and ``of``.  A subclass sets its coefficient ``ring``, which
+    gives its ``width`` and multiplication ``table``; a coefficient is
+    one column of the rows.
     """
 
-    __slots__ = ("d", "rows", "den")
-    lifts: tuple = ()
+    __slots__ = ()
+    _poly = True
+
+    def __init_subclass__(cls):
+        cls.width, cls.table = cls.ring.width, cls.ring.table
 
     def __init__(self, coeffs: Iterable = ()):
-        coeffs = [self.ring.of(c) for c in coeffs]
-        d = _base(coeffs)
-        columns = [c._over(d) for c in coeffs]
-        fracs = [[c[k] for c in columns] for k in range(self.ring.width * (2 if d else 1))]
-        den = math.lcm(*[f.denominator for row in fracs for f in row])
-        rows = [[f.numerator * (den // f.denominator) for f in row] for row in fracs]
+        d, den, columns = _stack([self.ring.of(c) for c in coeffs], 1)
+        rows = [[c[k][0] for c in columns] for k in range(self.width * (2 if d else 1))]
         self._set(*_canonical(d, rows, den))
-
-    def _set(self, d: int, rows: tuple, den: int) -> None:
-        for name, value in (("d", d), ("rows", rows), ("den", den)):
-            object.__setattr__(self, name, value)
-
-    @classmethod
-    def _from_rows(cls, d: int, rows: list, den: int):
-        """The polynomial with coordinate rows / den over the base d, den > 0."""
-        p = object.__new__(cls)
-        p._set(*_canonical(d, rows, den))
-        return p
 
     @classmethod
     def from_terms(cls, terms: list, d: int):
@@ -300,7 +214,7 @@ class _DensePoly:
         for each prime power l^e exactly dividing den, a reduced q carries
         l^e and p (den/q) is prime to l.  So the stored form takes no gcd
         over every integer, which costs seconds at long coefficients."""
-        width = cls.ring.width
+        width = cls.width
         reduced = []
         for p, q, r, s, _ in terms:
             g, h = math.gcd(p, q), math.gcd(r, s)
@@ -313,56 +227,15 @@ class _DensePoly:
             if d:
                 rows.append([r * (den // s) for _, _, r, s in column])
         d, rows = _shaped(d, rows)
-        poly = object.__new__(cls)
-        poly._set(d, tuple(map(tuple, rows)), den)
-        return poly
-
-    def _rows_over(self, d: int):
-        """The stored rows over the base d, which is self.d or self.d = 0."""
-        if d == self.d:
-            return self.rows
-        zero = (0,) * len(self.rows[0])
-        return [r for row in self.rows for r in (row, zero)]
-
-    @classmethod
-    def _join(cls, polys):
-        """The polynomial whose real components are those of polys, in order."""
-        d, den, rows = _stack(polys)
-        return cls._from_rows(d, [row for part in rows for row in part], den)
-
-    def _split(self, kind) -> tuple:
-        """The real components of self, grouped into polynomials of kind."""
-        k = _algebra(kind.ring.table, self.d).m
-        return tuple(kind._from_rows(self.d, self.rows[i:i + k], self.den)
-                     for i in range(0, len(self.rows), k))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    @classmethod
-    def of(cls, value):
-        if isinstance(value, cls):
-            return value
-        if isinstance(value, cls.lifts):
-            zero = (0,) * len(value.rows[0])
-            missing = _algebra(cls.ring.table, value.d).m - len(value.rows)
-            return cls._from_rows(value.d, value.rows + (zero,) * missing, value.den)
-        if isinstance(value, _DensePoly):
-            raise TypeError(f"cannot convert {type(value).__name__} to {cls.__name__}")
-        if isinstance(value, cls.constants):
-            return cls([value])
-        return cls(value)
+        return cls._new(d, tuple(map(tuple, rows)), den)
 
     @property
     def coeffs(self) -> tuple:
-        """The coefficients in ascending order, built from the rows."""
+        """The coefficients in ascending order, read from the rows."""
         return tuple(map(self.coeff, range(len(self.rows[0]))))
 
     def degree(self) -> int:
         return len(self.rows[0]) - 1
-
-    def is_zero(self) -> bool:
-        return not self.rows[0]
 
     def leading(self):
         if self.is_zero():
@@ -372,60 +245,14 @@ class _DensePoly:
     def coeff(self, k: int):
         if not 0 <= k < len(self.rows[0]):
             return self.ring.of(0)
-        return self.ring._from_coords(self.d, tuple(
-            Fraction(row[k], self.den) if row[k] else _F0 for row in self.rows))
-
-    def __add__(self, other):
-        d, den, (x, y) = _stack((self, self.of(other)))
-        rows = [[u + v for u, v in zip(a, b)] for a, b in zip(x, y)]
-        return self._from_rows(d, rows, den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        rows = [[-v for v in row] for row in self.rows]
-        return self._from_rows(self.d, rows, self.den)
-
-    def __sub__(self, other):
-        return self + (-self.of(other))
-
-    def __rsub__(self, other):
-        return (-self) + self.of(other)
-
-    def __mul__(self, other):
-        """Product with ordered coefficient products, in the integer kernel."""
-        other = self.of(other)
-        if self.is_zero() or other.is_zero():
-            return type(self)()
-        alg = _kernel(self, other)
-        x, y = self._rows_over(alg.d), other._rows_over(alg.d)
-        return self._from_rows(alg.d, _mul_rows(alg, x, y), self.den * other.den)
-
-    def __rmul__(self, other):
-        return self.of(other) * self
-
-    def scale(self, s):
-        """Every coefficient multiplied on the right by the constant s;
-        an int scales the integer rows."""
-        if isinstance(s, int):
-            return self._from_rows(self.d, [[v * s for v in row] for row in self.rows],
-                                   self.den)
-        return self * type(self)([s])
+        return self.ring._from_rows(self.d, [[row[k]] for row in self.rows], self.den)
 
     def derivative(self):
         return self._from_rows(self.d, [[k * v for k, v in enumerate(row)][1:]
                                         for row in self.rows], self.den)
 
-    def conjugate(self):
-        """Coefficientwise conjugate: every component but the real one negated."""
-        p = 2 if self.d else 1
-        return self._from_rows(self.d, self.rows[:p] + tuple(
-            tuple(-v for v in row) for row in self.rows[p:]), self.den)
-
-    def leading_inverse(self):
-        """The constant 1/lead(self) of a nonzero polynomial, from its rows."""
-        inv, n = _algebra(self.ring.table, self.d).inverse_parts(_leading(self.rows))
-        return self._from_rows(self.d, [[self.den * v] for v in inv], n)
+    # the constant 1/lead(self) of a nonzero polynomial, from its rows
+    leading_inverse = _Exact._lead_inverse
 
     def monic(self):
         return self if self.is_zero() else self * self.leading_inverse()
@@ -453,7 +280,7 @@ class _DensePoly:
         return self._from_rows(alg.d, q, den), self._from_rows(alg.d, r, den)
 
     def evaluate(self, xi):
-        x = self.ring.of(Scalar.of(xi))
+        x = self.ring.of(xi)
         acc = self.ring.of(0)
         for c in reversed(self.coeffs):
             acc = acc * x + c
@@ -461,13 +288,6 @@ class _DensePoly:
 
     def as_quat(self) -> "QuatPoly":
         return QuatPoly.of(self)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, self.constants + self.lifts):
-            other = self.of(other)
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return (self.d, self.rows, self.den) == (other.d, other.rows, other.den)
 
     def __hash__(self):
         # the narrowest equal value: a constant hashes as its coefficient,
@@ -479,16 +299,12 @@ class _DensePoly:
             rows = rows[:-1]
         return hash((self.d, rows, self.den))
 
-    def __bool__(self):
-        return not self.is_zero()
-
 
 class RealPoly(_DensePoly):
     """Polynomial with Scalar coefficients, ascending order."""
 
     __slots__ = ()
     ring = Scalar
-    constants = (Scalar, Fraction, int)
 
     def antiderivative(self) -> "RealPoly":
         """Termwise antiderivative with zero constant term."""
@@ -524,8 +340,6 @@ class ComplexPoly(_DensePoly):
 
     __slots__ = ()
     ring = ComplexScalar
-    constants = (ComplexScalar, Scalar, Fraction, int)
-    lifts = (RealPoly,)
 
     @classmethod
     def from_parts(cls, re: RealPoly, im: RealPoly) -> "ComplexPoly":
@@ -548,8 +362,6 @@ class QuatPoly(_DensePoly):
 
     __slots__ = ()
     ring = Quaternion
-    constants = (Quaternion, ComplexScalar, Scalar, Fraction, int)
-    lifts = (RealPoly, ComplexPoly)
 
     @classmethod
     def from_components(cls, u, v, p, q) -> "QuatPoly":
@@ -564,7 +376,7 @@ class QuatPoly(_DensePoly):
         return self._split(ComplexPoly)
 
     # kept in this class body: bench/tracing.py wraps QuatPoly.__mul__ on its class
-    __mul__ = _DensePoly.__mul__
+    __mul__ = _Exact.__mul__
     # ordered coefficient products make divmod the right division
     right_divmod = _DensePoly.divmod
 

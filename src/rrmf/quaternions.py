@@ -27,10 +27,10 @@ class Quaternion(_Ring):
 
     __slots__ = ()
     width, table = 4, _HAMILTON
-    w = property(lambda self: self._part(0))
-    x = property(lambda self: self._part(1))
-    y = property(lambda self: self._part(2))
-    z = property(lambda self: self._part(3))
+    w = property(lambda self: self.parts[0])
+    x = property(lambda self: self.parts[1])
+    y = property(lambda self: self.parts[2])
+    z = property(lambda self: self.parts[3])
 
     def __init__(self, w: ScalarLike = 0, x: ScalarLike = 0, y: ScalarLike = 0,
                  z: ScalarLike = 0):

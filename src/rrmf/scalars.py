@@ -1,8 +1,8 @@
 """Exact arithmetic in the quadratic field Q(sqrt(d)) and its rings.
 
 Every symbolic computation in this package runs over a field Q(sqrt(d))
-for a fixed squarefree base d.  A value is stored as ``a + b*sqrt(d)``
-with exact ``Fraction`` parts, so equality is structural and sign
+for a fixed squarefree base d.  A Scalar is ``a + b*sqrt(d)``, whose
+parts read as exact Fractions, so equality is structural and sign
 determination never touches floating point.  Pure rationals are
 canonicalized to base 0 and combine freely with values of any base;
 combining two genuinely irrational values of different bases is an
@@ -10,18 +10,20 @@ error rather than an implicit field extension.
 
 Scalar, ComplexScalar and rrmf.quaternions.Quaternion are the
 coefficient rings of polynomials.  Each states its multiplication rule
-once, as its ``table``, and stores a value in the layout of the integer
-kernel of rrmf.polynomials: Fraction coordinates, part s (0 rational,
-1 sqrt(d)) of real component w at w*P + s, with P = 2 over a surd base
-and 1 over Q.  Their common base _Ring adds and subtracts coordinate by
-coordinate and multiplies by _Algebra, the table expanded over the
-coordinates, which the polynomial kernel runs on integers.
+once, as its ``table``.  Their values and the polynomials of
+rrmf.polynomials share one stored form and one base, _Exact: integer
+coordinate rows over one positive denominator and the base d, part s
+(0 rational, 1 sqrt(d)) of real component w in row w*P + s, with P = 2
+over a surd base and 1 over Q, in ascending degree.  A ring value is a
+constant, whose rows have length at most 1.  The base adds, subtracts
+and conjugates row by row, and multiplies by _Algebra, the table
+expanded over the coordinates, in one integer kernel for ring values
+and polynomials alike.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import re
 from decimal import Decimal
 from fractions import Fraction
@@ -74,12 +76,11 @@ _COMPLEX = ((0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 0, -1))
 
 
 class _Algebra:
-    """The coordinates of a coefficient ring over the base d.
+    """The integer coordinates of a coefficient ring over the base d.
 
     ``terms`` are the ring's ``table`` over the coordinates (i, j, k, c):
     coordinate i of a left factor times coordinate j of a right factor
-    adds c times their product to coordinate k.  The coordinates are
-    ints in the polynomial kernel and Fractions in the rings.
+    adds c times their product to coordinate k.
     """
 
     def __init__(self, table: tuple, d: int):
@@ -95,9 +96,8 @@ class _Algebra:
         self.conj = tuple(1 if w == 0 else -1 for w in range(self.width)
                           for _ in range(p))
 
-    def mul(self, x: tuple, y: tuple, zero=0) -> tuple:
-        """x y, with ``zero`` in the coordinates no term reaches."""
-        out = [zero] * self.m
+    def mul(self, x: tuple, y: tuple) -> tuple:
+        out = [0] * self.m
         for i, j, k, c in self.terms:
             if x[i] and y[j]:
                 out[k] += c * x[i] * y[j]
@@ -109,12 +109,13 @@ class _Algebra:
             out = self.mul(out, x)
         return out
 
-    def adjugate(self, x: tuple) -> tuple:
-        """(y, n) with y x = x y = n, the rational coordinate of a norm,
-        which is nonzero unless x is zero.
+    def inverse_parts(self, x: tuple) -> tuple[tuple, int]:
+        """(y, n) for nonzero integer coordinates x: y x = x y = n, a
+        positive integer, so x^-1 = y/n, with the content of y and n removed.
 
         y is the conjugate of x, times the Galois conjugate of the norm
-        x conj(x) when that norm has a sqrt(d) part.
+        x conj(x) when that norm has a sqrt(d) part; n is then the
+        rational coordinate of the norm, nonzero unless x is zero.
         """
         y, norm = self.one, x
         if self.width > 1:
@@ -123,16 +124,10 @@ class _Algebra:
         if self.parts == 2 and norm[1]:
             galois = (norm[0], -norm[1]) + (0,) * (self.m - 2)
             y, norm = self.mul(y, galois), self.mul(norm, galois)
-        return y, norm[0]
-
-    def inverse_parts(self, x: tuple) -> tuple[tuple, int]:
-        """(y, n) for integer coordinates x: y x = x y = n, a positive
-        integer, so x^-1 = y/n, with the content of y and n removed."""
-        y, n = self.adjugate(x)
-        g = math.gcd(n, *y)
-        if n < 0:
+        g = math.gcd(norm[0], *y)
+        if norm[0] < 0:
             g = -g
-        return tuple(v // g for v in y), n // g
+        return tuple(v // g for v in y), norm[0] // g
 
     def divide(self, x: tuple, y: tuple) -> tuple:
         """x / y for a y that divides x in the ring."""
@@ -156,141 +151,260 @@ def _algebra(table: tuple, d: int) -> _Algebra:
     return _Algebra(table, d)
 
 
-_F0 = Fraction(0)
+# -- the integer kernel ----------------------------------------------------
+#
+# A value is its m coordinate rows of ints in ascending degree over one
+# denominator, in the layout of the module docstring: tuples as stored,
+# lists while the kernel rewrites them.  A ring value is a constant, with
+# rows of length at most 1.
 
 
-class _Ring:
-    """An immutable value of a coefficient ring of ``width`` real
-    components over Q(sqrt(d)) that multiply by ``table``.
+def _kernel(*values: "_Exact") -> _Algebra:
+    """The algebra of the values' ring over their common surd base."""
+    return _algebra(values[0].table, _base(values))
 
-    Stored as the base ``d`` and the Fraction ``coords`` in the layout of
-    the module docstring; d is 0 when no sqrt(d) coordinate is nonzero,
-    so ``==`` compares the stored pair.  A value of a narrower ring is
-    lifted by zero components, and ``==`` and ``hash`` compare across
-    rings that way.  With an operand of a wider ring, ``+``, ``-`` and
-    ``*`` return NotImplemented, so that ring's reflected operation lifts
-    this value and keeps the operand order.
+
+def _stack(values, n: int = 0) -> tuple:
+    """(d, den, rows): the common base, the lcm of the denominators, and
+    per value its rows over both, padded to one length of at least n."""
+    d = _base(values)
+    den = math.lcm(*(v.den for v in values))
+    n = max([n] + [len(v.rows[0]) for v in values])
+    return d, den, [[[x * (den // v.den) for x in row] + [0] * (n - len(row))
+                     for row in v._rows_over(d)] for v in values]
+
+
+def _add_product(out: list, a: list, b: list, c: int) -> None:
+    """out += c a b for integer coefficient lists (schoolbook)."""
+    for s, y in enumerate(b):
+        if y:
+            y *= c
+            for r, x in enumerate(a):
+                out[r + s] += x * y
+
+
+def _mul_rows(alg: _Algebra, x: list, y: list) -> list:
+    """Rows of the product, left operand first, of nonzero values with rows x, y."""
+    n = len(x[0]) + len(y[0]) - 1
+    out = [[0] * n for _ in range(alg.m)]
+    live_x, live_y = [any(r) for r in x], [any(r) for r in y]
+    for i, j, k, c in alg.terms:
+        if live_x[i] and live_y[j]:
+            _add_product(out[k], x[i], y[j], c)
+    return out
+
+
+def _leading(rows: list) -> tuple:
+    return tuple(row[-1] for row in rows)
+
+
+def _trim_rows(rows: list) -> list:
+    n = len(rows[0])
+    while n and not any(row[n - 1] for row in rows):
+        n -= 1
+    return [row[:n] for row in rows]
+
+
+def _shaped(d: int, rows: list) -> tuple:
+    """(d, rows) with the rows trimmed, and base 0 without sqrt(d) part."""
+    rows = _trim_rows(rows)
+    if d and not any(map(any, rows[1::2])):
+        d, rows = 0, rows[::2]
+    return d, rows
+
+
+def _canonical(d: int, rows: list, den: int) -> tuple:
+    """(d, rows, den) in the stored form, for a positive den: rows trimmed
+    into tuples, gcd(den, every integer) = 1, base 0 without sqrt(d) part."""
+    d, rows = _shaped(d, rows)
+    g = math.gcd(den, *[v for row in rows for v in row])
+    if g != 1:
+        rows = [[v // g for v in row] for row in rows]
+    return d, tuple(map(tuple, rows)), den // g
+
+
+class _Exact:
+    """An immutable exact value: a ring value or a polynomial over a ring
+    of ``width`` real components that multiply by ``table``.
+
+    Stored as the base ``d``, the integer coordinate ``rows`` and one
+    positive denominator ``den`` in the canonical form of _canonical, so
+    ``==`` compares the stored triple.  A value lifts into a kind of at
+    least its ring's width, by zero components, and a ring value lifts
+    into a polynomial kind as a constant, but not back; ints and
+    Fractions lift into every kind.  An operand that does not lift into
+    this kind makes ``+``, ``-``, ``*`` and ``==`` return NotImplemented,
+    so that its own reflected operation lifts this value and keeps the
+    operand order.
     """
 
-    __slots__ = ("d", "coords")
+    __slots__ = ("d", "rows", "den")
     width: int
     table: tuple
+    _poly = False
 
-    def __init__(self, *parts: ScalarLike):
-        self._set(*_join(map(Scalar.of, parts)))
-
-    def _set(self, d: int, coords: tuple) -> None:
-        if d and not any(coords[1::2]):
-            d, coords = 0, coords[::2]
+    def _set(self, d: int, rows: tuple, den: int) -> None:
         object.__setattr__(self, "d", d)
-        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
-    def _from_coords(cls, d: int, coords: tuple):
-        """The value with the Fraction coordinates ``coords`` over the base d."""
+    def _new(cls, d: int, rows: tuple, den: int):
+        """The value with the stored form (d, rows, den), taken as is."""
         value = object.__new__(cls)
-        value._set(d, coords)
+        value._set(d, rows, den)
         return value
 
     @classmethod
-    def from_parts(cls, parts):
-        """The value with the given ``width`` Scalar components."""
-        return cls._from_coords(*_join(parts))
+    def _from_rows(cls, d: int, rows: list, den: int):
+        """The value with coordinate rows / den over the base d, den > 0."""
+        return cls._new(*_canonical(d, rows, den))
+
+    @classmethod
+    def _lift(cls, value):
+        """value as a value of cls, or None when it does not lift."""
+        if isinstance(value, cls):
+            return value
+        if isinstance(value, _Exact):
+            if value.width > cls.width or value._poly > cls._poly:
+                return None
+            pad = (cls.width - value.width) * (2 if value.d else 1)
+            return cls._new(value.d, value.rows + ((0,) * len(value.rows[0]),) * pad,
+                            value.den)
+        if isinstance(value, (int, Fraction)):
+            return cls._from_rows(0, [[value.numerator]] + [[0]] * (cls.width - 1),
+                                  value.denominator)
+        return None
 
     @classmethod
     def of(cls, value):
-        if isinstance(value, cls):
-            return value
-        if not isinstance(value, _Ring):
-            return cls._from_coords(0, (Fraction(value),) + (_F0,) * (cls.width - 1))
-        if value.width > cls.width:
+        lifted = cls._lift(value)
+        if lifted is None:
             raise TypeError(f"cannot convert {type(value).__name__} to {cls.__name__}")
-        pad = (cls.width - value.width) * (2 if value.d else 1)
-        return cls._from_coords(value.d, value.coords + (_F0,) * pad)
+        return lifted
 
-    def _over(self, d: int) -> tuple:
-        """The coordinates over the base d, which is self.d or self.d = 0."""
+    def _rows_over(self, d: int):
+        """The stored rows over the base d, which is self.d or self.d = 0."""
         if d == self.d:
-            return self.coords
-        return tuple(v for c in self.coords for v in (c, _F0))
+            return self.rows
+        zero = (0,) * len(self.rows[0])
+        return [r for row in self.rows for r in (row, zero)]
 
-    def _part(self, w: int) -> "Scalar":
-        p = 2 if self.d else 1
-        return Scalar._from_coords(self.d, self.coords[w * p:(w + 1) * p])
+    @classmethod
+    def _join(cls, values):
+        """The value whose real components are those of values, in order."""
+        d, den, rows = _stack(tuple(values))
+        return cls._from_rows(d, [row for part in rows for row in part], den)
 
-    @property
-    def parts(self) -> tuple:
-        """The ``width`` real components, as Scalars."""
-        return tuple(map(self._part, range(self.width)))
+    def _split(self, kind) -> tuple:
+        """The real components of self, grouped into values of kind."""
+        k = kind.width * (2 if self.d else 1)
+        return tuple(kind._from_rows(self.d, self.rows[i:i + k], self.den)
+                     for i in range(0, len(self.rows), k))
 
     def is_zero(self) -> bool:
-        return not any(self.coords)
+        return not self.rows[0]
 
-    def _binary(self, other, op):
-        d = _base((self, other))
-        return self._from_coords(d, tuple(map(op, self._over(d), other._over(d))))
+    def __bool__(self) -> bool:
+        return bool(self.rows[0])
 
     def __add__(self, other):
-        if _wider(other, self):
+        other = self._lift(other)
+        if other is None:
             return NotImplemented
-        return self._binary(self.of(other), operator.add)
+        d, den, (x, y) = _stack((self, other))
+        return self._from_rows(d, [[u + v for u, v in zip(a, b)] for a, b in zip(x, y)], den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._from_coords(self.d, tuple(-v for v in self.coords))
+        return self._new(self.d, tuple(tuple(-v for v in row) for row in self.rows), self.den)
 
     def __sub__(self, other):
-        if _wider(other, self):
-            return NotImplemented
-        return self._binary(self.of(other), operator.sub)
+        other = self._lift(other)
+        return NotImplemented if other is None else self + -other
 
     def __rsub__(self, other):
-        return self.of(other) - self
+        other = self._lift(other)
+        return NotImplemented if other is None else other + -self
 
     def __mul__(self, other):
-        """The product by ``table``, self the left factor."""
-        if _wider(other, self):
+        """The product by ``table``, self the left factor, in the integer kernel."""
+        other = self._lift(other)
+        if other is None:
             return NotImplemented
-        other = self.of(other)
-        d = _base((self, other))
-        mul = _algebra(self.table, d).mul
-        return self._from_coords(d, mul(self._over(d), other._over(d), _F0))
+        if self.is_zero() or other.is_zero():
+            return self._new(0, ((),) * self.width, 1)
+        alg = _kernel(self, other)
+        x, y = self._rows_over(alg.d), other._rows_over(alg.d)
+        return self._from_rows(alg.d, _mul_rows(alg, x, y), self.den * other.den)
 
     def __rmul__(self, other):
-        return self.of(other) * self
+        other = self._lift(other)
+        return NotImplemented if other is None else other * self
 
-    def scale(self, s: ScalarLike):
-        """Every component multiplied by the scalar s."""
-        return self * self.of(Scalar.of(s))
+    def scale(self, s):
+        """self multiplied on the right by s, a value that lifts into its
+        kind; an int scales the integer rows."""
+        if isinstance(s, int):
+            return self._from_rows(self.d, [[v * s for v in row] for row in self.rows],
+                                   self.den)
+        return self * self.of(s)
 
     def conjugate(self):
         """The real component kept, every other component negated."""
         p = 2 if self.d else 1
-        return self._from_coords(self.d, self.coords[:p] + tuple(-v for v in self.coords[p:]))
+        return self._new(self.d, self.rows[:p] + tuple(
+            tuple(-v for v in row) for row in self.rows[p:]), self.den)
+
+    def _lead_inverse(self):
+        """The constant 1/lead(self), for a nonzero self."""
+        if self.is_zero():
+            raise ZeroDivisionError(f"inverse of zero {type(self).__name__}")
+        inv, n = _algebra(self.table, self.d).inverse_parts(_leading(self.rows))
+        return self._from_rows(self.d, [[self.den * v] for v in inv], n)
+
+    def __eq__(self, other) -> bool:
+        other = self._lift(other)
+        if other is None:
+            return NotImplemented
+        return (self.d, self.rows, self.den) == (other.d, other.rows, other.den)
+
+
+_F0 = Fraction(0)
+
+
+class _Ring(_Exact):
+    """A value of a coefficient ring: a constant, whose coordinate rows
+    have length at most 1.  ``hash`` reads the narrowest equal value, so
+    equal values of different rings hash alike."""
+
+    __slots__ = ()
+
+    def __init__(self, *parts: ScalarLike):
+        value = self.from_parts(parts)
+        self._set(value.d, value.rows, value.den)
+
+    @classmethod
+    def from_parts(cls, parts):
+        """The value with the given ``width`` Scalar components."""
+        return cls._join(map(Scalar.of, parts))
+
+    @property
+    def parts(self) -> tuple:
+        """The ``width`` real components, as Scalars."""
+        return self._split(Scalar)
 
     def norm_sq(self) -> "Scalar":
         return sum((p * p for p in self.parts), Scalar(0))
 
-    def inverse(self):
-        y, n = _algebra(self.table, self.d).adjugate(self.coords)
-        if not n:
-            raise ZeroDivisionError(f"inverse of zero {type(self).__name__}")
-        return self._from_coords(self.d, tuple(v / n for v in y))
+    inverse = _Exact._lead_inverse
 
     def __truediv__(self, other):
         return self * self.of(other).inverse()
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = Scalar.of(other)
-        if not isinstance(other, _Ring) or other.width > self.width:
-            return NotImplemented
-        other = self.of(other)
-        return self.d == other.d and self.coords == other.coords
 
     def __hash__(self):
         # the narrowest equal value: trailing zero parts dropped, and a
@@ -300,23 +414,8 @@ class _Ring:
             parts.pop()
         return hash(parts[0]) if len(parts) == 1 else hash(tuple(parts))
 
-    def __bool__(self) -> bool:
-        return not self.is_zero()
-
     def __repr__(self):
         return f"{type(self).__name__}({', '.join(map(str, self.parts))})"
-
-
-def _join(parts) -> tuple[int, tuple]:
-    """(d, coords) of the Scalars ``parts`` over their common base."""
-    parts = tuple(parts)
-    d = _base(parts)
-    return d, tuple(v for s in parts for v in s._over(d))
-
-
-def _wider(value, ring) -> bool:
-    """Whether value belongs to a ring wider than ring's."""
-    return isinstance(value, _Ring) and value.width > ring.width
 
 
 class Scalar(_Ring):
@@ -330,12 +429,13 @@ class Scalar(_Ring):
     arguments, and ``parse_scalar`` checks a parsed base the same way,
     unless it is the expected one its caller has validated.  Arithmetic
     results are assembled without re-validation, because their
-    coordinates are Fraction operations on valid operands and their base
+    coordinates are integer operations on valid operands and their base
     is one of the operands' bases; only the ``b == 0 => d == 0``
     normalisation runs on them.
 
     As a coefficient ring it has ``width`` 1: its ``parts`` are ``(self,)``
-    and its coordinates ``(a,)`` over Q, ``(a, b)`` over Q(sqrt(d)).
+    and its rows ``(a den,)`` over Q, ``(a den, b den)`` over Q(sqrt(d)),
+    for its denominator den.
     """
 
     __slots__ = ()
@@ -351,10 +451,11 @@ class Scalar(_Ring):
         b = Fraction(b)
         if b and not d:
             raise ValueError("irrational part requires a nonzero base")
-        self._set(d, (a, b) if d else (a,))
+        value = self.from_terms(a.numerator, a.denominator, b.numerator, b.denominator, d)
+        self._set(value.d, value.rows, value.den)
 
-    a = property(lambda self: self.coords[0])
-    b = property(lambda self: self.coords[1] if self.d else _F0)
+    a = property(lambda self: Fraction(self.rows[0][0], self.den) if self.rows[0] else _F0)
+    b = property(lambda self: Fraction(self.rows[1][0], self.den) if self.d else _F0)
     parts = property(lambda self: (self,))
 
     # -- constructors -------------------------------------------------
@@ -368,7 +469,9 @@ class Scalar(_Ring):
     def from_terms(cls, p: int, q: int, r: int, s: int, d: int) -> "Scalar":
         """p/q + r/s*sqrt(d) for the integers scalar_terms reads: q, s > 0,
         and d valid, or 0 when r = 0."""
-        return cls._from_coords(d, (Fraction(p, q), Fraction(r, s)) if d else (Fraction(p, q),))
+        den = math.lcm(q, s)
+        rows = [[p * (den // q)], [r * (den // s)]]
+        return cls._from_rows(d, rows if d else rows[:1], den)
 
     # -- predicates ----------------------------------------------------
 
@@ -446,11 +549,11 @@ def _ratio(q: Fraction) -> str:
 
 def format_scalar(s: Scalar) -> str:
     """Canonical text form: "a/b" or "a/b+c/e*sqrt(d)" (ASCII, no spaces)."""
-    a = _ratio(s.a)
-    if s.b == 0:
-        return a
-    sign = "+" if s.b > 0 else "-"
-    return f"{a}{sign}{_ratio(abs(s.b))}*sqrt({s.d})"
+    a, b = s.a, s.b
+    if not b:
+        return _ratio(a)
+    sign = "+" if b > 0 else "-"
+    return f"{_ratio(a)}{sign}{_ratio(abs(b))}*sqrt({s.d})"
 
 
 # one grammar for every scalar read: p/q, then the surd term r/s*sqrt(d),
@@ -518,8 +621,8 @@ class ComplexScalar(_Ring):
 
     __slots__ = ()
     width, table = 2, _COMPLEX
-    re = property(lambda self: self._part(0))
-    im = property(lambda self: self._part(1))
+    re = property(lambda self: self.parts[0])
+    im = property(lambda self: self.parts[1])
 
     def __init__(self, re: ScalarLike = 0, im: ScalarLike = 0):
         super().__init__(re, im)

@@ -17,6 +17,7 @@ from rrmf import cli, frames, hodograph, indicatrix, polynomials
 from rrmf.catalog import (nontrivial_cubic, quintic_left_cancellation,
                           quintic_no_cancellation, quintic_right_cancellation)
 from rrmf.cli import EXIT_INTERNAL, main
+from rrmf.construct import make_spatial_family
 from rrmf.documents import document_for, dumps_document
 from rrmf.frames import CSV_HEADER, certificate_generator, sample_frames, write_frames_csv
 from rrmf.polynomials import QuatPoly, RealPoly
@@ -326,6 +327,20 @@ def test_frames_overflowing_ranges(tmp_path, capsys):
                                   for xi in xis), (frame, bounds)
             assert out_csv.read_text() == CSV_HEADER + "\n"
             out_csv.unlink()
+
+
+def test_frames_coefficients_beyond_the_float_range(tmp_path, capsys):
+    # 401-digit coefficients, within MAX_DIGITS: classify reads them, and
+    # frames rejects them at set-up with one error line, exit 3 and no CSV
+    path = write_doc(tmp_path, "big.json", make_spatial_family(5).scale(10 ** 400))
+    assert run(capsys, "classify", path)[0] == 0
+    out_csv = tmp_path / "x.csv"
+    for frame in ("erf", "rmf", "frenet"):
+        code, out, err = run(capsys, "frames", path, "--frame", frame, "--samples", "3",
+                             "--out", str(out_csv))
+        assert (code, out) == (3, ""), frame
+        assert err.startswith("error: ") and "float range" in err and err.count("\n") == 1
+        assert not out_csv.exists()
 
 
 def test_frames_rejects_non_finite_normal_rotation(tmp_path, capsys):

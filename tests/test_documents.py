@@ -74,6 +74,10 @@ def test_parse_errors():
             {"certificate": {"a": ["1"], "b": ["1/0"]}},
             {"certificate": {"a": ["1"]}},
             {"metadata": 7},
+            {"metadata": []},
+            {"metadata": 0},
+            {"metadata": False},
+            {"metadata": ""},
     ):
         bad = dict(good, **mutate)
         with pytest.raises(DocumentError):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rrmf.polynomials import ComplexPoly, QuatPoly, RealPoly
 from rrmf.quaternions import I, J, K, ONE, Quaternion
 from rrmf.scalars import ComplexScalar, Scalar
 
@@ -80,18 +81,40 @@ def test_cross_kind_equality_repr_and_hash():
     assert hash(q) == hash((q.w, q.x, q.y, q.z)) and hash(c) == hash((c.re, c.im))
 
 
-RINGS = (Scalar, ComplexScalar, Quaternion)
+POLYS = (RealPoly, ComplexPoly, QuatPoly)
+RINGS = (Scalar, ComplexScalar, Quaternion) + POLYS
+
+
+def _ring(kind):
+    return kind.ring if kind in POLYS else kind
+
+
+def _lifts(narrow, wide) -> bool:
+    # into a kind at least as wide, and a ring value into a polynomial but not back
+    return (_ring(narrow).width <= _ring(wide).width
+            and (wide in POLYS or narrow not in POLYS))
+
+
+def _rand_value(rng, kind, base):
+    ring = _ring(kind)
+    coeffs = [ring.from_parts([rand_scalar(rng, base) for _ in range(ring.width)])
+              for _ in range(rng.randint(1, 3) if kind in POLYS else 1)]
+    return kind(coeffs) if kind in POLYS else coeffs[0]
 
 
 @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
 @pytest.mark.parametrize("right", RINGS)
 @pytest.mark.parametrize("left", RINGS)
 def test_mixed_ring_arithmetic_lifts_the_narrower_operand(rng, left, right, op):
-    wide = left if left.width >= right.width else right
+    # the result has the kind both operands lift into; without one, TypeError
+    wide = left if _lifts(right, left) else right if _lifts(left, right) else None
     for base in (0, 15):
         for _ in range(4):
-            x, y = (ring.from_parts([rand_scalar(rng, base) for _ in range(ring.width)])
-                    for ring in (left, right))
+            x, y = _rand_value(rng, left, base), _rand_value(rng, right, base)
+            if wide is None:
+                with pytest.raises(TypeError):
+                    op(x, y)
+                continue
             result = op(x, y)
             assert type(result) is wide
             assert result == op(wide.of(x), wide.of(y))
