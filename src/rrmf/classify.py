@@ -15,9 +15,10 @@ general membership question: absent proof, the verdict is "unknown".
 Every fact of a generator, the coefficient conditions and the
 equal-degree criterion included, is read from one
 hodograph.GeneratorAnalysis, re-exported here with TrivialWitness.  Its
-span rank and triviality witness are decided on the integer rows of the
-polynomial kernel (polynomials.vector_rank and vector_part_rank); only
-the witness's direction is one Quaternion product.
+span rank and triviality witness are both decided by one rank on the
+integer rows of the polynomial kernel, polynomials.vector_rank: of the
+hodograph's components, and of the vector components of conj(c) A for
+the lowest nonzero coefficient c of A.
 """
 from __future__ import annotations
 

@@ -12,11 +12,11 @@ monic cubic is the coefficient reversal of a generic one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .hodograph import GeneratorAnalysis, has_coprime_components
 from .indicatrix import inner_product_poly
-from .polynomials import ComplexPoly, QuatPoly, exact_divide, gcd_complex, gcd_real
+from .polynomials import (ComplexPoly, QuatPoly, RealPoly, exact_divide, gcd_complex,
+                          gcd_real, vector_rank)
 from .quaternions import I, Quaternion
 from .scalars import Scalar
 
@@ -26,10 +26,9 @@ class ConstructionError(ValueError):
 
 
 def _jk_rank(*quats: Quaternion) -> int:
-    """Rank of the (j, k) parts, read from their 2x2 determinants."""
-    if any(not (p.y * q.z - p.z * q.y).is_zero() for p, q in combinations(quats, 2)):
-        return 2
-    return int(any(not (q.y.is_zero() and q.z.is_zero()) for q in quats))
+    """Rank of the (j, k) parts: that of the vectors (0, y, z)."""
+    return vector_rank(RealPoly(), RealPoly([q.y for q in quats]),
+                       RealPoly([q.z for q in quats]))
 
 
 def _coprime(poly: QuatPoly, message: str) -> QuatPoly:

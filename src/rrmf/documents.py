@@ -73,11 +73,12 @@ class PolyDocument:
 
 
 def load_json(text):
-    """json.loads, raising DocumentError on invalid JSON and on integer
-    literals longer than Python converts."""
+    """json.loads, raising DocumentError on invalid JSON, on integer
+    literals longer than Python converts and on nesting deeper than the
+    decoder recurses."""
     try:
         return json.loads(text)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise DocumentError(f"invalid JSON: {exc}") from exc
 
 

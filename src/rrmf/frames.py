@@ -28,7 +28,7 @@ from typing import Callable, Iterable, Iterator, Literal, NamedTuple, Optional
 from .hodograph import GeneratorAnalysis, basis_images, float_images
 from .indicatrix import require_certificate, verify_han
 from .polynomials import (ComplexPoly, QuatPoly, RationalFunction, RealPoly,
-                          reduce_fraction)
+                          float_shift, reduce_fraction)
 
 Vector = tuple[RationalFunction, RationalFunction, RationalFunction]
 
@@ -68,9 +68,12 @@ class SymbolicFrame:
         return reduce_fraction(dot, self.denominator * self.denominator)
 
     def evaluate(self, xi: float):
-        """The nine entries N_e/W at the float xi."""
-        w = self.denominator.evaluate_float(xi)
-        return tuple(tuple(c.evaluate_float(xi) / w for c in row) for row in self.images)
+        """The nine entries N_e/W at the float xi, each polynomial divided
+        by one power of two (polynomials.float_shift)."""
+        shift = float_shift((self.denominator, *(c for row in self.images for c in row)))
+        w = self.denominator.evaluate_float(xi, shift)
+        return tuple(tuple(c.evaluate_float(xi, shift) / w for c in row)
+                     for row in self.images)
 
 
 def erf_symbolic(a: QuatPoly) -> SymbolicFrame:

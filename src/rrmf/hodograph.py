@@ -14,7 +14,9 @@ asks it first: it can prove the components coprime, chi = 1 (the core
 is then A), <A'i, A> nonzero at a point (not in F0), span rank 3 (not
 planar) and sigma not dividing rho.  An image proves only those
 answers, and the exact kernel (the gcds without a second screen, the
-form passes, vector_rank) runs whenever it cannot.  basis_images
+form passes, vector_rank) runs whenever it cannot.  The triviality
+witness is one product conj(c) A, for the lowest nonzero coefficient c,
+whose vector components vector_rank ranks.  basis_images
 forms all ten component products of B for the three images B e B*,
 exactly for the symbolic frames; float_images forms them in floats
 from B's values at one parameter, for sampling.  The core of A is A
@@ -31,8 +33,7 @@ from typing import Optional
 from .polynomials import (ComplexPoly, ComponentImage, QuatPoly,
                           RationalFunction, RealPoly, component_forms,
                           exact_divide, gcd_complex, gcd_real, image_forms,
-                          reduce_fraction, rem_mod, vector_part_rank,
-                          vector_rank)
+                          reduce_fraction, rem_mod, vector_rank)
 from .quaternions import Quaternion
 from .scalars import Scalar
 
@@ -296,23 +297,22 @@ class GeneratorAnalysis:
         None when the image proves A spatial, since trivial implies planar."""
         if self.image_spatial:
             return None
-        # an iterator: coefficients are built only as far as c and the direction
-        coeffs = map(self.poly.coeff, range(self.poly.degree() + 1))
-        c = next(q for q in coeffs if q)
+        # coefficients are built only as far as c
+        c = next(q for q in map(self.poly.coeff, range(self.poly.degree() + 1)) if q)
         # conj(c) A = |c|^2 c^-1 A with |c|^2 > 0: the vector parts of its
         # coefficients are parallel, and orthogonal to i, exactly when
         # those of c^-1 A are
-        rank = vector_part_rank(self.poly, c.conjugate())
+        _, x, y, z = self.poly.left_scale(c.conjugate()).components()
+        rank = vector_rank(x, y, z)
         if rank == 0:
             # constant (up to left factor): plane direction is conventional
             return TrivialWitness(c, Quaternion(0, 0, 1, 0), Scalar(1))
-        if rank > 1:
+        if rank > 1 or not x.is_zero():
             return None
-        c_inv = c.inverse()
-        vectors = ((c_inv * q).vector_part() for q in coeffs if q)
-        direction = next(v for v in vectors if v)
-        if not direction.x.is_zero():
-            return None
+        # the first nonzero vector part of c^-1 A, that of conj(c) A over |c|^2
+        k = next(k for k in range(self.poly.degree() + 1) if y.coeff(k) or z.coeff(k))
+        norm = c.norm_sq()
+        direction = Quaternion(0, 0, y.coeff(k) / norm, z.coeff(k) / norm)
         return TrivialWitness(c, direction, direction.norm_sq())
 
     @cached_property

@@ -29,9 +29,9 @@ quaternion polynomials is right division.  Division is
 pseudo-division scaled by the integer norm of the divisor's leading
 coefficient; the gcd of real or complex polynomials is the subresultant
 remainder sequence over Z, Z[sqrt d], Z[i] or Z[sqrt d][i], made monic
-in the field.  The rank of the vector parts of a quaternion
-polynomial's coefficients is decided on the same rows by cross and
-triple products.  Reduced ratios of real polynomials (monic
+in the field.  The rank of the coefficient vectors of three real
+polynomials is decided on their stacked rows by cross and triple
+products.  Reduced ratios of real polynomials (monic
 denominator, coprime parts) are the canonical rational functions.
 
 A prime image screens the yes/no questions before the exact kernel
@@ -164,12 +164,6 @@ def _vector_rank(vectors, d: int) -> int:
         if any(map(sum, zip(*map(mul, normal, v)))):
             return 3
     return 2
-
-
-def _coordinate_vectors(rows: list, parts: int) -> list:
-    """Per coefficient, the 3-vector of coordinate tuples of the first three
-    real components of the rows."""
-    return list(zip(*(zip(*rows[w * parts:(w + 1) * parts]) for w in range(3))))
 
 
 def _term_str(c, k: int) -> str:
@@ -312,18 +306,25 @@ class RealPoly(_DensePoly):
         rows = [[0] + [v * (n // k) for k, v in enumerate(row, 1)] for row in self.rows]
         return self._from_rows(self.d, rows, self.den * n)
 
-    def evaluate_float(self, xi: float) -> float:
+    def evaluate_float(self, xi: float, shift: int = 0) -> float:
+        """The value at xi in floats, divided by 2**shift (float_shift)."""
         acc = 0.0
-        for c in reversed(self.float_coeffs()):
+        for c in reversed(self.float_coeffs(shift)):
             acc = acc * xi + c
         return acc
 
-    def float_coeffs(self) -> list[float]:
-        den = self.den
+    def float_coeffs(self, shift: int = 0) -> list[float]:
+        """The coefficients in floats, each divided by 2**shift: one
+        integer over another, which int division rounds correctly."""
+        den, rows = self.den, self.rows
+        if shift > 0:
+            den <<= shift
+        elif shift < 0:
+            rows = [[v << -shift for v in row] for row in rows]
         if not self.d:
-            return [v / den for v in self.rows[0]]
+            return [v / den for v in rows[0]]
         root = math.sqrt(self.d)
-        return [a / den + b / den * root for a, b in zip(*self.rows)]
+        return [a / den + b / den * root for a, b in zip(*rows)]
 
     def __repr__(self):
         return f"RealPoly({[str(c) for c in self.coeffs]})"
@@ -333,6 +334,16 @@ class RealPoly(_DensePoly):
             return "0"
         return " + ".join(_term_str(c, k)
                           for k, c in enumerate(self.coeffs) if not c.is_zero())
+
+
+def float_shift(polys) -> int:
+    """The power of two that real polynomials evaluated together in floats
+    are divided by: 0 while their largest coefficient lies within
+    2**+-1000 of 1, else the one that brings it near 1, so that neither a
+    coefficient nor a value at a moderate parameter leaves the float range."""
+    excess = max((abs(v).bit_length() - p.den.bit_length()
+                  for p in polys for row in p.rows for v in row if v), default=0)
+    return excess if abs(excess) > 1000 else 0
 
 
 class ComplexPoly(_DensePoly):
@@ -648,19 +659,9 @@ class ComponentImage:
 
 def vector_rank(x: RealPoly, y: RealPoly, z: RealPoly) -> int:
     """Rank over the field of the coefficient vectors (x_k, y_k, z_k) of
-    three real polynomials: the vector parts of x i + y j + z k."""
-    return vector_part_rank(QuatPoly.from_components(0, x, y, z), 1)
-
-
-def vector_part_rank(a: QuatPoly, left: Quaternion) -> int:
-    """Rank over the field of the vector parts of the coefficients of
-    left * a, whose integer rows are formed in one pass."""
-    a, left = QuatPoly.of(a), QuatPoly.of(left)
-    if a.is_zero() or left.is_zero():
-        return 0
-    alg = _kernel(left, a)
-    scaled = alg.left_scale(_leading(left._rows_over(alg.d)), a._rows_over(alg.d))
-    return _vector_rank(_coordinate_vectors(scaled[alg.parts:], alg.parts), alg.d)
+    three real polynomials, read from their stacked integer rows."""
+    d, _, rows = _stack(tuple(map(RealPoly.of, (x, y, z))))
+    return _vector_rank(zip(*(zip(*comp) for comp in rows)), d)
 
 
 def gcd_real(*polys, screen: bool = True) -> RealPoly:
@@ -733,7 +734,8 @@ class RationalFunction:
         return RationalFunction(-self.num, self.den, _reduced=True)
 
     def evaluate_float(self, xi: float) -> float:
-        return self.num.evaluate_float(xi) / self.den.evaluate_float(xi)
+        shift = float_shift((self.num, self.den))
+        return self.num.evaluate_float(xi, shift) / self.den.evaluate_float(xi, shift)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (RealPoly, Scalar, Fraction, int)):

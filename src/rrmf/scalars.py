@@ -27,7 +27,7 @@ import math
 import re
 from decimal import Decimal
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 from typing import Union
 
 ScalarLike = Union["Scalar", Fraction, int]
@@ -55,6 +55,15 @@ def is_valid_base(d: int) -> bool:
             return False
         k += 1
     return True
+
+
+def _check_base(d: int, irrational) -> None:
+    """Raise ValueError unless d is a valid base, and a nonzero one when
+    the value has a nonzero ``irrational`` part."""
+    if not is_valid_base(d):
+        raise ValueError(f"base {d} is not 0 or a squarefree integer in [2, {MAX_BASE}]")
+    if irrational and not d:
+        raise ValueError("irrational part requires a nonzero base")
 
 
 def _base(values) -> int:
@@ -418,6 +427,7 @@ class _Ring(_Exact):
         return f"{type(self).__name__}({', '.join(map(str, self.parts))})"
 
 
+@total_ordering
 class Scalar(_Ring):
     """An element a + b*sqrt(d) of Q(sqrt(d)), immutable.
 
@@ -444,13 +454,9 @@ class Scalar(_Ring):
     def __init__(self, a: ScalarLike = 0, b: ScalarLike = 0, d: int = 0):
         if isinstance(a, Scalar) or isinstance(b, Scalar):
             raise TypeError("use Scalar arithmetic, not nested construction")
-        if not is_valid_base(d):
-            raise ValueError(
-                f"base {d} is not 0 or a squarefree integer in [2, {MAX_BASE}]")
+        _check_base(d, b)
         a = Fraction(a)
         b = Fraction(b)
-        if b and not d:
-            raise ValueError("irrational part requires a nonzero base")
         value = self.from_terms(a.numerator, a.denominator, b.numerator, b.denominator, d)
         self._set(value.d, value.rows, value.den)
 
@@ -459,11 +465,6 @@ class Scalar(_Ring):
     parts = property(lambda self: (self,))
 
     # -- constructors -------------------------------------------------
-
-    @classmethod
-    def surd(cls, coefficient: ScalarLike, d: int) -> "Scalar":
-        """The value coefficient * sqrt(d)."""
-        return cls(0, Fraction(coefficient), d)
 
     @classmethod
     def from_terms(cls, p: int, q: int, r: int, s: int, d: int) -> "Scalar":
@@ -518,15 +519,6 @@ class Scalar(_Ring):
 
     def __lt__(self, other) -> bool:
         return (self - Scalar.of(other)).sign() < 0
-
-    def __le__(self, other) -> bool:
-        return (self - Scalar.of(other)).sign() <= 0
-
-    def __gt__(self, other) -> bool:
-        return (self - Scalar.of(other)).sign() > 0
-
-    def __ge__(self, other) -> bool:
-        return (self - Scalar.of(other)).sign() >= 0
 
     # -- conversion / text form ----------------------------------------
 
@@ -600,11 +592,7 @@ def scalar_terms(text: str, expected_base: int | None = None
     if sign == "-":
         r = -r
     if not (d and d == expected_base):
-        if not is_valid_base(d):
-            raise ValueError(
-                f"base {d} is not 0 or a squarefree integer in [2, {MAX_BASE}]")
-        if r and not d:
-            raise ValueError("irrational part requires a nonzero base")
+        _check_base(d, r)
         if r and expected_base is not None:
             raise SurdBaseMismatch(
                 f"scalar {text!r} uses base {d}, document declares {expected_base}")

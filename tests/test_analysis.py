@@ -12,15 +12,16 @@ import numpy as np
 import pytest
 
 from rrmf.catalog import nontrivial_cubic, worked_quintics
-from rrmf.classify import GeneratorAnalysis, TrivialWitness, classify
-from rrmf.construct import make_f_element, make_spatial_family
+from rrmf.classify import GeneratorAnalysis, TrivialWitness, classify, search_certificate
+from rrmf.construct import make_f_element, make_spatial_family, make_trivial
 from rrmf.frames import sample_frames
 from rrmf.hodograph import _INNER_FORM, core_of
 from rrmf.indicatrix import (IndicatrixPair, han_fraction, han_numerator,
                              inner_product_poly, omega1, rho_eta,
-                             rotation_indicatrix)
-from rrmf.polynomials import ComplexPoly, RealPoly, reduce_fraction
-from rrmf.scalars import ComplexScalar
+                             rotation_indicatrix, verify_han)
+from rrmf.polynomials import ComplexPoly, RealPoly, _embedding, reduce_fraction
+from rrmf.quaternions import Quaternion
+from rrmf.scalars import ComplexScalar, Scalar
 
 from conftest import coprime_cpoly, nonzero_qpoly, norm_poly
 
@@ -71,8 +72,7 @@ def _exact_gcds(monkeypatch) -> list:
 
 # the exact kernel entry points that the prime image stands in front of,
 # and rho_eta, which classify does not call
-_EXACT = ("polynomials.vector_rank", "polynomials.vector_part_rank",
-          "indicatrix.rho_eta")
+_EXACT = ("polynomials.vector_rank", "indicatrix.rho_eta")
 
 
 def test_classify_forms_the_generator_once(monkeypatch):
@@ -200,3 +200,40 @@ def test_core_degree_and_primitivity_read_chi(rng, base):
         assert verdict.primitive == (decomposition.factor.degree() == 0)
         chi_degrees.add(decomposition.factor.degree())
     assert chi_degrees == {0, 1, 2, 3}
+
+
+# squarefree and a non-residue at every prime of polynomials._PRIMES: no
+# prime image exists over Q(sqrt 207874), and every fact is exact
+NO_PRIME_BASE = 207874
+
+
+def test_facts_without_a_prime_image():
+    assert _embedding(1, NO_PRIME_BASE) is None and _embedding(2, NO_PRIME_BASE) is None
+    s = Scalar(0, 1, NO_PRIME_BASE)
+    c = Quaternion(1, s, 2, 0)
+    xi_plus_i = ComplexPoly.from_parts(RealPoly([0, 1]), RealPoly([1]))
+    element = make_f_element(make_spatial_family(4).left_scale(c), xi_plus_i)
+    certificate = element.certificate.real_parts()
+    # (generator, certificate), then (coprime, in F0, trivial, planar,
+    # primitive, core degree, membership, method)
+    cases = [
+        (make_spatial_family(5).left_scale(c), None,
+         (True, True, False, False, True, 5, "proven", "vanishing-indicatrix")),
+        (make_trivial(Quaternion(1, 0, s, 1), Quaternion(0, 0, 1, s),
+                      [(1, 0), (2, 1), (0, 3)]), None,
+         (True, True, True, True, True, 2, "proven", "vanishing-indicatrix")),
+        (element.poly, certificate,
+         (True, False, False, False, False, 4, "proven", "certificate")),
+        (RealPoly([2, 1]).as_quat() * make_spatial_family(5).left_scale(c), None,
+         (False, False, False, False, False, 5, "unknown", "components-not-coprime")),
+    ]
+    for a, cert, facts in cases:
+        analysis = GeneratorAnalysis.of(a)
+        assert analysis.image is None
+        verdict = classify(a, certificate=cert)
+        assert (analysis.coprime, verdict.in_f0, verdict.trivial is not None,
+                verdict.planar, verdict.primitive, verdict.core_degree,
+                verdict.membership.status.value, verdict.membership.method) == facts
+    # the exact construction finds a certificate of degree 2 as well
+    found = search_certificate(element.poly, 2)
+    assert found is not None and verify_han(element.poly, *found)

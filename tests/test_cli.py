@@ -31,6 +31,9 @@ NO_CANCELLATION = str(Path(__file__).resolve().parent.parent / "fixtures"
                       / "quintic-no-cancellation.json")
 RIGHT_CANCELLATION = str(Path(__file__).resolve().parent.parent / "fixtures"
                          / "quintic-right-cancellation.json")
+# components sharing the real factor xi + 2, over a base with no prime image
+SHARED_FACTOR = RealPoly([2, 1]).as_quat() * make_spatial_family(5).left_scale(
+    Quaternion(1, parse_scalar("sqrt(207874)"), 2, 0))
 
 
 def write_doc(tmp_path, name, poly, certificate=None):
@@ -95,13 +98,19 @@ def test_classify_missing_file(capsys):
 
 def test_unreadable_input_or_output_is_a_parse_error(tmp_path, capsys):
     # a directory, or a file that is not UTF-8, in place of a document or
-    # of the CSV: exit 2 with the OS or codec message, no traceback
+    # of the CSV, or JSON nested deeper than the decoder recurses: exit 2
+    # with the OS, codec or decoder message, no traceback
     binary = tmp_path / "binary.json"
     binary.write_bytes(b"\x7fELF\x02\x01\x01\xd0\xcf")
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 200000 + "]" * 200000)
+    spec = '{"a1": ' * 5000 + "1" + "}" * 5000
     cases = [(("classify", str(tmp_path)), "Is a directory"),
              (("classify", str(binary)), "'utf-8' codec can't decode byte 0xd0"),
              (("frames", NO_CANCELLATION, "--samples", "3", "--out", str(tmp_path)),
-              "Is a directory")]
+              "Is a directory"),
+             (("classify", str(nested)), "invalid JSON"),
+             (("construct", "cubic", "--spec-json", spec), "invalid JSON")]
     for argv, message in cases:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, ""), argv
@@ -197,6 +206,8 @@ def test_construct_missing_spec_key(capsys):
         code, _, err = run(capsys, "construct", kind, "--spec-json",
                            json.dumps(spec))
         assert code == 2 and key in err
+    assert run(capsys, "construct", "cubic") == (
+        2, "", "error: construction requires --spec or --spec-json\n")
 
 
 def test_construct_malformed_spec_scalar_or_row(capsys):
@@ -210,7 +221,8 @@ def test_construct_malformed_spec_scalar_or_row(capsys):
             ("trivial", {"direction": ["0", "0", "1", "0"],
                          "coefficients": 7}),
             ("trivial", {"direction": ["0", "0", "1", "0"],
-                         "coefficients": [["1", "z"]]})):
+                         "coefficients": [["1", "z"]]}),
+            ("cubic", [1])):
         code, out, err = run(capsys, "construct", kind, "--spec-json",
                              json.dumps(spec))
         assert code == 2 and err.startswith("error: ") and out == ""
@@ -239,6 +251,9 @@ def test_construct_invalid_direction(capsys):
             "coefficients": [["1", "0"], ["0", "1"]]}
     code, _, err = run(capsys, "construct", "trivial", "--spec-json", json.dumps(spec))
     assert code == 3
+    spec = {"direction": ["0", "0", "1", "0"], "coefficients": []}
+    assert run(capsys, "construct", "trivial", "--spec-json", json.dumps(spec)) == (
+        3, "", "error: at least one coefficient required\n")
 
 
 def test_construct_quartic(capsys):
@@ -272,6 +287,11 @@ def test_construct_f_element(tmp_path, capsys):
     code, _, err = run(capsys, "construct", "f-element", "--spec-json",
                        json.dumps(spec))
     assert code == 3 and "Traceback" not in err
+    # delta = 1 + xi has the real factor 1 + xi
+    spec["delta"] = {"sqrt_base": 0, "kind": "complex",
+                     "coefficients": [["1", "0"], ["1", "0"]]}
+    assert run(capsys, "construct", "f-element", "--spec-json", json.dumps(spec)) == (
+        3, "", "error: delta must have coprime real components\n")
 
 
 def test_frames_rmf_csv(tmp_path, capsys):
@@ -554,6 +574,9 @@ def test_reduce_with_gamma_file(tmp_path, capsys):
 
     code, _, _ = run(capsys, "reduce", path)
     assert code == 3  # no certificate anywhere
+    shared = write_doc(tmp_path, "shared.json", SHARED_FACTOR)
+    assert run(capsys, "reduce", shared, "--gamma", str(gpath)) == (
+        3, "", "error: indicatrix cancellation: components must be coprime\n")
 
 
 def test_search_gamma(tmp_path, capsys):
@@ -562,6 +585,9 @@ def test_search_gamma(tmp_path, capsys):
     assert code == 0
     report = json.loads(out)
     assert report == {"found": True, "a": ["1/1"], "b": []}
+    shared = write_doc(tmp_path, "shared.json", SHARED_FACTOR)
+    assert run(capsys, "search-gamma", shared, "--max-degree", "2") == (
+        3, "", "error: certificate search: components must be coprime\n")
 
 
 def test_search_limits_rejected(tmp_path, capsys):

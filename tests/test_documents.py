@@ -82,8 +82,9 @@ def test_parse_errors():
         bad = dict(good, **mutate)
         with pytest.raises(DocumentError):
             parse_document(json.dumps(bad))
-    with pytest.raises(DocumentError):
-        parse_document("{not json")
+    for text in ("{not json", "[" * 200000 + "]" * 200000):
+        with pytest.raises(DocumentError):
+            parse_document(text)
     with pytest.raises(DocumentError):
         parse_document(json.dumps([1, 2]))
 

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -290,9 +291,11 @@ def test_basis_images_equal_quaternion_products(rng):
 
 def test_symbolic_frame_keeps_images_and_reduces_views(rng):
     # W and N_e are stored as basis_images returns them; f_e is N_e/W in
-    # lowest terms, and evaluate divides N_e by W at a float
+    # lowest terms, and evaluate divides N_e by W at a float, also where
+    # the coefficients of a scaled B lie beyond the float range
     cases = [coprime_qpoly(rng, rng.randint(1, 3)) for _ in range(4)]
     cases += [EX2.generator, make_spatial_family(5)]
+    cases += [make_spatial_family(5).scale(s) for s in (10**400, Fraction(1, 10**400))]
     for b in cases:
         frame = erf_symbolic(b)
         den, raw = basis_images(b)

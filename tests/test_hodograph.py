@@ -57,6 +57,9 @@ def test_pythagorean_identity_random(rng):
 def test_hodograph_type_rejects_non_pythagorean():
     with pytest.raises(AssertionError):
         Hodograph(RealPoly([1]), RealPoly([1]), RealPoly(), RealPoly([1]))
+    # Pythagorean, but sigma = -1
+    with pytest.raises(AssertionError, match="sigma must have nonnegative leading"):
+        Hodograph(RealPoly([1]), RealPoly(), RealPoly(), RealPoly([-1]))
 
 
 def test_left_rotation_covariance(rng):

@@ -10,7 +10,7 @@ from rrmf.linalg import exact_rank
 from rrmf.polynomials import (ComplexPoly, InexactDivision, QuatPoly,
                               RationalFunction, RealPoly, exact_divide,
                               gcd_complex, gcd_real, reduce_fraction,
-                              vector_part_rank, vector_rank)
+                              vector_rank)
 from rrmf.quaternions import I, J, K, Quaternion
 from rrmf.scalars import ComplexScalar, Scalar, SurdBaseMismatch
 
@@ -423,10 +423,6 @@ def test_vector_ranks_match_row_reduction(rng):
         # linalg.exact_rank pads narrower rows with zeros
         pairs = [v[:2] for v in vectors]
         assert exact_rank(pairs) == gauss_jordan_rank(pairs)
-        a = QuatPoly([Quaternion(rand_scalar(rng, base), *v) for v in vectors])
-        c = nonzero_quat(rng, base)
-        parts = [(c * q).vector_part().components()[1:] for q in a.coeffs]
-        assert vector_part_rank(a, c) == gauss_jordan_rank(parts)
     assert ranks == {0, 1, 2, 3}
     with pytest.raises(ValueError, match="at most three"):
         exact_rank([[1, 0, 0, 0]])
@@ -479,6 +475,13 @@ def test_evaluation():
     assert p.evaluate_float(2.0) == 1.0
     q = QuatPoly([Quaternion(1), I])
     assert q.evaluate(Scalar(2)) == Quaternion(1, 2)
+    # a ratio whose reduced denominator has the coefficient 3/7 10**400
+    big = 10**400
+    f = reduce_fraction(RealPoly([big, 1]), RealPoly([3 * big, 7]))
+    for xi in (0.5, -2.0, 3.25):
+        x = Fraction(xi)
+        want = float((big + x) / (3 * big + 7 * x))
+        assert abs(f.evaluate_float(xi) - want) <= 1e-15 * abs(want)
 
 
 def test_division_and_gcd_over_surd_field(rng):

@@ -78,6 +78,9 @@ def test_comparisons():
     assert Scalar(0, 1, 2) < Scalar(3, 0, 2) + Scalar(0)
     assert Scalar(1) <= Scalar(1)
     assert Scalar(0, 2, 2) > Scalar(5, -1, 2) - Scalar(3)
+    # the order read from __lt__ alone, against Scalars and ints
+    assert Scalar(2) >= 2 and Scalar(2) >= Scalar(0, 1, 2) and not Scalar(1) >= Scalar(0, 1, 2)
+    assert not Scalar(1) <= Scalar(0, 1, 3) - 1 and not Scalar(2) > 2
 
 
 def test_pow():
