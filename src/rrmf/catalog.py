@@ -143,24 +143,18 @@ def _quintic_items(curve: WorkedCurve) -> list[RegressionItem]:
                         h.sigma == curve.sigma, "sigma differs"))
     items.append(_check(f"{curve.name}: primitive hodograph",
                         is_primitive(curve.generator), "not primitive"))
-    num = han_numerator(curve.generator)
-    left = gcd_real(num, h.sigma)
-    if curve.left_gcd is None:
-        items.append(_check(f"{curve.name}: no cancellation on the left",
-                            left.degree() == 0, f"left gcd {left}"))
-    else:
-        items.append(_check(f"{curve.name}: left cancellation factor",
-                            left == curve.left_gcd.monic(), f"left gcd {left}"))
     ca, cb = curve.certificate
-    wron = ca * cb.derivative() - ca.derivative() * cb
-    norm = ca * ca + cb * cb
-    right = gcd_real(wron, norm)
-    if curve.right_gcd is None:
-        items.append(_check(f"{curve.name}: no cancellation on the right",
-                            right.degree() == 0, f"right gcd {right}"))
-    else:
-        items.append(_check(f"{curve.name}: right cancellation factor",
-                            right == curve.right_gcd.monic(), f"right gcd {right}"))
+    for side, num, den, factor in (
+            ("left", han_numerator(curve.generator), h.sigma, curve.left_gcd),
+            ("right", ca * cb.derivative() - ca.derivative() * cb, ca * ca + cb * cb,
+             curve.right_gcd)):
+        g = gcd_real(num, den)
+        if factor is None:
+            items.append(_check(f"{curve.name}: no cancellation on the {side}",
+                                g.degree() == 0, f"{side} gcd {g}"))
+        else:
+            items.append(_check(f"{curve.name}: {side} cancellation factor",
+                                g == factor.monic(), f"{side} gcd {g}"))
     items.append(_check(
         f"{curve.name}: reduced fraction",
         han_fraction(curve.generator)

@@ -18,7 +18,8 @@ hodograph.GeneratorAnalysis, re-exported here with TrivialWitness.  Its
 span rank and triviality witness are both decided by one rank on the
 integer rows of the polynomial kernel, polynomials.vector_rank: of the
 hodograph's components, and of the vector components of conj(c) A for
-the lowest nonzero coefficient c of A.
+the lowest nonzero coefficient c of A.  search_certificate, the one
+entry of the certificate search, takes the generator or its analysis.
 """
 from __future__ import annotations
 
@@ -167,7 +168,7 @@ def _membership(analysis: GeneratorAnalysis,
     if analysis.equal_degree:
         return Membership(MembershipStatus.PROVEN, "equal-degree-criterion")
     if search_degree is not None:
-        found = _search(analysis, search_degree, search_budget)
+        found = search_certificate(analysis, search_degree, budget_seconds=search_budget)
         if found is not None:
             return Membership(MembershipStatus.PROVEN, "search", found)
     return Membership(MembershipStatus.UNKNOWN, "exhausted")
@@ -176,7 +177,7 @@ def _membership(analysis: GeneratorAnalysis,
 # -- certificate construction ------------------------------------------
 
 
-def search_certificate(a: QuatPoly, max_degree: int, *,
+def search_certificate(a: QuatPoly | GeneratorAnalysis, max_degree: int, *,
                        budget_seconds: float = 10.0,
                        seed: int | None = None
                        ) -> Optional[tuple[RealPoly, RealPoly]]:
@@ -194,15 +195,12 @@ def search_certificate(a: QuatPoly, max_degree: int, *,
     member is monic.
 
     None proves that no certificate of degree <= max_degree exists,
-    unless budget_seconds ran out between two gcds.  ``seed`` is
-    accepted for compatibility and has no effect.
+    unless budget_seconds ran out between two gcds.  ``a`` is the
+    generator or its GeneratorAnalysis, whose Han fraction and facts are
+    then read rather than recomputed.  ``seed`` is accepted for
+    compatibility and has no effect.
     """
-    return _search(_require_nonzero_coprime(a, "certificate search"),
-                   max_degree, budget_seconds)
-
-
-def _search(analysis: GeneratorAnalysis, max_degree: int, budget_seconds: float
-            ) -> Optional[tuple[RealPoly, RealPoly]]:
+    analysis = _require_nonzero_coprime(a, "certificate search")
     han = analysis.han
     if han.is_zero():
         return (RealPoly([1]), RealPoly())

@@ -8,10 +8,10 @@ other base are rejected.
 
 Parsing reads each scalar by the one grammar of scalars.scalar_terms
 into integers and builds the polynomial and the certificate's two
-polynomials straight from them (polynomials' ``from_terms``), with no
-Fraction or Scalar per coefficient.  A document's ``coefficients``, the
-rows as written in ring parts, are built from the polynomial when first
-read.
+polynomials straight from them (scalars' ``_Exact.from_terms``, which
+reads the base off the terms), with no Fraction or Scalar per
+coefficient.  A document's ``coefficients``, the rows as written in
+ring parts, are built from the polynomial when first read.
 """
 
 from __future__ import annotations
@@ -101,7 +101,7 @@ def read_terms(value, base: int) -> tuple[int, int, int, int, int]:
 
 def read_scalar(value, base: int) -> Scalar:
     """One scalar of a construction spec, as read_terms reads it."""
-    return Scalar.from_terms(*read_terms(value, base))
+    return Scalar.from_terms([read_terms(value, base)])
 
 
 def parse_base(value) -> int:
@@ -146,14 +146,14 @@ def parse_document(data) -> PolyDocument:
             raise DocumentError('certificate must be {"a": [...], "b": [...]}')
         _check_degree("certificate a", cert["a"])
         _check_degree("certificate b", cert["b"])
-        certificate = tuple(RealPoly.from_terms([read_terms(c, base) for c in cert[part]],
-                                                base) for part in "ab")
+        certificate = tuple(RealPoly.from_terms([read_terms(c, base) for c in cert[part]])
+                            for part in "ab")
     metadata = data.get("metadata")
     if metadata is None:
         metadata = {}
     elif not isinstance(metadata, dict):
         raise DocumentError("metadata must be an object")
-    return PolyDocument(base, kind, cls.from_terms(terms, base), len(raw),
+    return PolyDocument(base, kind, cls.from_terms(terms), len(raw),
                         certificate, metadata)
 
 

@@ -4,7 +4,8 @@ The Euler-Rodrigues frame of a generator B is the rational orthonormal
 triple (B i B*, B j B*, B k B*)/|B|^2, read off the ten products of
 B's components by hodograph.basis_images; with a verified certificate
 (a, b) the rotation-minimizing frame is the same construction applied
-to B = A (a - b i).  SymbolicFrame holds W = |B|^2 and the images
+to B = A (a - b i), and rotate_frame reads its f2 and f3 for any
+nonzero coprime (a, b).  SymbolicFrame holds W = |B|^2 and the images
 N_e = B e B* unreduced, so its identities are polynomial:
 N_e . N_f = delta_ef W^2 (the tests check them), and the tangent twist
 <f3, f2'> is exactly (N3 . N2')/W^2.  An entry is reduced only when it
@@ -102,20 +103,15 @@ def rmf_symbolic(a: QuatPoly, ca: RealPoly, cb: RealPoly) -> SymbolicFrame:
 
 
 def rotate_frame(a: QuatPoly, ca: RealPoly, cb: RealPoly) -> tuple[Vector, Vector]:
-    """Normal-plane rotation of the ERF by angle -2*atan(b/a).
+    """f2 and f3 of the ERF of B = A (a - b i), for nonzero coprime (a, b).
 
-    Rotation matrix ((a^2-b^2, -2ab), (2ab, a^2-b^2))/(a^2+b^2) applied
-    to (N2, N3)/W; for a verified certificate this reproduces the RMF
-    normal-plane vectors exactly.
+    As (a - bi) j (a + bi) = (a^2-b^2) j - 2ab k, (a - bi) k (a + bi) =
+    2ab j + (a^2-b^2) k and |B|^2 = (a^2+b^2) W, this is the ERF's (N2, N3)
+    turned by -2*atan(b/a) in the normal plane; for a verified
+    certificate, the RMF normal-plane vectors.
     """
-    ca, cb = require_certificate(ca, cb)
-    erf = erf_symbolic(a)
-    _, n2, n3 = erf.images
-    den = (ca * ca + cb * cb) * erf.denominator
-    cos, sin = ca * ca - cb * cb, (ca * cb).scale(2)
-    f2 = tuple(reduce_fraction(cos * e2 - sin * e3, den) for e2, e3 in zip(n2, n3))
-    f3 = tuple(reduce_fraction(sin * e2 + cos * e3, den) for e2, e3 in zip(n2, n3))
-    return f2, f3
+    frame = erf_symbolic(certificate_generator(a, *require_certificate(ca, cb)))
+    return frame.f2, frame.f3
 
 
 class FrameSample(NamedTuple):

@@ -32,20 +32,6 @@ def han_numerator(a: QuatPoly) -> RealPoly:
     return -inner_product_poly(a)
 
 
-@dataclass(frozen=True)
-class IndicatrixPair:
-    """<A'i, A> together with sigma and their reduced ratio."""
-
-    numerator_inner: RealPoly
-    sigma: RealPoly
-    reduced: RationalFunction
-
-    @classmethod
-    def of(cls, a: QuatPoly) -> "IndicatrixPair":
-        analysis = GeneratorAnalysis.of(a, "indicatrix pair of the zero polynomial")
-        return cls(analysis.inner, analysis.sigma, -analysis.han)
-
-
 def rotation_indicatrix(a: QuatPoly) -> RationalFunction:
     """Normalized component of A'i along A; defined as 0 for A = 0."""
     a = QuatPoly.of(a)

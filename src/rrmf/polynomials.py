@@ -13,12 +13,13 @@ reads the narrowest equal value (a constant as its coefficient, without
 the zero rows a lift appends), so equal polynomials of different kinds
 hash alike.  The constructor from coefficients writes each as one
 column, which raises SurdBaseMismatch for two different surd bases,
-``from_terms`` builds the rows from a parsed document's integers, and
-``coeffs``, ``coeff``, ``leading``, ``evaluate`` and the text forms read
-a column back as a ring value.  The kinds ``RealPoly``, ``ComplexPoly``
-and ``QuatPoly`` name only their coefficient ring, which gives the
-width and the multiplication table; the base lifts a narrower kind or
-a ring value into a kind, as rrmf.scalars states.
+the base's ``_Exact.from_terms`` builds the rows from a parsed
+document's integers, and ``coeffs``, ``coeff``, ``leading``,
+``evaluate`` and the text forms read a column back as a ring value.
+The kinds ``RealPoly``, ``ComplexPoly`` and ``QuatPoly`` name only
+their coefficient ring, which gives the width and the multiplication
+table; the base lifts a narrower kind or a ring value into a kind, as
+rrmf.scalars states.
 
 Every operation reads the stored rows.  Sums, derivatives, conjugates,
 splits into and joins of components are row slicing or stacking over
@@ -62,7 +63,7 @@ from typing import Iterable, Optional
 
 from .quaternions import Quaternion
 from .scalars import (_REAL, ComplexScalar, Scalar, _Algebra, _algebra, _canonical, _Exact,
-                      _kernel, _leading, _mul_rows, _shaped, _stack, _trim_rows)
+                      _kernel, _leading, _mul_rows, _stack, _trim_rows)
 
 
 class InexactDivision(ArithmeticError):
@@ -194,34 +195,6 @@ class _DensePoly(_Exact):
         d, den, columns = _stack([self.ring.of(c) for c in coeffs], 1)
         rows = [[c[k][0] for c in columns] for k in range(self.width * (2 if d else 1))]
         self._set(*_canonical(d, rows, den))
-
-    @classmethod
-    def from_terms(cls, terms: list, d: int):
-        """The polynomial whose coefficient components, in ascending degree
-        and each coefficient's ``width`` components in order, have the
-        values p/q + r/s*sqrt(d) of ``terms`` (p, q, r, s, _), as
-        scalars.scalar_terms reads them over the base d: q, s > 0 and r = 0
-        unless the component has a sqrt(d) part.
-
-        Each p/q and r/s is reduced first, and den is the lcm of the
-        reduced denominators.  The rows are then content-free with den:
-        for each prime power l^e exactly dividing den, a reduced q carries
-        l^e and p (den/q) is prime to l.  So the stored form takes no gcd
-        over every integer, which costs seconds at long coefficients."""
-        width = cls.width
-        reduced = []
-        for p, q, r, s, _ in terms:
-            g, h = math.gcd(p, q), math.gcd(r, s)
-            reduced.append((p // g, q // g, r // h, s // h))
-        den = math.lcm(*[t[1] for t in reduced], *[t[3] for t in reduced])
-        rows = []
-        for w in range(width):
-            column = reduced[w::width]
-            rows.append([p * (den // q) for p, q, _, _ in column])
-            if d:
-                rows.append([r * (den // s) for _, _, r, s in column])
-        d, rows = _shaped(d, rows)
-        return cls._new(d, tuple(map(tuple, rows)), den)
 
     @property
     def coeffs(self) -> tuple:

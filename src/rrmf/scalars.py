@@ -15,10 +15,12 @@ rrmf.polynomials share one stored form and one base, _Exact: integer
 coordinate rows over one positive denominator and the base d, part s
 (0 rational, 1 sqrt(d)) of real component w in row w*P + s, with P = 2
 over a surd base and 1 over Q, in ascending degree.  A ring value is a
-constant, whose rows have length at most 1.  The base adds, subtracts
-and conjugates row by row, and multiplies by _Algebra, the table
-expanded over the coordinates, in one integer kernel for ring values
-and polynomials alike.
+constant, whose rows have length at most 1.  One constructor,
+_Exact.from_terms, builds a value of any kind from the integers that
+scalar_terms reads off its text.  The base adds, subtracts and
+conjugates row by row, and multiplies by _Algebra, the table expanded
+over the coordinates, in one integer kernel for ring values and
+polynomials alike.
 """
 
 from __future__ import annotations
@@ -273,6 +275,32 @@ class _Exact:
         return cls._new(*_canonical(d, rows, den))
 
     @classmethod
+    def from_terms(cls, terms: list):
+        """The value whose real components, in ascending degree and each
+        coefficient's ``width`` components in order, are p/q + r/s*sqrt(d)
+        for the integers (p, q, r, s, d) of ``terms`` as scalar_terms reads
+        them; its base is that of every term with r != 0, or 0.
+
+        Each p/q and r/s is reduced first, and den is the lcm of the
+        reduced denominators.  The rows are then content-free with den:
+        for each prime power l^e exactly dividing den, a reduced q carries
+        l^e and p (den/q) is prime to l.  So the stored form takes no gcd
+        over every integer, which costs seconds at long coefficients."""
+        d = next((t[4] for t in terms if t[2]), 0)
+        reduced = []
+        for p, q, r, s, _ in terms:
+            g, h = math.gcd(p, q), math.gcd(r, s)
+            reduced.append((p // g, q // g, r // h, s // h))
+        den = math.lcm(*[t[1] for t in reduced], *[t[3] for t in reduced])
+        rows = []
+        for w in range(cls.width):
+            column = reduced[w::cls.width]
+            rows.append([p * (den // q) for p, q, _, _ in column])
+            if d:
+                rows.append([r * (den // s) for _, _, r, s in column])
+        return cls._new(d, tuple(map(tuple, _trim_rows(rows))), den)
+
+    @classmethod
     def _lift(cls, value):
         """value as a value of cls, or None when it does not lift."""
         if isinstance(value, cls):
@@ -431,9 +459,11 @@ class _Ring(_Exact):
 class Scalar(_Ring):
     """An element a + b*sqrt(d) of Q(sqrt(d)), immutable.
 
-    Invariants: ``a`` and ``b`` are Fractions (lowest terms, positive
-    denominator, maintained by the Fraction type); ``d`` is 0 or a
-    squarefree integer in [2, MAX_BASE]; and ``b == 0`` implies ``d == 0``.
+    Stored as the integer row (A,) over Q, (A, B) over Q(sqrt(d)), and
+    one positive denominator den; ``a`` = A/den and ``b`` = B/den are
+    Fraction views of that row, not stored Fractions.  ``d`` is 0 or a
+    squarefree integer in [2, MAX_BASE], and ``b == 0`` implies ``d == 0``.
+    As a coefficient ring it has ``width`` 1 and ``parts`` ``(self,)``.
 
     Validation happens at the edges: the public constructor checks its
     arguments, and ``parse_scalar`` checks a parsed base the same way,
@@ -442,10 +472,6 @@ class Scalar(_Ring):
     coordinates are integer operations on valid operands and their base
     is one of the operands' bases; only the ``b == 0 => d == 0``
     normalisation runs on them.
-
-    As a coefficient ring it has ``width`` 1: its ``parts`` are ``(self,)``
-    and its rows ``(a den,)`` over Q, ``(a den, b den)`` over Q(sqrt(d)),
-    for its denominator den.
     """
 
     __slots__ = ()
@@ -457,42 +483,23 @@ class Scalar(_Ring):
         _check_base(d, b)
         a = Fraction(a)
         b = Fraction(b)
-        value = self.from_terms(a.numerator, a.denominator, b.numerator, b.denominator, d)
+        value = self.from_terms([(a.numerator, a.denominator, b.numerator, b.denominator, d)])
         self._set(value.d, value.rows, value.den)
 
     a = property(lambda self: Fraction(self.rows[0][0], self.den) if self.rows[0] else _F0)
     b = property(lambda self: Fraction(self.rows[1][0], self.den) if self.d else _F0)
     parts = property(lambda self: (self,))
 
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def from_terms(cls, p: int, q: int, r: int, s: int, d: int) -> "Scalar":
-        """p/q + r/s*sqrt(d) for the integers scalar_terms reads: q, s > 0,
-        and d valid, or 0 when r = 0."""
-        den = math.lcm(q, s)
-        rows = [[p * (den // q)], [r * (den // s)]]
-        return cls._from_rows(d, rows if d else rows[:1], den)
-
     # -- predicates ----------------------------------------------------
 
     def sign(self) -> int:
-        """Exact sign of a + b*sqrt(d): compares a^2 against b^2*d."""
-        a, b, d = self.a, self.b, self.d
-        if b == 0:
+        """Exact sign of (A + B*sqrt(d))/den: that of A when B = 0 or A, B
+        agree in sign, else of the larger of A^2 and B^2*d (never equal)."""
+        a = self.rows[0][0] if self.rows[0] else 0
+        b = self.rows[1][0] if self.d else 0
+        if not b or (a > 0 and b > 0) or (a < 0 and b < 0):
             return (a > 0) - (a < 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # opposite signs: the larger of a^2 and b^2*d decides
-        if a * a > b * b * d:
-            return 1 if a > 0 else -1
-        if a * a < b * b * d:
-            return 1 if b > 0 else -1
-        return 0  # unreachable for squarefree d >= 2, kept as a guard
+        return 1 if (a if a * a > b * b * self.d else b) > 0 else -1
 
     # -- arithmetic ----------------------------------------------------
 
@@ -601,7 +608,7 @@ def scalar_terms(text: str, expected_base: int | None = None
 
 def parse_scalar(text: str, expected_base: int | None = None) -> Scalar:
     """The Scalar of the text form, as ``scalar_terms`` reads it."""
-    return Scalar.from_terms(*scalar_terms(text, expected_base))
+    return Scalar.from_terms([scalar_terms(text, expected_base)])
 
 
 class ComplexScalar(_Ring):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from rrmf.hodograph import has_coprime_components
+from rrmf.hodograph import GeneratorAnalysis, has_coprime_components
 from rrmf.indicatrix import inner_product_poly, require_certificate
 from rrmf.polynomials import (ComplexPoly, QuatPoly, RationalFunction, RealPoly,
                               gcd_real, reduce_fraction)
@@ -104,6 +104,13 @@ def norm_poly(a: QuatPoly) -> RealPoly:
     components: the oracle of GeneratorAnalysis.sigma."""
     u, v, p, q = QuatPoly.of(a).components()
     return u * u + v * v + p * p + q * q
+
+
+def indicatrix_pair(a: QuatPoly) -> tuple[RealPoly, RealPoly, RationalFunction]:
+    """<A'i, A>, sigma and their reduced ratio, the rotation indicatrix,
+    read from one GeneratorAnalysis of A."""
+    analysis = GeneratorAnalysis.of(a, "indicatrix pair of the zero polynomial")
+    return analysis.inner, analysis.sigma, -analysis.han
 
 
 def fraction_sum(f: RationalFunction, g: RationalFunction) -> RationalFunction:

@@ -3,11 +3,13 @@
 verify_orthonormal rechecks the six orthonormality identities
 N_e . N_f = delta_ef W^2 on a SymbolicFrame's unreduced images, which
 hold by construction; finite_difference_twist estimates the twist rate
-<f3, f2'> from samples, independently of SymbolicFrame.tangent_twist.
+<f3, f2'> from samples, independently of SymbolicFrame.tangent_twist;
+rotate_reference turns the ERF of A in its normal plane, independently
+of rotate_frame, which reads the ERF of A (a - b i).
 """
 
-from rrmf.frames import FrameSample, SymbolicFrame
-from rrmf.polynomials import RealPoly
+from rrmf.frames import FrameSample, SymbolicFrame, erf_symbolic
+from rrmf.polynomials import RealPoly, reduce_fraction
 
 
 def verify_orthonormal(frame: SymbolicFrame) -> None:
@@ -35,3 +37,15 @@ def finite_difference_twist(samples: list[FrameSample]) -> list[float]:
                                              samples[k - 1].f2, samples[k - 2].f2))
         out.append(sum(x * y for x, y in zip(d2, samples[k].f3)))
     return out
+
+
+def rotate_reference(a, ca: RealPoly, cb: RealPoly):
+    """(f2, f3): (N2, N3) of the ERF of A turned by the matrix
+    ((a^2 - b^2, -2ab), (2ab, a^2 - b^2)) over (a^2 + b^2) W, reduced."""
+    erf = erf_symbolic(a)
+    _, n2, n3 = erf.images
+    den = (ca * ca + cb * cb) * erf.denominator
+    cos, sin = ca * ca - cb * cb, (ca * cb).scale(2)
+    f2 = tuple(reduce_fraction(cos * e2 - sin * e3, den) for e2, e3 in zip(n2, n3))
+    f3 = tuple(reduce_fraction(sin * e2 + cos * e3, den) for e2, e3 in zip(n2, n3))
+    return f2, f3

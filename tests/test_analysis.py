@@ -16,14 +16,14 @@ from rrmf.classify import GeneratorAnalysis, TrivialWitness, classify, search_ce
 from rrmf.construct import make_f_element, make_spatial_family, make_trivial
 from rrmf.frames import sample_frames
 from rrmf.hodograph import _INNER_FORM, core_of
-from rrmf.indicatrix import (IndicatrixPair, han_fraction, han_numerator,
+from rrmf.indicatrix import (han_fraction, han_numerator,
                              inner_product_poly, omega1, rho_eta,
                              rotation_indicatrix, verify_han)
 from rrmf.polynomials import ComplexPoly, RealPoly, _embedding, reduce_fraction
 from rrmf.quaternions import Quaternion
 from rrmf.scalars import ComplexScalar, Scalar
 
-from conftest import coprime_cpoly, nonzero_qpoly, norm_poly
+from conftest import coprime_cpoly, indicatrix_pair, nonzero_qpoly, norm_poly
 
 
 def _count_calls(monkeypatch, target: str, keep=lambda kwargs: True, calls=None,
@@ -150,7 +150,7 @@ def test_erf_sampling_forms_no_inner_product(monkeypatch):
 def test_han_entry_points_form_the_generator_once(monkeypatch):
     forms = _count_calls(monkeypatch, "polynomials.component_forms")
     a = worked_quintics()[1].generator
-    for entry in (han_fraction, omega1, rotation_indicatrix, IndicatrixPair.of):
+    for entry in (han_fraction, omega1, rotation_indicatrix, indicatrix_pair):
         forms.clear()
         entry(a)
         assert len(forms) == 1, entry.__qualname__
@@ -179,8 +179,7 @@ def test_analysis_readers_match_direct_formulas(rng, base):
         assert han_fraction(a) == reduce_fraction(han_numerator(a), sigma)
         indicatrix = rotation_indicatrix(a)
         assert indicatrix == reduce_fraction(inner, sigma)
-        pair = IndicatrixPair.of(a)
-        assert (pair.numerator_inner, pair.sigma, pair.reduced) == (inner, sigma, indicatrix)
+        assert indicatrix_pair(a) == (inner, sigma, indicatrix)
         assert rho_eta(GeneratorAnalysis.of(a)) == rho_eta(a)
 
 

@@ -168,6 +168,8 @@ def test_gcd_with_complex():
     planted = cubic * gamma.as_quat()
     g = gcd_with_complex(planted, gamma * ComplexPoly.from_parts(RealPoly([1]), RealPoly([1])))
     assert g == gamma.monic()
+    with pytest.raises(ValueError, match="^right gcd with a zero polynomial$"):
+        gcd_with_complex(cubic, ComplexPoly())
 
 
 def test_cancel_indicatrix_round_trip(rng):

@@ -132,6 +132,8 @@ def test_mixed_bases_rejected_on_serialize():
                         (RealPoly([1]), RealPoly([0, Scalar(1, 1, 2)]))):
         with pytest.raises(DocumentError, match=r"mixed surd bases \[2, 15\]"):
             document_for(poly, certificate=certificate)
+    with pytest.raises(DocumentError, match=r"^mixed surd bases \[5, 15\] in one document$"):
+        document_for(poly, certificate=(RealPoly([Scalar(0, 1, 5)]), RealPoly([1])))
 
 
 def test_document_dict_shape():

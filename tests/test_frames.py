@@ -8,16 +8,17 @@ from rrmf.catalog import (nontrivial_cubic, quintic_left_cancellation,
                           quintic_no_cancellation, quintic_right_cancellation)
 from rrmf.classify import cancel_indicatrix, has_vanishing_indicatrix
 from rrmf.construct import make_spatial_family
-from rrmf.frames import (CSV_HEADER, CertificateError, FrameSample,
-                         basis_images, erf_symbolic, rmf_symbolic,
+from rrmf.frames import (CSV_HEADER, CertificateError, FrameSample, SymbolicFrame,
+                         basis_images, erf_symbolic, frame_sampler, rmf_symbolic,
                          rotate_frame, sample_frames, write_frames_csv)
 from rrmf.hodograph import hodograph_of, integrate
-from rrmf.indicatrix import omega1
+from rrmf.indicatrix import omega1, verify_han
 from rrmf.polynomials import ComplexPoly, QuatPoly, RationalFunction, RealPoly, gcd_real
 from rrmf.quaternions import Quaternion
 
-from conftest import FRAME_TOL, coprime_cpoly, coprime_qpoly, exact_axes, norm_poly
-from frame_reference import finite_difference_twist, verify_orthonormal
+from conftest import (FRAME_TOL, coprime_cpoly, coprime_qpoly, exact_axes, nonzero_qpoly,
+                      norm_poly)
+from frame_reference import finite_difference_twist, rotate_reference, verify_orthonormal
 
 EX2 = quintic_no_cancellation()
 
@@ -94,6 +95,24 @@ def test_rotate_frame_matches_rmf():
     frame = rmf_symbolic(EX2.generator, *EX2.certificate)
     f2, f3 = rotate_frame(EX2.generator, *EX2.certificate)
     assert f2 == frame.f2 and f3 == frame.f3
+
+
+@pytest.mark.parametrize("base", [0, 15])
+def test_rotate_frame_matches_the_turned_erf(rng, base):
+    # every fourth pair is a certificate, gamma of A = C gamma for the
+    # cubic C with vanishing indicatrix; the others are random pairs
+    cubic, certificates = nontrivial_cubic(), 0
+    for k in range(40):
+        gamma = coprime_cpoly(rng, rng.randint(0, 2), base)
+        ca, cb = gamma.real_parts()
+        if k % 4:
+            a = nonzero_qpoly(rng, rng.randint(1, 3), base)
+        else:
+            a = cubic * gamma.as_quat()
+            assert verify_han(a, ca, cb)
+            certificates += 1
+        assert rotate_frame(a, ca, cb) == rotate_reference(a, ca, cb), k
+    assert certificates == 10
 
 
 def test_rmf_equals_erf_of_reduction(rng):
@@ -176,11 +195,20 @@ def test_orthonormality_check_names_the_first_failing_gram_entry():
              (((1 + 1e-9, 1e-9, 0.0), e2, e3), "frame axis not unit"),
              ((e1, e2, (1e-9, 0.0, 1.0)), "frame axes not orthogonal"),
              ((e1, (0.0, 1 + 1e-9, 0.0), e3), "frame axis not unit"),
+             ((e1, e2, (0.0, 1e-9, 1.0)), "frame axes not orthogonal"),
+             ((e1, e2, (0.0, 0.0, 1 + 1e-9)), "frame axis not unit"),
              ((e1, e2, (0.0, 0.0, math.nan)), "frame axes not orthogonal"),
              (((math.nan, 0.0, 0.0), e2, e3), "frame axis not unit"),
              ((e1, e2, (0.0, 0.0, -1.0)), None)]
     for axes, check in cases:
         assert frames._orthonormality_failure(axes) == check, axes
+
+
+def test_frame_set_up_rejects_a_zero_generator_and_an_unknown_kind():
+    with pytest.raises(ValueError, match="^frame of the zero polynomial$"):
+        SymbolicFrame.from_generator(QuatPoly())
+    with pytest.raises(ValueError, match="^unknown frame kind 'xyz'$"):
+        frame_sampler(EX2.generator, "xyz")
 
 
 def test_sample_frames_positions():

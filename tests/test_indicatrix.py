@@ -8,7 +8,7 @@ from rrmf.catalog import (nontrivial_cubic, quintic_left_cancellation,
 from rrmf.construct import (CubicSpec, make_cubic, make_f_element,
                             make_spatial_family, make_trivial)
 from rrmf.frames import certificate_generator
-from rrmf.indicatrix import (IndicatrixPair, han_fraction, inner_product_poly,
+from rrmf.indicatrix import (han_fraction, inner_product_poly,
                              omega1, rho_eta, rotation_indicatrix, verify_han)
 from rrmf.hodograph import _IMAGE_FORMS, GeneratorAnalysis
 from rrmf.polynomials import (ComplexPoly, QuatPoly, RealPoly, _embedding,
@@ -16,7 +16,7 @@ from rrmf.polynomials import (ComplexPoly, QuatPoly, RealPoly, _embedding,
 from rrmf.quaternions import I, J, K, Quaternion
 from rrmf.scalars import ComplexScalar, Scalar
 
-from conftest import (coprime_cpoly, coprime_qpoly, fraction_sum,
+from conftest import (coprime_cpoly, coprime_qpoly, fraction_sum, indicatrix_pair,
                       indicatrix_product_residual, nonzero_qpoly,
                       nonzero_quat, norm_poly, rand_fraction, rand_scalar,
                       reference_verify_han, verdict_generators)
@@ -35,11 +35,11 @@ def test_inner_product_poly_examples():
 def test_indicatrix_pair_invariants(rng):
     for _ in range(50):
         a = nonzero_qpoly(rng, 3)
-        pair = IndicatrixPair.of(a)
+        inner, sigma, reduced = indicatrix_pair(a)
         u, v, p, q = a.components()
         du, dv, dp, dq = (t.derivative() for t in (u, v, p, q))
-        assert pair.numerator_inner == -(dv * u - du * v - dq * p + dp * q)
-        assert pair.reduced == reduce_fraction(pair.numerator_inner, pair.sigma)
+        assert inner == -(dv * u - du * v - dq * p + dp * q)
+        assert reduced == reduce_fraction(inner, sigma)
 
 
 def test_rotation_indicatrix_examples():

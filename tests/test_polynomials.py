@@ -8,7 +8,7 @@ from rrmf.catalog import (quintic_left_cancellation, quintic_no_cancellation,
 from rrmf.indicatrix import han_numerator
 from rrmf.linalg import exact_rank
 from rrmf.polynomials import (ComplexPoly, InexactDivision, QuatPoly,
-                              RationalFunction, RealPoly, exact_divide,
+                              RationalFunction, RealPoly, component_forms, exact_divide,
                               gcd_complex, gcd_real, reduce_fraction,
                               vector_rank)
 from rrmf.quaternions import I, J, K, Quaternion
@@ -162,6 +162,8 @@ def test_exact_divide_examples():
     assert exact_divide(xi2_plus_1, XI_PLUS_I) == XI_MINUS_I
     with pytest.raises(InexactDivision):
         exact_divide(RealPoly([1, 0, 1]), RealPoly([1, 1]))
+    with pytest.raises(TypeError, match="^cannot divide int$"):
+        exact_divide(3, RealPoly([1, 1]))
 
 
 def test_exact_divide_round_trip(rng):
@@ -181,6 +183,8 @@ def test_right_divmod(rng):
         q, r = p.right_divmod(d)
         assert q * d + r == p
         assert r.degree() < d.degree()
+    with pytest.raises(ZeroDivisionError, match="^polynomial division by zero$"):
+        p.divmod(QuatPoly())
 
 
 def schoolbook_product(a, b):
@@ -438,6 +442,24 @@ def test_reduce_fraction_examples():
     assert zero.is_zero() and zero.den == RealPoly([1])
     with pytest.raises(ZeroDivisionError):
         reduce_fraction(RealPoly([1]), RealPoly())
+
+
+def test_zero_polynomials_text_forms_and_rational_functions():
+    with pytest.raises(ValueError, match="no leading coefficient"):
+        RealPoly().leading()
+    assert str(RealPoly()) == "0"
+    assert repr(ComplexPoly([ComplexScalar(1, 2), ComplexScalar(0, Scalar(0, 1, 15))])) \
+        == "ComplexPoly([('1/1', '2/1'), ('0/1', '0/1+1/1*sqrt(15)')])"
+    assert repr(QuatPoly([Quaternion(1), Quaternion(0, 1, 0, 2)])) \
+        == "QuatPoly((Quaternion(1/1, 0/1, 0/1, 0/1), Quaternion(0/1, 1/1, 0/1, 2/1)))"
+    assert component_forms(QuatPoly(), ((1, 0, 0), (1, 1, 5))) == [RealPoly(), RealPoly()]
+    f = reduce_fraction(RealPoly([0, 2]), RealPoly([1, 0, 4]))
+    with pytest.raises(AttributeError, match="RationalFunction is immutable"):
+        f.num = RealPoly()
+    assert RationalFunction.of(f) is f
+    assert (f == "x") is False
+    assert not RationalFunction.zero and f
+    assert repr(f) == "RationalFunction(((1/2)*xi) / (1/4 + (1/1)*xi^2))"
 
 
 def test_reduced_fraction_invariants(rng):

@@ -24,6 +24,8 @@ def test_base_validation():
         Scalar(1, 1, 4)
     with pytest.raises(ValueError):
         Scalar(0, 1, 0)
+    with pytest.raises(TypeError, match="^use Scalar arithmetic, not nested construction$"):
+        Scalar(Scalar(1))
 
 
 def test_pure_rational_canonicalizes_base():
@@ -56,6 +58,7 @@ def test_field_axioms_rational_and_surd():
             if not a.is_zero():
                 assert a * a.inverse() == Scalar(1)
                 assert a / a == Scalar(1)
+    assert 1 / Scalar(2) == Scalar(Fraction(1, 2))
 
 
 def test_exact_sign_against_float():
@@ -72,6 +75,10 @@ def test_exact_sign_against_float():
     assert Scalar(-4, 1, 15).sign() == -1
     assert Scalar(3, -1, 15).sign() == -1     # 9 < 15
     assert Scalar(-3, 1, 15).sign() == 1
+    # a zero rational or surd part, and equal signs
+    assert Scalar(0).sign() == 0 and Scalar(Fraction(-1, 3)).sign() == -1
+    assert Scalar(0, -1, 15).sign() == -1
+    assert Scalar(-4, -1, 15).sign() == -1 and Scalar(Fraction(1, 2), 1, 15).sign() == 1
 
 
 def test_comparisons():
@@ -117,6 +124,15 @@ def test_parse_rejects_garbage():
 
 def test_float_conversion():
     assert math.isclose(float(Scalar(2, 3, 15)), 2 + 3 * math.sqrt(15))
+    assert complex(ComplexScalar(1, Scalar(0, 1, 15))) == complex(1, math.sqrt(15))
+
+
+def test_scalars_are_immutable_and_reject_foreign_operands():
+    s = Scalar(1)
+    with pytest.raises(AttributeError, match="Scalar is immutable"):
+        s.d = 15
+    with pytest.raises(TypeError):
+        s + "x"
 
 
 def test_complex_scalar_field():
