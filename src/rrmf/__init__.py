@@ -20,12 +20,11 @@ from .hodograph import (CoreDecomposition, CurvePosition, Hodograph, core_of,
 from .indicatrix import (RhoEta, han_fraction, han_numerator,
                          inner_product_poly, omega1, rho_eta,
                          rotation_indicatrix, verify_han)
-from .classify import (Classification, GeneratorAnalysis,
-                       IndicatrixCoefficients, Membership,
+from .classify import (Classification, GeneratorAnalysis, Membership,
                        MembershipStatus, ReducedForm, TrivialWitness,
                        cancel_indicatrix, gcd_with_complex,
                        has_vanishing_indicatrix, hodograph_span_rank,
-                       indicatrix_coefficients, is_planar, rrmf_membership,
+                       indicatrix_coefficients, is_planar,
                        search_certificate, trivial_witness)
 from .construct import (ConstructionError, CubicSpec, FElement, QuarticResult,
                         QuarticSpec, make_cubic, make_cubic_monic,

@@ -4,7 +4,8 @@ Three quintic RRMF curves exercise the three cancellation patterns of
 the frame condition (left cancellation, none, right cancellation in a
 surd field), and the low-degree catalog covers the spatial generators
 with vanishing indicatrix.  Every stored value is exact; the battery
-recomputes each quantity and compares structurally.
+recomputes each quantity, reading one hodograph.GeneratorAnalysis per
+generator, and compares structurally.
 """
 
 from __future__ import annotations
@@ -13,10 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .classify import has_vanishing_indicatrix, is_planar, trivial_witness
 from .construct import CubicSpec, QuarticSpec, make_cubic, make_quartic, make_spatial_family
-from .hodograph import hodograph_of, is_primitive
-from .indicatrix import han_fraction, han_numerator, rho_eta, verify_han
+from .hodograph import GeneratorAnalysis
+from .indicatrix import rho_eta, verify_han
 from .polynomials import (QuatPoly, RealPoly, gcd_real, reduce_fraction)
 from .quaternions import Quaternion
 from .scalars import Scalar
@@ -135,17 +135,18 @@ def _check(name: str, condition: bool, detail: str = "") -> RegressionItem:
 
 def _quintic_items(curve: WorkedCurve) -> list[RegressionItem]:
     items = []
-    h = hodograph_of(curve.generator)
+    analysis = GeneratorAnalysis.of(curve.generator)
+    h = analysis.hodograph
     items.append(_check(f"{curve.name}: hodograph components",
                         h.components() == curve.hodograph,
                         "recomputed hodograph differs"))
     items.append(_check(f"{curve.name}: parametric speed",
                         h.sigma == curve.sigma, "sigma differs"))
     items.append(_check(f"{curve.name}: primitive hodograph",
-                        is_primitive(curve.generator), "not primitive"))
+                        analysis.primitive, "not primitive"))
     ca, cb = curve.certificate
     for side, num, den, factor in (
-            ("left", han_numerator(curve.generator), h.sigma, curve.left_gcd),
+            ("left", -analysis.inner, h.sigma, curve.left_gcd),
             ("right", ca * cb.derivative() - ca.derivative() * cb, ca * ca + cb * cb,
              curve.right_gcd)):
         g = gcd_real(num, den)
@@ -157,14 +158,13 @@ def _quintic_items(curve: WorkedCurve) -> list[RegressionItem]:
                                 g == factor.monic(), f"{side} gcd {g}"))
     items.append(_check(
         f"{curve.name}: reduced fraction",
-        han_fraction(curve.generator)
-        == reduce_fraction(curve.fraction_num, curve.fraction_den),
+        analysis.han == reduce_fraction(curve.fraction_num, curve.fraction_den),
         "reduced fraction differs"))
     items.append(_check(f"{curve.name}: certificate verified",
-                        verify_han(curve.generator, ca, cb),
+                        verify_han(analysis, ca, cb),
                         "certificate rejected"))
     items.append(_check(f"{curve.name}: spatial (non-planar) curve",
-                        not is_planar(curve.generator), "curve is planar"))
+                        not analysis.planar, "curve is planar"))
     return items
 
 
@@ -175,10 +175,11 @@ def _low_degree_items() -> list[RegressionItem]:
             ("quartic-sparse", nontrivial_quartic_sparse()),
             ("quartic-dense", nontrivial_quartic_dense()),
             *((f"family-n{n}", make_spatial_family(n)) for n in range(3, 13))):
+        analysis = GeneratorAnalysis.of(poly)
         items.append(_check(f"{name}: vanishing indicatrix",
-                            has_vanishing_indicatrix(poly), "indicatrix nonzero"))
+                            analysis.in_f0, "indicatrix nonzero"))
         items.append(_check(f"{name}: non-trivial",
-                            trivial_witness(poly) is None, "unexpected witness"))
+                            analysis.trivial is None, "unexpected witness"))
     items.append(_check(
         "cubic constructor reproduces the catalog cubic",
         make_cubic(CubicSpec(Quaternion(0, 0, 0, 1), Quaternion(0, 0, 1, 0)))

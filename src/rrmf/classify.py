@@ -9,8 +9,9 @@ generated curve, and membership in the class of generators of curves
 with rational rotation-minimizing frames, decided either through a
 supplied certificate, the equal-degree divisibility criterion, or a
 certificate of bounded degree constructed exactly from the residues of
-the reduced Han fraction.  No false negatives are ever reported for the
-general membership question: absent proof, the verdict is "unknown".
+the reduced Han fraction.  classify is the one entry of that verdict,
+which _membership decides.  No false negatives are ever reported for
+the general membership question: absent proof, the verdict is "unknown".
 
 Every fact of a generator, the coefficient conditions and the
 equal-degree criterion included, is read from one
@@ -42,20 +43,14 @@ def _require_nonzero_coprime(a: QuatPoly, what: str) -> GeneratorAnalysis:
     return analysis
 
 
-@dataclass(frozen=True)
-class IndicatrixCoefficients:
-    """The 2n-1 real numbers whose vanishing characterizes a zero indicatrix."""
-
-    values: tuple[Scalar, ...]
-
-
-def indicatrix_coefficients(a: QuatPoly) -> IndicatrixCoefficients:
-    """c_m = sum_{k=0..m} (k+1) <A_{m-k}, A_{k+1} i> for m = 0 .. 2n-2 (one
-    0 for a constant A): the coefficients of <A'i, A>, read from the
-    analysis's one form pass, whether or not the components are coprime."""
+def indicatrix_coefficients(a: QuatPoly) -> tuple[Scalar, ...]:
+    """The 2n-1 coefficients of <A'i, A>, whose vanishing characterizes a
+    zero indicatrix: c_m = sum_{k=0..m} (k+1) <A_{m-k}, A_{k+1} i> for
+    m = 0 .. 2n-2 (one 0 for a constant A), read from the analysis's one
+    form pass, whether or not the components are coprime."""
     analysis = GeneratorAnalysis.of(a, "coefficient conditions of the zero polynomial")
     inner, n = analysis.inner, analysis.poly.degree()
-    return IndicatrixCoefficients(tuple(map(inner.coeff, range(max(2 * n - 1, 1)))))
+    return tuple(map(inner.coeff, range(max(2 * n - 1, 1))))
 
 
 def has_vanishing_indicatrix(a: QuatPoly) -> bool:
@@ -130,38 +125,25 @@ class MembershipStatus(Enum):
 
 @dataclass(frozen=True)
 class Membership:
-    """Outcome of the rational-RMF membership question."""
+    """Outcome of the rational-RMF membership question, with the
+    certificate the verdict read: the supplied one, or the one built."""
 
     status: MembershipStatus
     method: str
     certificate: Optional[tuple[RealPoly, RealPoly]] = None
 
 
-def rrmf_membership(a: QuatPoly, gamma: ComplexPoly | None = None, *,
-                    search_degree: int | None = None,
-                    search_budget: float = 10.0) -> Membership:
-    """Three-valued verdict: proven / certificate-rejected / unknown.
-
-    With a certificate gamma = a + bi, Han's identity decides membership
-    of that particular class (verify_han).  Without one, a vanishing
-    indicatrix or the equal-degree divisibility criterion prove
-    membership; optionally search_certificate constructs a certificate
-    of degree at most search_degree.  A false "not a member" is never
-    returned.
-    """
-    analysis = _require_nonzero_coprime(a, "membership test")
-    certificate = None if gamma is None else ComplexPoly.of(gamma).real_parts()
-    return _membership(analysis, certificate, search_degree, search_budget)
-
-
 def _membership(analysis: GeneratorAnalysis,
                 certificate: tuple[RealPoly, RealPoly] | None,
                 search_degree: int | None, search_budget: float) -> Membership:
-    # rrmf_membership for a generator with coprime components
+    if not analysis.coprime:
+        if certificate is not None:
+            require_certificate(*certificate)
+        return Membership(MembershipStatus.UNKNOWN, "components-not-coprime", certificate)
     if certificate is not None:
-        if verify_han(analysis, *certificate):
-            return Membership(MembershipStatus.PROVEN, "certificate", certificate)
-        return Membership(MembershipStatus.CERTIFICATE_REJECTED, "certificate")
+        status = (MembershipStatus.PROVEN if verify_han(analysis, *certificate)
+                  else MembershipStatus.CERTIFICATE_REJECTED)
+        return Membership(status, "certificate", certificate)
     if analysis.in_f0:
         return Membership(MembershipStatus.PROVEN, "vanishing-indicatrix",
                           (RealPoly([1]), RealPoly()))
@@ -201,6 +183,8 @@ def search_certificate(a: QuatPoly | GeneratorAnalysis, max_degree: int, *,
     compatibility and has no effect.
     """
     analysis = _require_nonzero_coprime(a, "certificate search")
+    if max_degree < 0:
+        return None
     han = analysis.han
     if han.is_zero():
         return (RealPoly([1]), RealPoly())
@@ -255,36 +239,37 @@ class Classification:
     primitive: bool
     core_degree: int
     membership: Membership
-    han_certificate: Optional[tuple[RealPoly, RealPoly]] = None
     notes: str = ""
 
 
 def classify(a: QuatPoly, certificate: tuple[RealPoly, RealPoly] | None = None,
              *, search_degree: int | None = None,
              search_budget: float = 10.0) -> Classification:
-    """Aggregate all verdicts for one generator, certificate optional."""
+    """Aggregate all verdicts for one generator, certificate optional.
+
+    ``membership`` is the one rational-RMF verdict, three-valued: proven /
+    certificate-rejected / unknown.  With a certificate (a, b), Han's
+    identity decides membership of that particular class (verify_han).
+    Without one, a vanishing indicatrix or the equal-degree divisibility
+    criterion prove membership; optionally search_certificate constructs
+    a certificate of degree at most search_degree.  Components that share
+    a real factor give "unknown".  A false "not a member" is never
+    returned.  A certificate (0, 0) or with non-coprime parts raises.
+    """
     analysis = GeneratorAnalysis.of(a, "classification of the zero polynomial")
     notes = ["regularity over the reals (sigma having no real roots) not checked"]
     if certificate is not None:
         certificate = (RealPoly.of(certificate[0]), RealPoly.of(certificate[1]))
-    if analysis.coprime:
-        membership = _membership(analysis, certificate, search_degree, search_budget)
-        trivial = analysis.trivial
-    else:
-        if certificate is not None:
-            require_certificate(*certificate)
-        membership = Membership(MembershipStatus.UNKNOWN, "components-not-coprime")
-        trivial = None
+    if not analysis.coprime:
         notes.append("components share a real factor; membership tests skipped")
     return Classification(
         in_widetilde=analysis.coprime,
         in_f0=analysis.in_f0,
-        trivial=trivial,
+        trivial=analysis.trivial if analysis.coprime else None,
         planar=analysis.planar,
         primitive=analysis.primitive,
         # deg A = deg core + deg chi: the core itself is not formed
         core_degree=analysis.poly.degree() - analysis.chi.degree(),
-        membership=membership,
-        han_certificate=certificate,
+        membership=_membership(analysis, certificate, search_degree, search_budget),
         notes="; ".join(notes),
     )

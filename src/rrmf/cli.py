@@ -79,9 +79,7 @@ def classification_to_dict(c: Classification) -> dict:
             "direction": _quat_json(c.trivial.direction),
             "direction_norm_sq": format_scalar(c.trivial.direction_norm_sq),
         }
-    if c.han_certificate is not None:
-        out["han_certificate"] = certificate_to_dict(c.han_certificate)
-    elif c.membership.certificate is not None:
+    if c.membership.certificate is not None:
         out["han_certificate"] = certificate_to_dict(c.membership.certificate)
     return out
 

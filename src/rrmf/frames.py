@@ -2,14 +2,15 @@
 
 The Euler-Rodrigues frame of a generator B is the rational orthonormal
 triple (B i B*, B j B*, B k B*)/|B|^2, read off the ten products of
-B's components by hodograph.basis_images; with a verified certificate
-(a, b) the rotation-minimizing frame is the same construction applied
-to B = A (a - b i), and rotate_frame reads its f2 and f3 for any
-nonzero coprime (a, b).  SymbolicFrame holds W = |B|^2 and the images
-N_e = B e B* unreduced, so its identities are polynomial:
-N_e . N_f = delta_ef W^2 (the tests check them), and the tangent twist
-<f3, f2'> is exactly (N3 . N2')/W^2.  An entry is reduced only when it
-is read; sampling reduces none.  frame_sampler sets up B once, and the
+B's components by hodograph.basis_images in erf_symbolic, the one
+constructor of a SymbolicFrame; with a verified certificate (a, b) the
+rotation-minimizing frame is erf_symbolic of B = A (a - b i), and
+rotate_frame reads its f2 and f3 for any nonzero coprime (a, b).
+SymbolicFrame holds W = |B|^2 and the images N_e = B e B* unreduced,
+so its identities are polynomial: N_e . N_f = delta_ef W^2 (the tests
+check them), and the tangent twist <f3, f2'> is exactly
+(N3 . N2')/W^2.  An entry is reduced only when it is read; sampling
+reduces none.  frame_sampler sets up B once, and the
 generator function it returns takes each parameter on its own: it
 evaluates B's four components in Python floats, forms the same ten
 products (hodograph.float_images), checks the sample to be orthonormal
@@ -46,14 +47,6 @@ class SymbolicFrame:
     denominator: RealPoly
     images: tuple[tuple[RealPoly, ...], ...]
 
-    @classmethod
-    def from_generator(cls, b: QuatPoly) -> "SymbolicFrame":
-        b = QuatPoly.of(b)
-        if b.is_zero():
-            raise ValueError("frame of the zero polynomial")
-        den, raw = basis_images(b)
-        return cls(den, tuple(raw))
-
     def _axis(self, e: int) -> Vector:
         return tuple(reduce_fraction(c, self.denominator) for c in self.images[e])
 
@@ -79,7 +72,11 @@ class SymbolicFrame:
 
 def erf_symbolic(a: QuatPoly) -> SymbolicFrame:
     """Euler-Rodrigues frame (A i A*, A j A*, A k A*)/|A|^2."""
-    return SymbolicFrame.from_generator(a)
+    a = QuatPoly.of(a)
+    if a.is_zero():
+        raise ValueError("frame of the zero polynomial")
+    den, raw = basis_images(a)
+    return SymbolicFrame(den, tuple(raw))
 
 
 def certificate_generator(a: QuatPoly, ca: RealPoly, cb: RealPoly) -> QuatPoly:
@@ -99,7 +96,7 @@ def _rmf_generator(a, ca: RealPoly, cb: RealPoly) -> QuatPoly:
 
 def rmf_symbolic(a: QuatPoly, ca: RealPoly, cb: RealPoly) -> SymbolicFrame:
     """Rational RMF for a verified certificate (a, b); ``a`` may be an analysis."""
-    return SymbolicFrame.from_generator(_rmf_generator(a, ca, cb))
+    return erf_symbolic(_rmf_generator(a, ca, cb))
 
 
 def rotate_frame(a: QuatPoly, ca: RealPoly, cb: RealPoly) -> tuple[Vector, Vector]:

@@ -8,12 +8,13 @@ component for real, re/im for complex, four for quaternion
 coefficients), in ascending degree.  The form is canonical: rows
 trimmed (the zero polynomial has empty rows and ``degree() == -1``),
 the gcd of the denominator and every integer 1, and base 0 when no
-sqrt(d) row is nonzero, so ``==`` compares the stored triple; ``hash``
-reads the narrowest equal value (a constant as its coefficient, without
-the zero rows a lift appends), so equal polynomials of different kinds
-hash alike.  The constructor from coefficients writes each as one
-column, which raises SurdBaseMismatch for two different surd bases,
-the base's ``_Exact.from_terms`` builds the rows from a parsed
+sqrt(d) row is nonzero, so ``==`` compares the stored triple, and
+``hash`` follows the one rule of every exact value (_Exact.__hash__):
+without the all-zero rows a lift appends, a rational constant hashes as
+its Fraction and any other value as (d, rows, den), so equal values of
+every kind hash alike.  The constructor from coefficients writes each
+as one column, which raises SurdBaseMismatch for two different surd
+bases, the base's ``_Exact.from_terms`` builds the rows from a parsed
 document's integers, and ``coeffs``, ``coeff``, ``leading``,
 ``evaluate`` and the text forms read a column back as a ring value.
 The kinds ``RealPoly``, ``ComplexPoly`` and ``QuatPoly`` name only
@@ -255,16 +256,6 @@ class _DensePoly(_Exact):
 
     def as_quat(self) -> "QuatPoly":
         return QuatPoly.of(self)
-
-    def __hash__(self):
-        # the narrowest equal value: a constant hashes as its coefficient,
-        # and the all-zero component rows a lift appends are dropped
-        if len(self.rows[0]) <= 1:
-            return hash(self.coeff(0))
-        rows = self.rows
-        while not any(rows[-1]):
-            rows = rows[:-1]
-        return hash((self.d, rows, self.den))
 
 
 class RealPoly(_DensePoly):

@@ -243,10 +243,11 @@ class _Exact:
     ``==`` compares the stored triple.  A value lifts into a kind of at
     least its ring's width, by zero components, and a ring value lifts
     into a polynomial kind as a constant, but not back; ints and
-    Fractions lift into every kind.  An operand that does not lift into
-    this kind makes ``+``, ``-``, ``*`` and ``==`` return NotImplemented,
-    so that its own reflected operation lifts this value and keeps the
-    operand order.
+    Fractions lift into every kind, so ``hash`` drops the zero rows a
+    lift appends, and a rational constant hashes as its Fraction.  An
+    operand that does not lift into this kind makes ``+``, ``-``, ``*``
+    and ``==`` return NotImplemented, so that its own reflected operation
+    lifts this value and keeps the operand order.
     """
 
     __slots__ = ("d", "rows", "den")
@@ -410,14 +411,21 @@ class _Exact:
             return NotImplemented
         return (self.d, self.rows, self.den) == (other.d, other.rows, other.den)
 
+    def __hash__(self):
+        # equal values of two kinds differ only by the all-zero rows a lift appends
+        rows = self.rows
+        while len(rows) > 1 and not any(rows[-1]):
+            rows = rows[:-1]
+        if len(rows) == 1 and len(rows[0]) <= 1:
+            return hash(Fraction(rows[0][0], self.den)) if rows[0] else 0
+        return hash((self.d, rows, self.den))
+
 
 _F0 = Fraction(0)
 
 
 class _Ring(_Exact):
-    """A value of a coefficient ring: a constant, whose coordinate rows
-    have length at most 1.  ``hash`` reads the narrowest equal value, so
-    equal values of different rings hash alike."""
+    """A value of a coefficient ring: a constant, whose rows have length <= 1."""
 
     __slots__ = ()
 
@@ -442,14 +450,6 @@ class _Ring(_Exact):
 
     def __truediv__(self, other):
         return self * self.of(other).inverse()
-
-    def __hash__(self):
-        # the narrowest equal value: trailing zero parts dropped, and a
-        # single part hashed as the Scalar it equals
-        parts = list(self.parts)
-        while len(parts) > 1 and not parts[-1]:
-            parts.pop()
-        return hash(parts[0]) if len(parts) == 1 else hash(tuple(parts))
 
     def __repr__(self):
         return f"{type(self).__name__}({', '.join(map(str, self.parts))})"
@@ -519,10 +519,6 @@ class Scalar(_Ring):
         return result
 
     # -- comparisons ---------------------------------------------------
-
-    def __hash__(self):
-        # a rational value hashes as its Fraction, which it equals
-        return hash((self.a, self.b, self.d)) if self.d else hash(self.a)
 
     def __lt__(self, other) -> bool:
         return (self - Scalar.of(other)).sign() < 0

@@ -145,7 +145,7 @@ def normalized_component(x: Quaternion, y: Quaternion) -> Scalar:
 
 def all_zero(coefficients) -> bool:
     """Whether every coefficient condition of indicatrix_coefficients vanishes."""
-    return all(v.is_zero() for v in coefficients.values)
+    return all(v.is_zero() for v in coefficients)
 
 
 def reference_verify_han(a_poly: QuatPoly, a: RealPoly, b: RealPoly) -> bool:

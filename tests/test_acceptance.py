@@ -190,7 +190,7 @@ def test_criterion_5_identity_suite():
     report("criterion 5e: product-formula residual, 200 random (exact)", ok_resid)
     for _ in range(N_IDENTITY):
         a = coprime_qpoly(rng, rng.randint(1, 3))
-        values = indicatrix_coefficients(a).values  # recursion checked below
+        values = indicatrix_coefficients(a)  # recursion checked below
         poly = inner_product_poly(a)
         reference = reference_coefficient_conditions(a)
         ok_coeffs &= values == reference

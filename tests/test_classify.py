@@ -11,7 +11,7 @@ from rrmf.classify import (GeneratorAnalysis, MembershipStatus,
                            cancel_indicatrix, classify,
                            gcd_with_complex, has_vanishing_indicatrix,
                            hodograph_span_rank, indicatrix_coefficients,
-                           is_planar, rrmf_membership, search_certificate,
+                           is_planar, search_certificate,
                            trivial_witness)
 from rrmf.construct import make_f_element, make_spatial_family, make_trivial
 from rrmf.hodograph import (basis_images, core_of, has_coprime_components,
@@ -45,12 +45,12 @@ def witness_is_valid(a, witness):
 
 
 def test_coefficient_condition_examples():
-    assert [str(v) for v in indicatrix_coefficients(QuatPoly([Quaternion(1), J])).values] \
+    assert [str(v) for v in indicatrix_coefficients(QuatPoly([Quaternion(1), J]))] \
         == ["0/1"]
     cubic = nontrivial_cubic()
     assert all_zero(indicatrix_coefficients(cubic))
-    assert len(indicatrix_coefficients(cubic).values) == 5
-    assert indicatrix_coefficients(IXP1).values == (Scalar(-1),)
+    assert len(indicatrix_coefficients(cubic)) == 5
+    assert indicatrix_coefficients(IXP1) == (Scalar(-1),)
 
 
 def test_coefficient_conditions_match_polynomial(rng):
@@ -69,7 +69,7 @@ def test_coefficient_conditions_match_polynomial(rng):
                     shared += 1
                 reference = reference_coefficient_conditions(a)
                 assert len(reference) == max(2 * a.degree() - 1, 1)
-                assert indicatrix_coefficients(a).values == reference
+                assert indicatrix_coefficients(a) == reference
                 poly = inner_product_poly(a)
                 assert poly.degree() < len(reference)
                 assert tuple(map(poly.coeff, range(len(reference)))) == reference
@@ -217,33 +217,35 @@ def test_cancel_indicatrix_with_printed_certificate():
 def test_membership_verdicts():
     ex3 = quintic_right_cancellation()
     gamma = ComplexPoly.from_parts(*ex3.certificate)
-    m = rrmf_membership(ex3.generator, gamma)
+    m = classify(ex3.generator, gamma.real_parts()).membership
     assert m.status is MembershipStatus.PROVEN and m.method == "certificate"
 
-    m = rrmf_membership(nontrivial_cubic())
+    m = classify(nontrivial_cubic()).membership
     assert m.status is MembershipStatus.PROVEN
     assert m.method == "vanishing-indicatrix"
 
-    m = rrmf_membership(UNKNOWN_FIXTURE)
+    m = classify(UNKNOWN_FIXTURE).membership
     assert m.status is MembershipStatus.UNKNOWN
 
     wrong = ComplexPoly.of(1)
-    m = rrmf_membership(quintic_no_cancellation().generator, wrong)
+    m = classify(quintic_no_cancellation().generator, wrong.real_parts()).membership
     assert m.status is MembershipStatus.CERTIFICATE_REJECTED
 
-    m = rrmf_membership(quintic_no_cancellation().generator)
+    m = classify(quintic_no_cancellation().generator).membership
     assert m.status is MembershipStatus.PROVEN
     assert m.method == "equal-degree-criterion"
 
 
 def test_membership_never_claims_nonmembership():
-    m = rrmf_membership(UNKNOWN_FIXTURE, search_degree=1, search_budget=2.0)
+    m = classify(UNKNOWN_FIXTURE, search_degree=1, search_budget=2.0).membership
     assert m.status is MembershipStatus.UNKNOWN  # absence of proof only
 
 
 def test_search_f0_is_instant():
     a, b = search_certificate(nontrivial_cubic(), 0, budget_seconds=1.0, seed=0)
     assert a == RealPoly([1]) and b.is_zero()
+    # no certificate has negative degree, that of F0 included
+    assert search_certificate(nontrivial_cubic(), -1, budget_seconds=1.0, seed=0) is None
 
 
 def test_search_recovers_linear_certificate():
@@ -290,7 +292,7 @@ def test_classification_aggregate():
     ex2 = quintic_no_cancellation()
     c = classify(ex2.generator, certificate=ex2.certificate)
     assert not c.planar and c.membership.status is MembershipStatus.PROVEN
-    assert c.han_certificate == ex2.certificate
+    assert c.membership.certificate == ex2.certificate
 
     shared = nontrivial_cubic() * RealPoly([0, 1]).as_quat()
     c = classify(shared)

@@ -6,9 +6,9 @@ import pytest
 from rrmf.catalog import (nontrivial_cubic, nontrivial_quartic_dense,
                           nontrivial_quartic_sparse, quintic_left_cancellation,
                           quintic_no_cancellation, quintic_right_cancellation)
-from rrmf.classify import (MembershipStatus, cancel_indicatrix,
+from rrmf.classify import (MembershipStatus, cancel_indicatrix, classify,
                            has_vanishing_indicatrix, indicatrix_coefficients,
-                           rrmf_membership, trivial_witness)
+                           trivial_witness)
 from rrmf.construct import (ConstructionError, CubicSpec, QuarticSpec,
                             _conditions, _least_norm, make_cubic,
                             make_cubic_monic, make_f_element, make_quartic,
@@ -28,7 +28,7 @@ XI_PLUS_I = ComplexPoly.from_parts(RealPoly([0, 1]), RealPoly([1]))
 def assert_certified(element):
     """The certificate of an f-element cancels its indicatrix and proves it."""
     assert cancel_indicatrix(element.poly, element.certificate).vanishing
-    m = rrmf_membership(element.poly, element.certificate)
+    m = classify(element.poly, element.certificate.real_parts()).membership
     assert m.status is MembershipStatus.PROVEN
 
 

@@ -8,7 +8,7 @@ from rrmf.catalog import (nontrivial_cubic, quintic_left_cancellation,
                           quintic_no_cancellation, quintic_right_cancellation)
 from rrmf.classify import cancel_indicatrix, has_vanishing_indicatrix
 from rrmf.construct import make_spatial_family
-from rrmf.frames import (CSV_HEADER, CertificateError, FrameSample, SymbolicFrame,
+from rrmf.frames import (CSV_HEADER, CertificateError, FrameSample,
                          basis_images, erf_symbolic, frame_sampler, rmf_symbolic,
                          rotate_frame, sample_frames, write_frames_csv)
 from rrmf.hodograph import hodograph_of, integrate
@@ -206,7 +206,7 @@ def test_orthonormality_check_names_the_first_failing_gram_entry():
 
 def test_frame_set_up_rejects_a_zero_generator_and_an_unknown_kind():
     with pytest.raises(ValueError, match="^frame of the zero polynomial$"):
-        SymbolicFrame.from_generator(QuatPoly())
+        erf_symbolic(QuatPoly())
     with pytest.raises(ValueError, match="^unknown frame kind 'xyz'$"):
         frame_sampler(EX2.generator, "xyz")
 

@@ -78,7 +78,8 @@ def test_cross_kind_equality_repr_and_hash():
     q, c = Quaternion(1, 2, 3, Scalar(1, 1, 15)), ComplexScalar(-1, Scalar(0, 2, 15))
     assert repr(q) == "Quaternion(1/1, 2/1, 3/1, 1/1+1/1*sqrt(15))"
     assert repr(c) == "ComplexScalar(-1/1, 0/1+2/1*sqrt(15))"
-    assert hash(q) == hash((q.w, q.x, q.y, q.z)) and hash(c) == hash((c.re, c.im))
+    assert hash(q) == hash(QuatPoly([q]))
+    assert hash(c) == hash(Quaternion(c.re, c.im)) == hash(ComplexPoly([c]))
 
 
 POLYS = (RealPoly, ComplexPoly, QuatPoly)

@@ -13,6 +13,10 @@ inputs on which the screen must fall through to the exact kernel: a
 planted common factor, leading coefficients divisible by the prime, a
 shift by the prime that leaves the image unchanged, chi != 1, F0
 members, planar curves and a rho that sigma divides.
+
+Five non-primitive spatial generators of degree 2 whose sigma divides
+rho have no certificate: the residues of their Han fraction, formed and
+cancelled by sympy alone, are not integers over 2i.
 """
 
 import functools
@@ -23,6 +27,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from rrmf import polynomials
 from rrmf.catalog import quintic_no_cancellation
+from rrmf.classify import MembershipStatus, classify, search_certificate
 from rrmf.construct import make_spatial_family
 from rrmf.hodograph import GeneratorAnalysis, hodograph_of
 from rrmf.indicatrix import han_fraction
@@ -361,3 +366,45 @@ def test_screened_facts_match_sympy(rng, base, digits):
     assert facts["planar"][3]
     assert facts["sigma divides rho"][4]
     assert facts["random"][:4] == (True, 1, False, False)
+
+
+# the coefficients (w, x, y, z) of five generators of degree 2, in
+# ascending degree: coprime components, chi of degree 1, spatial, and
+# sigma = 3 (xi^2 + 1)^2 divides rho
+CRITERION_NON_MEMBERS = (
+    (1, 0, 1, 1, -1, 0, 1, 0, 1, -1, 1, 0),
+    (-1, 0, -1, -1, -1, 0, 0, 1, -1, -1, 0, -1),
+    (1, -1, 0, 1, -1, 0, 0, 1, 1, 0, -1, 1),
+    (-1, -1, 1, 0, 0, -1, -1, 0, 0, -1, 1, 1),
+    (1, -1, 1, 0, 1, 0, -1, 0, 1, 0, 1, 1),
+)
+
+
+def _quat_rows(rows) -> QuatPoly:
+    return QuatPoly([Quaternion(*rows[k:k + 4]) for k in range(0, len(rows), 4)])
+
+
+def _han_residues(rows) -> set:
+    """2i P(z)/D'(z) at the roots z of D, for the Han fraction P/D of the
+    generator with these coefficient rows, from sympy alone."""
+    u, v, p, q = (sum(c * XI ** n for n, c in enumerate(rows[k::4])) for k in range(4))
+    num = u * v.diff(XI) - u.diff(XI) * v - p * q.diff(XI) + p.diff(XI) * q
+    P, D = sympy.fraction(sympy.cancel(num / (u * u + v * v + p * p + q * q)))
+    return {sympy.simplify(2 * sympy.I * P.subs(XI, z) / D.diff(XI).subs(XI, z))
+            for z in sympy.roots(sympy.Poly(D, XI))}
+
+
+def test_criterion_non_members_have_no_certificate():
+    # with a certificate gamma, 2i times the residue of the Han fraction at
+    # a root of gamma is its multiplicity, an integer
+    third = sympy.Rational(1, 3)
+    for rows in CRITERION_NON_MEMBERS:
+        assert _han_residues(rows) == {third, -third}, rows
+        assert search_certificate(_quat_rows(rows), 20) is None, rows
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 11")
+def test_criterion_does_not_prove_non_members():
+    for rows in CRITERION_NON_MEMBERS:
+        status = classify(_quat_rows(rows)).membership.status
+        assert status is not MembershipStatus.PROVEN, rows
