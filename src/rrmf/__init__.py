@@ -22,10 +22,9 @@ from .indicatrix import (RhoEta, han_fraction, han_numerator,
                          rotation_indicatrix, verify_han)
 from .classify import (Classification, GeneratorAnalysis, Membership,
                        MembershipStatus, ReducedForm, TrivialWitness,
-                       cancel_indicatrix, gcd_with_complex,
-                       has_vanishing_indicatrix, hodograph_span_rank,
-                       indicatrix_coefficients, is_planar,
-                       search_certificate, trivial_witness)
+                       cancel_indicatrix, has_vanishing_indicatrix,
+                       hodograph_span_rank, indicatrix_coefficients,
+                       is_planar, search_certificate, trivial_witness)
 from .construct import (ConstructionError, CubicSpec, FElement, QuarticResult,
                         QuarticSpec, make_cubic, make_cubic_monic,
                         make_f_element, make_quartic, make_spatial_family,

@@ -81,17 +81,6 @@ def is_planar(a: QuatPoly) -> bool:
     return _require_nonzero_coprime(a, "planarity test").planar
 
 
-def gcd_with_complex(a: QuatPoly, gamma: ComplexPoly) -> ComplexPoly:
-    """Greatest common right divisor of A and a complex polynomial:
-    gcd(alpha, conj(beta), gamma) on the complex splitting."""
-    a = QuatPoly.of(a)
-    gamma = ComplexPoly.of(gamma)
-    if a.is_zero() or gamma.is_zero():
-        raise ValueError("right gcd with a zero polynomial")
-    alpha, beta = a.complex_split()
-    return gcd_complex(alpha, beta.conjugate(), gamma)
-
-
 @dataclass(frozen=True)
 class ReducedForm:
     """A * conj(gamma) / |gcd(A, gamma)|^2, and whether it has zero indicatrix."""
@@ -105,15 +94,18 @@ def cancel_indicatrix(a: QuatPoly, gamma: ComplexPoly) -> ReducedForm:
 
     The real content of A*conj(gamma) is exactly |gcd(A, gamma)|^2, so
     the division is always exact; a remainder signals corrupted inputs.
+    The greatest common right divisor of A and gamma is gcd(chi, gamma),
+    since chi = gcd(alpha, conj(beta)) is the analysis's maximal monic
+    complex right divisor of A.
     The returned polynomial has vanishing indicatrix exactly when A and
     gamma share their indicatrix, that is when verify_han accepts the
     parts of gamma.
     """
-    a = _require_nonzero_coprime(a, "indicatrix cancellation").poly
+    analysis = _require_nonzero_coprime(a, "indicatrix cancellation")
     gamma = ComplexPoly.of(gamma)
     require_certificate(*gamma.real_parts())
-    weight = gcd_with_complex(a, gamma).norm_sq()
-    reduced = exact_divide(a * gamma.conjugate().as_quat(), weight.as_quat())
+    weight = gcd_complex(analysis.chi, gamma).norm_sq()
+    reduced = exact_divide(analysis.poly * gamma.conjugate().as_quat(), weight.as_quat())
     return ReducedForm(reduced, has_vanishing_indicatrix(reduced))
 
 

@@ -20,9 +20,9 @@ import sys
 from . import catalog
 from .classify import (Classification, cancel_indicatrix, classify,
                        search_certificate)
-from .construct import (ConstructionError, CubicSpec, QuarticSpec, make_cubic,
-                        make_cubic_monic, make_f_element, make_quartic,
-                        make_spatial_family, make_trivial)
+from .construct import (CubicSpec, QuarticSpec, make_cubic, make_cubic_monic,
+                        make_f_element, make_quartic, make_spatial_family,
+                        make_trivial)
 from .documents import (MAX_DEGREE, DocumentError, PolyDocument,
                         certificate_to_dict, document_for, document_to_dict,
                         load_json, parse_base, parse_document, read_scalar)
@@ -173,7 +173,7 @@ def _construct_from_spec(kind: str, spec: dict):
 def cmd_construct(args) -> int:
     if args.kind == "family":
         if args.n is None:
-            raise ConstructionError("family construction requires --n")
+            raise DocumentError("family construction requires --n")
         # the degree bound every verb reading the document holds
         if args.n > MAX_DEGREE:
             raise DocumentError(f"--n must be at most {MAX_DEGREE} "
@@ -228,9 +228,9 @@ def cmd_frames(args) -> int:
     doc = _load_document(args.input)
     poly = QuatPoly.of(doc.to_poly())
     if args.samples < 1:
-        raise ValueError("--samples must be at least 1")
+        raise DocumentError("--samples must be at least 1")
     if args.samples > MAX_SAMPLES:
-        raise ValueError(f"--samples must be at most {MAX_SAMPLES}")
+        raise DocumentError(f"--samples must be at most {MAX_SAMPLES}")
     lo, hi = _parse_range(args.range)
     if not math.isfinite(args.normal_rotation):
         raise DocumentError(

@@ -9,10 +9,11 @@ from which the analysis alone builds the Hodograph record.
 hodograph_of, is_primitive, has_coprime_components and core_of read a
 fresh analysis.  The equal-degree criterion sigma | rho is decided
 here too, as sigma | sigma'^2 + 4 <A'i, A>^2 on the first pass.  The
-analysis forms one prime image of A (polynomials.ComponentImage) and
-asks it first: it can prove the components coprime, chi = 1 (the core
-is then A), <A'i, A> nonzero at a point (not in F0), span rank 3 (not
-planar) and sigma not dividing rho.  An image proves only those
+analysis maps the components of A to F_p once, at the prime of
+polynomials._embedding, and each fact screens that image first with the
+kernel's F_p tools: it can prove the components coprime, chi = 1 (the
+core is then A), <A'i, A> nonzero at a point (not in F0), span rank 3
+(not planar) and sigma not dividing rho.  An image proves only those
 answers, and the exact kernel (the gcds without a second screen, the
 form passes, vector_rank) runs whenever it cannot.  The triviality
 witness is one product conj(c) A, for the lowest nonzero coefficient c,
@@ -28,14 +29,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import zip_longest
 from typing import Optional
 
-from .polynomials import (ComplexPoly, ComponentImage, QuatPoly,
-                          RationalFunction, RealPoly, component_forms,
+from .polynomials import (ComplexPoly, QuatPoly, RationalFunction, RealPoly,
+                          _embedding, _image, _trim_mod, component_forms,
                           exact_divide, gcd_complex, gcd_real, image_forms,
-                          reduce_fraction, rem_mod, vector_rank)
+                          images_coprime, reduce_fraction, rem_mod,
+                          vector_rank)
 from .quaternions import Quaternion
-from .scalars import Scalar
+from .scalars import Scalar, _trim_rows
 
 
 @dataclass(frozen=True)
@@ -209,16 +212,40 @@ class GeneratorAnalysis:
         return cls(a)
 
     @cached_property
-    def image(self) -> Optional[ComponentImage]:
-        """A's components at one prime, read by every screen below; None
-        when no listed prime fits the base, and then every fact is exact."""
-        return ComponentImage.of(self.poly)
+    def image(self) -> Optional[tuple[int, int, list, list]]:
+        """(p, r, comps, degrees) for every screen below: the prime of
+        _embedding, the image of i, u, v, p, q of A and their derivatives
+        over F_p, and the exact degrees of u, v, p, q.  None when no listed
+        prime fits the base, and then every fact is exact."""
+        a = self.poly
+        embedding = _embedding(a.d)
+        if embedding is None:
+            return None
+        p, weights = embedding
+        parts = 2 if a.d else 1
+        rows = [a.rows[w * parts:(w + 1) * parts] for w in range(4)]
+        comps = [_image(comp, weights[:parts], p) for comp in rows]
+        comps += [[k * v % p for k, v in enumerate(f)][1:] for f in comps]
+        return p, weights[parts], comps, [len(_trim_rows(comp)[0]) - 1 for comp in rows]
+
+    def _form_values(self, forms, t: int) -> list[int]:
+        """The values in F_p at t of the images of component_forms(A, forms)."""
+        p, _, comps, _ = self.image
+        values = []
+        for f in comps:
+            acc = 0
+            for c in reversed(f):
+                acc = (acc * t + c) % p
+            values.append(acc)
+        return [sum(c * values[i] * values[j] for c, i, j in form) % p for form in forms]
 
     @cached_property
     def coprime(self) -> bool:
         """Whether the four real components of A are coprime."""
-        if self.image is not None and self.image.coprime():
-            return True
+        if self.image is not None:
+            p, _, comps, degrees = self.image
+            if images_coprime(comps[:4], degrees, p):
+                return True
         # the image has been screened: the exact gcd runs without it
         return gcd_real(*self.poly.components(), screen=False).degree() == 0
 
@@ -249,17 +276,21 @@ class GeneratorAnalysis:
     def in_f0(self) -> bool:
         """Coprime components and identically zero <A'i, A>; an image of
         <A'i, A> that is nonzero at one point rules it out."""
-        if (self.image is not None
-                and self.image.form_values((_INNER_FORM,), _POINTS[0])[0]):
+        if self.image is not None and self._form_values((_INNER_FORM,), _POINTS[0])[0]:
             return False
         return self.coprime and self.inner.is_zero()
 
     @cached_property
     def chi(self) -> ComplexPoly:
         """gcd(alpha, conj(beta)), the maximal monic complex right divisor
-        of A; 1 when the image proves it."""
-        if self.image is not None and self.image.split_coprime():
-            return _ONE
+        of A, for alpha + beta j = (u + v i) + (p + q i) j; 1 when the
+        image proves it."""
+        if self.image is not None:
+            p, r, (u, v, x, y, *_), (du, dv, dx, dy) = self.image
+            split = [_trim_mod([(s + t * r) % p for s, t in zip_longest(f, g, fillvalue=0)])
+                     for f, g in ((u, v), (x, [-c for c in y]))]
+            if images_coprime(split, (max(du, dv), max(dx, dy)), p):
+                return _ONE
         alpha, beta = self.poly.complex_split()
         return gcd_complex(alpha, beta.conjugate(), screen=False)
 
@@ -278,8 +309,14 @@ class GeneratorAnalysis:
 
     @cached_property
     def image_spatial(self) -> bool:
-        """Whether the image of A i A* proves span rank 3 at _POINTS."""
-        return self.image is not None and self.image.spans(_IMAGE_FORMS[1:4], _POINTS)
+        """Whether the image of A i A* proves span rank 3: its values at
+        _POINTS are independent over F_p, so its coefficient vectors are."""
+        if self.image is None:
+            return False
+        (a, b, c), (d, e, f), (g, h, k) = (self._form_values(_IMAGE_FORMS[1:4], t)
+                                           for t in _POINTS)
+        det = a * (e * k - f * h) - b * (d * k - f * g) + c * (d * h - e * g)
+        return det % self.image[0] != 0
 
     @cached_property
     def span_rank(self) -> int:
@@ -322,8 +359,8 @@ class GeneratorAnalysis:
         sigma |A'|^2.  If sigma keeps its degree 2 deg A in the image, a
         nonzero remainder over F_p proves that sigma does not divide it."""
         if self.image is not None:
-            p = self.image.p
-            sigma, inner = self.image.forms(_SPEED_INNER)
+            p, _, comps, _ = self.image
+            sigma, inner = image_forms(comps, _SPEED_INNER, p)
             if len(sigma) == 2 * self.poly.degree() + 1:
                 d_sigma = [k * c % p for k, c in enumerate(sigma)][1:]
                 four_eta, = image_forms([d_sigma, inner], (((1, 0, 0), (4, 1, 1)),), p)

@@ -49,9 +49,9 @@ answer is therefore one-sided: a constant image gcd proves the gcd 1
 without a subresultant sequence), a nonzero image proves a polynomial
 nonzero, three independent image vectors prove rank 3.  Any other image
 answer proves nothing, and the exact kernel decides; so does it when no
-listed prime fits d.  ComponentImage holds the four real components of
-a quaternion polynomial at that prime, for the screens of
-hodograph.GeneratorAnalysis.
+listed prime fits d.  The tools here are generic: images of rows and
+their gcds, remainders and forms over F_p.  hodograph.GeneratorAnalysis
+forms the image of a generator's components and runs its screens.
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import zip_longest
 from typing import Iterable, Optional
 
 from .quaternions import Quaternion
@@ -378,10 +377,10 @@ def _gcd(cls, polys, screen: bool):
     if not polys:
         raise ValueError("gcd of all-zero polynomials is undefined")
     alg = _kernel(*polys)
-    embedding = _embedding(cls.ring.width, alg.d) if screen else None
+    embedding = _embedding(alg.d) if screen else None
     if embedding is not None:
         p, weights = embedding
-        images = [_image(q._rows_over(alg.d), weights, p) for q in polys]
+        images = [_image(q._rows_over(alg.d), weights[:alg.m], p) for q in polys]
         if images_coprime(images, [q.degree() for q in polys], p):
             return cls._from_rows(alg.d, [[v] for v in alg.one], 1)
     g = None
@@ -480,11 +479,12 @@ def _sqrt_mod(a: int, p: int) -> Optional[int]:
 
 
 @lru_cache(maxsize=64)
-def _embedding(width: int, d: int) -> Optional[tuple[int, tuple]]:
-    """(p, weights) for a ring of ``width`` 1 (real) or 2 (complex) over
-    the base d: the first listed prime p that does not divide d and at
-    which d is a square, and the image in F_p of each integer coordinate,
-    sqrt(d) -> s and i -> r.  None when no listed prime fits d."""
+def _embedding(d: int) -> Optional[tuple[int, tuple]]:
+    """(p, weights) for the base d: the first listed prime p that does not
+    divide d and at which d is a square, and the image in F_p of each
+    integer coordinate of a complex value, sqrt(d) -> s and i -> r:
+    (1, s, r, rs) over a surd base, (1, r) over Q.  A real value reads the
+    first half.  None when no listed prime fits d."""
     for p in _PRIMES:
         parts = (1,)
         if d:
@@ -492,8 +492,7 @@ def _embedding(width: int, d: int) -> Optional[tuple[int, tuple]]:
             if s is None:
                 continue
             parts = (1, s)
-        units = (1, _sqrt_mod(-1, p))[:width]
-        return p, tuple(e * t % p for e in units for t in parts)
+        return p, tuple(e * t % p for e in (1, _sqrt_mod(-1, p)) for t in parts)
     return None
 
 
@@ -553,72 +552,6 @@ def image_forms(comps: list, forms, p: int) -> list[list[int]]:
     real = _algebra(_REAL, 0)
     return [_trim_mod([v % p for v in row])
             for (row,) in _form_rows(real, [[f] for f in comps], forms)]
-
-
-class ComponentImage:
-    """The real components u, v, p, q of a quaternion polynomial and their
-    derivatives as coefficient lists over F_p, formed in one pass over the
-    stored rows at the prime _embedding picks for the base.
-
-    ``i`` is the image of i, and ``degrees`` are the exact degrees of
-    u, v, p and q, read from the rows.  Each method answers one way only,
-    as the prime image section above says.
-    """
-
-    __slots__ = ("p", "i", "comps", "degrees")
-
-    @classmethod
-    def of(cls, a) -> Optional["ComponentImage"]:
-        """The image of a, or None when no listed prime fits its base."""
-        a = QuatPoly.of(a)
-        embedding = _embedding(ComplexScalar.width, a.d)
-        if embedding is None:
-            return None
-        p, weights = embedding
-        parts = 2 if a.d else 1
-        rows = [a.rows[w * parts:(w + 1) * parts] for w in range(4)]
-        comps = [_image(comp, weights[:parts], p) for comp in rows]
-        comps += [[k * v % p for k, v in enumerate(f)][1:] for f in comps]
-        image = object.__new__(cls)
-        image.p, image.i, image.comps = p, weights[parts], comps
-        image.degrees = [len(_trim_rows(comp)[0]) - 1 for comp in rows]
-        return image
-
-    def coprime(self) -> bool:
-        """Whether the image proves u, v, p and q coprime."""
-        return images_coprime(self.comps[:4], self.degrees, self.p)
-
-    def split_coprime(self) -> bool:
-        """Whether the image proves gcd(alpha, conj(beta)) = 1 for the
-        complex splitting alpha + beta j = (u + v i) + (p + q i) j."""
-        p, r = self.p, self.i
-        u, v, x, y = self.comps[:4]
-        du, dv, dx, dy = self.degrees
-        split = [_trim_mod([(s + t * r) % p for s, t in zip_longest(f, g, fillvalue=0)])
-                 for f, g in ((u, v), (x, [-c for c in y]))]
-        return images_coprime(split, (max(du, dv), max(dx, dy)), p)
-
-    def forms(self, forms) -> list[list[int]]:
-        """The image of component_forms(a, forms)."""
-        return image_forms(self.comps, forms, self.p)
-
-    def form_values(self, forms, t: int) -> list[int]:
-        """The values in F_p at t of the images of component_forms(a, forms)."""
-        p = self.p
-        values = []
-        for f in self.comps:
-            acc = 0
-            for c in reversed(f):
-                acc = (acc * t + c) % p
-            values.append(acc)
-        return [sum(c * values[i] * values[j] for c, i, j in form) % p for form in forms]
-
-    def spans(self, forms, points) -> bool:
-        """Whether the values of three forms at three points are independent
-        over F_p: then the images of the forms' coefficient vectors span
-        F_p^3, and the coefficient vectors themselves have rank 3."""
-        (a, b, c), (d, e, f), (g, h, k) = (self.form_values(forms, t) for t in points)
-        return (a * (e * k - f * h) - b * (d * k - f * g) + c * (d * h - e * g)) % self.p != 0
 
 
 def vector_rank(x: RealPoly, y: RealPoly, z: RealPoly) -> int:

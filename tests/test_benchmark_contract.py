@@ -1,13 +1,15 @@
-"""The two hard checks of the benchmark in bench/, run on the library.
+"""The hard checks of the benchmark in bench/, run on the library.
 
 The benchmark resolves each traced name and each layer module before it
-runs, and its verdicts workload compares every verdict JSON with the
-reference stored in the pool byte for byte.  These tests read the bench
-files and change none of them.
+runs, calls library names through its layer modules, and its verdicts
+workload compares every verdict JSON with the reference stored in the
+pool byte for byte.  These tests read the bench files and change none
+of them.
 """
 
 import ast
 import importlib
+import inspect
 import json
 from pathlib import Path
 
@@ -42,6 +44,89 @@ def test_benchmark_names_resolve():
             assert path[1] in vars(getattr(owner, path[0])), target
         else:
             assert callable(getattr(owner, path[0])), target
+
+
+def _layer_root(node) -> str | None:
+    """The layer of ``rrmf["layer"]`` or ``self.rrmf["layer"]``, else None."""
+    if not (isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant)):
+        return None
+    holder = node.value
+    if (isinstance(holder, ast.Name) and holder.id == "rrmf") or (
+            isinstance(holder, ast.Attribute) and holder.attr == "rrmf"
+            and isinstance(holder.value, ast.Name) and holder.value.id == "self"):
+        return node.slice.value
+    return None
+
+
+def _layer_locals(function) -> dict:
+    """The local names a function binds to a layer root, by name."""
+    bound = {}
+    for node in ast.walk(function):
+        if not isinstance(node, ast.Assign):
+            continue
+        for target in node.targets:
+            pairs = [(target, node.value)]
+            if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                pairs = zip(target.elts, node.value.elts)
+            for name, value in pairs:
+                layer = _layer_root(value)
+                if isinstance(name, ast.Name) and layer is not None:
+                    bound[name.id] = layer
+    return bound
+
+
+def _chain(node, bound: dict):
+    """(layer, attribute names) of an attribute chain rooted at a layer or
+    at a local bound to one, else None."""
+    names = []
+    while isinstance(node, ast.Attribute):
+        names.append(node.attr)
+        node = node.value
+    layer = bound.get(node.id) if isinstance(node, ast.Name) else _layer_root(node)
+    return (layer, names[::-1]) if layer is not None and names else None
+
+
+def _bench_calls():
+    """Every (file, line, layer, names, call) of bench/workloads.py and
+    bench/kernels.py: an attribute chain on a layer module, and the Call
+    node that calls it, or None."""
+    for filename in ("workloads.py", "kernels.py"):
+        tree = ast.parse((BENCH / filename).read_text(encoding="utf-8"))
+        for function in ast.walk(tree):
+            if not isinstance(function, ast.FunctionDef):
+                continue
+            bound = _layer_locals(function)
+            calls = {id(node.func): node for node in ast.walk(function)
+                     if isinstance(node, ast.Call)}
+            for node in ast.walk(function):
+                found = _chain(node, bound) if isinstance(node, ast.Attribute) else None
+                if found is not None:
+                    yield filename, node.lineno, *found, calls.get(id(node))
+
+
+def test_benchmark_calls_resolve():
+    """Each library name bench/ reads through a layer module exists, and
+    each call of one accepts the arguments bench passes."""
+    seen = set()
+    for filename, line, layer, names, call in _bench_calls():
+        where = f"{filename}:{line}: rrmf.{layer}.{'.'.join(names)}"
+        value = importlib.import_module(f"rrmf.{layer}")
+        for name in names:
+            assert hasattr(value, name), where
+            value = getattr(value, name)
+        seen.add(f"{layer}.{'.'.join(names)}")
+        if call is None:
+            continue
+        keywords = {k.arg: None for k in call.keywords if k.arg is not None}
+        signature = inspect.signature(value)
+        if any(isinstance(a, ast.Starred) for a in call.args) or len(keywords) < len(call.keywords):
+            signature.bind_partial(**keywords)
+        else:
+            signature.bind(*[None] * len(call.args), **keywords)
+    # the walk reaches the names of every workload and of the kernel timings
+    assert {"hodograph.integrate", "polynomials.ComplexPoly.from_parts",
+            "classify.cancel_indicatrix", "classify.search_certificate",
+            "frames.sample_frames", "frames.CSV_HEADER", "scalars.Scalar"} <= seen
 
 
 def test_pool_reference_verdicts_reproduce():

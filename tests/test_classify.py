@@ -9,7 +9,7 @@ from rrmf.catalog import (nontrivial_cubic, nontrivial_quartic_dense,
                           quintic_no_cancellation, quintic_right_cancellation)
 from rrmf.classify import (GeneratorAnalysis, MembershipStatus,
                            cancel_indicatrix, classify,
-                           gcd_with_complex, has_vanishing_indicatrix,
+                           has_vanishing_indicatrix,
                            hodograph_span_rank, indicatrix_coefficients,
                            is_planar, search_certificate,
                            trivial_witness)
@@ -18,7 +18,7 @@ from rrmf.hodograph import (basis_images, core_of, has_coprime_components,
                             hodograph_of)
 from rrmf.indicatrix import inner_product_poly, rho_eta, verify_han
 from rrmf.polynomials import (ComplexPoly, QuatPoly, RealPoly, exact_divide,
-                              gcd_real)
+                              gcd_complex, gcd_real)
 from rrmf.quaternions import I, J, K, Quaternion
 from rrmf.scalars import ComplexScalar, Scalar
 
@@ -160,16 +160,18 @@ def test_planar_hodograph_by_hand():
     assert h.zp == RealPoly([0, -2])
 
 
-def test_gcd_with_complex():
+def test_right_gcd_with_complex():
+    """The greatest common right divisor of A and gamma is gcd(chi, gamma)."""
+    def right_gcd(a, gamma):
+        return gcd_complex(GeneratorAnalysis.of(a).chi, gamma)
+
     cubic = nontrivial_cubic()
     gamma = ComplexPoly.from_parts(RealPoly([0, 1]), RealPoly([1]))  # xi + i
-    assert gcd_with_complex(cubic, gamma) == ComplexPoly.of(1)
-    assert gcd_with_complex(cubic, ComplexPoly.of(1)) == ComplexPoly.of(1)
+    assert right_gcd(cubic, gamma) == ComplexPoly.of(1)
+    assert right_gcd(cubic, ComplexPoly.of(1)) == ComplexPoly.of(1)
     planted = cubic * gamma.as_quat()
-    g = gcd_with_complex(planted, gamma * ComplexPoly.from_parts(RealPoly([1]), RealPoly([1])))
+    g = right_gcd(planted, gamma * ComplexPoly.from_parts(RealPoly([1]), RealPoly([1])))
     assert g == gamma.monic()
-    with pytest.raises(ValueError, match="^right gcd with a zero polynomial$"):
-        gcd_with_complex(cubic, ComplexPoly())
 
 
 def test_cancel_indicatrix_round_trip(rng):

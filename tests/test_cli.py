@@ -173,7 +173,7 @@ def test_construct_family(capsys):
 
 def test_construct_family_requires_n(capsys):
     code, _, err = run(capsys, "construct", "family")
-    assert code == 3
+    assert (code, err) == (2, "error: family construction requires --n\n")
 
 
 def test_construct_family_degree_bound(capsys):
@@ -311,7 +311,7 @@ def test_frames_zero_samples(tmp_path, capsys):
     path = write_doc(tmp_path, "cubic.json", nontrivial_cubic())
     code, _, err = run(capsys, "frames", path, "--samples", "0",
                        "--out", str(tmp_path / "x.csv"))
-    assert code == 3
+    assert (code, err) == (2, "error: --samples must be at least 1\n")
 
 
 def test_frames_rejects_non_finite_range(tmp_path, capsys):
@@ -918,7 +918,7 @@ def test_frames_samples_bound(tmp_path, capsys):
     for samples in (MAX_SAMPLES + 1, 10 ** 12):
         code, out, err = run(capsys, "frames", path, "--samples", str(samples),
                              "--out", str(out_csv))
-        assert (code, out) == (3, "")
+        assert (code, out) == (2, "")
         assert err == f"error: --samples must be at most {MAX_SAMPLES}\n"
     assert not out_csv.exists()
 

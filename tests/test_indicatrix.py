@@ -12,7 +12,7 @@ from rrmf.indicatrix import (han_fraction, inner_product_poly,
                              omega1, rho_eta, rotation_indicatrix, verify_han)
 from rrmf.hodograph import _IMAGE_FORMS, GeneratorAnalysis
 from rrmf.polynomials import (ComplexPoly, QuatPoly, RealPoly, _embedding,
-                              reduce_fraction)
+                              image_forms, reduce_fraction)
 from rrmf.quaternions import I, J, K, Quaternion
 from rrmf.scalars import ComplexScalar, Scalar
 
@@ -217,12 +217,13 @@ def test_rho_eta_matches_product_formula(rng):
     # sigma keeps no degree 2 deg A at the prime, so the exact remainder
     # decides: a leading coefficient divisible by the prime, and the left
     # factor r + i of norm r^2 + 1, for r the image of i
-    prime, (_, r) = _embedding(2, 0)
+    prime, (_, r) = _embedding(0)
     b = nonzero_qpoly(rng, 3)
     lead = QuatPoly(list(b.coeffs[:-1]) + [Quaternion(prime, 2 * prime, 0, prime)])
     moved.append(quintic.left_scale(Quaternion(r, 1)))
     for a in (lead, moved[-1]):
-        sigma, = GeneratorAnalysis.of(a).image.forms(_IMAGE_FORMS[:1])
+        p, _, comps, _ = GeneratorAnalysis.of(a).image
+        sigma, = image_forms(comps, _IMAGE_FORMS[:1], p)
         assert len(sigma) <= 2 * a.degree()
     verdicts = set()
     for a in cases + moved + [lead]:

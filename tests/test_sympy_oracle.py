@@ -20,6 +20,7 @@ cancelled by sympy alone, are not integers over 2i.
 """
 
 import functools
+import sys
 from fractions import Fraction
 
 import pytest
@@ -260,7 +261,8 @@ def sized_poly(rng, cls, degree, base, digits):
 
 
 def _record_screens(monkeypatch) -> list:
-    """The result of every images_coprime call, in order."""
+    """The result of every images_coprime call, in order, through every
+    rrmf binding of it: hodograph imports it by name."""
     results = []
     original = polynomials.images_coprime
 
@@ -268,7 +270,11 @@ def _record_screens(monkeypatch) -> list:
         results.append(original(*args))
         return results[-1]
 
-    monkeypatch.setattr(polynomials, "images_coprime", recorded)
+    for name, module in list(sys.modules.items()):
+        if module is not None and (name == "rrmf" or name.startswith("rrmf.")):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, recorded)
     return results
 
 
@@ -278,7 +284,7 @@ def _record_screens(monkeypatch) -> list:
 def test_screened_gcds_match_sympy(rng, monkeypatch, base, kind, digits):
     cls, gcd, field = ((RealPoly, gcd_real, DOMAINS[base]) if kind == "real"
                        else (ComplexPoly, gcd_complex, COMPLEX_DOMAINS[base]))
-    prime = _embedding(cls.ring.width, base)[0]
+    prime = _embedding(base)[0]
     screens = _record_screens(monkeypatch)
     # sympy's field arithmetic is slow on long coefficients: one round of those
     for _ in range(3 if digits is None else 1):
@@ -330,8 +336,8 @@ def sized_quat(rng, base, digits):
 
 @pytest.mark.parametrize("digits", SIZES)
 @pytest.mark.parametrize("base", [0, 15])
-def test_screened_facts_match_sympy(rng, base, digits):
-    prime = _embedding(2, base)[0]
+def test_screened_facts_match_sympy(rng, monkeypatch, base, digits):
+    prime = _embedding(base)[0]
     c = sized_quat(rng, base, digits)
     b = sized_poly(rng, QuatPoly, 2, base, digits)
     # degrees stay low: sympy's gcds over Q(sqrt 15)(i) are slow on long coefficients
@@ -358,8 +364,12 @@ def test_screened_facts_match_sympy(rng, base, digits):
         assert analysis.planar is planar, name
         assert analysis.equal_degree is divisible, name
     # each case reaches the exact kernel for the fact it was built for
-    lead = GeneratorAnalysis.of(cases["leading coefficient divisible by the prime"]).image
-    assert not lead.coprime() and not lead.split_coprime()
+    name = "leading coefficient divisible by the prime"
+    screens = _record_screens(monkeypatch)
+    lead = GeneratorAnalysis.of(cases[name])
+    assert lead.coprime is facts[name][0] and lead.chi.degree() == facts[name][1].degree()
+    # the image decides neither the coprime components nor chi
+    assert screens == [False, False]
     assert not facts["shared real factor"][0]
     assert facts["complex right factor"][1].degree() >= 1
     assert facts["F0 member"][2] and not facts["F0 member"][3]
