@@ -33,8 +33,12 @@ coefficient; the gcd of real or complex polynomials is the subresultant
 remainder sequence over Z, Z[sqrt d], Z[i] or Z[sqrt d][i], made monic
 in the field.  The rank of the coefficient vectors of three real
 polynomials is decided on their stacked rows by cross and triple
-products.  Reduced ratios of real polynomials (monic
-denominator, coprime parts) are the canonical rational functions.
+products.  Sums of products of real components (the forms of
+``component_forms`` and ``real_forms``) run in one integer pass: each
+product that several forms share is formed once, and a product that
+only one form uses is added straight into that form with its
+coefficient.  Reduced ratios of real polynomials (monic denominator,
+coprime parts) are the canonical rational functions.
 
 A prime image screens the yes/no questions before the exact kernel
 runs.  It maps the stored integer rows to F_p at the first prime of a
@@ -57,13 +61,14 @@ forms the image of a generator's components and runs its screens.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional
 
 from .quaternions import Quaternion
-from .scalars import (_REAL, ComplexScalar, Scalar, _Algebra, _algebra, _canonical, _Exact,
-                      _kernel, _leading, _mul_rows, _stack, _trim_rows)
+from .scalars import (_REAL, ComplexScalar, Scalar, _add_product, _Algebra, _algebra, _canonical,
+                      _Exact, _kernel, _leading, _mul_rows, _stack, _trim_rows)
 
 
 class InexactDivision(ArithmeticError):
@@ -89,12 +94,15 @@ def _pseudo_divide(alg: _Algebra, r: list, b: list, mult: tuple, scale: tuple,
     mult^s R_in = q B + r; q is only formed when ``quotient`` is set.
     With mult = lead(B) and scale = 1 in a commutative ring, r is the
     classical pseudo-remainder.
+
+    The rows of r are copied once, so the input is never mutated, and
+    each step pops its top coefficient off the copy in place.
     """
     nb = len(b[0])
     q = [[0] * max(0, len(r[0]) - nb + 1) for _ in range(alg.m)] if quotient else None
+    r = [list(row) for row in r]
     for top in range(len(r[0]) - 1, nb - 2, -1):
-        c = tuple(row[top] for row in r)
-        r = [list(row[:top]) for row in r]
+        c = tuple(row.pop() for row in r)
         if mult != alg.one:
             r = alg.left_scale(mult, r)
             if quotient:
@@ -400,8 +408,8 @@ def component_forms(b: QuatPoly, forms) -> list[RealPoly]:
     in one integer pass over the stored rows.
 
     b_0 .. b_3 are the components (u, v, p, q) of b and b_4 .. b_7 their
-    derivatives.  Each product b_i b_j is formed once, however many
-    forms use it.
+    derivatives.  Each product b_i b_j that several forms use is formed
+    once; one that a single form uses is added straight into its sum.
     """
     b = QuatPoly.of(b)
     if b.is_zero():
@@ -428,14 +436,26 @@ def _forms_over(d: int, den: int, comps: list, forms) -> list[RealPoly]:
 
 def _form_rows(real: _Algebra, comps: list, forms) -> list:
     """Per form ((c, i, j), ...), the rows of sum c b_i b_j over the real
-    algebra for the coordinate rows b_i = comps[i], each product formed once."""
+    algebra for the coordinate rows b_i = comps[i].
+
+    A product that several forms use is formed once and added with each
+    form's coefficient; a product that one form uses is added straight
+    into that form's rows, its coefficient folded into the schoolbook
+    product (_add_product)."""
     n = 2 * max(len(comp[0]) for comp in comps) - 1
+    uses = Counter((i, j) if i <= j else (j, i) for form in forms for _, i, j in form)
     products: dict = {}
     out = []
     for form in forms:
         acc = [[0] * n for _ in range(real.parts)]
         for c, i, j in form:
             key = (i, j) if i <= j else (j, i)
+            if uses[key] == 1:
+                x, y = comps[i], comps[j]
+                for s, t, k, e in real.terms:
+                    if any(x[s]):
+                        _add_product(acc[k], x[s], y[t], c * e)
+                continue
             if key not in products:
                 products[key] = _mul_rows(real, comps[i], comps[j])
             for row, src in zip(acc, products[key]):

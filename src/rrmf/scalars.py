@@ -210,10 +210,18 @@ def _leading(rows: list) -> tuple:
 
 
 def _trim_rows(rows: list) -> list:
+    """The rows without their all-zero top columns.  Rows whose top column
+    is nonzero, or that are empty, come back as given and are not copied;
+    a single row is scanned by a plain loop."""
     n = len(rows[0])
-    while n and not any(row[n - 1] for row in rows):
-        n -= 1
-    return [row[:n] for row in rows]
+    if len(rows) == 1:
+        row = rows[0]
+        while n and not row[n - 1]:
+            n -= 1
+    else:
+        while n and not any(row[n - 1] for row in rows):
+            n -= 1
+    return rows if n == len(rows[0]) else [row[:n] for row in rows]
 
 
 def _shaped(d: int, rows: list) -> tuple:
@@ -226,9 +234,18 @@ def _shaped(d: int, rows: list) -> tuple:
 
 def _canonical(d: int, rows: list, den: int) -> tuple:
     """(d, rows, den) in the stored form, for a positive den: rows trimmed
-    into tuples, gcd(den, every integer) = 1, base 0 without sqrt(d) part."""
+    into tuples, gcd(den, every integer) = 1, base 0 without sqrt(d) part.
+
+    The gcd is skipped over den = 1, and otherwise folded row by row and
+    stopped at the first row that brings it to 1.  The row lists passed
+    in belong to the callee, which may keep or rewrite them: the caller
+    must not mutate them afterwards."""
     d, rows = _shaped(d, rows)
-    g = math.gcd(den, *[v for row in rows for v in row])
+    g = den
+    for row in rows:
+        if g == 1:
+            break
+        g = math.gcd(g, *row)
     if g != 1:
         rows = [[v // g for v in row] for row in rows]
     return d, tuple(map(tuple, rows)), den // g
@@ -272,7 +289,8 @@ class _Exact:
 
     @classmethod
     def _from_rows(cls, d: int, rows: list, den: int):
-        """The value with coordinate rows / den over the base d, den > 0."""
+        """The value with coordinate rows / den over the base d, den > 0;
+        the row lists belong to it from then on (_canonical)."""
         return cls._new(*_canonical(d, rows, den))
 
     @classmethod
@@ -386,8 +404,10 @@ class _Exact:
 
     def scale(self, s):
         """self multiplied on the right by s, a value that lifts into its
-        kind; an int scales the integer rows."""
+        kind; an int scales the integer rows, and 1 returns self."""
         if isinstance(s, int):
+            if s == 1:
+                return self
             return self._from_rows(self.d, [[v * s for v in row] for row in self.rows],
                                    self.den)
         return self * self.of(s)

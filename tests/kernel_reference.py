@@ -1,0 +1,90 @@
+"""Reference integer-kernel primitives for the tests: the straightforward
+versions of rrmf.scalars._trim_rows and _canonical and of
+rrmf.polynomials._pseudo_divide and _form_rows, without their fast
+paths.
+
+Each one re-slices, re-scans or re-forms what the library version skips
+or reuses: _trim_rows always copies, _canonical takes one gcd over every
+integer, _pseudo_divide slices every row at every step, and _form_rows
+forms every product once and adds it with its coefficient.  They are
+the oracles of tests/test_kernel.py.
+"""
+
+import math
+
+from rrmf.scalars import _Algebra, _mul_rows
+
+
+def _trim_rows(rows: list) -> list:
+    n = len(rows[0])
+    while n and not any(row[n - 1] for row in rows):
+        n -= 1
+    return [row[:n] for row in rows]
+
+
+def _shaped(d: int, rows: list) -> tuple:
+    """(d, rows) with the rows trimmed, and base 0 without sqrt(d) part."""
+    rows = _trim_rows(rows)
+    if d and not any(map(any, rows[1::2])):
+        d, rows = 0, rows[::2]
+    return d, rows
+
+
+def _canonical(d: int, rows: list, den: int) -> tuple:
+    """(d, rows, den) in the stored form, for a positive den: rows trimmed
+    into tuples, gcd(den, every integer) = 1, base 0 without sqrt(d) part."""
+    d, rows = _shaped(d, rows)
+    g = math.gcd(den, *[v for row in rows for v in row])
+    if g != 1:
+        rows = [[v // g for v in row] for row in rows]
+    return d, tuple(map(tuple, rows)), den // g
+
+
+def _pseudo_divide(alg: _Algebra, r: list, b: list, mult: tuple, scale: tuple,
+                   quotient: bool):
+    """Fraction-free division of the rows r by the rows b, b nonzero.
+
+    Step by step from the top, r becomes mult r - (c scale) x^k B for its
+    top coefficient c, which cancels because scale lead(B) = mult, a
+    central element.  After the s = deg r - deg B + 1 steps
+    mult^s R_in = q B + r; q is only formed when ``quotient`` is set.
+    With mult = lead(B) and scale = 1 in a commutative ring, r is the
+    classical pseudo-remainder.
+    """
+    nb = len(b[0])
+    q = [[0] * max(0, len(r[0]) - nb + 1) for _ in range(alg.m)] if quotient else None
+    for top in range(len(r[0]) - 1, nb - 2, -1):
+        c = tuple(row[top] for row in r)
+        r = [list(row[:top]) for row in r]
+        if mult != alg.one:
+            r = alg.left_scale(mult, r)
+            if quotient:
+                q = alg.left_scale(mult, q)
+        if not any(c):
+            continue
+        k = top - nb + 1
+        t = alg.mul(c, scale)
+        for row, sub in zip(r, alg.left_scale(t, b)):
+            row[k:top] = [u - v for u, v in zip(row[k:top], sub)]
+        if quotient:
+            for row, v in zip(q, t):
+                row[k] = v
+    return q, r
+
+
+def _form_rows(real: _Algebra, comps: list, forms) -> list:
+    """Per form ((c, i, j), ...), the rows of sum c b_i b_j over the real
+    algebra for the coordinate rows b_i = comps[i], each product formed once."""
+    n = 2 * max(len(comp[0]) for comp in comps) - 1
+    products: dict = {}
+    out = []
+    for form in forms:
+        acc = [[0] * n for _ in range(real.parts)]
+        for c, i, j in form:
+            key = (i, j) if i <= j else (j, i)
+            if key not in products:
+                products[key] = _mul_rows(real, comps[i], comps[j])
+            for row, src in zip(acc, products[key]):
+                row[:len(src)] = [u + c * v for u, v in zip(row, src)]
+        out.append(acc)
+    return out

@@ -13,10 +13,10 @@ import inspect
 import json
 from pathlib import Path
 
-from rrmf.classify import classify
+from rrmf.classify import cancel_indicatrix, classify, search_certificate
 from rrmf.cli import classification_to_dict
 from rrmf.documents import parse_document
-from rrmf.polynomials import QuatPoly
+from rrmf.polynomials import ComplexPoly, QuatPoly
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -140,3 +140,26 @@ def test_pool_reference_verdicts_reproduce():
         if json.dumps(classification_to_dict(result)) != item["verdict"]:
             differ.append(item["id"])
     assert not differ, differ
+
+
+def test_pool_search_outcomes_reproduce():
+    """The search workload's items: a generator with a certificate degree
+    yields a certificate that cancels its indicatrix, and a miss yields none."""
+    with open(BENCH / "data" / "pool.json", encoding="utf-8") as fh:
+        items = [item for item in json.load(fh)["items"] if item["id"].startswith("search-")]
+    hits = [item for item in items if "cert_degree" in item]
+    assert (len(items), len(hits)) == (33, 25)
+    assert sorted(item["cert_degree"] for item in hits
+                  if item["part"] == "search-fe") == [1] * 12 + [2] * 7 + [3] * 3
+    wrong = []
+    for item in items:
+        a = QuatPoly.of(parse_document(item["doc"]).to_poly())
+        found = search_certificate(a, item.get("cert_degree", 1))
+        if "cert_degree" not in item:
+            proven = found is None
+        else:
+            proven = (found is not None and
+                      cancel_indicatrix(a, ComplexPoly.from_parts(*found)).vanishing)
+        if not proven:
+            wrong.append(item["id"])
+    assert not wrong, wrong

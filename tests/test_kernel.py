@@ -1,0 +1,164 @@
+"""The integer-kernel primitives against their reference versions.
+
+rrmf.scalars._trim_rows and _canonical and rrmf.polynomials._pseudo_divide
+and _form_rows skip or reuse work on their fast paths; on seeded rows
+each must return exactly what its straightforward version in
+tests/kernel_reference.py returns, and must leave its input lists as
+they were.
+"""
+
+import copy
+import random
+
+import pytest
+
+import kernel_reference as ref
+from rrmf.hodograph import _IMAGE_FORMS, _SPEED_INNER
+from rrmf.indicatrix import _HAN_FORMS
+from rrmf.polynomials import RealPoly, _form_rows, _pseudo_divide
+from rrmf.quaternions import Quaternion
+from rrmf.scalars import _COMPLEX, _REAL, _algebra, _canonical, _leading, _trim_rows
+
+TABLES = {"real": _REAL, "complex": _COMPLEX, "quaternion": Quaternion.table}
+ALGEBRAS = [(kind, d) for kind in TABLES for d in (0, 15)]
+
+
+def _as_lists(rows):
+    return None if rows is None else [list(row) for row in rows]
+
+
+def _random_rows(rng: random.Random, m: int, n: int, top_zeros: int = 0,
+                 dead: tuple = ()) -> list:
+    """m rows of n random integers and top_zeros zero columns above them;
+    the rows numbered in dead are all zero."""
+    rows = [[rng.randint(-9, 9) for _ in range(n)] + [0] * top_zeros for _ in range(m)]
+    for k in dead:
+        rows[k] = [0] * (n + top_zeros)
+    return rows
+
+
+def _row_cases(seed: int):
+    """(d, rows) over every algebra: full, with zero top columns, with
+    all-zero rows, with every sqrt(d) row zero, all zero, and empty."""
+    rng = random.Random(seed)
+    for kind, d in ALGEBRAS:
+        m = _algebra(TABLES[kind], d).m
+        for n in (1, 2, 5):
+            rows = _random_rows(rng, m, n)
+            rows[0][-1] = rng.choice((-3, 1, 7))
+            yield d, rows
+            yield d, _random_rows(rng, m, n, top_zeros=rng.randint(1, 3))
+            yield d, _random_rows(rng, m, n, rng.randint(0, 2), dead=tuple(range(0, m, 3)))
+            if d:
+                yield d, _random_rows(rng, m, n, rng.randint(0, 2), dead=tuple(range(1, m, 2)))
+            yield d, [[0] * n for _ in range(m)]
+        yield d, [[] for _ in range(m)]
+
+
+@pytest.mark.parametrize("seed", [3, 29, 71])
+def test_trim_rows_matches_reference(seed):
+    for _, rows in _row_cases(seed):
+        before = copy.deepcopy(rows)
+        assert _as_lists(_trim_rows(rows)) == ref._trim_rows(before)
+        assert rows == before
+
+
+@pytest.mark.parametrize("seed", [5, 31, 73])
+def test_canonical_matches_reference(seed):
+    rng = random.Random(seed)
+    for d, rows in _row_cases(seed):
+        # den 1, den > 1 with a content the rows share, and without one
+        common = rng.choice((2, 6, 35))
+        for den, scaled in ((1, rows),
+                            (common * rng.randint(1, 5), [[common * v for v in row] for row in rows]),
+                            (rng.choice((2, 3, 7, 12)), rows)):
+            before = copy.deepcopy(scaled)
+            assert _canonical(d, scaled, den) == ref._canonical(d, copy.deepcopy(scaled), den)
+            assert scaled == before
+
+
+def _divisor(rng: random.Random, m: int, n: int, monic: bool) -> list:
+    """Rows of a divisor with n coefficients and a nonzero leading one,
+    which is the ring's 1 when ``monic``."""
+    rows = _random_rows(rng, m, n)
+    if monic:
+        for k, row in enumerate(rows):
+            row[-1] = int(k == 0)
+    elif not any(row[-1] for row in rows):
+        rows[0][-1] = rng.choice((-2, 1, 5))
+    return rows
+
+
+@pytest.mark.parametrize("seed", [7, 37, 79])
+@pytest.mark.parametrize("kind, d", ALGEBRAS)
+def test_pseudo_divide_matches_reference(seed, kind, d):
+    rng = random.Random(seed)
+    alg = _algebra(TABLES[kind], d)
+    for nb in (1, 2, 3):  # a divisor of degree 0 too
+        for nr in (nb - 1, nb, nb + 3):
+            for monic in (True, False):
+                b = _divisor(rng, alg.m, nb, monic)
+                r = _random_rows(rng, alg.m, max(nr, 1), dead=(alg.m - 1,))
+                inv, norm = alg.inverse_parts(_leading(b))
+                # divmod's mult = N and scale = lead(B)^-1 N, which is the
+                # ring's one for a monic divisor; and, in a commutative
+                # ring, the subresultants' mult = lead(B) and scale = 1
+                calls = [((norm,) + (0,) * (alg.m - 1), inv)]
+                if kind != "quaternion":
+                    calls.append((_leading(b), alg.one))
+                for mult, scale in calls:
+                    for quotient in (True, False):
+                        before = copy.deepcopy((r, b))
+                        q, rem = _pseudo_divide(alg, r, b, mult, scale, quotient)
+                        q_ref, rem_ref = ref._pseudo_divide(alg, copy.deepcopy(r),
+                                                            copy.deepcopy(b), mult, scale, quotient)
+                        assert (_as_lists(q), _as_lists(rem)) == (_as_lists(q_ref),
+                                                                  _as_lists(rem_ref))
+                        assert (r, b) == before
+                if monic:
+                    assert calls[0] == (alg.one, alg.one)
+
+
+def _component_rows(rng: random.Random, d: int, count: int, n: int) -> list:
+    """count real components over the base d, each as its coordinate rows
+    (one over Q, rational and sqrt(d) rows over a surd base), followed by
+    their derivatives, as polynomials._forms_over numbers them; one
+    component is zero and, over a surd base, one sqrt(d) row vanishes."""
+    p = 2 if d else 1
+    comps = [_random_rows(rng, p, n) for _ in range(count)]
+    comps[rng.randrange(count)] = [[0] * n for _ in range(p)]
+    if d:
+        comps[rng.randrange(count)][1] = [0] * n
+    return comps + [[[k * v for k, v in enumerate(row)][1:] for row in comp] for comp in comps]
+
+
+@pytest.mark.parametrize("seed", [11, 41, 83])
+@pytest.mark.parametrize("d", [0, 15])
+@pytest.mark.parametrize("forms, count", [
+    (_IMAGE_FORMS, 4), (_IMAGE_FORMS[:4], 4), (_SPEED_INNER, 4), (_HAN_FORMS, 2)])
+def test_form_rows_matches_reference(seed, d, forms, count):
+    rng = random.Random(seed)
+    real = _algebra(_REAL, d)
+    for n in (1, 2, 6):
+        comps = _component_rows(rng, d, count, n)
+        before = copy.deepcopy(comps)
+        assert _form_rows(real, comps, forms) == ref._form_rows(real, copy.deepcopy(comps), forms)
+        assert comps == before
+
+
+def test_form_products_are_shared_or_single():
+    """The hodograph's squares are shared by several forms; the products
+    of <A'i, A> and of Han's forms each belong to one form."""
+    def uses(forms):
+        keys = [tuple(sorted((i, j))) for form in forms for _, i, j in form]
+        return {key: keys.count(key) for key in keys}
+
+    assert all(n > 1 for n in uses(_IMAGE_FORMS).values())
+    assert set(uses(_SPEED_INNER).values()) == {1}
+    assert set(uses(_HAN_FORMS).values()) == {1}
+
+
+def test_scale_by_one_is_self():
+    p = RealPoly([1, 2, 3])
+    assert p.scale(1) is p
+    assert p.scale(2) == RealPoly([2, 4, 6])
