@@ -9,9 +9,10 @@ generated curve, and membership in the class of generators of curves
 with rational rotation-minimizing frames, decided either through a
 supplied certificate, the equal-degree divisibility criterion, or a
 certificate of bounded degree constructed exactly from the residues of
-the reduced Han fraction.  classify is the one entry of that verdict,
-which _membership decides.  No false negatives are ever reported for
-the general membership question: absent proof, the verdict is "unknown".
+the reduced Han fraction, first in its prime image.  classify is the
+one entry of that verdict, which _membership decides.  No false
+negatives are ever reported for the general membership question:
+absent proof, the verdict is "unknown".
 
 Every fact of a generator, the coefficient conditions and the
 equal-degree criterion included, is read from one
@@ -27,12 +28,14 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from enum import Enum
+from itertools import zip_longest
 from typing import Optional
 
 from .hodograph import GeneratorAnalysis, TrivialWitness
 from .indicatrix import require_certificate, verify_han
-from .polynomials import (ComplexPoly, QuatPoly, RealPoly, exact_divide,
-                          gcd_complex)
+from .polynomials import (ComplexPoly, QuatPoly, RealPoly, _gcd_mod, _trim_mod,
+                          exact_divide, gcd_complex, mul_mod,
+                          rational_mod)
 from .scalars import ComplexScalar, Scalar
 
 
@@ -162,24 +165,86 @@ def search_certificate(a: QuatPoly | GeneratorAnalysis, max_degree: int, *,
     gamma, with residue m/2i for the multiplicity m of z, and one at
     conj(z) with residue -m/2i.  So when the reduced Han fraction P/D
     of A has a certificate, D is the product of |xi - z|^2 over the
-    roots z of gamma, and the monic certificate is unique:
-    gamma = prod_m G_m^m with G_m = gcd(D, 2iP - mD'), the roots of D
-    with residue m/2i (Rothstein, Trager).  The result is returned only
-    after verify_han has passed, jointly scaled so that the higher-degree
+    roots z of gamma, and the monic certificate is gamma = prod_m G_m^m
+    with G_m = gcd(D, 2iP - mD'), the roots of D with residue m/2i
+    (Rothstein, Trager).  It is unique: the quotient of two has a real
+    logarithmic derivative, so it is a constant times a real f/g, and
+    coprime parts make f and g constant.  It is returned only after
+    verify_han has passed, jointly scaled so that the higher-degree
     member is monic.
 
+    The prime image goes first: more than 2 max_degree roots of the D of
+    han_image prove None, since D has no fewer; otherwise gamma is built
+    over F_p and its parts reconstructed (_image_certificate), and a
+    gamma of degree <= max_degree that verify_han accepts is returned.
+    In every other case the exact stage (_search_exact) builds gamma from
+    the exact Han fraction, and budget_seconds bounds that stage alone.
     None proves that no certificate of degree <= max_degree exists,
-    unless budget_seconds ran out between two gcds.  ``a`` is the
-    generator or its GeneratorAnalysis, whose Han fraction and facts are
-    then read rather than recomputed.  ``seed`` is accepted for
-    compatibility and has no effect.
+    unless the budget ran out between two of its gcds.  ``a`` is the
+    generator or its GeneratorAnalysis, whose facts are then read rather
+    than recomputed.  ``seed`` is accepted for compatibility and has no
+    effect.
     """
     analysis = _require_nonzero_coprime(a, "certificate search")
     if max_degree < 0:
         return None
-    han = analysis.han
-    if han.is_zero():
+    if analysis.in_f0:
         return (RealPoly([1]), RealPoly())
+    if analysis.han_image is not None:
+        if len(analysis.han_image[1]) - 1 > 2 * max_degree:
+            return None
+        found = _image_certificate(analysis, max_degree)
+        try:
+            proven = found is not None and verify_han(analysis, *found)
+        except ValueError:  # the parts are not coprime
+            proven = False
+        if proven:
+            return _normalize_certificate(*found)
+    return _search_exact(analysis, max_degree, budget_seconds)
+
+
+def _image_certificate(analysis: GeneratorAnalysis, max_degree: int
+                       ) -> Optional[tuple[RealPoly, RealPoly]]:
+    """The parts of gamma over Q, reconstructed at p from its images at
+    i -> r and i -> -r, which the residue loop builds from han_image;
+    None over a surd base, for an odd or zero number of poles, when the
+    loop stops, past max_degree, or without a reconstruction."""
+    (p, r, *_), (num, den) = analysis.image, analysis.han_image
+    roots, odd = divmod(len(den) - 1, 2)
+    if analysis.poly.d or odd or not roots:
+        return None
+    den_prime = [k * c % p for k, c in enumerate(den)][1:]
+
+    def residue_gcd(i: int, m: int) -> list:
+        """gcd(D, 2iP - mD') over F_p, for the image i of sqrt(-1)."""
+        return _gcd_mod([den, _trim_mod([(2 * i * s - m * t) % p for s, t in zip_longest(
+            num, den_prime, fillvalue=0)])], p)
+
+    plus, minus, found, degree, m = [1], [1], 0, 0, 1
+    while found < roots:
+        # the exact stage's bound: every root still missing has multiplicity
+        # >= m; a multiplicity above the number of roots is left to the
+        # exact stage, so that a large max_degree costs at most 2 roots gcds
+        if degree + m * (roots - found) > max_degree or m > roots:
+            return None
+        g, h = residue_gcd(r, m), residue_gcd(-r, m)
+        for _ in range(m):
+            plus, minus = mul_mod(plus, g, p), mul_mod(minus, h, p)
+        found, degree, m = found + len(g) - 1, degree + m * (len(g) - 1), m + 1
+    # plus and minus are the images of a + bi and a - bi
+    half, inv = (p + 1) // 2, pow(2 * r, -1, p)
+    re = [rational_mod((s + t) * half, p) for s, t in zip(plus, minus)]
+    im = [rational_mod((s - t) * inv, p) for s, t in zip(plus, minus)]
+    if len(plus) != len(minus) or degree > max_degree or None in re + im:
+        return None
+    return RealPoly(re), RealPoly(im)
+
+
+def _search_exact(analysis: GeneratorAnalysis, max_degree: int,
+                  budget_seconds: float) -> Optional[tuple[RealPoly, RealPoly]]:
+    """The exact stage of search_certificate, on the reduced Han fraction
+    over Q(sqrt d)(i) within budget_seconds; None in F0 too."""
+    han = analysis.han
     deadline = time.monotonic() + budget_seconds
     poles = han.den.degree()
     if poles == 0 or poles % 2 or poles > 2 * max_degree:

@@ -319,6 +319,10 @@ def cmd_paper_examples(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_REGRESSION
 
 
+_BUDGET_HELP = ("seconds for the exact stage of the certificate search; the "
+                "prime-image stage runs first and is not bounded by it")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rrmf",
@@ -330,8 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="polynomial document (path or - for stdin)")
     p.add_argument("--search-degree", type=_ascii(int), default=None,
                    help="also search for a certificate up to this degree")
-    p.add_argument("--budget", type=_ascii(float), default=10.0,
-                   help="search budget in seconds")
+    p.add_argument("--budget", type=_ascii(float), default=10.0, help=_BUDGET_HELP)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("construct", help="generate a catalog family member")
@@ -367,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="construct the certificate of degree <= D exactly")
     p.add_argument("input")
     p.add_argument("--max-degree", type=_ascii(int), required=True)
-    p.add_argument("--budget", type=_ascii(float), default=10.0)
+    p.add_argument("--budget", type=_ascii(float), default=10.0, help=_BUDGET_HELP)
     p.set_defaults(func=cmd_search_gamma)
 
     p = sub.add_parser("paper-examples",

@@ -54,8 +54,11 @@ without a subresultant sequence), a nonzero image proves a polynomial
 nonzero, three independent image vectors prove rank 3.  Any other image
 answer proves nothing, and the exact kernel decides; so does it when no
 listed prime fits d.  The tools here are generic: images of rows and
-their gcds, remainders and forms over F_p.  hodograph.GeneratorAnalysis
-forms the image of a generator's components and runs its screens.
+their gcds, forms, quotients with remainders (divmod_mod) and products
+(mul_mod) over F_p, and the rational reconstruction of a residue
+(rational_mod), which can only propose a value for an exact check.
+hodograph.GeneratorAnalysis forms the image of a generator's components
+and runs its screens.
 """
 
 from __future__ import annotations
@@ -531,30 +534,50 @@ def _image(rows, weights: tuple, p: int) -> list:
     return _trim_mod([a % p for a in acc])
 
 
-def rem_mod(f: list, g: list, p: int) -> list:
-    """f mod g over F_p for coefficient lists in ascending order, g
-    trimmed and nonzero; the remainder comes back trimmed."""
+def divmod_mod(f: list, g: list, p: int) -> tuple[list, list]:
+    """Quotient and remainder of f by g over F_p for coefficient lists in
+    ascending order, g trimmed and nonzero; the remainder is trimmed."""
     n = len(g) - 1
     f = list(f)
+    q = [0] * max(0, len(f) - n)
     inv = pow(g[-1], -1, p)
     for top in range(len(f) - 1, n - 1, -1):
         c = f[top] * inv % p
         if c:
             k = top - n
+            q[k] = c
             f[k:top] = [(u - c * v) % p for u, v in zip(f[k:top], g)]
-    return _trim_mod(f[:n])
+    return q, _trim_mod(f[:n])
+
+
+def mul_mod(f: list, g: list, p: int) -> list:
+    """The product over F_p of nonzero trimmed coefficient lists."""
+    out = [0] * (len(f) + len(g) - 1)
+    _add_product(out, f, g, 1)
+    return [v % p for v in out]
+
+
+def rational_mod(c: int, p: int) -> Optional[Fraction]:
+    """The x/y = c (mod p) with |x|, |y| <= sqrt(p/2), or None: rational
+    reconstruction by extended Euclid on p and c (Wang 1981)."""
+    bound, r0, r1, t0, t1 = math.isqrt(p // 2), p, c % p, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    return Fraction(r1, t1) if abs(t1) <= bound and math.gcd(r1, t1) == 1 else None
 
 
 def _gcd_mod(polys, p: int) -> list:
-    """A gcd over F_p of coefficient lists by Euclid's algorithm, folded
-    and stopped at the first constant; [] when every list is zero."""
+    """The monic gcd over F_p of coefficient lists by Euclid's algorithm,
+    folded and stopped at the first constant; [] when every list is zero."""
     g: list = []
     for f in polys:
         while f:
-            g, f = f, rem_mod(g, f, p)
+            g, f = f, divmod_mod(g, f, p)[1]
         if len(g) == 1:
             break
-    return g
+    inv = pow(g[-1], -1, p) if g else 1
+    return [c * inv % p for c in g]
 
 
 def images_coprime(images, degrees, p: int) -> bool:

@@ -1,0 +1,273 @@
+"""The two stages of search_certificate agree.
+
+search_certificate runs the prime image first and the exact residue
+loop (classify._search_exact) only where the image decides nothing.  The
+monic certificate with coprime parts is unique, so both stages must give
+the same answer at every max_degree: on the pool, on seeded generators
+with entries in {-1, 0, 1}, and on f-elements over Q and Q(sqrt 15).
+The fall-through is forced by coefficients too long to reconstruct at
+p, by one that reconstructs to a wrong gamma, and by a reconstruction
+patched to return wrong values; a max_degree far above the number of
+poles leaves the image stage bounded.
+"""
+
+import json
+import math
+import random
+import time
+from fractions import Fraction
+from itertools import zip_longest
+from pathlib import Path
+
+import pytest
+
+from rrmf import classify
+from rrmf.classify import _image_certificate, _search_exact, search_certificate
+from rrmf.cli import main
+from rrmf.construct import make_f_element, make_spatial_family
+from rrmf.documents import parse_document
+from rrmf.hodograph import GeneratorAnalysis
+from rrmf.indicatrix import verify_han
+from rrmf.polynomials import (ComplexPoly, QuatPoly, RealPoly, _trim_mod, divmod_mod,
+                              mul_mod, rational_mod)
+from rrmf.quaternions import Quaternion
+from rrmf.scalars import ComplexScalar, parse_scalar
+
+ROOT = Path(__file__).resolve().parents[1]
+SQRT15 = parse_scalar("sqrt(15)")
+
+
+def _pool() -> list[dict]:
+    with open(ROOT / "bench" / "data" / "pool.json", encoding="utf-8") as fh:
+        return json.load(fh)["items"]
+
+
+def _generator(item) -> QuatPoly:
+    return QuatPoly.of(parse_document(item["doc"]).to_poly())
+
+
+def _exact(a: QuatPoly, max_degree: int):
+    """The answer of the exact stage alone, unbounded in time."""
+    analysis = GeneratorAnalysis.of(a)
+    if max_degree < 0:
+        return None
+    if analysis.in_f0:
+        return (RealPoly([1]), RealPoly())
+    return _search_exact(analysis, max_degree, math.inf)
+
+
+def _disagreements(generators, degrees) -> tuple[int, list]:
+    pairs, differ = 0, []
+    for a in generators:
+        for degree in degrees:
+            pairs += 1
+            if search_certificate(a, degree) != _exact(a, degree):
+                differ.append((a, degree))
+    return pairs, differ
+
+
+def _f_elements(bases) -> list[QuatPoly]:
+    """core(B0) * delta for the family members B0, n = 4 .. 6, and a few
+    delta of degree 1 and 2 over each base."""
+    out = []
+    for base in bases:
+        s = SQRT15 if base else 1
+        deltas = [ComplexPoly([ComplexScalar(0, 1), 1]),
+                  ComplexPoly([ComplexScalar(1, 1), ComplexScalar(0, 1)]),
+                  ComplexPoly([ComplexScalar(s, -2), ComplexScalar(1, 0), ComplexScalar(0, 3)]),
+                  ComplexPoly([ComplexScalar(2, 1), ComplexScalar(-1, s), 1])]
+        out += [make_f_element(make_spatial_family(n), delta).poly
+                for n in (4, 5, 6) for delta in deltas]
+    return out
+
+
+def test_stages_agree_on_the_pool():
+    generators = [a for a in map(_generator, _pool()) if GeneratorAnalysis.of(a).coprime]
+    pairs, differ = _disagreements(generators, range(5))
+    assert pairs == 725
+    assert not differ, differ
+
+
+def _box(degree: int, count: int, seed: int) -> list[QuatPoly]:
+    """Distinct seeded generators of the given degree with entries in
+    {-1, 0, 1}, a nonzero leading coefficient and coprime components."""
+    rng = random.Random(seed)
+    drawn: dict = {}
+    while len(drawn) < count:
+        entries = [Quaternion(*(rng.choice((-1, 0, 1)) for _ in range(4)))
+                   for _ in range(degree + 1)]
+        a = QuatPoly(entries)
+        if a.degree() == degree and GeneratorAnalysis.of(a).coprime:
+            drawn.setdefault(a, None)
+    return list(drawn)
+
+
+@pytest.mark.parametrize("degree, count", [(1, 300), (2, 200)])
+def test_stages_agree_on_a_box(degree, count):
+    generators = _box(degree, count, 37 + degree)
+    pairs, differ = _disagreements(generators, range(4))
+    assert pairs == 4 * count
+    assert not differ, differ
+
+
+def test_degree_one_box_members_are_built_in_the_image():
+    # coprime planar cubics are members (Han 2008), most outside F0
+    built = 0
+    for a in _box(1, 300, 38):
+        analysis = GeneratorAnalysis.of(a)
+        if search_certificate(analysis, 3) is not None and not analysis.in_f0:
+            assert "han" not in vars(analysis)
+            built += 1
+    assert built
+
+
+def test_stages_agree_on_f_elements():
+    generators = _f_elements((0, 15))
+    pairs, differ = _disagreements(generators, range(5))
+    assert pairs == 120
+    assert not differ, differ
+    # each f-element over Q is decided in the image, without its Han fraction
+    for a in _f_elements((0,)):
+        analysis = GeneratorAnalysis.of(a)
+        assert search_certificate(analysis, 4) is not None
+        assert "han" not in vars(analysis)
+
+
+def _count_exact_stage(monkeypatch) -> list:
+    calls = []
+
+    def counted(analysis, max_degree, budget_seconds):
+        calls.append(max_degree)
+        return _search_exact(analysis, max_degree, budget_seconds)
+
+    monkeypatch.setattr(classify, "_search_exact", counted)
+    return calls
+
+
+def test_long_coefficients_fall_through(monkeypatch):
+    # the monic gamma has coefficients 7/(10^6 + 3) and 35/(10^6 + 3),
+    # beyond sqrt(p/2): at least one has no reconstruction at p
+    big = 10 ** 6 + 3
+    delta = ComplexPoly([ComplexScalar(big, 1), ComplexScalar(3, 5),
+                         ComplexScalar(0, Fraction(big, 7))])
+    generators = [make_f_element(make_spatial_family(n), delta).poly for n in (4, 5, 6)]
+    for a in generators:
+        assert _image_certificate(GeneratorAnalysis.of(a), 2) is None
+    calls = _count_exact_stage(monkeypatch)
+    pairs, differ = _disagreements(generators, range(2, 5))
+    assert not differ, differ
+    # the image proves nothing, and the exact stage builds every certificate
+    assert len(calls) == pairs
+    assert all(search_certificate(a, 2) is not None for a in generators)
+
+
+def test_a_plausible_wrong_reconstruction_is_rejected():
+    # gamma = xi + 7/(10^6 + 3) - 7i: 7/(10^6 + 3) reconstructs at p to a
+    # small fraction that is not it, and Han's identity turns that gamma down
+    big = 10 ** 6 + 3
+    delta = ComplexPoly([ComplexScalar(big, 1), ComplexScalar(0, Fraction(big, 7))])
+    for n in (4, 5):
+        a = make_f_element(make_spatial_family(n), delta).poly
+        wrong = _image_certificate(GeneratorAnalysis.of(a), 1)
+        assert wrong is not None and not verify_han(a, *wrong)
+        assert search_certificate(a, 1) == _exact(a, 1) == (
+            RealPoly([Fraction(7, big), 1]), RealPoly([-7]))
+
+
+def test_wrong_reconstruction_is_rejected(monkeypatch):
+    generators = [_generator(item) for item in _pool()
+                  if item["part"] in ("search-fe", "search-fixture")]
+    expected = [search_certificate(a, 3) for a in generators]
+    assert None not in expected
+    verdicts = []
+
+    def wrong(c, p):
+        x = rational_mod(c, p)
+        return None if x is None else x + 1
+
+    def verify(analysis, a, b):
+        try:
+            verdicts.append(verify_han(analysis, a, b))
+        except ValueError:
+            verdicts.append("not coprime")
+            raise
+        return verdicts[-1]
+
+    monkeypatch.setattr(classify, "rational_mod", wrong)
+    monkeypatch.setattr(classify, "verify_han", verify)
+    calls = _count_exact_stage(monkeypatch)
+    assert [search_certificate(a, 3) for a in generators] == expected
+    # each wrong gamma is turned down, Han's identity rejecting some, and
+    # the exact stage builds every certificate
+    assert False in verdicts
+    assert len(calls) == len(generators)
+
+
+def test_image_decided_searches_form_no_han_fraction():
+    decided = 0
+    for item in _pool():
+        if not item["id"].startswith("search-"):
+            continue
+        a = _generator(item)
+        if a.d:
+            continue
+        for degree in range(4):
+            analysis = GeneratorAnalysis.of(a)
+            search_certificate(analysis, degree)
+            assert "han" not in vars(analysis), (item["id"], degree)
+            decided += 1
+    assert decided == 32 * 4
+
+
+def _search_gamma(capsys, *argv) -> dict:
+    assert main(["search-gamma", *argv]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_budget_bounds_only_the_exact_stage(capsys):
+    fixtures = ROOT / "fixtures"
+    left = str(fixtures / "quintic-left-cancellation.json")
+    none = str(fixtures / "quintic-no-cancellation.json")
+    right = str(fixtures / "quintic-right-cancellation.json")
+    # the image builds and proves both certificates without the clock
+    assert _search_gamma(capsys, left, "--max-degree", "2", "--budget", "0") == {
+        "found": True, "a": ["-2/1", "1/1"], "b": ["-1/1"]}
+    assert _search_gamma(capsys, none, "--max-degree", "2", "--budget", "0") == {
+        "found": True, "a": ["27/109", "-86/109", "1/1"], "b": ["19/109", "-4/109"]}
+    # the pole bound proves that no certificate of degree 0 exists
+    assert _search_gamma(capsys, left, "--max-degree", "0", "--budget", "0") == {
+        "found": False}
+    # over Q(sqrt 15) the exact stage builds gamma, and a zero budget stops it
+    assert _search_gamma(capsys, right, "--max-degree", "3", "--budget", "0") == {
+        "found": False}
+    assert _search_gamma(capsys, right, "--max-degree", "3")["found"] is True
+
+
+def test_fp_tools():
+    p = 1073741789
+    rng = random.Random(5)
+    for _ in range(50):
+        f = [rng.randrange(p) for _ in range(rng.randint(1, 9))]
+        g = [rng.randrange(p) for _ in range(rng.randint(1, 5))] + [rng.randrange(1, p)]
+        q, r = divmod_mod(f, g, p)
+        assert len(r) < len(g) and (not r or r[-1])
+        product = mul_mod(q, g, p) if q else []
+        total = [(x + y) % p for x, y in zip_longest(product, r, fillvalue=0)]
+        assert _trim_mod(total) == _trim_mod(list(f))
+    bound = math.isqrt(p // 2)
+    for x, y in ((0, 1), (-7, 3), (bound, bound - 1), (-bound, 1)):
+        c = x * pow(y, -1, p) % p
+        assert rational_mod(c, p) == Fraction(x, y)
+    # 7/(10^6 + 3) has no reconstruction at p within the bound
+    assert rational_mod(7 * pow(10 ** 6 + 3, -1, p), p) != Fraction(7, 10 ** 6 + 3)
+
+
+def test_a_large_max_degree_leaves_the_image_stage_bounded():
+    # the image tries multiplicities up to the number of roots only, so a
+    # max_degree far above it costs a few gcds (without that cap, a minute
+    # here), and the exact stage then stops at its budget
+    start = time.monotonic()
+    for item in _pool():
+        if item["part"] == "search-miss":
+            assert search_certificate(_generator(item), 10 ** 4, budget_seconds=0) is None
+    assert time.monotonic() - start < 5
