@@ -25,6 +25,7 @@ entry of the certificate search, takes the generator or its analysis.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -170,8 +171,8 @@ def search_certificate(a: QuatPoly | GeneratorAnalysis, max_degree: int, *,
     (Rothstein, Trager).  It is unique: the quotient of two has a real
     logarithmic derivative, so it is a constant times a real f/g, and
     coprime parts make f and g constant.  It is returned only after
-    verify_han has passed, jointly scaled so that the higher-degree
-    member is monic.
+    verify_han has passed, and it is monic by construction: gamma is a
+    product of monic gcds, so a is monic and deg b < deg a.
 
     The prime image goes first: more than 2 max_degree roots of the D of
     han_image prove None, since D has no fewer; otherwise gamma is built
@@ -199,7 +200,7 @@ def search_certificate(a: QuatPoly | GeneratorAnalysis, max_degree: int, *,
         except ValueError:  # the parts are not coprime
             proven = False
         if proven:
-            return _normalize_certificate(*found)
+            return found
     return _search_exact(analysis, max_degree, budget_seconds)
 
 
@@ -235,9 +236,12 @@ def _image_certificate(analysis: GeneratorAnalysis, max_degree: int
     half, inv = (p + 1) // 2, pow(2 * r, -1, p)
     re = [rational_mod((s + t) * half, p) for s, t in zip(plus, minus)]
     im = [rational_mod((s - t) * inv, p) for s, t in zip(plus, minus)]
-    if len(plus) != len(minus) or degree > max_degree or None in re + im:
+    # None by identity: `None in` would call Fraction.__eq__ on every part
+    if len(plus) != len(minus) or degree > max_degree or any(c is None for c in re + im):
         return None
-    return RealPoly(re), RealPoly(im)
+    den = math.lcm(*(c.denominator for c in re + im))
+    return tuple(RealPoly._from_rows(0, [[c.numerator * (den // c.denominator) for c in part]], den)
+                 for part in (re, im))
 
 
 def _search_exact(analysis: GeneratorAnalysis, max_degree: int,
@@ -267,19 +271,9 @@ def _search_exact(analysis: GeneratorAnalysis, max_degree: int,
     # P and D are real, so no root of D with residue m/2i is real or the
     # conjugate of another: the parts of gamma are coprime, and
     # verify_han checks that exactly before the identity itself, reading
-    # the facts of A from the analysis
+    # the coprimality of A from the analysis
     ga, gb = gamma.real_parts()
-    if not verify_han(analysis, ga, gb):
-        return None
-    return _normalize_certificate(ga, gb)
-
-
-def _normalize_certificate(ra: RealPoly, rb: RealPoly
-                           ) -> tuple[RealPoly, RealPoly]:
-    """Joint real scaling: the higher-degree member becomes monic."""
-    leader = ra if ra.degree() >= rb.degree() else rb
-    inv = leader.leading_inverse()
-    return ra * inv, rb * inv
+    return (ga, gb) if verify_han(analysis, ga, gb) else None
 
 
 # -- aggregate verdict -------------------------------------------------

@@ -10,16 +10,18 @@ with the exact relation checked in the tests, rather than silently
 reconciling the orientation convention.  <A'i, A>, sigma, the Han
 fraction, reduced once, and the equal-degree verdict are read from a
 hodograph.GeneratorAnalysis, which verify_han and rho_eta also accept
-in place of A.
+in place of A.  verify_han forms none of them: it decides Han's
+identity from the value of its two sides at one power of two.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .hodograph import _INNER_FORM, GeneratorAnalysis
-from .polynomials import (QuatPoly, RationalFunction, RealPoly, component_forms,
-                          gcd_real, real_forms)
+from .hodograph import _INNER_FORM, _SPEED_INNER, GeneratorAnalysis
+from .polynomials import (QuatPoly, RationalFunction, RealPoly, _forms_vanish,
+                          component_forms, gcd_real)
+from .scalars import _stack
 
 
 def inner_product_poly(a: QuatPoly) -> RealPoly:
@@ -64,29 +66,46 @@ def require_certificate(a: RealPoly, b: RealPoly) -> tuple[RealPoly, RealPoly]:
     return a, b
 
 
-# a'b - ab' and a^2 + b^2 for the certificate parts a, b and their
-# derivatives a', b', numbered 0 .. 3 as real_forms numbers them
-_HAN_FORMS = (((1, 2, 1), (-1, 0, 3)), ((1, 0, 0), (1, 1, 1)))
+# sigma, <A'i, A>, a'b - ab' and a^2 + b^2 over u, v, p, q, their
+# derivatives (numbered as component_forms numbers them), a, b, a', b'
+# (8 .. 11); then L = (a'b - ab') sigma - <A'i, A> (a^2 + b^2) over those
+_HAN_SIDES = (*_SPEED_INNER, ((1, 10, 9), (-1, 8, 11)), ((1, 8, 8), (1, 9, 9)))
+_HAN_IDENTITY = ((1, 2, 0), (-1, 1, 3))
 
 
 def verify_han(a_poly, a: RealPoly, b: RealPoly) -> bool:
-    """Exact cross-multiplied test of Han's condition for certificate (a, b).
+    """Exact test of Han's identity (a'b - ab') sigma = <A'i, A> (a^2 + b^2)
+    for the certificate (a, b), by one evaluation at a power of two.
 
-    Requires coprime (a, b) and a generator with coprime components;
-    never evaluates the rational functions, so no spurious cancellation
-    decisions can occur.  The identity (a'b - ab') sigma = <A'i, A>
-    (a^2 + b^2) takes both certificate forms from one integer pass over
-    the rows of a and b, and two products.  ``a_poly`` is the generator
-    or its GeneratorAnalysis, whose cached coprimality, <A'i, A> and
-    sigma are then read rather than recomputed.
+    Requires coprime (a, b) and a generator with coprime components.
+    Over the integer rows of A over A.den, and of a and b over their lcm
+    denominator, both sides carry one positive factor, so the identity is
+    L = (a'b - ab') sigma - <A'i, A> (a^2 + b^2) = 0 over Z[sqrt d].  The
+    norm ||f|| = sum |x_i| + s |y_i| of f = sum (x_i + y_i sqrt d) xi^i,
+    s = isqrt(d) + 1 > sqrt d, is submultiplicative, so each part of each
+    coefficient of L is at most B = ||a'b - ab'|| ||sigma|| + ||<A'i, A>||
+    ||a^2 + b^2||, bounded from the norms of the rows and ||f'|| <=
+    deg(f) ||f||.  At t = 2**k > B a nonzero part of L of degree e is at
+    least t^e - B (t^e - 1)/(t - 1) > 0 in size at t, so L = 0 exactly
+    when both parts of L(t) vanish; neither side is formed as a
+    polynomial.  ``a_poly`` is the generator or its GeneratorAnalysis,
+    whose cached coprimality is then read.
     """
     analysis = GeneratorAnalysis.of(
         a_poly, "certificate check against the zero polynomial")
     a, b = require_certificate(a, b)
     if not analysis.coprime:
         raise ValueError("generator components must be coprime")
-    wronskian, norm = real_forms((a, b), _HAN_FORMS)
-    return wronskian * analysis.sigma == analysis.inner * norm
+    d, _, cert = _stack((a, b))
+    poly = analysis.poly
+    if d and poly.d and d != poly.d:
+        # two surd bases: a product of the identity raises SurdBaseMismatch
+        # unless one of its factors is rational
+        return ((a.derivative() * b - a * b.derivative()) * analysis.sigma
+                == analysis.inner * (a * a + b * b))
+    p = 2 if poly.d else 1
+    generator = [poly.rows[w * p:(w + 1) * p] for w in range(4)]
+    return _forms_vanish(d or poly.d, (generator, cert), _HAN_SIDES, _HAN_IDENTITY)
 
 
 @dataclass(frozen=True)

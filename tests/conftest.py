@@ -210,6 +210,16 @@ def rng() -> random.Random:
 # right-cancellation quintic's RMF near xi = 1.965, where its degree-5
 # generator B is evaluated with cancellation.
 FRAME_TOL = 4e-14
+
+# Wall-clock bound for one verb on a long-coefficient document, process
+# start included, and for one verify_han call on a long-coefficient
+# f-element.  Measured on a 2-core VM (Python 3.11): 0.2 s for classify
+# at degree 16 x 100 digits, 0.6 s at degree 8 x 1000 digits, 0.6 s at
+# degree 64 x 300 digits and at degree 128 x 100 digits, 0.3 s for
+# search-gamma --max-degree 8 at degree 8 x 100 digits, and 0.05 s per
+# verify_han call on the f-element of family member 8 and a degree-4 delta
+# with 100-digit p/q coefficients.
+LONG_BOUND_S = 5
 _UNITS = (Quaternion(0, 1), Quaternion(0, 0, 1), Quaternion(0, 0, 0, 1))
 
 

@@ -89,10 +89,10 @@ def test_classify_forms_the_generator_once(monkeypatch):
 
     for curve in worked_quintics():
         run(curve.generator, curve.certificate)
-        # Han's identity reads sigma and <A'i, A> from the one form pass; the
+        # Han's identity is decided at one point, without a form pass; the
         # image proves the components coprime, chi = 1 and the certificate
         # coprime, and rules out planarity and with it a triviality witness
-        assert len(forms) == 1, curve.name
+        assert len(forms) == 0, curve.name
         assert screens == [True, True, True], curve.name
         assert {len(calls) for calls in exact.values()} == {0}, curve.name
         verdict = run(curve.generator)

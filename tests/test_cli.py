@@ -24,7 +24,7 @@ from rrmf.polynomials import QuatPoly, RealPoly
 from rrmf.quaternions import Quaternion
 from rrmf.scalars import format_scalar, parse_scalar
 
-from conftest import FRAME_TOL, exact_axes
+from conftest import FRAME_TOL, LONG_BOUND_S, exact_axes
 
 EX2 = quintic_no_cancellation()
 NO_CANCELLATION = str(Path(__file__).resolve().parent.parent / "fixtures"
@@ -482,8 +482,8 @@ def test_frames_csv_matches_sample_frames(tmp_path, capsys):
 
 
 def test_frames_sets_up_the_sampler_once(tmp_path, capsys, monkeypatch):
-    # one analysis, one check of Han's identity and one B = A (a - b i) per
-    # run, however many parameters it samples
+    # one analysis, one check of Han's identity, which forms no polynomial,
+    # and one B = A (a - b i) per run, however many parameters it samples
     calls = {"verify_han": 0, "component_forms": 0}
 
     def counted(fn):
@@ -498,7 +498,7 @@ def test_frames_sets_up_the_sampler_once(tmp_path, capsys, monkeypatch):
     code, out, err = run(capsys, "frames", RIGHT_CANCELLATION, "--frame", "rmf",
                          "--samples", "25001", "--out", str(tmp_path / "r.csv"))
     assert (code, err) == (0, "")
-    assert calls == {"verify_han": 1, "component_forms": 2}
+    assert calls == {"verify_han": 1, "component_forms": 1}
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
@@ -1107,14 +1107,6 @@ def test_no_verb_imports_numpy(tmp_path, capsys):
 
 
 # -- long coefficients and fuzzed verbs ------------------------------------
-
-# Wall-clock bound for one verb on a long-coefficient document, process
-# start included.  Measured on a 2-core VM (Python 3.11): 0.2 s for
-# classify at degree 16 x 100 digits, 0.6 s at degree 8 x 1000 digits,
-# 0.6 s at degree 64 x 300 digits and at degree 128 x 100 digits, and
-# 0.3 s for search-gamma --max-degree 8 at degree 8 x 100 digits.
-LONG_BOUND_S = 5
-
 
 def _long_generator_doc(tmp_path, degree, digits, seed=1):
     """A seeded random generator whose scalars are p/q, both of ``digits`` digits."""

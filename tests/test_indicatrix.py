@@ -1,5 +1,9 @@
+import json
+import random
 import re
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -11,13 +15,14 @@ from rrmf.frames import certificate_generator
 from rrmf.indicatrix import (han_fraction, inner_product_poly,
                              omega1, rho_eta, rotation_indicatrix, verify_han)
 from rrmf.hodograph import _IMAGE_FORMS, GeneratorAnalysis
-from rrmf.polynomials import (ComplexPoly, QuatPoly, RealPoly, _embedding,
+from rrmf.documents import parse_document
+from rrmf.polynomials import (ComplexPoly, QuatPoly, RealPoly, _embedding, _forms_vanish,
                               image_forms, reduce_fraction)
 from rrmf.quaternions import I, J, K, Quaternion
-from rrmf.scalars import ComplexScalar, Scalar
+from rrmf.scalars import ComplexScalar, Scalar, SurdBaseMismatch
 
-from conftest import (coprime_cpoly, coprime_qpoly, fraction_sum, indicatrix_pair,
-                      indicatrix_product_residual, nonzero_qpoly,
+from conftest import (LONG_BOUND_S, coprime_cpoly, coprime_qpoly, fraction_sum,
+                      indicatrix_pair, indicatrix_product_residual, nonzero_qpoly,
                       nonzero_quat, norm_poly, rand_fraction, rand_scalar,
                       reference_verify_han, verdict_generators)
 
@@ -97,7 +102,7 @@ def _han_cases(rng, base: int) -> list[tuple[QuatPoly, RealPoly, RealPoly]]:
     """(A, a, b) for accepted and rejected certificates: f-elements with
     their certificates, the degree-0 certificates (1, 0) and (0, 1),
     perturbed and random certificates."""
-    cores = [nontrivial_cubic(), make_spatial_family(4)]
+    cores = [nontrivial_cubic()] + [make_spatial_family(n) for n in (4, 5, 6)]
     cores += [CUBIC15] if base else []
     elements = []
     for core in cores:
@@ -149,6 +154,115 @@ def test_verify_han_special_certificates():
     assert (a.den, b.den, a.d, b.d) == (3, 2, 0, 0)
     assert verify_han(element.poly, a, b) and reference_verify_han(element.poly, a, b)
     assert not verify_han(element.poly, RealPoly([1]), RealPoly())
+    # a certificate over Q(sqrt 2) for a generator over Q(sqrt 15): decided
+    # where each product of the identity has a rational factor, else rejected
+    sqrt2 = Scalar(0, 1, 2)
+    assert verify_han(CUBIC15, RealPoly([sqrt2]), RealPoly([1]))
+    assert not verify_han(CUBIC15, RealPoly([sqrt2, 1]), RealPoly([1]))
+    for a, b in ((RealPoly([0, sqrt2]), RealPoly([1])), (RealPoly([1]), RealPoly([0, sqrt2]))):
+        with pytest.raises(SurdBaseMismatch):
+            verify_han(element.poly, a, b)
+
+
+def _pool_certified() -> list[tuple[QuatPoly, RealPoly, RealPoly]]:
+    """(A, a, b) for the generators of the benchmark pool that carry a
+    certificate."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "data" / "pool.json"
+    with open(path, encoding="utf-8") as fh:
+        docs = [parse_document(item["doc"]) for item in json.load(fh)["items"]]
+    return [(doc.to_poly(), *doc.certificate) for doc in docs if doc.certificate is not None]
+
+
+def _moved(rng, part: RealPoly, base: int) -> RealPoly:
+    """part with one coefficient moved by +-1/q, q up to 10^40: in its
+    rational part, or in its sqrt(base) part for a nonzero base."""
+    coeffs = list(part.coeffs) or [Scalar(0)]
+    k = rng.randrange(len(coeffs))
+    step = Fraction(rng.choice((1, -1)), rng.randint(1, 10 ** 40))
+    coeffs[k] = coeffs[k] + (Scalar(0, step, base) if base else Scalar(step))
+    return RealPoly(coeffs)
+
+
+def test_verify_han_matches_reference_on_the_pool():
+    # the certified pool generators, and 20 one-coefficient perturbations of
+    # each certificate, half of them in a sqrt(15) part
+    rng = random.Random(39)
+    cases = _pool_certified()
+    assert len(cases) == 45
+    rejected = 0
+    for a_poly, ca, cb in cases:
+        analysis = GeneratorAnalysis.of(a_poly)
+        assert verify_han(analysis, ca, cb) and reference_verify_han(a_poly, ca, cb)
+        for n in range(20):
+            parts = [ca, cb]
+            k = rng.randrange(2)
+            parts[k] = _moved(rng, parts[k], 15 if n % 2 else 0)
+            expected = reference_verify_han(a_poly, *parts)
+            assert verify_han(analysis, *parts) is expected
+            rejected += not expected
+    assert rejected == 900
+
+
+def _difference(j: int, pad: int, d: int) -> tuple:
+    """The zero test's input for L = 2^j - xi over Q (d = 0), or for
+    sqrt(d) (2^j - xi), whose rational part is zero, over a surd base d.
+
+    One group holds c = 2^j (times sqrt d), xi (times sqrt d), 1 and the
+    constant pad; the sides are c, xi, 1 and pad^2 - pad^2, and L is
+    c 1 - xi 1 + (pad^2 - pad^2) 1, which is L for every pad while its
+    coefficient bound grows with pad^2."""
+    rows = ([[0], [2 ** j]], [[0], [0, 1]]) if d else ([[2 ** j]], [[0, 1]])
+    group = [*rows, [[1]], [[pad]]]
+    sides = (((1, 0, 2),), ((1, 1, 2),), ((1, 2, 2),), ((1, 3, 3), (-1, 3, 3)))
+    return (group,), sides, ((1, 0, 2), (-1, 1, 2), (1, 3, 2))
+
+
+@pytest.mark.parametrize("d", [0, 15])
+def test_zero_test_at_its_bound(d):
+    # L = 2^j - xi vanishes at t = 2^j: the test must take 2^k past its
+    # coefficient bound, for bounds from 2^j up in every binade, and read
+    # the sqrt(d) part of L(t) as well as the rational one
+    for j in (1, 2, 5, 16, 61, 200):
+        for pad in [0] + [2 ** i for i in range(j + 2)]:
+            groups, sides, identity = _difference(j, pad, d)
+            assert not _forms_vanish(d, groups, sides, identity), (j, pad)
+            # L - L vanishes
+            assert _forms_vanish(d, groups, sides, identity + ((-1, 0, 2), (1, 1, 2)))
+
+
+def test_zero_test_weights_the_surd_part():
+    # (2^m sqrt 2)^2 - xi vanishes at t = 2^(2m+1): the norm must weigh the
+    # sqrt(2) part by s = isqrt(2) + 1 > sqrt(2) to take 2^k past it
+    for m in (0, 1, 3, 20, 100):
+        group = [[[0], [2 ** m]], [[0, 1]], [[1]]]
+        sides = (((1, 0, 0),), ((1, 1, 2),), ((1, 2, 2),))
+        assert not _forms_vanish(2, (group,), sides, ((1, 0, 2), (-1, 1, 2))), m
+
+
+def _long_element(n: int, degree: int, digits: int):
+    """The f-element of family member n and a seeded delta of the degree
+    whose coefficients have p/q parts of ``digits`` digits each."""
+    rng = random.Random(1)
+
+    def part() -> Fraction:
+        return Fraction(rng.choice((1, -1)) * rng.randrange(10 ** (digits - 1), 10 ** digits),
+                        rng.randrange(10 ** (digits - 1), 10 ** digits))
+
+    delta = ComplexPoly([ComplexScalar(part(), part()) for _ in range(degree + 1)])
+    return make_f_element(make_spatial_family(n), delta)
+
+
+@pytest.mark.parametrize("n, degree, digits", [(8, 4, 100), (30, 2, 30)])
+def test_verify_han_at_long_coefficients(n, degree, digits):
+    element = _long_element(n, degree, digits)
+    a, b = element.certificate.real_parts()
+    moved = a + RealPoly([Fraction(1, 10 ** digits + 7)])
+    start = time.perf_counter()
+    verdicts = (verify_han(element.poly, a, b), verify_han(element.poly, moved, b))
+    assert time.perf_counter() - start < LONG_BOUND_S
+    assert verdicts == (True, False)
+    assert verdicts == (reference_verify_han(element.poly, a, b),
+                        reference_verify_han(element.poly, moved, b))
 
 
 def test_omega1():

@@ -14,10 +14,14 @@ import pytest
 
 import kernel_reference as ref
 from rrmf.hodograph import _IMAGE_FORMS, _SPEED_INNER
-from rrmf.indicatrix import _HAN_FORMS
-from rrmf.polynomials import RealPoly, _form_rows, _pseudo_divide
+from rrmf.polynomials import RealPoly, _at_power, _form_rows, _pseudo_divide
 from rrmf.quaternions import Quaternion
 from rrmf.scalars import _COMPLEX, _REAL, _algebra, _canonical, _leading, _trim_rows
+
+# a'b - ab' and a^2 + b^2 over real polynomials a, b numbered 0, 1 and
+# their derivatives a', b' numbered 2, 3: two forms whose products each
+# belong to one form
+_HAN_FORMS = (((1, 2, 1), (-1, 0, 3)), ((1, 0, 0), (1, 1, 1)))
 
 TABLES = {"real": _REAL, "complex": _COMPLEX, "quaternion": Quaternion.table}
 ALGEBRAS = [(kind, d) for kind in TABLES for d in (0, 15)]
@@ -122,7 +126,7 @@ def test_pseudo_divide_matches_reference(seed, kind, d):
 def _component_rows(rng: random.Random, d: int, count: int, n: int) -> list:
     """count real components over the base d, each as its coordinate rows
     (one over Q, rational and sqrt(d) rows over a surd base), followed by
-    their derivatives, as polynomials._forms_over numbers them; one
+    their derivatives, as polynomials.component_forms numbers them; one
     component is zero and, over a surd base, one sqrt(d) row vanishes."""
     p = 2 if d else 1
     comps = [_random_rows(rng, p, n) for _ in range(count)]
@@ -144,6 +148,19 @@ def test_form_rows_matches_reference(seed, d, forms, count):
         before = copy.deepcopy(comps)
         assert _form_rows(real, comps, forms) == ref._form_rows(real, copy.deepcopy(comps), forms)
         assert comps == before
+
+
+@pytest.mark.parametrize("seed", [5, 47])
+def test_at_power_matches_the_powers(seed):
+    # rows longer than 16 are packed by halving, shorter ones by Horner's rule
+    rng = random.Random(seed)
+    for n in (0, 1, 2, 16, 17, 33, 70):
+        for k in (1, 7, 64, 300):
+            row = [rng.randint(-10 ** 30, 10 ** 30) for _ in range(n)]
+            t = 2 ** k
+            value = sum(c * t ** i for i, c in enumerate(row))
+            slope = sum(i * c * t ** (i - 1) for i, c in enumerate(row) if i)
+            assert _at_power(row, k) == (value, slope), (n, k)
 
 
 def test_form_products_are_shared_or_single():

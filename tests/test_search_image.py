@@ -57,11 +57,17 @@ def _exact(a: QuatPoly, max_degree: int):
 
 
 def _disagreements(generators, degrees) -> tuple[int, list]:
+    """The pairs (generator, max_degree) run and those where the stages
+    differ; every certificate found is monic, a of higher degree than b."""
     pairs, differ = 0, []
     for a in generators:
         for degree in degrees:
             pairs += 1
-            if search_certificate(a, degree) != _exact(a, degree):
+            found = search_certificate(a, degree)
+            if found is not None:
+                ga, gb = found
+                assert ga.leading() == 1 and gb.degree() < ga.degree(), (a, degree)
+            if found != _exact(a, degree):
                 differ.append((a, degree))
     return pairs, differ
 
