@@ -190,11 +190,10 @@ class TrivialWitness:
 class GeneratorAnalysis:
     """The facts of one nonzero generator A, each computed once, on first use.
 
-    sigma and <A'i, A> come from one form pass over A, which the
-    verdicts read (F0, the equal-degree criterion and the Han fraction);
-    Han's identity reads only coprime, and evaluates the rows of A
-    itself.  The hodograph comes from a second pass, sigma with A i A*,
-    which only hodograph_of, span rank and frame sampling read.
+    sigma and <A'i, A> come from one form pass over A, which F0, the
+    equal-degree criterion and the Han fraction read (Han's identity reads
+    the rows of A); the hodograph comes from a second pass, sigma with
+    A i A*, which only hodograph_of, span rank and frame sampling read.
     primitive and classify's core degree read chi; only core divides A
     by it.  classify reads every verdict from one analysis, verify_han
     and rho_eta accept one, and each public verdict function reads its

@@ -16,11 +16,12 @@ identity from the value of its two sides at one power of two.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .hodograph import _INNER_FORM, _SPEED_INNER, GeneratorAnalysis
-from .polynomials import (QuatPoly, RationalFunction, RealPoly, _forms_vanish,
-                          component_forms, gcd_real)
+from .hodograph import _INNER_FORM, GeneratorAnalysis
+from .polynomials import (QuatPoly, RationalFunction, RealPoly, component_forms,
+                          gcd_real)
 from .scalars import _stack
 
 
@@ -66,29 +67,39 @@ def require_certificate(a: RealPoly, b: RealPoly) -> tuple[RealPoly, RealPoly]:
     return a, b
 
 
-# sigma, <A'i, A>, a'b - ab' and a^2 + b^2 over u, v, p, q, their
-# derivatives (numbered as component_forms numbers them), a, b, a', b'
-# (8 .. 11); then L = (a'b - ab') sigma - <A'i, A> (a^2 + b^2) over those
-_HAN_SIDES = (*_SPEED_INNER, ((1, 10, 9), (-1, 8, 11)), ((1, 8, 8), (1, 9, 9)))
-_HAN_IDENTITY = ((1, 2, 0), (-1, 1, 3))
+def _at_power(row, k: int) -> tuple[int, int]:
+    """(f(t), f'(t)) at t = 2**k for the integer coefficients of f, ascending,
+    by Horner's rule on shifts and adds."""
+    f = df = 0
+    for c in reversed(row):
+        df = (df << k) + f
+        f = (f << k) + c
+    return f, df
+
+
+# sigma, <A'i, A>, a'b - ab' and a^2 + b^2 as (c, i, j) terms c f_i f_j
+# over u, v, p, q, a, b (0 .. 5) and their derivatives (6 .. 11), then
+# L = (a'b - ab') sigma - <A'i, A> (a^2 + b^2) over those four (12 .. 15)
+_HAN_IDENTITY = (((1, 0, 0), (1, 1, 1), (1, 2, 2), (1, 3, 3)),
+                 ((-1, 7, 0), (1, 6, 1), (1, 9, 2), (-1, 8, 3)),
+                 ((1, 10, 5), (-1, 4, 11)), ((1, 4, 4), (1, 5, 5)),
+                 ((1, 14, 12), (-1, 13, 15)))
 
 
 def verify_han(a_poly, a: RealPoly, b: RealPoly) -> bool:
     """Exact test of Han's identity (a'b - ab') sigma = <A'i, A> (a^2 + b^2)
     for the certificate (a, b), by one evaluation at a power of two.
 
-    Requires coprime (a, b) and a generator with coprime components.
-    Over the integer rows of A over A.den, and of a and b over their lcm
-    denominator, both sides carry one positive factor, so the identity is
-    L = (a'b - ab') sigma - <A'i, A> (a^2 + b^2) = 0 over Z[sqrt d].  The
-    norm ||f|| = sum |x_i| + s |y_i| of f = sum (x_i + y_i sqrt d) xi^i,
-    s = isqrt(d) + 1 > sqrt d, is submultiplicative, so each part of each
-    coefficient of L is at most B = ||a'b - ab'|| ||sigma|| + ||<A'i, A>||
-    ||a^2 + b^2||, bounded from the norms of the rows and ||f'|| <=
-    deg(f) ||f||.  At t = 2**k > B a nonzero part of L of degree e is at
-    least t^e - B (t^e - 1)/(t - 1) > 0 in size at t, so L = 0 exactly
-    when both parts of L(t) vanish; neither side is formed as a
-    polynomial.  ``a_poly`` is the generator or its GeneratorAnalysis,
+    Requires coprime (a, b) and a generator with coprime components.  On
+    the integer rows of A over A.den and of a, b over their lcm
+    denominator both sides carry one positive factor, so the identity is
+    L = 0 over Z[sqrt d], for L of _HAN_IDENTITY.  ||f|| = sum |x_i| +
+    s |y_i| for f = sum (x_i + y_i sqrt d) xi^i, s = isqrt(d) + 1 > sqrt d,
+    is submultiplicative and ||f'|| <= deg(f) ||f||, so term by term the
+    norms of the rows bound each part of each coefficient of L by B.  At
+    t = 2**k > B a nonzero part of L of degree e is at least t^e -
+    B (t^e - 1)/(t - 1) > 0 in size, so L = 0 exactly when both parts of
+    L(t) vanish.  ``a_poly`` is the generator or its GeneratorAnalysis,
     whose cached coprimality is then read.
     """
     analysis = GeneratorAnalysis.of(
@@ -103,9 +114,24 @@ def verify_han(a_poly, a: RealPoly, b: RealPoly) -> bool:
         # unless one of its factors is rational
         return ((a.derivative() * b - a * b.derivative()) * analysis.sigma
                 == analysis.inner * (a * a + b * b))
-    p = 2 if poly.d else 1
-    generator = [poly.rows[w * p:(w + 1) * p] for w in range(4)]
-    return _forms_vanish(d or poly.d, (generator, cert), _HAN_SIDES, _HAN_IDENTITY)
+    d, p = d or poly.d, 2 if poly.d else 1
+    comps = [poly.rows[w * p:(w + 1) * p] for w in range(4)] + cert
+    s = math.isqrt(d) + 1
+    norms = [sum(map(abs, x)) + s * sum(map(abs, y[0] if y else ())) for x, *y in comps]
+    norms += [n * (len(x) - 1) for n, (x, *_) in zip(norms, comps)]
+    for form in _HAN_IDENTITY:
+        norms.append(sum(abs(c) * norms[i] * norms[j] for c, i, j in form))
+    k = norms[-1].bit_length()
+    # f(t), then f'(t), as (x, y) for x + y sqrt(d); then the forms at t
+    packed = [[_at_power(row, k) for row in rows] + [(0, 0)] * (2 - len(rows)) for rows in comps]
+    values = [(x, y) for (x, _), (y, _) in packed] + [(x, y) for (_, x), (_, y) in packed]
+    for form in _HAN_IDENTITY:
+        x = y = 0
+        for c, i, j in form:
+            (e, f), (g, h) = values[i], values[j]
+            x, y = x + c * (e * g + d * f * h), y + c * (e * h + f * g)
+        values.append((x, y))
+    return values[-1] == (0, 0)
 
 
 @dataclass(frozen=True)

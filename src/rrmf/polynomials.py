@@ -36,10 +36,7 @@ polynomials is decided on their stacked rows by cross and triple
 products.  Sums of products of real components (the forms of
 ``component_forms``) run in one integer pass: each product that several
 forms share is formed once, and a product that only one form uses is
-added straight into that form with its coefficient.  Whether a form
-over such forms vanishes is decided without forming them, from its
-value at one power of two past a bound on its coefficients
-(_forms_vanish, which indicatrix.verify_han calls).  Reduced ratios of
+added straight into that form with its coefficient.  Reduced ratios of
 real polynomials (monic denominator, coprime parts) are the canonical
 rational functions.
 
@@ -425,67 +422,6 @@ def component_forms(b: QuatPoly, forms) -> list[RealPoly]:
     comps += [[[k * v for k, v in enumerate(row)][1:] for row in comp] for comp in comps]
     return [RealPoly._from_rows(b.d, acc, b.den * b.den)
             for acc in _form_rows(_algebra(_REAL, b.d), comps, forms)]
-
-
-def _at_power(row, k: int) -> tuple[int, int]:
-    """(f(t), f'(t)) at t = 2**k for the integer coefficients of f, ascending.
-    A long row is packed by halving, f = f_lo + x^h f_hi, which shifts
-    every bit once per level; Horner's rule, quadratic in the length at
-    long coefficients, packs short rows."""
-    n = len(row)
-    if n > 16:
-        h = n // 2
-        (lo, d_lo), (hi, d_hi) = _at_power(row[:h], k), _at_power(row[h:], k)
-        return lo + (hi << h * k), d_lo + (h * hi << (h - 1) * k) + (d_hi << h * k)
-    f = df = 0
-    for c in reversed(row):
-        df = (df << k) + f
-        f = (f << k) + c
-    return f, df
-
-
-def _form_bound(norms: list, form) -> int:
-    """sum |c| n_i n_j over the terms (c, i, j): a bound on the norm of the
-    form when n_i bounds that of factor i."""
-    return sum(abs(c) * norms[i] * norms[j] for c, i, j in form)
-
-
-def _form_value(d: int, values: list, form) -> tuple[int, int]:
-    """sum c x_i x_j over the terms (c, i, j) for values x_i = (x, y), that
-    is x + y sqrt(d), in Z[sqrt d]."""
-    x = y = 0
-    for c, i, j in form:
-        (a, b), (e, f) = values[i], values[j]
-        x += c * (a * e + d * b * f)
-        y += c * (a * f + b * e)
-    return x, y
-
-
-def _forms_vanish(d: int, groups, sides, identity) -> bool:
-    """Whether the form ``identity`` over the forms ``sides`` over real
-    polynomials is zero, decided at t = 2**k past the bound B on its
-    coefficients of indicatrix.verify_han.
-
-    A group lists polynomials by their coordinate rows over the base d,
-    (x) or (x, y) for x + y sqrt(d); ``sides`` numbers a group's
-    polynomials, then their derivatives, group after group."""
-    s = math.isqrt(d) + 1
-    norms: list = []
-    for group in groups:
-        # ||f||, then ||f'|| <= deg(f) ||f||
-        sizes = [sum(map(abs, x)) + s * sum(map(abs, y[0])) if y else sum(map(abs, x))
-                 for x, *y in group]
-        norms += sizes + [n * (len(rows[0]) - 1) for n, rows in zip(sizes, group)]
-    k = _form_bound([_form_bound(norms, form) for form in sides], identity).bit_length()
-    values: list = []
-    for group in groups:
-        both = []
-        for rows in group:
-            (x, dx), (y, dy) = _at_power(rows[0], k), _at_power(rows[1], k) if rows[1:] else (0, 0)
-            both.append(((x, y), (dx, dy)))
-        values += [f for f, _ in both] + [df for _, df in both]
-    values = [_form_value(d, values, form) for form in sides]
-    return _form_value(d, values, identity) == (0, 0)
 
 
 def _form_rows(real: _Algebra, comps: list, forms) -> list:

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import re
 import time
@@ -16,8 +17,8 @@ from rrmf.indicatrix import (han_fraction, inner_product_poly,
                              omega1, rho_eta, rotation_indicatrix, verify_han)
 from rrmf.hodograph import _IMAGE_FORMS, GeneratorAnalysis
 from rrmf.documents import parse_document
-from rrmf.polynomials import (ComplexPoly, QuatPoly, RealPoly, _embedding, _forms_vanish,
-                              image_forms, reduce_fraction)
+from rrmf.polynomials import (ComplexPoly, QuatPoly, RealPoly, _embedding, image_forms,
+                              reduce_fraction)
 from rrmf.quaternions import I, J, K, Quaternion
 from rrmf.scalars import ComplexScalar, Scalar, SurdBaseMismatch
 
@@ -203,40 +204,40 @@ def test_verify_han_matches_reference_on_the_pool():
     assert rejected == 900
 
 
-def _difference(j: int, pad: int, d: int) -> tuple:
-    """The zero test's input for L = 2^j - xi over Q (d = 0), or for
-    sqrt(d) (2^j - xi), whose rational part is zero, over a surd base d.
+def _at_the_bound(j: int, pad: int, d: int) -> tuple:
+    """A = 1 + pad j and (a, b) = (xi^2, c (xi - 2^(j-1))), with c = 1 over
+    Q (d = 0) and c = sqrt(d) over a surd base d.
 
-    One group holds c = 2^j (times sqrt d), xi (times sqrt d), 1 and the
-    constant pad; the sides are c, xi, 1 and pad^2 - pad^2, and L is
-    c 1 - xi 1 + (pad^2 - pad^2) 1, which is L for every pad while its
-    coefficient bound grows with pad^2."""
-    rows = ([[0], [2 ** j]], [[0], [0, 1]]) if d else ([[2 ** j]], [[0, 1]])
-    group = [*rows, [[1]], [[pad]]]
-    sides = (((1, 0, 2),), ((1, 1, 2),), ((1, 2, 2),), ((1, 3, 3), (-1, 3, 3)))
-    return (group,), sides, ((1, 0, 2), (-1, 1, 2), (1, 3, 2))
+    <A'i, A> is 0 and sigma = 1 + pad^2, so L = c xi (xi - 2^j) sigma is
+    zero at t = 2^j, and its rational part is 0 when c = sqrt(d), while
+    the bound of verify_han grows with pad^2 and L keeps its root."""
+    c = Scalar(0, 1, d) if d else 1
+    return (QuatPoly([Quaternion(1, 0, pad, 0)]), RealPoly([0, 0, 1]),
+            RealPoly([-(2 ** (j - 1)) * c, c]))
 
 
 @pytest.mark.parametrize("d", [0, 15])
 def test_zero_test_at_its_bound(d):
-    # L = 2^j - xi vanishes at t = 2^j: the test must take 2^k past its
-    # coefficient bound, for bounds from 2^j up in every binade, and read
-    # the sqrt(d) part of L(t) as well as the rational one
+    # L vanishes at t = 2^j: the test must take 2^k past its coefficient
+    # bound, for bounds from about 2^j up in every binade, and read the
+    # sqrt(15) part of L(t) as well as the rational one
     for j in (1, 2, 5, 16, 61, 200):
-        for pad in [0] + [2 ** i for i in range(j + 2)]:
-            groups, sides, identity = _difference(j, pad, d)
-            assert not _forms_vanish(d, groups, sides, identity), (j, pad)
-            # L - L vanishes
-            assert _forms_vanish(d, groups, sides, identity + ((-1, 0, 2), (1, 1, 2)))
+        for pad in [0] + [math.isqrt(2 ** i) for i in range(j + 4)]:
+            a_poly, a, b = _at_the_bound(j, pad, d)
+            assert not verify_han(a_poly, a, b), (j, pad)
+            assert not reference_verify_han(a_poly, a, b)
 
 
 def test_zero_test_weights_the_surd_part():
-    # (2^m sqrt 2)^2 - xi vanishes at t = 2^(2m+1): the norm must weigh the
-    # sqrt(2) part by s = isqrt(2) + 1 > sqrt(2) to take 2^k past it
-    for m in (0, 1, 3, 20, 100):
-        group = [[[0], [2 ** m]], [[0, 1]], [[1]]]
-        sides = (((1, 0, 0),), ((1, 1, 2),), ((1, 2, 2),))
-        assert not _forms_vanish(2, (group,), sides, ((1, 0, 2), (-1, 1, 2))), m
+    # A = 23 sqrt(15) + 16 i + j + (xi - 1) k and (a, b) = (xi, 1) give
+    # L = sigma - (xi^2 + 1) = 15 23^2 + 16^2 + 1 - 2 xi, zero at
+    # t = 2^12: the norm must weigh the sqrt(15) part of u by
+    # s = isqrt(15) + 1 > sqrt(15), or 2^k lands on that root
+    a_poly = QuatPoly([Quaternion(23 * Scalar(0, 1, 15), 16, 1, -1), K])
+    assert 15 * 23 ** 2 + 16 ** 2 + 1 == 2 ** 13
+    for scale in (1, 2, 3):
+        assert not verify_han(a_poly * scale, RealPoly([0, 1]), RealPoly([1]))
+        assert not reference_verify_han(a_poly * scale, RealPoly([0, 1]), RealPoly([1]))
 
 
 def _long_element(n: int, degree: int, digits: int):
