@@ -17,8 +17,7 @@ from .polynomials import (ComplexPoly, InexactDivision, QuatPoly,
 from .hodograph import (CoreDecomposition, CurvePosition, Hodograph, core_of,
                         has_coprime_components, hodograph_of, integrate,
                         is_primitive)
-from .indicatrix import (RhoEta, han_fraction, han_numerator,
-                         inner_product_poly, omega1, rho_eta,
+from .indicatrix import (RhoEta, inner_product_poly, rho_eta,
                          rotation_indicatrix, verify_han)
 from .classify import (Classification, GeneratorAnalysis, Membership,
                        MembershipStatus, ReducedForm, TrivialWitness,

@@ -16,7 +16,7 @@ from typing import Optional
 
 from .construct import CubicSpec, QuarticSpec, make_cubic, make_quartic, make_spatial_family
 from .hodograph import GeneratorAnalysis
-from .indicatrix import rho_eta, verify_han
+from .indicatrix import verify_han
 from .polynomials import (QuatPoly, RealPoly, gcd_real, reduce_fraction)
 from .quaternions import Quaternion
 from .scalars import Scalar
@@ -191,7 +191,7 @@ def _low_degree_items() -> list[RegressionItem]:
         quartic.poly == nontrivial_quartic_sparse(), "construction differs"))
     items.append(_check(
         "no-cancellation quintic: equal-degree divisibility",
-        rho_eta(quintic_no_cancellation().generator).divisible,
+        GeneratorAnalysis.of(quintic_no_cancellation().generator).equal_degree,
         "criterion failed"))
     return items
 

@@ -184,8 +184,10 @@ def search_certificate(a: QuatPoly | GeneratorAnalysis, max_degree: int, *,
     unless the budget ran out between two of its gcds.  ``a`` is the
     generator or its GeneratorAnalysis, whose facts are then read rather
     than recomputed.  ``seed`` is accepted for compatibility and has no
-    effect.
+    effect.  A budget that is not >= 0, NaN included, raises ValueError.
     """
+    if not budget_seconds >= 0:
+        raise ValueError(f"certificate search: budget {budget_seconds} is not >= 0")
     analysis = _require_nonzero_coprime(a, "certificate search")
     if max_degree < 0:
         return None
@@ -305,7 +307,8 @@ def classify(a: QuatPoly, certificate: tuple[RealPoly, RealPoly] | None = None,
     criterion prove membership; optionally search_certificate constructs
     a certificate of degree at most search_degree.  Components that share
     a real factor give "unknown".  A false "not a member" is never
-    returned.  A certificate (0, 0) or with non-coprime parts raises.
+    returned.  A certificate (0, 0) or with non-coprime parts raises, and
+    so does a search_budget that is not >= 0 once the search runs.
     """
     analysis = GeneratorAnalysis.of(a, "classification of the zero polynomial")
     notes = ["regularity over the reals (sigma having no real roots) not checked"]

@@ -7,10 +7,10 @@ constructor of a SymbolicFrame; with a verified certificate (a, b) the
 rotation-minimizing frame is erf_symbolic of B = A (a - b i), and
 rotate_frame reads its f2 and f3 for any nonzero coprime (a, b).
 SymbolicFrame holds W = |B|^2 and the images N_e = B e B* unreduced,
-so its identities are polynomial: N_e . N_f = delta_ef W^2 (the tests
-check them), and the tangent twist <f3, f2'> is exactly
-(N3 . N2')/W^2.  An entry is reduced only when it is read; sampling
-reduces none.  frame_sampler sets up B once, and the
+so its identities are polynomial: N_e . N_f = delta_ef W^2, and the
+tangent twist <f3, f2'> = (N3 . N2')/W^2 is twice the Han fraction
+(the tests check both).  An entry is reduced only when it is read;
+sampling reduces none.  frame_sampler sets up B once, and the
 generator function it returns takes each parameter on its own: it
 evaluates B's four components in Python floats, forms the same ten
 products (hodograph.float_images), checks the sample to be orthonormal
@@ -53,13 +53,6 @@ class SymbolicFrame:
     f1 = property(lambda self: self._axis(0), doc="N1/W, reduced.")
     f2 = property(lambda self: self._axis(1), doc="N2/W, reduced.")
     f3 = property(lambda self: self._axis(2), doc="N3/W, reduced.")
-
-    def tangent_twist(self) -> RationalFunction:
-        """<f3, f2'>: the tangent component of the frame angular velocity,
-        (N3 . N2')/W^2, since N2 . N3 = 0."""
-        _, n2, n3 = self.images
-        dot = sum((c3 * c2.derivative() for c3, c2 in zip(n3, n2)), RealPoly())
-        return reduce_fraction(dot, self.denominator * self.denominator)
 
     def evaluate(self, xi: float):
         """The nine entries N_e/W at the float xi, each polynomial divided

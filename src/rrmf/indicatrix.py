@@ -4,14 +4,13 @@ For A = u + vi + pj + qk the pointwise inner product <A'i, A> expands
 to -(v'u - u'v - q'p + p'q); divided by sigma = |A|^2 it is the
 rotation indicatrix of A.  Han's criterion asks for coprime real (a, b)
 with (uv'-u'v-pq'+p'q)/sigma == (ab'-a'b)/(a^2+b^2); the left side is
-exposed here as the Han fraction.  The two fractions differ exactly by
-sign: indicatrix(A) == -han_fraction(A).  Both printed forms are kept,
-with the exact relation checked in the tests, rather than silently
-reconciling the orientation convention.  <A'i, A>, sigma, the Han
-fraction, reduced once, and the equal-degree verdict are read from a
-hodograph.GeneratorAnalysis, which verify_han and rho_eta also accept
-in place of A.  verify_han forms none of them: it decides Han's
-identity from the value of its two sides at one power of two.
+the Han fraction, the negation of the indicatrix.  Each has one owner:
+hodograph.GeneratorAnalysis forms <A'i, A> and sigma in one pass and
+reduces the Han fraction once (.inner, .sigma, .han), and
+rotation_indicatrix reads its negation, 0 for A = 0.  The analysis also
+holds the equal-degree verdict, and verify_han and rho_eta accept it in
+place of A.  verify_han forms none of them: it decides Han's identity
+from the value of its two sides at one power of two.
 """
 
 from __future__ import annotations
@@ -30,30 +29,10 @@ def inner_product_poly(a: QuatPoly) -> RealPoly:
     return component_forms(a, (_INNER_FORM,))[0]
 
 
-def han_numerator(a: QuatPoly) -> RealPoly:
-    """uv' - u'v - pq' + p'q, the numerator of Han's fraction."""
-    return -inner_product_poly(a)
-
-
 def rotation_indicatrix(a: QuatPoly) -> RationalFunction:
     """Normalized component of A'i along A; defined as 0 for A = 0."""
     a = QuatPoly.of(a)
     return RationalFunction.zero if a.is_zero() else -GeneratorAnalysis.of(a).han
-
-
-def han_fraction(a: QuatPoly) -> RationalFunction:
-    """(uv'-u'v-pq'+p'q)/(u^2+v^2+p^2+q^2), reduced.
-
-    Equals the negation of the rotation indicatrix.
-    """
-    return GeneratorAnalysis.of(a, "Han fraction of the zero polynomial").han
-
-
-def omega1(a: QuatPoly) -> RationalFunction:
-    """Tangent component of the ERF angular velocity: twice the Han fraction."""
-    han = GeneratorAnalysis.of(a, "angular velocity of the zero polynomial").han
-    # twice a reduced fraction with monic denominator is still reduced
-    return RationalFunction(han.num.scale(2), han.den, _reduced=True)
 
 
 def require_certificate(a: RealPoly, b: RealPoly) -> tuple[RealPoly, RealPoly]:

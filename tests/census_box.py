@@ -1,0 +1,48 @@
+"""The full box of degree-1 generators, classified; run as a script.
+
+    PYTHONPATH=src python tests/census_box.py
+
+Every A = A_0 + A_1 xi with entries in {-1, 0, 1} and A_1 != 0, 6480
+generators, is classified with a certificate search of degree 4.  A
+degree-1 generator gives a PH cubic, and no spatial PH cubic has a
+rational RMF (Han 2008, CAGD 25), so no coprime spatial generator may
+be proven; the Frenet frame of a planar PH curve is rational, so every
+coprime planar one must be.  The script prints the counts and exits
+nonzero on the first generator that breaks either rule.  pytest does
+not collect it: tests/test_census.py checks a seeded sample of the same
+box against sympy.
+"""
+
+import itertools
+import sys
+import time
+
+from rrmf.classify import MembershipStatus, classify
+from rrmf.polynomials import QuatPoly
+from rrmf.quaternions import Quaternion
+
+
+def main() -> int:
+    start = time.perf_counter()
+    counts = {"spatial": 0, "planar": 0, "not coprime": 0}
+    for entries in itertools.product((-1, 0, 1), repeat=8):
+        if not any(entries[4:]):
+            continue
+        a = QuatPoly([Quaternion(*entries[:4]), Quaternion(*entries[4:])])
+        verdict = classify(a, search_degree=4)
+        if not verdict.in_widetilde:
+            counts["not coprime"] += 1
+            continue
+        kind = "planar" if verdict.planar else "spatial"
+        counts[kind] += 1
+        proven = verdict.membership.status is MembershipStatus.PROVEN
+        if proven is not verdict.planar:
+            print(f"{kind} generator {entries}: {verdict.membership}", file=sys.stderr)
+            return 1
+    print(", ".join(f"{n} {kind}" for kind, n in counts.items()),
+          f"of {sum(counts.values())} in {time.perf_counter() - start:.1f} s")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

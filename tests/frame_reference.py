@@ -2,10 +2,12 @@
 
 verify_orthonormal rechecks the six orthonormality identities
 N_e . N_f = delta_ef W^2 on a SymbolicFrame's unreduced images, which
-hold by construction; finite_difference_twist estimates the twist rate
-<f3, f2'> from samples, independently of SymbolicFrame.tangent_twist;
-rotate_reference turns the ERF of A in its normal plane, independently
-of rotate_frame, which reads the ERF of A (a - b i).
+hold by construction; tangent_twist forms the twist rate <f3, f2'>
+exactly from the images, independently of the Han fraction that the
+library reads from GeneratorAnalysis (for an ERF it is twice that
+fraction, the paper's omega_1), and finite_difference_twist estimates
+it from samples; rotate_reference turns the ERF of A in its normal
+plane, independently of rotate_frame, which reads the ERF of A (a - b i).
 """
 
 from rrmf.frames import FrameSample, SymbolicFrame, erf_symbolic
@@ -20,6 +22,14 @@ def verify_orthonormal(frame: SymbolicFrame) -> None:
             dot = sum((x * y for x, y in zip(images[a], images[b])), RealPoly())
             if dot != (w * w if a == b else RealPoly()):
                 raise AssertionError("frame orthonormality violated")
+
+
+def tangent_twist(frame: SymbolicFrame):
+    """<f3, f2'>: the tangent component of the frame's angular velocity,
+    (N3 . N2')/W^2, reduced, since N2 . N3 = 0."""
+    _, n2, n3 = frame.images
+    dot = sum((c3 * c2.derivative() for c3, c2 in zip(n3, n2)), RealPoly())
+    return reduce_fraction(dot, frame.denominator * frame.denominator)
 
 
 def finite_difference_twist(samples: list[FrameSample]) -> list[float]:

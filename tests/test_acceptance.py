@@ -17,9 +17,8 @@ from rrmf.construct import (ConstructionError, CubicSpec, QuarticSpec,
                             make_cubic, make_quartic, make_spatial_family,
                             make_trivial)
 from rrmf.frames import erf_symbolic, rmf_symbolic, sample_frames
-from rrmf.hodograph import core_of, has_coprime_components, hodograph_of
-from rrmf.indicatrix import (han_fraction, han_numerator, inner_product_poly,
-                             rho_eta, rotation_indicatrix, verify_han)
+from rrmf.hodograph import GeneratorAnalysis, core_of, has_coprime_components, hodograph_of
+from rrmf.indicatrix import inner_product_poly, rho_eta, rotation_indicatrix, verify_han
 from rrmf.polynomials import (ComplexPoly, QuatPoly, RealPoly, exact_divide,
                               gcd_real, reduce_fraction)
 from rrmf.quaternions import I, J, K, Quaternion
@@ -28,7 +27,7 @@ from rrmf.scalars import Scalar
 from conftest import (coprime_cpoly, coprime_qpoly, fraction_sum,
                       indicatrix_product_residual, nonzero_qpoly,
                       nonzero_quat, norm_poly, reference_coefficient_conditions)
-from frame_reference import finite_difference_twist, verify_orthonormal
+from frame_reference import finite_difference_twist, tangent_twist, verify_orthonormal
 
 N_IDENTITY = 200
 N_STRUCTURAL = 100
@@ -45,9 +44,9 @@ def test_criterion_1_quintic_left_cancellation():
     h = hodograph_of(curve.generator)
     ok = h.components() == curve.hodograph
     ok &= h.sigma == RealPoly([325, 126, 21]) * RealPoly([5, -4, 1]) * 21
-    left = gcd_real(han_numerator(curve.generator), h.sigma)
+    left = gcd_real(-inner_product_poly(curve.generator), h.sigma)
     ok &= left == RealPoly([6825, 2646, 441]).monic()
-    ok &= han_fraction(curve.generator) == reduce_fraction(
+    ok &= GeneratorAnalysis.of(curve.generator).han == reduce_fraction(
         RealPoly([1]), RealPoly([5, -4, 1]))
     ok &= verify_han(curve.generator, RealPoly([-2, 1]), RealPoly([-1]))
     report("criterion 1: left-cancellation quintic regression (exact)", ok)
@@ -58,10 +57,10 @@ def test_criterion_2_quintic_no_cancellation():
     h = hodograph_of(curve.generator)
     ok = h.components() == curve.hodograph
     ok &= h.sigma == RealPoly([100, -440, 1220, -1720, 1090])
-    ok &= gcd_real(han_numerator(curve.generator), h.sigma).degree() == 0
+    ok &= gcd_real(-inner_product_poly(curve.generator), h.sigma).degree() == 0
     a, b = curve.certificate
     ok &= gcd_real(a * b.derivative() - a.derivative() * b, a * a + b * b).degree() == 0
-    ok &= han_fraction(curve.generator) == reduce_fraction(
+    ok &= GeneratorAnalysis.of(curve.generator).han == reduce_fraction(
         RealPoly([14, -38, 4]), RealPoly([10, -44, 122, -172, 109]))
     ok &= verify_han(curve.generator, a, b)
     result = rho_eta(curve.generator)
@@ -81,7 +80,7 @@ def test_criterion_3_quintic_right_cancellation_surd():
     a, b = curve.certificate
     right = gcd_real(a * b.derivative() - a.derivative() * b, a * a + b * b)
     ok &= right == RealPoly([25, -16, 4]).monic()
-    ok &= han_fraction(curve.generator) == reduce_fraction(
+    ok &= GeneratorAnalysis.of(curve.generator).han == reduce_fraction(
         RealPoly([35, -32, 8]), RealPoly([125, -180, 109, -32, 4]))
     ok &= verify_han(curve.generator, a, b)
     report("criterion 3: right-cancellation surd quintic regression (exact)", ok)
@@ -176,8 +175,9 @@ def test_criterion_5_identity_suite():
     for _ in range(N_IDENTITY):
         b = coprime_qpoly(rng, rng.randint(1, 3))
         alpha = coprime_cpoly(rng, rng.randint(1, 2))
-        ok_add &= (han_fraction(b * alpha.as_quat())
-                   == fraction_sum(han_fraction(b), han_fraction(alpha.as_quat())))
+        ok_add &= (GeneratorAnalysis.of(b * alpha.as_quat()).han
+                   == fraction_sum(GeneratorAnalysis.of(b).han,
+                                   GeneratorAnalysis.of(alpha.as_quat()).han))
         delta = coprime_cpoly(rng, rng.randint(1, 3))
         ok_conj &= (rotation_indicatrix(delta.conjugate().as_quat())
                     == -rotation_indicatrix(delta.as_quat()))
@@ -267,14 +267,14 @@ def test_criterion_7_frames():
     for curve in curves:
         frame = rmf_symbolic(curve.generator, *curve.certificate)
         verify_orthonormal(frame)  # six reduced identities, exact
-        ok_sym &= frame.tangent_twist().is_zero()
+        ok_sym &= tangent_twist(frame).is_zero()
     base_pool = [nontrivial_cubic(), make_spatial_family(3)]
     for _ in range(N_FRAMES):
         a, gamma, _ = _random_certified(rng, base_pool)
         ga, gb = gamma.real_parts()
         frame = rmf_symbolic(a, ga, gb)  # builds the frame without checking it
         verify_orthonormal(frame)
-        ok_sym &= frame.tangent_twist().is_zero()
+        ok_sym &= tangent_twist(frame).is_zero()
     report("criterion 7a: symbolic orthonormality and zero twist, "
            "3 worked + 25 random certified (exact)", ok_sym)
 

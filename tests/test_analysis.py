@@ -14,16 +14,15 @@ import pytest
 from rrmf.catalog import nontrivial_cubic, worked_quintics
 from rrmf.classify import GeneratorAnalysis, TrivialWitness, classify, search_certificate
 from rrmf.construct import make_f_element, make_spatial_family, make_trivial
-from rrmf.frames import sample_frames
+from rrmf.frames import erf_symbolic, sample_frames
 from rrmf.hodograph import _INNER_FORM, core_of
-from rrmf.indicatrix import (han_fraction, han_numerator,
-                             inner_product_poly, omega1, rho_eta,
-                             rotation_indicatrix, verify_han)
+from rrmf.indicatrix import inner_product_poly, rho_eta, rotation_indicatrix, verify_han
 from rrmf.polynomials import ComplexPoly, RealPoly, _embedding, reduce_fraction
 from rrmf.quaternions import Quaternion
 from rrmf.scalars import ComplexScalar, Scalar
 
 from conftest import coprime_cpoly, indicatrix_pair, nonzero_qpoly, norm_poly
+from frame_reference import tangent_twist
 
 
 def _count_calls(monkeypatch, target: str, keep=lambda kwargs: True, calls=None,
@@ -150,7 +149,11 @@ def test_erf_sampling_forms_no_inner_product(monkeypatch):
 def test_han_entry_points_form_the_generator_once(monkeypatch):
     forms = _count_calls(monkeypatch, "polynomials.component_forms")
     a = worked_quintics()[1].generator
-    for entry in (han_fraction, omega1, rotation_indicatrix, indicatrix_pair):
+
+    def han(poly):
+        return GeneratorAnalysis.of(poly).han
+
+    for entry in (han, rotation_indicatrix, indicatrix_pair):
         forms.clear()
         entry(a)
         assert len(forms) == 1, entry.__qualname__
@@ -175,8 +178,9 @@ def test_analysis_readers_match_direct_formulas(rng, base):
                    * nonzero_qpoly(rng, rng.randint(1, 3), base) for _ in range(6)]
     for a in generators:
         sigma, inner = norm_poly(a), inner_product_poly(a)
-        assert omega1(a) == reduce_fraction(han_numerator(a).scale(2), sigma)
-        assert han_fraction(a) == reduce_fraction(han_numerator(a), sigma)
+        # the ERF's twist, omega_1, is twice the Han fraction
+        assert tangent_twist(erf_symbolic(a)) == reduce_fraction(inner.scale(-2), sigma)
+        assert GeneratorAnalysis.of(a).han == reduce_fraction(-inner, sigma)
         indicatrix = rotation_indicatrix(a)
         assert indicatrix == reduce_fraction(inner, sigma)
         assert indicatrix_pair(a) == (inner, sigma, indicatrix)

@@ -1,4 +1,6 @@
 import inspect
+import math
+import random
 import time
 from fractions import Fraction
 
@@ -248,6 +250,44 @@ def test_search_f0_is_instant():
     assert a == RealPoly([1]) and b.is_zero()
     # no certificate has negative degree, that of F0 included
     assert search_certificate(nontrivial_cubic(), -1, budget_seconds=1.0, seed=0) is None
+
+
+@pytest.mark.parametrize("budget", [math.nan, -1.0])
+def test_search_rejects_a_budget_that_is_not_non_negative(budget):
+    # a NaN deadline compares false with every clock reading, so it would
+    # let the exact stage run on to its degree bound
+    with pytest.raises(ValueError, match="budget"):
+        search_certificate(UNKNOWN_FIXTURE, 4, budget_seconds=budget)
+    with pytest.raises(ValueError, match="budget"):
+        classify(UNKNOWN_FIXTURE, search_degree=4, search_budget=budget)
+
+
+def test_search_accepts_an_unbounded_budget():
+    assert search_certificate(UNKNOWN_FIXTURE, 4, budget_seconds=math.inf) is None
+    found = search_certificate(quintic_left_cancellation().generator, 1, budget_seconds=math.inf)
+    assert found == (RealPoly([-2, 1]), RealPoly([-1]))
+
+
+def test_equal_degree_verdicts_on_primitive_generators_have_certificates():
+    # 4000 distinct degree-2 generators with entries in {-1, 0, 1}: every one
+    # that the criterion proves and that is primitive has a certificate of
+    # degree <= deg A, which search_certificate builds and verify_han proves
+    rng = random.Random(5)
+    drawn: dict = {}
+    while len(drawn) < 4000:
+        entries = tuple(rng.choice((-1, 0, 1)) for _ in range(12))
+        if any(entries[8:]):
+            drawn.setdefault(entries, None)
+    primitive = 0
+    for entries in drawn:
+        a = QuatPoly([Quaternion(*entries[k:k + 4]) for k in (0, 4, 8)])
+        analysis = GeneratorAnalysis.of(a)
+        verdict = classify(analysis)
+        if verdict.membership.method == "equal-degree-criterion" and verdict.primitive:
+            primitive += 1
+            assert search_certificate(analysis, a.degree()) is not None, entries
+    # 9 at this seed; the bound keeps the test from passing with nothing checked
+    assert primitive >= 5
 
 
 def test_search_recovers_linear_certificate():

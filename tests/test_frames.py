@@ -11,14 +11,16 @@ from rrmf.construct import make_spatial_family
 from rrmf.frames import (CSV_HEADER, CertificateError, FrameSample,
                          basis_images, erf_symbolic, frame_sampler, rmf_symbolic,
                          rotate_frame, sample_frames, write_frames_csv)
-from rrmf.hodograph import hodograph_of, integrate
-from rrmf.indicatrix import omega1, verify_han
-from rrmf.polynomials import ComplexPoly, QuatPoly, RationalFunction, RealPoly, gcd_real
+from rrmf.hodograph import GeneratorAnalysis, hodograph_of, integrate
+from rrmf.indicatrix import verify_han
+from rrmf.polynomials import (ComplexPoly, QuatPoly, RationalFunction, RealPoly, gcd_real,
+                              reduce_fraction)
 from rrmf.quaternions import Quaternion
 
 from conftest import (FRAME_TOL, coprime_cpoly, coprime_qpoly, exact_axes, nonzero_qpoly,
                       norm_poly)
-from frame_reference import finite_difference_twist, rotate_reference, verify_orthonormal
+from frame_reference import (finite_difference_twist, rotate_reference, tangent_twist,
+                             verify_orthonormal)
 
 EX2 = quintic_no_cancellation()
 
@@ -37,7 +39,6 @@ def test_erf_of_constant_is_standard_basis():
 
 def test_erf_tangent_matches_hodograph():
     from rrmf.hodograph import hodograph_of
-    from rrmf.polynomials import reduce_fraction
 
     a = EX2.generator
     frame = erf_symbolic(a)
@@ -47,15 +48,17 @@ def test_erf_tangent_matches_hodograph():
 
 
 def test_erf_twist_is_angular_velocity(rng):
-    # <e3, e2'> is exactly the printed tangent angular velocity
+    # <e3, e2'> is exactly the printed tangent angular velocity, twice
+    # the Han fraction
     for _ in range(25):
         a = coprime_qpoly(rng, rng.randint(1, 2))
-        assert erf_symbolic(a).tangent_twist() == omega1(a)
+        han = GeneratorAnalysis.of(a).han
+        assert tangent_twist(erf_symbolic(a)) == reduce_fraction(han.num.scale(2), han.den)
 
 
 def test_erf_zero_twist_for_vanishing_indicatrix():
     for poly in (nontrivial_cubic(), *map(make_spatial_family, (4, 12, 30))):
-        assert erf_symbolic(poly).tangent_twist().is_zero()
+        assert tangent_twist(erf_symbolic(poly)).is_zero()
 
 
 def test_rmf_reduces_to_erf_with_unit_certificate():
@@ -73,7 +76,7 @@ def test_rmf_symbolic_worked_examples():
     for curve in (quintic_left_cancellation(), EX2, quintic_right_cancellation()):
         frame = rmf_symbolic(curve.generator, *curve.certificate)
         verify_orthonormal(frame)
-        assert frame.tangent_twist().is_zero()
+        assert tangent_twist(frame).is_zero()
     frame = rmf_symbolic(EX2.generator, *EX2.certificate)
     assert frame.evaluate(0.0) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 

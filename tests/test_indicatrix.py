@@ -12,9 +12,8 @@ from rrmf.catalog import (nontrivial_cubic, quintic_left_cancellation,
                           quintic_no_cancellation, quintic_right_cancellation)
 from rrmf.construct import (CubicSpec, make_cubic, make_f_element,
                             make_spatial_family, make_trivial)
-from rrmf.frames import certificate_generator
-from rrmf.indicatrix import (han_fraction, inner_product_poly,
-                             omega1, rho_eta, rotation_indicatrix, verify_han)
+from rrmf.frames import certificate_generator, erf_symbolic
+from rrmf.indicatrix import inner_product_poly, rho_eta, rotation_indicatrix, verify_han
 from rrmf.hodograph import _IMAGE_FORMS, GeneratorAnalysis
 from rrmf.documents import parse_document
 from rrmf.polynomials import (ComplexPoly, QuatPoly, RealPoly, _embedding, image_forms,
@@ -26,6 +25,7 @@ from conftest import (LONG_BOUND_S, coprime_cpoly, coprime_qpoly, fraction_sum,
                       indicatrix_pair, indicatrix_product_residual, nonzero_qpoly,
                       nonzero_quat, norm_poly, rand_fraction, rand_scalar,
                       reference_verify_han, verdict_generators)
+from frame_reference import tangent_twist
 
 IXP1 = QuatPoly([Quaternion(1), I])  # i xi + 1
 
@@ -59,17 +59,18 @@ def test_rotation_indicatrix_examples():
 def test_sign_bridge(rng):
     for _ in range(40):
         a = nonzero_qpoly(rng, 3)
-        assert rotation_indicatrix(a) == -han_fraction(a)
+        assert rotation_indicatrix(a) == -GeneratorAnalysis.of(a).han
 
 
 def test_han_fraction_printed_values():
     ex1 = quintic_left_cancellation()
-    assert han_fraction(ex1.generator) == reduce_fraction(RealPoly([1]), RealPoly([5, -4, 1]))
+    assert GeneratorAnalysis.of(ex1.generator).han == reduce_fraction(
+        RealPoly([1]), RealPoly([5, -4, 1]))
     ex2 = quintic_no_cancellation()
-    assert han_fraction(ex2.generator) == reduce_fraction(
+    assert GeneratorAnalysis.of(ex2.generator).han == reduce_fraction(
         RealPoly([14, -38, 4]), RealPoly([10, -44, 122, -172, 109]))
     ex3 = quintic_right_cancellation()
-    assert han_fraction(ex3.generator) == reduce_fraction(
+    assert GeneratorAnalysis.of(ex3.generator).han == reduce_fraction(
         RealPoly([35, -32, 8]), RealPoly([125, -180, 109, -32, 4]))
 
 
@@ -267,13 +268,16 @@ def test_verify_han_at_long_coefficients(n, degree, digits):
 
 
 def test_omega1():
+    # omega_1, the tangent component of the ERF's angular velocity, is the
+    # ERF's twist <f3, f2'> and twice the Han fraction
     ex2 = quintic_no_cancellation().generator
-    assert omega1(ex2) == reduce_fraction(
+    han = GeneratorAnalysis.of(ex2).han
+    assert tangent_twist(erf_symbolic(ex2)) == reduce_fraction(
         RealPoly([28, -76, 8]), RealPoly([10, -44, 122, -172, 109]))
-    assert omega1(ex2) == fraction_sum(han_fraction(ex2), han_fraction(ex2))
-    assert omega1(nontrivial_cubic()).is_zero()
+    assert tangent_twist(erf_symbolic(ex2)) == fraction_sum(han, han)
+    assert tangent_twist(erf_symbolic(nontrivial_cubic())).is_zero()
     # u=1, v=xi: twice 1/(xi^2+1), sign per the printed angular-velocity formula
-    assert omega1(IXP1) == reduce_fraction(RealPoly([2]), RealPoly([1, 0, 1]))
+    assert tangent_twist(erf_symbolic(IXP1)) == reduce_fraction(RealPoly([2]), RealPoly([1, 0, 1]))
 
 
 def test_rho_eta_divisibility():
@@ -371,8 +375,8 @@ def test_additivity_under_right_complex_multiplication(rng):
     for _ in range(60):
         b = coprime_qpoly(rng, rng.randint(1, 3))
         alpha = coprime_cpoly(rng, rng.randint(1, 2))
-        assert han_fraction(b * alpha.as_quat()) \
-            == fraction_sum(han_fraction(b), han_fraction(alpha.as_quat()))
+        assert GeneratorAnalysis.of(b * alpha.as_quat()).han == fraction_sum(
+            GeneratorAnalysis.of(b).han, GeneratorAnalysis.of(alpha.as_quat()).han)
 
 
 def test_conjugation_flips_sign(rng):
@@ -395,6 +399,6 @@ def test_identities_in_surd_field(rng):
     # sign bridge and product residual hold over Q(sqrt(5)) as well
     for _ in range(30):
         a = nonzero_qpoly(rng, rng.randint(1, 2), base=5)
-        assert rotation_indicatrix(a) == -han_fraction(a)
+        assert rotation_indicatrix(a) == -GeneratorAnalysis.of(a).han
         b = nonzero_qpoly(rng, rng.randint(0, 2), base=5)
         assert indicatrix_product_residual(b, a).is_zero()

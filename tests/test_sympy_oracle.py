@@ -31,7 +31,6 @@ from rrmf.catalog import quintic_no_cancellation
 from rrmf.classify import MembershipStatus, classify, search_certificate
 from rrmf.construct import make_spatial_family
 from rrmf.hodograph import GeneratorAnalysis, hodograph_of
-from rrmf.indicatrix import han_fraction
 from rrmf.polynomials import (ComplexPoly, QuatPoly, RealPoly, _embedding,
                               gcd_complex, gcd_real)
 from rrmf.quaternions import J, Quaternion
@@ -142,7 +141,7 @@ def test_han_fraction_matches_sympy_cancel(rng, base):
         sigma = u ** 2 + v ** 2 + p ** 2 + q ** 2
         expected_num, expected_den = num.cancel(sigma, include=True)
         lead = expected_den.LC()
-        han = han_fraction(a)
+        han = GeneratorAnalysis.of(a).han
         assert to_sympy_poly(han.num, field) == expected_num.quo_ground(lead)
         assert to_sympy_poly(han.den, field) == expected_den.monic()
         cancelled += han.den.degree() < norm_poly(a).degree()
