@@ -33,7 +33,7 @@ from itertools import zip_longest
 from typing import Optional
 
 from .hodograph import GeneratorAnalysis, TrivialWitness
-from .indicatrix import require_certificate, verify_han
+from .indicatrix import _han_identity, require_certificate, verify_han
 from .polynomials import (ComplexPoly, QuatPoly, RealPoly, _gcd_mod, _trim_mod,
                           exact_divide, gcd_complex, mul_mod,
                           rational_mod)
@@ -170,16 +170,18 @@ def search_certificate(a: QuatPoly | GeneratorAnalysis, max_degree: int, *,
     with G_m = gcd(D, 2iP - mD'), the roots of D with residue m/2i
     (Rothstein, Trager).  It is unique: the quotient of two has a real
     logarithmic derivative, so it is a constant times a real f/g, and
-    coprime parts make f and g constant.  It is returned only after
-    verify_han has passed, and it is monic by construction: gamma is a
-    product of monic gcds, so a is monic and deg b < deg a.
+    coprime parts make f and g constant.  It is returned only after Han's
+    identity is proven for it, and it is monic by construction: gamma is
+    a product of monic gcds, so a is monic and deg b < deg a.
 
-    The prime image goes first: more than 2 max_degree roots of the D of
-    han_image prove None, since D has no fewer; otherwise gamma is built
-    over F_p and its parts reconstructed (_image_certificate), and a
-    gamma of degree <= max_degree that verify_han accepts is returned.
-    In every other case the exact stage (_search_exact) builds gamma from
-    the exact Han fraction, and budget_seconds bounds that stage alone.
+    The prime image goes first: a nonzero P in han_image proves A not in
+    F0, and more than 2 max_degree roots of its D prove None, since D has
+    no fewer; otherwise gamma is built over F_p, over a surd base too,
+    with parts reconstructed over Q and proven coprime in F_p
+    (_image_certificate), and returned if verify_han's zero test accepts
+    it.  In every other case, an irrational gamma included, the exact
+    stage (_search_exact) builds gamma from the exact Han fraction and
+    verify_han proves it; budget_seconds bounds that stage alone.
     None proves that no certificate of degree <= max_degree exists,
     unless the budget ran out between two of its gcds.  ``a`` is the
     generator or its GeneratorAnalysis, whose facts are then read rather
@@ -191,30 +193,28 @@ def search_certificate(a: QuatPoly | GeneratorAnalysis, max_degree: int, *,
     analysis = _require_nonzero_coprime(a, "certificate search")
     if max_degree < 0:
         return None
-    if analysis.in_f0:
+    image = analysis.han_image
+    if (image is None or not image[0]) and analysis.in_f0:
         return (RealPoly([1]), RealPoly())
-    if analysis.han_image is not None:
-        if len(analysis.han_image[1]) - 1 > 2 * max_degree:
+    if image is not None:
+        if len(image[1]) - 1 > 2 * max_degree:
             return None
         found = _image_certificate(analysis, max_degree)
-        try:
-            proven = found is not None and verify_han(analysis, *found)
-        except ValueError:  # the parts are not coprime
-            proven = False
-        if proven:
+        if found is not None and _han_identity(analysis, *found):
             return found
     return _search_exact(analysis, max_degree, budget_seconds)
 
 
 def _image_certificate(analysis: GeneratorAnalysis, max_degree: int
                        ) -> Optional[tuple[RealPoly, RealPoly]]:
-    """The parts of gamma over Q, reconstructed at p from its images at
-    i -> r and i -> -r, which the residue loop builds from han_image;
-    None over a surd base, for an odd or zero number of poles, when the
-    loop stops, past max_degree, or without a reconstruction."""
+    """The coprime parts of gamma over Q, reconstructed at p from its
+    images at i -> r and i -> -r, which the residue loop builds from
+    han_image; None for an odd or zero number of poles, when the loop
+    stops, past max_degree, without a reconstruction or for parts with a
+    common factor."""
     (p, r, *_), (num, den) = analysis.image, analysis.han_image
     roots, odd = divmod(len(den) - 1, 2)
-    if analysis.poly.d or odd or not roots:
+    if odd or not roots:
         return None
     den_prime = [k * c % p for k, c in enumerate(den)][1:]
 
@@ -223,7 +223,7 @@ def _image_certificate(analysis: GeneratorAnalysis, max_degree: int
         return _gcd_mod([den, _trim_mod([(2 * i * s - m * t) % p for s, t in zip_longest(
             num, den_prime, fillvalue=0)])], p)
 
-    plus, minus, found, degree, m = [1], [1], 0, 0, 1
+    factors, found, degree, m = [], 0, 0, 1
     while found < roots:
         # the exact stage's bound: every root still missing has multiplicity
         # >= m; a multiplicity above the number of roots is left to the
@@ -231,15 +231,21 @@ def _image_certificate(analysis: GeneratorAnalysis, max_degree: int
         if degree + m * (roots - found) > max_degree or m > roots:
             return None
         g, h = residue_gcd(r, m), residue_gcd(-r, m)
-        for _ in range(m):
-            plus, minus = mul_mod(plus, g, p), mul_mod(minus, h, p)
+        factors += [(g, h)] * m
         found, degree, m = found + len(g) - 1, degree + m * (len(g) - 1), m + 1
-    # plus and minus are the images of a + bi and a - bi
+    (plus, minus), *rest = factors  # gamma = prod G_m^m at i -> r and i -> -r
+    for g, h in rest:
+        plus, minus = mul_mod(plus, g, p), mul_mod(minus, h, p)
+    # plus, minus and two_bi are the images of a + bi, a - bi and 2bi; a
+    # common factor of the monic a and b keeps its degree at p
+    two_bi = _trim_mod([(s - t) % p for s, t in zip(plus, minus)])
+    if len(plus) != len(minus) or degree > max_degree or len(_gcd_mod([two_bi, plus], p)) > 1:
+        return None
     half, inv = (p + 1) // 2, pow(2 * r, -1, p)
     re = [rational_mod((s + t) * half, p) for s, t in zip(plus, minus)]
-    im = [rational_mod((s - t) * inv, p) for s, t in zip(plus, minus)]
+    im = [rational_mod(c * inv, p) for c in two_bi]
     # None by identity: `None in` would call Fraction.__eq__ on every part
-    if len(plus) != len(minus) or degree > max_degree or any(c is None for c in re + im):
+    if any(c is None for c in re + im):
         return None
     den = math.lcm(*(c.denominator for c in re + im))
     return tuple(RealPoly._from_rows(0, [[c.numerator * (den // c.denominator) for c in part]], den)

@@ -14,13 +14,13 @@ polynomials._embedding, and each fact screens that image first with the
 kernel's F_p tools: it can prove the components coprime, chi = 1 (the
 core is then A), <A'i, A> nonzero at a point (not in F0), span rank 3
 (not planar) and sigma not dividing rho.  It also holds the Han
-fraction reduced over F_p (han_image), where the certificate search
-starts.  An image proves only those answers, and the exact kernel (the
-gcds without a second screen, the form passes, vector_rank) runs
-whenever it cannot.  The triviality witness is one product conj(c) A,
-for the lowest nonzero coefficient c, whose vector components
-vector_rank ranks.  basis_images
-forms all ten component products of B for the three images B e B*,
+fraction reduced over F_p from one pass of packed products (han_image),
+where the certificate search starts.  An image proves only those
+answers, and the exact kernel (the gcds without a second screen, the
+form passes, vector_rank) runs whenever it cannot.  The triviality
+witness is one product conj(c) A, for the lowest nonzero coefficient c,
+whose vector components vector_rank ranks.  basis_images forms all ten
+component products of B for the three images B e B*,
 exactly for the symbolic frames; float_images forms them in floats
 from B's values at one parameter, for sampling.  The core of A is A
 stripped of chi = gcd(alpha, conj(beta)), its maximal monic complex
@@ -36,9 +36,8 @@ from typing import Optional
 
 from .polynomials import (ComplexPoly, QuatPoly, RationalFunction, RealPoly,
                           _embedding, _gcd_mod, _image, _trim_mod, component_forms,
-                          divmod_mod, exact_divide, gcd_complex, gcd_real,
-                          image_forms, images_coprime, reduce_fraction,
-                          vector_rank)
+                          divmod_mod, exact_divide, forms_mod, gcd_complex,
+                          gcd_real, images_coprime, reduce_fraction, vector_rank)
 from .quaternions import Quaternion
 from .scalars import Scalar, _trim_rows
 
@@ -363,7 +362,7 @@ class GeneratorAnalysis:
         if self._speed_inner_image is not None:
             p, (sigma, inner) = self.image[0], self._speed_inner_image
             d_sigma = [k * c % p for k, c in enumerate(sigma)][1:]
-            four_eta, = image_forms([d_sigma, inner], (((1, 0, 0), (4, 1, 1)),), p)
+            four_eta, = forms_mod([d_sigma, inner], (((1, 0, 0), (4, 1, 1)),), p)
             if divmod_mod(four_eta, sigma, p)[1]:
                 return False
         d_sigma = self.sigma.derivative()
@@ -375,16 +374,16 @@ class GeneratorAnalysis:
         """Images of sigma and <A'i, A>, if sigma keeps its degree 2 deg A."""
         if self.image is not None:
             p, _, comps, _ = self.image
-            forms = image_forms(comps, _SPEED_INNER, p)
+            forms = forms_mod(comps, _SPEED_INNER, p)
             if len(forms[0]) == 2 * self.poly.degree() + 1:
                 return forms
         return None
 
     @cached_property
     def han_image(self) -> Optional[tuple[list[int], list[int]]]:
-        """(P, D): -<A'i, A>/sigma reduced over F_p, D monic; None unless
-        sigma keeps its degree, which makes deg D <= deg han.den (Brown
-        1971)."""
+        """(P, D): -<A'i, A>/sigma reduced over F_p, D monic, so P != 0
+        proves A not in F0; None unless sigma keeps its degree, which makes
+        deg D <= deg han.den (Brown 1971)."""
         if self._speed_inner_image is None:
             return None
         p, (sigma, inner) = self.image[0], self._speed_inner_image

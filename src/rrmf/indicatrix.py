@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from .hodograph import _INNER_FORM, GeneratorAnalysis
 from .polynomials import (QuatPoly, RationalFunction, RealPoly, component_forms,
                           gcd_real)
-from .scalars import _stack
 
 
 def inner_product_poly(a: QuatPoly) -> RealPoly:
@@ -69,14 +68,17 @@ def verify_han(a_poly, a: RealPoly, b: RealPoly) -> bool:
     """Exact test of Han's identity (a'b - ab') sigma = <A'i, A> (a^2 + b^2)
     for the certificate (a, b), by one evaluation at a power of two.
 
-    Requires coprime (a, b) and a generator with coprime components.  On
-    the integer rows of A over A.den and of a, b over their lcm
-    denominator both sides carry one positive factor, so the identity is
-    L = 0 over Z[sqrt d], for L of _HAN_IDENTITY.  ||f|| = sum |x_i| +
-    s |y_i| for f = sum (x_i + y_i sqrt d) xi^i, s = isqrt(d) + 1 > sqrt d,
-    is submultiplicative and ||f'|| <= deg(f) ||f||, so term by term the
-    norms of the rows bound each part of each coefficient of L by B.  At
-    t = 2**k > B a nonzero part of L of degree e is at least t^e -
+    Requires, and checks before its zero test (_han_identity), coprime
+    (a, b) and a generator with coprime components.  On the integer rows
+    of A over A.den and of a, b over their lcm denominator both sides
+    carry one positive factor, so the identity is L = 0 over Z[sqrt d],
+    for L of _HAN_IDENTITY.  ||f|| = sum |x_i| + s |y_i| for f = sum (x_i
+    + y_i sqrt d) xi^i, s = isqrt(d) + 1 > sqrt d, is submultiplicative,
+    ||f'|| <= deg(f) ||f||, and n coefficients of size at most c give f
+    and f' norms at most M = n^2 (s + 1) c: sigma and <A'i, A> are at most
+    4 M_A^2, a'b - ab' and a^2 + b^2 at most 2 M_c^2 (M_A over A, M_c over
+    a, b), each part of each coefficient of L at most B = 16 M_A^2 M_c^2.
+    At t = 2**k > B a nonzero part of L of degree e is at least t^e -
     B (t^e - 1)/(t - 1) > 0 in size, so L = 0 exactly when both parts of
     L(t) vanish.  ``a_poly`` is the generator or its GeneratorAnalysis,
     whose cached coprimality is then read.
@@ -86,21 +88,25 @@ def verify_han(a_poly, a: RealPoly, b: RealPoly) -> bool:
     a, b = require_certificate(a, b)
     if not analysis.coprime:
         raise ValueError("generator components must be coprime")
-    d, _, cert = _stack((a, b))
-    poly = analysis.poly
+    return _han_identity(analysis, a, b)
+
+
+def _han_identity(analysis: GeneratorAnalysis, a: RealPoly, b: RealPoly) -> bool:
+    """The zero test of verify_han, for real a, b, not both zero, whose
+    coprimality and that of the components of A the caller has proven."""
+    poly, d = analysis.poly, a.d or b.d
     if d and poly.d and d != poly.d:
         # two surd bases: a product of the identity raises SurdBaseMismatch
         # unless one of its factors is rational
         return ((a.derivative() * b - a * b.derivative()) * analysis.sigma
                 == analysis.inner * (a * a + b * b))
-    d, p = d or poly.d, 2 if poly.d else 1
+    d, p, den = d or poly.d, 2 if poly.d else 1, math.lcm(a.den, b.den)
+    cert = [[[x * (den // f.den) for x in row] for row in f.rows] for f in (a, b)]
     comps = [poly.rows[w * p:(w + 1) * p] for w in range(4)] + cert
     s = math.isqrt(d) + 1
-    norms = [sum(map(abs, x)) + s * sum(map(abs, y[0] if y else ())) for x, *y in comps]
-    norms += [n * (len(x) - 1) for n, (x, *_) in zip(norms, comps)]
-    for form in _HAN_IDENTITY:
-        norms.append(sum(abs(c) * norms[i] * norms[j] for c, i, j in form))
-    k = norms[-1].bit_length()
+    m_a, m_c = (max(map(len, rows)) ** 2 * (s + 1) * max(abs(x) for row in rows for x in row)
+                for rows in (poly.rows, cert[0] + cert[1]))
+    k = (16 * m_a * m_a * m_c * m_c).bit_length()
     # f(t), then f'(t), as (x, y) for x + y sqrt(d); then the forms at t
     packed = [[_at_power(row, k) for row in rows] + [(0, 0)] * (2 - len(rows)) for rows in comps]
     values = [(x, y) for (x, _), (y, _) in packed] + [(x, y) for (_, x), (_, y) in packed]

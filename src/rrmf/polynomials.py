@@ -54,9 +54,10 @@ without a subresultant sequence), a nonzero image proves a polynomial
 nonzero, three independent image vectors prove rank 3.  Any other image
 answer proves nothing, and the exact kernel decides; so does it when no
 listed prime fits d.  The tools here are generic: images of rows and
-their gcds, forms, quotients with remainders (divmod_mod) and products
-(mul_mod) over F_p, and the rational reconstruction of a residue
-(rational_mod), which can only propose a value for an exact check.
+their gcds, quotients with remainders (divmod_mod), forms and products
+by Kronecker substitution (forms_mod, mul_mod) over F_p, and the
+rational reconstruction of a residue (rational_mod), which can only
+propose a value for an exact check.
 hodograph.GeneratorAnalysis forms the image of a generator's components
 and runs its screens.
 """
@@ -515,8 +516,8 @@ def _trim_mod(f: list) -> list:
 def _image(rows, weights: tuple, p: int) -> list:
     """The coordinate rows combined by the weights in F_p: one coefficient
     list, ascending and trimmed."""
-    acc = [0] * len(rows[0])
-    for w, row in zip(weights, rows):
+    acc = rows[0]  # the weight of the first row is 1
+    for w, row in zip(weights[1:], rows[1:]):
         acc = [a + w * v for a, v in zip(acc, row)]
     return _trim_mod([a % p for a in acc])
 
@@ -539,9 +540,7 @@ def divmod_mod(f: list, g: list, p: int) -> tuple[list, list]:
 
 def mul_mod(f: list, g: list, p: int) -> list:
     """The product over F_p of nonzero trimmed coefficient lists."""
-    out = [0] * (len(f) + len(g) - 1)
-    _add_product(out, f, g, 1)
-    return [v % p for v in out]
+    return forms_mod([f, g], (((1, 0, 1),),), p)[0]
 
 
 def rational_mod(c: int, p: int) -> Optional[Fraction]:
@@ -559,10 +558,11 @@ def _gcd_mod(polys, p: int) -> list:
     folded and stopped at the first constant; [] when every list is zero."""
     g: list = []
     for f in polys:
-        while f:
+        while f and g:
             g, f = f, divmod_mod(g, f, p)[1]
+        g = g or f
         if len(g) == 1:
-            break
+            return [1]
     inv = pow(g[-1], -1, p) if g else 1
     return [c * inv % p for c in g]
 
@@ -576,12 +576,31 @@ def images_coprime(images, degrees, p: int) -> bool:
             and len(_gcd_mod(images, p)) == 1)
 
 
-def image_forms(comps: list, forms, p: int) -> list[list[int]]:
-    """The forms sum c f_i f_j over F_p of coefficient lists f_i = comps[i],
-    by the integer pass of component_forms."""
-    real = _algebra(_REAL, 0)
-    return [_trim_mod([v % p for v in row])
-            for (row,) in _form_rows(real, [[f] for f in comps], forms)]
+def forms_mod(comps: list, forms, p: int) -> list[list[int]]:
+    """The forms sum c f_i f_j over F_p ((c, i, j), ...) of the residue
+    lists f_i = comps[i], trimmed, by Kronecker substitution (Schoenhage
+    1982): each list is packed into f(2^w), and the terms of each sign of
+    a form into one integer sum of products, whose w-bit slots hold its
+    coefficients, at most n (p - 1)^2 sum |c| for lists of length <= n."""
+    n = max(map(len, comps))
+    w = 2 * p.bit_length() + (n * max(sum(abs(t[0]) for t in form) for form in forms)).bit_length()
+    packed = []
+    for f in comps:
+        x = 0
+        for c in reversed(f):
+            x = (x << w) + c
+        packed.append(x)
+    mask, out = (1 << w) - 1, []
+    for form in forms:
+        parts = [0, 0]
+        for c, i, j in form:
+            parts[c < 0] += abs(c) * packed[i] * packed[j]
+        (plus, minus), row = parts, []
+        for _ in range(2 * n - 1):
+            row.append(((plus & mask) - (minus & mask)) % p)
+            plus, minus = plus >> w, minus >> w
+        out.append(_trim_mod(row))
+    return out
 
 
 def vector_rank(x: RealPoly, y: RealPoly, z: RealPoly) -> int:

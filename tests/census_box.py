@@ -7,17 +7,19 @@ generators, is classified with a certificate search of degree 4.  A
 degree-1 generator gives a PH cubic, and no spatial PH cubic has a
 rational RMF (Han 2008, CAGD 25), so no coprime spatial generator may
 be proven; the Frenet frame of a planar PH curve is rational, so every
-coprime planar one must be.  The script prints the counts and exits
-nonzero on the first generator that breaks either rule.  pytest does
-not collect it: tests/test_census.py checks a seeded sample of the same
-box against sympy.
+coprime planar one must be, and the certificate search must build a
+certificate of each with coprime parts (require_certificate).  The
+script prints the counts and exits nonzero on the first generator that
+breaks a rule.  pytest does not collect it: tests/test_census.py checks
+a seeded sample of the same box against sympy.
 """
 
 import itertools
 import sys
 import time
 
-from rrmf.classify import MembershipStatus, classify
+from rrmf.classify import MembershipStatus, classify, search_certificate
+from rrmf.indicatrix import require_certificate
 from rrmf.polynomials import QuatPoly
 from rrmf.quaternions import Quaternion
 
@@ -39,6 +41,13 @@ def main() -> int:
         if proven is not verdict.planar:
             print(f"{kind} generator {entries}: {verdict.membership}", file=sys.stderr)
             return 1
+        if verdict.planar:
+            # the search builds a certificate of each member, with coprime parts
+            certificate = search_certificate(a, 4)
+            if certificate is None:
+                print(f"planar generator {entries}: no certificate found", file=sys.stderr)
+                return 1
+            require_certificate(*certificate)
     print(", ".join(f"{n} {kind}" for kind, n in counts.items()),
           f"of {sum(counts.values())} in {time.perf_counter() - start:.1f} s")
     return 0

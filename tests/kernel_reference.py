@@ -1,18 +1,20 @@
 """Reference integer-kernel primitives for the tests: the straightforward
 versions of rrmf.scalars._trim_rows and _canonical and of
-rrmf.polynomials._pseudo_divide and _form_rows, without their fast
-paths.
+rrmf.polynomials._pseudo_divide, _form_rows and forms_mod, without their
+fast paths.
 
 Each one re-slices, re-scans or re-forms what the library version skips
 or reuses: _trim_rows always copies, _canonical takes one gcd over every
-integer, _pseudo_divide slices every row at every step, and _form_rows
-forms every product once and adds it with its coefficient.  They are
-the oracles of tests/test_kernel.py.
+integer, _pseudo_divide slices every row at every step, _form_rows
+forms every product once and adds it with its coefficient, and
+image_forms forms the forms over F_p by schoolbook products of the
+residue lists (_form_rows), not by Kronecker substitution.  They are the
+oracles of tests/test_kernel.py.
 """
 
 import math
 
-from rrmf.scalars import _Algebra, _mul_rows
+from rrmf.scalars import _REAL, _Algebra, _algebra, _mul_rows
 
 
 def _trim_rows(rows: list) -> list:
@@ -87,4 +89,16 @@ def _form_rows(real: _Algebra, comps: list, forms) -> list:
             for row, src in zip(acc, products[key]):
                 row[:len(src)] = [u + c * v for u, v in zip(row, src)]
         out.append(acc)
+    return out
+
+
+def image_forms(comps: list, forms, p: int) -> list[list[int]]:
+    """The forms sum c f_i f_j over F_p of residue lists f_i = comps[i],
+    trimmed, by _form_rows on one-row integer lists."""
+    out = []
+    for (row,) in _form_rows(_algebra(_REAL, 0), [[f] for f in comps], forms):
+        row = [v % p for v in row]
+        while row and not row[-1]:
+            row.pop()
+        out.append(row)
     return out

@@ -16,7 +16,7 @@ from rrmf.frames import certificate_generator, erf_symbolic
 from rrmf.indicatrix import inner_product_poly, rho_eta, rotation_indicatrix, verify_han
 from rrmf.hodograph import _IMAGE_FORMS, GeneratorAnalysis
 from rrmf.documents import parse_document
-from rrmf.polynomials import (ComplexPoly, QuatPoly, RealPoly, _embedding, image_forms,
+from rrmf.polynomials import (ComplexPoly, QuatPoly, RealPoly, _embedding,
                               reduce_fraction)
 from rrmf.quaternions import I, J, K, Quaternion
 from rrmf.scalars import ComplexScalar, Scalar, SurdBaseMismatch
@@ -26,6 +26,7 @@ from conftest import (LONG_BOUND_S, coprime_cpoly, coprime_qpoly, fraction_sum,
                       nonzero_quat, norm_poly, rand_fraction, rand_scalar,
                       reference_verify_han, verdict_generators)
 from frame_reference import tangent_twist
+from kernel_reference import image_forms
 
 IXP1 = QuatPoly([Quaternion(1), I])  # i xi + 1
 
@@ -341,9 +342,11 @@ def test_rho_eta_matches_product_formula(rng):
     lead = QuatPoly(list(b.coeffs[:-1]) + [Quaternion(prime, 2 * prime, 0, prime)])
     moved.append(quintic.left_scale(Quaternion(r, 1)))
     for a in (lead, moved[-1]):
-        p, _, comps, _ = GeneratorAnalysis.of(a).image
+        analysis = GeneratorAnalysis.of(a)
+        p, _, comps, _ = analysis.image
         sigma, = image_forms(comps, _IMAGE_FORMS[:1], p)
         assert len(sigma) <= 2 * a.degree()
+        assert analysis._speed_inner_image is None
     verdicts = set()
     for a in cases + moved + [lead]:
         result = rho_eta(a)

@@ -4,7 +4,9 @@ rrmf.scalars._trim_rows and _canonical and rrmf.polynomials._pseudo_divide
 and _form_rows skip or reuse work on their fast paths; on seeded rows
 each must return exactly what its straightforward version in
 tests/kernel_reference.py returns, and must leave its input lists as
-they were.
+they were.  The products over F_p (forms_mod, mul_mod) must return what
+schoolbook products of the residue lists return (kernel_reference.
+image_forms), up to the largest load of a packed slot.
 """
 
 import copy
@@ -15,7 +17,7 @@ import pytest
 import kernel_reference as ref
 from rrmf.hodograph import _IMAGE_FORMS, _SPEED_INNER
 from rrmf.indicatrix import _at_power
-from rrmf.polynomials import RealPoly, _form_rows, _pseudo_divide
+from rrmf.polynomials import _PRIMES, RealPoly, _form_rows, _pseudo_divide, forms_mod, mul_mod
 from rrmf.quaternions import Quaternion
 from rrmf.scalars import _COMPLEX, _REAL, _algebra, _canonical, _leading, _trim_rows
 
@@ -23,6 +25,9 @@ from rrmf.scalars import _COMPLEX, _REAL, _algebra, _canonical, _leading, _trim_
 # their derivatives a', b' numbered 2, 3: two forms whose products each
 # belong to one form
 _HAN_FORMS = (((1, 2, 1), (-1, 0, 3)), ((1, 0, 0), (1, 1, 1)))
+# the forms GeneratorAnalysis takes over F_p: sigma and <A'i, A>, the
+# equal-degree sigma'^2 + 4 <A'i, A>^2, and mul_mod's one product
+_FP_FORMS = (_SPEED_INNER, (((1, 0, 0), (4, 1, 1)),), (((1, 0, 1),),))
 
 TABLES = {"real": _REAL, "complex": _COMPLEX, "quaternion": Quaternion.table}
 ALGEBRAS = [(kind, d) for kind in TABLES for d in (0, 15)]
@@ -161,6 +166,36 @@ def test_at_power_matches_the_powers(seed):
             value = sum(c * t ** i for i, c in enumerate(row))
             slope = sum(i * c * t ** (i - 1) for i, c in enumerate(row) if i)
             assert _at_power(row, k) == (value, slope), (n, k)
+
+
+@pytest.mark.parametrize("seed", [3, 29, 71])
+def test_forms_mod_matches_the_schoolbook_products(seed):
+    rng = random.Random(seed)
+    p = _PRIMES[seed % len(_PRIMES)]
+    for n in (1, 2, 5, 9, 17):
+        # residue lists of lengths up to n, one of them empty and one all zero
+        comps = [[rng.randrange(p) for _ in range(rng.randint(0, n))] for _ in range(8)]
+        comps[rng.randrange(8)] = []
+        comps[rng.randrange(8)] = [0] * rng.randint(1, n)
+        before = copy.deepcopy(comps)
+        for forms in _FP_FORMS + (_IMAGE_FORMS,):
+            assert forms_mod(comps, forms, p) == ref.image_forms(comps, forms, p), (n, forms)
+        assert comps == before
+        f, g = ([rng.randrange(p) for _ in range(k)] + [rng.randrange(1, p)]
+                for k in (rng.randrange(n), rng.randrange(n)))
+        assert mul_mod(f, g, p) == ref.image_forms([f, g], _FP_FORMS[2], p)[0]
+    assert forms_mod([[], []], _FP_FORMS[1], _PRIMES[0]) == [[]]
+
+
+@pytest.mark.parametrize("p", [min(_PRIMES), max(_PRIMES)])
+def test_forms_mod_at_the_largest_slot_load(p):
+    """Every coefficient p - 1 at length 2 * 128 + 1, the largest a
+    degree-128 generator gives sigma: each slot of a sum holds its
+    largest value, so a slot one bit narrower overflows."""
+    full = [p - 1] * (2 * 128 + 1)
+    for forms in _FP_FORMS:
+        assert forms_mod([full] * 8, forms, p) == ref.image_forms([full] * 8, forms, p)
+    assert mul_mod(full, full, p) == ref.image_forms([full, full], _FP_FORMS[2], p)[0]
 
 
 def test_form_products_are_shared_or_single():

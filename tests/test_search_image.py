@@ -5,10 +5,13 @@ loop (classify._search_exact) only where the image decides nothing.  The
 monic certificate with coprime parts is unique, so both stages must give
 the same answer at every max_degree: on the pool, on seeded generators
 with entries in {-1, 0, 1}, and on f-elements over Q and Q(sqrt 15).
-The fall-through is forced by coefficients too long to reconstruct at
-p, by one that reconstructs to a wrong gamma, and by a reconstruction
-patched to return wrong values; a max_degree far above the number of
-poles leaves the image stage bounded.
+Every certificate returned has coprime parts, which the image stage
+proves in F_p.  The fall-through is forced by coefficients too long to
+reconstruct at p, by one that reconstructs to a wrong gamma, by an
+irrational gamma over Q(sqrt 15), by a reconstruction patched to return
+wrong values and by a residue loop patched to give both parts a common
+factor; a max_degree far above the number of poles leaves the image
+stage bounded.
 """
 
 import json
@@ -25,11 +28,11 @@ from rrmf import classify
 from rrmf.classify import _image_certificate, _search_exact, search_certificate
 from rrmf.cli import main
 from rrmf.construct import make_f_element, make_spatial_family
-from rrmf.documents import parse_document
+from rrmf.documents import document_for, dumps_document, parse_document
 from rrmf.hodograph import GeneratorAnalysis
-from rrmf.indicatrix import verify_han
-from rrmf.polynomials import (ComplexPoly, QuatPoly, RealPoly, _trim_mod, divmod_mod,
-                              mul_mod, rational_mod)
+from rrmf.indicatrix import _han_identity, require_certificate, verify_han
+from rrmf.polynomials import (ComplexPoly, QuatPoly, RealPoly, _gcd_mod, _trim_mod,
+                              divmod_mod, mul_mod, rational_mod)
 from rrmf.quaternions import Quaternion
 from rrmf.scalars import ComplexScalar, parse_scalar
 
@@ -58,7 +61,8 @@ def _exact(a: QuatPoly, max_degree: int):
 
 def _disagreements(generators, degrees) -> tuple[int, list]:
     """The pairs (generator, max_degree) run and those where the stages
-    differ; every certificate found is monic, a of higher degree than b."""
+    differ; every certificate found is monic, a of higher degree than b,
+    with coprime parts."""
     pairs, differ = 0, []
     for a in generators:
         for degree in degrees:
@@ -67,6 +71,7 @@ def _disagreements(generators, degrees) -> tuple[int, list]:
             if found is not None:
                 ga, gb = found
                 assert ga.leading() == 1 and gb.degree() < ga.degree(), (a, degree)
+                require_certificate(ga, gb)
             if found != _exact(a, degree):
                 differ.append((a, degree))
     return pairs, differ
@@ -74,15 +79,19 @@ def _disagreements(generators, degrees) -> tuple[int, list]:
 
 def _f_elements(bases) -> list[QuatPoly]:
     """core(B0) * delta for the family members B0, n = 4 .. 6, and a few
-    delta of degree 1 and 2 over each base."""
+    delta of degree 1 and 2 over each base.  Over Q(sqrt 15) the first
+    two delta are rational and the last two are not, and each f-element
+    is scaled on the left by a quaternion over Q(sqrt 15), which keeps
+    its certificate."""
     out = []
     for base in bases:
         s = SQRT15 if base else 1
+        left = Quaternion(1, 0, SQRT15, 2) if base else Quaternion(1)
         deltas = [ComplexPoly([ComplexScalar(0, 1), 1]),
                   ComplexPoly([ComplexScalar(1, 1), ComplexScalar(0, 1)]),
                   ComplexPoly([ComplexScalar(s, -2), ComplexScalar(1, 0), ComplexScalar(0, 3)]),
                   ComplexPoly([ComplexScalar(2, 1), ComplexScalar(-1, s), 1])]
-        out += [make_f_element(make_spatial_family(n), delta).poly
+        out += [make_f_element(make_spatial_family(n), delta).poly.left_scale(left)
                 for n in (4, 5, 6) for delta in deltas]
     return out
 
@@ -132,11 +141,17 @@ def test_stages_agree_on_f_elements():
     pairs, differ = _disagreements(generators, range(5))
     assert pairs == 120
     assert not differ, differ
-    # each f-element over Q is decided in the image, without its Han fraction
-    for a in _f_elements((0,)):
+    # the image decides each f-element whose gamma is rational, over
+    # Q(sqrt 15) too, without its Han fraction; an irrational gamma is
+    # left to the exact stage
+    surd = 0
+    for a in generators:
         analysis = GeneratorAnalysis.of(a)
-        assert search_certificate(analysis, 4) is not None
-        assert "han" not in vars(analysis)
+        ga, gb = search_certificate(analysis, 4)
+        rational = not (ga.d or gb.d)
+        assert ("han" not in vars(analysis)) is rational, a
+        surd += bool(a.d) and rational
+    assert surd == 6
 
 
 def _count_exact_stage(monkeypatch) -> list:
@@ -191,21 +206,46 @@ def test_wrong_reconstruction_is_rejected(monkeypatch):
         x = rational_mod(c, p)
         return None if x is None else x + 1
 
-    def verify(analysis, a, b):
-        try:
-            verdicts.append(verify_han(analysis, a, b))
-        except ValueError:
-            verdicts.append("not coprime")
-            raise
+    def zero_test(analysis, a, b):
+        verdicts.append(_han_identity(analysis, a, b))
         return verdicts[-1]
 
     monkeypatch.setattr(classify, "rational_mod", wrong)
-    monkeypatch.setattr(classify, "verify_han", verify)
+    monkeypatch.setattr(classify, "_han_identity", zero_test)
     calls = _count_exact_stage(monkeypatch)
     assert [search_certificate(a, 3) for a in generators] == expected
-    # each wrong gamma is turned down, Han's identity rejecting some, and
+    # each wrong gamma is turned down, by Han's identity or before it, and
     # the exact stage builds every certificate
-    assert False in verdicts
+    assert False in verdicts and True not in verdicts
+    assert len(calls) == len(generators)
+
+
+def test_parts_sharing_a_factor_are_not_returned(monkeypatch):
+    # a residue loop whose every gcd gains the factor h = xi + 1 hands the
+    # reconstruction a + bi and a - bi with that common factor, and Han's
+    # identity holds for (h a, h b) as for (a, b): only the gcd over F_p
+    # turns these parts down, before the zero test
+    generators = [_generator(item) for item in _pool()
+                  if item["part"] in ("search-fe", "search-fixture")]
+    expected = [search_certificate(a, 3) for a in generators]
+    h = RealPoly([1, 1])
+    for a, (ga, gb) in zip(generators, expected):
+        assert _han_identity(GeneratorAnalysis.of(a), ga * h, gb * h)
+    tested = []
+
+    def with_factor(polys, p):
+        g = _gcd_mod(polys, p)
+        return g if len(g) == 1 else mul_mod(g, [1, 1], p)
+
+    def zero_test(analysis, a, b):
+        tested.append((a, b))
+        return _han_identity(analysis, a, b)
+
+    monkeypatch.setattr(classify, "_gcd_mod", with_factor)
+    monkeypatch.setattr(classify, "_han_identity", zero_test)
+    calls = _count_exact_stage(monkeypatch)
+    assert [search_certificate(a, 3) for a in generators] == expected
+    assert not tested
     assert len(calls) == len(generators)
 
 
@@ -230,7 +270,7 @@ def _search_gamma(capsys, *argv) -> dict:
     return json.loads(capsys.readouterr().out)
 
 
-def test_budget_bounds_only_the_exact_stage(capsys):
+def test_budget_bounds_only_the_exact_stage(capsys, tmp_path):
     fixtures = ROOT / "fixtures"
     left = str(fixtures / "quintic-left-cancellation.json")
     none = str(fixtures / "quintic-no-cancellation.json")
@@ -243,10 +283,18 @@ def test_budget_bounds_only_the_exact_stage(capsys):
     # the pole bound proves that no certificate of degree 0 exists
     assert _search_gamma(capsys, left, "--max-degree", "0", "--budget", "0") == {
         "found": False}
-    # over Q(sqrt 15) the exact stage builds gamma, and a zero budget stops it
+    # over Q(sqrt 15) the image builds and proves a rational gamma too
     assert _search_gamma(capsys, right, "--max-degree", "3", "--budget", "0") == {
+        "found": True, "a": ["-19/2", "51/4", "-6/1", "1/1"], "b": ["-41/4", "8/1", "-2/1"]}
+    # only the exact stage builds the irrational gamma = xi - sqrt(15) - i,
+    # and a zero budget stops it
+    delta = ComplexPoly([ComplexScalar(-SQRT15, -1), 1])
+    surd = tmp_path / "surd.json"
+    surd.write_text(dumps_document(document_for(make_f_element(make_spatial_family(3), delta).poly)))
+    assert _search_gamma(capsys, str(surd), "--max-degree", "3", "--budget", "0") == {
         "found": False}
-    assert _search_gamma(capsys, right, "--max-degree", "3")["found"] is True
+    assert _search_gamma(capsys, str(surd), "--max-degree", "3") == {
+        "found": True, "a": ["0/1-1/1*sqrt(15)", "1/1"], "b": ["-1/1"]}
 
 
 def test_fp_tools():
