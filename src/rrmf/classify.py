@@ -328,8 +328,8 @@ def classify(a: QuatPoly, certificate: tuple[RealPoly, RealPoly] | None = None,
         trivial=analysis.trivial if analysis.coprime else None,
         planar=analysis.planar,
         primitive=analysis.primitive,
-        # deg A = deg core + deg chi: the core itself is not formed
-        core_degree=analysis.poly.degree() - analysis.chi.degree(),
+        # deg A = deg core + deg chi: neither chi nor the core is formed
+        core_degree=analysis.poly.degree() - analysis.chi_degree,
         membership=_membership(analysis, certificate, search_degree, search_budget),
         notes="; ".join(notes),
     )

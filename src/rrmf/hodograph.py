@@ -25,17 +25,19 @@ exactly for the symbolic frames; float_images forms them in floats
 from B's values at one parameter, for sampling.  The core of A is A
 stripped of chi = gcd(alpha, conj(beta)), its maximal monic complex
 right divisor; A generates a primitive hodograph exactly when chi = 1.
-A verdict reads chi alone, and only core_of divides A by it.
+A verdict reads deg chi alone, which images at more primes prove over
+Q (chi_degree), and only core_of divides A by chi.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import zip_longest
+from itertools import accumulate, zip_longest
 from typing import Optional
 
-from .polynomials import (ComplexPoly, QuatPoly, RationalFunction, RealPoly,
-                          _embedding, _gcd_mod, _image, _trim_mod, component_forms,
+from .polynomials import (_PRIMES, ComplexPoly, QuatPoly, RationalFunction, RealPoly,
+                          _embedding, _gcd_mod, _image, _sqrt_mod, _trim_mod, component_forms,
                           divmod_mod, exact_divide, forms_mod, gcd_complex,
                           gcd_real, images_coprime, reduce_fraction, vector_rank)
 from .quaternions import Quaternion
@@ -114,6 +116,11 @@ Images = tuple[RealPoly, list[tuple[RealPoly, ...]]]
 # fixed points of F_p at which an analysis evaluates the image of A
 _POINTS = (0x2545F491, 0x1B873593, 0x3C6EF372)
 _ONE = ComplexPoly([1])
+# (N, r) for the product N of the first 1, 2, ... listed primes after the
+# analysis prime over Q, and r^2 = -1 mod N: the CRT lift of each sqrt(-1)
+_MODULI = list(accumulate(_PRIMES[1:], lambda m, p: (m[0] * p, m[1] + m[0] * (
+    (_sqrt_mod(-1, p) - m[1]) * pow(m[0], -1, p) % p)), initial=(1, 0)))[1:]
+_COVER_BITS = math.prod(_PRIMES).bit_length()
 
 
 def basis_images(b: QuatPoly) -> Images:
@@ -193,9 +200,9 @@ class GeneratorAnalysis:
     equal-degree criterion and the Han fraction read (Han's identity reads
     the rows of A); the hodograph comes from a second pass, sigma with
     A i A*, which only hodograph_of, span rank and frame sampling read.
-    primitive and classify's core degree read chi; only core divides A
-    by it.  classify reads every verdict from one analysis, verify_han
-    and rho_eta accept one, and each public verdict function reads its
+    primitive and classify's core degree read chi_degree; only core
+    divides A by chi.  classify reads every verdict from one analysis,
+    verify_han and rho_eta accept one, and each public verdict function reads its
     fact from a fresh one, so every fact has a single implementation.
     """
 
@@ -230,10 +237,11 @@ class GeneratorAnalysis:
         return p, weights[parts], comps, [len(_trim_rows(comp)[0]) - 1 for comp in rows]
 
     def _form_values(self, forms, t: int) -> list[int]:
-        """The values in F_p at t of the images of component_forms(A, forms)."""
+        """The values in F_p at t of the images of component_forms(A, forms),
+        from the lists the forms read alone."""
         p, _, comps, _ = self.image
         values = []
-        for f in comps:
+        for f in comps[:1 + max(max(i, j) for form in forms for _, i, j in form)]:
             acc = 0
             for c in reversed(f):
                 acc = (acc * t + c) % p
@@ -281,19 +289,58 @@ class GeneratorAnalysis:
             return False
         return self.coprime and self.inner.is_zero()
 
+    def _split_gcd_degree(self, p: int, r: int, rows) -> Optional[int]:
+        """deg gcd of the images of alpha and conj(beta) modulo p, i -> r,
+        from the lists (u, v, x, y, ...) of A, if both keep their degrees
+        (modulo each prime factor of p; ValueError if a step does not)."""
+        split = [_trim_mod([(s + t * r) % p for s, t in zip_longest(f, g, fillvalue=0)])
+                 for f, g in ((rows[0], rows[1]), (rows[2], [-c for c in rows[3]]))]
+        if ([len(f) for f in split] == [max(self.image[3][s:s + 2]) + 1 for s in (0, 2)]
+                and all(math.gcd(f[-1], p) == 1 for f in split if f)):
+            return len(_gcd_mod(split, p)) - 1
+        return None
+
     @cached_property
     def chi(self) -> ComplexPoly:
         """gcd(alpha, conj(beta)), the maximal monic complex right divisor
         of A, for alpha + beta j = (u + v i) + (p + q i) j; 1 when the
         image proves it."""
-        if self.image is not None:
-            p, r, (u, v, x, y, *_), (du, dv, dx, dy) = self.image
-            split = [_trim_mod([(s + t * r) % p for s, t in zip_longest(f, g, fillvalue=0)])
-                     for f, g in ((u, v), (x, [-c for c in y]))]
-            if images_coprime(split, (max(du, dv), max(dx, dy)), p):
-                return _ONE
+        if self.image is not None and self._split_gcd_degree(*self.image[:3]) == 0:
+            return _ONE
         alpha, beta = self.poly.complex_split()
         return gcd_complex(alpha, beta.conjugate(), screen=False)
+
+    @cached_property
+    def chi_degree(self) -> int:
+        """deg chi, the least j whose principal subresultant coefficient
+        psc_j of alpha and conj(beta) is nonzero, proven over Q in images:
+        at primes p where both keep their degrees n and m, an image gcd of
+        degree k makes p divide each |psc_j|^2, j < k, which is at most
+        B^2 = |alpha|^2m |beta|^2n (Hadamard, on the integer rows).  Past
+        B^2 these psc_j are 0 for the least k, and deg chi <= k (Brown
+        1971).  The exact chi decides over Q(sqrt d), or if the primes
+        cannot pass B^2."""
+        if self.image is None or self.poly.d:
+            return self.chi.degree()
+        k = self._split_gcd_degree(*self.image[:3])
+        if k == 0:
+            return 0
+        rows, (n, m) = self.poly.rows, (max(self.image[3][s:s + 2]) for s in (0, 2))
+        na, nb = (sum(c * c for row in rows[s:s + 2] for c in row) for s in (0, 2))
+        # B^2 < 2^bits, below the product of all listed primes
+        bits = m * na.bit_length() + n * nb.bit_length()
+        if k is not None and min(n, m) >= 0 and bits < _COVER_BITS:
+            # the next primes, whose product N passes B^2 with the analysis prime, in
+            # one Euclid over Z/N: with units leading, its steps are those at each (CRT)
+            bound = na ** m * nb ** n // _PRIMES[0]
+            modulus, r = next(x for x in _MODULI if x[0] > bound)
+            try:
+                degree = self._split_gcd_degree(modulus, r, rows)
+            except ValueError:  # a prime at which the remainders lose a degree
+                degree = None
+            if degree is not None:
+                return min(k, degree)
+        return self.chi.degree()
 
     @cached_property
     def core(self) -> CoreDecomposition:
@@ -306,7 +353,7 @@ class GeneratorAnalysis:
     @cached_property
     def primitive(self) -> bool:
         """Whether A i A* has coprime components: chi is constant."""
-        return self.chi.degree() == 0
+        return self.chi_degree == 0
 
     @cached_property
     def image_spatial(self) -> bool:

@@ -8,10 +8,12 @@ degree-1 generator gives a PH cubic, and no spatial PH cubic has a
 rational RMF (Han 2008, CAGD 25), so no coprime spatial generator may
 be proven; the Frenet frame of a planar PH curve is rational, so every
 coprime planar one must be, and the certificate search must build a
-certificate of each with coprime parts (require_certificate).  The
-script prints the counts and exits nonzero on the first generator that
-breaks a rule.  pytest does not collect it: tests/test_census.py checks
-a seeded sample of the same box against sympy.
+certificate of each with coprime parts (require_certificate).  On every
+generator, the primitivity and core degree of the verdict, which read
+deg chi as the prime images prove it, must be those of core_of, which
+forms chi.  The script prints the counts and exits nonzero on the first
+generator that breaks a rule.  pytest does not collect it:
+tests/test_census.py checks a seeded sample of the same box against sympy.
 """
 
 import itertools
@@ -19,6 +21,7 @@ import sys
 import time
 
 from rrmf.classify import MembershipStatus, classify, search_certificate
+from rrmf.hodograph import core_of
 from rrmf.indicatrix import require_certificate
 from rrmf.polynomials import QuatPoly
 from rrmf.quaternions import Quaternion
@@ -32,6 +35,12 @@ def main() -> int:
             continue
         a = QuatPoly([Quaternion(*entries[:4]), Quaternion(*entries[4:])])
         verdict = classify(a, search_degree=4)
+        core = core_of(a)
+        if (verdict.primitive, verdict.core_degree) != (core.factor.degree() == 0,
+                                                        core.core.degree()):
+            print(f"generator {entries}: primitive {verdict.primitive}, core degree "
+                  f"{verdict.core_degree}, but core_of gives {core}", file=sys.stderr)
+            return 1
         if not verdict.in_widetilde:
             counts["not coprime"] += 1
             continue

@@ -6,7 +6,12 @@ readers of an analysis with the direct formulas they replaced.
 """
 
 import importlib
+import itertools
+import json
+import math
+import random
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,9 +20,11 @@ from rrmf.catalog import nontrivial_cubic, worked_quintics
 from rrmf.classify import GeneratorAnalysis, TrivialWitness, classify, search_certificate
 from rrmf.construct import make_f_element, make_spatial_family, make_trivial
 from rrmf.frames import erf_symbolic, sample_frames
-from rrmf.hodograph import _INNER_FORM, core_of
+from rrmf.documents import parse_document
+from rrmf.hodograph import _INNER_FORM, _MODULI, core_of
 from rrmf.indicatrix import inner_product_poly, rho_eta, rotation_indicatrix, verify_han
-from rrmf.polynomials import ComplexPoly, RealPoly, _embedding, reduce_fraction
+from rrmf.polynomials import (_PRIMES, ComplexPoly, QuatPoly, RealPoly, _embedding,
+                              gcd_complex, reduce_fraction)
 from rrmf.quaternions import Quaternion
 from rrmf.scalars import ComplexScalar, Scalar
 
@@ -89,10 +96,11 @@ def test_classify_forms_the_generator_once(monkeypatch):
     for curve in worked_quintics():
         run(curve.generator, curve.certificate)
         # Han's identity is decided at one point, without a form pass; the
-        # image proves the components coprime, chi = 1 and the certificate
-        # coprime, and rules out planarity and with it a triviality witness
+        # image proves the components and the certificate coprime, and
+        # rules out planarity and with it a triviality witness; its own gcd
+        # of the split images proves chi = 1
         assert len(forms) == 0, curve.name
-        assert screens == [True, True, True], curve.name
+        assert screens == [True, True], curve.name
         assert {len(calls) for calls in exact.values()} == {0}, curve.name
         verdict = run(curve.generator)
         # without a certificate the image also rules out F0 and, for the
@@ -101,7 +109,7 @@ def test_classify_forms_the_generator_once(monkeypatch):
         holds = verdict.membership.method == "equal-degree-criterion"
         assert holds is (curve.name == "quintic-no-cancellation")
         assert len(forms) == (1 if holds else 0), curve.name
-        assert screens == [True, True], curve.name
+        assert screens == [True], curve.name
         assert {len(calls) for calls in exact.values()} == {0}, curve.name
 
 
@@ -110,15 +118,16 @@ def test_classify_screens_each_fact_once(monkeypatch):
     gcds = _exact_gcds(monkeypatch)
     # chi = 1 + xi i is a complex right divisor of the f-element, and xi + 2
     # a common real factor of the planted generator's components: the image
-    # cannot prove chi = 1, nor the planted components coprime
+    # cannot prove the planted components coprime, and the images at further
+    # primes prove deg chi without the exact gcd
     f_element = make_f_element(make_spatial_family(4), ComplexPoly([ComplexScalar(0, 1), 1]))
     planted = RealPoly([2, 1]).as_quat() * make_spatial_family(5)
-    for a, expected, exact in ((f_element.poly, [True, False], [ComplexPoly]),
-                               (planted, [False, False], [RealPoly, ComplexPoly])):
+    for a, expected, exact in ((f_element.poly, [True], []),
+                               (planted, [False], [RealPoly])):
         screens.clear()
         gcds.clear()
         classify(a)
-        # each fact is screened once, and decided exactly once after a
+        # the components are screened once, and decided exactly once after a
         # failed screen, by the gcd that does not screen again
         assert screens == expected
         assert [type(g) for g in gcds] == exact
@@ -203,6 +212,119 @@ def test_core_degree_and_primitivity_read_chi(rng, base):
         assert verdict.primitive == (decomposition.factor.degree() == 0)
         chi_degrees.add(decomposition.factor.degree())
     assert chi_degrees == {0, 1, 2, 3}
+
+
+def _pool_items() -> list[dict]:
+    path = Path(__file__).resolve().parents[1] / "bench" / "data" / "pool.json"
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)["items"]
+
+
+def _pool_generator(item: dict) -> QuatPoly:
+    return QuatPoly.of(parse_document(item["doc"]).to_poly())
+
+
+def _box(entries, degree: int) -> QuatPoly:
+    return QuatPoly([Quaternion(*entries[4 * k:4 * k + 4]) for k in range(degree + 1)])
+
+
+def _sized_delta(rng, degree: int, digits: int, base: int = 0) -> ComplexPoly:
+    """delta of exact degree with coprime parts and coefficients of the
+    given number of digits, over Q(sqrt base) when base is nonzero."""
+    def scalar():
+        rational = rng.choice((1, -1)) * rng.randrange(10 ** (digits - 1), 10 ** digits)
+        return Scalar(rational, rng.randint(-3, 3), base) if base else Scalar(rational)
+    while True:
+        delta = ComplexPoly([ComplexScalar(scalar(), scalar()) for _ in range(degree + 1)])
+        if gcd_complex(*delta.real_parts()).degree() == 0:
+            return delta
+
+
+def _chi_cases(name: str) -> tuple[list, bool | None]:
+    """(generators, whether the exact chi decides deg chi) for one case:
+    None where it varies."""
+    rng = random.Random(41)
+    if name == "pool":
+        return [_pool_generator(item) for item in _pool_items()], None
+    if name == "degree-1 box":
+        return [_box(e, 1) for e in itertools.product((-1, 0, 1), repeat=8) if any(e[4:])], None
+    if name == "degree-2 sample":
+        sample = random.Random(5)
+        draws = ([sample.choice((-1, 0, 1)) for _ in range(12)] for _ in range(3000))
+        return [_box(e, 2) for e in draws if any(e[8:])], None
+    if name == "f-elements":
+        return [make_f_element(make_spatial_family(n), _sized_delta(rng, degree, 2)).poly
+                for n in range(3, 9) for degree in (1, 2, 3)], False
+    if name == "40-digit delta":
+        return [make_f_element(make_spatial_family(n), _sized_delta(rng, degree, 40)).poly
+                for n in (3, 5) for degree in (1, 2, 3)], True
+    if name == "Q(sqrt 15)":
+        c = Quaternion(1, Scalar(0, 1, 15), 2, 0)
+        return ([nonzero_qpoly(rng, rng.randint(1, 4), 15) for _ in range(12)]
+                + [make_f_element(make_spatial_family(n).left_scale(c),
+                                  _sized_delta(rng, degree, 1, 15)).poly
+                   for n in (3, 4) for degree in (1, 2)]), None
+    assert name == "planted real factor"
+    return [RealPoly([rng.randint(-9, 9), 1]).as_quat() * nonzero_qpoly(rng, degree)
+            for degree in (1, 2, 3, 4, 5) for _ in range(4)], False
+
+
+@pytest.mark.parametrize("name", ["pool", "degree-1 box", "degree-2 sample", "f-elements",
+                                  "40-digit delta", "Q(sqrt 15)", "planted real factor"])
+def test_chi_degree_matches_the_exact_gcd(name):
+    generators, exact = _chi_cases(name)
+    degrees = set()
+    for a in generators:
+        alpha, beta = a.complex_split()
+        expected = gcd_complex(alpha, beta.conjugate()).degree()
+        analysis = GeneratorAnalysis.of(a)
+        assert analysis.chi_degree == expected, a
+        # the exact chi ran only where the image could not decide
+        if exact is not None:
+            assert ("chi" in vars(analysis)) is exact, a
+        degrees.add(expected)
+    # each case reaches a nonconstant chi, save Q(sqrt 15)'s random generators
+    assert max(degrees) >= 1
+
+
+def test_chi_degree_past_unlucky_primes(monkeypatch):
+    # alpha = xi and conj(beta) = xi - c are coprime, but share the root 0
+    # at every listed prime dividing c, where the image gcd has degree 1.
+    # B^2 = 1 + c^2 takes primes past the analysis prime p1: for c = p1
+    # their Euclid proves chi = 1; for c = p1 p2 the remainder c is no unit
+    # over their product, and the exact chi does
+    gcds = _exact_gcds(monkeypatch)
+    for c, exact in ((_PRIMES[0], []), (_PRIMES[0] * _PRIMES[1], [ComplexPoly])):
+        a = QuatPoly([Quaternion(0, 0, -c, 0), Quaternion(1, 0, 1, 0)])
+        analysis = GeneratorAnalysis.of(a)
+        assert analysis._split_gcd_degree(*analysis.image[:3]) == 1
+        if exact:
+            with pytest.raises(ValueError):
+                analysis._split_gcd_degree(math.prod(_PRIMES[1:4]), _MODULI[2][1], a.rows)
+        gcds.clear()
+        assert analysis.chi_degree == 0 and analysis.primitive
+        verdict = classify(analysis)
+        assert (verdict.primitive, verdict.core_degree) == (True, 1)
+        # u = xi and p = xi - c share that root too: the components' exact gcd runs
+        assert [type(g) for g in gcds] == exact + [RealPoly]
+        assert core_of(a).factor.degree() == 0
+    # chi = xi - i/p1: at p1 both images lose their degrees, and chi with
+    # them, so the image gcd there proves nothing, and the exact chi decides
+    element = make_f_element(make_spatial_family(4),
+                             ComplexPoly([ComplexScalar(0, -1), _PRIMES[0]]))
+    analysis = GeneratorAnalysis.of(element.poly)
+    assert analysis._split_gcd_degree(*analysis.image[:3]) is None
+    assert analysis.chi_degree == 1 == core_of(element.poly).factor.degree()
+
+
+def test_pool_f_element_verdicts_run_no_exact_complex_gcd(monkeypatch):
+    exact = _count_calls(monkeypatch, "polynomials.gcd_complex")
+    items = [item for item in _pool_items() if item["part"] == "f-element"]
+    assert len(items) == 42
+    for item in items:
+        verdict = classify(_pool_generator(item), parse_document(item["doc"]).certificate)
+        assert not verdict.primitive
+    assert exact == []
 
 
 # squarefree and a non-residue at every prime of polynomials._PRIMES: no

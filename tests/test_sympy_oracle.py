@@ -359,6 +359,8 @@ def test_screened_facts_match_sympy(rng, monkeypatch, base, digits):
         coprime, chi, in_f0, planar, divisible = facts[name] = _sympy_facts(a, base)
         assert analysis.coprime is coprime, name
         assert to_sympy_poly(analysis.core.factor, COMPLEX_DOMAINS[base]) == chi, name
+        # a fresh analysis reads deg chi without forming chi where it can
+        assert GeneratorAnalysis.of(a).chi_degree == chi.degree(), name
         assert analysis.in_f0 is in_f0, name
         assert analysis.planar is planar, name
         assert analysis.equal_degree is divisible, name
@@ -367,8 +369,9 @@ def test_screened_facts_match_sympy(rng, monkeypatch, base, digits):
     screens = _record_screens(monkeypatch)
     lead = GeneratorAnalysis.of(cases[name])
     assert lead.coprime is facts[name][0] and lead.chi.degree() == facts[name][1].degree()
-    # the image decides neither the coprime components nor chi
-    assert screens == [False, False]
+    # the image decides neither the coprime components nor, at the
+    # analysis prime, chi
+    assert screens == [False] and lead._split_gcd_degree(*lead.image[:3]) is None
     assert not facts["shared real factor"][0]
     assert facts["complex right factor"][1].degree() >= 1
     assert facts["F0 member"][2] and not facts["F0 member"][3]
