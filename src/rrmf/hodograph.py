@@ -41,7 +41,7 @@ from .polynomials import (_PRIMES, ComplexPoly, QuatPoly, RationalFunction, Real
                           divmod_mod, exact_divide, forms_mod, gcd_complex,
                           gcd_real, images_coprime, reduce_fraction, vector_rank)
 from .quaternions import Quaternion
-from .scalars import Scalar, _trim_rows
+from .scalars import _REAL, Scalar, _algebra, _form_loop, _trim_rows
 
 
 @dataclass(frozen=True)
@@ -127,7 +127,7 @@ def basis_images(b: QuatPoly) -> Images:
     """|B|^2 and (B i B*, B j B*, B k B*) as unreduced real triples.
 
     The columns of the rotation B e B* read off the ten products of
-    B = u + v i + p j + q k, formed once each in one integer pass.
+    B = u + v i + p j + q k, in one packed pass of component_forms.
     """
     sigma, *entries = component_forms(b, _IMAGE_FORMS)
     return sigma, [tuple(entries[k:k + 3]) for k in range(0, 9, 3)]
@@ -238,7 +238,7 @@ class GeneratorAnalysis:
 
     def _form_values(self, forms, t: int) -> list[int]:
         """The values in F_p at t of the images of component_forms(A, forms),
-        from the lists the forms read alone."""
+        from the lists the forms read alone, by the kernel's form loop."""
         p, _, comps, _ = self.image
         values = []
         for f in comps[:1 + max(max(i, j) for form in forms for _, i, j in form)]:
@@ -246,7 +246,7 @@ class GeneratorAnalysis:
             for c in reversed(f):
                 acc = (acc * t + c) % p
             values.append(acc)
-        return [sum(c * values[i] * values[j] for c, i, j in form) % p for form in forms]
+        return [v % p for v in _form_loop(_algebra(_REAL, 0), values, forms)[-len(forms):]]
 
     @cached_property
     def coprime(self) -> bool:
@@ -408,8 +408,7 @@ class GeneratorAnalysis:
         nonzero remainder over F_p proves that sigma does not divide it."""
         if self._speed_inner_image is not None:
             p, (sigma, inner) = self.image[0], self._speed_inner_image
-            d_sigma = [k * c % p for k, c in enumerate(sigma)][1:]
-            four_eta, = forms_mod([d_sigma, inner], (((1, 0, 0), (4, 1, 1)),), p)
+            four_eta, = forms_mod([sigma, inner], (((1, 2, 2), (4, 1, 1)),), p)
             if divmod_mod(four_eta, sigma, p)[1]:
                 return False
         d_sigma = self.sigma.derivative()
@@ -421,7 +420,7 @@ class GeneratorAnalysis:
         """Images of sigma and <A'i, A>, if sigma keeps its degree 2 deg A."""
         if self.image is not None:
             p, _, comps, _ = self.image
-            forms = forms_mod(comps, _SPEED_INNER, p)
+            forms = forms_mod(comps[:4], _SPEED_INNER, p)
             if len(forms[0]) == 2 * self.poly.degree() + 1:
                 return forms
         return None

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from .hodograph import _INNER_FORM, GeneratorAnalysis
 from .polynomials import (QuatPoly, RationalFunction, RealPoly, component_forms,
                           gcd_real)
+from .scalars import _REAL, _algebra, _form_loop, _pack
 
 
 def inner_product_poly(a: QuatPoly) -> RealPoly:
@@ -43,16 +44,6 @@ def require_certificate(a: RealPoly, b: RealPoly) -> tuple[RealPoly, RealPoly]:
     if gcd_real(a, b).degree() != 0:
         raise ValueError("certificate polynomials must be coprime")
     return a, b
-
-
-def _at_power(row, k: int) -> tuple[int, int]:
-    """(f(t), f'(t)) at t = 2**k for the integer coefficients of f, ascending,
-    by Horner's rule on shifts and adds."""
-    f = df = 0
-    for c in reversed(row):
-        df = (df << k) + f
-        f = (f << k) + c
-    return f, df
 
 
 # sigma, <A'i, A>, a'b - ab' and a^2 + b^2 as (c, i, j) terms c f_i f_j
@@ -107,16 +98,10 @@ def _han_identity(analysis: GeneratorAnalysis, a: RealPoly, b: RealPoly) -> bool
     m_a, m_c = (max(map(len, rows)) ** 2 * (s + 1) * max(abs(x) for row in rows for x in row)
                 for rows in (poly.rows, cert[0] + cert[1]))
     k = (16 * m_a * m_a * m_c * m_c).bit_length()
-    # f(t), then f'(t), as (x, y) for x + y sqrt(d); then the forms at t
-    packed = [[_at_power(row, k) for row in rows] + [(0, 0)] * (2 - len(rows)) for rows in comps]
-    values = [(x, y) for (x, _), (y, _) in packed] + [(x, y) for (_, x), (_, y) in packed]
-    for form in _HAN_IDENTITY:
-        x = y = 0
-        for c, i, j in form:
-            (e, f), (g, h) = values[i], values[j]
-            x, y = x + c * (e * g + d * f * h), y + c * (e * h + f * g)
-        values.append((x, y))
-    return values[-1] == (0, 0)
+    # the rows at t = 2**k over Q(sqrt d), a missing sqrt(d) row zero, then L(t)
+    real = _algebra(_REAL, d)
+    values = _pack([tuple(rows) + ((),) * (real.m - len(rows)) for rows in comps], k)
+    return not any(_form_loop(real, values, _HAN_IDENTITY)[-real.m:])
 
 
 @dataclass(frozen=True)

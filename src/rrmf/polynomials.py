@@ -27,18 +27,16 @@ splits into and joins of components are row slicing or stacking over
 one lcm of denominators.  Products, division and gcds run in one
 fraction-free integer kernel: the ring's table (the one the coefficient
 class multiplies by) acts on the rows in operand order, so ``divmod`` of
-quaternion polynomials is right division.  Division is
-pseudo-division scaled by the integer norm of the divisor's leading
-coefficient; the gcd of real or complex polynomials is the subresultant
-remainder sequence over Z, Z[sqrt d], Z[i] or Z[sqrt d][i], made monic
-in the field.  The rank of the coefficient vectors of three real
-polynomials is decided on their stacked rows by cross and triple
-products.  Sums of products of real components (the forms of
-``component_forms``) run in one integer pass: each product that several
-forms share is formed once, and a product that only one form uses is
-added straight into that form with its coefficient.  Reduced ratios of
-real polynomials (monic denominator, coprime parts) are the canonical
-rational functions.
+quaternion polynomials is right division.  Products and the sums of
+products of real components (the forms of ``component_forms``) are
+packed products, rrmf.scalars' one kernel for every sum of products.
+Division is pseudo-division scaled by the integer norm of the divisor's
+leading coefficient; the gcd of real or complex polynomials is the
+subresultant remainder sequence over Z, Z[sqrt d], Z[i] or Z[sqrt d][i],
+made monic in the field.  The rank of the coefficient vectors of three
+real polynomials is decided on their stacked rows by cross and triple
+products.  Reduced ratios of real polynomials (monic denominator,
+coprime parts) are the canonical rational functions.
 
 A prime image screens the yes/no questions before the exact kernel
 runs.  It maps the stored integer rows to F_p at the first prime of a
@@ -55,7 +53,7 @@ nonzero, three independent image vectors prove rank 3.  Any other image
 answer proves nothing, and the exact kernel decides; so does it when no
 listed prime fits d.  The tools here are generic: images of rows and
 their gcds, quotients with remainders (divmod_mod), forms and products
-by Kronecker substitution (forms_mod, mul_mod) over F_p, and the
+(forms_mod, mul_mod: the packed kernel, then reduced mod p), and the
 rational reconstruction of a residue (rational_mod), which can only
 propose a value for an exact check.
 hodograph.GeneratorAnalysis forms the image of a generator's components
@@ -65,14 +63,13 @@ and runs its screens.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional
 
 from .quaternions import Quaternion
-from .scalars import (_REAL, ComplexScalar, Scalar, _add_product, _Algebra, _algebra, _canonical,
-                      _Exact, _kernel, _leading, _mul_rows, _stack, _trim_rows)
+from .scalars import (_REAL, ComplexScalar, Scalar, _Algebra, _algebra, _canonical, _Exact,
+                      _kernel, _leading, _packed_forms, _stack, _top, _trim_rows)
 
 
 class InexactDivision(ArithmeticError):
@@ -409,50 +406,15 @@ def _gcd(cls, polys, screen: bool):
 
 def component_forms(b: QuatPoly, forms) -> list[RealPoly]:
     """The real polynomials sum c b_i b_j, one per form ((c, i, j), ...),
-    in one integer pass over the stored rows.
-
-    b_0 .. b_3 are the components (u, v, p, q) of b and b_4 .. b_7 their
-    derivatives.  Each product b_i b_j that several forms use is formed
-    once; one that a single form uses is added straight into its sum.
-    """
+    for b_0 .. b_3 the components (u, v, p, q) of b and b_4 .. b_7 their
+    derivatives, from the packed stored rows (scalars._packed_forms)."""
     b = QuatPoly.of(b)
     if b.is_zero():
         return [RealPoly() for _ in forms]
     p = 2 if b.d else 1
     comps = [b.rows[w * p:(w + 1) * p] for w in range(4)]
-    comps += [[[k * v for k, v in enumerate(row)][1:] for row in comp] for comp in comps]
-    return [RealPoly._from_rows(b.d, acc, b.den * b.den)
-            for acc in _form_rows(_algebra(_REAL, b.d), comps, forms)]
-
-
-def _form_rows(real: _Algebra, comps: list, forms) -> list:
-    """Per form ((c, i, j), ...), the rows of sum c b_i b_j over the real
-    algebra for the coordinate rows b_i = comps[i].
-
-    A product that several forms use is formed once and added with each
-    form's coefficient; a product that one form uses is added straight
-    into that form's rows, its coefficient folded into the schoolbook
-    product (_add_product)."""
-    n = 2 * max(len(comp[0]) for comp in comps) - 1
-    uses = Counter((i, j) if i <= j else (j, i) for form in forms for _, i, j in form)
-    products: dict = {}
-    out = []
-    for form in forms:
-        acc = [[0] * n for _ in range(real.parts)]
-        for c, i, j in form:
-            key = (i, j) if i <= j else (j, i)
-            if uses[key] == 1:
-                x, y = comps[i], comps[j]
-                for s, t, k, e in real.terms:
-                    if any(x[s]):
-                        _add_product(acc[k], x[s], y[t], c * e)
-                continue
-            if key not in products:
-                products[key] = _mul_rows(real, comps[i], comps[j])
-            for row, src in zip(acc, products[key]):
-                row[:len(src)] = [u + c * v for u, v in zip(row, src)]
-        out.append(acc)
-    return out
+    return [RealPoly._from_rows(b.d, rows, b.den * b.den)
+            for rows in _packed_forms(_algebra(_REAL, b.d), comps, forms, _top(b.rows))]
 
 
 # -- the prime image -------------------------------------------------------
@@ -577,30 +539,11 @@ def images_coprime(images, degrees, p: int) -> bool:
 
 
 def forms_mod(comps: list, forms, p: int) -> list[list[int]]:
-    """The forms sum c f_i f_j over F_p ((c, i, j), ...) of the residue
-    lists f_i = comps[i], trimmed, by Kronecker substitution (Schoenhage
-    1982): each list is packed into f(2^w), and the terms of each sign of
-    a form into one integer sum of products, whose w-bit slots hold its
-    coefficients, at most n (p - 1)^2 sum |c| for lists of length <= n."""
-    n = max(map(len, comps))
-    w = 2 * p.bit_length() + (n * max(sum(abs(t[0]) for t in form) for form in forms)).bit_length()
-    packed = []
-    for f in comps:
-        x = 0
-        for c in reversed(f):
-            x = (x << w) + c
-        packed.append(x)
-    mask, out = (1 << w) - 1, []
-    for form in forms:
-        parts = [0, 0]
-        for c, i, j in form:
-            parts[c < 0] += abs(c) * packed[i] * packed[j]
-        (plus, minus), row = parts, []
-        for _ in range(2 * n - 1):
-            row.append(((plus & mask) - (minus & mask)) % p)
-            plus, minus = plus >> w, minus >> w
-        out.append(_trim_mod(row))
-    return out
+    """The forms sum c f_i f_j over F_p ((c, i, j), ...), trimmed, of the
+    residue lists f_i = comps[i] and their derivatives f_len(comps)+i,
+    packed as integer lists (scalars._packed_forms), then reduced mod p."""
+    return [_trim_mod([v % p for v in row])
+            for row, in _packed_forms(_algebra(_REAL, 0), [[f] for f in comps], forms, p - 1)]
 
 
 def vector_rank(x: RealPoly, y: RealPoly, z: RealPoly) -> int:

@@ -18,9 +18,13 @@ over a surd base and 1 over Q, in ascending degree.  A ring value is a
 constant, whose rows have length at most 1.  One constructor,
 _Exact.from_terms, builds a value of any kind from the integers that
 scalar_terms reads off its text.  The base adds, subtracts and
-conjugates row by row, and multiplies by _Algebra, the table expanded
-over the coordinates, in one integer kernel for ring values and
-polynomials alike.
+conjugates row by row.  Every sum of products, from a product of two
+values to the forms of polynomials.component_forms and forms_mod and
+verify_han's identity, runs in one packed kernel over _Algebra, the
+table expanded over the coordinates: each coordinate row is packed into
+its value at a power of two (Kronecker substitution, Schoenhage 1982),
+one integer product is taken per term, and the signed slots of the sums
+are the coefficients.
 """
 
 from __future__ import annotations
@@ -104,6 +108,8 @@ class _Algebra:
                            for i, j, k, sign in table
                            for s in range(p) for t in range(p))
         self.one = (1,) + (0,) * (m - 1)
+        # the largest sum of |c| over the terms into one coordinate
+        self.load = max(sum(abs(c) for *_, k, c in self.terms if k == w) for w in range(m))
         self.conj = tuple(1 if w == 0 else -1 for w in range(self.width)
                           for _ in range(p))
 
@@ -185,24 +191,90 @@ def _stack(values, n: int = 0) -> tuple:
                      for row in v._rows_over(d)] for v in values]
 
 
-def _add_product(out: list, a: list, b: list, c: int) -> None:
-    """out += c a b for integer coefficient lists (schoolbook)."""
-    for s, y in enumerate(b):
-        if y:
-            y *= c
-            for r, x in enumerate(a):
-                out[r + s] += x * y
+def _at_power(row, w: int) -> tuple[int, int]:
+    """(f(t), f'(t)) at t = 2**w for the integer coefficients of f,
+    ascending, by Horner's rule on shifts and adds: f and f' packed into
+    w-bit slots in one pass."""
+    f = df = 0
+    for c in reversed(row):
+        df = (df << w) + f
+        f = (f << w) + c
+    return f, df
+
+
+def _pack(comps, w: int) -> list:
+    """The coordinates at 2**w of b_i with rows comps[i], m each, then of the
+    derivatives b_len(comps)+i: coordinate s of b_i at i m + s (_form_loop)."""
+    values, slopes = zip(*[_at_power(row, w) for comp in comps for row in comp])
+    return [*values, *slopes]
+
+
+def _unpack(x: int, w: int, n: int) -> list:
+    """The n signed slots v_r in [-2**(w-1), 2**(w-1)) of x = sum v_r 2**(w r)."""
+    half, mask, out = 1 << (w - 1), (1 << w) - 1, []
+    for _ in range(n):
+        x += half
+        out.append((x & mask) - half)
+        x >>= w
+    return out
+
+
+def _form_loop(alg: _Algebra, values: list, forms) -> list:
+    """values, extended per form ((c, i, j), ...) by the coordinates of
+    sum c v_i v_j over alg, for v_i the value with coordinate s at
+    values[i alg.m + s]; a form may read the results of those before it."""
+    m, terms = alg.m, alg.terms
+    for form in forms:
+        acc = [0] * m
+        for c, i, j in form:
+            i, j = i * m, j * m
+            for s, t, k, e in terms:
+                # x * x is the faster square when both are one object
+                acc[k] += c * e * (values[i + s] * values[j + t])
+        values += acc
+    return values
+
+
+@lru_cache(maxsize=256)
+def _form_weight(forms, count: int, n: int) -> int:
+    """The largest sum over a form ((c, i, j), ...) of |c| D_i D_j, with
+    D_i = n - 1 for a derivative (i >= count), else 1."""
+    return max(sum(abs(c) * (n - 1 if i >= count else 1) * (n - 1 if j >= count else 1)
+                   for c, i, j in form) for form in forms)
+
+
+def _packed_forms(alg: _Algebra, comps: list, forms, top: int) -> list:
+    """Per form ((c, i, j), ...), the coordinate rows of sum c b_i b_j over
+    alg, for b_i the value with rows comps[i], of at most n coefficients
+    of size at most top, and b_len(comps)+i its derivative.  A slot adds
+    at most n products per term, each at most alg.load |c| top^2 times
+    n - 1 per derivative factor, and takes one sign bit more."""
+    n = max(len(comp[0]) for comp in comps)
+    w = (alg.load * n * top * top * _form_weight(forms, len(comps), n)).bit_length() + 1
+    values, m = _form_loop(alg, _pack(comps, w), forms), alg.m
+    return [[_unpack(v, w, 2 * n - 1) for v in values[k:k + m]]
+            for k in range(len(values) - m * len(forms), len(values), m)]
+
+
+def _top(rows) -> int:
+    """The largest size of an integer in the rows, all nonempty."""
+    return max(max(map(abs, row)) for row in rows)
+
+
+# the one form of a product, left operand first
+_PRODUCT = (((1, 0, 1),),)
 
 
 def _mul_rows(alg: _Algebra, x: list, y: list) -> list:
-    """Rows of the product, left operand first, of nonzero values with rows x, y."""
-    n = len(x[0]) + len(y[0]) - 1
-    out = [[0] * n for _ in range(alg.m)]
-    live_x, live_y = [any(r) for r in x], [any(r) for r in y]
-    for i, j, k, c in alg.terms:
-        if live_x[i] and live_y[j]:
-            _add_product(out[k], x[i], y[j], c)
-    return out
+    """Rows of the product, left operand first, of nonzero values with rows
+    x, y, packed: a slot adds at most min(n_x, n_y) products per term, at
+    most alg.load top(x) top(y) in all."""
+    nx, ny = len(x[0]), len(y[0])
+    if nx == ny == 1:  # a product of constants is its own slot
+        return [[v] for v in _form_loop(alg, [r[0] for r in (*x, *y)], _PRODUCT)[2 * alg.m:]]
+    w = (alg.load * min(nx, ny) * _top(x) * _top(y)).bit_length() + 1
+    values = _form_loop(alg, _pack([x, y], w), _PRODUCT)
+    return [_unpack(v, w, nx + ny - 1) for v in values[4 * alg.m:]]
 
 
 def _leading(rows: list) -> tuple:

@@ -1,20 +1,24 @@
 """Reference integer-kernel primitives for the tests: the straightforward
-versions of rrmf.scalars._trim_rows and _canonical and of
-rrmf.polynomials._pseudo_divide, _form_rows and forms_mod, without their
-fast paths.
+versions of rrmf.scalars._trim_rows, _canonical and _mul_rows and of
+rrmf.polynomials._pseudo_divide, component_forms (_form_rows) and
+forms_mod (image_forms), without their fast paths or packing.
 
 Each one re-slices, re-scans or re-forms what the library version skips
-or reuses: _trim_rows always copies, _canonical takes one gcd over every
-integer, _pseudo_divide slices every row at every step, _form_rows
-forms every product once and adds it with its coefficient, and
-image_forms forms the forms over F_p by schoolbook products of the
-residue lists (_form_rows), not by Kronecker substitution.  They are the
-oracles of tests/test_kernel.py.
+or packs: _trim_rows always copies, _canonical takes one gcd over every
+integer, _pseudo_divide slices every row at every step, _mul_rows is the
+schoolbook product of each pair of coordinate rows (_add_product),
+_form_rows forms each product the forms use once, by _mul_rows, and
+adds it with each coefficient, and image_forms forms the forms over F_p by _form_rows on
+the residue lists.  None of them packs rows into integers, as the
+library's one kernel in rrmf.scalars does, and from rrmf this module
+imports only the algebra tables, never a kernel routine
+(tests/test_hygiene.py checks it).  They are the oracles of
+tests/test_kernel.py.
 """
 
 import math
 
-from rrmf.scalars import _REAL, _Algebra, _algebra, _mul_rows
+from rrmf.scalars import _REAL, _Algebra, _algebra
 
 
 def _trim_rows(rows: list) -> list:
@@ -74,9 +78,29 @@ def _pseudo_divide(alg: _Algebra, r: list, b: list, mult: tuple, scale: tuple,
     return q, r
 
 
+def _add_product(out: list, a: list, b: list, c: int) -> None:
+    """out += c a b for integer coefficient lists (schoolbook)."""
+    for s, y in enumerate(b):
+        if y:
+            y *= c
+            for r, x in enumerate(a):
+                out[r + s] += x * y
+
+
+def _mul_rows(alg: _Algebra, x: list, y: list) -> list:
+    """Rows of the product, left operand first, of values with rows x, y:
+    the schoolbook product of each pair of coordinate rows per term."""
+    n = len(x[0]) + len(y[0]) - 1
+    out = [[0] * n for _ in range(alg.m)]
+    for i, j, k, c in alg.terms:
+        _add_product(out[k], x[i], y[j], c)
+    return out
+
+
 def _form_rows(real: _Algebra, comps: list, forms) -> list:
     """Per form ((c, i, j), ...), the rows of sum c b_i b_j over the real
-    algebra for the coordinate rows b_i = comps[i], each product formed once."""
+    algebra for the coordinate rows b_i = comps[i], each product formed
+    once by _mul_rows and added with its coefficient."""
     n = 2 * max(len(comp[0]) for comp in comps) - 1
     products: dict = {}
     out = []
@@ -93,8 +117,11 @@ def _form_rows(real: _Algebra, comps: list, forms) -> list:
 
 
 def image_forms(comps: list, forms, p: int) -> list[list[int]]:
-    """The forms sum c f_i f_j over F_p of residue lists f_i = comps[i],
-    trimmed, by _form_rows on one-row integer lists."""
+    """The forms sum c f_i f_j over F_p of residue lists f_i = comps[i]
+    and their derivatives f_len(comps)+i, trimmed, by _form_rows on
+    one-row integer lists."""
+    comps = [list(f) for f in comps]
+    comps += [[k * c % p for k, c in enumerate(f)][1:] for f in comps]
     out = []
     for (row,) in _form_rows(_algebra(_REAL, 0), [[f] for f in comps], forms):
         row = [v % p for v in row]

@@ -37,3 +37,20 @@ def test_library_imports_are_used():
     unused = {p.name: found for p in MODULES
               if (found := _unused_imports(ast.parse(p.read_text(encoding="utf-8"))))}
     assert not unused, unused
+
+
+# the algebra tables the kernel oracle may read from the library; any
+# kernel routine it imported would make it check the library against itself
+ORACLE_IMPORTS = {"_REAL", "_COMPLEX", "_Algebra", "_algebra"}
+
+
+def test_kernel_oracle_imports_only_the_algebra_tables():
+    path = Path(__file__).parent / "kernel_reference.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names if alias.name.split(".")[0] == "rrmf"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "rrmf":
+            found += [f"{node.module}.{alias.name}" for alias in node.names
+                      if alias.name not in ORACLE_IMPORTS]
+    assert not found, found

@@ -1,12 +1,16 @@
 """The integer-kernel primitives against their reference versions.
 
 rrmf.scalars._trim_rows and _canonical and rrmf.polynomials._pseudo_divide
-and _form_rows skip or reuse work on their fast paths; on seeded rows
-each must return exactly what its straightforward version in
-tests/kernel_reference.py returns, and must leave its input lists as
-they were.  The products over F_p (forms_mod, mul_mod) must return what
-schoolbook products of the residue lists return (kernel_reference.
-image_forms), up to the largest load of a packed slot.
+skip work on their fast paths; on seeded rows each must return exactly
+what its straightforward version in tests/kernel_reference.py returns,
+and must leave its input lists as they were.  Every sum of products
+runs in one packed kernel in rrmf.scalars: the rows packed into
+integers at a power of two (_at_power), one integer product per term
+(_form_loop), the signed slots unpacked (_unpack).  Its products
+(_mul_rows), the forms of a generator's components (component_forms)
+and the forms over F_p (forms_mod, mul_mod) must return what schoolbook
+products return (kernel_reference._mul_rows, _form_rows, image_forms),
+up to the largest load of a slot.
 """
 
 import copy
@@ -16,18 +20,19 @@ import pytest
 
 import kernel_reference as ref
 from rrmf.hodograph import _IMAGE_FORMS, _SPEED_INNER
-from rrmf.indicatrix import _at_power
-from rrmf.polynomials import _PRIMES, RealPoly, _form_rows, _pseudo_divide, forms_mod, mul_mod
+from rrmf.polynomials import (_PRIMES, QuatPoly, RealPoly, _pseudo_divide, component_forms,
+                              forms_mod, mul_mod)
 from rrmf.quaternions import Quaternion
-from rrmf.scalars import _COMPLEX, _REAL, _algebra, _canonical, _leading, _trim_rows
+from rrmf.scalars import (_COMPLEX, _REAL, _algebra, _at_power, _canonical, _leading, _mul_rows,
+                          _trim_rows)
 
-# a'b - ab' and a^2 + b^2 over real polynomials a, b numbered 0, 1 and
-# their derivatives a', b' numbered 2, 3: two forms whose products each
-# belong to one form
-_HAN_FORMS = (((1, 2, 1), (-1, 0, 3)), ((1, 0, 0), (1, 1, 1)))
+# a'b - ab' and a^2 + b^2 over the components a, b numbered 0, 1 of a
+# generator a + b i, whose derivatives a', b' component_forms numbers 4, 5
+_HAN_FORMS = (((1, 4, 1), (-1, 0, 5)), ((1, 0, 0), (1, 1, 1)))
 # the forms GeneratorAnalysis takes over F_p: sigma and <A'i, A>, the
-# equal-degree sigma'^2 + 4 <A'i, A>^2, and mul_mod's one product
-_FP_FORMS = (_SPEED_INNER, (((1, 0, 0), (4, 1, 1)),), (((1, 0, 1),),))
+# equal-degree sigma'^2 + 4 <A'i, A>^2 of sigma and <A'i, A> (sigma'
+# numbered 2), and mul_mod's one product
+_FP_FORMS = (_SPEED_INNER, (((1, 2, 2), (4, 1, 1)),), (((1, 0, 1),),))
 
 TABLES = {"real": _REAL, "complex": _COMPLEX, "quaternion": Quaternion.table}
 ALGEBRAS = [(kind, d) for kind in TABLES for d in (0, 15)]
@@ -148,12 +153,52 @@ def _component_rows(rng: random.Random, d: int, count: int, n: int) -> list:
     (_IMAGE_FORMS, 4), (_IMAGE_FORMS[:4], 4), (_SPEED_INNER, 4), (_HAN_FORMS, 2)])
 def test_form_rows_matches_reference(seed, d, forms, count):
     rng = random.Random(seed)
-    real = _algebra(_REAL, d)
     for n in (1, 2, 6):
-        comps = _component_rows(rng, d, count, n)
-        before = copy.deepcopy(comps)
-        assert _form_rows(real, comps, forms) == ref._form_rows(real, copy.deepcopy(comps), forms)
-        assert comps == before
+        comps = _component_rows(rng, d, count, n)[:count]
+        comps += [[[0] * n for _ in range(2 if d else 1)]] * (4 - count)
+        b = QuatPoly._from_rows(d, [row for comp in comps for row in comp], 1)
+        p = 2 if b.d else 1
+        rows = [b.rows[w * p:(w + 1) * p] for w in range(4)]
+        rows += [[[k * v for k, v in enumerate(row)][1:] for row in comp] for comp in rows]
+        expected = [ref._canonical(b.d, acc, b.den * b.den)
+                    for acc in ref._form_rows(_algebra(_REAL, b.d), rows, forms)]
+        assert [(f.d, f.rows, f.den) for f in component_forms(b, forms)] == expected
+
+
+def _full_operands(alg, nx: int, ny: int, m: int) -> tuple:
+    """Rows x, y of nx and ny coefficients, each +-m, signed so that every
+    term into the coordinate of the largest load adds +m^2: the middle
+    slots of that coordinate of x y are alg.load min(nx, ny) m^2."""
+    k = next(k for k in range(alg.m)
+             if sum(abs(c) for *_, t, c in alg.terms if t == k) == alg.load)
+    sign_y = {j: (c > 0) - (c < 0) for _, j, t, c in alg.terms if t == k}
+    x = [[m] * nx for _ in range(alg.m)]
+    y = [[sign_y.get(j, 1) * m] * ny for j in range(alg.m)]
+    return k, x, y
+
+
+@pytest.mark.parametrize("seed", [13, 43])
+@pytest.mark.parametrize("kind, d", ALGEBRAS)
+def test_mul_rows_matches_the_schoolbook_product(seed, kind, d):
+    rng = random.Random(seed)
+    alg = _algebra(TABLES[kind], d)
+    # dead rows, operands of unequal length and constants
+    for nx, ny in ((1, 1), (1, 4), (5, 1), (3, 3), (2, 7), (9, 4)):
+        for dead in ((), tuple(range(0, alg.m, 2)), tuple(range(1, alg.m))):
+            x = _random_rows(rng, alg.m, nx, dead=dead)
+            y = _random_rows(rng, alg.m, ny, dead=dead[::-1][:1])
+            x[0][-1] = y[0][-1] = rng.choice((-3, 1, 7))
+            before = copy.deepcopy((x, y))
+            assert _as_lists(_mul_rows(alg, x, y)) == ref._mul_rows(alg, x, y), (nx, ny, dead)
+            assert (x, y) == before
+    # the largest slot load: one coordinate's middle slots full, at sizes
+    # about 2**66, a slot one bit narrower overflows
+    m = 10 ** 20 + 7
+    for nx, ny in ((4, 4), (6, 3), (1, 5)):
+        k, x, y = _full_operands(alg, nx, ny, m)
+        product = _mul_rows(alg, x, y)
+        assert _as_lists(product) == ref._mul_rows(alg, x, y), (nx, ny)
+        assert max(product[k]) == alg.load * min(nx, ny) * m * m
 
 
 @pytest.mark.parametrize("seed", [5, 47])
@@ -179,7 +224,11 @@ def test_forms_mod_matches_the_schoolbook_products(seed):
         comps[rng.randrange(8)] = [0] * rng.randint(1, n)
         before = copy.deepcopy(comps)
         for forms in _FP_FORMS + (_IMAGE_FORMS,):
-            assert forms_mod(comps, forms, p) == ref.image_forms(comps, forms, p), (n, forms)
+            # forms past the lists read their derivatives
+            for count in (2, 4, 8):
+                if max(max(i, j) for form in forms for _, i, j in form) < 2 * count:
+                    assert (forms_mod(comps[:count], forms, p)
+                            == ref.image_forms(comps[:count], forms, p)), (n, count, forms)
         assert comps == before
         f, g = ([rng.randrange(p) for _ in range(k)] + [rng.randrange(1, p)]
                 for k in (rng.randrange(n), rng.randrange(n)))
@@ -196,18 +245,6 @@ def test_forms_mod_at_the_largest_slot_load(p):
     for forms in _FP_FORMS:
         assert forms_mod([full] * 8, forms, p) == ref.image_forms([full] * 8, forms, p)
     assert mul_mod(full, full, p) == ref.image_forms([full, full], _FP_FORMS[2], p)[0]
-
-
-def test_form_products_are_shared_or_single():
-    """The hodograph's squares are shared by several forms; the products
-    of <A'i, A> and of Han's forms each belong to one form."""
-    def uses(forms):
-        keys = [tuple(sorted((i, j))) for form in forms for _, i, j in form]
-        return {key: keys.count(key) for key in keys}
-
-    assert all(n > 1 for n in uses(_IMAGE_FORMS).values())
-    assert set(uses(_SPEED_INNER).values()) == {1}
-    assert set(uses(_HAN_FORMS).values()) == {1}
 
 
 def test_scale_by_one_is_self():
