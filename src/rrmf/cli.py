@@ -51,8 +51,9 @@ def _read_input(path: str) -> str:
         return fh.read()
 
 
-def _load_document(path: str) -> PolyDocument:
-    return parse_document(_read_input(path))
+def _load_generator(path: str) -> tuple[PolyDocument, QuatPoly]:
+    doc = parse_document(_read_input(path))
+    return doc, QuatPoly.of(doc.to_poly())
 
 
 def _quat_json(q: Quaternion) -> list[str]:
@@ -90,10 +91,6 @@ def _parse_quat(value, base: int) -> Quaternion:
     return Quaternion(*(read_scalar(c, base) for c in value))
 
 
-def _parse_scalar_field(spec: dict, key: str, base: int, default="0") -> Scalar:
-    return read_scalar(spec.get(key, default), base)
-
-
 def _parse_pairs(value, base: int) -> list[tuple[Scalar, Scalar]]:
     if not isinstance(value, list) or not all(
             isinstance(pair, list) and len(pair) == 2 for pair in value):
@@ -113,8 +110,7 @@ def _check_search_limits(flag: str, degree, budget: float) -> None:
 
 def cmd_classify(args) -> int:
     _check_search_limits("--search-degree", args.search_degree, args.budget)
-    doc = _load_document(args.input)
-    poly = QuatPoly.of(doc.to_poly())
+    doc, poly = _load_generator(args.input)
     result = classify(poly, certificate=doc.certificate,
                       search_degree=args.search_degree,
                       search_budget=args.budget)
@@ -128,6 +124,13 @@ def _required(spec: dict, key: str):
     return spec[key]
 
 
+def _optional(spec: dict, base: int, *keys: str) -> dict:
+    """The keys that spec gives, parsed in order, by keyword: the
+    constructor's own defaults stand for the rest."""
+    return {key: (_parse_quat if key == "left_factor" else read_scalar)(spec[key], base)
+            for key in keys if key in spec}
+
+
 def _construct_from_spec(kind: str, spec: dict):
     base = parse_base(spec.get("sqrt_base", 0))
     if kind == "trivial":
@@ -136,27 +139,15 @@ def _construct_from_spec(kind: str, spec: dict):
         coeffs = _parse_pairs(_required(spec, "coefficients"), base)
         poly = make_trivial(left, direction, coeffs)
         return poly, {}
+    if kind in ("cubic", "cubic-monic", "quartic"):
+        a1, a2 = (_parse_quat(_required(spec, key), base) for key in ("a1", "a2"))
     if kind == "cubic":
-        poly = make_cubic(CubicSpec(
-            _parse_quat(_required(spec, "a1"), base),
-            _parse_quat(_required(spec, "a2"), base),
-            _parse_scalar_field(spec, "s3", base),
-            _parse_quat(spec.get("left_factor", ["1", "0", "0", "0"]), base)))
-        return poly, {}
+        return make_cubic(CubicSpec(a1, a2, **_optional(spec, base, "s3", "left_factor"))), {}
     if kind == "cubic-monic":
-        poly = make_cubic_monic(
-            _parse_quat(_required(spec, "a1"), base),
-            _parse_quat(_required(spec, "a2"), base),
-            _parse_scalar_field(spec, "s0", base))
-        return poly, {}
+        return make_cubic_monic(a1, a2, **_optional(spec, base, "s0")), {}
     if kind == "quartic":
         result = make_quartic(QuarticSpec(
-            _parse_quat(_required(spec, "a1"), base),
-            _parse_quat(_required(spec, "a2"), base),
-            _parse_scalar_field(spec, "a3_j", base),
-            _parse_scalar_field(spec, "a3_k", base),
-            _parse_scalar_field(spec, "s3", base),
-            _parse_quat(spec.get("left_factor", ["1", "0", "0", "0"]), base)))
+            a1, a2, **_optional(spec, base, "a3_j", "a3_k", "s3", "left_factor")))
         return result.poly, {"non_trivial": result.non_trivial,
                              "family_dim": result.family_dim}
     if kind == "f-element":
@@ -225,8 +216,7 @@ def _parse_range(text: str) -> tuple[float, float]:
 
 
 def cmd_frames(args) -> int:
-    doc = _load_document(args.input)
-    poly = QuatPoly.of(doc.to_poly())
+    doc, poly = _load_generator(args.input)
     if args.samples < 1:
         raise DocumentError("--samples must be at least 1")
     if args.samples > MAX_SAMPLES:
@@ -265,20 +255,18 @@ def cmd_frames(args) -> int:
 
 
 def cmd_verify_han(args) -> int:
-    doc = _load_document(args.input)
+    doc, poly = _load_generator(args.input)
     if doc.certificate is None:
         raise ValueError("document carries no certificate to verify")
-    poly = QuatPoly.of(doc.to_poly())
     valid = verify_han(poly, doc.certificate[0], doc.certificate[1])
     print(json.dumps({"valid": valid}))
     return EXIT_OK
 
 
 def cmd_reduce(args) -> int:
-    doc = _load_document(args.input)
-    poly = QuatPoly.of(doc.to_poly())
+    doc, poly = _load_generator(args.input)
     if args.gamma is not None:
-        gamma_doc = _load_document(args.gamma)
+        gamma_doc = parse_document(_read_input(args.gamma))
         if gamma_doc.kind != "complex":
             raise ValueError("--gamma document must have complex kind")
         gamma = gamma_doc.to_poly()
@@ -295,8 +283,7 @@ def cmd_reduce(args) -> int:
 
 def cmd_search_gamma(args) -> int:
     _check_search_limits("--max-degree", args.max_degree, args.budget)
-    doc = _load_document(args.input)
-    poly = QuatPoly.of(doc.to_poly())
+    doc, poly = _load_generator(args.input)
     found = search_certificate(poly, args.max_degree, budget_seconds=args.budget)
     if found is None:
         print(json.dumps({"found": False}))

@@ -9,15 +9,16 @@ from which the analysis alone builds the Hodograph record.
 hodograph_of, is_primitive, has_coprime_components and core_of read a
 fresh analysis.  The equal-degree criterion sigma | rho is decided
 here too, as sigma | sigma'^2 + 4 <A'i, A>^2 on the first pass.  The
-analysis maps the components of A to F_p once, at the prime of
-polynomials._embedding, and each fact screens that image first with the
-kernel's F_p tools: it can prove the components coprime, chi = 1 (the
-core is then A), <A'i, A> nonzero at a point (not in F0), span rank 3
-(not planar) and sigma not dividing rho.  It also holds the Han
-fraction reduced over F_p from one pass of packed products (han_image),
-where the certificate search starts.  An image proves only those
-answers, and the exact kernel (the gcds without a second screen, the
-form passes, vector_rank) runs whenever it cannot.  The triviality
+analysis maps the four components of A, not their derivatives, to F_p
+once, at the prime of polynomials._embedding (a slope at a point comes
+with the value, in one Horner pass), and each fact screens that image
+first with the kernel's F_p tools: it can prove the components coprime,
+chi = 1 (the core is then A), <A'i, A> nonzero at a point (not in F0),
+span rank 3 (not planar) and sigma not dividing rho.  It also holds the
+Han fraction reduced over F_p from one pass of packed products
+(han_image), where the certificate search starts.  An image proves only
+those answers, and the exact kernel (the gcds without a second screen,
+the form passes, vector_rank) runs whenever it cannot.  The triviality
 witness is one product conj(c) A, for the lowest nonzero coefficient c,
 whose vector components vector_rank ranks.  basis_images forms all ten
 component products of B for the three images B e B*,
@@ -222,9 +223,9 @@ class GeneratorAnalysis:
     @cached_property
     def image(self) -> Optional[tuple[int, int, list, list]]:
         """(p, r, comps, degrees) for every screen below: the prime of
-        _embedding, the image of i, u, v, p, q of A and their derivatives
-        over F_p, and the exact degrees of u, v, p, q.  None when no listed
-        prime fits the base, and then every fact is exact."""
+        _embedding, the image of i, u, v, p, q of A over F_p, and the exact
+        degrees of u, v, p, q.  None when no listed prime fits the base,
+        and then every fact is exact."""
         a = self.poly
         embedding = _embedding(a.d)
         if embedding is None:
@@ -233,19 +234,18 @@ class GeneratorAnalysis:
         parts = 2 if a.d else 1
         rows = [a.rows[w * parts:(w + 1) * parts] for w in range(4)]
         comps = [_image(comp, weights[:parts], p) for comp in rows]
-        comps += [[k * v % p for k, v in enumerate(f)][1:] for f in comps]
         return p, weights[parts], comps, [len(_trim_rows(comp)[0]) - 1 for comp in rows]
 
     def _form_values(self, forms, t: int) -> list[int]:
         """The values in F_p at t of the images of component_forms(A, forms),
-        from the lists the forms read alone, by the kernel's form loop."""
+        by the kernel's form loop on the values of u, v, p, q at t and then
+        their slopes, each pair in one Horner pass (scalars._at_power mod p)."""
         p, _, comps, _ = self.image
-        values = []
-        for f in comps[:1 + max(max(i, j) for form in forms for _, i, j in form)]:
-            acc = 0
+        values = [0] * 8
+        for k, f in enumerate(comps):
             for c in reversed(f):
-                acc = (acc * t + c) % p
-            values.append(acc)
+                values[k + 4] = (values[k + 4] * t + values[k]) % p
+                values[k] = (values[k] * t + c) % p
         return [v % p for v in _form_loop(_algebra(_REAL, 0), values, forms)[-len(forms):]]
 
     @cached_property
@@ -253,7 +253,7 @@ class GeneratorAnalysis:
         """Whether the four real components of A are coprime."""
         if self.image is not None:
             p, _, comps, degrees = self.image
-            if images_coprime(comps[:4], degrees, p):
+            if images_coprime(comps, degrees, p):
                 return True
         # the image has been screened: the exact gcd runs without it
         return gcd_real(*self.poly.components(), screen=False).degree() == 0
@@ -420,7 +420,7 @@ class GeneratorAnalysis:
         """Images of sigma and <A'i, A>, if sigma keeps its degree 2 deg A."""
         if self.image is not None:
             p, _, comps, _ = self.image
-            forms = forms_mod(comps[:4], _SPEED_INNER, p)
+            forms = forms_mod(comps, _SPEED_INNER, p)
             if len(forms[0]) == 2 * self.poly.degree() + 1:
                 return forms
         return None

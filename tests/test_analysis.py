@@ -21,7 +21,7 @@ from rrmf.classify import GeneratorAnalysis, TrivialWitness, classify, search_ce
 from rrmf.construct import make_f_element, make_spatial_family, make_trivial
 from rrmf.frames import erf_symbolic, sample_frames
 from rrmf.documents import parse_document
-from rrmf.hodograph import _INNER_FORM, _MODULI, core_of
+from rrmf.hodograph import _IMAGE_FORMS, _INNER_FORM, _MODULI, _POINTS, core_of
 from rrmf.indicatrix import inner_product_poly, rho_eta, rotation_indicatrix, verify_han
 from rrmf.polynomials import (_PRIMES, ComplexPoly, QuatPoly, RealPoly, _embedding,
                               gcd_complex, reduce_fraction)
@@ -30,6 +30,7 @@ from rrmf.scalars import ComplexScalar, Scalar
 
 from conftest import coprime_cpoly, indicatrix_pair, nonzero_qpoly, norm_poly
 from frame_reference import tangent_twist
+from kernel_reference import image_forms
 
 
 def _count_calls(monkeypatch, target: str, keep=lambda kwargs: True, calls=None,
@@ -222,6 +223,39 @@ def _pool_items() -> list[dict]:
 
 def _pool_generator(item: dict) -> QuatPoly:
     return QuatPoly.of(parse_document(item["doc"]).to_poly())
+
+
+def _horner_mod(f: list, t: int, p: int) -> int:
+    value = 0
+    for c in reversed(f):
+        value = (value * t + c) % p
+    return value
+
+
+@pytest.mark.parametrize("base", [0, 15])
+def test_form_values_match_the_reference_forms(base):
+    """The image forms at each point, from each component's value and slope
+    in one Horner pass, against the reference forms over F_p evaluated
+    there: on the pool generators, a constant component (no slope), a zero
+    component and a generator of degree 0."""
+    s = Scalar(0, 1, base) if base else Scalar(2)
+    edges = [QuatPoly([Quaternion(3, 1, s, 2), Quaternion(0, 2, -1, s), Quaternion(0, 1, 1, 0)]),
+             QuatPoly([Quaternion(0, 1, s, 0), Quaternion(0, 2, -1, 0), Quaternion(0, s, 1, 0)]),
+             QuatPoly([Quaternion(1, s, 3, -4)])]
+    generators = [a for a in map(_pool_generator, _pool_items()) if a.d == base]
+    assert generators and all(a.d == base for a in edges)
+    images = {}
+    for a in generators + edges:
+        analysis = GeneratorAnalysis.of(a)
+        p, _, comps, _ = analysis.image
+        images[a] = comps
+        for forms in ((_INNER_FORM,), _IMAGE_FORMS[1:4]):
+            reference = image_forms(comps, forms, p)
+            for t in _POINTS:
+                assert analysis._form_values(forms, t) == [_horner_mod(f, t, p) for f in reference]
+    # the edges are what they stand for: u constant, u and q zero, degree 0
+    assert [len(images[a][0]) for a in edges] == [1, 0, 1] and images[edges[1]][3] == []
+    assert max(map(len, images[edges[2]])) == 1
 
 
 def _box(entries, degree: int) -> QuatPoly:

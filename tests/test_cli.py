@@ -228,6 +228,33 @@ def test_construct_malformed_spec_scalar_or_row(capsys):
         assert code == 2 and err.startswith("error: ") and out == ""
 
 
+# the optional keys of each construct spec, in its constructor's parameter order
+OPTIONAL_SPEC_KEYS = {"cubic": ("s3", "left_factor"), "cubic-monic": ("s0",),
+                      "quartic": ("a3_j", "a3_k", "s3", "left_factor")}
+
+
+@pytest.mark.parametrize("base", [0, 15])
+@pytest.mark.parametrize("kind", sorted(OPTIONAL_SPEC_KEYS))
+def test_construct_spec_defaults_are_the_constructors(capsys, kind, base):
+    keys = OPTIONAL_SPEC_KEYS[kind]
+    spec = {"sqrt_base": base, "a1": ["0", "0", "1", "1/1*sqrt(15)" if base else "2"],
+            "a2": ["1", "0", "0", "1"]}
+    # optional keys left out print what the defaults written out print
+    written = {key: ["1", "0", "0", "0"] if key == "left_factor" else "0" for key in keys}
+    left_out = run(capsys, "construct", kind, "--spec-json", json.dumps(spec))
+    assert left_out[0] == 0
+    assert run(capsys, "construct", kind, "--spec-json",
+               json.dumps({**spec, **written})) == left_out
+    # with every optional key from one on malformed, that key is the one reported
+    for k, key in enumerate(keys):
+        bad = {later: ["1", later] if later == "left_factor" else f"1/{later}"
+               for later in keys[k:]}
+        message = (f"quaternion needs 4 scalar strings, got {['1', key]!r}"
+                   if key == "left_factor" else f"cannot parse scalar {'1/' + key!r}")
+        assert run(capsys, "construct", kind, "--spec-json", json.dumps({**spec, **bad})) == (
+            2, "", f"error: {message}\n")
+
+
 def test_oversized_base_rejected_fast(tmp_path):
     # a 31-digit base once meant trial division up to 10**15.5
     huge = 10**30 + 57
