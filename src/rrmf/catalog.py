@@ -10,9 +10,8 @@ generator, and compares structurally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .construct import CubicSpec, QuarticSpec, make_cubic, make_quartic, make_spatial_family
 from .hodograph import GeneratorAnalysis
@@ -22,8 +21,7 @@ from .quaternions import Quaternion
 from .scalars import Scalar
 
 
-@dataclass(frozen=True)
-class WorkedCurve:
+class WorkedCurve(NamedTuple):
     """A generator with its certificate and the expected exact values."""
 
     name: str
@@ -122,8 +120,7 @@ def nontrivial_quartic_dense() -> QuatPoly:
                      Quaternion(-1, 0, 0, Fraction(1, 3))])
 
 
-@dataclass(frozen=True)
-class RegressionItem:
+class RegressionItem(NamedTuple):
     name: str
     passed: bool
     detail: str = ""

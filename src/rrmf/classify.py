@@ -27,10 +27,9 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 from enum import Enum
 from itertools import zip_longest
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .hodograph import GeneratorAnalysis, TrivialWitness
 from .indicatrix import _han_identity, require_certificate, verify_han
@@ -85,8 +84,7 @@ def is_planar(a: QuatPoly) -> bool:
     return _require_nonzero_coprime(a, "planarity test").planar
 
 
-@dataclass(frozen=True)
-class ReducedForm:
+class ReducedForm(NamedTuple):
     """A * conj(gamma) / |gcd(A, gamma)|^2, and whether it has zero indicatrix."""
 
     result: QuatPoly
@@ -119,8 +117,7 @@ class MembershipStatus(Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class Membership:
+class Membership(NamedTuple):
     """Outcome of the rational-RMF membership question, with the
     certificate the verdict read: the supplied one, or the one built."""
 
@@ -287,8 +284,7 @@ def _search_exact(analysis: GeneratorAnalysis, max_degree: int,
 # -- aggregate verdict -------------------------------------------------
 
 
-@dataclass
-class Classification:
+class Classification(NamedTuple):
     """Full verdict record for one generator polynomial."""
 
     in_widetilde: bool

@@ -11,7 +11,7 @@ monic cubic is the coefficient reversal of a generic one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .hodograph import GeneratorAnalysis, has_coprime_components
 from .indicatrix import inner_product_poly
@@ -59,8 +59,7 @@ def make_trivial(left_factor: Quaternion, direction: Quaternion,
                     "resulting components are not coprime")
 
 
-@dataclass(frozen=True)
-class CubicSpec:
+class CubicSpec(NamedTuple):
     """Degree-3 data: A1, A2 in R+Rj+Rk spanning it together with 1."""
 
     a1: Quaternion
@@ -119,8 +118,7 @@ def make_cubic_monic(a1: Quaternion, a2: Quaternion,
     return QuatPoly(coeffs[::-1])
 
 
-@dataclass(frozen=True)
-class QuarticSpec:
+class QuarticSpec(NamedTuple):
     """Degree-4 data; the i part of A3 is forced, A4 is solved for."""
 
     a1: Quaternion
@@ -131,8 +129,7 @@ class QuarticSpec:
     left_factor: Quaternion = Quaternion(1)
 
 
-@dataclass(frozen=True)
-class QuarticResult:
+class QuarticResult(NamedTuple):
     poly: QuatPoly
     non_trivial: bool
     family_dim: int
@@ -198,8 +195,7 @@ def make_spatial_family(n: int) -> QuatPoly:
     return QuatPoly(coeffs)
 
 
-@dataclass(frozen=True)
-class FElement:
+class FElement(NamedTuple):
     """Generator of an RRMF curve plus the certificate that proves it."""
 
     poly: QuatPoly

@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import repeat
 from typing import Any, Optional
 
 from .polynomials import ComplexPoly, QuatPoly, RealPoly
-from .scalars import MAX_BASE, Scalar, format_scalar, is_valid_base, scalar_terms
+from .scalars import (MAX_BASE, Scalar, format_scalar, format_terms, is_valid_base,
+                      scalar_terms)
 
 
 class DocumentError(ValueError):
@@ -50,17 +51,32 @@ _POLY = {"quaternion": QuatPoly, "complex": ComplexPoly, "real": RealPoly}
 KINDS = tuple(_POLY)
 
 
-@dataclass(frozen=True)
 class PolyDocument:
     """Parsed document: base, kind, its polynomial and the number of
-    coefficient rows it writes, optional certificate and metadata."""
+    coefficient rows it writes, optional certificate and metadata.  A
+    plain class with read-only fields, equal to a document with equal
+    fields; each document built without metadata has a dict of its own."""
 
-    sqrt_base: int
-    kind: str
-    poly: Any
-    length: int
-    certificate: Optional[tuple[RealPoly, RealPoly]] = None
-    metadata: dict = field(default_factory=dict)
+    _fields = ("sqrt_base", "kind", "poly", "length", "certificate", "metadata")
+
+    def __init__(self, sqrt_base: int, kind: str, poly: Any, length: int,
+                 certificate: Optional[tuple[RealPoly, RealPoly]] = None,
+                 metadata: Optional[dict] = None):
+        self.__dict__.update(zip(self._fields, (
+            sqrt_base, kind, poly, length, certificate, {} if metadata is None else metadata)))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"PolyDocument fields are read-only: {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if type(other) is not PolyDocument:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self._fields)
+
+    def __repr__(self):
+        return f"PolyDocument({', '.join(f'{f}={getattr(self, f)!r}' for f in self._fields)})"
 
     def to_poly(self):
         return self.poly
@@ -149,9 +165,7 @@ def parse_document(data) -> PolyDocument:
         certificate = tuple(RealPoly.from_terms([read_terms(c, base) for c in cert[part]])
                             for part in "ab")
     metadata = data.get("metadata")
-    if metadata is None:
-        metadata = {}
-    elif not isinstance(metadata, dict):
+    if metadata is not None and not isinstance(metadata, dict):
         raise DocumentError("metadata must be an object")
     return PolyDocument(base, kind, cls.from_terms(terms), len(raw),
                         certificate, metadata)
@@ -176,13 +190,14 @@ def document_for(poly, certificate: Optional[tuple[RealPoly, RealPoly]] = None,
         raise DocumentError(f"mixed surd bases {sorted(bases)} in one document")
     base = bases.pop() if bases else 0
     # the zero polynomial is written as one zero coefficient
-    return PolyDocument(base, kind, poly, max(1, poly.degree() + 1), certificate,
-                        metadata or {})
+    return PolyDocument(base, kind, poly, max(1, poly.degree() + 1), certificate, metadata)
 
 
 def certificate_to_dict(cert: tuple[RealPoly, RealPoly]) -> dict:
-    """The certificate (a, b) as {"a": [...], "b": [...]} of scalar strings."""
-    return {part: [format_scalar(c) for c in poly.coeffs]
+    """The certificate (a, b) as {"a": [...], "b": [...]} of scalar strings,
+    read from the columns of each polynomial's integer rows over its den."""
+    return {part: [format_terms(p, r, poly.den, poly.d) for p, r in
+                   zip(poly.rows[0], poly.rows[1] if poly.d else repeat(0))]
             for part, poly in zip("ab", cert)}
 
 

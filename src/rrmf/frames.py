@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Literal, NamedTuple, Optional
 
 from .hodograph import GeneratorAnalysis, basis_images, float_images
@@ -39,8 +38,7 @@ class CertificateError(ValueError):
     """A rotation-minimizing frame was requested with an invalid certificate."""
 
 
-@dataclass(frozen=True)
-class SymbolicFrame:
+class SymbolicFrame(NamedTuple):
     """An exact orthonormal frame: the images N1, N2, N3 over the
     denominator W, as hodograph.basis_images returns them."""
 

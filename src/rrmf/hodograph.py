@@ -32,10 +32,9 @@ Q (chi_degree), and only core_of divides A by chi.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, zip_longest
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .polynomials import (_PRIMES, ComplexPoly, QuatPoly, RationalFunction, RealPoly,
                           _embedding, _gcd_mod, _image, _sqrt_mod, _trim_mod, component_forms,
@@ -45,34 +44,27 @@ from .quaternions import Quaternion
 from .scalars import _REAL, Scalar, _algebra, _form_loop, _trim_rows
 
 
-@dataclass(frozen=True)
 class Hodograph:
     """Derivative components (x', y', z') and parametric speed sigma.
 
-    Built by hand, it checks the Pythagorean identity and the sign of
-    sigma's leading coefficient; GeneratorAnalysis.hodograph, which
-    hodograph_of reads, builds it unchecked, since A i A* and |A|^2
-    satisfy both by construction.
+    A plain class, compared by identity.  Built by hand, it checks the
+    Pythagorean identity and the sign of sigma's leading coefficient;
+    GeneratorAnalysis.hodograph, which hodograph_of reads, builds it
+    unchecked, since A i A* and |A|^2 satisfy both by construction.
     """
 
-    xp: RealPoly
-    yp: RealPoly
-    zp: RealPoly
-    sigma: RealPoly
-
-    def __post_init__(self):
-        lhs = self.xp * self.xp + self.yp * self.yp + self.zp * self.zp
-        if lhs != self.sigma * self.sigma:
+    def __init__(self, xp: RealPoly, yp: RealPoly, zp: RealPoly, sigma: RealPoly):
+        if xp * xp + yp * yp + zp * zp != sigma * sigma:
             raise AssertionError("Pythagorean identity violated")
-        if not self.sigma.is_zero() and self.sigma.leading().sign() < 0:
+        if not sigma.is_zero() and sigma.leading().sign() < 0:
             raise AssertionError("sigma must have nonnegative leading coefficient")
+        self.xp, self.yp, self.zp, self.sigma = xp, yp, zp, sigma
 
     def components(self) -> tuple[RealPoly, RealPoly, RealPoly]:
         return (self.xp, self.yp, self.zp)
 
 
-@dataclass(frozen=True)
-class CurvePosition:
+class CurvePosition(NamedTuple):
     """Antiderivatives with r(0) = 0 and the polynomial arc length."""
 
     x: RealPoly
@@ -85,8 +77,7 @@ class CurvePosition:
                 self.z.evaluate_float(xi))
 
 
-@dataclass(frozen=True)
-class CoreDecomposition:
+class CoreDecomposition(NamedTuple):
     """core * factor = A, with factor the maximal monic complex right divisor."""
 
     core: QuatPoly
@@ -179,8 +170,7 @@ def core_of(a: QuatPoly) -> CoreDecomposition:
     return GeneratorAnalysis.of(a, "core of the zero polynomial").core
 
 
-@dataclass(frozen=True)
-class TrivialWitness:
+class TrivialWitness(NamedTuple):
     """Left factor C and plane direction u with A = C*(coefficients in R+Ru).
 
     The direction is stored unnormalized together with its squared norm,
@@ -193,7 +183,6 @@ class TrivialWitness:
     direction_norm_sq: Scalar
 
 
-@dataclass(frozen=True)
 class GeneratorAnalysis:
     """The facts of one nonzero generator A, each computed once, on first use.
 
@@ -207,7 +196,8 @@ class GeneratorAnalysis:
     fact from a fresh one, so every fact has a single implementation.
     """
 
-    poly: QuatPoly
+    def __init__(self, poly: QuatPoly):
+        self.poly = poly
 
     @classmethod
     def of(cls, a, zero_message: str = "analysis of the zero polynomial"
@@ -277,8 +267,7 @@ class GeneratorAnalysis:
         """r' = A i A* with speed |A|^2, from a pass of its own, unchecked:
         both satisfy the Hodograph identities by construction."""
         h = object.__new__(Hodograph)
-        forms = component_forms(self.poly, _IMAGE_FORMS[:4])
-        h.__dict__.update(zip(("sigma", "xp", "yp", "zp"), forms))
+        h.sigma, h.xp, h.yp, h.zp = component_forms(self.poly, _IMAGE_FORMS[:4])
         return h
 
     @cached_property

@@ -16,7 +16,7 @@ from the value of its two sides at one power of two.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .hodograph import _INNER_FORM, GeneratorAnalysis
 from .polynomials import (QuatPoly, RationalFunction, RealPoly, component_forms,
@@ -104,8 +104,7 @@ def _han_identity(analysis: GeneratorAnalysis, a: RealPoly, b: RealPoly) -> bool
     return not any(_form_loop(real, values, _HAN_IDENTITY)[-real.m:])
 
 
-@dataclass(frozen=True)
-class RhoEta:
+class RhoEta(NamedTuple):
     """The equal-degree divisibility pair and the criterion verdict."""
 
     rho: RealPoly

@@ -627,20 +627,27 @@ class Scalar(_Ring):
         return format_scalar(self)
 
 
-def _ratio(q: Fraction) -> str:
+def _ratio(n: int, m: int) -> str:
+    # n/m, m > 0, in lowest terms by one gcd
+    g = math.gcd(n, m)
     # Decimal converts an int of any length, where str() stops at the
     # interpreter's int-string limit (4300 digits by default); the limit
     # itself stays in force for parsing
-    return f"{Decimal(q.numerator)}/{Decimal(q.denominator)}"
+    return f"{Decimal(n // g)}/{Decimal(m // g)}"
+
+
+def format_terms(p: int, r: int, den: int, d: int) -> str:
+    """The text form of (p + r*sqrt(d))/den, den > 0, from its integers:
+    "a/b", or "a/b+c/e*sqrt(d)" when r != 0, each part in lowest terms."""
+    if not r:
+        return _ratio(p, den)
+    return f"{_ratio(p, den)}{'+' if r > 0 else '-'}{_ratio(abs(r), den)}*sqrt({d})"
 
 
 def format_scalar(s: Scalar) -> str:
     """Canonical text form: "a/b" or "a/b+c/e*sqrt(d)" (ASCII, no spaces)."""
-    a, b = s.a, s.b
-    if not b:
-        return _ratio(a)
-    sign = "+" if b > 0 else "-"
-    return f"{_ratio(a)}{sign}{_ratio(abs(b))}*sqrt({s.d})"
+    return format_terms(s.rows[0][0] if s.rows[0] else 0, s.rows[1][0] if s.d else 0,
+                        s.den, s.d)
 
 
 # one grammar for every scalar read: p/q, then the surd term r/s*sqrt(d),
