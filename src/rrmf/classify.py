@@ -209,7 +209,7 @@ def _image_certificate(analysis: GeneratorAnalysis, max_degree: int
     han_image; None for an odd or zero number of poles, when the loop
     stops, past max_degree, without a reconstruction or for parts with a
     common factor."""
-    (p, r, *_), (num, den) = analysis.image, analysis.han_image
+    p, r, (num, den) = analysis.image.p, analysis.image.r, analysis.han_image
     roots, odd = divmod(len(den) - 1, 2)
     if odd or not roots:
         return None

@@ -30,7 +30,7 @@ from .frames import frame_sampler, write_frames_csv
 from .indicatrix import verify_han
 from .polynomials import ComplexPoly, InexactDivision, QuatPoly
 from .quaternions import Quaternion
-from .scalars import Scalar, format_scalar
+from .scalars import Scalar, format_columns, format_scalar
 
 EXIT_OK = 0
 EXIT_CLOSED_OUTPUT = 1
@@ -57,7 +57,7 @@ def _load_generator(path: str) -> tuple[PolyDocument, QuatPoly]:
 
 
 def _quat_json(q: Quaternion) -> list[str]:
-    return [format_scalar(c) for c in q.components()]
+    return [texts[0] for texts in format_columns(q, 1)]
 
 
 def classification_to_dict(c: Classification) -> dict:

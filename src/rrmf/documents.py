@@ -10,8 +10,9 @@ Parsing reads each scalar by the one grammar of scalars.scalar_terms
 into integers and builds the polynomial and the certificate's two
 polynomials straight from them (scalars' ``_Exact.from_terms``, which
 reads the base off the terms), with no Fraction or Scalar per
-coefficient.  A document's ``coefficients``, the rows as written in
-ring parts, are built from the polynomial when first read.
+coefficient; writing reads each text from a column of the integer rows
+(scalars.format_columns).  ``coefficients``, in ring parts, is built
+from the polynomial when first read.
 """
 
 from __future__ import annotations
@@ -19,12 +20,10 @@ from __future__ import annotations
 import json
 import re
 from functools import cached_property
-from itertools import repeat
 from typing import Any, Optional
 
 from .polynomials import ComplexPoly, QuatPoly, RealPoly
-from .scalars import (MAX_BASE, Scalar, format_scalar, format_terms, is_valid_base,
-                      scalar_terms)
+from .scalars import MAX_BASE, Scalar, format_columns, is_valid_base, scalar_terms
 
 
 class DocumentError(ValueError):
@@ -196,16 +195,12 @@ def document_for(poly, certificate: Optional[tuple[RealPoly, RealPoly]] = None,
 def certificate_to_dict(cert: tuple[RealPoly, RealPoly]) -> dict:
     """The certificate (a, b) as {"a": [...], "b": [...]} of scalar strings,
     read from the columns of each polynomial's integer rows over its den."""
-    return {part: [format_terms(p, r, poly.den, poly.d) for p, r in
-                   zip(poly.rows[0], poly.rows[1] if poly.d else repeat(0))]
-            for part, poly in zip("ab", cert)}
+    return {part: format_columns(poly, len(poly.rows[0]))[0] for part, poly in zip("ab", cert)}
 
 
 def document_to_dict(doc: PolyDocument) -> dict:
-    if _POLY[doc.kind].ring.width == 1:
-        coeffs: Any = [format_scalar(row[0]) for row in doc.coefficients]
-    else:
-        coeffs = [[format_scalar(c) for c in row] for row in doc.coefficients]
+    texts = format_columns(doc.poly, doc.length)
+    coeffs: Any = texts[0] if _POLY[doc.kind].ring.width == 1 else list(map(list, zip(*texts)))
     out: dict = {"sqrt_base": doc.sqrt_base, "kind": doc.kind,
                  "coefficients": coeffs}
     if doc.certificate is not None:

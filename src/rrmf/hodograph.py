@@ -8,40 +8,35 @@ kernel: sigma with <A'i, A> for the verdicts, and sigma with A i A*,
 from which the analysis alone builds the Hodograph record.
 hodograph_of, is_primitive, has_coprime_components and core_of read a
 fresh analysis.  The equal-degree criterion sigma | rho is decided
-here too, as sigma | sigma'^2 + 4 <A'i, A>^2 on the first pass.  The
-analysis maps the four components of A, not their derivatives, to F_p
-once, at the prime of polynomials._embedding (a slope at a point comes
-with the value, in one Horner pass), and each fact screens that image
-first with the kernel's F_p tools: it can prove the components coprime,
-chi = 1 (the core is then A), <A'i, A> nonzero at a point (not in F0),
-span rank 3 (not planar) and sigma not dividing rho.  It also holds the
-Han fraction reduced over F_p from one pass of packed products
-(han_image), where the certificate search starts.  An image proves only
-those answers, and the exact kernel (the gcds without a second screen,
-the form passes, vector_rank) runs whenever it cannot.  The triviality
-witness is one product conj(c) A, for the lowest nonzero coefficient c,
-whose vector components vector_rank ranks.  basis_images forms all ten
-component products of B for the three images B e B*,
-exactly for the symbolic frames; float_images forms them in floats
-from B's values at one parameter, for sampling.  The core of A is A
-stripped of chi = gcd(alpha, conj(beta)), its maximal monic complex
-right divisor; A generates a primitive hodograph exactly when chi = 1.
-A verdict reads deg chi alone, which images at more primes prove over
-Q (chi_degree), and only core_of divides A by chi.
+here too, as sigma | sigma'^2 + 4 <A'i, A>^2 on the first pass.  Each
+fact screens A's one polynomials.PrimeImage (its four components in
+F_p) first: it can prove the components coprime, chi = 1 (the core is
+then A), <A'i, A> nonzero at a point (not in F0), span rank 3 (not
+planar) and sigma not dividing rho.  The analysis also holds the Han
+fraction reduced over F_p (han_image), where the certificate search
+starts.  An image proves only those answers, and the exact kernel (the
+gcds without a second screen, the form passes, vector_rank) runs
+whenever it cannot.  The triviality witness is one product conj(c) A,
+for the lowest nonzero coefficient c, whose vector components
+vector_rank ranks.  basis_images forms all ten component products of B
+for the three images B e B*, exactly for the symbolic frames;
+float_images forms them in floats from B's values at one parameter, for
+sampling.  The core of A is A stripped of chi = gcd(alpha, conj(beta)),
+its maximal monic complex right divisor; A generates a primitive
+hodograph exactly when chi = 1.  A verdict reads deg chi alone, which
+the image, and the same record over further primes, prove over Q
+(chi_degree); only core_of divides A by chi.
 """
 from __future__ import annotations
 
-import math
 from functools import cached_property
-from itertools import accumulate, zip_longest
 from typing import NamedTuple, Optional
 
-from .polynomials import (_PRIMES, ComplexPoly, QuatPoly, RationalFunction, RealPoly,
-                          _embedding, _gcd_mod, _image, _sqrt_mod, _trim_mod, component_forms,
-                          divmod_mod, exact_divide, forms_mod, gcd_complex,
-                          gcd_real, images_coprime, reduce_fraction, vector_rank)
+from .polynomials import (ComplexPoly, PrimeImage, QuatPoly, RationalFunction, RealPoly,
+                          _gcd_mod, component_forms, divmod_mod, exact_divide, forms_mod,
+                          gcd_complex, gcd_real, images_coprime, reduce_fraction, vector_rank)
 from .quaternions import Quaternion
-from .scalars import _REAL, Scalar, _algebra, _form_loop, _trim_rows
+from .scalars import Scalar
 
 
 class Hodograph:
@@ -108,11 +103,6 @@ Images = tuple[RealPoly, list[tuple[RealPoly, ...]]]
 # fixed points of F_p at which an analysis evaluates the image of A
 _POINTS = (0x2545F491, 0x1B873593, 0x3C6EF372)
 _ONE = ComplexPoly([1])
-# (N, r) for the product N of the first 1, 2, ... listed primes after the
-# analysis prime over Q, and r^2 = -1 mod N: the CRT lift of each sqrt(-1)
-_MODULI = list(accumulate(_PRIMES[1:], lambda m, p: (m[0] * p, m[1] + m[0] * (
-    (_sqrt_mod(-1, p) - m[1]) * pow(m[0], -1, p) % p)), initial=(1, 0)))[1:]
-_COVER_BITS = math.prod(_PRIMES).bit_length()
 
 
 def basis_images(b: QuatPoly) -> Images:
@@ -211,40 +201,16 @@ class GeneratorAnalysis:
         return cls(a)
 
     @cached_property
-    def image(self) -> Optional[tuple[int, int, list, list]]:
-        """(p, r, comps, degrees) for every screen below: the prime of
-        _embedding, the image of i, u, v, p, q of A over F_p, and the exact
-        degrees of u, v, p, q.  None when no listed prime fits the base,
-        and then every fact is exact."""
-        a = self.poly
-        embedding = _embedding(a.d)
-        if embedding is None:
-            return None
-        p, weights = embedding
-        parts = 2 if a.d else 1
-        rows = [a.rows[w * parts:(w + 1) * parts] for w in range(4)]
-        comps = [_image(comp, weights[:parts], p) for comp in rows]
-        return p, weights[parts], comps, [len(_trim_rows(comp)[0]) - 1 for comp in rows]
-
-    def _form_values(self, forms, t: int) -> list[int]:
-        """The values in F_p at t of the images of component_forms(A, forms),
-        by the kernel's form loop on the values of u, v, p, q at t and then
-        their slopes, each pair in one Horner pass (scalars._at_power mod p)."""
-        p, _, comps, _ = self.image
-        values = [0] * 8
-        for k, f in enumerate(comps):
-            for c in reversed(f):
-                values[k + 4] = (values[k + 4] * t + values[k]) % p
-                values[k] = (values[k] * t + c) % p
-        return [v % p for v in _form_loop(_algebra(_REAL, 0), values, forms)[-len(forms):]]
+    def image(self) -> Optional[PrimeImage]:
+        """A over F_p for every screen below; without one, every fact is exact."""
+        return PrimeImage.of(self.poly)
 
     @cached_property
     def coprime(self) -> bool:
         """Whether the four real components of A are coprime."""
-        if self.image is not None:
-            p, _, comps, degrees = self.image
-            if images_coprime(comps, degrees, p):
-                return True
+        image = self.image
+        if image is not None and images_coprime(image.comps, image.degrees, image.p):
+            return True
         # the image has been screened: the exact gcd runs without it
         return gcd_real(*self.poly.components(), screen=False).degree() == 0
 
@@ -274,27 +240,16 @@ class GeneratorAnalysis:
     def in_f0(self) -> bool:
         """Coprime components and identically zero <A'i, A>; an image of
         <A'i, A> that is nonzero at one point rules it out."""
-        if self.image is not None and self._form_values((_INNER_FORM,), _POINTS[0])[0]:
+        if self.image is not None and self.image.values((_INNER_FORM,), _POINTS[0])[0]:
             return False
         return self.coprime and self.inner.is_zero()
-
-    def _split_gcd_degree(self, p: int, r: int, rows) -> Optional[int]:
-        """deg gcd of the images of alpha and conj(beta) modulo p, i -> r,
-        from the lists (u, v, x, y, ...) of A, if both keep their degrees
-        (modulo each prime factor of p; ValueError if a step does not)."""
-        split = [_trim_mod([(s + t * r) % p for s, t in zip_longest(f, g, fillvalue=0)])
-                 for f, g in ((rows[0], rows[1]), (rows[2], [-c for c in rows[3]]))]
-        if ([len(f) for f in split] == [max(self.image[3][s:s + 2]) + 1 for s in (0, 2)]
-                and all(math.gcd(f[-1], p) == 1 for f in split if f)):
-            return len(_gcd_mod(split, p)) - 1
-        return None
 
     @cached_property
     def chi(self) -> ComplexPoly:
         """gcd(alpha, conj(beta)), the maximal monic complex right divisor
         of A, for alpha + beta j = (u + v i) + (p + q i) j; 1 when the
         image proves it."""
-        if self.image is not None and self._split_gcd_degree(*self.image[:3]) == 0:
+        if self.image is not None and self.image.split_gcd_degree() == 0:
             return _ONE
         alpha, beta = self.poly.complex_split()
         return gcd_complex(alpha, beta.conjugate(), screen=False)
@@ -309,27 +264,15 @@ class GeneratorAnalysis:
         B^2 these psc_j are 0 for the least k, and deg chi <= k (Brown
         1971).  The exact chi decides over Q(sqrt d), or if the primes
         cannot pass B^2."""
-        if self.image is None or self.poly.d:
+        image = self.image
+        if image is None or self.poly.d:
             return self.chi.degree()
-        k = self._split_gcd_degree(*self.image[:3])
+        k = image.split_gcd_degree()
         if k == 0:
             return 0
-        rows, (n, m) = self.poly.rows, (max(self.image[3][s:s + 2]) for s in (0, 2))
-        na, nb = (sum(c * c for row in rows[s:s + 2] for c in row) for s in (0, 2))
-        # B^2 < 2^bits, below the product of all listed primes
-        bits = m * na.bit_length() + n * nb.bit_length()
-        if k is not None and min(n, m) >= 0 and bits < _COVER_BITS:
-            # the next primes, whose product N passes B^2 with the analysis prime, in
-            # one Euclid over Z/N: with units leading, its steps are those at each (CRT)
-            bound = na ** m * nb ** n // _PRIMES[0]
-            modulus, r = next(x for x in _MODULI if x[0] > bound)
-            try:
-                degree = self._split_gcd_degree(modulus, r, rows)
-            except ValueError:  # a prime at which the remainders lose a degree
-                degree = None
-            if degree is not None:
-                return min(k, degree)
-        return self.chi.degree()
+        wide = None if k is None else image.composite(self.poly.rows)
+        degree = None if wide is None else wide.split_gcd_degree()
+        return self.chi.degree() if degree is None else min(k, degree)
 
     @cached_property
     def core(self) -> CoreDecomposition:
@@ -350,10 +293,10 @@ class GeneratorAnalysis:
         _POINTS are independent over F_p, so its coefficient vectors are."""
         if self.image is None:
             return False
-        (a, b, c), (d, e, f), (g, h, k) = (self._form_values(_IMAGE_FORMS[1:4], t)
+        (a, b, c), (d, e, f), (g, h, k) = (self.image.values(_IMAGE_FORMS[1:4], t)
                                            for t in _POINTS)
         det = a * (e * k - f * h) - b * (d * k - f * g) + c * (d * h - e * g)
-        return det % self.image[0] != 0
+        return det % self.image.p != 0
 
     @cached_property
     def span_rank(self) -> int:
@@ -396,7 +339,7 @@ class GeneratorAnalysis:
         sigma |A'|^2.  If sigma keeps its degree 2 deg A in the image, a
         nonzero remainder over F_p proves that sigma does not divide it."""
         if self._speed_inner_image is not None:
-            p, (sigma, inner) = self.image[0], self._speed_inner_image
+            p, (sigma, inner) = self.image.p, self._speed_inner_image
             four_eta, = forms_mod([sigma, inner], (((1, 2, 2), (4, 1, 1)),), p)
             if divmod_mod(four_eta, sigma, p)[1]:
                 return False
@@ -408,8 +351,7 @@ class GeneratorAnalysis:
     def _speed_inner_image(self) -> Optional[list[list[int]]]:
         """Images of sigma and <A'i, A>, if sigma keeps its degree 2 deg A."""
         if self.image is not None:
-            p, _, comps, _ = self.image
-            forms = forms_mod(comps, _SPEED_INNER, p)
+            forms = forms_mod(self.image.comps, _SPEED_INNER, self.image.p)
             if len(forms[0]) == 2 * self.poly.degree() + 1:
                 return forms
         return None
@@ -421,7 +363,7 @@ class GeneratorAnalysis:
         deg D <= deg han.den (Brown 1971)."""
         if self._speed_inner_image is None:
             return None
-        p, (sigma, inner) = self.image[0], self._speed_inner_image
+        p, (sigma, inner) = self.image.p, self._speed_inner_image
         g = _gcd_mod([sigma, inner], p)
         num, den = (divmod_mod(f, g, p)[0] for f in (inner, sigma))
         inv = pow(den[-1], -1, p)

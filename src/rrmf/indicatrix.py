@@ -91,9 +91,9 @@ def _han_identity(analysis: GeneratorAnalysis, a: RealPoly, b: RealPoly) -> bool
         # unless one of its factors is rational
         return ((a.derivative() * b - a * b.derivative()) * analysis.sigma
                 == analysis.inner * (a * a + b * b))
-    d, p, den = d or poly.d, 2 if poly.d else 1, math.lcm(a.den, b.den)
+    d, den = d or poly.d, math.lcm(a.den, b.den)
     cert = [[[x * (den // f.den) for x in row] for row in f.rows] for f in (a, b)]
-    comps = [poly.rows[w * p:(w + 1) * p] for w in range(4)] + cert
+    comps = poly.component_rows() + cert
     s = math.isqrt(d) + 1
     m_a, m_c = (max(map(len, rows)) ** 2 * (s + 1) * max(abs(x) for row in rows for x in row)
                 for rows in (poly.rows, cert[0] + cert[1]))

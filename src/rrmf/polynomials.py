@@ -55,9 +55,9 @@ listed prime fits d.  The tools here are generic: images of rows and
 their gcds, quotients with remainders (divmod_mod), forms and products
 (forms_mod, mul_mod: the packed kernel, then reduced mod p), and the
 rational reconstruction of a residue (rational_mod), which can only
-propose a value for an exact check.
-hodograph.GeneratorAnalysis forms the image of a generator's components
-and runs its screens.
+propose a value for an exact check.  A generator's image is one
+PrimeImage, whose methods are the screens of hodograph.GeneratorAnalysis,
+at the prime and over a product of further primes (composite).
 """
 
 from __future__ import annotations
@@ -65,11 +65,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional
+from itertools import accumulate, zip_longest
+from typing import Iterable, NamedTuple, Optional
 
 from .quaternions import Quaternion
 from .scalars import (_REAL, ComplexScalar, Scalar, _Algebra, _algebra, _canonical, _Exact,
-                      _kernel, _leading, _packed_forms, _stack, _top, _trim_rows)
+                      _form_loop, _kernel, _leading, _packed_forms, _stack, _top, _trim_rows)
 
 
 class InexactDivision(ArithmeticError):
@@ -358,6 +359,11 @@ class QuatPoly(_DensePoly):
         """(alpha, beta) with self = alpha + beta*j."""
         return self._split(ComplexPoly)
 
+    def component_rows(self) -> list:
+        """The integer rows of each of u, v, p, q: 1, or 2 over a surd base."""
+        k = 2 if self.d else 1
+        return [self.rows[w * k:(w + 1) * k] for w in range(4)]
+
     # kept in this class body: bench/tracing.py wraps QuatPoly.__mul__ on its class
     __mul__ = _Exact.__mul__
     # ordered coefficient products make divmod the right division
@@ -389,7 +395,7 @@ def _gcd(cls, polys, screen: bool):
     embedding = _embedding(alg.d) if screen else None
     if embedding is not None:
         p, weights = embedding
-        images = [_image(q._rows_over(alg.d), weights[:alg.m], p) for q in polys]
+        images = [_image(q._rows_over(alg.d), weights, p) for q in polys]
         if images_coprime(images, [q.degree() for q in polys], p):
             return cls._from_rows(alg.d, [[v] for v in alg.one], 1)
     g = None
@@ -411,10 +417,8 @@ def component_forms(b: QuatPoly, forms) -> list[RealPoly]:
     b = QuatPoly.of(b)
     if b.is_zero():
         return [RealPoly() for _ in forms]
-    p = 2 if b.d else 1
-    comps = [b.rows[w * p:(w + 1) * p] for w in range(4)]
-    return [RealPoly._from_rows(b.d, rows, b.den * b.den)
-            for rows in _packed_forms(_algebra(_REAL, b.d), comps, forms, _top(b.rows))]
+    return [RealPoly._from_rows(b.d, rows, b.den * b.den) for rows in _packed_forms(
+        _algebra(_REAL, b.d), b.component_rows(), forms, _top(b.rows))]
 
 
 # -- the prime image -------------------------------------------------------
@@ -469,6 +473,13 @@ def _embedding(d: int) -> Optional[tuple[int, tuple]]:
     return None
 
 
+# (N, r) for the product N of the first 1, 2, ... listed primes after the
+# first, and r^2 = -1 mod N: the CRT lift of each sqrt(-1)
+_MODULI = list(accumulate(_PRIMES[1:], lambda m, p: (m[0] * p, m[1] + m[0] * (
+    (_sqrt_mod(-1, p) - m[1]) * pow(m[0], -1, p) % p)), initial=(1, 0)))[1:]
+_COVER_BITS = math.prod(_PRIMES).bit_length()
+
+
 def _trim_mod(f: list) -> list:
     while f and not f[-1]:
         f.pop()
@@ -482,6 +493,65 @@ def _image(rows, weights: tuple, p: int) -> list:
     for w, row in zip(weights[1:], rows[1:]):
         acc = [a + w * v for a, v in zip(acc, row)]
     return _trim_mod([a % p for a in acc])
+
+
+class PrimeImage(NamedTuple):
+    """A generator A over F_p for the screens of hodograph.GeneratorAnalysis: the prime
+    p of _embedding, the images r of i and comps of u, v, p, q, and their degrees."""
+
+    p: int
+    r: int
+    comps: list
+    degrees: list
+
+    @classmethod
+    def of(cls, a: QuatPoly) -> Optional["PrimeImage"]:
+        """The image of A; None when no listed prime fits its base."""
+        embedding = _embedding(a.d)
+        if embedding is None:
+            return None
+        p, weights = embedding
+        rows = a.component_rows()
+        return cls(p, weights[len(rows[0])], [_image(comp, weights, p) for comp in rows],
+                   [len(_trim_rows(comp)[0]) - 1 for comp in rows])
+
+    def values(self, forms, t: int) -> list[int]:
+        """The values in F_p at t of the images of component_forms(A, forms):
+        the form loop on the value and slope of each of u, v, p, q at t."""
+        p, values = self.p, [0] * 8
+        for k, f in enumerate(self.comps):
+            for c in reversed(f):
+                values[k + 4] = (values[k + 4] * t + values[k]) % p
+                values[k] = (values[k] * t + c) % p
+        return [v % p for v in _form_loop(_algebra(_REAL, 0), values, forms)[-len(forms):]]
+
+    def split_gcd_degree(self) -> Optional[int]:
+        """deg gcd of the images of alpha = u + v i and conj(beta) = p - q i; None
+        unless both keep their degrees at each Euclid step, modulo each prime of p."""
+        p, r, (u, v, x, y) = self.p, self.r, self.comps
+        split = [_trim_mod([(s + t * r) % p for s, t in zip_longest(f, g, fillvalue=0)])
+                 for f, g in ((u, v), (x, [-c for c in y]))]
+        if ([len(f) - 1 for f in split] != [max(self.degrees[:2]), max(self.degrees[2:])]
+                or any(math.gcd(f[-1], p) != 1 for f in split if f)):
+            return None
+        try:
+            return len(_gcd_mod(split, p)) - 1
+        except ValueError:  # a leading coefficient that is no unit modulo p
+            return None
+
+    def composite(self, rows) -> Optional["PrimeImage"]:
+        """This image modulo the product N of the next listed primes that passes
+        B^2 = |alpha|^2m |beta|^2n of chi_degree with p, comps A's rows over Q and
+        r the CRT lift of each sqrt(-1), so that Euclid's steps are those at each
+        prime while units lead; None for alpha or beta 0, or if B^2 may reach all
+        listed primes, as bit lengths tell before any huge power is formed."""
+        n, m = max(self.degrees[:2]), max(self.degrees[2:])
+        na, nb = (sum(c * c for row in rows[s:s + 2] for c in row) for s in (0, 2))
+        if min(n, m) < 0 or m * na.bit_length() + n * nb.bit_length() >= _COVER_BITS:
+            return None
+        bound = na ** m * nb ** n // self.p
+        modulus, r = next(x for x in _MODULI if x[0] > bound)
+        return self._replace(p=modulus, r=r, comps=rows)
 
 
 def divmod_mod(f: list, g: list, p: int) -> tuple[list, list]:

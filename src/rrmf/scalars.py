@@ -650,6 +650,14 @@ def format_scalar(s: Scalar) -> str:
                         s.den, s.d)
 
 
+def format_columns(value: _Exact, length: int) -> list[list[str]]:
+    """Per real component of a value, the format_terms texts of the first
+    ``length`` columns of its integer rows over its den, 0/1 past them."""
+    rows = [list(row) + [0] * (length - len(row)) for row in value.rows]
+    pairs = zip(rows[::2], rows[1::2]) if value.d else ((row, [0] * length) for row in rows)
+    return [[format_terms(p, r, value.den, value.d) for p, r in zip(*pair)] for pair in pairs]
+
+
 # one grammar for every scalar read: p/q, then the surd term r/s*sqrt(d),
 # in ASCII digits; a missing q or s is 1, a missing r is 1 after a sqrt
 # sign, a "*" stands only after r or r/s, and the rational term may be

@@ -21,10 +21,10 @@ from rrmf.classify import GeneratorAnalysis, TrivialWitness, classify, search_ce
 from rrmf.construct import make_f_element, make_spatial_family, make_trivial
 from rrmf.frames import erf_symbolic, sample_frames
 from rrmf.documents import parse_document
-from rrmf.hodograph import _IMAGE_FORMS, _INNER_FORM, _MODULI, _POINTS, core_of
+from rrmf.hodograph import _IMAGE_FORMS, _INNER_FORM, _POINTS, core_of
 from rrmf.indicatrix import inner_product_poly, rho_eta, rotation_indicatrix, verify_han
-from rrmf.polynomials import (_PRIMES, ComplexPoly, QuatPoly, RealPoly, _embedding,
-                              gcd_complex, reduce_fraction)
+from rrmf.polynomials import (_MODULI, _PRIMES, ComplexPoly, QuatPoly, RealPoly, _embedding,
+                              _sqrt_mod, gcd_complex, reduce_fraction)
 from rrmf.quaternions import Quaternion
 from rrmf.scalars import ComplexScalar, Scalar
 
@@ -246,13 +246,13 @@ def test_form_values_match_the_reference_forms(base):
     assert generators and all(a.d == base for a in edges)
     images = {}
     for a in generators + edges:
-        analysis = GeneratorAnalysis.of(a)
-        p, _, comps, _ = analysis.image
+        image = GeneratorAnalysis.of(a).image
+        p, comps = image.p, image.comps
         images[a] = comps
         for forms in ((_INNER_FORM,), _IMAGE_FORMS[1:4]):
             reference = image_forms(comps, forms, p)
             for t in _POINTS:
-                assert analysis._form_values(forms, t) == [_horner_mod(f, t, p) for f in reference]
+                assert image.values(forms, t) == [_horner_mod(f, t, p) for f in reference]
     # the edges are what they stand for: u constant, u and q zero, degree 0
     assert [len(images[a][0]) for a in edges] == [1, 0, 1] and images[edges[1]][3] == []
     assert max(map(len, images[edges[2]])) == 1
@@ -331,10 +331,10 @@ def test_chi_degree_past_unlucky_primes(monkeypatch):
     for c, exact in ((_PRIMES[0], []), (_PRIMES[0] * _PRIMES[1], [ComplexPoly])):
         a = QuatPoly([Quaternion(0, 0, -c, 0), Quaternion(1, 0, 1, 0)])
         analysis = GeneratorAnalysis.of(a)
-        assert analysis._split_gcd_degree(*analysis.image[:3]) == 1
+        assert analysis.image.split_gcd_degree() == 1
         if exact:
-            with pytest.raises(ValueError):
-                analysis._split_gcd_degree(math.prod(_PRIMES[1:4]), _MODULI[2][1], a.rows)
+            wide = analysis.image._replace(p=math.prod(_PRIMES[1:4]), r=_MODULI[2][1], comps=a.rows)
+            assert wide.split_gcd_degree() is None
         gcds.clear()
         assert analysis.chi_degree == 0 and analysis.primitive
         verdict = classify(analysis)
@@ -347,8 +347,38 @@ def test_chi_degree_past_unlucky_primes(monkeypatch):
     element = make_f_element(make_spatial_family(4),
                              ComplexPoly([ComplexScalar(0, -1), _PRIMES[0]]))
     analysis = GeneratorAnalysis.of(element.poly)
-    assert analysis._split_gcd_degree(*analysis.image[:3]) is None
+    assert analysis.image.split_gcd_degree() is None
     assert analysis.chi_degree == 1 == core_of(element.poly).factor.degree()
+
+
+def _gaussian_gcd(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    """A gcd in Z[i] of x and y, as (re, im) pairs: Euclid's algorithm with
+    the quotient rounded to the nearest Gaussian integer."""
+    while y != (0, 0):
+        (a, b), (c, d) = x, y
+        n = c * c + d * d
+        qr, qi = ((2 * u + n) // (2 * n) for u in (a * c + b * d, b * c - a * d))
+        x, y = y, (a - (qr * c - qi * d), b - (qr * d + qi * c))
+    return x
+
+
+def test_chi_degree_moduli_pass_the_squared_bound():
+    # pi_k = gcd(p_k, r_k - i) is the Gaussian prime of p_k that i -> r_k sends
+    # to 0.  alpha = xi and conj(beta) = xi - c for c = pi_0 pi_1 are coprime,
+    # with psc_0 = c, |c|^2 = p_0 p_1 and B^2 = |c|^2 + 1.  Both primes see the
+    # root 0 in common, so only a modulus past B^2 / p_0 = p_1 proves chi = 1;
+    # one past B / p_0 < 1 is p_1 itself, where the gcd has degree 1 as well
+    p0, p1 = _PRIMES[:2]
+    r0, r1 = _embedding(0)[1][1], _sqrt_mod(-1, p1)
+    (s, t), (u, v) = (_gaussian_gcd((p, 0), (r, -1)) for p, r in ((p0, r0), (p1, r1)))
+    x, y = s * u - t * v, s * v + t * u
+    assert x * x + y * y == p0 * p1 and (x + y * r0) % p0 == 0 == (x + y * r1) % p1
+    a = QuatPoly([Quaternion(0, 0, -x, y), Quaternion(1, 0, 1, 0)])
+    analysis = GeneratorAnalysis.of(a)
+    assert analysis.image.split_gcd_degree() == 1
+    wide = analysis.image.composite(a.rows)
+    assert wide.p == p1 * _PRIMES[2] and wide.split_gcd_degree() is None
+    assert analysis.chi_degree == 0 == analysis.chi.degree()
 
 
 def test_pool_f_element_verdicts_run_no_exact_complex_gcd(monkeypatch):

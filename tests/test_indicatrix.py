@@ -242,6 +242,21 @@ def test_zero_test_weights_the_surd_part():
         assert not reference_verify_han(a_poly * scale, RealPoly([0, 1]), RealPoly([1]))
 
 
+def test_zero_test_bound_passes_a_root_of_the_scaled_family():
+    # the family above with A = 887 sqrt(15) + 4664 i + j + (xi - 1) k and the
+    # scaled certificate (a, b) = (2 xi, 2): L = 4 sigma - 4 (xi^2 + 1) = 2^27 -
+    # 8 xi is nonzero and vanishes at t = 2^24.  The bound 16 M_A^2 M_c^2 takes
+    # k = 48; one from 4 M_A M_c takes k = 24, and its zero test accepts
+    a_poly = QuatPoly([Quaternion(887 * Scalar(0, 1, 15), 4664, 1, -1), K])
+    a, b = RealPoly([0, 2]), RealPoly([2])
+    analysis = GeneratorAnalysis.of(a_poly)
+    lhs = ((a.derivative() * b - a * b.derivative()) * analysis.sigma
+           - analysis.inner * (a * a + b * b))
+    assert lhs == RealPoly([2 ** 27, -8]) and lhs.evaluate(2 ** 24) == 0
+    assert not verify_han(a_poly, a, b)
+    assert not reference_verify_han(a_poly, a, b)
+
+
 def _long_element(n: int, degree: int, digits: int):
     """The f-element of family member n and a seeded delta of the degree
     whose coefficients have p/q parts of ``digits`` digits each."""
@@ -343,8 +358,7 @@ def test_rho_eta_matches_product_formula(rng):
     moved.append(quintic.left_scale(Quaternion(r, 1)))
     for a in (lead, moved[-1]):
         analysis = GeneratorAnalysis.of(a)
-        p, _, comps, _ = analysis.image
-        sigma, = image_forms(comps, _IMAGE_FORMS[:1], p)
+        sigma, = image_forms(analysis.image.comps, _IMAGE_FORMS[:1], analysis.image.p)
         assert len(sigma) <= 2 * a.degree()
         assert analysis._speed_inner_image is None
     verdicts = set()

@@ -371,7 +371,7 @@ def test_screened_facts_match_sympy(rng, monkeypatch, base, digits):
     assert lead.coprime is facts[name][0] and lead.chi.degree() == facts[name][1].degree()
     # the image decides neither the coprime components nor, at the
     # analysis prime, chi
-    assert screens == [False] and lead._split_gcd_degree(*lead.image[:3]) is None
+    assert screens == [False] and lead.image.split_gcd_degree() is None
     assert not facts["shared real factor"][0]
     assert facts["complex right factor"][1].degree() >= 1
     assert facts["F0 member"][2] and not facts["F0 member"][3]
