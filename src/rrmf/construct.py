@@ -31,6 +31,18 @@ def _jk_rank(*quats: Quaternion) -> int:
                        RealPoly([q.z for q in quats]))
 
 
+def _left_factor(left_factor) -> Quaternion:
+    c = Quaternion.of(left_factor)
+    if c.is_zero():
+        raise ConstructionError("left factor must be nonzero")
+    return c
+
+
+def _require_real_jk(a1: Quaternion, a2: Quaternion) -> None:
+    if not (a1.x.is_zero() and a2.x.is_zero()):
+        raise ConstructionError("A1 and A2 must lie in R + Rj + Rk")
+
+
 def _coprime(poly: QuatPoly, message: str) -> QuatPoly:
     if poly.is_zero() or not has_coprime_components(poly):
         raise ConstructionError(message)
@@ -44,10 +56,7 @@ def make_trivial(left_factor: Quaternion, direction: Quaternion,
     Always yields a vanishing indicatrix with a recoverable triviality
     witness; errors when the components of the result are not coprime.
     """
-    c = Quaternion.of(left_factor)
-    u = Quaternion.of(direction)
-    if c.is_zero():
-        raise ConstructionError("left factor must be nonzero")
+    c, u = _left_factor(left_factor), Quaternion.of(direction)
     if u.is_zero() or not u.is_pure() or not u.inner(I).is_zero():
         raise ConstructionError(
             "direction must be a nonzero pure vector orthogonal to i")
@@ -84,8 +93,7 @@ def _cubic_coeffs(a1: Quaternion, a2: Quaternion, s3: Scalar) -> list[Quaternion
     either order: the i component is <A1, A2 i>/3 xi^3, nonzero after
     the span check, and the real one is 1 at xi = 0.
     """
-    if not (a1.x.is_zero() and a2.x.is_zero()):
-        raise ConstructionError("A1 and A2 must lie in R + Rj + Rk")
+    _require_real_jk(a1, a2)
     if _jk_rank(a1, a2) != 2:
         raise ConstructionError("degenerate span: 1, A1, A2 must span R+Rj+Rk")
     lower = [Quaternion(1), a1, a2]
@@ -100,9 +108,7 @@ def make_cubic(spec: CubicSpec) -> QuatPoly:
     The vector part of A3 is forced: parallel to (A1 i) x (A2 i) with
     i component <A1, A2 i>/3; only its scalar part s3 is free.
     """
-    c = Quaternion.of(spec.left_factor)
-    if c.is_zero():
-        raise ConstructionError("left factor must be nonzero")
+    c = _left_factor(spec.left_factor)
     coeffs = _cubic_coeffs(Quaternion.of(spec.a1), Quaternion.of(spec.a2), spec.s3)
     return QuatPoly(coeffs).left_scale(c)
 
@@ -162,16 +168,10 @@ def make_quartic(spec: QuarticSpec) -> QuarticResult:
     number of independent rows.
     """
     a1, a2 = Quaternion.of(spec.a1), Quaternion.of(spec.a2)
-    c = Quaternion.of(spec.left_factor)
-    if c.is_zero():
-        raise ConstructionError("left factor must be nonzero")
-    if not (a1.x.is_zero() and a2.x.is_zero()):
-        raise ConstructionError("A1 and A2 must lie in R + Rj + Rk")
+    c = _left_factor(spec.left_factor)
+    _require_real_jk(a1, a2)
     _, a3_i = _conditions([Quaternion(1), a1, a2])[0]
-    a3 = (Quaternion.of(Scalar.of(spec.s3))
-          + I.scale(a3_i)
-          + Quaternion(0, 0, Scalar.of(spec.a3_j), 0)
-          + Quaternion(0, 0, 0, Scalar.of(spec.a3_k)))
+    a3 = Quaternion(spec.s3, a3_i, spec.a3_j, spec.a3_k)
     solved = _least_norm(_conditions([Quaternion(1), a1, a2, a3]))
     if solved is None:
         raise ConstructionError("inconsistent linear conditions for A4")
@@ -187,12 +187,8 @@ def make_spatial_family(n: int) -> QuatPoly:
     """(n-2) i xi^n + n k xi^(n-1) + j xi + 1: spatial, zero indicatrix, any n >= 3."""
     if n < 3:
         raise ConstructionError("family defined for degree n >= 3")
-    coeffs = [Quaternion(0)] * (n + 1)
-    coeffs[0] = Quaternion(1)
-    coeffs[1] = Quaternion(0, 0, 1, 0)
-    coeffs[n - 1] = Quaternion(0, 0, 0, n)
-    coeffs[n] = coeffs[n] + Quaternion(0, n - 2, 0, 0)
-    return QuatPoly(coeffs)
+    return QuatPoly([Quaternion(1), Quaternion(0, 0, 1, 0), *[Quaternion(0)] * (n - 3),
+                     Quaternion(0, 0, 0, n), Quaternion(0, n - 2, 0, 0)])
 
 
 class FElement(NamedTuple):

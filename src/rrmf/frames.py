@@ -5,7 +5,8 @@ triple (B i B*, B j B*, B k B*)/|B|^2, read off the ten products of
 B's components by hodograph.basis_images in erf_symbolic, the one
 constructor of a SymbolicFrame; with a verified certificate (a, b) the
 rotation-minimizing frame is erf_symbolic of B = A (a - b i), and
-rotate_frame reads its f2 and f3 for any nonzero coprime (a, b).
+rotate_frame reads its f2 and f3 for any nonzero coprime (a, b).  In
+F0 (vanishing indicatrix) the rational RMF is the ERF of A itself.
 SymbolicFrame holds W = |B|^2 and the images N_e = B e B* unreduced,
 so its identities are polynomial: N_e . N_f = delta_ef W^2, and the
 tangent twist <f3, f2'> = (N3 . N2')/W^2 is twice the Han fraction
@@ -129,17 +130,18 @@ def frame_sampler(a: QuatPoly, kind: FrameKind,
     at a parametric-speed root (for the Frenet frame also where the
     curvature vanishes) or where an evaluation overflows.
     The rotation-minimizing frame needs a certificate unless the
-    generator already has a vanishing indicatrix, where (1, 0) is used.
+    generator already has a vanishing indicatrix, where it is the ERF.
     An optional constant normal-plane rotation picks a different member
     of the one-parameter frame family; it must be finite.
 
     Each parameter is evaluated on its own in Python floats, so memory
     does not grow with their number.  The erf and rmf axes are B e B*
     over |B|^2 formed in floats from the four components of B (A for
-    erf, A (a - b i) for rmf); no rational entry is reduced.  Every kept
-    sample is checked to be orthonormal to 1e-12 (erf, rmf) or finite
-    (frenet); the first failing parameter raises AssertionError.  A
-    coefficient beyond the float range raises ValueError at set-up.
+    erf, and for rmf without a certificate; A (a - b i) for rmf with
+    one); no rational entry is reduced.  Every kept sample is checked
+    to be orthonormal to 1e-12 (erf, rmf) or finite (frenet); the first
+    failing parameter raises AssertionError.  A coefficient beyond the
+    float range raises ValueError at set-up.
     """
     analysis = GeneratorAnalysis.of(a, "sampling the zero polynomial")
     if not math.isfinite(normal_rotation):
@@ -148,12 +150,10 @@ def frame_sampler(a: QuatPoly, kind: FrameKind,
         raise ValueError(f"unknown frame kind {kind!r}")
     h, b = analysis.hodograph, analysis.poly
     if kind == "rmf":
-        if certificate is None:
-            if not analysis.in_f0:
-                raise CertificateError(
-                    "rotation-minimizing frame requires a certificate")
-            certificate = (RealPoly([1]), RealPoly())
-        b = _rmf_generator(analysis, *certificate)
+        if certificate is not None:
+            b = _rmf_generator(analysis, *certificate)
+        elif not analysis.in_f0:
+            raise CertificateError("rotation-minimizing frame requires a certificate")
 
     # sigma and the position r with r(0) = 0
     curve = _horner_rows((h.sigma, *(c.antiderivative() for c in h.components())))

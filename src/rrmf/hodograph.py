@@ -15,15 +15,16 @@ then A), <A'i, A> nonzero at a point (not in F0), span rank 3 (not
 planar) and sigma not dividing rho.  The analysis also holds the Han
 fraction reduced over F_p (han_image), where the certificate search
 starts.  An image proves only those answers, and the exact kernel (the
-gcds without a second screen, the form passes, vector_rank) runs
-whenever it cannot.  The triviality witness is one product conj(c) A,
-for the lowest nonzero coefficient c, whose vector components
-vector_rank ranks.  basis_images forms all ten component products of B
-for the three images B e B*, exactly for the symbolic frames;
-float_images forms them in floats from B's values at one parameter, for
-sampling.  The core of A is A stripped of chi = gcd(alpha, conj(beta)),
-its maximal monic complex right divisor; A generates a primitive
-hodograph exactly when chi = 1.  A verdict reads deg chi alone, which
+private polynomials._gcd without a second screen, the form passes,
+vector_rank) runs whenever it cannot; the gcd of the split images at
+the prime is formed once, for chi and chi_degree.  The triviality
+witness is one product conj(c) A, for the lowest nonzero coefficient
+c, whose vector components vector_rank ranks.  basis_images forms all
+ten component products of B for the three images B e B*, exactly for
+the symbolic frames; float_images forms them in floats from B's values
+at one parameter, for sampling.  The core of A is A stripped of chi =
+gcd(alpha, conj(beta)), its maximal monic complex right divisor; A
+generates a primitive hodograph exactly when chi = 1.  A verdict reads deg chi alone, which
 the image, and the same record over further primes, prove over Q
 (chi_degree); only core_of divides A by chi.
 """
@@ -32,9 +33,9 @@ from __future__ import annotations
 from functools import cached_property
 from typing import NamedTuple, Optional
 
-from .polynomials import (ComplexPoly, PrimeImage, QuatPoly, RationalFunction, RealPoly,
+from .polynomials import (ComplexPoly, PrimeImage, QuatPoly, RationalFunction, RealPoly, _gcd,
                           _gcd_mod, component_forms, divmod_mod, exact_divide, forms_mod,
-                          gcd_complex, gcd_real, images_coprime, reduce_fraction, vector_rank)
+                          images_coprime, reduce_fraction, vector_rank)
 from .quaternions import Quaternion
 from .scalars import Scalar
 
@@ -212,7 +213,7 @@ class GeneratorAnalysis:
         if image is not None and images_coprime(image.comps, image.degrees, image.p):
             return True
         # the image has been screened: the exact gcd runs without it
-        return gcd_real(*self.poly.components(), screen=False).degree() == 0
+        return _gcd(RealPoly, self.poly.components(), False).degree() == 0
 
     @cached_property
     def _speed_inner(self) -> list[RealPoly]:
@@ -245,14 +246,19 @@ class GeneratorAnalysis:
         return self.coprime and self.inner.is_zero()
 
     @cached_property
+    def _split_degree(self) -> Optional[int]:
+        """The split images' gcd degree at the analysis prime, or None."""
+        return None if self.image is None else self.image.split_gcd_degree()
+
+    @cached_property
     def chi(self) -> ComplexPoly:
         """gcd(alpha, conj(beta)), the maximal monic complex right divisor
         of A, for alpha + beta j = (u + v i) + (p + q i) j; 1 when the
         image proves it."""
-        if self.image is not None and self.image.split_gcd_degree() == 0:
+        if self._split_degree == 0:
             return _ONE
         alpha, beta = self.poly.complex_split()
-        return gcd_complex(alpha, beta.conjugate(), screen=False)
+        return _gcd(ComplexPoly, (alpha, beta.conjugate()), False)
 
     @cached_property
     def chi_degree(self) -> int:
@@ -264,13 +270,10 @@ class GeneratorAnalysis:
         B^2 these psc_j are 0 for the least k, and deg chi <= k (Brown
         1971).  The exact chi decides over Q(sqrt d), or if the primes
         cannot pass B^2."""
-        image = self.image
-        if image is None or self.poly.d:
-            return self.chi.degree()
-        k = image.split_gcd_degree()
+        k = self._split_degree
         if k == 0:
             return 0
-        wide = None if k is None else image.composite(self.poly.rows)
+        wide = None if k is None or self.poly.d else self.image.composite(self.poly.rows)
         degree = None if wide is None else wide.split_gcd_degree()
         return self.chi.degree() if degree is None else min(k, degree)
 

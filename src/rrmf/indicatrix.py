@@ -118,10 +118,11 @@ def rho_eta(a) -> RhoEta:
     rho = (up'-u'p+vq'-v'q)^2 + (uq'-u'q-vp'+v'p)^2 and
     eta = (uu'+vv'+pp'+qq')^2 + (uv'-u'v-pq'+p'q)^2 satisfy
     rho + eta = sigma * (u'^2+v'^2+p'^2+q'^2), so sigma divides either
-    both or neither.  The four bases are the components of conj(A) A',
-    and the verdict is read from the analysis (GeneratorAnalysis.
-    equal_degree); ``a`` is the generator or its GeneratorAnalysis.
+    both or neither.  One form pass over conj(A) A', whose components are
+    the four bases, gives both; the verdict is read from the analysis
+    (GeneratorAnalysis.equal_degree); ``a`` is the generator or its analysis.
     """
     analysis = GeneratorAnalysis.of(a, "criterion on the zero polynomial")
-    e1, e2, r1, r2 = (analysis.poly.conjugate() * analysis.poly.derivative()).components()
-    return RhoEta(r1 * r1 + r2 * r2, e1 * e1 + e2 * e2, analysis.equal_degree)
+    rho, eta = component_forms(analysis.poly.conjugate() * analysis.poly.derivative(),
+                               (((1, 2, 2), (1, 3, 3)), ((1, 0, 0), (1, 1, 1))))
+    return RhoEta(rho, eta, analysis.equal_degree)

@@ -47,11 +47,12 @@ elements that are integral at p the map is a ring homomorphism, so it
 can only lower a rank, and it can only raise the degree of a gcd of
 polynomials one of which keeps its degree (Brown 1971).  Each image
 answer is therefore one-sided: a constant image gcd proves the gcd 1
-(``images_coprime``; ``gcd_real`` and ``gcd_complex`` then return 1
-without a subresultant sequence), a nonzero image proves a polynomial
-nonzero, three independent image vectors prove rank 3.  Any other image
-answer proves nothing, and the exact kernel decides; so does it when no
-listed prime fits d.  The tools here are generic: images of rows and
+(``images_coprime``; ``gcd_real`` and ``gcd_complex``, which always
+screen, then return 1 without a subresultant sequence), a nonzero
+image proves a polynomial nonzero, three independent image vectors
+prove rank 3.  Any other image answer proves nothing, and the exact
+kernel decides; so does it when no listed prime fits d.  The tools
+here are generic: images of rows and
 their gcds, quotients with remainders (divmod_mod), forms and products
 (forms_mod, mul_mod: the packed kernel, then reduced mod p), and the
 rational reconstruction of a residue (rational_mod), which can only
@@ -386,7 +387,8 @@ def _gcd(cls, polys, screen: bool):
 
     With ``screen``, 1 when the prime image proves it (images_coprime);
     otherwise subresultant sequences over the integer rows, folded over
-    the arguments, then made monic in the field.
+    the arguments, then made monic in the field.  Only hodograph's
+    analysis, past its own screen of the image, passes ``screen=False``.
     """
     polys = [p for p in map(cls.of, polys) if not p.is_zero()]
     if not polys:
@@ -623,17 +625,14 @@ def vector_rank(x: RealPoly, y: RealPoly, z: RealPoly) -> int:
     return _vector_rank(zip(*(zip(*comp) for comp in rows)), d)
 
 
-def gcd_real(*polys, screen: bool = True) -> RealPoly:
-    """Monic gcd of real polynomials (subresultant sequence, made monic).
-    ``screen=False`` skips the prime image, for a caller that has
-    screened the same image already."""
-    return _gcd(RealPoly, polys, screen)
+def gcd_real(*polys) -> RealPoly:
+    """Monic gcd of real polynomials, screened in the prime image (_gcd)."""
+    return _gcd(RealPoly, polys, True)
 
 
-def gcd_complex(*polys, screen: bool = True) -> ComplexPoly:
-    """Monic gcd of complex polynomials (subresultant sequence, made
-    monic); ``screen`` as for gcd_real."""
-    return _gcd(ComplexPoly, polys, screen)
+def gcd_complex(*polys) -> ComplexPoly:
+    """Monic gcd of complex polynomials, screened in the prime image (_gcd)."""
+    return _gcd(ComplexPoly, polys, True)
 
 
 def exact_divide(p, divisor):

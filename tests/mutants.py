@@ -13,7 +13,9 @@ PYTHONPATH set to the copy.  pytest must exit 1: the tests ran, and one
 failed.  An entry whose expression does not occur exactly once is stale
 and fails the run, as does any other exit code.  src/ itself is never
 written.  The named tests pass on the unmutated tree: the library tests
-run them.
+run them.  EQUIVALENT lists the weakenings that no input can tell from
+the library, each with the argument why; they are not run, but each
+expression must still occur exactly once, or the run fails as stale.
 """
 
 import os
@@ -36,6 +38,52 @@ MUTANTS = (
     ("rrmf/polynomials.py", "bound = na ** m * nb ** n // self.p",
      "bound = math.isqrt(na ** m * nb ** n) // self.p",
      ("tests/test_analysis.py::test_chi_degree_moduli_pass_the_squared_bound",)),
+    # the slot widths of the packed kernel keep a sign bit: for forms, and
+    # for products
+    ("rrmf/scalars.py", "_form_weight(forms, len(comps), n)).bit_length() + 1",
+     "_form_weight(forms, len(comps), n)).bit_length()",
+     ("tests/test_acceptance.py::test_criterion_5_identity_suite",)),
+    ("rrmf/scalars.py", "* _top(x) * _top(y)).bit_length() + 1",
+     "* _top(x) * _top(y)).bit_length()",
+     ("tests/test_acceptance.py::test_criterion_1_quintic_left_cancellation",)),
+    # the split images' gcd proves a degree only where both keep theirs
+    ("rrmf/polynomials.py",
+     "[len(f) - 1 for f in split] != [max(self.degrees[:2]), max(self.degrees[2:])]",
+     "False", ("tests/test_analysis.py::test_chi_degree_past_unlucky_primes",)),
+    # deg chi is the least of the degrees at the prime and over Z/N
+    ("rrmf/hodograph.py", "min(k, degree)", "max(k, degree)",
+     ("tests/test_analysis.py::test_chi_degree_past_unlucky_primes",)),
+    # a failed split screen (None) is no proof of chi = 1
+    ("rrmf/hodograph.py", "if self._split_degree == 0:", "if not self._split_degree:",
+     ("tests/test_analysis.py::test_chi_degree_past_unlucky_primes",)),
+    # a constant image gcd proves coprimality only if one operand keeps its degree
+    ("rrmf/polynomials.py", "any(len(f) == n + 1 > 0 for f, n in zip(images, degrees))",
+     "True", ("tests/test_sympy_oracle.py::test_screened_gcds_match_sympy",)),
+    # the image of sigma screens the equal-degree criterion only at its full degree
+    ("rrmf/hodograph.py", "len(forms[0]) == 2 * self.poly.degree() + 1", "True",
+     ("tests/test_indicatrix.py::test_rho_eta_matches_product_formula",)),
+    # more than 2 max_degree poles prove that no certificate exists
+    ("rrmf/classify.py", "len(image[1]) - 1 > 2 * max_degree",
+     "len(image[1]) - 1 >= 2 * max_degree",
+     ("tests/test_acceptance.py::test_criterion_8_search",)),
+    # the parts of an image-built certificate must be proven coprime
+    ("rrmf/classify.py", " or len(_gcd_mod([two_bi, plus], p)) > 1", "",
+     ("tests/test_search_image.py::test_parts_sharing_a_factor_are_not_returned",)),
+    # rational reconstruction proposes only fractions within its bound
+    ("rrmf/polynomials.py", "abs(t1) <= bound and ", "",
+     ("tests/test_search_image.py::test_long_coefficients_fall_through",)),
+)
+
+# (file under src/, expression, weaker expression, why no input tells them apart)
+EQUIVALENT = (
+    ("rrmf/indicatrix.py", "16 * m_a * m_a * m_c * m_c", "8 * m_a * m_a * m_c * m_c",
+     "B = 16 M_A^2 M_c^2 carries slack from M = n^2 (s + 1) c: a polynomial f "
+     "with n coefficients has ||f|| <= M/n and ||f'|| <= (n - 1) M/n^2, so "
+     "||sigma|| <= 4 M_A^2/n_A^2, ||<A'i, A>|| <= 4 (n_A - 1) M_A^2/n_A^2, "
+     "||a'b - ab'|| <= 2 (n_c - 1) M_c^2/n_c^2 and ||a^2 + b^2|| <= 2 M_c^2/n_c^2; "
+     "then ||L|| <= 8 M_A^2 M_c^2 (n_A + n_c - 2)/(n_A^2 n_c^2) <= 2 M_A^2 M_c^2 = B/8, "
+     "and every 2^k past B/2 exceeds each part of each coefficient of L, so the "
+     "zero test decides exactly as before"),
 )
 
 
@@ -70,8 +118,14 @@ def main() -> int:
         failed += verdict != "killed"
         print(f"{verdict}: {file}: {expression!r} -> {weaker!r} "
               f"({time.perf_counter() - began:.1f} s)", flush=True)
-    print(f"{len(MUTANTS) - failed} of {len(MUTANTS)} mutants killed "
-          f"in {time.perf_counter() - start:.1f} s")
+    # an equivalent mutant is not run; its expression must still occur once
+    for file, expression, weaker, argument in EQUIVALENT:
+        stale = (ROOT / "src" / file).read_text(encoding="utf-8").count(expression) != 1
+        failed += stale
+        print(f"{'stale' if stale else 'equivalent'}: {file}: {expression!r} -> {weaker!r}: "
+              f"{argument}", flush=True)
+    print(f"{len(MUTANTS) + len(EQUIVALENT) - failed} of {len(MUTANTS) + len(EQUIVALENT)} "
+          f"mutants killed or recorded equivalent in {time.perf_counter() - start:.1f} s")
     return 1 if failed else 0
 
 

@@ -23,8 +23,8 @@ from rrmf.frames import erf_symbolic, sample_frames
 from rrmf.documents import parse_document
 from rrmf.hodograph import _IMAGE_FORMS, _INNER_FORM, _POINTS, core_of
 from rrmf.indicatrix import inner_product_poly, rho_eta, rotation_indicatrix, verify_han
-from rrmf.polynomials import (_MODULI, _PRIMES, ComplexPoly, QuatPoly, RealPoly, _embedding,
-                              _sqrt_mod, gcd_complex, reduce_fraction)
+from rrmf.polynomials import (_MODULI, _PRIMES, ComplexPoly, PrimeImage, QuatPoly, RealPoly,
+                              _embedding, _sqrt_mod, gcd_complex, reduce_fraction)
 from rrmf.quaternions import Quaternion
 from rrmf.scalars import ComplexScalar, Scalar
 
@@ -33,19 +33,19 @@ from frame_reference import tangent_twist
 from kernel_reference import image_forms
 
 
-def _count_calls(monkeypatch, target: str, keep=lambda kwargs: True, calls=None,
+def _count_calls(monkeypatch, target: str, keep=lambda *args, **kwargs: True, calls=None,
                  record=lambda args, result: result) -> list:
     """Route every rrmf binding of ``layer.name`` through a call counter,
     which lists (in ``calls``, if given) ``record`` of the positional
     arguments and result, by default the result, of each call whose
-    keyword arguments ``keep`` accepts."""
+    arguments ``keep`` accepts."""
     layer, name = target.split(".")
     original = getattr(importlib.import_module(f"rrmf.{layer}"), name)
     calls = [] if calls is None else calls
 
     def counted(*args, **kwargs):
         result = original(*args, **kwargs)
-        if keep(kwargs):
+        if keep(*args, **kwargs):
             calls.append(record(args, result))
         return result
 
@@ -71,10 +71,8 @@ def test_analysis_lives_below_the_indicatrix():
 def _exact_gcds(monkeypatch) -> list:
     """The results of the gcds an analysis runs after its own screen, which
     skip the prime image: coprime components (real) and the core (complex)."""
-    calls: list = []
-    for target in ("polynomials.gcd_real", "polynomials.gcd_complex"):
-        _count_calls(monkeypatch, target, lambda kwargs: kwargs.get("screen") is False, calls)
-    return calls
+    return _count_calls(monkeypatch, "polynomials._gcd",
+                        lambda cls, polys, screen: screen is False)
 
 
 # the exact kernel entry points that the prime image stands in front of,
@@ -172,12 +170,39 @@ def test_han_entry_points_form_the_generator_once(monkeypatch):
 def test_rmf_sampling_decides_coprimality_once(monkeypatch):
     coprime = _exact_gcds(monkeypatch)
     screens = _count_calls(monkeypatch, "polynomials.images_coprime")
-    samples, _ = sample_frames(make_spatial_family(6), "rmf", np.linspace(0, 1, 5))
+    proofs = [_count_calls(monkeypatch, target)
+              for target in ("frames._rmf_generator", "indicatrix._han_identity")]
+    a, xis = make_spatial_family(6), np.linspace(0, 1, 5)
+    samples, _ = sample_frames(a, "rmf", xis)
     assert len(samples) == 5
-    # once for the generator's components, once for the certificate's
-    # parts: the image proves both, so the exact gcd never runs
-    assert screens == [True, True]
+    # once for the generator's components, which the image proves coprime,
+    # so the exact gcd never runs; in F0 no certificate is built or proven
+    assert screens == [True]
     assert coprime == []
+    assert proofs == [[], []]
+    # the rational RMF of an F0 generator is its ERF, sample for sample
+    assert samples == sample_frames(a, "erf", xis)[0]
+
+
+def test_core_after_classify_forms_each_split_image_once(monkeypatch):
+    # delta = (1 + i) + i xi puts chi of degree 1 in the f-element: the
+    # split images' gcd runs at the analysis prime, then over Z/N, and the
+    # core's exact chi reads the degree at the prime that classify formed
+    primes = []
+    original = PrimeImage.split_gcd_degree
+
+    def counted(image):
+        primes.append(image.p)
+        return original(image)
+
+    monkeypatch.setattr(PrimeImage, "split_gcd_degree", counted)
+    element = make_f_element(make_spatial_family(4),
+                             ComplexPoly([ComplexScalar(1, 1), ComplexScalar(0, 1)]))
+    analysis = GeneratorAnalysis.of(element.poly)
+    primes.clear()
+    assert classify(analysis).core_degree == 4
+    assert analysis.core.core.degree() == 4 and analysis.core.factor.degree() == 1
+    assert primes == [analysis.image.p, analysis.image.composite(element.poly.rows).p]
 
 
 @pytest.mark.parametrize("base", [0, 15])

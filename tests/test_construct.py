@@ -15,7 +15,7 @@ from rrmf.construct import (ConstructionError, CubicSpec, QuarticSpec,
                             make_spatial_family, make_trivial)
 from rrmf.hodograph import core_of
 from rrmf.indicatrix import inner_product_poly, verify_han
-from rrmf.polynomials import ComplexPoly, QuatPoly, RealPoly, exact_divide, gcd_real
+from rrmf.polynomials import ComplexPoly, QuatPoly, RealPoly, _gcd, exact_divide, gcd_real
 from rrmf.quaternions import I, J, K, Quaternion
 from rrmf.scalars import Scalar
 
@@ -94,7 +94,7 @@ def test_cubic_constructors_give_coprime_components(rng):
             continue
         built += 1
         for poly in polys:
-            assert gcd_real(*poly.components(), screen=False).degree() == 0
+            assert _gcd(RealPoly, poly.components(), False).degree() == 0
     assert built >= 20
 
 
