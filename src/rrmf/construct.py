@@ -31,8 +31,7 @@ def _jk_rank(*quats: Quaternion) -> int:
                        RealPoly([q.z for q in quats]))
 
 
-def _left_factor(left_factor) -> Quaternion:
-    c = Quaternion.of(left_factor)
+def _nonzero_left_factor(c: Quaternion) -> Quaternion:
     if c.is_zero():
         raise ConstructionError("left factor must be nonzero")
     return c
@@ -56,7 +55,8 @@ def make_trivial(left_factor: Quaternion, direction: Quaternion,
     Always yields a vanishing indicatrix with a recoverable triviality
     witness; errors when the components of the result are not coprime.
     """
-    c, u = _left_factor(left_factor), Quaternion.of(direction)
+    c, u = Quaternion.of(left_factor), Quaternion.of(direction)
+    _nonzero_left_factor(c)
     if u.is_zero() or not u.is_pure() or not u.inner(I).is_zero():
         raise ConstructionError(
             "direction must be a nonzero pure vector orthogonal to i")
@@ -108,7 +108,7 @@ def make_cubic(spec: CubicSpec) -> QuatPoly:
     The vector part of A3 is forced: parallel to (A1 i) x (A2 i) with
     i component <A1, A2 i>/3; only its scalar part s3 is free.
     """
-    c = _left_factor(spec.left_factor)
+    c = _nonzero_left_factor(Quaternion.of(spec.left_factor))
     coeffs = _cubic_coeffs(Quaternion.of(spec.a1), Quaternion.of(spec.a2), spec.s3)
     return QuatPoly(coeffs).left_scale(c)
 
@@ -168,7 +168,7 @@ def make_quartic(spec: QuarticSpec) -> QuarticResult:
     number of independent rows.
     """
     a1, a2 = Quaternion.of(spec.a1), Quaternion.of(spec.a2)
-    c = _left_factor(spec.left_factor)
+    c = _nonzero_left_factor(Quaternion.of(spec.left_factor))
     _require_real_jk(a1, a2)
     _, a3_i = _conditions([Quaternion(1), a1, a2])[0]
     a3 = Quaternion(spec.s3, a3_i, spec.a3_j, spec.a3_k)
@@ -187,8 +187,11 @@ def make_spatial_family(n: int) -> QuatPoly:
     """(n-2) i xi^n + n k xi^(n-1) + j xi + 1: spatial, zero indicatrix, any n >= 3."""
     if n < 3:
         raise ConstructionError("family defined for degree n >= 3")
-    return QuatPoly([Quaternion(1), Quaternion(0, 0, 1, 0), *[Quaternion(0)] * (n - 3),
-                     Quaternion(0, 0, 0, n), Quaternion(0, n - 2, 0, 0)])
+    return QuatPoly([Quaternion(1),
+                     Quaternion(0, 0, 1, 0),
+                     *[Quaternion(0)] * (n - 3),
+                     Quaternion(0, 0, 0, n),
+                     Quaternion(0, n - 2, 0, 0)])
 
 
 class FElement(NamedTuple):

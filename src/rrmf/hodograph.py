@@ -24,9 +24,9 @@ ten component products of B for the three images B e B*, exactly for
 the symbolic frames; float_images forms them in floats from B's values
 at one parameter, for sampling.  The core of A is A stripped of chi =
 gcd(alpha, conj(beta)), its maximal monic complex right divisor; A
-generates a primitive hodograph exactly when chi = 1.  A verdict reads deg chi alone, which
-the image, and the same record over further primes, prove over Q
-(chi_degree); only core_of divides A by chi.
+generates a primitive hodograph exactly when chi = 1.  A verdict reads
+deg chi alone, which the image, and the same record over further
+primes, prove over Q (chi_degree); only core_of divides A by chi.
 """
 from __future__ import annotations
 

@@ -51,14 +51,14 @@ answer is therefore one-sided: a constant image gcd proves the gcd 1
 screen, then return 1 without a subresultant sequence), a nonzero
 image proves a polynomial nonzero, three independent image vectors
 prove rank 3.  Any other image answer proves nothing, and the exact
-kernel decides; so does it when no listed prime fits d.  The tools
-here are generic: images of rows and
-their gcds, quotients with remainders (divmod_mod), forms and products
-(forms_mod, mul_mod: the packed kernel, then reduced mod p), and the
-rational reconstruction of a residue (rational_mod), which can only
-propose a value for an exact check.  A generator's image is one
-PrimeImage, whose methods are the screens of hodograph.GeneratorAnalysis,
-at the prime and over a product of further primes (composite).
+kernel decides; so does it when no listed prime fits d.  The tools here
+are generic: images of rows and their gcds, quotients with remainders
+(divmod_mod), forms and products (forms_mod, mul_mod: the packed kernel,
+then reduced mod p), and the rational reconstruction of a residue
+(rational_mod), which can only propose a value for an exact check.  A
+generator's image is one PrimeImage, whose methods are the screens of
+hodograph.GeneratorAnalysis, at the prime and over a product of further
+primes (composite).
 """
 
 from __future__ import annotations

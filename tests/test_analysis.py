@@ -407,7 +407,9 @@ def test_chi_degree_moduli_pass_the_squared_bound():
 
 
 def test_pool_f_element_verdicts_run_no_exact_complex_gcd(monkeypatch):
-    exact = _count_calls(monkeypatch, "polynomials.gcd_complex")
+    # every complex gcd, screened or not, runs through polynomials._gcd
+    exact = _count_calls(monkeypatch, "polynomials._gcd",
+                         lambda cls, polys, screen: cls is ComplexPoly)
     items = [item for item in _pool_items() if item["part"] == "f-element"]
     assert len(items) == 42
     for item in items:

@@ -50,6 +50,9 @@ def test_make_trivial_examples():
 def test_make_trivial_errors():
     with pytest.raises(ConstructionError):
         make_trivial(Quaternion(0), J, [(1, 0)])
+    with pytest.raises(TypeError):
+        # both inputs are converted before the left factor is checked
+        make_trivial(Quaternion(0), object(), [(1, 0)])
     with pytest.raises(ConstructionError):
         make_trivial(Quaternion(1), I, [(1, 0), (0, 1)])  # direction along i
     with pytest.raises(ConstructionError):
