@@ -12,15 +12,14 @@ polynomials straight from them (scalars' ``_Exact.from_terms``, which
 reads the base off the terms), with no Fraction or Scalar per
 coefficient; writing reads each text from a column of the integer rows
 (scalars.format_columns).  ``coefficients``, in ring parts, is built
-from the polynomial when first read.
+from the polynomial on each read.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from functools import cached_property
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 from .polynomials import ComplexPoly, QuatPoly, RealPoly
 from .scalars import MAX_BASE, Scalar, format_columns, is_valid_base, scalar_terms
@@ -50,37 +49,21 @@ _POLY = {"quaternion": QuatPoly, "complex": ComplexPoly, "real": RealPoly}
 KINDS = tuple(_POLY)
 
 
-class PolyDocument:
+class PolyDocument(NamedTuple):
     """Parsed document: base, kind, its polynomial and the number of
-    coefficient rows it writes, optional certificate and metadata.  A
-    plain class with read-only fields, equal to a document with equal
-    fields; each document built without metadata has a dict of its own."""
+    coefficient rows it writes, optional certificate and metadata."""
 
-    _fields = ("sqrt_base", "kind", "poly", "length", "certificate", "metadata")
-
-    def __init__(self, sqrt_base: int, kind: str, poly: Any, length: int,
-                 certificate: Optional[tuple[RealPoly, RealPoly]] = None,
-                 metadata: Optional[dict] = None):
-        self.__dict__.update(zip(self._fields, (
-            sqrt_base, kind, poly, length, certificate, {} if metadata is None else metadata)))
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"PolyDocument fields are read-only: {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if type(other) is not PolyDocument:
-            return NotImplemented
-        return all(getattr(self, f) == getattr(other, f) for f in self._fields)
-
-    def __repr__(self):
-        return f"PolyDocument({', '.join(f'{f}={getattr(self, f)!r}' for f in self._fields)})"
+    sqrt_base: int
+    kind: str
+    poly: Any
+    length: int
+    certificate: Optional[tuple[RealPoly, RealPoly]] = None
+    metadata: Optional[dict] = None
 
     def to_poly(self):
         return self.poly
 
-    @cached_property
+    @property
     def coefficients(self) -> tuple:
         """The ``length`` coefficient rows, zero rows included, each the
         tuple of its ring parts (one Scalar per real component)."""
@@ -166,8 +149,9 @@ def parse_document(data) -> PolyDocument:
     metadata = data.get("metadata")
     if metadata is not None and not isinstance(metadata, dict):
         raise DocumentError("metadata must be an object")
+    # an empty object is no metadata: dumps_document writes none for it
     return PolyDocument(base, kind, cls.from_terms(terms), len(raw),
-                        certificate, metadata)
+                        certificate, metadata or None)
 
 
 def _check_degree(what: str, rows: list) -> None:
@@ -189,7 +173,8 @@ def document_for(poly, certificate: Optional[tuple[RealPoly, RealPoly]] = None,
         raise DocumentError(f"mixed surd bases {sorted(bases)} in one document")
     base = bases.pop() if bases else 0
     # the zero polynomial is written as one zero coefficient
-    return PolyDocument(base, kind, poly, max(1, poly.degree() + 1), certificate, metadata)
+    return PolyDocument(base, kind, poly, max(1, poly.degree() + 1), certificate,
+                        metadata or None)
 
 
 def certificate_to_dict(cert: tuple[RealPoly, RealPoly]) -> dict:

@@ -1,6 +1,7 @@
 import json
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,8 @@ from rrmf.quaternions import Quaternion
 from rrmf.scalars import MAX_BASE, Scalar, SurdBaseMismatch, parse_scalar
 
 from conftest import rand_cpoly, rand_qpoly, rand_rpoly
+
+POOL = Path(__file__).resolve().parents[1] / "bench" / "data" / "pool.json"
 
 
 def round_trip(doc):
@@ -54,6 +57,20 @@ def test_certificate_round_trip():
     back = round_trip(doc)
     assert back.certificate == cert
     assert back.metadata == {"name": "line"}
+
+
+def test_documents_round_trip_to_equal_documents():
+    with open(POOL, encoding="utf-8") as fh:
+        docs = [parse_document(item["doc"]) for item in json.load(fh)["items"]]
+    worked = quintic_right_cancellation()
+    for certificate in (None, worked.certificate):
+        for metadata in (None, {}, {"name": "quintic"}):
+            docs.append(document_for(worked.generator, certificate, metadata))
+    for doc in docs:
+        assert round_trip(doc) == doc
+    # an empty metadata object is stored as none, as dumps_document writes it
+    assert document_for(worked.generator, metadata={}).metadata is None
+    assert parse_document({"kind": "real", "coefficients": ["1"], "metadata": {}}).metadata is None
 
 
 def test_parse_errors():

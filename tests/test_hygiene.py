@@ -44,13 +44,23 @@ def test_library_imports_are_used():
 ORACLE_IMPORTS = {"_REAL", "_COMPLEX", "_Algebra", "_algebra"}
 
 
-def test_kernel_oracle_imports_only_the_algebra_tables():
-    path = Path(__file__).parent / "kernel_reference.py"
+def _library_imports(name: str) -> list[str]:
+    """The rrmf modules and names that tests/<name> imports."""
+    path = Path(__file__).parent / name
     found = []
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Import):
             found += [alias.name for alias in node.names if alias.name.split(".")[0] == "rrmf"]
         elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "rrmf":
-            found += [f"{node.module}.{alias.name}" for alias in node.names
-                      if alias.name not in ORACLE_IMPORTS]
+            found += [f"{node.module}.{alias.name}" for alias in node.names]
+    return found
+
+
+def test_kernel_oracle_imports_only_the_algebra_tables():
+    found = [name for name in _library_imports("kernel_reference.py")
+             if name.rsplit(".", 1)[-1] not in ORACLE_IMPORTS]
     assert not found, found
+
+
+def test_decision_oracle_imports_nothing_from_the_library():
+    assert _library_imports("decision_reference.py") == []

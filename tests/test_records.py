@@ -1,10 +1,11 @@
-"""The library's records: named tuples, and PolyDocument, a plain class.
+"""The library's records, all named tuples.
 
 Each record keeps the field order, defaults, repr text, value equality,
 hash and immutability it had as a frozen dataclass (Classification,
-then mutable and unhashable, gains the last two).  That importing the
-library imports neither dataclasses nor inspect is checked with numpy
-in test_cli.py::test_no_verb_imports_numpy.
+then mutable and unhashable, gains the last two; PolyDocument, then a
+plain class, gains the hash of a document that holds no dict).  That
+importing the library imports neither dataclasses nor inspect is
+checked with numpy in test_cli.py::test_no_verb_imports_numpy.
 """
 
 import pytest
@@ -55,6 +56,9 @@ RECORDS = [
      "fraction_num=5, fraction_den=6, left_gcd=7, right_gcd=8)"),
     (RegressionItem, ("name", "passed", "detail"), {"detail": ""},
      "RegressionItem(name=0, passed=1, detail='')"),
+    (PolyDocument, ("sqrt_base", "kind", "poly", "length", "certificate", "metadata"),
+     {"certificate": None, "metadata": None},
+     "PolyDocument(sqrt_base=0, kind=1, poly=2, length=3, certificate=None, metadata=None)"),
 ]
 
 
@@ -78,12 +82,12 @@ def test_record_keeps_its_dataclass_behaviour(cls, fields, defaults, text):
 def test_poly_document_keeps_its_dataclass_behaviour():
     assert PolyDocument._fields == ("sqrt_base", "kind", "poly", "length",
                                     "certificate", "metadata")
-    doc = PolyDocument(0, "real", 2, 3)
+    doc = PolyDocument(0, "real", 2, 3, None, {})
     assert repr(doc) == ("PolyDocument(sqrt_base=0, kind='real', poly=2, length=3, "
                          "certificate=None, metadata={})")
     assert doc == PolyDocument(0, "real", 2, 3, None, {})
     assert doc != PolyDocument(0, "real", 2, 3, None, {"x": 1})
-    assert doc != (0, "real", 2, 3, None, {})
+    # a document that holds a dict is unhashable, as every document was
     with pytest.raises(TypeError):
         hash(doc)
     for name in PolyDocument._fields:
@@ -92,9 +96,3 @@ def test_poly_document_keeps_its_dataclass_behaviour():
         with pytest.raises(AttributeError):
             delattr(doc, name)
     assert doc.kind == "real"
-
-
-def test_poly_document_without_metadata_has_a_dict_of_its_own():
-    first, second = PolyDocument(0, "real", 2, 3), PolyDocument(0, "real", 2, 3)
-    first.metadata["x"] = 1
-    assert second.metadata == {} and first.metadata is not second.metadata
