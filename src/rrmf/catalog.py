@@ -16,7 +16,7 @@ from typing import NamedTuple, Optional
 from .construct import CubicSpec, QuarticSpec, make_cubic, make_quartic, make_spatial_family
 from .hodograph import GeneratorAnalysis
 from .indicatrix import verify_han
-from .polynomials import (QuatPoly, RealPoly, gcd_real, reduce_fraction)
+from .polynomials import ComplexPoly, QuatPoly, RealPoly, gcd_real, reduce_fraction
 from .quaternions import Quaternion
 from .scalars import Scalar
 
@@ -141,11 +141,11 @@ def _quintic_items(curve: WorkedCurve) -> list[RegressionItem]:
                         h.sigma == curve.sigma, "sigma differs"))
     items.append(_check(f"{curve.name}: primitive hodograph",
                         analysis.primitive, "not primitive"))
-    ca, cb = curve.certificate
+    gamma = ComplexPoly.from_parts(*curve.certificate)
     for side, num, den, factor in (
             ("left", -analysis.inner, h.sigma, curve.left_gcd),
-            ("right", ca * cb.derivative() - ca.derivative() * cb, ca * ca + cb * cb,
-             curve.right_gcd)):
+            ("right", (gamma.conjugate() * gamma.derivative()).real_parts()[1],
+             gamma.norm_sq(), curve.right_gcd)):
         g = gcd_real(num, den)
         if factor is None:
             items.append(_check(f"{curve.name}: no cancellation on the {side}",
@@ -158,7 +158,7 @@ def _quintic_items(curve: WorkedCurve) -> list[RegressionItem]:
         analysis.han == reduce_fraction(curve.fraction_num, curve.fraction_den),
         "reduced fraction differs"))
     items.append(_check(f"{curve.name}: certificate verified",
-                        verify_han(analysis, ca, cb),
+                        verify_han(analysis, *curve.certificate),
                         "certificate rejected"))
     items.append(_check(f"{curve.name}: spatial (non-planar) curve",
                         not analysis.planar, "curve is planar"))

@@ -25,7 +25,6 @@ entry of the certificate search, takes the generator or its analysis.
 """
 from __future__ import annotations
 
-import math
 import time
 from enum import Enum
 from itertools import zip_longest
@@ -244,8 +243,7 @@ def _image_certificate(analysis: GeneratorAnalysis, max_degree: int
     # None by identity: `None in` would call Fraction.__eq__ on every part
     if any(c is None for c in re + im):
         return None
-    den = math.lcm(*(c.denominator for c in re + im))
-    return tuple(RealPoly._from_rows(0, [[c.numerator * (den // c.denominator) for c in part]], den)
+    return tuple(RealPoly.from_terms([(c.numerator, c.denominator, 0, 1, 0) for c in part])
                  for part in (re, im))
 
 

@@ -7,8 +7,8 @@ each only for its readers, in two integer passes of the polynomial
 kernel: sigma with <A'i, A> for the verdicts, and sigma with A i A*,
 from which the analysis alone builds the Hodograph record.
 hodograph_of, is_primitive, has_coprime_components and core_of read a
-fresh analysis.  The equal-degree criterion sigma | rho is decided
-here too, as sigma | sigma'^2 + 4 <A'i, A>^2 on the first pass.  Each
+fresh analysis.  The equal-degree criterion sigma | rho is sigma |
+sigma'^2 + 4 <A'i, A>^2, one form (_FOUR_ETA) in F_p and over Q.  Each
 fact screens A's one polynomials.PrimeImage (its four components in
 F_p) first: it can prove the components coprime, chi = 1 (the core is
 then A), <A'i, A> nonzero at a point (not in F0), span rank 3 (not
@@ -50,7 +50,7 @@ class Hodograph:
     """
 
     def __init__(self, xp: RealPoly, yp: RealPoly, zp: RealPoly, sigma: RealPoly):
-        if xp * xp + yp * yp + zp * zp != sigma * sigma:
+        if component_forms(QuatPoly.from_components(sigma, xp, yp, zp), (_PYTHAGOREAN,))[0]:
             raise AssertionError("Pythagorean identity violated")
         if not sigma.is_zero() and sigma.leading().sign() < 0:
             raise AssertionError("sigma must have nonnegative leading coefficient")
@@ -99,6 +99,10 @@ _IMAGE_FORMS = (
 _INNER_FORM = ((-1, _DV, _U), (1, _DU, _V), (1, _DQ, _P), (-1, _DP, _Q))
 # the form pass of the verdicts: |A|^2, then <A'i, A>
 _SPEED_INNER = (_IMAGE_FORMS[0], _INNER_FORM)
+# sigma'^2 + 4 <A'i, A>^2 = 4 eta over (sigma, <A'i, A>, 0, 0), read in F_p and over Q
+_FOUR_ETA = ((1, _DU, _DU), (4, _V, _V))
+# sigma^2 - x'^2 - y'^2 - z'^2 over (sigma, x', y', z'), zero for a hodograph
+_PYTHAGOREAN = ((1, _U, _U), (-1, _V, _V), (-1, _P, _P), (-1, _Q, _Q))
 
 Images = tuple[RealPoly, list[tuple[RealPoly, ...]]]
 # fixed points of F_p at which an analysis evaluates the image of A
@@ -337,17 +341,17 @@ class GeneratorAnalysis:
 
     @cached_property
     def equal_degree(self) -> bool:
-        """The equal-degree criterion sigma | rho, decided as
-        sigma | sigma'^2 + 4 <A'i, A>^2: that is 4 eta, and rho + eta =
-        sigma |A'|^2.  If sigma keeps its degree 2 deg A in the image, a
-        nonzero remainder over F_p proves that sigma does not divide it."""
+        """The equal-degree criterion sigma | rho, decided as sigma |
+        sigma'^2 + 4 <A'i, A>^2 (_FOUR_ETA, in F_p and over Q), which is
+        4 eta as rho + eta = sigma |A'|^2.  If sigma keeps its degree 2 deg A
+        in the image, a nonzero remainder over F_p proves it no divisor."""
         if self._speed_inner_image is not None:
             p, (sigma, inner) = self.image.p, self._speed_inner_image
-            four_eta, = forms_mod([sigma, inner], (((1, 2, 2), (4, 1, 1)),), p)
+            four_eta, = forms_mod([sigma, inner, [], []], (_FOUR_ETA,), p)
             if divmod_mod(four_eta, sigma, p)[1]:
                 return False
-        d_sigma = self.sigma.derivative()
-        four_eta = d_sigma * d_sigma + (self.inner * self.inner).scale(4)
+        pair = QuatPoly.from_components(self.sigma, self.inner, 0, 0)
+        four_eta, = component_forms(pair, (_FOUR_ETA,))
         return four_eta.divmod(self.sigma)[1].is_zero()
 
     @cached_property

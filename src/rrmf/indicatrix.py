@@ -21,7 +21,7 @@ from typing import NamedTuple
 from .hodograph import _INNER_FORM, GeneratorAnalysis
 from .polynomials import (QuatPoly, RationalFunction, RealPoly, component_forms,
                           gcd_real)
-from .scalars import _REAL, _algebra, _form_loop, _pack
+from .scalars import _REAL, _algebra, _form_loop, _pack, _stack
 
 
 def inner_product_poly(a: QuatPoly) -> RealPoly:
@@ -84,15 +84,15 @@ def verify_han(a_poly, a: RealPoly, b: RealPoly) -> bool:
 
 def _han_identity(analysis: GeneratorAnalysis, a: RealPoly, b: RealPoly) -> bool:
     """The zero test of verify_han, for real a, b, not both zero, whose
-    coprimality and that of the components of A the caller has proven."""
-    poly, d = analysis.poly, a.d or b.d
+    coprimality and that of the components of A the caller has proven; a, b
+    over two surd bases raise SurdBaseMismatch.  Over a base other than
+    A's, no one algebra holds both, and the sides are polynomial products,
+    which raise SurdBaseMismatch unless a factor of each is rational."""
+    poly, (d, _, cert) = analysis.poly, _stack((a, b))
     if d and poly.d and d != poly.d:
-        # two surd bases: a product of the identity raises SurdBaseMismatch
-        # unless one of its factors is rational
         return ((a.derivative() * b - a * b.derivative()) * analysis.sigma
                 == analysis.inner * (a * a + b * b))
-    d, den = d or poly.d, math.lcm(a.den, b.den)
-    cert = [[[x * (den // f.den) for x in row] for row in f.rows] for f in (a, b)]
+    d = d or poly.d
     comps = poly.component_rows() + cert
     s = math.isqrt(d) + 1
     m_a, m_c = (max(map(len, rows)) ** 2 * (s + 1) * max(abs(x) for row in rows for x in row)

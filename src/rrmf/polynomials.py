@@ -334,9 +334,8 @@ class ComplexPoly(_DensePoly):
         return self._split(RealPoly)
 
     def norm_sq(self) -> RealPoly:
-        """|gamma|^2 = gamma * conj(gamma) = re^2 + im^2, real by construction."""
-        re, im = self.real_parts()
-        return re * re + im * im
+        """|gamma|^2 = gamma * conj(gamma) = re^2 + im^2, one form pass."""
+        return component_forms(self.as_quat(), (((1, 0, 0), (1, 1, 1)),))[0]
 
     def __repr__(self):
         return f"ComplexPoly({[(str(c.re), str(c.im)) for c in self.coeffs]})"
@@ -374,9 +373,8 @@ class QuatPoly(_DensePoly):
         return QuatPoly([c]) * self
 
     def inner(self, other: "QuatPoly") -> RealPoly:
-        """Pointwise Euclidean inner product, as a real polynomial."""
-        pairs = zip(self.components(), QuatPoly.of(other).components())
-        return sum((x * y for x, y in pairs), RealPoly())
+        """Pointwise Euclidean inner product, the real part of self conj(other)."""
+        return (self * QuatPoly.of(other).conjugate()).components()[0]
 
     def __repr__(self):
         return f"QuatPoly({self.coeffs!r})"

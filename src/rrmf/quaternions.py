@@ -9,8 +9,6 @@ integer kernel both multiply by.
 
 from __future__ import annotations
 
-import operator
-
 from .scalars import Scalar, ScalarLike, _Ring
 
 # e_i e_j = sign e_k on the basis (1, i, j, k): i j = k, j i = -k, ...
@@ -48,8 +46,8 @@ class Quaternion(_Ring):
         return Quaternion(0, self.x, self.y, self.z)
 
     def inner(self, other: "Quaternion") -> Scalar:
-        """Euclidean inner product of R^4."""
-        return sum(map(operator.mul, self.parts, Quaternion.of(other).parts), Scalar(0))
+        """Euclidean inner product of R^4, the real part of self conj(other)."""
+        return (self * Quaternion.of(other).conjugate()).w
 
     def cross(self, other: "Quaternion") -> "Quaternion":
         """Vector cross product of the pure parts: for pure a and b,

@@ -18,13 +18,14 @@ over a surd base and 1 over Q, in ascending degree.  A ring value is a
 constant, whose rows have length at most 1.  One constructor,
 _Exact.from_terms, builds a value of any kind from the integers that
 scalar_terms reads off its text.  The base adds, subtracts and
-conjugates row by row.  Every sum of products, from a product of two
-values to the forms of polynomials.component_forms and forms_mod and
-verify_han's identity, runs in one packed kernel over _Algebra, the
-table expanded over the coordinates: each coordinate row is packed into
-its value at a power of two (Kronecker substitution, Schoenhage 1982),
-one integer product is taken per term, and the signed slots of the sums
-are the coefficients.
+conjugates row by row.  Every sum of products, from a product, inner
+product or squared norm (the real part of one product) to the forms of
+polynomials.component_forms and forms_mod and verify_han's identity,
+runs in one kernel over _Algebra, the table expanded over the
+coordinates: a product of constants by _Algebra.mul, any other packed,
+each coordinate row into its value at a power of two (Kronecker
+substitution, Schoenhage 1982), one integer product per term, with the
+signed slots of the sums as the coefficients.
 """
 
 from __future__ import annotations
@@ -267,11 +268,11 @@ _PRODUCT = (((1, 0, 1),),)
 
 def _mul_rows(alg: _Algebra, x: list, y: list) -> list:
     """Rows of the product, left operand first, of nonzero values with rows
-    x, y, packed: a slot adds at most min(n_x, n_y) products per term, at
-    most alg.load top(x) top(y) in all."""
+    x, y; of constants by alg.mul, else packed: a slot adds at most
+    min(n_x, n_y) products per term, at most alg.load top(x) top(y) in all."""
     nx, ny = len(x[0]), len(y[0])
-    if nx == ny == 1:  # a product of constants is its own slot
-        return [[v] for v in _form_loop(alg, [r[0] for r in (*x, *y)], _PRODUCT)[2 * alg.m:]]
+    if nx == ny == 1:
+        return [[v] for v in alg.mul([r[0] for r in x], [r[0] for r in y])]
     w = (alg.load * min(nx, ny) * _top(x) * _top(y)).bit_length() + 1
     values = _form_loop(alg, _pack([x, y], w), _PRODUCT)
     return [_unpack(v, w, nx + ny - 1) for v in values[4 * alg.m:]]
@@ -536,7 +537,7 @@ class _Ring(_Exact):
         return self._split(Scalar)
 
     def norm_sq(self) -> "Scalar":
-        return sum((p * p for p in self.parts), Scalar(0))
+        return (self * self.conjugate()).parts[0]
 
     inverse = _Exact._lead_inverse
 

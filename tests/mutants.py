@@ -62,6 +62,11 @@ MUTANTS = (
     # the image of sigma screens the equal-degree criterion only at its full degree
     ("rrmf/hodograph.py", "len(forms[0]) == 2 * self.poly.degree() + 1", "True",
      ("tests/test_indicatrix.py::test_rho_eta_matches_product_formula",)),
+    # the equal-degree form that the image screen and the exact check share
+    # is sigma'^2 + 4 <A'i, A>^2 = 4 eta
+    ("rrmf/hodograph.py", "_FOUR_ETA = ((1, _DU, _DU), (4, _V, _V))",
+     "_FOUR_ETA = ((1, _DU, _DU), (2, _V, _V))",
+     ("tests/test_indicatrix.py::test_rho_eta_matches_product_formula",)),
     # more than 2 max_degree poles prove that no certificate exists
     ("rrmf/classify.py", "len(image[1]) - 1 > 2 * max_degree",
      "len(image[1]) - 1 >= 2 * max_degree",

@@ -81,7 +81,9 @@ _EXACT = ("polynomials.vector_rank", "indicatrix.rho_eta")
 
 
 def test_classify_forms_the_generator_once(monkeypatch):
-    forms = _count_calls(monkeypatch, "polynomials.component_forms")
+    # the polynomial each form pass runs over
+    forms = _count_calls(monkeypatch, "polynomials.component_forms",
+                         record=lambda args, result: QuatPoly.of(args[0]))
     screens = _count_calls(monkeypatch, "polynomials.images_coprime")
     exact = {target: _count_calls(monkeypatch, target) for target in _EXACT}
     exact["gcds"] = _exact_gcds(monkeypatch)
@@ -93,6 +95,8 @@ def test_classify_forms_the_generator_once(monkeypatch):
         return classify(*args)
 
     for curve in worked_quintics():
+        analysis = GeneratorAnalysis.of(curve.generator)
+        pair = QuatPoly.from_components(analysis.sigma, analysis.inner, 0, 0)
         run(curve.generator, curve.certificate)
         # Han's identity is decided at one point, without a form pass; the
         # image proves the components and the certificate coprime, and
@@ -104,10 +108,13 @@ def test_classify_forms_the_generator_once(monkeypatch):
         verdict = run(curve.generator)
         # without a certificate the image also rules out F0 and, for the
         # cancellation quintics, the equal-degree criterion: the one form
-        # pass runs only where sigma divides rho, and decides it there
+        # pass over A runs only where sigma divides rho, and one pass over
+        # (sigma, <A'i, A>) decides it there
         holds = verdict.membership.method == "equal-degree-criterion"
         assert holds is (curve.name == "quintic-no-cancellation")
-        assert len(forms) == (1 if holds else 0), curve.name
+        assert forms.count(curve.generator) == (1 if holds else 0), curve.name
+        assert forms.count(pair) == (1 if holds else 0), curve.name
+        assert len(forms) == (2 if holds else 0), curve.name
         assert screens == [True], curve.name
         assert {len(calls) for calls in exact.values()} == {0}, curve.name
 

@@ -54,9 +54,21 @@ def test_pythagorean_identity_random(rng):
         _assert_is_a_i_a_star(a, h)
 
 
-def test_hodograph_type_rejects_non_pythagorean():
+def test_hodograph_type_rejects_non_pythagorean(rng):
     with pytest.raises(AssertionError):
         Hodograph(RealPoly([1]), RealPoly([1]), RealPoly(), RealPoly([1]))
+    # built by hand from A i A*, over Q and Q(sqrt 15), it passes the check;
+    # with one coefficient moved it does not
+    for base in (0, 15):
+        h = hodograph_of(nonzero_qpoly(rng, 2, base))
+        assert h.sigma.d == base
+        parts = [h.xp, h.yp, h.zp, h.sigma]
+        assert Hodograph(*parts).components() == h.components()
+        for k in range(4):
+            moved = list(parts)
+            moved[k] = moved[k] + RealPoly([0, 1])
+            with pytest.raises(AssertionError, match="Pythagorean identity violated"):
+                Hodograph(*moved)
     # Pythagorean, but sigma = -1
     with pytest.raises(AssertionError, match="sigma must have nonnegative leading"):
         Hodograph(RealPoly([1]), RealPoly(), RealPoly(), RealPoly([-1]))

@@ -5,6 +5,7 @@ import pytest
 
 from rrmf.catalog import (quintic_left_cancellation, quintic_no_cancellation,
                           quintic_right_cancellation)
+from rrmf.hodograph import Hodograph
 from rrmf.indicatrix import inner_product_poly
 from rrmf.linalg import exact_rank
 from rrmf.polynomials import (ComplexPoly, InexactDivision, QuatPoly,
@@ -101,6 +102,11 @@ def test_complex_norm_sq_is_gamma_times_conjugate(rng):
             re, im = (gamma * gamma.conjugate()).real_parts()
             assert gamma.norm_sq() == re
             assert im.is_zero()
+    # zero operands give the canonical zero polynomial
+    a, zero = nonzero_qpoly(rng, 2, 15), RealPoly()
+    for value in (ComplexPoly().norm_sq(), QuatPoly().inner(a), a.inner(QuatPoly())):
+        assert type(value) is RealPoly
+        assert (value.d, value.rows, value.den) == (zero.d, zero.rows, zero.den)
 
 
 def test_norm_poly_multiplicative(rng):
@@ -262,6 +268,15 @@ def test_mixed_surd_bases_raise_in_the_kernel():
                 gcd(x, y)
             with pytest.raises(SurdBaseMismatch):
                 gcd(RealPoly([1, 1]), x, y)
+    # an inner product is one product and the Hodograph check one form pass,
+    # so they raise too, even where every mixed product is rational (0, 15, 5)
+    q15, q5 = Quaternion(Scalar(0, 1, 15)), Quaternion(0, Scalar(0, 1, 5))
+    root15, root5 = RealPoly([Scalar(0, 1, 15)]), RealPoly([Scalar(0, 1, 5)])
+    for op in (lambda: q15.inner(q5), lambda: q5.inner(q15),
+               lambda: QuatPoly([q15]).inner(QuatPoly([q5])),
+               lambda: Hodograph(root15, root5, RealPoly(), root5.scale(2))):
+        with pytest.raises(SurdBaseMismatch):
+            op()
 
 
 # -- the stored form ---------------------------------------------------------

@@ -156,6 +156,13 @@ def test_inner_examples():
     assert I.inner(I) == Scalar(1)
     assert K.inner(J * I) == Scalar(-1)
     assert Quaternion(1, 0, 2, 0).inner(Quaternion(0, 3, 0, 1)) == Scalar(0)
+    # a zero operand gives the canonical zero, whatever the other's base
+    root = Quaternion(Scalar(0, 1, 15), 1)
+    zero = Scalar(0)
+    for value in (Quaternion().inner(root), root.inner(Quaternion()), Quaternion().norm_sq(),
+                  ComplexScalar().norm_sq(), zero.norm_sq()):
+        assert type(value) is Scalar
+        assert (value.d, value.rows, value.den) == (zero.d, zero.rows, zero.den)
 
 
 def test_normalized_component_examples():
