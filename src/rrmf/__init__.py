@@ -24,10 +24,9 @@ from .classify import (Classification, GeneratorAnalysis, Membership,
                        cancel_indicatrix, has_vanishing_indicatrix,
                        hodograph_span_rank, indicatrix_coefficients,
                        is_planar, search_certificate, trivial_witness)
-from .construct import (ConstructionError, CubicSpec, FElement, QuarticResult,
-                        QuarticSpec, make_cubic, make_cubic_monic,
-                        make_f_element, make_quartic, make_spatial_family,
-                        make_trivial)
+from .construct import (ConstructionError, FElement, QuarticResult, make_cubic,
+                        make_cubic_monic, make_f_element, make_quartic,
+                        make_spatial_family, make_trivial)
 from .frames import (CertificateError, FrameSample, SymbolicFrame,
                      certificate_generator, erf_symbolic, frame_sampler,
                      rmf_symbolic, rotate_frame, sample_frames,

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .construct import CubicSpec, QuarticSpec, make_cubic, make_quartic, make_spatial_family
+from .construct import make_cubic, make_quartic, make_spatial_family
 from .hodograph import GeneratorAnalysis
 from .indicatrix import verify_han
 from .polynomials import ComplexPoly, QuatPoly, RealPoly, gcd_real, reduce_fraction
@@ -179,10 +179,9 @@ def _low_degree_items() -> list[RegressionItem]:
                             analysis.trivial is None, "unexpected witness"))
     items.append(_check(
         "cubic constructor reproduces the catalog cubic",
-        make_cubic(CubicSpec(Quaternion(0, 0, 0, 1), Quaternion(0, 0, 1, 0)))
+        make_cubic(Quaternion(0, 0, 0, 1), Quaternion(0, 0, 1, 0))
         == nontrivial_cubic(), "construction differs"))
-    quartic = make_quartic(QuarticSpec(Quaternion(0, 0, 1, 0), Quaternion(0),
-                                       a3_k=Scalar(4)))
+    quartic = make_quartic(Quaternion(0, 0, 1, 0), Quaternion(0), a3_k=Scalar(4))
     items.append(_check(
         "quartic constructor reproduces the sparse quartic",
         quartic.poly == nontrivial_quartic_sparse(), "construction differs"))

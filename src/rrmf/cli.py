@@ -20,9 +20,8 @@ import sys
 from . import catalog
 from .classify import (Classification, cancel_indicatrix, classify,
                        search_certificate)
-from .construct import (CubicSpec, QuarticSpec, make_cubic, make_cubic_monic,
-                        make_f_element, make_quartic, make_spatial_family,
-                        make_trivial)
+from .construct import (make_cubic, make_cubic_monic, make_f_element, make_quartic,
+                        make_spatial_family, make_trivial)
 from .documents import (MAX_DEGREE, DocumentError, PolyDocument,
                         certificate_to_dict, document_for, document_to_dict,
                         load_json, parse_base, parse_document, read_scalar)
@@ -142,23 +141,22 @@ def _construct_from_spec(kind: str, spec: dict):
     if kind in ("cubic", "cubic-monic", "quartic"):
         a1, a2 = (_parse_quat(_required(spec, key), base) for key in ("a1", "a2"))
     if kind == "cubic":
-        return make_cubic(CubicSpec(a1, a2, **_optional(spec, base, "s3", "left_factor"))), {}
+        return make_cubic(a1, a2, **_optional(spec, base, "s3", "left_factor")), {}
     if kind == "cubic-monic":
         return make_cubic_monic(a1, a2, **_optional(spec, base, "s0")), {}
     if kind == "quartic":
-        result = make_quartic(QuarticSpec(
-            a1, a2, **_optional(spec, base, "a3_j", "a3_k", "s3", "left_factor")))
+        result = make_quartic(
+            a1, a2, **_optional(spec, base, "a3_j", "a3_k", "s3", "left_factor"))
         return result.poly, {"non_trivial": result.non_trivial,
                              "family_dim": result.family_dim}
-    if kind == "f-element":
-        b0 = parse_document(_required(spec, "b0")).to_poly()
-        delta = parse_document(_required(spec, "delta"))
-        if delta.kind == "quaternion":
-            raise ValueError("delta document must have real or complex kind")
-        element = make_f_element(QuatPoly.of(b0), delta.to_poly())
-        gamma_doc = document_to_dict(document_for(element.certificate))
-        return element.poly, {"gamma": gamma_doc}
-    raise DocumentError(f"unknown construction kind {kind!r}")
+    # f-element, the one kind left of argparse's choices: cmd_construct builds family
+    b0 = parse_document(_required(spec, "b0")).to_poly()
+    delta = parse_document(_required(spec, "delta"))
+    if delta.kind == "quaternion":
+        raise ValueError("delta document must have real or complex kind")
+    element = make_f_element(QuatPoly.of(b0), delta.to_poly())
+    gamma_doc = document_to_dict(document_for(element.certificate))
+    return element.poly, {"gamma": gamma_doc}
 
 
 def cmd_construct(args) -> int:

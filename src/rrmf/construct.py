@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .hodograph import GeneratorAnalysis, has_coprime_components
-from .indicatrix import inner_product_poly
+from .hodograph import GeneratorAnalysis
 from .polynomials import (ComplexPoly, QuatPoly, RealPoly, exact_divide, gcd_complex,
                           gcd_real, vector_rank)
 from .quaternions import I, Quaternion
@@ -43,7 +42,7 @@ def _require_real_jk(a1: Quaternion, a2: Quaternion) -> None:
 
 
 def _coprime(poly: QuatPoly, message: str) -> QuatPoly:
-    if poly.is_zero() or not has_coprime_components(poly):
+    if poly.is_zero() or not GeneratorAnalysis(poly).coprime:
         raise ConstructionError(message)
     return poly
 
@@ -64,17 +63,8 @@ def make_trivial(left_factor: Quaternion, direction: Quaternion,
         raise ConstructionError("at least one coefficient required")
     quats = [Quaternion.of(Scalar.of(x)) + u.scale(Scalar.of(y))
              for x, y in coeffs]
-    return _coprime(QuatPoly(quats).left_scale(c),
+    return _coprime(c * QuatPoly(quats),
                     "resulting components are not coprime")
-
-
-class CubicSpec(NamedTuple):
-    """Degree-3 data: A1, A2 in R+Rj+Rk spanning it together with 1."""
-
-    a1: Quaternion
-    a2: Quaternion
-    s3: Scalar = Scalar(0)
-    left_factor: Quaternion = Quaternion(1)
 
 
 def _conditions(lower: list[Quaternion]) -> list[tuple[Quaternion, Scalar]]:
@@ -82,7 +72,7 @@ def _conditions(lower: list[Quaternion]) -> list[tuple[Quaternion, Scalar]]:
     _least_norm: their A_n terms add up to (j - n) <A_n, A_j i>, and the
     rest is coefficient n-1+j of <A'i, A> of the lower coefficients."""
     n = len(lower)
-    rest = inner_product_poly(QuatPoly(lower))
+    rest = GeneratorAnalysis(QuatPoly(lower)).inner
     return [(a * I, rest.coeff(n - 1 + j) / (n - j)) for j, a in enumerate(lower)]
 
 
@@ -102,15 +92,16 @@ def _cubic_coeffs(a1: Quaternion, a2: Quaternion, s3: Scalar) -> list[Quaternion
     return lower + [Quaternion.of(Scalar.of(s3)) + vector]
 
 
-def make_cubic(spec: CubicSpec) -> QuatPoly:
-    """C (A3 xi^3 + A2 xi^2 + A1 xi + 1), the generic spatial cubic.
+def make_cubic(a1: Quaternion, a2: Quaternion, s3: Scalar = Scalar(0),
+               left_factor: Quaternion = Quaternion(1)) -> QuatPoly:
+    """C (A3 xi^3 + A2 xi^2 + A1 xi + 1), the generic spatial cubic, for
+    A1, A2 in R+Rj+Rk spanning it together with 1 and C = left_factor.
 
     The vector part of A3 is forced: parallel to (A1 i) x (A2 i) with
     i component <A1, A2 i>/3; only its scalar part s3 is free.
     """
-    c = _nonzero_left_factor(Quaternion.of(spec.left_factor))
-    coeffs = _cubic_coeffs(Quaternion.of(spec.a1), Quaternion.of(spec.a2), spec.s3)
-    return QuatPoly(coeffs).left_scale(c)
+    c = _nonzero_left_factor(Quaternion.of(left_factor))
+    return c * QuatPoly(_cubic_coeffs(Quaternion.of(a1), Quaternion.of(a2), s3))
 
 
 def make_cubic_monic(a1: Quaternion, a2: Quaternion,
@@ -122,17 +113,6 @@ def make_cubic_monic(a1: Quaternion, a2: Quaternion,
     """
     coeffs = _cubic_coeffs(Quaternion.of(a2), Quaternion.of(a1), s0)
     return QuatPoly(coeffs[::-1])
-
-
-class QuarticSpec(NamedTuple):
-    """Degree-4 data; the i part of A3 is forced, A4 is solved for."""
-
-    a1: Quaternion
-    a2: Quaternion
-    a3_j: Scalar = Scalar(0)
-    a3_k: Scalar = Scalar(0)
-    s3: Scalar = Scalar(0)
-    left_factor: Quaternion = Quaternion(1)
 
 
 class QuarticResult(NamedTuple):
@@ -158,25 +138,28 @@ def _least_norm(rows) -> tuple[Quaternion, int] | None:
     return sum((e.scale(v / n) for e, v, n in basis), Quaternion(0)), 4 - len(basis)
 
 
-def make_quartic(spec: QuarticSpec) -> QuarticResult:
-    """C (A4 xi^4 + A3 xi^3 + A2 xi^2 + A1 xi + 1) with A4 solved exactly.
+def make_quartic(a1: Quaternion, a2: Quaternion, a3_j: Scalar = Scalar(0),
+                 a3_k: Scalar = Scalar(0), s3: Scalar = Scalar(0),
+                 left_factor: Quaternion = Quaternion(1)) -> QuarticResult:
+    """C (A4 xi^4 + A3 xi^3 + A2 xi^2 + A1 xi + 1) with A4 solved exactly,
+    for C = left_factor and A3 = s3 + a3_i i + a3_j j + a3_k k.
 
-    The i part of A3 is <A1, A2 i>/3 (c_2 = 0).  A4 obeys the four
-    conditions c_3 = ... = c_6 = 0: <A4, i> = <A1, A3 i>/2,
+    The i part a3_i of A3 is forced: <A1, A2 i>/3 (c_2 = 0).  A4 obeys
+    the four conditions c_3 = ... = c_6 = 0: <A4, i> = <A1, A3 i>/2,
     <A4, A1 i> = <A2, A3 i>/3, and orthogonality to A2 i and A3 i.
     The least-norm A4 is returned with the family dimension, 4 minus the
     number of independent rows.
     """
-    a1, a2 = Quaternion.of(spec.a1), Quaternion.of(spec.a2)
-    c = _nonzero_left_factor(Quaternion.of(spec.left_factor))
+    a1, a2 = Quaternion.of(a1), Quaternion.of(a2)
+    c = _nonzero_left_factor(Quaternion.of(left_factor))
     _require_real_jk(a1, a2)
     _, a3_i = _conditions([Quaternion(1), a1, a2])[0]
-    a3 = Quaternion(spec.s3, a3_i, spec.a3_j, spec.a3_k)
+    a3 = Quaternion(s3, a3_i, a3_j, a3_k)
     solved = _least_norm(_conditions([Quaternion(1), a1, a2, a3]))
     if solved is None:
         raise ConstructionError("inconsistent linear conditions for A4")
     a4, family_dim = solved
-    poly = _coprime(QuatPoly([Quaternion(1), a1, a2, a3, a4]).left_scale(c),
+    poly = _coprime(c * QuatPoly([Quaternion(1), a1, a2, a3, a4]),
                     "components of the result are not coprime")
     # rank 2 of (A1, A2), or rank 1 raised to 2 by A3
     non_trivial = _jk_rank(a1, a2) > 0 and _jk_rank(a1, a2, a3) == 2

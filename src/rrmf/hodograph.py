@@ -326,7 +326,7 @@ class GeneratorAnalysis:
         # conj(c) A = |c|^2 c^-1 A with |c|^2 > 0: the vector parts of its
         # coefficients are parallel, and orthogonal to i, exactly when
         # those of c^-1 A are
-        _, x, y, z = self.poly.left_scale(c.conjugate()).components()
+        _, x, y, z = (c.conjugate() * self.poly).components()
         rank = vector_rank(x, y, z)
         if rank == 0:
             # constant (up to left factor): plane direction is conventional

@@ -70,8 +70,9 @@ from itertools import accumulate, zip_longest
 from typing import Iterable, NamedTuple, Optional
 
 from .quaternions import Quaternion
-from .scalars import (_REAL, ComplexScalar, Scalar, _Algebra, _algebra, _canonical, _Exact,
-                      _form_loop, _kernel, _leading, _packed_forms, _stack, _top, _trim_rows)
+from .scalars import (_PRODUCT, _REAL, ComplexScalar, Scalar, _Algebra, _algebra, _canonical,
+                      _Exact, _form_loop, _kernel, _leading, _packed_forms, _stack, _top,
+                      _trim_rows)
 
 
 class InexactDivision(ArithmeticError):
@@ -366,11 +367,6 @@ class QuatPoly(_DensePoly):
 
     # kept in this class body: bench/tracing.py wraps QuatPoly.__mul__ on its class
     __mul__ = _Exact.__mul__
-    # ordered coefficient products make divmod the right division
-    right_divmod = _DensePoly.divmod
-
-    def left_scale(self, c: Quaternion) -> "QuatPoly":
-        return QuatPoly([c]) * self
 
     def inner(self, other: "QuatPoly") -> RealPoly:
         """Pointwise Euclidean inner product, the real part of self conj(other)."""
@@ -572,7 +568,7 @@ def divmod_mod(f: list, g: list, p: int) -> tuple[list, list]:
 
 def mul_mod(f: list, g: list, p: int) -> list:
     """The product over F_p of nonzero trimmed coefficient lists."""
-    return forms_mod([f, g], (((1, 0, 1),),), p)[0]
+    return forms_mod([f, g], _PRODUCT, p)[0]
 
 
 def rational_mod(c: int, p: int) -> Optional[Fraction]:
@@ -716,4 +712,4 @@ RationalFunction.zero = RationalFunction(RealPoly(), _ONE, _reduced=True)
 
 def reduce_fraction(num, den) -> RationalFunction:
     """Canonical reduced form of num/den; errors on a zero denominator."""
-    return RationalFunction(RealPoly.of(num), RealPoly.of(den))
+    return RationalFunction(num, den)

@@ -94,8 +94,8 @@ def verdict_generators(rng: random.Random, count: int = 10) -> list[QuatPoly]:
             except ConstructionError:
                 pass
             c = nonzero_quat(rng, base)
-            out.append(QuatPoly([Quaternion(x, 0, y, 0) for x, y in pairs]).left_scale(c))
-            out.append(QuatPoly([Quaternion(x) for x, _ in pairs]).left_scale(c))
+            out.append(c * QuatPoly([Quaternion(x, 0, y, 0) for x, y in pairs]))
+            out.append(c * QuatPoly([Quaternion(x) for x, _ in pairs]))
     return [a for a in out if not a.is_zero()]
 
 

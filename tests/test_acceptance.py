@@ -13,9 +13,8 @@ from rrmf.catalog import (nontrivial_cubic, nontrivial_quartic_dense,
 from rrmf.classify import (cancel_indicatrix, has_vanishing_indicatrix,
                            indicatrix_coefficients, is_planar,
                            search_certificate, trivial_witness)
-from rrmf.construct import (ConstructionError, CubicSpec, QuarticSpec,
-                            make_cubic, make_quartic, make_spatial_family,
-                            make_trivial)
+from rrmf.construct import (ConstructionError, make_cubic, make_quartic,
+                            make_spatial_family, make_trivial)
 from rrmf.frames import erf_symbolic, rmf_symbolic, sample_frames
 from rrmf.hodograph import GeneratorAnalysis, core_of, has_coprime_components, hodograph_of
 from rrmf.indicatrix import inner_product_poly, rho_eta, rotation_indicatrix, verify_han
@@ -93,8 +92,8 @@ def test_criterion_4_low_degree_catalog():
                  *(make_spatial_family(n) for n in range(3, 13))):
         ok &= has_vanishing_indicatrix(poly)
         ok &= trivial_witness(poly) is None
-    ok &= make_cubic(CubicSpec(K, J, Scalar(0))) == nontrivial_cubic()
-    quartic = make_quartic(QuarticSpec(J, Quaternion(0), a3_k=Scalar(4)))
+    ok &= make_cubic(K, J, Scalar(0)) == nontrivial_cubic()
+    quartic = make_quartic(J, Quaternion(0), a3_k=Scalar(4))
     ok &= quartic.poly == nontrivial_quartic_sparse()
     report("criterion 4: low-degree catalog reproduced (exact)", ok)
 
@@ -122,21 +121,19 @@ def _random_nontrivial(rng):
                                 rng.randint(-3, 3))
                 a2 = Quaternion(rng.randint(-3, 3), 0, rng.randint(-3, 3),
                                 rng.randint(-3, 3))
-                poly = make_cubic(CubicSpec(a1, a2, Scalar(rng.randint(-2, 2)),
-                                            nonzero_quat(rng)))
+                poly = make_cubic(a1, a2, Scalar(rng.randint(-2, 2)), nonzero_quat(rng))
             elif kind == 1:
-                result = make_quartic(QuarticSpec(
+                result = make_quartic(
                     Quaternion(rng.randint(-3, 3), 0, rng.randint(-3, 3),
                                rng.randint(-3, 3)),
                     Quaternion(rng.randint(-3, 3), 0, rng.randint(-3, 3),
                                rng.randint(-3, 3)),
-                    Scalar(rng.randint(-2, 2)), Scalar(rng.randint(-2, 2))))
+                    Scalar(rng.randint(-2, 2)), Scalar(rng.randint(-2, 2)))
                 if not result.non_trivial:
                     continue
                 poly = result.poly
             else:
-                poly = make_spatial_family(rng.randint(3, 6)).left_scale(
-                    nonzero_quat(rng))
+                poly = nonzero_quat(rng) * make_spatial_family(rng.randint(3, 6))
             return poly
         except ConstructionError:
             continue
@@ -215,8 +212,8 @@ def test_criterion_5_identity_suite():
     outsiders = [QuatPoly([Quaternion(1), I]), quintic_no_cancellation().generator]
     for _ in range(N_IDENTITY):
         q = nonzero_quat(rng)
-        ok_left &= all(has_vanishing_indicatrix(m.left_scale(q)) for m in members)
-        ok_left &= not any(has_vanishing_indicatrix(o.left_scale(q))
+        ok_left &= all(has_vanishing_indicatrix(q * m) for m in members)
+        ok_left &= not any(has_vanishing_indicatrix(q * o)
                            for o in outsiders)
     report("criterion 5h: left-constant invariance, 200 random (exact)", ok_left)
 

@@ -327,7 +327,7 @@ def _chi_cases(name: str) -> tuple[list, bool | None]:
     if name == "Q(sqrt 15)":
         c = Quaternion(1, Scalar(0, 1, 15), 2, 0)
         return ([nonzero_qpoly(rng, rng.randint(1, 4), 15) for _ in range(12)]
-                + [make_f_element(make_spatial_family(n).left_scale(c),
+                + [make_f_element(c * make_spatial_family(n),
                                   _sized_delta(rng, degree, 1, 15)).poly
                    for n in (3, 4) for degree in (1, 2)]), None
     assert name == "planted real factor"
@@ -435,19 +435,19 @@ def test_facts_without_a_prime_image():
     s = Scalar(0, 1, NO_PRIME_BASE)
     c = Quaternion(1, s, 2, 0)
     xi_plus_i = ComplexPoly.from_parts(RealPoly([0, 1]), RealPoly([1]))
-    element = make_f_element(make_spatial_family(4).left_scale(c), xi_plus_i)
+    element = make_f_element(c * make_spatial_family(4), xi_plus_i)
     certificate = element.certificate.real_parts()
     # (generator, certificate), then (coprime, in F0, trivial, planar,
     # primitive, core degree, membership, method)
     cases = [
-        (make_spatial_family(5).left_scale(c), None,
+        (c * make_spatial_family(5), None,
          (True, True, False, False, True, 5, "proven", "vanishing-indicatrix")),
         (make_trivial(Quaternion(1, 0, s, 1), Quaternion(0, 0, 1, s),
                       [(1, 0), (2, 1), (0, 3)]), None,
          (True, True, True, True, True, 2, "proven", "vanishing-indicatrix")),
         (element.poly, certificate,
          (True, False, False, False, False, 4, "proven", "certificate")),
-        (RealPoly([2, 1]).as_quat() * make_spatial_family(5).left_scale(c), None,
+        (RealPoly([2, 1]).as_quat() * (c * make_spatial_family(5)), None,
          (False, False, False, False, False, 5, "unknown", "components-not-coprime")),
     ]
     for a, cert, facts in cases:

@@ -97,9 +97,9 @@ def test_left_constant_invariance(rng):
     for _ in range(30):
         q = nonzero_quat(rng)
         for a in members:
-            assert has_vanishing_indicatrix(a.left_scale(q))
+            assert has_vanishing_indicatrix(q * a)
         for a in outsiders:
-            assert not has_vanishing_indicatrix(a.left_scale(q))
+            assert not has_vanishing_indicatrix(q * a)
 
 
 def test_trivial_witness_examples():
@@ -108,10 +108,10 @@ def test_trivial_witness_examples():
     assert trivial_witness(nontrivial_cubic()) is None
     # coefficients 1, k, j span three dimensions: not a coset of a plane
     c = Quaternion(1, 1, 0, 0)
-    not_planar = QuatPoly([Quaternion(1), K, J]).left_scale(c)
+    not_planar = c * QuatPoly([Quaternion(1), K, J])
     assert trivial_witness(not_planar) is None
     # a genuine left-translated plane family
-    planar = QuatPoly([Quaternion(1), Quaternion(2, 0, 1, 0), J]).left_scale(c)
+    planar = c * QuatPoly([Quaternion(1), Quaternion(2, 0, 1, 0), J])
     w = trivial_witness(planar)
     assert w is not None and witness_is_valid(planar, w)
     assert w.direction.cross(J).is_zero()
@@ -418,7 +418,7 @@ def test_indicatrix_forms_agree(rng):
     members = [nontrivial_cubic(), nontrivial_quartic_sparse(),
                nontrivial_quartic_dense(), QuatPoly([Quaternion(1), J]),
                *(make_spatial_family(n) for n in range(3, 7))]
-    members += [m.left_scale(SURD_QUAT) for m in members]
+    members += [SURD_QUAT * m for m in members]
     outsiders = [IXP1, UNKNOWN_FIXTURE, quintic_no_cancellation().generator,
                  make_f_element(nontrivial_cubic(), _linear(SQRT15, 1)).poly]
     outsiders += [coprime_qpoly(rng, rng.randint(1, 4), base)

@@ -1,5 +1,6 @@
 import builtins
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -17,7 +18,7 @@ from rrmf import cli, frames, hodograph, indicatrix, polynomials
 from rrmf.catalog import (nontrivial_cubic, quintic_left_cancellation,
                           quintic_no_cancellation, quintic_right_cancellation)
 from rrmf.cli import EXIT_INTERNAL, main
-from rrmf.construct import make_spatial_family
+from rrmf.construct import make_cubic, make_cubic_monic, make_quartic, make_spatial_family
 from rrmf.documents import document_for, dumps_document
 from rrmf.frames import CSV_HEADER, certificate_generator, sample_frames, write_frames_csv
 from rrmf.polynomials import QuatPoly, RealPoly
@@ -32,8 +33,8 @@ NO_CANCELLATION = str(Path(__file__).resolve().parent.parent / "fixtures"
 RIGHT_CANCELLATION = str(Path(__file__).resolve().parent.parent / "fixtures"
                          / "quintic-right-cancellation.json")
 # components sharing the real factor xi + 2, over a base with no prime image
-SHARED_FACTOR = RealPoly([2, 1]).as_quat() * make_spatial_family(5).left_scale(
-    Quaternion(1, parse_scalar("sqrt(207874)"), 2, 0))
+SHARED_FACTOR = RealPoly([2, 1]).as_quat() * (
+    Quaternion(1, parse_scalar("sqrt(207874)"), 2, 0) * make_spatial_family(5))
 
 
 def write_doc(tmp_path, name, poly, certificate=None):
@@ -228,9 +229,13 @@ def test_construct_malformed_spec_scalar_or_row(capsys):
         assert code == 2 and err.startswith("error: ") and out == ""
 
 
-# the optional keys of each construct spec, in its constructor's parameter order
-OPTIONAL_SPEC_KEYS = {"cubic": ("s3", "left_factor"), "cubic-monic": ("s0",),
-                      "quartic": ("a3_j", "a3_k", "s3", "left_factor")}
+# the optional keys of each construct spec: its constructor's parameters
+# with defaults, in order
+OPTIONAL_SPEC_KEYS = {
+    kind: tuple(name for name, parameter in inspect.signature(constructor).parameters.items()
+                if parameter.default is not inspect.Parameter.empty)
+    for kind, constructor in (("cubic", make_cubic), ("cubic-monic", make_cubic_monic),
+                              ("quartic", make_quartic))}
 
 
 @pytest.mark.parametrize("base", [0, 15])

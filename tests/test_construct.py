@@ -9,8 +9,7 @@ from rrmf.catalog import (nontrivial_cubic, nontrivial_quartic_dense,
 from rrmf.classify import (MembershipStatus, cancel_indicatrix, classify,
                            has_vanishing_indicatrix, indicatrix_coefficients,
                            trivial_witness)
-from rrmf.construct import (ConstructionError, CubicSpec, QuarticSpec,
-                            _conditions, _least_norm, make_cubic,
+from rrmf.construct import (ConstructionError, _conditions, _least_norm, make_cubic,
                             make_cubic_monic, make_f_element, make_quartic,
                             make_spatial_family, make_trivial)
 from rrmf.hodograph import core_of
@@ -63,7 +62,7 @@ def test_make_trivial_errors():
 
 
 def test_make_cubic_reproduces_catalog():
-    assert make_cubic(CubicSpec(K, J)) == nontrivial_cubic()
+    assert make_cubic(K, J) == nontrivial_cubic()
 
 
 def test_make_cubic_random_specs(rng):
@@ -74,7 +73,7 @@ def test_make_cubic_random_specs(rng):
         s3 = Scalar(rng.randint(-2, 2))
         c = nonzero_quat(rng)
         try:
-            polys = (make_cubic(CubicSpec(a1, a2, s3, c)), make_cubic_monic(a1, a2, s3))
+            polys = (make_cubic(a1, a2, s3, c), make_cubic_monic(a1, a2, s3))
         except ConstructionError:
             continue
         built += 1
@@ -91,7 +90,7 @@ def test_cubic_constructors_give_coprime_components(rng):
         a1, a2 = _sparse_jk(rng, base), _sparse_jk(rng, base)
         s = rand_scalar(rng, base)
         try:
-            polys = (make_cubic(CubicSpec(a1, a2, s, nonzero_quat(rng, base))),
+            polys = (make_cubic(a1, a2, s, nonzero_quat(rng, base)),
                      make_cubic_monic(a1, a2, s))
         except ConstructionError:
             continue
@@ -103,11 +102,11 @@ def test_cubic_constructors_give_coprime_components(rng):
 
 def test_make_cubic_errors():
     with pytest.raises(ConstructionError):
-        make_cubic(CubicSpec(J, J.scale(2)))  # rank-2 span
+        make_cubic(J, J.scale(2))  # rank-2 span
     with pytest.raises(ConstructionError):
-        make_cubic(CubicSpec(I, J))  # A1 outside R+Rj+Rk
+        make_cubic(I, J)  # A1 outside R+Rj+Rk
     with pytest.raises(ConstructionError):
-        make_cubic(CubicSpec(K, J, left_factor=Quaternion(0)))
+        make_cubic(K, J, left_factor=Quaternion(0))
 
 
 def test_make_cubic_monic_sign():
@@ -121,14 +120,14 @@ def test_make_cubic_monic_sign():
 
 
 def test_make_quartic_reproduces_sparse():
-    result = make_quartic(QuarticSpec(J, Quaternion(0), a3_k=Scalar(4)))
+    result = make_quartic(J, Quaternion(0), a3_k=Scalar(4))
     assert result.poly == nontrivial_quartic_sparse()
     assert result.non_trivial
     assert result.family_dim == 1  # A2 = 0 leaves the scalar part free
 
 
 def test_make_quartic_reproduces_dense():
-    result = make_quartic(QuarticSpec(J, K, a3_j=Scalar(1)))
+    result = make_quartic(J, K, a3_j=Scalar(1))
     assert result.poly == nontrivial_quartic_dense()
     assert result.non_trivial
     assert result.family_dim == 0
@@ -137,11 +136,10 @@ def test_make_quartic_reproduces_dense():
 def test_make_quartic_random_specs(rng):
     built = 0
     while built < 30:
-        spec = QuarticSpec(rand_jk(rng), rand_jk(rng),
-                           Scalar(rng.randint(-2, 2)), Scalar(rng.randint(-2, 2)),
-                           Scalar(rng.randint(-2, 2)))
         try:
-            result = make_quartic(spec)
+            result = make_quartic(rand_jk(rng), rand_jk(rng),
+                                  Scalar(rng.randint(-2, 2)), Scalar(rng.randint(-2, 2)),
+                                  Scalar(rng.randint(-2, 2)))
         except ConstructionError:
             continue
         built += 1
@@ -150,14 +148,13 @@ def test_make_quartic_random_specs(rng):
 
 
 def test_make_quartic_rank_deficient():
-    result = make_quartic(QuarticSpec(Quaternion(0), Quaternion(0),
-                                      a3_j=Scalar(1)))
+    result = make_quartic(Quaternion(0), Quaternion(0), a3_j=Scalar(1))
     assert result.family_dim == 2
     assert not result.non_trivial
     assert has_vanishing_indicatrix(result.poly)
     # A1 = 1 repeats the row i, with <A2, A3 i>/3 = 1/3 against <A1, A3 i>/2 = 0
     with pytest.raises(ConstructionError, match="inconsistent linear conditions for A4"):
-        make_quartic(QuarticSpec(Quaternion(1), J, a3_k=Scalar(1)))
+        make_quartic(Quaternion(1), J, a3_k=Scalar(1))
 
 
 def _rand_system(rng, base):
@@ -230,8 +227,8 @@ def test_forced_coefficients_match_hand_derived_formulas(rng):
         if rng.random() < 0.1:
             a1 = a1 + I  # off the plane, which every constructor refuses first
         s, a3_j, a3_k = (rand_scalar(rng, base) for _ in range(3))
-        generic = _built_or_message(lambda: make_cubic(CubicSpec(a1, a2, s)))
-        swapped = _built_or_message(lambda: make_cubic(CubicSpec(a2, a1, s)))
+        generic = _built_or_message(lambda: make_cubic(a1, a2, s))
+        swapped = _built_or_message(lambda: make_cubic(a2, a1, s))
         monic = _built_or_message(lambda: make_cubic_monic(a1, a2, s))
         det = a1.inner(a2 * I)
         if isinstance(swapped, str):
@@ -248,7 +245,7 @@ def test_forced_coefficients_match_hand_derived_formulas(rng):
         assert _conditions([Quaternion(1), a1, a2, a3]) == rows
         solved = _least_norm(rows)
         quartic = _built_or_message(
-            lambda: make_quartic(QuarticSpec(a1, a2, a3_j, a3_k, s)))
+            lambda: make_quartic(a1, a2, a3_j, a3_k, s))
         if not a1.x.is_zero():
             assert quartic == "A1 and A2 must lie in R + Rj + Rk"
         elif solved is None:

@@ -151,6 +151,9 @@ def test_mixed_bases_rejected_on_serialize():
             document_for(poly, certificate=certificate)
     with pytest.raises(DocumentError, match=r"^mixed surd bases \[5, 15\] in one document$"):
         document_for(poly, certificate=(RealPoly([Scalar(0, 1, 5)]), RealPoly([1])))
+    # nor is a value that is no polynomial
+    with pytest.raises(DocumentError, match="^cannot serialize Quaternion$"):
+        document_for(Quaternion(1))
 
 
 def test_document_dict_shape():

@@ -81,7 +81,7 @@ def test_left_rotation_covariance(rng):
     for _ in range(50):
         a = nonzero_qpoly(rng, 2)
         q = nonzero_quat(rng)
-        qa = a.left_scale(q)
+        qa = q * a
         n = q.norm_sq()
         assert norm_poly(qa) == norm_poly(a).scale(n)
         b = (a * i_poly * a.conjugate()).coeffs
@@ -127,7 +127,7 @@ def test_core_idempotent_and_factorization(rng):
 
 def test_coprime_components():
     assert has_coprime_components(QuatPoly([Quaternion(1), I]))
-    shared = QuatPoly([Quaternion(1), I]).left_scale(Quaternion(1)) \
+    shared = Quaternion(1) * QuatPoly([Quaternion(1), I]) \
         * RealPoly([0, 1]).as_quat()
     assert not has_coprime_components(shared)
     assert not has_coprime_components(QuatPoly())

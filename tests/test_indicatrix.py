@@ -10,8 +10,7 @@ import pytest
 
 from rrmf.catalog import (nontrivial_cubic, quintic_left_cancellation,
                           quintic_no_cancellation, quintic_right_cancellation)
-from rrmf.construct import (CubicSpec, make_cubic, make_f_element,
-                            make_spatial_family, make_trivial)
+from rrmf.construct import make_cubic, make_f_element, make_spatial_family, make_trivial
 from rrmf.frames import certificate_generator, erf_symbolic
 from rrmf.indicatrix import inner_product_poly, rho_eta, rotation_indicatrix, verify_han
 from rrmf.hodograph import _IMAGE_FORMS, GeneratorAnalysis
@@ -97,8 +96,8 @@ def test_verify_han_preconditions():
 
 SQRT15 = Scalar(0, 1, 15)
 # a spatial cubic over Q(sqrt 15) with vanishing indicatrix
-CUBIC15 = make_cubic(CubicSpec(Quaternion(SQRT15, 0, 0, 1), Quaternion(1, 0, SQRT15 / 2, 0),
-                               s3=1 + SQRT15))
+CUBIC15 = make_cubic(Quaternion(SQRT15, 0, 0, 1), Quaternion(1, 0, SQRT15 / 2, 0),
+                     s3=1 + SQRT15)
 
 
 def _han_cases(rng, base: int) -> list[tuple[QuatPoly, RealPoly, RealPoly]]:
@@ -347,7 +346,7 @@ def test_rho_eta_matches_product_formula(rng):
     cases = verdict_generators(rng)
     cases += [quintic, IXP1, quintic_right_cancellation().generator]
     # sigma divides rho for every left factor and shift of the quintic
-    moved = [_shifted(quintic.left_scale(nonzero_quat(rng, base)), rng.randint(-3, 3))
+    moved = [_shifted(nonzero_quat(rng, base) * quintic, rng.randint(-3, 3))
              for base in (0, 15) for _ in range(4)]
     # sigma keeps no degree 2 deg A at the prime, so the exact remainder
     # decides: a leading coefficient divisible by the prime, and the left
@@ -355,7 +354,7 @@ def test_rho_eta_matches_product_formula(rng):
     prime, (_, r) = _embedding(0)
     b = nonzero_qpoly(rng, 3)
     lead = QuatPoly(list(b.coeffs[:-1]) + [Quaternion(prime, 2 * prime, 0, prime)])
-    moved.append(quintic.left_scale(Quaternion(r, 1)))
+    moved.append(Quaternion(r, 1) * quintic)
     for a in (lead, moved[-1]):
         analysis = GeneratorAnalysis.of(a)
         sigma, = image_forms(analysis.image.comps, _IMAGE_FORMS[:1], analysis.image.p)

@@ -12,16 +12,11 @@ import pytest
 
 from rrmf.catalog import RegressionItem, WorkedCurve
 from rrmf.classify import Classification, Membership, ReducedForm
-from rrmf.construct import CubicSpec, FElement, QuarticResult, QuarticSpec
+from rrmf.construct import FElement, QuarticResult
 from rrmf.documents import PolyDocument
 from rrmf.frames import SymbolicFrame
 from rrmf.hodograph import CoreDecomposition, CurvePosition, TrivialWitness
 from rrmf.indicatrix import RhoEta
-from rrmf.quaternions import Quaternion
-from rrmf.scalars import Scalar
-
-ZERO, ONE = Scalar(0), Quaternion(1)
-ONE_TEXT, ZERO_TEXT = "Quaternion(1/1, 0/1, 0/1, 0/1)", "Scalar(0/1)"
 
 # each record built from 0, 1, ... for its required fields: the fields in
 # order, the defaults, and the repr text it printed as a dataclass
@@ -41,12 +36,6 @@ RECORDS = [
     (RhoEta, ("rho", "eta", "divisible"), {}, "RhoEta(rho=0, eta=1, divisible=2)"),
     (SymbolicFrame, ("denominator", "images"), {},
      "SymbolicFrame(denominator=0, images=1)"),
-    (CubicSpec, ("a1", "a2", "s3", "left_factor"), {"s3": ZERO, "left_factor": ONE},
-     f"CubicSpec(a1=0, a2=1, s3={ZERO_TEXT}, left_factor={ONE_TEXT})"),
-    (QuarticSpec, ("a1", "a2", "a3_j", "a3_k", "s3", "left_factor"),
-     {"a3_j": ZERO, "a3_k": ZERO, "s3": ZERO, "left_factor": ONE},
-     f"QuarticSpec(a1=0, a2=1, a3_j={ZERO_TEXT}, a3_k={ZERO_TEXT}, s3={ZERO_TEXT}, "
-     f"left_factor={ONE_TEXT})"),
     (QuarticResult, ("poly", "non_trivial", "family_dim"), {},
      "QuarticResult(poly=0, non_trivial=1, family_dim=2)"),
     (FElement, ("poly", "certificate"), {}, "FElement(poly=0, certificate=1)"),

@@ -6,12 +6,12 @@ monic certificate with coprime parts is unique, so both stages must give
 the same answer at every max_degree: on the pool, on seeded generators
 with entries in {-1, 0, 1}, and on f-elements over Q and Q(sqrt 15).
 Every certificate returned has coprime parts, which the image stage
-proves in F_p.  The fall-through is forced by coefficients too long to
-reconstruct at p, by one that reconstructs to a wrong gamma, by an
-irrational gamma over Q(sqrt 15), by a reconstruction patched to return
-wrong values and by a residue loop patched to give both parts a common
-factor; a max_degree far above the number of poles leaves the image
-stage bounded.
+proves in F_p.  The fall-through is forced by an image with an odd or
+zero number of poles, by coefficients too long to reconstruct at p, by
+one that reconstructs to a wrong gamma, by an irrational gamma over
+Q(sqrt 15), by a reconstruction patched to return wrong values and by a
+residue loop patched to give both parts a common factor; a max_degree
+far above the number of poles leaves the image stage bounded.
 """
 
 import json
@@ -25,6 +25,7 @@ from pathlib import Path
 import pytest
 
 from rrmf import classify
+from rrmf.catalog import quintic_left_cancellation
 from rrmf.classify import _image_certificate, _search_exact, search_certificate
 from rrmf.cli import main
 from rrmf.construct import make_f_element, make_spatial_family
@@ -91,7 +92,7 @@ def _f_elements(bases) -> list[QuatPoly]:
                   ComplexPoly([ComplexScalar(1, 1), ComplexScalar(0, 1)]),
                   ComplexPoly([ComplexScalar(s, -2), ComplexScalar(1, 0), ComplexScalar(0, 3)]),
                   ComplexPoly([ComplexScalar(2, 1), ComplexScalar(-1, s), 1])]
-        out += [make_f_element(make_spatial_family(n), delta).poly.left_scale(left)
+        out += [left * make_f_element(make_spatial_family(n), delta).poly
                 for n in (4, 5, 6) for delta in deltas]
     return out
 
@@ -163,6 +164,21 @@ def _count_exact_stage(monkeypatch) -> list:
 
     monkeypatch.setattr(classify, "_search_exact", counted)
     return calls
+
+
+def test_an_odd_or_zero_pole_count_falls_through(monkeypatch):
+    # gamma = (xi - 2, -1) from the exact stage alone, when the image's
+    # denominator D gains the root 1 (odd degree) or is replaced by 1
+    a = quintic_left_cancellation().generator
+    reference = GeneratorAnalysis.of(a)
+    (num, den), p = reference.han_image, reference.image.p
+    calls = _count_exact_stage(monkeypatch)
+    for image in ((num, mul_mod(den, [p - 1, 1], p)), (num, [1])):
+        analysis = GeneratorAnalysis.of(a)
+        analysis.han_image = image
+        assert _image_certificate(analysis, 3) is None
+        assert search_certificate(analysis, 3) == (RealPoly([-2, 1]), RealPoly([-1]))
+    assert calls == [3, 3]
 
 
 def test_long_coefficients_fall_through(monkeypatch):

@@ -349,9 +349,9 @@ def test_screened_facts_match_sympy(rng, monkeypatch, base, digits):
         "complex right factor": sized_poly(rng, QuatPoly, 1, base, digits) * gamma.as_quat(),
         "leading coefficient divisible by the prime": QuatPoly(
             list(b.coeffs[:-1]) + [Quaternion(*(prime * rng.randint(1, 9) for _ in range(4)))]),
-        "F0 member": make_spatial_family(3).left_scale(c),
-        "planar": QuatPoly([Quaternion(x, 0, y, 0) for x, y in pairs]).left_scale(c),
-        "sigma divides rho": quintic_no_cancellation().generator.left_scale(c),
+        "F0 member": c * make_spatial_family(3),
+        "planar": c * QuatPoly([Quaternion(x, 0, y, 0) for x, y in pairs]),
+        "sigma divides rho": c * quintic_no_cancellation().generator,
     }
     facts = {}
     for name, a in cases.items():
