@@ -1,3 +1,4 @@
+import inspect
 from fractions import Fraction
 
 import numpy as np
@@ -33,6 +34,28 @@ def assert_certified(element):
 
 def rand_jk(rng):
     return Quaternion(rng.randint(-3, 3), 0, rng.randint(-3, 3), rng.randint(-3, 3))
+
+
+# each constructor's parameters are the fields of the spec record it once
+# unpacked: the same names, in the same order, with the same defaults
+SPEC_PARAMETERS = [
+    (make_cubic, ("a1", "a2", "s3", "left_factor"),
+     {"s3": Scalar(0), "left_factor": Quaternion(1)}),
+    (make_quartic, ("a1", "a2", "a3_j", "a3_k", "s3", "left_factor"),
+     {"a3_j": Scalar(0), "a3_k": Scalar(0), "s3": Scalar(0), "left_factor": Quaternion(1)}),
+]
+
+
+@pytest.mark.parametrize("constructor, names, defaults", SPEC_PARAMETERS,
+                         ids=[r[0].__name__ for r in SPEC_PARAMETERS])
+def test_constructor_takes_the_spec_fields(constructor, names, defaults):
+    parameters = inspect.signature(constructor).parameters
+    assert tuple(parameters) == names
+    assert {name: parameter.default for name, parameter in parameters.items()
+            if parameter.default is not parameter.empty} == defaults
+    a1, a2 = Quaternion(0, 0, 1, 2), Quaternion(1, 0, 0, 1)
+    assert (constructor(a1, a2) == constructor(a1, a2, *defaults.values())
+            == constructor(a2=a2, a1=a1, **defaults))
 
 
 def test_make_trivial_examples():
